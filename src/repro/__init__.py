@@ -54,7 +54,6 @@ from repro.analysis.spectrum import fingerprint, fingerprints_differ
 from repro.campaign import (
     CampaignSpec,
     ResultStore,
-    Scenario,
     aggregate_rows,
     aggregate_table,
     dumps_aggregate,
@@ -64,7 +63,6 @@ from repro.campaign import (
     load_records,
     run_campaign,
     run_scenario,
-    scenario_hash,
 )
 from repro.core import (
     AffineConnection,
@@ -208,7 +206,6 @@ __all__ = [
     "Registry",
     "ReproError",
     "ResultStore",
-    "Scenario",
     "ScenarioSpec",
     "SimPolicy",
     "SimReport",
@@ -301,7 +298,6 @@ __all__ = [
     "run_scenario",
     "satisfies_characterization",
     "scenario_digest",
-    "scenario_hash",
     "schedule_from_switch_settings",
     "simulate",
     "simulate_batch",

@@ -35,7 +35,7 @@ EXECUTION_HINT_FIELDS = frozenset({"backend", "compile_cache"})
 #: read of an execution hint inside one of these leaks the hint into
 #: stored identity.
 DIGEST_FUNCTIONS = frozenset({
-    "to_spec", "digest", "group_key", "scenario_digest", "_doc_group_key",
+    "to_spec", "digest", "group_key", "scenario_digest",
 })
 
 # -- RPR002 nopython safety --------------------------------------------------
@@ -56,16 +56,12 @@ NOPYTHON_NUMPY_CALLS = frozenset({
 #: ``repro/sim/kernels/`` is worker-side by definition.
 WORKER_FUNCTIONS = frozenset({
     "_worker_main",
-    "_apply_override",
-    "_run_group",
-    "_run_group_shm",
-    "_run_group_shm_inner",
+    "_error_info",
+    "_execute_group",
     "_group_reports",
     "_record",
-    "_telemetry",
     "_note_group",
     "_worker_init",
-    "_execute_inline",
 })
 
 #: Call targets that read nondeterministic state.  ``time.perf_counter``
@@ -83,9 +79,10 @@ NONDETERMINISTIC_CALLS = frozenset({
 
 # -- RPR004 pickle boundary --------------------------------------------------
 
-#: Local names that denote supervisor/pool queues at ``.put()`` sites
-#: (the last attribute segment of the receiver).
-QUEUE_RECEIVER_NAMES = frozenset({"inq", "outq", "_outq", "queue"})
+#: Local names that denote supervisor queues and result pipes at
+#: ``.put()`` / ``.send()`` sites (the last attribute segment of the
+#: receiver).
+QUEUE_RECEIVER_NAMES = frozenset({"inq", "outq", "queue", "result_conn"})
 
 #: Callables whose results are pickle-safe by construction and may
 #: appear inside a queue payload tuple.
@@ -94,8 +91,8 @@ PICKLE_SAFE_CALLS = frozenset({
 })
 
 #: Exception types a worker must never raise: they escape the
-#: ``Exception`` handler that wraps failures into ``RemoteTaskError``,
-#: so they would cross the queue unwrapped (or kill the worker loop).
+#: ``Exception`` handler that turns failures into ``err`` messages, so
+#: they would kill the worker loop instead of reporting the failure.
 FORBIDDEN_WORKER_RAISES = frozenset({
     "BaseException", "SystemExit", "KeyboardInterrupt", "GeneratorExit",
 })

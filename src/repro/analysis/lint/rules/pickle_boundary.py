@@ -1,18 +1,19 @@
-"""RPR004: only whitelisted shapes cross the supervisor's queues.
+"""RPR004: only whitelisted shapes cross the supervisor's channels.
 
-Everything on the worker queues must pickle on the way out *and*
-unpickle in a process that may not share the sender's module state —
-the reason failures travel as ``RemoteTaskError`` (which carries its
-formatted remote traceback through ``__reduce__``) instead of arbitrary
-exception objects.  The rule checks the two directions:
+Everything on the worker task queues and result pipes must pickle on
+the way out *and* unpickle in a process that may not share the
+sender's module state — the reason a worker failure travels as a plain
+error-info dict carrying its formatted traceback instead of an
+arbitrary exception object.  The rule checks the two directions:
 
-* every ``.put()`` on a queue receiver carries ``None`` (the stop
-  sentinel) or a literal tuple whose elements are constants, names,
-  attribute loads, literal dicts/lists or calls to pickle-safe
-  constructors (:data:`~repro.analysis.lint.policy.PICKLE_SAFE_CALLS`);
+* every ``.put()`` / ``.send()`` on a queue or pipe receiver carries
+  ``None`` (the stop sentinel) or a literal tuple whose elements are
+  constants, names, attribute loads, literal dicts/lists or calls to
+  pickle-safe constructors
+  (:data:`~repro.analysis.lint.policy.PICKLE_SAFE_CALLS`);
 * worker-side code never raises ``BaseException`` family types that
-  would escape the ``except Exception`` wrap-into-``RemoteTaskError``
-  boundary.
+  would escape the ``except Exception`` boundary that turns failures
+  into ``err`` messages.
 """
 
 from __future__ import annotations
@@ -66,9 +67,9 @@ class PickleBoundaryRule(Rule):
     name = "pickle-boundary"
     severity = "error"
     hint = (
-        "queue payloads must be the None sentinel or literal tuples of "
-        "spec/report/TaskFailure/RemoteTaskError-compatible values; "
-        "wrap worker errors in RemoteTaskError"
+        "queue and pipe payloads must be the None sentinel or literal "
+        "tuples of spec/record/error-info values; ship worker errors as "
+        "structured err messages"
     )
 
     def applies(self, module: str) -> bool:
@@ -76,17 +77,17 @@ class PickleBoundaryRule(Rule):
 
     def check(self, ctx: FileContext):
         findings = []
-        findings.extend(self._check_puts(ctx))
+        findings.extend(self._check_sends(ctx))
         findings.extend(self._check_raises(ctx))
         return findings
 
-    def _check_puts(self, ctx: FileContext):
+    def _check_sends(self, ctx: FileContext):
         findings = []
         for node in ast.walk(ctx.tree):
             if not (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("put", "put_nowait")
+                and node.func.attr in ("put", "put_nowait", "send")
             ):
                 continue
             receiver = dotted_name(node.func.value)
@@ -94,6 +95,7 @@ class PickleBoundaryRule(Rule):
                 continue
             if receiver.split(".")[-1] not in policy.QUEUE_RECEIVER_NAMES:
                 continue
+            site = f"{receiver}.{node.func.attr}()"
             if not node.args:
                 continue
             payload = node.args[0]
@@ -103,7 +105,7 @@ class PickleBoundaryRule(Rule):
                 findings.append(ctx.finding(
                     self,
                     payload,
-                    f"queue payload on {receiver}.put() is not the None "
+                    f"payload on {site} is not the None "
                     "sentinel or a literal message tuple",
                 ))
                 continue
@@ -112,7 +114,7 @@ class PickleBoundaryRule(Rule):
                 findings.append(ctx.finding(
                     self,
                     payload,
-                    f"queue payload on {receiver}.put(): {problem}",
+                    f"payload on {site}: {problem}",
                 ))
         return findings
 

@@ -70,13 +70,7 @@ from repro.campaign.reliability import (
     reliability_table,
 )
 from repro.campaign.runner import run_campaign, run_scenario
-from repro.campaign.spec import (
-    CampaignSpec,
-    Scenario,
-    expand_scenarios,
-    scenario_group_key,
-    scenario_hash,
-)
+from repro.campaign.spec import CampaignSpec, expand_scenarios
 from repro.campaign.store import ResultStore, record_crc
 from repro.campaign.supervisor import SupervisorConfig
 
@@ -88,7 +82,6 @@ __all__ = [
     "ReliabilitySweepSpec",
     "RemoteTaskError",
     "ResultStore",
-    "Scenario",
     "SupervisorConfig",
     "TaskFailure",
     "aggregate_rows",
@@ -113,7 +106,5 @@ __all__ = [
     "reliability_table",
     "run_campaign",
     "run_scenario",
-    "scenario_group_key",
-    "scenario_hash",
     "watch_campaign",
 ]

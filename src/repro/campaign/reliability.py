@@ -31,7 +31,7 @@ construction, per draw and hence in the mean.
 
 Like :mod:`repro.campaign.aggregate`, everything here is a pure,
 order-independent function of the stored records: reports are
-byte-identical across supervised/unsupervised runs, interruptions and
+byte-identical across inline/pooled runs, interruptions and
 ``--resume``.
 """
 

@@ -4,12 +4,13 @@ The parent process never ships network objects: a worker receives frozen
 :class:`~repro.spec.scenario.ScenarioSpec` values (a few hundred bytes
 each), resolves them through the registries — rebuilding the topology
 from the catalog or the referenced ``repro-midigraph`` file, the traffic
-pattern and the fault sample — runs the simulator and hands the results
-back.  The parent streams every finished record straight into the
-:class:`~repro.campaign.store.ResultStore`, so progress survives a kill
-at any point and ``resume=True`` re-runs only the missing scenarios.
+pattern and the fault sample — runs the simulator and hands the store
+records back.  The parent streams every finished record straight into
+the :class:`~repro.campaign.store.ResultStore`, so progress survives a
+kill at any point and ``resume=True`` re-runs only the missing
+scenarios.
 
-Three layers of batching and caching keep the sweep hot:
+Two layers of batching and caching keep the sweep hot:
 
 * **Scenario groups.**  Pending scenarios are grouped by
   :meth:`~repro.spec.scenario.ScenarioSpec.group_key` — same topology,
@@ -26,22 +27,17 @@ Three layers of batching and caching keep the sweep hot:
   fused JIT loop (:func:`repro.sim.kernels.warm_jit`) so no slab pays
   the one-time compile.  Network resolution is additionally memoized per
   process by catalog entry / file content digest.
-* **Zero-copy result return.**  With ``workers > 1`` each group task
-  allocates one ``multiprocessing.shared_memory`` metric buffer, writes
-  every numeric report field (counters, latency summary, per-stage
-  utilization) straight into it and returns only the buffer name.  The
-  parent reassembles the :class:`~repro.sim.metrics.SimReport` values
-  from the buffer plus the specs it already holds, then unlinks it —
-  nothing a report contains is pickled through the pool pipe, and only
-  in-flight results (never the whole sweep) hold segments.  The classic
-  pickled-record path remains as the fallback (``zero_copy=False`` or
-  ``REPRO_CAMPAIGN_SHM=0``) and produces byte-identical stores.
 
-``workers=1`` runs inline in the parent (no pool, easiest to debug and to
-interrupt deterministically in tests); ``workers>1`` dispatches through
-the fault-tolerant supervisor (:mod:`repro.campaign.supervisor`) —
-completion order is nondeterministic, results are not: every scenario's
-report is a pure function of its spec.
+**One group executor.**  ``workers=1`` runs inline in the parent (no
+pool, easiest to debug and to interrupt deterministically in tests);
+``workers>1`` dispatches through the fault-tolerant supervisor
+(:mod:`repro.campaign.supervisor`).  Both call the same
+:func:`_execute_group` — chaos injection, backend override, the
+``group`` span and its telemetry are written once — and both hand the
+parent the same ``(records, cache_delta, telemetry)`` triple; pool
+workers pickle it through their result pipe.  Completion order is
+nondeterministic, results are not: every scenario's report is a pure
+function of its spec.
 
 **Fault tolerance.**  Both paths route failures through the supervisor's
 recovery policy: a failed scenario group is bisected to isolate the
@@ -58,24 +54,19 @@ task attempt, not the campaign.  Quarantined scenarios are skipped on
 ``resume`` and re-run after ``python -m repro campaign quarantine
 --requeue``.  The crash-safety oracle is unchanged: once every
 non-poison scenario completes, store bytes and aggregates are identical
-to a fault-free run.  ``supervised=False`` restores the bare
-``Pool.imap_unordered`` loop (the overhead baseline benchmarked by
-``benchmarks/bench_campaign.py``).  A deterministic chaos harness
+to a fault-free run.  A deterministic chaos harness
 (:mod:`repro.campaign.chaos`, ``REPRO_CHAOS``) injects worker
 crash/hang/raise/slow faults inside workers to test all of this.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from collections import OrderedDict
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Mapping
-
-import numpy as np
 
 from repro.core.errors import ReproError
 from repro.campaign import supervisor as sup
@@ -106,20 +97,6 @@ __all__ = ["run_campaign", "run_scenario"]
 
 _log = get_logger("campaign")
 
-#: Environment kill-switch for the shared-memory result path.
-SHM_ENV = "REPRO_CAMPAIGN_SHM"
-
-# Numeric SimReport fields shipped through the shared-memory matrix, in
-# column order; the variable-length stage_utilization tail follows.
-_SHM_FIELDS = (
-    "n_stages", "size", "cycles", "drain_cycles", "seed",
-    "offered", "injected", "delivered", "dropped", "unroutable",
-    "blocked_moves", "in_flight", "total_hops",
-    "mean_latency", "p99_latency", "elapsed",
-)
-_SHM_FLOAT_FIELDS = frozenset({"mean_latency", "p99_latency", "elapsed"})
-_SHM_INT_FIELDS = frozenset(_SHM_FIELDS) - _SHM_FLOAT_FIELDS
-
 
 def _as_spec(scenario) -> ScenarioSpec:
     """Coerce any accepted scenario form into a :class:`ScenarioSpec`."""
@@ -127,9 +104,6 @@ def _as_spec(scenario) -> ScenarioSpec:
         return scenario
     if isinstance(scenario, Mapping):
         return ScenarioSpec.from_spec(scenario)
-    spec = getattr(scenario, "spec", None)  # deprecated Scenario shim
-    if isinstance(spec, ScenarioSpec):
-        return spec
     raise ReproError(
         f"expected a ScenarioSpec or its wire dict, got {scenario!r}"
     )
@@ -166,119 +140,35 @@ def _group_reports(specs: list[ScenarioSpec]) -> list[SimReport]:
     return simulate_batch(specs)
 
 
-def _run_group(specs: list[ScenarioSpec]) -> list[dict]:
-    """Pool task (pickled-record path): a scenario group → store records."""
-    return [
-        _record(s, rep) for s, rep in zip(specs, _group_reports(specs))
-    ]
+def _execute_group(
+    specs,
+    attempt: int,
+    backend_override: str | None,
+    dispatch_ts: float | None,
+    chaos: ChaosSpec | None,
+) -> tuple:
+    """Run one group task → ``(records, cache_delta, telemetry)``.
 
-
-# -- shared-memory result path ---------------------------------------------
-
-
-def _write_row(row: np.ndarray, report: SimReport) -> None:
-    """Serialize one report's numeric fields into a float64 matrix row.
-
-    Integer counters must survive the float64 trip exactly; they sit far
-    below 2**53 in any realistic run, but a value that would round is a
-    loud error here rather than a silently corrupted store.
+    The one executor behind both run paths: pool workers call it from
+    :func:`repro.campaign.supervisor._worker_main`, inline runs from
+    :func:`repro.campaign.supervisor.run_inline`.  Chaos fires first
+    (a crash or hang never holds a half-built result), then the backend
+    override applies — an execution hint, so the records are unchanged.
+    ``cache_delta`` is this group's compile-cache ``(hits, misses)``;
+    ``telemetry`` is the liveness triple (pid, busy seconds, scenario
+    count) feeding the parent's per-worker series and heartbeat.  Span
+    and metric events go to this process's own tracer; shipping them
+    across a process boundary is the worker loop's job.
     """
-    for k, field in enumerate(_SHM_FIELDS):
-        value = getattr(report, field)
-        row[k] = value
-        if field in _SHM_INT_FIELDS and int(row[k]) != value:
-            raise ReproError(
-                f"report field {field}={value} does not round-trip "
-                "through the shared-memory buffer; rerun with "
-                "zero_copy=False"
-            )
-    row[len(_SHM_FIELDS):] = report.stage_utilization
-
-
-def _report_from_row(spec: ScenarioSpec, row: np.ndarray) -> SimReport:
-    """Rebuild a report from its shared-memory row plus its spec.
-
-    Counters round-trip exactly (they sit far below 2**53) and the
-    latency summaries / utilizations / ``elapsed`` are float64 on both
-    sides, so the result is bit-identical to the worker's report.  The
-    descriptive fields never crossed the pipe: the label, policy and
-    traffic description are recomputed from the spec — deterministic
-    functions of it, which is what makes the zero-copy path safe.
-    """
-    values = {
-        field: (
-            int(value) if field in _SHM_INT_FIELDS else float(value)
+    if chaos:
+        chaos.apply(
+            [s.digest for s in specs], attempt, backend=backend_override
         )
-        for field, value in zip(_SHM_FIELDS, row)
-    }
-    return SimReport(
-        network=spec.label,
-        policy=spec.sim.policy,
-        traffic=spec.traffic.resolve().describe(),
-        rate=spec.traffic.rate,
-        stage_utilization=tuple(
-            float(u) for u in row[len(_SHM_FIELDS):]
-        ),
-        **values,
-    )
-
-
-def _decode_payload(specs: list[ScenarioSpec], payload) -> list[dict]:
-    """Turn a pool result payload into store records.
-
-    A zero-copy ``("shm", name, rows, cols)`` payload is read out of
-    its shared-memory segment (then unlinked); a pickled payload is
-    already the record list.
-    """
-    if isinstance(payload, tuple) and payload[0] == "shm":
-        from multiprocessing import shared_memory
-
-        _, name, rows, cols = payload
-        shm = shared_memory.SharedMemory(name=name)
-        try:
-            mat = np.ndarray(
-                (rows, cols), dtype=np.float64, buffer=shm.buf
-            ).copy()
-        finally:
-            shm.close()
-            shm.unlink()
-        return [
-            _record(s, _report_from_row(s, row))
-            for s, row in zip(specs, mat)
+    if backend_override is not None:
+        specs = [
+            replace(s, sim=replace(s.sim, backend=backend_override))
+            for s in specs
         ]
-    return payload
-
-
-def _run_group_shm(task) -> tuple:
-    """Pool task: run a scenario group, return results zero-copy.
-
-    Exceptions cross the process boundary as
-    :class:`~repro.campaign.errors.RemoteTaskError` carrying the
-    *formatted* child traceback — pickling through the pool's result
-    pipe strips ``__traceback__``, so without the wrap an abort-mode
-    failure would surface only the parent's re-raise frame.
-
-    With ``use_shm`` the worker allocates one shared-memory metric
-    buffer sized to the group, writes every numeric report field into it
-    and returns only ``("shm", name, rows, cols)`` — the records
-    themselves never cross the pipe, and at most a handful of segments
-    exist at any moment (one per in-flight result, not one per task).
-    The parent reads and unlinks the segment; parent and workers share
-    one resource-tracker process (fork inherits it, spawn passes its fd),
-    so the single create-register / unlink-unregister pair balances and
-    crash leftovers are swept at interpreter exit.  ``use_shm=False``
-    degrades to the classic pickled-record payload.
-    """
-    try:
-        return _run_group_shm_inner(task)
-    except RemoteTaskError:
-        raise
-    except Exception as exc:
-        raise RemoteTaskError.from_exception(exc) from exc
-
-
-def _run_group_shm_inner(task) -> tuple:
-    idx, specs, use_shm, dispatch_ts = task
     t0 = time.perf_counter()
     if obs.enabled() and dispatch_ts is not None:
         metrics().histogram("campaign.queue_wait_s").observe(
@@ -290,35 +180,18 @@ def _run_group_shm_inner(task) -> tuple:
         )
     before = compile_cache_info()
     with obs.span("group", scenarios=len(specs)):
-        reports = _group_reports(specs)
+        reports = _group_reports(list(specs))
     after = compile_cache_info()
+    busy_s = time.perf_counter() - t0
+    if obs.enabled():
+        _note_group(len(specs), busy_s)
+    records = [_record(s, r) for s, r in zip(specs, reports)]
     delta = (
         after["hits"] - before["hits"],
         after["misses"] - before["misses"],
     )
-    tele = _telemetry(len(specs), time.perf_counter() - t0)
-    if not use_shm:
-        return (
-            idx,
-            [_record(s, r) for s, r in zip(specs, reports)],
-            delta,
-            tele,
-        )
-    from multiprocessing import shared_memory
-
-    cols = len(_SHM_FIELDS) + reports[0].n_stages
-    rows = len(specs)
-    shm = shared_memory.SharedMemory(create=True, size=rows * cols * 8)
-    try:
-        mat = np.ndarray((rows, cols), dtype=np.float64, buffer=shm.buf)
-        for i, report in enumerate(reports):
-            _write_row(mat[i], report)
-    except BaseException:
-        shm.close()
-        shm.unlink()
-        raise
-    shm.close()
-    return idx, ("shm", shm.name, rows, cols), delta, tele
+    tele = {"pid": os.getpid(), "busy_s": busy_s, "scenarios": len(specs)}
+    return records, delta, tele
 
 
 def _note_group(n_scenarios: int, busy_s: float) -> None:
@@ -327,35 +200,6 @@ def _note_group(n_scenarios: int, busy_s: float) -> None:
     m.counter("campaign.groups").add()
     m.counter("campaign.scenarios").add(n_scenarios)
     m.histogram("campaign.group_busy_s").observe(busy_s)
-
-
-def _telemetry(n_scenarios: int, busy_s: float) -> dict:
-    """One group task's telemetry payload for the pool's result path.
-
-    Always carries the liveness triple (pid, busy seconds, scenario
-    count) — a few dozen bytes feeding the parent's per-worker series
-    and heartbeat.  Span events and the drained metrics snapshot ride
-    along only while a tracer is active, so an untraced sweep ships no
-    event payload through the pipe.  Draining keeps worker memory
-    bounded: events accumulate only between tasks.
-    """
-    if not obs.enabled():
-        return {
-            "pid": os.getpid(),
-            "busy_s": busy_s,
-            "scenarios": n_scenarios,
-            "events": (),
-            "metrics": None,
-        }
-    _note_group(n_scenarios, busy_s)
-    tr = obs.active()
-    return {
-        "pid": os.getpid(),
-        "busy_s": busy_s,
-        "scenarios": n_scenarios,
-        "events": tr.drain() if tr.path is None else [],
-        "metrics": metrics().drain(),
-    }
 
 
 def _worker_init(
@@ -405,14 +249,12 @@ def run_campaign(
     base_dir: str | Path | None = None,
     progress: Callable[[dict, int, int], None] | None = None,
     backend: str | None = None,
-    zero_copy: bool | None = None,
     heartbeat: float | None = None,
     task_timeout: float | None = None,
     retries: int = 2,
     on_error: str = "quarantine",
     retry_backoff: float = 0.25,
     chaos: ChaosSpec | str | None = None,
-    supervised: bool = True,
 ) -> dict:
     """Run (or resume) a full campaign sweep into a result store.
 
@@ -449,10 +291,6 @@ def run_campaign(
         (``"auto"``/``"numpy"``/``"numba"``; ``None`` keeps the specs'
         own ``sim.backend``).  Execution hint only — digests, stores and
         reports are identical across backends.
-    zero_copy:
-        Return pool results through preallocated shared-memory metric
-        buffers instead of pickled report records.  Default (``None``):
-        enabled for ``workers > 1`` unless ``REPRO_CAMPAIGN_SHM=0``.
     heartbeat:
         Seconds between atomic-rename progress heartbeats written next
         to the store (``<stem>.heartbeat.json`` — see
@@ -486,17 +324,13 @@ def run_campaign(
         Default (``None``): parsed from the ``REPRO_CHAOS``
         environment variable, which is off by default.  An execution
         hint: chaos never enters specs, digests or store bytes.
-    supervised:
-        ``False`` restores the bare ``Pool.imap_unordered`` dispatch
-        with no fault tolerance (the overhead baseline; worker
-        exceptions abort the run as ``RemoteTaskError``).
 
     Returns
     -------
     dict
         ``{"total": ..., "skipped": ..., "ran": ..., "store": ...,
         "compile_cache": {"hits": ..., "misses": ...}}`` — the sweep
-        accounting, for logs and tests.  Supervised runs add
+        accounting, for logs and tests, plus
         ``"quarantined"`` (terminal failures this run),
         ``"quarantined_skipped"`` (previously quarantined scenarios
         skipped on resume), ``"quarantine"`` (the sidecar path) and a
@@ -631,13 +465,7 @@ def run_campaign(
     degrade_backend = None
     if warm_numba or (chaos is not None and chaos.poison_numba):
         degrade_backend = "numpy"
-    sup_cfg = sup.SupervisorConfig(
-        task_timeout=task_timeout,
-        retries=retries,
-        backoff_base=retry_backoff,
-        on_error=on_error,
-        degrade_backend=degrade_backend,
-    )
+    sup_cfg = replace(sup_cfg, degrade_backend=degrade_backend)
     if hb_interval > 0:
         hb = HeartbeatWriter(
             store.path, total=total, skipped=skipped, workers=workers,
@@ -647,25 +475,27 @@ def run_campaign(
         hb.beat(n_done, force=True)
 
     # Telemetry (off unless a tracer is active): the whole dispatch is
-    # one `campaign` span; workers ship their span events and metric
-    # snapshots back piggybacked on the pool's result path, and the
-    # parent folds them into its own stream plus a per-worker
-    # utilization series for the summary.
+    # one `campaign` span.  Inline groups trace straight into the
+    # parent's tracer; pool workers ship their span events and metric
+    # snapshots back piggybacked on the result message, and the parent
+    # folds them into its own stream.  Every group also feeds a
+    # per-worker utilization series for the summary and heartbeat.
     traced = obs.enabled()
     worker_series: "dict[int, dict]" = {}
 
-    def _ingest(tele: dict | None) -> None:
-        if tele is None:
-            return
-        if tele["events"]:
+    def _on_result(task, records, delta, tele) -> None:
+        nonlocal cache_hits, cache_misses
+        cache_hits += delta[0]
+        cache_misses += delta[1]
+        if tele.get("events"):
             tr = obs.active()
             if tr is not None:
                 tr.ingest(tele["events"])
-        if tele["metrics"] is not None:
+        if tele.get("metrics") is not None:
             metrics().merge(tele["metrics"])
-        _series(tele["pid"], tele["scenarios"], tele["busy_s"])
-
-    def _series(pid: int, n_scenarios: int, busy_s: float) -> None:
+        pid, n_scenarios, busy_s = (
+            tele["pid"], tele["scenarios"], tele["busy_s"]
+        )
         row = worker_series.setdefault(
             pid, {"groups": 0, "scenarios": 0, "busy_s": 0.0}
         )
@@ -674,6 +504,17 @@ def run_campaign(
         row["busy_s"] += busy_s
         if hb is not None:
             hb.note_worker(pid, n_scenarios, busy_s)
+        with obs.span("store", scenarios=len(records)):
+            for record in records:
+                _store(record)
+
+    def _on_dispatch(pid, task) -> None:
+        if hb is not None:
+            hb.note_dispatch(pid)
+
+    def _on_tick() -> None:
+        if hb is not None:
+            hb.beat(n_done)
 
     _log.debug(
         "dispatching %d group task(s) (%d scenario(s)) over %d worker(s), "
@@ -687,136 +528,28 @@ def run_campaign(
     ) as root:
         if workers == 1:
             ensure_compile_cache_min(cache_max)
-            before = compile_cache_info()
-
-            def _execute_inline(task: "sup.Task") -> list[dict]:
-                if chaos:
-                    chaos.apply(
-                        task.digests(), task.attempt,
-                        backend=task.backend_override,
-                    )
-                specs = list(task.specs)
-                if task.backend_override is not None:
-                    specs = [
-                        replace(
-                            s,
-                            sim=replace(
-                                s.sim, backend=task.backend_override
-                            ),
-                        )
-                        for s in specs
-                    ]
-                t0 = time.perf_counter()
-                with obs.span("group", scenarios=len(specs)):
-                    records = _run_group(specs)
-                busy = time.perf_counter() - t0
-                if traced:
-                    _note_group(len(specs), busy)
-                _series(os.getpid(), len(specs), busy)
-                return records
-
-            def _on_result_inline(task, records) -> None:
-                with obs.span("store", scenarios=len(records)):
-                    for record in records:
-                        _store(record)
-
             fault_stats = sup.run_inline(
                 tasks,
                 cfg=sup_cfg,
-                execute=_execute_inline,
-                on_result=_on_result_inline,
+                chaos=chaos,
+                on_result=_on_result,
                 on_failure=_on_failure,
             )
-            after = compile_cache_info()
-            cache_hits = after["hits"] - before["hits"]
-            cache_misses = after["misses"] - before["misses"]
-        elif supervised:
-            if zero_copy is None:
-                zero_copy = os.environ.get(SHM_ENV, "1").strip() != "0"
-            if zero_copy:
-                from multiprocessing import resource_tracker
-
-                resource_tracker.ensure_running()
-
-            def _on_result_pool(task, payload, delta, tele) -> None:
-                nonlocal cache_hits, cache_misses
-                cache_hits += delta[0]
-                cache_misses += delta[1]
-                _ingest(tele)
-                records = _decode_payload(list(task.specs), payload)
-                with obs.span("store", scenarios=len(records)):
-                    for record in records:
-                        _store(record)
-
-            def _on_dispatch(pid, task) -> None:
-                if hb is not None:
-                    hb.note_dispatch(pid)
-
-            def _on_tick() -> None:
-                if hb is not None:
-                    hb.beat(n_done)
-
+        else:
             fault_stats = sup.run_supervised(
                 tasks,
                 workers=workers,
                 cfg=sup_cfg,
                 init_args=(cache_max, warm_numba, traced),
                 chaos=chaos,
-                use_shm=zero_copy,
                 dispatch_ts_factory=(
                     (lambda: time.time()) if traced else (lambda: None)
                 ),
-                on_result=_on_result_pool,
+                on_result=_on_result,
                 on_failure=_on_failure,
                 on_dispatch=_on_dispatch,
                 on_tick=_on_tick,
             )
-        else:
-            # Legacy direct-pool dispatch: no timeouts, no retries, no
-            # quarantine — a worker failure propagates (as a
-            # RemoteTaskError carrying the child traceback) and a
-            # crashed worker breaks the pool.  Kept as the supervisor's
-            # overhead baseline (bench_campaign) and escape hatch.
-            if zero_copy is None:
-                zero_copy = os.environ.get(SHM_ENV, "1").strip() != "0"
-            if zero_copy:
-                # Start the resource tracker BEFORE the pool forks:
-                # workers then inherit its fd and register their
-                # segments with the one shared tracker, where the
-                # parent's unlink balances the books.  Forked without
-                # it, every worker would lazily spawn a private tracker
-                # that warns about (already-unlinked) "leaked" segments
-                # at shutdown.
-                from multiprocessing import resource_tracker
-
-                resource_tracker.ensure_running()
-            dispatch_ts = time.time() if traced else None
-            args = [
-                (i, specs, zero_copy, dispatch_ts)
-                for i, specs in enumerate(tasks)
-            ]
-            # Group tasks are heavy (a whole simulate_batch slab), so
-            # chunked dispatch buys nothing — and on the zero-copy path
-            # a chunk would hold every segment it created until the last
-            # task finishes, instead of one per in-flight result.
-            chunksize = (
-                1 if zero_copy else max(1, len(tasks) // (workers * 4))
-            )
-            with multiprocessing.Pool(
-                processes=workers,
-                initializer=_worker_init,
-                initargs=(cache_max, warm_numba, traced),
-            ) as pool:
-                for idx, payload, delta, tele in pool.imap_unordered(
-                    _run_group_shm, args, chunksize=chunksize
-                ):
-                    cache_hits += delta[0]
-                    cache_misses += delta[1]
-                    _ingest(tele)
-                    records = _decode_payload(tasks[idx], payload)
-                    with obs.span("store", scenarios=len(records)):
-                        for record in records:
-                            _store(record)
     if hb is not None:
         hb.finish(n_done)
     if new_quarantined:

@@ -26,14 +26,14 @@ Design points that make campaigns reproducible and comparable:
   against a silently modified file fails loudly instead of mixing
   incompatible results.
 
-The pre-spec-layer surface — :func:`scenario_hash`,
-:func:`scenario_group_key` and the :class:`Scenario` record — survives
-as thin deprecation shims that forward to the spec layer.
+A scenario's identity is :attr:`~repro.spec.scenario.ScenarioSpec.digest`
+and its batch-compatibility key
+:meth:`~repro.spec.scenario.ScenarioSpec.group_key`; both are functions
+of the wire dict alone, so they agree across processes and releases.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -45,20 +45,15 @@ from repro.spec.scenario import (
     ScenarioSpec,
     SimPolicy,
     TrafficSpec,
-    _doc_group_key,
     is_file_entry,
     normalize_network_entry,
     normalize_traffic_entry,
-    scenario_digest,
 )
 
 __all__ = [
     "CampaignSpec",
-    "Scenario",
     "expand_scenarios",
     "is_file_entry",
-    "scenario_group_key",
-    "scenario_hash",
 ]
 
 _POLICIES = ("drop", "block")
@@ -66,112 +61,6 @@ _POLICIES = ("drop", "block")
 # Stride separating the fault-seed streams of consecutive fault-grid
 # entries; any constant larger than every realistic seed axis works.
 _FAULT_SEED_STRIDE = 1_000_003
-
-
-def scenario_hash(doc: Mapping) -> str:
-    """Deprecated alias of :func:`repro.spec.scenario.scenario_digest`.
-
-    The identity it computes is unchanged (stores and ``--resume`` keep
-    working); new code should read ``ScenarioSpec.digest`` or call
-    :func:`repro.spec.scenario.scenario_digest` on raw wire dicts.
-    """
-    warnings.warn(
-        "scenario_hash is deprecated; use ScenarioSpec.digest "
-        "(repro.spec.scenario_digest for raw dicts)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return scenario_digest(doc)
-
-
-def scenario_group_key(doc: Mapping) -> str:
-    """Deprecated alias of :meth:`~repro.spec.scenario.ScenarioSpec.group_key`.
-
-    The key it computes is unchanged; new code should call
-    ``ScenarioSpec.group_key()``.
-    """
-    warnings.warn(
-        "scenario_group_key is deprecated; use ScenarioSpec.group_key()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _doc_group_key(doc)
-
-
-class Scenario:
-    """Deprecated pre-spec-layer scenario record.
-
-    Construction forwards to :class:`~repro.spec.scenario.ScenarioSpec`
-    (via :meth:`~repro.spec.scenario.ScenarioSpec.from_spec`) and keeps
-    the old ``to_dict`` / ``hash`` / ``label`` surface.  New code should
-    build :class:`~repro.spec.scenario.ScenarioSpec` directly.
-    """
-
-    def __init__(
-        self,
-        topology: Mapping,
-        traffic: Mapping,
-        cycles: int,
-        policy: str,
-        drain: bool,
-        seed: int,
-        fault_cells: int,
-        fault_links: int,
-        fault_seed: int,
-    ) -> None:
-        warnings.warn(
-            "campaign.Scenario is deprecated; use repro.spec.ScenarioSpec",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._spec = ScenarioSpec.from_spec(
-            {
-                "topology": dict(topology),
-                "traffic": dict(traffic),
-                "cycles": cycles,
-                "policy": policy,
-                "drain": drain,
-                "seed": seed,
-                "fault_cells": fault_cells,
-                "fault_links": fault_links,
-                "fault_seed": fault_seed,
-            }
-        )
-
-    @property
-    def spec(self) -> ScenarioSpec:
-        """The equivalent :class:`~repro.spec.scenario.ScenarioSpec`."""
-        return self._spec
-
-    def to_dict(self) -> dict:
-        """The scenario as its plain JSON wire dict."""
-        return self._spec.to_spec()
-
-    @property
-    def hash(self) -> str:
-        """Stable identity (``ScenarioSpec.digest``)."""
-        return self._spec.digest
-
-    @property
-    def label(self) -> str:
-        """The topology display label (the report's network name)."""
-        return self._spec.label
-
-    def __eq__(self, other: object) -> bool:
-        # The old Scenario was a frozen dataclass; keep value equality
-        # (including against ScenarioSpec) so legacy dedup/compare code
-        # behaves identically behind the shim.
-        if isinstance(other, Scenario):
-            return self._spec == other._spec
-        if isinstance(other, ScenarioSpec):
-            return self._spec == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._spec)
-
-    def __repr__(self) -> str:
-        return f"Scenario({self._spec!r})"
 
 
 def _normalize_faults(entry) -> tuple[int, int]:

@@ -1,12 +1,11 @@
 """Fault-tolerant supervision of campaign task execution.
 
-The pre-supervisor runner fanned group tasks through a bare
-``multiprocessing.Pool.imap_unordered``: one segfaulted worker broke
-the whole pool, one hung numba compile stalled the iterator forever,
-and one poison scenario aborted the run.  This module replaces that
-loop with *managed* dispatch — the parent owns each worker process
-individually and keeps the sweep alive through all three failure
-modes:
+A bare ``multiprocessing.Pool`` breaks on one segfaulted worker,
+stalls forever on one hung numba compile and aborts on one poison
+scenario.  This module runs campaign group tasks under *managed*
+dispatch instead — the parent owns each worker process individually,
+with a private task queue and result pipe, and keeps the sweep alive
+through all three failure modes:
 
 * **Timeouts.**  Every in-flight task carries a wall-clock deadline
   (``task_timeout``).  A worker past its deadline is ``SIGKILL``-ed,
@@ -30,10 +29,13 @@ modes:
   :class:`~repro.campaign.errors.RemoteTaskError`.
 
 The engine is deliberately generic: it moves
-:class:`~repro.spec.scenario.ScenarioSpec` tuples and opaque payloads,
-while the runner supplies the execution body (via
-:mod:`repro.campaign.runner`'s group executor, reused verbatim inside
-:func:`_worker_main`) and the result/failure sinks.  Completion events
+:class:`~repro.spec.scenario.ScenarioSpec` tuples and the records they
+produce, while the runner supplies the one group executor
+(:func:`repro.campaign.runner._execute_group`, called by both
+:func:`_worker_main` and :func:`run_inline`) and the result/failure
+sinks.  Worker deaths and results are events the parent sleeps on
+(:func:`multiprocessing.connection.wait` over every result pipe and
+process sentinel), not conditions it polls for.  Completion events
 count into :data:`repro.obs.metrics` (``campaign.retries``,
 ``campaign.bisects``, ``campaign.degraded``, ``campaign.quarantined``,
 ``campaign.timeouts``, ``campaign.crashes``, ``campaign.respawns``)
@@ -49,21 +51,17 @@ from __future__ import annotations
 
 import hashlib
 import os
-import queue as queue_module
 import signal
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, replace as dc_replace
 
 import multiprocessing
+from multiprocessing.connection import wait as wait_for_events
 
 from repro.core.errors import ReproError
 from repro.campaign.chaos import ChaosSpec
-from repro.campaign.errors import (
-    RemoteTaskError,
-    TaskFailure,
-    format_remote_traceback,
-)
+from repro.campaign.errors import TaskFailure, format_remote_traceback
 from repro.obs import schema as obs_schema
 from repro.obs import trace as obs
 from repro.obs.log import get_logger
@@ -236,28 +234,32 @@ def plan_recovery(
     return [], failure, "quarantined"
 
 
-def _apply_override(specs, backend_override):
-    if backend_override is None:
-        return specs
-    from dataclasses import replace
-
-    return tuple(
-        replace(s, sim=replace(s.sim, backend=backend_override))
-        for s in specs
-    )
-
-
 # -- worker side -------------------------------------------------------------
 
 
-def _worker_main(inq, outq, init_args, chaos: ChaosSpec | None) -> None:
+def _error_info(exc: Exception) -> dict:
+    """The structured failure evidence of one raising group task."""
+    return {
+        "kind": "raise",
+        "type": type(exc).__name__,
+        "message": str(exc),
+        "traceback": format_remote_traceback(exc),
+        "worker_pid": os.getpid(),
+    }
+
+
+def _worker_main(
+    inq, result_conn, init_args, chaos: ChaosSpec | None
+) -> None:
     """The supervised worker loop: init, then task → result until stop.
 
-    Reuses the runner's pool initializer and group executor verbatim
-    (imported lazily — the runner imports this module at top level).
-    Exceptions become structured ``err`` messages carrying the child's
-    formatted traceback; chaos crash/hang injection happens before the
-    group runs, so a killed worker never holds the result pipe's lock.
+    Runs the runner's pool initializer and group executor (imported
+    lazily — the runner imports this module at top level) and answers
+    every task on this worker's private result pipe: ``("ok", records,
+    cache_delta, telemetry)`` or ``("err", info)`` carrying the child's
+    formatted traceback.  This is the process boundary, so the span
+    events and metrics the group recorded are drained into the ``ok``
+    message for the parent to merge.
     """
     from repro.campaign import runner
 
@@ -266,56 +268,41 @@ def _worker_main(inq, outq, init_args, chaos: ChaosSpec | None) -> None:
         msg = inq.get()
         if msg is None:
             return
-        task_id, specs, attempt, backend_override, use_shm, dispatch_ts = msg
+        specs, attempt, backend_override, dispatch_ts = msg
         try:
-            if chaos:
-                chaos.apply(
-                    [s.digest for s in specs],
-                    attempt,
-                    backend=backend_override,
-                )
-            specs = _apply_override(specs, backend_override)
-            _, payload, delta, tele = runner._run_group_shm(
-                (task_id, list(specs), use_shm, dispatch_ts)
+            records, delta, tele = runner._execute_group(
+                specs, attempt, backend_override, dispatch_ts, chaos
             )
-            outq.put(("ok", task_id, os.getpid(), payload, delta, tele))
         except Exception as exc:  # noqa: BLE001 — shipped, not swallowed
-            if isinstance(exc, RemoteTaskError):
-                traceback_text = exc.remote_traceback
-                message = exc.args[0] if exc.args else str(exc)
-            else:
-                traceback_text = format_remote_traceback(exc)
-                message = str(exc)
-            outq.put((
-                "err",
-                task_id,
-                os.getpid(),
-                {
-                    "kind": "raise",
-                    "type": type(exc).__name__,
-                    "message": message,
-                    "traceback": traceback_text,
-                    "worker_pid": os.getpid(),
-                },
-            ))
+            info = _error_info(exc)
+            result_conn.send(("err", info))
+            continue
+        if obs.enabled():
+            tr = obs.active()
+            tele["events"] = tr.drain() if tr.path is None else []
+            tele["metrics"] = metrics().drain()
+        result_conn.send(("ok", records, delta, tele))
 
 
 class _Worker:
-    """One supervised worker process and its private task queue.
+    """One supervised worker process with its own task and result channels.
 
     Up to :data:`PREFETCH` tasks are in flight per worker — one running
     plus one queued — so a worker rolls straight into its next task
-    without waiting a parent round-trip (the latency that would
-    otherwise make supervision measurably slower than a bare
-    ``Pool.imap_unordered``, whose workers pull from a pre-loaded
-    queue).  ``inflight[0]`` is the running task; its wall-clock
-    deadline starts at dispatch, or at the moment the previous result
-    arrived.
+    without waiting a parent round-trip.  ``inflight[0]`` is the running
+    task; its wall-clock deadline starts at dispatch, or at the moment
+    the previous result arrived.
+
+    Every (re)spawn gets a fresh task queue and a fresh one-way result
+    pipe whose write end only this worker holds.  A worker SIGKILL-ed
+    mid-``send`` therefore tears at most its own pipe, which is thrown
+    away with it, and its death reads as end-of-file rather than a
+    cross-process lock left held forever.  Messages on one pipe arrive
+    in dispatch order, so each one answers ``inflight[0]``.
     """
 
-    def __init__(self, ctx, outq, init_args, chaos) -> None:
+    def __init__(self, ctx, init_args, chaos) -> None:
         self._ctx = ctx
-        self._outq = outq
         self._init_args = init_args
         self._chaos = chaos
         self.inflight: deque[Task] = deque()
@@ -323,15 +310,15 @@ class _Worker:
         self.spawn()
 
     def spawn(self) -> None:
-        # A fresh inbound queue per (re)spawn: a SIGKILL mid-``get``
-        # can leave the old queue's read end in an undefined state.
         self.inq = self._ctx.Queue()
+        self.result_conn, child_conn = self._ctx.Pipe(duplex=False)
         self.proc = self._ctx.Process(
             target=_worker_main,
-            args=(self.inq, self._outq, self._init_args, self._chaos),
+            args=(self.inq, child_conn, self._init_args, self._chaos),
             daemon=True,
         )
         self.proc.start()
+        child_conn.close()  # the worker now holds the only write end
         self.inflight = deque()
         self.started = 0.0
 
@@ -339,16 +326,26 @@ class _Worker:
     def pid(self) -> int | None:
         return self.proc.pid
 
-    def dispatch(self, task: Task, use_shm: bool, dispatch_ts) -> None:
+    def dispatch(self, task: Task, dispatch_ts) -> None:
         if not self.inflight:
             self.started = time.monotonic()
         self.inflight.append(task)
         self.inq.put((
-            task.id, list(task.specs), task.attempt,
-            task.backend_override, use_shm, dispatch_ts,
+            task.specs, task.attempt, task.backend_override, dispatch_ts,
         ))
 
+    def receive(self) -> list:
+        """Every complete message waiting on the result pipe."""
+        msgs = []
+        try:
+            while self.result_conn.poll():
+                msgs.append(self.result_conn.recv())
+        except (EOFError, OSError):
+            pass  # the worker died; a torn last message is dropped
+        return msgs
+
     def kill(self) -> None:
+        """SIGKILL (if still running), reap, and close both channels."""
         if self.proc.is_alive():
             try:
                 os.kill(self.proc.pid, signal.SIGKILL)
@@ -356,6 +353,7 @@ class _Worker:
                 pass
         self.proc.join(timeout=5.0)
         self.inq.close()
+        self.result_conn.close()
 
     def stop(self) -> None:
         """Graceful stop: sentinel, short join, then force-kill."""
@@ -367,8 +365,7 @@ class _Worker:
         if self.proc.is_alive():
             self.proc.terminate()
             self.proc.join(timeout=2.0)
-        if self.proc.is_alive():
-            self.kill()
+        self.kill()
 
 
 # -- engines -----------------------------------------------------------------
@@ -459,7 +456,6 @@ def run_supervised(
     cfg: SupervisorConfig,
     init_args,
     chaos: ChaosSpec | None,
-    use_shm: bool,
     dispatch_ts_factory,
     on_result,
     on_failure,
@@ -469,81 +465,47 @@ def run_supervised(
     """Run group tasks over a supervised worker pool; return stats.
 
     ``tasks`` is a list of spec tuples (one per group).  ``on_result``
-    receives ``(task, payload, delta, tele)`` exactly once per
-    completed scenario set; ``on_failure`` receives each terminal
+    receives ``(task, records, cache_delta, telemetry)`` exactly once
+    per completed scenario set; ``on_failure`` receives each terminal
     :class:`TaskFailure` (raising inside it aborts the sweep — the
     pool is torn down and the exception propagates).  ``on_dispatch``
     and ``on_tick`` are liveness hooks for heartbeat integration.
     """
     ctx = multiprocessing.get_context()
-    outq = ctx.Queue()
     sched = _Scheduler(
         [Task(id=i, specs=tuple(specs)) for i, specs in enumerate(tasks)],
         cfg,
         on_failure,
     )
-    completed_ids: set[int] = set()
-    pool = [
-        _Worker(ctx, outq, init_args, chaos) for _ in range(workers)
-    ]
+    pool = [_Worker(ctx, init_args, chaos) for _ in range(workers)]
 
-    def _respawn(worker: _Worker) -> None:
-        _count(sched.stats, "respawns")
-        worker.spawn()
-
-    def _drain_results() -> bool:
-        """Handle every queued worker message; True when any arrived."""
-        got = False
-        while True:
-            try:
-                msg = outq.get_nowait()
-            except queue_module.Empty:
-                return got
-            got = True
-            _handle(msg)
-
-    def _handle(msg) -> None:
-        now = time.monotonic()
-        status, task_id, pid = msg[0], msg[1], msg[2]
-        worker = next(
-            (
-                w for w in pool
-                if w.inflight and w.inflight[0].id == task_id
-            ),
-            None,
-        )
-        task = None
-        if worker is not None:
-            task = worker.inflight.popleft()
-            # The prefetched successor started the moment this result
-            # was produced: restart its wall clock now.
-            worker.started = now
-        if task is None or task_id in completed_ids:
-            # A late echo of a task the supervisor already retired
-            # (result raced a timeout kill, or a duplicate after
-            # bisection).  Replacements recompute deterministically;
-            # dropping the echo cannot lose data — but a zero-copy
-            # payload still owns a shared-memory segment to release.
-            if status == "ok":
-                payload = msg[3]
-                if isinstance(payload, tuple) and payload[0] == "shm":
-                    from multiprocessing import shared_memory
-
-                    try:
-                        seg = shared_memory.SharedMemory(name=payload[1])
-                        seg.close()
-                        seg.unlink()
-                    except FileNotFoundError:
-                        pass
-            return
-        completed_ids.add(task_id)
-        if status == "ok":
-            _, _, _, payload, delta, tele = msg
+    def _handle(worker: _Worker, msg, now: float) -> None:
+        task = worker.inflight.popleft()
+        # The prefetched successor started the moment this result was
+        # produced: restart its wall clock now.
+        worker.started = now
+        if msg[0] == "ok":
+            _, records, delta, tele = msg
             sched.complete(task)
-            on_result(task, payload, delta, tele)
+            on_result(task, records, delta, tele)
         else:
-            _, _, _, info = msg
-            sched.fail(task, info, now)
+            sched.fail(task, msg[1], now)
+
+    def _retire(worker: _Worker, event: str, info: dict, now: float) -> None:
+        """Replace a dead or hung worker and fail its running task.
+
+        The running head failed; prefetched successors never started
+        and simply re-enter the queue, no attempt consumed.
+        """
+        head = worker.inflight.popleft() if worker.inflight else None
+        queued = list(worker.inflight)
+        _count(sched.stats, "respawns")
+        worker.kill()
+        worker.spawn()
+        sched.pending.extend(queued)
+        if head is not None:
+            _count(sched.stats, event)
+            sched.fail(head, info, now)
 
     try:
         while True:
@@ -558,15 +520,16 @@ def run_supervised(
                     task = sched.pop_ready()
                     if task is None:
                         break
-                    worker.dispatch(task, use_shm, dispatch_ts_factory())
+                    worker.dispatch(task, dispatch_ts_factory())
                     if on_dispatch is not None:
                         on_dispatch(worker.pid, task)
             inflight = [w for w in pool if w.inflight]
             if not inflight and sched.idle():
                 break
-            # Wait for the next event: a result, the nearest deadline,
-            # or the nearest backoff expiry — bounded by poll_interval
-            # so worker deaths are noticed promptly.
+            # Sleep until an event: a result or a death (every result
+            # pipe and process sentinel), the nearest deadline, or the
+            # nearest backoff expiry — bounded by poll_interval so the
+            # heartbeat keeps ticking.
             wait = cfg.poll_interval
             if cfg.task_timeout is not None and inflight:
                 nearest = min(
@@ -576,45 +539,31 @@ def run_supervised(
             wakeup = sched.next_wakeup(now)
             if wakeup is not None:
                 wait = min(wait, wakeup)
-            try:
-                msg = outq.get(timeout=max(0.01, wait))
-            except queue_module.Empty:
-                msg = None
-            if msg is not None:
-                _handle(msg)
-                _drain_results()
+            wait_for_events(
+                [w.result_conn for w in pool]
+                + [w.proc.sentinel for w in pool],
+                timeout=max(0.01, wait),
+            )
             now = time.monotonic()
-            # Crashed workers: dead process while holding tasks.  The
-            # running head failed; prefetched successors never started
-            # and simply re-enter the queue, no attempt consumed.
             for worker in pool:
-                if worker.proc.is_alive():
+                # Liveness first, then drain: a dead worker's pipe holds
+                # every message it finished, so none is mistaken for
+                # the crash.
+                alive = worker.proc.is_alive()
+                for msg in worker.receive():
+                    _handle(worker, msg, now)
+                if alive:
                     continue
-                head = worker.inflight.popleft() if worker.inflight else None
-                queued = list(worker.inflight)
-                _respawn(worker)
-                for task in queued:
-                    if task.id not in completed_ids:
-                        sched.pending.append(task)
-                if head is None or head.id in completed_ids:
-                    continue
-                completed_ids.add(head.id)
-                _count(sched.stats, "crashes")
-                sched.fail(
-                    head,
-                    {
-                        "kind": "crash",
-                        "type": "WorkerCrashed",
-                        "message": (
-                            "worker process died while running the task "
-                            "(signal/OOM/segfault; no traceback "
-                            "available)"
-                        ),
-                        "traceback": "",
-                        "worker_pid": None,
-                    },
-                    now,
-                )
+                _retire(worker, "crashes", {
+                    "kind": "crash",
+                    "type": "WorkerCrashed",
+                    "message": (
+                        "worker process died while running the task "
+                        "(signal/OOM/segfault; no traceback available)"
+                    ),
+                    "traceback": "",
+                    "worker_pid": None,
+                }, now)
             # Hung workers: running head past the wall-clock deadline.
             if cfg.task_timeout is not None:
                 for worker in pool:
@@ -622,43 +571,27 @@ def run_supervised(
                         continue
                     if now - worker.started <= cfg.task_timeout:
                         continue
-                    head = worker.inflight.popleft()
-                    queued = list(worker.inflight)
                     pid = worker.pid
                     _log.warning(
                         "task %d exceeded task_timeout=%.3gs on worker "
                         "%s; killing and retrying",
-                        head.id, cfg.task_timeout, pid,
+                        worker.inflight[0].id, cfg.task_timeout, pid,
                     )
-                    worker.kill()
-                    _respawn(worker)
-                    for task in queued:
-                        if task.id not in completed_ids:
-                            sched.pending.append(task)
-                    if head.id in completed_ids:
-                        continue
-                    completed_ids.add(head.id)
-                    _count(sched.stats, "timeouts")
-                    sched.fail(
-                        head,
-                        {
-                            "kind": "hang",
-                            "type": "TaskTimeout",
-                            "message": (
-                                f"task exceeded the {cfg.task_timeout:g}s "
-                                f"wall-clock timeout on worker {pid}"
-                            ),
-                            "traceback": "",
-                            "worker_pid": pid,
-                        },
-                        now,
-                    )
+                    _retire(worker, "timeouts", {
+                        "kind": "hang",
+                        "type": "TaskTimeout",
+                        "message": (
+                            f"task exceeded the {cfg.task_timeout:g}s "
+                            f"wall-clock timeout on worker {pid}"
+                        ),
+                        "traceback": "",
+                        "worker_pid": pid,
+                    }, now)
             if on_tick is not None:
                 on_tick()
     finally:
         for worker in pool:
             worker.stop()
-        outq.close()
     return sched.stats
 
 
@@ -666,19 +599,24 @@ def run_inline(
     tasks,
     *,
     cfg: SupervisorConfig,
-    execute,
+    chaos: ChaosSpec | None,
     on_result,
     on_failure,
 ) -> dict:
     """The single-process engine: same recovery policy, no pool.
 
-    ``execute(task)`` runs one group in the calling process and returns
-    its result payload; raising routes the task through
-    retry → bisect → degrade → quarantine exactly like the pool path.
-    Hang and crash supervision need a separate process and are
-    therefore pool-only: inline, a hang blocks and a crash kills the
-    run — ``workers=1`` remains the transparent debugging mode.
+    Each task runs through the runner's group executor — the one pool
+    workers run — in the calling process, so its spans land directly
+    in the caller's tracer.  ``on_result`` receives the same
+    ``(task, records, cache_delta, telemetry)`` as on the pool path;
+    raising routes the task through retry → bisect → degrade →
+    quarantine exactly like the pool path.  Hang and crash supervision
+    need a separate process and are therefore pool-only: inline, a hang
+    blocks and a crash kills the run — ``workers=1`` remains the
+    transparent debugging mode.
     """
+    from repro.campaign import runner
+
     sched = _Scheduler(
         [Task(id=i, specs=tuple(specs)) for i, specs in enumerate(tasks)],
         cfg,
@@ -696,26 +634,13 @@ def run_inline(
                 time.sleep(delay)
             continue
         try:
-            payload = execute(task)
-        except Exception as exc:  # noqa: BLE001 — routed, not swallowed
-            if isinstance(exc, RemoteTaskError):
-                traceback_text = exc.remote_traceback
-                message = exc.args[0] if exc.args else str(exc)
-            else:
-                traceback_text = format_remote_traceback(exc)
-                message = str(exc)
-            sched.fail(
-                task,
-                {
-                    "kind": "raise",
-                    "type": type(exc).__name__,
-                    "message": message,
-                    "traceback": traceback_text,
-                    "worker_pid": os.getpid(),
-                },
-                time.monotonic(),
+            records, delta, tele = runner._execute_group(
+                task.specs, task.attempt, task.backend_override, None,
+                chaos,
             )
+        except Exception as exc:  # noqa: BLE001 — routed, not swallowed
+            sched.fail(task, _error_info(exc), time.monotonic())
             continue
         sched.complete(task)
-        on_result(task, payload)
+        on_result(task, records, delta, tele)
     return sched.stats

@@ -13,8 +13,7 @@ through the frozen dataclasses here:
 
 Each spec round-trips through canonical JSON (``to_spec``/``from_spec``
 are exact inverses), carries a stable content :attr:`ScenarioSpec.digest`
-(the identity the campaign result store is keyed by — the successor of
-the old ``campaign.scenario_hash``) and resolves to concrete simulator
+(the identity the campaign result store is keyed by) and resolves to concrete simulator
 inputs via registry lookup (:meth:`ScenarioSpec.resolve`).  The CLI,
 ``simulate``, ``simulate_batch`` and the campaign workers all construct
 and consume these objects; nothing else in the repo hand-rolls topology
@@ -99,9 +98,8 @@ def scenario_digest(doc: Mapping) -> str:
     and label identify the network), so resuming from a different
     working directory or via a different relative path still matches.
 
-    This is the same function (bit for bit) as the pre-spec-layer
-    ``campaign.scenario_hash``; stores written before the redesign keep
-    their keys.
+    The function is frozen bit for bit — stores written by every earlier
+    release keep their keys (``tests/test_spec.py`` pins a known digest).
     """
     doc = {k: doc[k] for k in doc}
     topo = doc.get("topology")
@@ -109,21 +107,6 @@ def scenario_digest(doc: Mapping) -> str:
         doc["topology"] = {k: v for k, v in topo.items() if k != "path"}
     digest = hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
     return digest[:16]
-
-
-def _doc_group_key(doc: Mapping) -> str:
-    """Batch-compatibility key of a scenario wire dict (see group_key)."""
-    return canonical_json(
-        {
-            "topology": dict(doc["topology"]),
-            "cycles": doc["cycles"],
-            "policy": doc["policy"],
-            "drain": doc["drain"],
-            "fault_cells": doc["fault_cells"],
-            "fault_links": doc["fault_links"],
-            "fault_seed": doc["fault_seed"],
-        }
-    )
 
 
 def is_file_entry(entry: str) -> bool:
@@ -788,7 +771,16 @@ class ScenarioSpec:
         cycles, policy, drain and fault sample — only the traffic spec
         and the simulation seed vary inside a group.
         """
-        return _doc_group_key(self.to_spec())
+        doc = self.to_spec()
+        return canonical_json(
+            {
+                key: doc[key]
+                for key in (
+                    "topology", "cycles", "policy", "drain",
+                    "fault_cells", "fault_links", "fault_seed",
+                )
+            }
+        )
 
     def resolve(self) -> ResolvedScenario:
         """Materialize the concrete simulator inputs (network memoized)."""
@@ -811,34 +803,3 @@ class ScenarioSpec:
             backend=self.sim.backend,
             compile_cache=self.sim.compile_cache,
         )
-
-    # -- compatibility aliases (the pre-redesign Scenario surface) ---------
-
-    def to_dict(self) -> dict:
-        """Alias of :meth:`to_spec` (the old ``Scenario.to_dict`` name)."""
-        return self.to_spec()
-
-    @property
-    def hash(self) -> str:
-        """Alias of :attr:`digest` (the old ``Scenario.hash`` name)."""
-        return self.digest
-
-    @property
-    def topology(self) -> dict:
-        """The topology wire dict (the old flat ``Scenario.topology``)."""
-        return self.network.to_spec()
-
-    @property
-    def fault_cells(self) -> int:
-        """Alias of ``faults.cells`` (the old flat field name)."""
-        return self.faults.cells
-
-    @property
-    def fault_links(self) -> int:
-        """Alias of ``faults.links`` (the old flat field name)."""
-        return self.faults.links
-
-    @property
-    def fault_seed(self) -> int:
-        """Alias of ``faults.seed`` (the old flat field name)."""
-        return self.faults.seed

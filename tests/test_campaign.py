@@ -158,15 +158,15 @@ class TestExpansion:
     def test_expansion_is_deterministic(self):
         a = expand_scenarios(tiny_spec())
         b = expand_scenarios(tiny_spec())
-        assert [s.hash for s in a] == [s.hash for s in b]
-        assert [s.to_dict() for s in a] == [s.to_dict() for s in b]
+        assert [s.digest for s in a] == [s.digest for s in b]
+        assert [s.to_spec() for s in a] == [s.to_spec() for s in b]
 
     def test_hashes_are_unique(self):
         scenarios = expand_scenarios(tiny_spec())
-        assert len({s.hash for s in scenarios}) == len(scenarios)
+        assert len({s.digest for s in scenarios}) == len(scenarios)
 
     def test_hash_is_canonical_over_key_order(self):
-        doc = expand_scenarios(tiny_spec())[0].to_dict()
+        doc = expand_scenarios(tiny_spec())[0].to_spec()
         shuffled = dict(reversed(list(doc.items())))
         assert scenario_digest(doc) == scenario_digest(shuffled)
 
@@ -177,16 +177,16 @@ class TestExpansion:
         by_topo: dict[str, dict] = {}
         for s in scenarios:
             by_topo.setdefault(s.label, {})[
-                (s.fault_cells, s.fault_links, s.seed)
-            ] = s.fault_seed
+                (s.faults.cells, s.faults.links, s.seed)
+            ] = s.faults.seed
         assert by_topo["omega(3)"] == by_topo["baseline(3)"]
 
     def test_faultfree_scenarios_pin_fault_seed_to_zero(self):
         for s in expand_scenarios(tiny_spec()):
-            if not (s.fault_cells or s.fault_links):
-                assert s.fault_seed == 0
+            if not (s.faults.cells or s.faults.links):
+                assert s.faults.seed == 0
             else:
-                assert s.fault_seed != 0
+                assert s.faults.seed != 0
 
     def test_duplicate_grid_points_rejected(self):
         with pytest.raises(ReproError, match="duplicate"):
@@ -238,8 +238,8 @@ class TestFileTopologies:
         labels = {s.label for s in scenarios}
         assert labels == {"baseline(3)", "saved"}
         (file_scn,) = [s for s in scenarios if s.label == "saved"]
-        assert file_scn.topology["kind"] == "file"
-        assert len(file_scn.topology["digest"]) == 16
+        assert file_scn.network.to_spec()["kind"] == "file"
+        assert len(file_scn.network.to_spec()["digest"]) == 16
 
     def test_stages_axis_ignored_for_files(self, tmp_path):
         path = tmp_path / "net.json"
@@ -262,8 +262,8 @@ class TestFileTopologies:
         spec_rel = tiny_spec(topologies=("net.json",), faults=(0,), seeds=(0,))
         (a,) = expand_scenarios(spec_abs)
         (b,) = expand_scenarios(spec_rel)
-        assert a.topology["path"] != b.topology["path"]
-        assert a.hash == b.hash
+        assert a.network.to_spec()["path"] != b.network.to_spec()["path"]
+        assert a.digest == b.digest
 
     def test_duplicate_labels_rejected(self, tmp_path):
         (tmp_path / "a").mkdir()
@@ -344,7 +344,7 @@ class TestRunner:
     def test_reports_are_deterministic(self):
         scenario = expand_scenarios(tiny_spec())[0]
         a = run_scenario(scenario).to_dict()
-        b = run_scenario(scenario.to_dict()).to_dict()
+        b = run_scenario(scenario.to_spec()).to_dict()
         assert _deterministic(a) == _deterministic(b)
 
     def test_inline_run_fills_the_store(self, tmp_path):
@@ -363,7 +363,7 @@ class TestRunner:
         # exposes the worker-aggregated compile-cache counters.
         assert cache["misses"] >= 1
         assert cache["hits"] >= 0
-        hashes = {s.hash for s in expand_scenarios(spec)}
+        hashes = {s.digest for s in expand_scenarios(spec)}
         assert ResultStore(tmp_path / "s.jsonl").hashes() == hashes
 
     def test_pool_run_matches_inline_run(self, tmp_path):
@@ -415,11 +415,11 @@ class TestBatchedRunner:
         # the fault sample (hence fault seed) is shared.
         for group in keys.values():
             assert len({
-                (s.label, s.fault_cells, s.fault_links, s.fault_seed)
+                (s.label, s.faults.cells, s.faults.links, s.faults.seed)
                 for s in group
             }) == 1
         faultfree = [
-            ss for ss in keys.values() if ss[0].fault_cells == 0
+            ss for ss in keys.values() if ss[0].faults.cells == 0
         ]
         assert all(len(ss) == 2 for ss in faultfree)  # both seeds fused
 
@@ -478,11 +478,11 @@ class TestBatchedRunner:
         dump_network(build_network("omega", 3), path)
         spec = tiny_spec(topologies=(str(path),), faults=(0,), seeds=(0,))
         (scn,) = expand_scenarios(spec)
-        pinned = NetworkSpec.from_spec(scn.topology)
+        pinned = NetworkSpec.from_spec(scn.network.to_spec())
         assert pinned.resolve() is pinned.resolve()
         # Un-pinned file entries are never cached (content unverified).
         unpinned = NetworkSpec.from_spec(
-            {k: v for k, v in scn.topology.items() if k != "digest"}
+            {k: v for k, v in scn.network.to_spec().items() if k != "digest"}
         )
         assert unpinned.cache_key() is None
         assert unpinned.resolve() is not unpinned.resolve()
@@ -779,7 +779,7 @@ class TestTrafficSpecs:
 
 
 class TestZeroCopyWorkers:
-    """The shared-memory result path vs inline and pickled dispatch."""
+    """Pooled workers vs inline dispatch: one executor, one result path."""
 
     def _clean(self, path) -> dict:
         return {
@@ -787,47 +787,18 @@ class TestZeroCopyWorkers:
             for r in load_records(path)
         }
 
-    def test_shm_pool_matches_inline(self, tmp_path):
+    def test_pool_matches_inline(self, tmp_path):
         spec = tiny_spec()
         run_campaign(spec, tmp_path / "inline.jsonl", workers=1)
-        summary = run_campaign(
-            spec, tmp_path / "shm.jsonl", workers=2, zero_copy=True
-        )
+        summary = run_campaign(spec, tmp_path / "pool.jsonl", workers=2)
         assert self._clean(tmp_path / "inline.jsonl") == self._clean(
-            tmp_path / "shm.jsonl"
+            tmp_path / "pool.jsonl"
         )
         assert summary["ran"] == 8
         # Worker-side compile activity is aggregated into the summary
         # (forked workers may inherit a warm cache: hits, not misses).
         cache = summary["compile_cache"]
         assert cache["hits"] + cache["misses"] >= 1
-
-    def test_shm_and_pickled_stores_are_byte_identical(self, tmp_path):
-        spec = tiny_spec(seeds=(0,))
-        run_campaign(
-            spec, tmp_path / "shm.jsonl", workers=2, zero_copy=True
-        )
-        run_campaign(
-            spec, tmp_path / "pickled.jsonl", workers=2, zero_copy=False
-        )
-        shm = sorted(load_records(tmp_path / "shm.jsonl"),
-                     key=lambda r: r["hash"])
-        pickled = sorted(load_records(tmp_path / "pickled.jsonl"),
-                         key=lambda r: r["hash"])
-        for a, b in zip(shm, pickled):
-            assert a["scenario"] == b["scenario"]
-            assert _deterministic(a["report"]) == _deterministic(b["report"])
-        # The aggregate consumers see byte-identical results.
-        assert dumps_aggregate(shm) == dumps_aggregate(pickled)
-
-    def test_shm_env_killswitch(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CAMPAIGN_SHM", "0")
-        spec = tiny_spec(seeds=(0,), faults=(0,))
-        run_campaign(spec, tmp_path / "env.jsonl", workers=2)
-        run_campaign(spec, tmp_path / "inline.jsonl", workers=1)
-        assert self._clean(tmp_path / "env.jsonl") == self._clean(
-            tmp_path / "inline.jsonl"
-        )
 
     def test_backend_knob_does_not_change_results(self, tmp_path):
         spec = tiny_spec(seeds=(0,), faults=(0,))

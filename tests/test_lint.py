@@ -365,6 +365,22 @@ class TestPickleBoundary:
             """)
         assert not hits(lint(tmp_path), "RPR004")
 
+    def test_result_pipe_send_checked(self, tmp_path):
+        write(tmp_path, "repro/campaign/w.py", """\
+            def _worker_main(inq, result_conn, exc):
+                result_conn.send(("err", format_error(exc)))
+            """)
+        found = hits(lint(tmp_path), "RPR004")
+        assert found and "result_conn.send()" in found[0].message
+
+    def test_result_pipe_message_tuples_pass(self, tmp_path):
+        write(tmp_path, "repro/campaign/w.py", """\
+            def _worker_main(inq, result_conn, records, delta, tele, info):
+                result_conn.send(("ok", records, delta, tele))
+                result_conn.send(("err", info))
+            """)
+        assert not hits(lint(tmp_path), "RPR004")
+
     def test_non_whitelisted_call_in_payload_flagged(self, tmp_path):
         write(tmp_path, "repro/campaign/w.py", """\
             def _worker_main(inq, outq, spec):

@@ -584,6 +584,36 @@ class TestCampaignTracing:
             "count"
         ] == 4
 
+    def test_inline_and_pool_run_one_executor(self, tmp_path):
+        # workers=1 and workers=2 share one group executor: the same
+        # groups, the same merged counters and the same records.
+        spec = tiny_spec(stages=(4,), faults=(0, 2))
+        runs = {}
+        for workers in (1, 2):
+            metrics().reset()
+            store = tmp_path / f"w{workers}.jsonl"
+            with obs.tracing() as tr:
+                run_campaign(spec, store, workers=workers)
+            groups = sorted(
+                e["attrs"]["scenarios"]
+                for e in spans_of(tr.events) if e["name"] == "group"
+            )
+            (msnap,) = [e for e in tr.events if e["ev"] == "metrics"]
+            counters = msnap["metrics"]["counters"]
+            records = sorted(
+                (_deterministic(r) for r in load_records(store)),
+                key=lambda r: r["hash"],
+            )
+            runs[workers] = (
+                groups,
+                counters["campaign.groups"],
+                counters["campaign.scenarios"],
+                records,
+            )
+        assert runs[1][0] == [1, 1, 1, 1, 2, 2]
+        assert runs[1][1:3] == (6, 8)
+        assert runs[2] == runs[1]
+
     def test_untraced_summary_has_no_telemetry(self, tmp_path):
         summary = run_campaign(tiny_spec(), tmp_path / "s.jsonl")
         assert "telemetry" not in summary

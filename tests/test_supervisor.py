@@ -716,15 +716,6 @@ class TestSupervisedCampaign:
             )
         assert not (tmp_path / "s.jsonl").exists()
 
-    def test_unsupervised_legacy_path_still_works(self, tmp_path):
-        want = self._fault_free(tmp_path)
-        path = tmp_path / "legacy.jsonl"
-        summary = run_campaign(
-            tiny_spec(), path, workers=2, supervised=False
-        )
-        assert all(v == 0 for v in summary["faults"].values())
-        assert _clean(path) == want
-
 
 class TestKillNineRecovery:
     def test_sigkilled_run_resumes_to_identical_aggregate(self, tmp_path):

@@ -58,7 +58,6 @@ WORKER_FUNCTIONS = frozenset({
     "_worker_main",
     "_error_info",
     "_execute_group",
-    "_group_reports",
     "_record",
     "_note_group",
     "_worker_init",

@@ -127,19 +127,6 @@ def _record(spec: ScenarioSpec, report: SimReport) -> dict:
     }
 
 
-def _group_reports(specs: list[ScenarioSpec]) -> list[SimReport]:
-    """Run one batch-compatible scenario group.
-
-    Single-scenario groups take the sequential path; larger groups run
-    as one :func:`~repro.sim.batch.simulate_batch` call.  Either way the
-    reports are bit-identical (wall-clock ``elapsed`` aside), so nothing
-    the aggregates consume depends on the grouping.
-    """
-    if len(specs) == 1:
-        return [run_scenario(specs[0])]
-    return simulate_batch(specs)
-
-
 def _execute_group(
     specs,
     attempt: int,
@@ -180,7 +167,7 @@ def _execute_group(
         )
     before = compile_cache_info()
     with obs.span("group", scenarios=len(specs)):
-        reports = _group_reports(list(specs))
+        reports = simulate_batch(list(specs))
     after = compile_cache_info()
     busy_s = time.perf_counter() - t0
     if obs.enabled():

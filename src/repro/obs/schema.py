@@ -29,6 +29,7 @@ __all__ = [
     "GAUGE_NAMES",
     "HISTOGRAM_NAMES",
     "SCENARIO_CARRYING_SPANS",
+    "SLAB_ROOT_SPANS",
     "SPAN_CAMPAIGN",
     "SPAN_GROUP",
     "SPAN_NAMES",
@@ -68,6 +69,11 @@ SPAN_NAMES = frozenset({
     SPAN_CAMPAIGN,
     SPAN_RELIABILITY,
 })
+
+#: Root span of one slab run, by manifest kind: ``simulate`` and the
+#: engine form of ``simulate_batch`` share one runner and differ only in
+#: these names.
+SLAB_ROOT_SPANS = {"simulate": SPAN_SIMULATE, "batch": SPAN_RUN_BATCH}
 
 #: Spans whose ``scenarios`` attribute counts simulated scenarios — the
 #: outermost one on a chain wins (a ``simulate_batch`` nested inside a

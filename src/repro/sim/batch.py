@@ -1,30 +1,36 @@
 """Scenario-axis batched simulation: B runs through one set of kernels.
 
-:func:`simulate_batch` runs ``B`` same-shape scenarios — one compiled
-network, shared ``(cycles, policy, faults, drain)``, per-scenario traffic,
-seed and (optionally) port schedule — as a single pass over the cycle
-loop.  Packet state grows a leading batch axis (stage-major
-``(n, B, M, 2)`` slabs, so each stage kernel touches one contiguous
-block) and the kernels are *packet-compacted*: one dense scan per stage
-finds the occupied linear buffer indices, and everything downstream —
-routing gathers, contention pairing, scatters, per-scenario counter
-updates — runs on packet-sized 1-d arrays.  Slot pairs of one switch sit
-at adjacent linear indices ``2k, 2k+1``, so output contention is detected
-by comparing neighbouring entries of the sorted packet index list instead
-of re-scanning dense masks.  The per-cycle Python and NumPy dispatch
-overhead — which dominates per-scenario runs — is paid once per batch.
+Every simulation is a *slab*: ``B`` same-shape scenarios — one compiled
+network, shared ``(cycles, policy, faults, drain)``, per-scenario
+traffic, seed and (optionally) port schedule — run as a single pass over
+the cycle loop.  :func:`simulate_batch` runs any ``B``;
+:func:`repro.sim.engine.simulate` is a slab of one.  Both go through one
+private runner that validates, materializes the traffic, compiles,
+calls the backend's ``run_batch``, records the ``sim.*`` metrics and
+assembles the reports.
+
+Packet state grows a leading batch axis (stage-major ``(n, B·2M)``
+slabs, so each stage kernel touches one contiguous block) and the NumPy
+kernels are *packet-compacted*: one dense scan per stage finds the
+occupied linear buffer indices, and everything downstream — routing
+gathers, contention pairing, scatters, per-scenario counter updates —
+runs on packet-sized 1-d arrays.  Slot pairs of one switch sit at
+adjacent linear indices ``2k, 2k+1``, so output contention is detected
+by comparing neighbouring entries of the sorted packet index list
+instead of re-scanning dense masks.  The per-cycle Python and NumPy
+dispatch overhead is paid once per slab.
 
 Scenarios never interact: the batch index rides inside the linear packet
 index (``idx = b·2M + 2·cell + slot``), and per-scenario counters are
-accumulated with ``np.bincount`` over ``idx >> log2(2M)``.  The returned
-reports are therefore **bit-identical** (everything except wall-clock
-``elapsed``) to running :func:`repro.sim.engine.simulate` once per
-scenario — the regression oracle the test suite pins.
-
-Draining is handled per scenario with an activity mask: a scenario whose
-network has emptied (or hit the progress bound) is frozen while the rest
-of the batch keeps cycling, reproducing the sequential drain-cycle counts
-exactly.
+accumulated with ``np.bincount`` over ``idx >> log2(2M)``.  Draining is
+handled per scenario with an activity mask: a scenario whose network
+has emptied (or hit the progress bound) is frozen while the rest of the
+batch keeps cycling.  The regression oracle the test suite pins is the
+pure-Python fused scalar loop of :mod:`repro.sim.kernels.numba_backend`,
+an independent implementation: every counter, the occupancy and the
+latency stream of each scenario are **bit-identical** to it, and a
+scenario's report (everything except wall-clock ``elapsed``) is the same
+whichever slab it runs in.
 
 The slab kernels live behind the pluggable backend seam of
 :mod:`repro.sim.kernels`: the ``numpy`` reference backend runs the
@@ -41,17 +47,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.errors import ReproError
+from repro.obs import schema
 from repro.obs import trace as obs
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import metrics
 from repro.sim.compiled import compile_network, ensure_compile_cache_min
-from repro.sim.engine import _POLICIES, _check_port_schedule
 from repro.sim.faults import FaultSet
 from repro.sim.kernels import get_backend, resolve_backend
 from repro.sim.metrics import SimReport, latency_summary
 from repro.sim.traffic import TrafficPattern
 
 __all__ = ["BatchScenario", "simulate_batch"]
+
+_POLICIES = ("drop", "block")
+
+
+def _check_port_schedule(
+    port_schedule: np.ndarray | None, n: int, n_in: int
+) -> np.ndarray | None:
+    """Validate and normalize a per-source port schedule (int8)."""
+    if port_schedule is None:
+        return None
+    sched = np.asarray(port_schedule)
+    if sched.shape != (n, n_in):
+        raise ReproError(
+            f"port_schedule must have shape ({n}, {n_in}), "
+            f"got {sched.shape}"
+        )
+    if sched.min() < 0 or sched.max() > 1:
+        raise ReproError("port_schedule entries must be 0 or 1")
+    return sched.astype(np.int8)
 
 
 def _simulate_spec_batch(specs, backend: str | None) -> list[SimReport]:
@@ -70,7 +95,7 @@ def _simulate_spec_batch(specs, backend: str | None) -> list[SimReport]:
         head = specs[idxs[0]].resolve()
         if head.compile_cache is not None:
             ensure_compile_cache_min(head.compile_cache)
-        group_reports = simulate_batch(
+        group_reports = _run_slab(
             head.network,
             [
                 BatchScenario(
@@ -84,6 +109,7 @@ def _simulate_spec_batch(specs, backend: str | None) -> list[SimReport]:
             policy=head.policy,
             faults=head.faults,
             drain=head.drain,
+            network_name=None,
             backend=backend if backend is not None else head.backend,
         )
         for i, report in zip(idxs, group_reports):
@@ -168,7 +194,8 @@ def simulate_batch(
     -------
     list[SimReport]
         ``scenarios[i]``'s report at index ``i``, field-for-field equal
-        (``elapsed`` aside) to the sequential ``simulate`` result.
+        (``elapsed`` aside) to the ``simulate`` result of that scenario
+        alone.
     """
     from repro.spec.scenario import ScenarioSpec
 
@@ -207,6 +234,44 @@ def simulate_batch(
             "simulate_batch(net, scenarios, ...) needs a scenario "
             "sequence (or pass a list of ScenarioSpec)"
         )
+    return _run_slab(
+        net,
+        [
+            s if isinstance(s, BatchScenario) else BatchScenario(traffic=s)
+            for s in scenarios
+        ],
+        cycles=cycles,
+        policy=policy,
+        faults=faults,
+        drain=drain,
+        network_name=network_name,
+        backend=backend,
+    )
+
+
+def _run_slab(
+    net,
+    scns: list[BatchScenario],
+    *,
+    cycles: int | None,
+    policy: str | None,
+    faults: FaultSet | None,
+    drain: bool | None,
+    network_name: str | None,
+    backend: str | None,
+    kind: str = "batch",
+    digests=(),
+) -> list[SimReport]:
+    """Run one slab of scenarios and assemble a report for each.
+
+    The single path behind ``simulate`` (``kind="simulate"``, a slab of
+    one) and the engine form of ``simulate_batch`` (``kind="batch"``).
+    ``kind`` names the top-level manifest and, through
+    :data:`repro.obs.schema.SLAB_ROOT_SPANS`, the root span whose
+    ``traffic``/``compile``/``run`` children time the phases; the phase
+    durations become each report's ``timings``.  ``digests`` are the
+    scenario digests the manifest carries.
+    """
     cycles = 1000 if cycles is None else cycles
     policy = "drop" if policy is None else policy
     drain = False if drain is None else drain
@@ -214,10 +279,6 @@ def simulate_batch(
         raise ReproError(f"cycles must be positive, got {cycles}")
     if policy not in _POLICIES:
         raise ReproError(f"policy must be one of {_POLICIES}, got {policy!r}")
-    scns = [
-        s if isinstance(s, BatchScenario) else BatchScenario(traffic=s)
-        for s in scenarios
-    ]
     if not scns:
         raise ReproError("simulate_batch needs at least one scenario")
     for s in scns:
@@ -244,11 +305,10 @@ def simulate_batch(
             [_check_port_schedule(s.port_schedule, n, n_in) for s in scns]
         )
 
-    # One engine-form pass is one `run_batch` span with traffic/compile/
-    # run children; a top-level traced call also stamps a manifest.
     top_level = obs.enabled() and obs.current_span() is None
     with obs.span(
-        "run_batch", scenarios=B, cycles=cycles, policy=policy
+        schema.SLAB_ROOT_SPANS[kind], scenarios=B, cycles=cycles,
+        policy=policy,
     ) as root:
         # Per-scenario traffic schedules, cycle-major for contiguous rows.
         with obs.span("traffic") as sp_traffic:
@@ -284,6 +344,10 @@ def simulate_batch(
             root.add("offered", int(run.offered.sum()))
             root.add("delivered", int(run.delivered.sum()))
 
+    default_name = network_name
+    if default_name is None:
+        default_name = f"midigraph(n={n}, M={size})"
+
     timings = None
     if obs.enabled():
         timings = {
@@ -304,19 +368,16 @@ def simulate_batch(
         if top_level:
             obs.active().emit_manifest(
                 RunManifest.collect(
-                    "batch",
-                    [],
+                    kind,
+                    digests,
                     backend=resolved,
                     timings=timings,
+                    network=default_name,
                     scenarios=B,
                 )
             )
 
     denom = cycles * 2 * size
-    default_name = network_name
-    if default_name is None:
-        default_name = f"midigraph(n={n}, M={size})"
-
     reports: list[SimReport] = []
     for i, s in enumerate(scns):
         mean_lat, p99_lat = latency_summary(

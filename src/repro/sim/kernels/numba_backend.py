@@ -9,9 +9,9 @@ cycle, the fused loop pays none, which is the whole speedup: the
 arithmetic was never the bottleneck.
 
 The loop body is a line-for-line scalar transliteration of the NumPy
-reference kernels, and the orders in which it visits cells and slots
-match the orders ``np.nonzero`` yields on the vectorized masks, so the
-counters, the per-scenario latency streams (and hence the summary
+reference kernels, and the order in which it visits cells and slots
+matches the sorted packet-index order of the vectorized slab kernels, so
+the counters, the per-scenario latency streams (and hence the summary
 statistics) and the drain-cycle counts are **bit-identical** — the
 property the cross-backend test suite pins.  Sequential per-cell
 processing is safe because every out-arc targets a unique next-stage
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sim.kernels.results import BatchRun, SingleRun
+from repro.sim.kernels.results import BatchRun
 
 NAME = "numba"
 
@@ -317,34 +317,10 @@ def _kernel(python: bool = False):
     return _jitted
 
 
-def _prep(tmat: np.ndarray, sched: np.ndarray | None):
+def _run_one(comp, tmat, sched, cycles, drop, drain, python):
+    """One scenario through the fused loop; its raw result tuple."""
     use_sched = sched is not None
-    return (
-        np.ascontiguousarray(tmat, dtype=np.int32),
-        np.ascontiguousarray(sched, dtype=np.int8)
-        if use_sched
-        else _NO_SCHED,
-        use_sched,
-    )
-
-
-def run_single(
-    comp,
-    tmat: np.ndarray,
-    sched: np.ndarray | None,
-    cycles: int,
-    drop: bool,
-    drain: bool,
-    *,
-    python: bool = False,
-) -> SingleRun:
-    """Run one scenario through the fused loop.
-
-    ``python=True`` forces the undecorated Python version of the kernel
-    (the test hook for verifying semantics without a JIT in the loop).
-    """
-    tmat32, sched8, use_sched = _prep(tmat, sched)
-    out = _kernel(python)(
+    return _kernel(python)(
         int(cycles),
         bool(drop),
         bool(drain),
@@ -356,22 +332,9 @@ def run_single(
         comp.child,
         comp.slots,
         comp.src_alive,
-        tmat32,
-        sched8,
+        np.ascontiguousarray(tmat, dtype=np.int32),
+        np.ascontiguousarray(sched, dtype=np.int8) if use_sched else _NO_SCHED,
         use_sched,
-    )
-    return SingleRun(
-        offered=int(out[0]),
-        injected=int(out[1]),
-        delivered=int(out[2]),
-        dropped=int(out[3]),
-        unroutable=int(out[4]),
-        blocked_moves=int(out[5]),
-        total_hops=int(out[6]),
-        in_flight=int(out[7]),
-        drain_cycles=int(out[8]),
-        occupancy=out[9],
-        latencies=out[10],
     )
 
 
@@ -390,7 +353,10 @@ def run_batch(
     Scenarios of a batch never interact, so running them back to back
     through the jitted loop reproduces the batched NumPy kernel's
     results exactly while keeping each run's working set (one scenario's
-    packet state) cache-resident.
+    packet state) cache-resident.  ``python=True`` forces the
+    undecorated Python version of the loop — the independent scalar
+    oracle the test suite checks the NumPy backend against without a
+    JIT in the way.
     """
     B = tmats.shape[1]
     n = comp.n_stages
@@ -398,28 +364,18 @@ def run_batch(
     occupancy = np.zeros((n, B), dtype=np.int64)
     lats: list[np.ndarray] = []
     for i in range(B):
-        run = run_single(
+        out = _run_one(
             comp,
             np.ascontiguousarray(tmats[:, i, :]),
             scheds[i] if scheds is not None else None,
             cycles,
             drop,
             drain,
-            python=python,
+            python,
         )
-        counters[:, i] = (
-            run.offered,
-            run.injected,
-            run.delivered,
-            run.dropped,
-            run.unroutable,
-            run.blocked_moves,
-            run.total_hops,
-            run.in_flight,
-            run.drain_cycles,
-        )
-        occupancy[:, i] = run.occupancy
-        lats.append(run.latencies)
+        counters[:, i] = out[:9]
+        occupancy[:, i] = out[9]
+        lats.append(out[10])
     bounds = np.zeros(B + 1, dtype=np.int64)
     np.cumsum([lat.size for lat in lats], out=bounds[1:])
     return BatchRun(

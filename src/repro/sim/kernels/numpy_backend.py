@@ -1,14 +1,14 @@
 """The reference NumPy kernel backend.
 
-These are the vectorized cycle kernels the engine has always run, moved
-behind the backend seam of :mod:`repro.sim.kernels`: whole-cohort array
-phases (eject → per-stage move → inject) for single runs, and the
-packet-compacted flat-index slab kernels for batches.  Semantics are the
+These are the vectorized cycle kernels behind the backend seam of
+:mod:`repro.sim.kernels`: packet-compacted flat-index slab kernels
+(eject → per-stage move → inject) over a ``(cycles, B, N)`` traffic
+slab.  A single scenario is a slab with ``B = 1``.  Semantics are the
 contract every other backend is property-tested against — when in doubt
 about an arbitration or counting rule, this file is the specification.
 
-Single-scenario model (``run_single``)
---------------------------------------
+Model
+-----
 Each stage cell is a 2×2 switch with one buffer slot per input link.  A
 cycle proceeds back-to-front: last-stage packets eject through out-port
 ``dst & 1``; stage ``j`` packets move to stage ``j + 1`` through the
@@ -18,208 +18,26 @@ the traffic schedule into one-deep wait buffers and inject into free
 first-stage slots.  Contention is oldest-packet-first (ties to slot 0);
 losers are discarded under ``drop`` and held under ``block``.  Ambiguous
 port entries (``-2``) resolve adaptively toward the port whose target
-slot is free.
+slot is free.  Packets with no live port count as ``unroutable``, and so
+do draws at a source whose first-stage cell is dead.
 
-Batched model (``run_batch``)
------------------------------
-Packet state grows a leading batch axis (stage-major ``(n, B·2M)`` flat
-slabs) and every phase runs on packet-compacted 1-d index arrays; the
-batch index rides inside the linear packet index, so scenarios never
+Packet state carries a leading batch axis (stage-major ``(n, B·2M)``
+flat slabs) and every phase runs on packet-compacted 1-d index arrays;
+the batch index rides inside the linear packet index, so scenarios never
 interact, and per-scenario counters accumulate via ``np.bincount``.
-See :mod:`repro.sim.batch` for the full narrative.
+Under ``drain`` each scenario keeps cycling until its network and wait
+buffers are empty or its progress bound ``in_net·(n + 2) + 4n + 16`` is
+hit.  See :mod:`repro.sim.batch` for the full narrative.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.sim.kernels.results import BatchRun, SingleRun
+from repro.sim.kernels.results import BatchRun
 
 NAME = "numpy"
 AVAILABLE = True
-
-
-def run_single(
-    comp,
-    tmat: np.ndarray,
-    sched: np.ndarray | None,
-    cycles: int,
-    drop: bool,
-    drain: bool,
-) -> SingleRun:
-    """Run one scenario's full cycle loop; see module docstring."""
-    n, size, n_in = comp.n_stages, comp.size, comp.n_inputs
-    ptabs, links = comp.ptabs, comp.links
-    child, slots, has_amb = comp.child, comp.slots, comp.has_amb
-    src_alive = comp.src_alive
-    rows = np.arange(size)[:, None]
-
-    # Packet state: one (cell, slot) buffer per stage.
-    dst = np.full((n, size, 2), -1, dtype=np.int32)
-    birth = np.zeros((n, size, 2), dtype=np.int32)
-    origin = np.zeros((n, size, 2), dtype=np.int32)
-    wait_dst = np.full(n_in, -1, dtype=np.int32)
-    wait_birth = np.zeros(n_in, dtype=np.int32)
-    # Hoisted flat views of the first stage (injection writes through them).
-    flat_dst0 = dst[0].reshape(-1)
-    flat_birth0 = birth[0].reshape(-1)
-    flat_origin0 = origin[0].reshape(-1)
-
-    offered = injected = delivered = dropped = 0
-    unroutable = blocked_moves = total_hops = 0
-    latencies: list[np.ndarray] = []
-    occupancy = np.zeros(n, dtype=np.int64)
-
-    def _eject(now: int) -> None:
-        nonlocal delivered, dropped, blocked_moves, total_hops
-        d = dst[n - 1]
-        occ = d >= 0
-        if not occ.any():
-            return
-        b = birth[n - 1]
-        port = d & 1
-        both = occ[:, 0] & occ[:, 1] & (port[:, 0] == port[:, 1])
-        eject = occ.copy()
-        bc = np.nonzero(both)[0]
-        if bc.size:
-            loser = np.where(b[bc, 1] < b[bc, 0], 0, 1)
-            eject[bc, loser] = False
-            if drop:
-                d[bc, loser] = -1
-                dropped += bc.size
-            else:
-                blocked_moves += bc.size
-        ec, es = np.nonzero(eject)
-        latencies.append(now - b[ec, es])
-        delivered += ec.size
-        total_hops += ec.size
-        d[ec, es] = -1
-
-    def _move(j: int) -> None:
-        nonlocal dropped, unroutable, blocked_moves, total_hops
-        d = dst[j]
-        occ = d >= 0
-        if not occ.any():
-            return
-        b = birth[j]
-        if sched is None:
-            dcell = np.where(occ, d >> 1, 0)
-            port = np.where(occ, ptabs[j][rows, dcell], np.int8(-1))
-            if has_amb[j]:
-                amb = port == -2
-                if amb.any():
-                    free0 = (
-                        dst[j + 1][child[j][:, 0], slots[j][:, 0]] < 0
-                    )
-                    choice = np.where(free0, 0, 1).astype(np.int8)[:, None]
-                    port = np.where(
-                        amb, np.broadcast_to(choice, port.shape), port
-                    )
-        else:
-            src_safe = np.where(occ, origin[j], 0)
-            port = np.where(occ, sched[j][src_safe], np.int8(-1))
-        safe = np.where(port >= 0, port, 0)
-        alive = occ & (port >= 0) & links[j][rows, safe]
-        unrout = occ & ~alive
-        uc, us = np.nonzero(unrout)
-        if uc.size:
-            d[uc, us] = -1
-            unroutable += uc.size
-        both = alive[:, 0] & alive[:, 1] & (port[:, 0] == port[:, 1])
-        # Copy: `movers` is edited below and `alive` must stay what it
-        # says it is (aliasing here once silently mutated `alive`).
-        movers = alive.copy()
-        bc = np.nonzero(both)[0]
-        if bc.size:
-            loser = np.where(b[bc, 1] < b[bc, 0], 0, 1)
-            movers[bc, loser] = False
-            if drop:
-                d[bc, loser] = -1
-                dropped += bc.size
-            else:
-                blocked_moves += bc.size
-        mc, ms = np.nonzero(movers)
-        if not mc.size:
-            return
-        p = port[mc, ms]
-        tc = child[j][mc, p]
-        ts = slots[j][mc, p]
-        free = dst[j + 1][tc, ts] < 0
-        if not free.all():
-            stuck = ~free
-            if drop:
-                d[mc[stuck], ms[stuck]] = -1
-                dropped += int(stuck.sum())
-            else:
-                blocked_moves += int(stuck.sum())
-            mc, ms, tc, ts = mc[free], ms[free], tc[free], ts[free]
-        dst[j + 1][tc, ts] = d[mc, ms]
-        birth[j + 1][tc, ts] = b[mc, ms]
-        origin[j + 1][tc, ts] = origin[j][mc, ms]
-        d[mc, ms] = -1
-        total_hops += mc.size
-
-    def _inject(now: int, row: np.ndarray | None) -> None:
-        nonlocal offered, unroutable, injected
-        if row is not None:
-            draws = (wait_dst < 0) & (row >= 0)
-            offered += int(draws.sum())
-            dead = draws & ~src_alive
-            if dead.any():
-                unroutable += int(dead.sum())
-                draws &= src_alive
-            wait_dst[draws] = row[draws]
-            wait_birth[draws] = now
-        ready = (wait_dst >= 0) & (flat_dst0 < 0)
-        idx = np.nonzero(ready)[0]
-        if not idx.size:
-            return
-        flat_dst0[idx] = wait_dst[idx]
-        flat_birth0[idx] = wait_birth[idx]
-        flat_origin0[idx] = idx
-        wait_dst[idx] = -1
-        injected += idx.size
-
-    for cycle in range(cycles):
-        _eject(cycle)
-        for j in range(n - 2, -1, -1):
-            _move(j)
-        _inject(cycle, tmat[cycle])
-        occupancy += (dst >= 0).sum(axis=(1, 2))
-
-    drain_cycles = 0
-    if drain:
-        in_net = int((dst >= 0).sum()) + int((wait_dst >= 0).sum())
-        limit = in_net * (n + 2) + 4 * n + 16
-        cycle = cycles
-        while int((dst >= 0).sum()) + int((wait_dst >= 0).sum()) > 0:
-            if drain_cycles >= limit:  # pragma: no cover - progress bound
-                break
-            _eject(cycle)
-            for j in range(n - 2, -1, -1):
-                _move(j)
-            _inject(cycle, None)
-            cycle += 1
-            drain_cycles += 1
-
-    in_flight = int((dst >= 0).sum()) + int((wait_dst >= 0).sum())
-    return SingleRun(
-        offered=offered,
-        injected=injected,
-        delivered=delivered,
-        dropped=dropped,
-        unroutable=unroutable,
-        blocked_moves=blocked_moves,
-        total_hops=total_hops,
-        in_flight=in_flight,
-        drain_cycles=drain_cycles,
-        occupancy=occupancy,
-        latencies=(
-            np.concatenate(latencies)
-            if latencies
-            else np.empty(0, dtype=np.int32)
-        ),
-    )
 
 
 def run_batch(
@@ -457,7 +275,7 @@ def run_batch(
     all_val = np.concatenate(lat_val) if lat_val else np.empty(0, np.int32)
     # One stable partition by scenario instead of B full-array scans;
     # stability keeps each scenario's delivery order (hence its latency
-    # statistics) exactly the sequential engine's.
+    # statistics) independent of the other scenarios in the slab.
     order = np.argsort(all_idx, kind="stable")
     return BatchRun(
         offered=offered,

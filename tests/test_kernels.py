@@ -7,10 +7,11 @@ Three layers of guarantees:
   ``auto`` fallback, and fails loudly (with an install hint) when the
   numba backend is requested on an installation without it.
 * **Fused-kernel semantics** — the numba backend's cycle loop is a plain
-  Python function until it is jitted, so its logic is property-tested
-  against the NumPy reference backend on *every* installation (no numba
-  required): every registered traffic pattern × policy × random fault
-  sets × drain must produce identical raw runs.  When numba *is*
+  Python function until it is jitted, and that scalar loop is the
+  independent oracle for the NumPy slab kernels on *every* installation
+  (no numba required): every registered traffic pattern × policy ×
+  random fault sets × drain × port schedules, at B=1 and B>1, must
+  produce identical raw runs.  When numba *is*
   installed, the same property is asserted at the ``SimReport`` level
   through the public ``simulate``/``simulate_batch`` entry points
   (skip-marked otherwise, per the satellite contract).
@@ -169,13 +170,12 @@ def _traffic_for(name: str, rate: float, n_in: int, seed: int):
 ALL_PATTERNS = sorted(set(TRAFFIC_PATTERNS.names()) | {"permutation"})
 
 
-def _single_runs(net, traffic, cycles, drop, drain, faults, sched, seed):
-    rng = np.random.default_rng(seed)
-    tmat = traffic.destinations(rng, net.n_inputs, cycles)
+def _slab_runs(net, faults, tmats, scheds, cycles, drop, drain):
+    """NumPy ``run_batch`` and the Python-mode fused loop on one slab."""
     comp = compile_network(net, faults)
-    ref = numpy_backend.run_single(comp, tmat, sched, cycles, drop, drain)
-    fused = numba_backend.run_single(
-        comp, tmat, sched, cycles, drop, drain, python=True
+    ref = numpy_backend.run_batch(comp, tmats, scheds, cycles, drop, drain)
+    fused = numba_backend.run_batch(
+        comp, tmats, scheds, cycles, drop, drain, python=True
     )
     return ref, fused
 
@@ -186,11 +186,14 @@ _COUNTERS = (
 )
 
 
-def _assert_single_identical(ref, fused):
+def _assert_runs_identical(ref, fused):
     for field in _COUNTERS:
-        assert getattr(ref, field) == getattr(fused, field), field
+        assert np.array_equal(
+            getattr(ref, field), getattr(fused, field)
+        ), field
     assert np.array_equal(ref.occupancy, fused.occupancy)
-    assert np.array_equal(ref.latencies, fused.latencies)
+    assert np.array_equal(ref.lat_bounds, fused.lat_bounds)
+    assert np.array_equal(ref.lat_sorted, fused.lat_sorted)
 
 
 class TestFusedKernelSemantics:
@@ -223,10 +226,13 @@ class TestFusedKernelSemantics:
                 n_dead_links=n_links,
             )
         traffic = _traffic_for(pattern, rate, net.n_inputs, seed)
-        ref, fused = _single_runs(
-            net, traffic, 30, drop, drain, faults, None, seed
+        tmat = traffic.destinations(
+            np.random.default_rng(seed), net.n_inputs, 30
         )
-        _assert_single_identical(ref, fused)
+        ref, fused = _slab_runs(
+            net, faults, tmat[:, None, :], None, 30, drop, drain
+        )
+        _assert_runs_identical(ref, fused)
 
     def test_every_registered_pattern_is_covered(self):
         for name in TRAFFIC_PATTERNS.names():
@@ -239,46 +245,64 @@ class TestFusedKernelSemantics:
         from repro.sim import PermutationTraffic
 
         net = benes(3)
-        perm = Permutation.random(np.random.default_rng(11), net.n_inputs)
-        sched = schedule_from_switch_settings(
-            net, benes_switch_settings(perm)
+        rng = np.random.default_rng(11)
+        perms = [Permutation.random(rng, net.n_inputs) for _ in range(2)]
+        scheds = np.stack([
+            schedule_from_switch_settings(net, benes_switch_settings(p))
+            for p in perms
+        ])
+        tmats = np.stack(
+            [
+                PermutationTraffic(p, rate=1.0).destinations(
+                    np.random.default_rng(3), net.n_inputs, 20
+                )
+                for p in perms
+            ],
+            axis=1,
         )
-        traffic = PermutationTraffic(perm, rate=1.0)
-        ref, fused = _single_runs(
-            net, traffic, 20, True, True, None, sched, 3
-        )
-        _assert_single_identical(ref, fused)
-        assert ref.dropped == 0 and ref.unroutable == 0
+        for b in (1, 2):
+            ref, fused = _slab_runs(
+                net, None, tmats[:, :b], scheds[:b], 20, True, True
+            )
+            _assert_runs_identical(ref, fused)
+            assert not ref.dropped.any() and not ref.unroutable.any()
 
     @settings(max_examples=20, deadline=None)
     @given(
+        pattern=st.sampled_from(ALL_PATTERNS),
         drop=st.booleans(),
         drain=st.booleans(),
         multipath=st.booleans(),
+        n_cells=st.integers(min_value=0, max_value=2),
+        n_links=st.integers(min_value=0, max_value=3),
         batch=st.integers(min_value=1, max_value=6),
         seed=st.integers(min_value=0, max_value=2**16),
     )
-    def test_batch_runs_identical(self, drop, drain, multipath, batch, seed):
+    def test_batch_runs_identical(
+        self, pattern, drop, drain, multipath, n_cells, n_links, batch,
+        seed,
+    ):
         net = benes(2) if multipath else omega(3)
+        faults = None
+        if n_cells or n_links:
+            faults = FaultSet.random(
+                np.random.default_rng(seed ^ 0xFA117),
+                net.n_stages,
+                net.size,
+                n_dead_cells=n_cells,
+                n_dead_links=n_links,
+            )
         cycles = 20
         tmats = np.empty((cycles, batch, net.n_inputs), dtype=np.int32)
         for i in range(batch):
-            rng = np.random.default_rng(seed + i)
-            tmats[:, i] = UniformTraffic(rate=0.9).destinations(
-                rng, net.n_inputs, cycles
+            traffic = _traffic_for(pattern, 0.9, net.n_inputs, seed + i)
+            tmats[:, i] = traffic.destinations(
+                np.random.default_rng(seed + i), net.n_inputs, cycles
             )
-        comp = compile_network(net)
-        ref = numpy_backend.run_batch(comp, tmats, None, cycles, drop, drain)
-        fused = numba_backend.run_batch(
-            comp, tmats, None, cycles, drop, drain, python=True
+        ref, fused = _slab_runs(
+            net, faults, tmats, None, cycles, drop, drain
         )
-        for field in _COUNTERS:
-            assert np.array_equal(
-                getattr(ref, field), getattr(fused, field)
-            ), field
-        assert np.array_equal(ref.occupancy, fused.occupancy)
-        assert np.array_equal(ref.lat_bounds, fused.lat_bounds)
-        assert np.array_equal(ref.lat_sorted, fused.lat_sorted)
+        _assert_runs_identical(ref, fused)
 
 
 # ---------------------------------------------------------------------------

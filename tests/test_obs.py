@@ -575,8 +575,10 @@ class TestCampaignTracing:
         worker_spans = [
             e for e in spans_of(tr.events) if e["pid"] != os.getpid()
         ]
-        # batch=1 dispatches per scenario: groups wrap single simulates.
-        assert {"group", "simulate"} <= {e["name"] for e in worker_spans}
+        # batch=1 dispatches per scenario: each group is a slab of one.
+        assert {"group", "simulate_batch", "run_batch"} <= {
+            e["name"] for e in worker_spans
+        }
         tele = summary["telemetry"]
         assert sum(w["scenarios"] for w in tele["workers"].values()) == 4
         assert tele["metrics"]["counters"]["campaign.groups"] == 4

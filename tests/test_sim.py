@@ -637,8 +637,9 @@ class TestSimulateBatch:
 @settings(max_examples=12, deadline=None)
 @given(seed=seeds)
 def test_property_batch_reports_equal_sequential(seed):
-    """The regression oracle: ``simulate_batch`` is field-for-field the
-    sequential ``simulate`` across policies, faults and drain."""
+    """Scenarios of a B=3 slab do not interact: each report is
+    field-for-field its own B=1 slab (``simulate``) across policies,
+    faults and drain."""
     rng = np.random.default_rng(seed)
     net = omega(4)
     policy = ("drop", "block")[int(rng.integers(0, 2))]

@@ -96,10 +96,7 @@ def bench_batch_uniform_64x1024(
         omega10, scenarios[0].traffic, cycles=CYCLES,
         seed=scenarios[0].seed, backend="numpy",
     ).to_dict()
-    got = reports[0].to_dict()
-    want.pop("elapsed")
-    got.pop("elapsed")
-    assert want == got
+    assert reports[0].to_dict() == want
 
 
 def bench_batch_faulted_16x1024(benchmark, omega10, rng):

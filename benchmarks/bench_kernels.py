@@ -97,7 +97,4 @@ def bench_kernels_numba_64x1024(benchmark, omega10, scenarios, numpy_rate):
         omega10, scenarios[:1], cycles=CYCLES, backend="numpy"
     )[0].to_dict()
     for got_report in (warm[0], reports[0]):
-        got = got_report.to_dict()
-        want.pop("elapsed", None)
-        got.pop("elapsed", None)
-        assert want == got
+        assert got_report.to_dict() == want

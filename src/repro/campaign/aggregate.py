@@ -3,9 +3,7 @@
 Everything here is a pure, order-independent function of the stored
 records: records are sorted by scenario hash (and, within a group, by
 seed) before any float is summed, so an interrupted-and-resumed campaign
-aggregates to the *byte-identical* report of an uninterrupted run — the
-wall-clock ``elapsed`` field is the one nondeterministic report entry and
-is excluded from every output.
+aggregates to the *byte-identical* report of an uninterrupted run.
 
 Two views are produced:
 
@@ -338,10 +336,9 @@ def dumps_aggregate(
 ) -> str:
     """The canonical aggregate report as a JSON string.
 
-    Deterministic by construction — sorted rows, sorted keys, no
-    ``elapsed`` — so two stores holding the same scenario results
-    serialize to byte-identical reports regardless of completion order or
-    interruptions.  Pass ``rows``/``head`` when :func:`aggregate_rows`
+    Deterministic by construction — sorted rows, sorted keys — so two
+    stores holding the same scenario results serialize to byte-identical
+    reports regardless of completion order or interruptions.  Pass ``rows``/``head`` when :func:`aggregate_rows`
     and :func:`head_to_head` results are already at hand (the CLI prints
     them as tables first) to skip recomputing them.
     """

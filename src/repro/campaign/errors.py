@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
+from repro.campaign.store import _read_log
 from repro.core.errors import ReproError
 
 __all__ = [
@@ -213,37 +214,12 @@ class QuarantineStore:
 
     def records(self) -> Iterator[TaskFailure]:
         """Yield the quarantined failures, tolerating a torn tail line."""
-        if not self.path.exists():
-            return
-        with open(self.path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        if not lines:
-            return
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as err:
-            raise ReproError(
-                f"{self.path}: quarantine header is not valid JSON: {err}"
-            ) from err
-        if (
-            not isinstance(header, dict)
-            or header.get("format") != QUARANTINE_FORMAT
-        ):
-            raise ReproError(
-                f"{self.path}: not a {QUARANTINE_FORMAT} document"
-            )
-        if header.get("version") != QUARANTINE_VERSION:
-            raise ReproError(
-                f"{self.path}: unsupported quarantine version "
-                f"{header.get('version')!r}"
-            )
-        for i, line in enumerate(lines[1:], start=2):
+        lines = _read_log(self.path, QUARANTINE_FORMAT, (QUARANTINE_VERSION,))
+        for i, line in enumerate(lines, start=2):
             try:
                 doc = json.loads(line)
             except json.JSONDecodeError:
-                if i == len(lines):  # torn tail
+                if i == len(lines) + 1:  # torn tail
                     return
                 raise ReproError(
                     f"{self.path}: corrupt quarantine record on line {i}"
@@ -274,38 +250,14 @@ class QuarantineStore:
         }
         if not report["exists"]:
             return report
-        with open(self.path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        lines = text.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        if not lines:
-            return report
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as err:
-            raise ReproError(
-                f"{self.path}: quarantine header is not valid JSON: {err}"
-            ) from err
-        if (
-            not isinstance(header, dict)
-            or header.get("format") != QUARANTINE_FORMAT
-        ):
-            raise ReproError(
-                f"{self.path}: not a {QUARANTINE_FORMAT} document"
-            )
-        if header.get("version") != QUARANTINE_VERSION:
-            raise ReproError(
-                f"{self.path}: unsupported quarantine version "
-                f"{header.get('version')!r}"
-            )
-        for i, line in enumerate(lines[1:], start=2):
+        lines = _read_log(self.path, QUARANTINE_FORMAT, (QUARANTINE_VERSION,))
+        for i, line in enumerate(lines, start=2):
             reason = None
             doc = None
             try:
                 doc = json.loads(line)
             except json.JSONDecodeError:
-                if i == len(lines):  # torn tail: records() skips it too
+                if i == len(lines) + 1:  # torn tail: records() skips it too
                     report["torn_tail"] = True
                     break
                 reason = "invalid JSON"

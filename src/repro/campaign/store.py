@@ -5,9 +5,9 @@ one JSON record per completed scenario —
 
 ::
 
-    {"format": "repro-campaign-store", "version": 1}
-    {"hash": "6fa1…", "scenario": {…}, "report": {…}}
-    {"hash": "93c0…", "scenario": {…}, "report": {…}}
+    {"format": "repro-campaign-store", "version": 2}
+    {"crc": "1c2d…", "hash": "6fa1…", "report": {…}, "scenario": {…}}
+    {"crc": "07be…", "hash": "93c0…", "report": {…}, "scenario": {…}}
 
 Records are appended and flushed as workers finish, so a killed run loses
 at most the line being written.  :meth:`ResultStore.records` tolerates a
@@ -19,6 +19,14 @@ The store is keyed by the scenario digest
 completion order and therefore *not* deterministic under a worker pool,
 but every consumer (resume, aggregation) sorts by hash, so campaign
 outputs are order-independent.
+
+A record holds results only — the
+:meth:`~repro.sim.metrics.SimReport.to_dict` form, which leaves out
+wall-clock telemetry — so rerunning a campaign writes the same record
+bytes, and the same file bytes whenever the completion order repeats.
+Version 1 stores (whose reports still carry the wall-clock ``elapsed``
+field) stay readable, verifiable and resumable; appends and repairs keep
+their version-1 header.
 """
 
 from __future__ import annotations
@@ -36,10 +44,46 @@ from repro.spec.scenario import canonical_json
 __all__ = ["ResultStore", "record_crc"]
 
 _FORMAT = "repro-campaign-store"
-_VERSION = 1
+_VERSION = 2
+#: Store versions this reader accepts.
+_VERSIONS = (1, 2)
 
 #: Record keys covered by the per-record CRC (everything but the CRC).
 _CRC_KEYS = ("hash", "scenario", "report")
+
+
+def _read_log(path: Path, fmt: str, versions: tuple[int, ...]) -> list[str]:
+    """The record lines of a header-checked JSONL log.
+
+    The shared reader of the campaign's append-only logs (result store,
+    quarantine sidecar): returns the lines after the ``{"format": fmt,
+    "version": v}`` header, or ``[]`` when the file is missing or empty.
+    A torn final line is returned as read — each caller decides whether
+    the last line may be torn.  Raises :class:`ReproError` when the
+    header is not a ``fmt`` document of an accepted version.
+    """
+    if not path.exists():
+        return []
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
+        return []
+    try:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError as err:
+        raise ReproError(
+            f"{path}: {fmt} header is not valid JSON: {err}"
+        ) from err
+    if not isinstance(header, dict) or header.get("format") != fmt:
+        raise ReproError(f"{path}: not a {fmt} document")
+    if header.get("version") not in versions:
+        raise ReproError(
+            f"{path}: unsupported {fmt} version "
+            f"{header.get('version')!r}; expected one of {versions}"
+        )
+    return lines[1:]
 
 
 def record_crc(record: Mapping) -> str:
@@ -141,52 +185,21 @@ class ResultStore:
         ``repro-campaign-store`` document, or when corruption appears
         anywhere other than the final line.
         """
-        if not self.path.exists():
-            return
-        with open(self.path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        if not lines:
-            return
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as err:
-            raise ReproError(
-                f"{self.path}: store header is not valid JSON: {err}"
-            ) from err
-        if not isinstance(header, dict) or header.get("format") != _FORMAT:
-            raise ReproError(
-                f"{self.path}: not a {_FORMAT} document "
-                f"(format={header.get('format')!r})"
-                if isinstance(header, dict)
-                else f"{self.path}: store header must be a JSON object"
-            )
-        if header.get("version") != _VERSION:
-            raise ReproError(
-                f"{self.path}: unsupported store version "
-                f"{header.get('version')!r}; expected {_VERSION}"
-            )
-        for i, line in enumerate(lines[1:], start=2):
-            torn = False
+        lines = _read_log(self.path, _FORMAT, _VERSIONS)
+        for i, line in enumerate(lines, start=2):
             try:
                 record = json.loads(line)
             except json.JSONDecodeError:
-                record, torn = None, True
-            if not torn:
-                torn = (
-                    not isinstance(record, dict)
-                    or "hash" not in record
-                    or "scenario" not in record
-                    or "report" not in record
-                )
-            if torn:
-                if i == len(lines):  # torn tail: the crash-interrupted write
+                record = None
+            if not isinstance(record, dict) or any(
+                k not in record for k in _CRC_KEYS
+            ):
+                if i == len(lines) + 1:  # torn tail: the interrupted write
                     return
                 raise ReproError(
                     f"{self.path}: corrupt record on line {i} "
                     "(not the final line — refusing to guess)"
-                ) from None
+                )
             yield record
 
     # -- integrity ---------------------------------------------------------
@@ -200,31 +213,14 @@ class ResultStore:
         independently: invalid JSON, a non-object, missing keys, or a
         ``crc`` mismatch all mark a line bad.  Records without a ``crc``
         field (written before the field existed) are judged on shape
-        alone.  The header is validated the same way :meth:`records`
-        validates it — a wrong header means the file is not a store, and
-        that is an error, not a repair.
+        alone.  The header is validated by the same reader as
+        :meth:`records` — a wrong header means the file is not a store,
+        and that is an error, not a repair.
         """
-        with open(self.path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        # Reuse records()'s header validation by parsing just line 1.
-        try:
-            header = json.loads(lines[0]) if lines else None
-        except json.JSONDecodeError as err:
-            raise ReproError(
-                f"{self.path}: store header is not valid JSON: {err}"
-            ) from err
-        if not isinstance(header, dict) or header.get("format") != _FORMAT:
-            raise ReproError(f"{self.path}: not a {_FORMAT} document")
-        if header.get("version") != _VERSION:
-            raise ReproError(
-                f"{self.path}: unsupported store version "
-                f"{header.get('version')!r}; expected {_VERSION}"
-            )
         good: list[str] = []
         bad: list[tuple[int, str, str]] = []
-        for i, line in enumerate(lines[1:], start=2):
+        lines = _read_log(self.path, _FORMAT, _VERSIONS)
+        for i, line in enumerate(lines, start=2):
             reason = None
             try:
                 record = json.loads(line)
@@ -300,7 +296,8 @@ class ResultStore:
         with open(bad_path, "a", encoding="utf-8") as fh:
             for lineno, line, reason in bad:
                 fh.write(line + "\n")
-        header = json.dumps({"format": _FORMAT, "version": _VERSION})
+        with open(self.path, "r", encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n")  # keep the store's version
         tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
         tmp.write_text(
             "\n".join([header, *good]) + "\n", encoding="utf-8"

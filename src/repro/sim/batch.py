@@ -29,14 +29,13 @@ batch keeps cycling.  The regression oracle the test suite pins is the
 pure-Python fused scalar loop of :mod:`repro.sim.kernels.numba_backend`,
 an independent implementation: every counter, the occupancy and the
 latency stream of each scenario are **bit-identical** to it, and a
-scenario's report (everything except wall-clock ``elapsed``) is the same
-whichever slab it runs in.
+scenario's report is the same whichever slab it runs in.
 
 The slab kernels live behind the pluggable backend seam of
 :mod:`repro.sim.kernels`: the ``numpy`` reference backend runs the
 packet-compacted kernels described above, the optional ``numba`` backend
 runs each scenario of the slab through one fused JIT-compiled cycle
-loop.  Reports are bit-identical across backends (``elapsed`` aside).
+loop.  Reports are bit-identical across backends.
 """
 
 from __future__ import annotations
@@ -193,9 +192,8 @@ def simulate_batch(
     Returns
     -------
     list[SimReport]
-        ``scenarios[i]``'s report at index ``i``, field-for-field equal
-        (``elapsed`` aside) to the ``simulate`` result of that scenario
-        alone.
+        ``scenarios[i]``'s report at index ``i``, equal to the
+        ``simulate`` result of that scenario alone.
     """
     from repro.spec.scenario import ScenarioSpec
 

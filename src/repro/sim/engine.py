@@ -37,7 +37,7 @@ The cycle loop itself runs on a pluggable *kernel backend*
 (:mod:`repro.sim.kernels`): the ``numpy`` reference kernels, or the
 ``numba`` backend that JIT-compiles the whole fused loop when the
 optional numba package is installed.  Reports are bit-identical across
-backends (``elapsed`` aside); selection comes from the ``backend``
+backends; selection comes from the ``backend``
 keyword / :class:`~repro.spec.scenario.SimPolicy` field (``"auto"``
 prefers numba when available) and the ``REPRO_SIM_BACKEND`` environment
 variable.  The pure-Python fused scalar loop of

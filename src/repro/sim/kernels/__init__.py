@@ -16,8 +16,8 @@ frozen int32/int8 tables:
     ``@njit(nopython)`` function with no interpreter dispatch inside.
     Requires the optional ``numba`` package (``pip install -e .[fast]``).
 
-Both backends implement one entry point and are **bit-identical** in
-every report field except wall-clock ``elapsed`` (property-tested):
+Both backends implement one entry point and give **bit-identical**
+reports (property-tested):
 
 * ``run_batch(comp, tmats, scheds, cycles, drop, drain) -> BatchRun``
 

@@ -10,7 +10,7 @@ of sync with the counts.  Reports serialize to JSON through
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 import numpy as np
@@ -78,14 +78,17 @@ class SimReport:
     stage_utilization:
         Per-stage mean buffer occupancy over the injection cycles.
     elapsed:
-        Wall-clock seconds of the run (the only non-deterministic field).
+        Wall-clock seconds of the run; ``0.0`` when loaded from a
+        document that does not carry it.
     timings:
         Per-phase wall-time breakdown in seconds (``traffic``,
         ``compile``, ``run``, ``total``), populated from span data when
         a :mod:`repro.obs` tracer is active and ``None`` otherwise.
-        Telemetry, not identity: excluded from :meth:`to_dict` (and
-        hence from every store and aggregate) and from equality, so
-        traced and untraced runs stay byte-identical.
+
+    ``elapsed`` and ``timings`` are telemetry, not identity: excluded
+    from equality and from :meth:`to_dict` (and hence from every store
+    and aggregate), so a report is a pure function of its scenario and
+    reruns, traced or not, are byte-identical.
     """
 
     network: str
@@ -108,7 +111,7 @@ class SimReport:
     mean_latency: float
     p99_latency: float
     stage_utilization: tuple[float, ...]
-    elapsed: float
+    elapsed: float = field(default=0.0, compare=False)
     timings: Mapping | None = field(default=None, compare=False)
 
     # -- derived rates -----------------------------------------------------
@@ -176,13 +179,14 @@ class SimReport:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        """All raw fields as a JSON-ready dict (telemetry excluded).
+        """The compared fields as a JSON-ready dict (telemetry excluded).
 
-        ``timings`` never serializes: stores and archived reports are
-        byte-identical whether or not the run was traced.
+        ``compare=False`` fields never serialize: stores and archived
+        reports are byte-identical across reruns, traced or not.
         """
-        doc = asdict(self)
-        doc.pop("timings", None)
+        doc = {
+            f.name: getattr(self, f.name) for f in fields(self) if f.compare
+        }
         doc["stage_utilization"] = list(self.stage_utilization)
         return doc
 

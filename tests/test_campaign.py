@@ -22,6 +22,7 @@ from repro.campaign import (
     head_to_head,
     head_to_head_table,
     load_records,
+    record_crc,
     run_campaign,
     run_scenario,
 )
@@ -48,10 +49,6 @@ def tiny_spec(**overrides) -> CampaignSpec:
     )
     defaults.update(overrides)
     return CampaignSpec(**defaults)
-
-
-def _deterministic(report: dict) -> dict:
-    return {k: v for k, v in report.items() if k != "elapsed"}
 
 
 class TestCatalog:
@@ -343,9 +340,10 @@ class TestResultStore:
 class TestRunner:
     def test_reports_are_deterministic(self):
         scenario = expand_scenarios(tiny_spec())[0]
-        a = run_scenario(scenario).to_dict()
-        b = run_scenario(scenario.to_spec()).to_dict()
-        assert _deterministic(a) == _deterministic(b)
+        a = run_scenario(scenario)
+        b = run_scenario(scenario.to_spec())
+        assert a == b
+        assert a.to_dict() == b.to_dict()
 
     def test_inline_run_fills_the_store(self, tmp_path):
         spec = tiny_spec()
@@ -370,15 +368,9 @@ class TestRunner:
         spec = tiny_spec(seeds=(0,))
         run_campaign(spec, tmp_path / "inline.jsonl", workers=1)
         run_campaign(spec, tmp_path / "pool.jsonl", workers=2)
-        inline = {
-            r["hash"]: _deterministic(r["report"])
-            for r in load_records(tmp_path / "inline.jsonl")
-        }
-        pool = {
-            r["hash"]: _deterministic(r["report"])
-            for r in load_records(tmp_path / "pool.jsonl")
-        }
-        assert inline == pool
+        assert load_records(tmp_path / "inline.jsonl") == load_records(
+            tmp_path / "pool.jsonl"
+        )
 
     def test_existing_store_requires_resume(self, tmp_path):
         spec = tiny_spec(seeds=(0,), faults=(0,))
@@ -399,12 +391,6 @@ class TestRunner:
 
 class TestBatchedRunner:
     """Group-batched dispatch must be invisible in the store contents."""
-
-    def _clean_reports(self, path) -> dict:
-        return {
-            r["hash"]: _deterministic(r["report"])
-            for r in load_records(path)
-        }
 
     def test_group_key_partitions_by_fault_sample(self):
         scenarios = expand_scenarios(tiny_spec())
@@ -427,9 +413,9 @@ class TestBatchedRunner:
         spec = tiny_spec(traffic=("uniform", "hotspot"))
         run_campaign(spec, tmp_path / "one.jsonl", batch=1)
         run_campaign(spec, tmp_path / "many.jsonl", batch=16)
-        assert self._clean_reports(
-            tmp_path / "one.jsonl"
-        ) == self._clean_reports(tmp_path / "many.jsonl")
+        assert load_records(tmp_path / "one.jsonl") == load_records(
+            tmp_path / "many.jsonl"
+        )
         assert dumps_aggregate(
             load_records(tmp_path / "one.jsonl")
         ) == dumps_aggregate(load_records(tmp_path / "many.jsonl"))
@@ -438,9 +424,9 @@ class TestBatchedRunner:
         spec = tiny_spec()
         run_campaign(spec, tmp_path / "inline.jsonl", batch=4)
         run_campaign(spec, tmp_path / "pool.jsonl", batch=4, workers=2)
-        assert self._clean_reports(
-            tmp_path / "inline.jsonl"
-        ) == self._clean_reports(tmp_path / "pool.jsonl")
+        assert load_records(tmp_path / "inline.jsonl") == load_records(
+            tmp_path / "pool.jsonl"
+        )
 
     def test_interrupted_batched_run_resumes_identically(self, tmp_path):
         spec = tiny_spec()
@@ -536,6 +522,112 @@ class TestResume:
                 record["hash"], record["scenario"], record["report"]
             )
         assert dumps_aggregate(load_records(shuffled)) == want
+
+
+class TestStoreBytes:
+    """Records hold results only, so reruns write the same bytes."""
+
+    def _spec(self) -> CampaignSpec:
+        return tiny_spec(
+            topologies=("omega", "baseline", "flip"),
+            traffic=("uniform", "hotspot"),
+        )
+
+    @staticmethod
+    def _sorted_lines(path) -> list[bytes]:
+        return sorted(path.read_bytes().splitlines(keepends=True))
+
+    def test_reruns_write_identical_store_files(self, tmp_path):
+        spec = self._spec()
+        for name, batch in (("a", 16), ("b", 16), ("one", 1)):
+            run_campaign(spec, tmp_path / f"{name}.jsonl", batch=batch)
+        want = (tmp_path / "a.jsonl").read_bytes()
+        assert (tmp_path / "b.jsonl").read_bytes() == want
+        assert (tmp_path / "one.jsonl").read_bytes() == want
+        assert len(want.splitlines()) == 1 + 24
+        assert b"elapsed" not in want
+
+    def test_pooled_and_resumed_stores_match_line_for_line(self, tmp_path):
+        spec = self._spec()
+        run_campaign(spec, tmp_path / "inline.jsonl")
+        want = self._sorted_lines(tmp_path / "inline.jsonl")
+        run_campaign(spec, tmp_path / "pool.jsonl", workers=2)
+        assert self._sorted_lines(tmp_path / "pool.jsonl") == want
+        resumed = tmp_path / "resumed.jsonl"
+        run_campaign(spec, resumed, workers=2)
+        lines = resumed.read_bytes().splitlines(keepends=True)
+        resumed.write_bytes(b"".join(lines[:6]) + lines[6][:40])
+        summary = run_campaign(spec, resumed, resume=True, workers=2)
+        assert summary["skipped"] == 5 and summary["ran"] == 19
+        assert self._sorted_lines(resumed) == want
+
+
+class TestVersion1Store:
+    """Stores written before ``elapsed`` left the records stay usable."""
+
+    def _v1_copy(self, v2_path, v1_path) -> None:
+        """Rewrite a v2 store the way version 1 wrote it: a version-1
+        header, and an ``elapsed`` field in every report under the crc."""
+        lines = v2_path.read_text(encoding="utf-8").splitlines()
+        assert json.loads(lines[0]) == {
+            "format": "repro-campaign-store", "version": 2,
+        }
+        out = [json.dumps({"format": "repro-campaign-store", "version": 1})]
+        for i, line in enumerate(lines[1:]):
+            record = json.loads(line)
+            record["report"]["elapsed"] = 0.001 * (i + 1)
+            record["crc"] = record_crc(record)
+            out.append(json.dumps(record, sort_keys=True))
+        v1_path.write_text("\n".join(out) + "\n", encoding="utf-8")
+
+    def test_v1_store_reads_verifies_aggregates_and_resumes(
+        self, tmp_path
+    ):
+        from repro.__main__ import main
+
+        spec = tiny_spec()
+        v2, v1 = tmp_path / "v2.jsonl", tmp_path / "v1.jsonl"
+        run_campaign(spec, v2)
+        self._v1_copy(v2, v1)
+        assert all("elapsed" in r["report"] for r in load_records(v1))
+        assert ResultStore(v1).reports() == ResultStore(v2).reports()
+        assert ResultStore(v1).verify()["ok"]
+        assert main(["campaign", "store", "verify", "--store", str(v1)]) == 0
+        assert dumps_aggregate(load_records(v1)) == dumps_aggregate(
+            load_records(v2)
+        )
+        before = v1.read_bytes()
+        summary = run_campaign(spec, v1, resume=True)
+        assert summary["ran"] == 0 and summary["skipped"] == 8
+        assert v1.read_bytes() == before
+
+    def test_partial_v1_store_resumes_to_the_same_aggregate(self, tmp_path):
+        spec = tiny_spec()
+        v2, v1 = tmp_path / "v2.jsonl", tmp_path / "v1.jsonl"
+        run_campaign(spec, v2)
+        self._v1_copy(v2, v1)
+        lines = v1.read_text(encoding="utf-8").splitlines(keepends=True)
+        v1.write_text("".join(lines[:4]), encoding="utf-8")
+        summary = run_campaign(spec, v1, resume=True)
+        assert summary["skipped"] == 3 and summary["ran"] == 5
+        assert v1.read_text(encoding="utf-8").startswith(lines[0])
+        assert ResultStore(v1).verify()["ok"]
+        assert dumps_aggregate(load_records(v1)) == dumps_aggregate(
+            load_records(v2)
+        )
+
+    def test_repair_keeps_the_v1_header(self, tmp_path):
+        v2, v1 = tmp_path / "v2.jsonl", tmp_path / "v1.jsonl"
+        run_campaign(tiny_spec(seeds=(0,)), v2)
+        self._v1_copy(v2, v1)
+        lines = v1.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = "{broken\n"
+        v1.write_text("".join(lines), encoding="utf-8")
+        assert ResultStore(v1).repair()["dropped"] == 1
+        assert v1.read_text(encoding="utf-8").startswith(lines[0])
+        assert ResultStore(v1).verify() == {
+            "path": str(v1), "records": 3, "bad": [], "ok": True,
+        }
 
 
 class TestAggregation:
@@ -674,15 +766,7 @@ class TestCampaignCLI:
             "--cycles", "30", "--store", str(sequential),
             "--batch", "1", "--quiet",
         ]) == 0
-        a = {
-            r["hash"]: _deterministic(r["report"])
-            for r in load_records(batched)
-        }
-        b = {
-            r["hash"]: _deterministic(r["report"])
-            for r in load_records(sequential)
-        }
-        assert a == b
+        assert load_records(batched) == load_records(sequential)
 
     def test_status_and_resume(self, tmp_path, capsys):
         from repro.__main__ import main
@@ -781,17 +865,11 @@ class TestTrafficSpecs:
 class TestZeroCopyWorkers:
     """Pooled workers vs inline dispatch: one executor, one result path."""
 
-    def _clean(self, path) -> dict:
-        return {
-            r["hash"]: _deterministic(r["report"])
-            for r in load_records(path)
-        }
-
     def test_pool_matches_inline(self, tmp_path):
         spec = tiny_spec()
         run_campaign(spec, tmp_path / "inline.jsonl", workers=1)
         summary = run_campaign(spec, tmp_path / "pool.jsonl", workers=2)
-        assert self._clean(tmp_path / "inline.jsonl") == self._clean(
+        assert load_records(tmp_path / "inline.jsonl") == load_records(
             tmp_path / "pool.jsonl"
         )
         assert summary["ran"] == 8
@@ -806,7 +884,7 @@ class TestZeroCopyWorkers:
         run_campaign(
             spec, tmp_path / "numpy.jsonl", workers=1, backend="numpy"
         )
-        assert self._clean(tmp_path / "auto.jsonl") == self._clean(
+        assert load_records(tmp_path / "auto.jsonl") == load_records(
             tmp_path / "numpy.jsonl"
         )
 

@@ -69,18 +69,6 @@ def tiny_spec(**overrides) -> CampaignSpec:
     return CampaignSpec(**defaults)
 
 
-def _deterministic(record: dict) -> dict:
-    report = {
-        k: v for k, v in record.get("report", {}).items() if k != "elapsed"
-    }
-    # crc covers the report (elapsed included), so it is just as
-    # run-specific as elapsed itself — drop both for comparisons.
-    return {
-        **{k: v for k, v in record.items() if k not in ("report", "crc")},
-        "report": report,
-    }
-
-
 class TestSpans:
     def test_nesting_parents_and_close_order(self):
         with obs.tracing() as tr:
@@ -461,10 +449,11 @@ class TestSimulateTracing:
         with obs.tracing():
             traced = simulate(spec).to_dict()
         assert spec.digest == digest_before
-        assert "timings" not in traced  # execution detail, not a result
-        untraced.pop("elapsed")
-        traced.pop("elapsed")
+        # Execution details, not results.
+        assert "timings" not in traced
+        assert "elapsed" not in traced
         assert traced == untraced
+        assert simulate(spec) == simulate(spec)
 
     def test_sim_metrics_counters(self):
         with obs.tracing():
@@ -520,8 +509,6 @@ class TestBatchTracing:
         want = simulate_batch(omega4, scns, cycles=40)[0].to_dict()
         with obs.tracing():
             got = simulate_batch(omega4, scns, cycles=40)[0].to_dict()
-        want.pop("elapsed")
-        got.pop("elapsed")
         assert got == want
 
 
@@ -533,13 +520,14 @@ class TestCampaignTracing:
             run_campaign(spec, tmp_path / "traced.jsonl", workers=1)
         with obs.tracing():
             run_campaign(spec, tmp_path / "pool.jsonl", workers=2)
-        plain = [_deterministic(r) for r in load_records(tmp_path / "plain.jsonl")]
-        traced = [_deterministic(r) for r in load_records(tmp_path / "traced.jsonl")]
-        pooled = [_deterministic(r) for r in load_records(tmp_path / "pool.jsonl")]
+        plain = load_records(tmp_path / "plain.jsonl")
+        traced = load_records(tmp_path / "traced.jsonl")
+        pooled = load_records(tmp_path / "pool.jsonl")
         assert traced == plain
-        assert sorted(pooled, key=lambda r: r["hash"]) == sorted(
-            plain, key=lambda r: r["hash"]
-        )
+        assert pooled == plain
+        assert (tmp_path / "traced.jsonl").read_bytes() == (
+            tmp_path / "plain.jsonl"
+        ).read_bytes()
         # Aggregates are byte-identical — telemetry never leaks in.
         assert dumps_aggregate(
             load_records(tmp_path / "traced.jsonl")
@@ -602,10 +590,7 @@ class TestCampaignTracing:
             )
             (msnap,) = [e for e in tr.events if e["ev"] == "metrics"]
             counters = msnap["metrics"]["counters"]
-            records = sorted(
-                (_deterministic(r) for r in load_records(store)),
-                key=lambda r: r["hash"],
-            )
+            records = load_records(store)
             runs[workers] = (
                 groups,
                 counters["campaign.groups"],

@@ -115,11 +115,10 @@ class TestEngineBasics:
 
     def test_deterministic_runs(self, omega4):
         kw = dict(cycles=120, seed=7, policy="drop")
-        a = simulate(omega4, HotspotTraffic(rate=0.8), **kw).to_dict()
-        b = simulate(omega4, HotspotTraffic(rate=0.8), **kw).to_dict()
-        a.pop("elapsed")
-        b.pop("elapsed")
+        a = simulate(omega4, HotspotTraffic(rate=0.8), **kw)
+        b = simulate(omega4, HotspotTraffic(rate=0.8), **kw)
         assert a == b
+        assert a.to_dict() == b.to_dict()
 
     def test_unblocked_latency_is_stage_count(self, omega4):
         perm = _passable_permutation(omega4, 11)
@@ -507,13 +506,6 @@ class TestVectorizedSchedules:
             permutation_port_schedule(benes(3), perm)
 
 
-def _reports_equal(a, b) -> bool:
-    da, db = a.to_dict(), b.to_dict()
-    da.pop("elapsed")
-    db.pop("elapsed")
-    return da == db
-
-
 class TestSimulateBatch:
     def test_rejects_bad_arguments(self, omega4):
         with pytest.raises(ReproError, match="at least one"):
@@ -541,9 +533,7 @@ class TestSimulateBatch:
         (rep,) = simulate_batch(
             omega4, [UniformTraffic(rate=0.5)], cycles=20
         )
-        assert _reports_equal(
-            rep, simulate(omega4, UniformTraffic(rate=0.5), cycles=20)
-        )
+        assert rep == simulate(omega4, UniformTraffic(rate=0.5), cycles=20)
 
     def test_mixed_traffic_batch_matches_sequential(self, omega4):
         scns = [
@@ -553,9 +543,7 @@ class TestSimulateBatch:
             BatchScenario(TransposeTraffic(rate=0.7), seed=4),
         ]
         for rep, s in zip(simulate_batch(omega4, scns, cycles=60), scns):
-            assert _reports_equal(
-                rep, simulate(omega4, s.traffic, cycles=60, seed=s.seed)
-            )
+            assert rep == simulate(omega4, s.traffic, cycles=60, seed=s.seed)
 
     def test_multipath_adaptive_batch_matches_sequential(self):
         net = benes(3)
@@ -566,9 +554,8 @@ class TestSimulateBatch:
         for rep, s in zip(
             simulate_batch(net, scns, cycles=50, drain=True), scns
         ):
-            assert _reports_equal(
-                rep,
-                simulate(net, s.traffic, cycles=50, seed=s.seed, drain=True),
+            assert rep == simulate(
+                net, s.traffic, cycles=50, seed=s.seed, drain=True
             )
 
     def test_port_schedule_batch_is_lossless_and_identical(self):
@@ -589,12 +576,9 @@ class TestSimulateBatch:
         reports = simulate_batch(net, scns, cycles=20, drain=True)
         for rep, s in zip(reports, scns):
             assert rep.dropped == 0 and rep.throughput == 1.0
-            assert _reports_equal(
-                rep,
-                simulate(
-                    net, s.traffic, cycles=20, seed=s.seed,
-                    port_schedule=s.port_schedule, drain=True,
-                ),
+            assert rep == simulate(
+                net, s.traffic, cycles=20, seed=s.seed,
+                port_schedule=s.port_schedule, drain=True,
             )
 
     def test_network_names_per_scenario(self, omega4):
@@ -626,10 +610,9 @@ class TestSimulateBatch:
         )
         for rep, s in zip(reports, scns):
             assert rep.in_flight == 0
-            assert _reports_equal(
-                rep,
-                simulate(omega4, s.traffic, cycles=40, seed=s.seed,
-                         policy="block", drain=True),
+            assert rep == simulate(
+                omega4, s.traffic, cycles=40, seed=s.seed,
+                policy="block", drain=True,
             )
         assert len({r.drain_cycles for r in reports}) > 1
 
@@ -662,10 +645,8 @@ def test_property_batch_reports_equal_sequential(seed):
     kw = dict(cycles=50, policy=policy, faults=faults, drain=drain)
     for rep, s in zip(simulate_batch(net, scns, **kw), scns):
         want = simulate(net, s.traffic, seed=s.seed, **kw)
-        a, b = want.to_dict(), rep.to_dict()
-        a.pop("elapsed")
-        b.pop("elapsed")
-        assert a == b
+        assert rep == want
+        assert rep.to_dict() == want.to_dict()
 
 
 @settings(max_examples=10, deadline=None)

@@ -2,8 +2,8 @@
 
 The load-bearing property is the crash-safety oracle: a campaign that
 survives injected crashes, hangs and poison scenarios must leave the
-store byte-identical (modulo wall-clock ``elapsed``) to a fault-free
-run over the surviving scenarios, with every truly-poisonous scenario
+store identical, record for record, to a fault-free run over the
+surviving scenarios, with every truly-poisonous scenario
 quarantined alongside its remote traceback — and nothing else.
 All chaos here is deterministic (:mod:`repro.campaign.chaos`), so these
 tests replay the exact same faults on every run.
@@ -57,19 +57,6 @@ def tiny_spec(**overrides) -> CampaignSpec:
     )
     defaults.update(overrides)
     return CampaignSpec(**defaults)
-
-
-def _clean(path) -> dict:
-    """hash -> elapsed-stripped record for store comparisons."""
-    return {
-        r["hash"]: {
-            "scenario": r["scenario"],
-            "report": {
-                k: v for k, v in r["report"].items() if k != "elapsed"
-            },
-        }
-        for r in load_records(path)
-    }
 
 
 @pytest.fixture(scope="module")
@@ -515,7 +502,7 @@ class TestSupervisedCampaign:
     def _fault_free(self, tmp_path, **kw):
         path = tmp_path / "clean.jsonl"
         run_campaign(tiny_spec(), path, **kw)
-        return _clean(path)
+        return load_records(path)
 
     def test_poison_scenario_quarantined_rest_intact(
         self, tmp_path, digests
@@ -531,10 +518,8 @@ class TestSupervisedCampaign:
         assert summary["ran"] == len(digests) - 1
         assert summary["faults"]["quarantined"] == 1
         # Oracle: surviving records identical to the fault-free run.
-        got = _clean(path)
-        assert got == {
-            h: rec for h, rec in want.items() if h != poisoned
-        }
+        got = load_records(path)
+        assert got == [r for r in want if r["hash"] != poisoned]
         # The quarantine holds exactly the poison, traceback included.
         q = QuarantineStore(quarantine_path(path))
         (failure,) = list(q.records())
@@ -563,7 +548,7 @@ class TestSupervisedCampaign:
         assert QuarantineStore(quarantine_path(path)).requeue() == 1
         summary = run_campaign(tiny_spec(), path, resume=True)
         assert summary["ran"] == 1 and summary["quarantined"] == 0
-        assert _clean(path) == self._fault_free(tmp_path)
+        assert load_records(path) == self._fault_free(tmp_path)
 
     def test_abort_mode_raises_with_remote_traceback(
         self, tmp_path, digests
@@ -587,9 +572,9 @@ class TestSupervisedCampaign:
             chaos=f"poison={poisoned[:8]}",
         )
         assert summary["quarantined"] == 1
-        assert _clean(path) == {
-            h: rec for h, rec in want.items() if h != poisoned
-        }
+        assert load_records(path) == [
+            r for r in want if r["hash"] != poisoned
+        ]
         assert QuarantineStore(
             quarantine_path(path)
         ).hashes() == {poisoned}
@@ -627,7 +612,7 @@ class TestSupervisedCampaign:
         assert summary["quarantined"] == 0
         assert summary["faults"]["crashes"] >= 1
         assert summary["faults"]["respawns"] >= 1
-        assert _clean(path) == want
+        assert load_records(path) == want
 
     def test_hang_hits_timeout_and_retries(self, tmp_path, digests):
         # Same trick for hangs: attempt 0 of some scenario sleeps past
@@ -657,7 +642,7 @@ class TestSupervisedCampaign:
         assert summary["quarantined"] == 0
         assert summary["faults"]["timeouts"] >= 1
         assert summary["faults"]["retries"] >= 1
-        assert _clean(path) == want
+        assert load_records(path) == want
 
     def test_always_hanging_scenario_is_quarantined_as_hang(
         self, tmp_path, digests
@@ -688,7 +673,7 @@ class TestSupervisedCampaign:
         )
         assert summary["quarantined"] == 0
         assert summary["faults"]["degraded"] == 1
-        assert _clean(path) == want
+        assert load_records(path) == want
 
     def test_slow_chaos_changes_nothing(self, tmp_path, digests):
         want = self._fault_free(tmp_path)
@@ -698,7 +683,7 @@ class TestSupervisedCampaign:
             chaos=ChaosSpec(slow_p=1.0, slow_s=0.002),
         )
         assert summary["quarantined"] == 0
-        assert _clean(path) == want
+        assert load_records(path) == want
 
     def test_chaos_env_var_reaches_workers(
         self, tmp_path, digests, monkeypatch
@@ -762,6 +747,10 @@ class TestKillNineRecovery:
         assert summary["quarantined"] == 0
         assert summary["skipped"] >= interrupted
         assert dumps_aggregate(load_records(store)) == want
+        # The torn tail is cut and every record rewritten byte for byte.
+        assert sorted(store.read_bytes().splitlines()) == sorted(
+            clean.read_bytes().splitlines()
+        )
 
 
 # -- watch integration -------------------------------------------------------

@@ -46,7 +46,7 @@ from repro.sim.faults import (
     link_alive_masks,
     terminal_reachability,
 )
-from repro.sim.metrics import SimReport
+from repro.sim.metrics import SimReport, patel_profile
 from repro.sim.traffic import (
     TRAFFIC_PATTERNS,
     BitReversalTraffic,
@@ -84,6 +84,7 @@ __all__ = [
     "make_traffic",
     "network_digest",
     "numba_available",
+    "patel_profile",
     "permutation_port_schedule",
     "register_traffic",
     "resolve_backend",

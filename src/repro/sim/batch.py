@@ -2,40 +2,41 @@
 
 Every simulation is a *slab*: ``B`` same-shape scenarios — one compiled
 network, shared ``(cycles, policy, faults, drain)``, per-scenario
-traffic, seed and (optionally) port schedule — run as a single pass over
-the cycle loop.  :func:`simulate_batch` runs any ``B``;
+traffic, seed and (optionally) port schedule — run as a single pass
+through one backend kernel.  :func:`simulate_batch` runs any ``B``;
 :func:`repro.sim.engine.simulate` is a slab of one.  Both go through one
 private runner that validates, materializes the traffic, compiles,
 calls the backend's ``run_batch``, records the ``sim.*`` metrics and
 assembles the reports.
 
-Packet state grows a leading batch axis (stage-major ``(n, B·2M)``
-slabs, so each stage kernel touches one contiguous block) and the NumPy
-kernels are *packet-compacted*: one dense scan per stage finds the
-occupied linear buffer indices, and everything downstream — routing
-gathers, contention pairing, scatters, per-scenario counter updates —
-runs on packet-sized 1-d arrays.  Slot pairs of one switch sit at
-adjacent linear indices ``2k, 2k+1``, so output contention is detected
-by comparing neighbouring entries of the sorted packet index list
-instead of re-scanning dense masks.  The per-cycle Python and NumPy
-dispatch overhead is paid once per slab.
-
-Scenarios never interact: the batch index rides inside the linear packet
-index (``idx = b·2M + 2·cell + slot``), and per-scenario counters are
-accumulated with ``np.bincount`` over ``idx >> log2(2M)``.  Draining is
-handled per scenario with an activity mask: a scenario whose network
-has emptied (or hit the progress bound) is frozen while the rest of the
-batch keeps cycling.  The regression oracle the test suite pins is the
-pure-Python fused scalar loop of :mod:`repro.sim.kernels.numba_backend`,
-an independent implementation: every counter, the occupancy and the
-latency stream of each scenario are **bit-identical** to it, and a
-scenario's report is the same whichever slab it runs in.
+Scenarios never interact: each backend keeps a leading batch axis on
+its packet state and accumulates per-scenario counters, and the
+regression oracle the test suite pins is the pure-Python fused scalar
+loop of :mod:`repro.sim.kernels.numba_backend`, an independent
+implementation: every counter, the occupancy and the latency stream of
+each scenario are **bit-identical** to it, and a scenario's report is
+the same whichever slab it runs in.
 
 The slab kernels live behind the pluggable backend seam of
-:mod:`repro.sim.kernels`: the ``numpy`` reference backend runs the
-packet-compacted kernels described above, the optional ``numba`` backend
-runs each scenario of the slab through one fused JIT-compiled cycle
-loop.  Reports are bit-identical across backends.
+:mod:`repro.sim.kernels`.  The ``numpy`` reference backend has one
+kernel per contention policy:
+
+* ``block`` runs cycle-major and *packet-compacted*: stage-major
+  ``(n, B·2M)`` slabs, one dense scan per stage to find the occupied
+  linear buffer indices (``idx = b·2M + 2·cell + slot``), and routing
+  gathers, contention pairing, scatters and ``np.bincount`` counter
+  updates on packet-sized 1-d arrays.  Draining is per scenario, with
+  an activity mask that freezes a scenario whose network has emptied.
+* ``drop`` runs stage-major.  Under ``drop`` a packet injected at cycle
+  ``c`` meets only the other packet of its switch, injected at the same
+  cycle, and is delivered exactly ``n_stages`` cycles later or lost.
+  Rows of the slab never interact, so each chunk of injection rows goes
+  through the network in ``n`` dense passes, and the cycle loop is
+  gone.
+
+The optional ``numba`` backend runs each scenario of the slab through
+one fused JIT-compiled cycle loop, for both policies.  Reports are
+bit-identical across backends.
 """
 
 from __future__ import annotations

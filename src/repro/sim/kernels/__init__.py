@@ -4,16 +4,22 @@ The cycle-based simulator is split into a thin orchestration layer
 (the slab runner of :mod:`repro.sim.batch`, which
 :func:`repro.sim.engine.simulate` wraps — validation, traffic
 materialization, report assembly) and *kernel backends* that run the hot
-``(cycles × stages)`` loop over a :class:`~repro.sim.compiled.CompiledNetwork`'s
+``(cycles × stages)`` work over a :class:`~repro.sim.compiled.CompiledNetwork`'s
 frozen int32/int8 tables:
 
 ``numpy``
-    The reference backend: packet-compacted vectorized slab kernels —
-    one NumPy dispatch per stage phase per cycle for the whole slab.
+    The reference backend, one vectorized slab kernel per policy.
+    ``block`` is cycle-major and packet-compacted: one NumPy dispatch
+    per stage phase per cycle for the whole slab.  ``drop`` is
+    stage-major: a packet there never waits, so it is delivered exactly
+    ``n_stages`` cycles after injection or lost, injection rows never
+    interact, and each chunk of rows crosses the network in ``n`` dense
+    passes with no cycle loop at all.
 ``numba``
-    The fused backend: the entire cycle loop — inject, per-stage move
-    with contention/ambiguity/fault handling, eject, drain — is one
-    ``@njit(nopython)`` function with no interpreter dispatch inside.
+    The fused backend, for both policies: the entire cycle loop —
+    inject, per-stage move with contention/ambiguity/fault handling,
+    eject, drain — is one ``@njit(nopython)`` function with no
+    interpreter dispatch inside.
     Requires the optional ``numba`` package (``pip install -e .[fast]``).
 
 Both backends implement one entry point and give **bit-identical**

@@ -1,11 +1,9 @@
-"""The reference NumPy kernel backend.
+"""The reference NumPy kernel backend: one kernel per contention policy.
 
-These are the vectorized cycle kernels behind the backend seam of
-:mod:`repro.sim.kernels`: packet-compacted flat-index slab kernels
-(eject → per-stage move → inject) over a ``(cycles, B, N)`` traffic
-slab.  A single scenario is a slab with ``B = 1``.  Semantics are the
-contract every other backend is property-tested against — when in doubt
-about an arbitration or counting rule, this file is the specification.
+Both kernels run a ``(cycles, B, N)`` traffic slab; a single scenario
+is a slab with ``B = 1``.  Their semantics are the contract every other
+backend is property-tested against — when in doubt about an arbitration
+or counting rule, this file is the specification.
 
 Model
 -----
@@ -21,13 +19,33 @@ port entries (``-2``) resolve adaptively toward the port whose target
 slot is free.  Packets with no live port count as ``unroutable``, and so
 do draws at a source whose first-stage cell is dead.
 
-Packet state carries a leading batch axis (stage-major ``(n, B·2M)``
-flat slabs) and every phase runs on packet-compacted 1-d index arrays;
-the batch index rides inside the linear packet index, so scenarios never
-interact, and per-scenario counters accumulate via ``np.bincount``.
-Under ``drain`` each scenario keeps cycling until its network and wait
-buffers are empty or its progress bound ``in_net·(n + 2) + 4n + 16`` is
-hit.  See :mod:`repro.sim.batch` for the full narrative.
+``block``: the cycle-major kernel
+---------------------------------
+Held packets make each cycle depend on the last, so :func:`_run_block`
+steps the cycles in order.  Packet state carries a leading batch axis
+(stage-major ``(n, B·2M)`` flat slabs) and every phase runs on
+packet-compacted 1-d index arrays; the batch index rides inside the
+linear packet index, so scenarios never interact, and per-scenario
+counters accumulate via ``np.bincount``.  Under ``drain`` each scenario
+keeps cycling until its network and wait buffers are empty or its
+progress bound ``in_net·(n + 2) + 4n + 16`` is hit.
+
+``drop``: the stage-major kernel
+--------------------------------
+Under ``drop`` the pipeline keeps no state from one cycle to the next.
+Stage ``j + 1`` has emptied (every packet moved, ejected or was
+discarded) before stage ``j`` moves, so a target slot is always free:
+no move blocks, a ``-2`` port always resolves to port 0, and a wait
+buffer injects on the cycle it draws.  A packet injected at cycle ``c``
+therefore sits at stage ``j`` at the end of cycle ``c + j``; it contends
+only with the other packet of its switch, injected in the same cycle
+(so slot 1 loses every tie), and it is delivered exactly ``n`` cycles
+after injection or lost.  Rows of the traffic slab never interact, and
+:func:`_run_drop` pushes each chunk of rows through the network in
+``n`` dense passes instead of ``cycles × n`` steps.  The no-drain
+cut-off is a row slice, and the drain length follows from the deepest
+stage each scenario's last rows reach.  See :mod:`repro.sim.batch` for
+the full narrative.
 """
 
 from __future__ import annotations
@@ -40,6 +58,12 @@ NAME = "numpy"
 AVAILABLE = True
 
 
+#: Buffer slots (``rows · B · 2M``) per chunk of the ``drop`` kernel.
+#: Rows never interact under ``drop``, so chunking is exact; a chunk
+#: this size keeps each stage pass's working set cache-resident.
+_CHUNK_SLOTS = 1 << 16
+
+
 def run_batch(
     comp,
     tmats: np.ndarray,
@@ -49,6 +73,187 @@ def run_batch(
     drain: bool,
 ) -> BatchRun:
     """Run a ``(cycles, B, N)`` traffic slab; see module docstring."""
+    if drop:
+        return _run_drop(comp, tmats, scheds, cycles, drain)
+    return _run_block(comp, tmats, scheds, cycles, drain)
+
+
+def _run_drop(
+    comp,
+    tmats: np.ndarray,
+    scheds: np.ndarray | None,
+    cycles: int,
+    drain: bool,
+) -> BatchRun:
+    """The stage-major ``drop`` kernel: ``n`` dense passes per row chunk.
+
+    A chunk's state at one stage is a ``(rows, B, 2M)`` block, row ``r``
+    holding the packets injected at cycle ``r`` and each scenario's
+    slots laid out parity-major (slot 0 of every cell, then slot 1).
+    Stage ``j`` moves row ``r`` in cycle ``r + j + 1``, so without drain
+    it steps only rows ``r <= cycles - 2 - j``; the row it leaves
+    behind is in flight.
+    """
+    n, size, n_in = comp.n_stages, comp.size, comp.n_inputs
+    B = tmats.shape[1]
+    S = 2 * size
+    pos = np.arange(S)
+    cell = pos % size                 # parity-major slot -> its cell
+    nat = 2 * cell + pos // size      # parity-major -> linear slot
+    ptabs_f = comp.ptabs.reshape(n - 1, size * size)
+    links_f = comp.links.reshape(n - 1, S)
+    # Every next-stage slot has exactly one in-arc, so a move is a
+    # gather: ``feed[j, i]`` is the out-arc (port-major ``port·M +
+    # cell``) that lands in parity-major slot ``i`` of stage ``j + 1``.
+    inv = np.argsort(comp.arc_target.reshape(n - 1, S), axis=1)[:, nat]
+    feed = (inv & 1) * size + (inv >> 1)
+    sched = None
+    if scheds is not None:
+        # (n, B·N + 1): a packet carries ``b·N + origin`` as its index
+        # into its stage's row; the trailing -1 serves empty slots (-1).
+        sched = np.full((n, B * n_in + 1), -1, dtype=np.int8)
+        sched[:, :-1] = scheds.transpose(1, 0, 2).reshape(n, B * n_in)
+        origin0 = np.arange(B)[:, None] * n_in + nat
+    alive0 = comp.src_alive[nat]
+    all_alive = bool(alive0.all())
+
+    offered = np.zeros(B, dtype=np.int64)
+    injected = np.zeros(B, dtype=np.int64)
+    delivered = np.zeros(B, dtype=np.int64)
+    dropped = np.zeros(B, dtype=np.int64)
+    unroutable = np.zeros(B, dtype=np.int64)
+    total_hops = np.zeros(B, dtype=np.int64)
+    in_flight = np.zeros(B, dtype=np.int64)
+    occupancy = np.zeros((n, B), dtype=np.int64)
+    # Under drain: the last cycle (``row + stage + 1``) in which each
+    # scenario still holds a packet.
+    last = np.zeros(B, dtype=np.int64)
+
+    rows = max(1, _CHUNK_SLOTS // (B * S))
+    for r0 in range(0, cycles, rows):
+        d = tmats[r0 : r0 + rows][..., nat]
+        offered += _count_slots(d >= 0).sum(axis=0)
+        if not all_alive:
+            d = np.where(alive0, d, -1)
+        cnt = _count_slots(d >= 0)    # (rows, B) packets per row
+        injected += cnt.sum(axis=0)
+        occupancy[0] += cnt.sum(axis=0)
+        org = None
+        if sched is not None:
+            org = np.where(d >= 0, origin0, -1)
+        for j in range(n):
+            top = r0 + d.shape[0]
+            if drain:
+                lo = max(r0, cycles - 1 - j)
+                if lo < top:
+                    reach = np.where(
+                        cnt[lo - r0 :] > 0,
+                        np.arange(lo + j + 1, top + j + 1)[:, None],
+                        0,
+                    )
+                    np.maximum(last, reach.max(axis=0), out=last)
+                hi = top
+            else:
+                hi = min(top, cycles - 1 - j)
+                if hi < top:
+                    in_flight += cnt[max(hi, r0) - r0 :].sum(axis=0)
+            if hi <= r0:
+                break
+            d, cnt = d[: hi - r0], cnt[: hi - r0]
+            d0, d1 = d[..., :size], d[..., size:]
+            if j == n - 1:
+                # Eject through out-port ``dst & 1``; slot 1 loses a tie.
+                # ``(d0 | d1) >= 0``: both slots hold a packet.
+                lost = _count_slots(
+                    (((d0 ^ d1) & 1) == 0) & ((d0 | d1) >= 0)
+                )
+                dropped += lost.sum(axis=0)
+                delivered += (cnt - lost).sum(axis=0)
+                break
+            # ``key``: the out-port of each slot, -1 when it is empty or
+            # its packet is unroutable.
+            if sched is None:
+                key = ptabs_f[j][cell * size + (d >> 1)]
+                if comp.has_amb[j]:
+                    # Stage j+1 is empty whenever stage j moves, so an
+                    # ambiguous port always resolves to port 0.
+                    key[key == -2] = 0
+                key |= (d >> 31).astype(np.int8)
+            else:
+                org = org[: hi - r0]
+                key = sched[j][org]
+            if not comp.links_ok[j]:
+                key = np.where(links_f[j][2 * cell + (key & 1)], key, -1)
+            acnt = cnt
+            if comp.has_unreachable[j] or not comp.links_ok[j]:
+                acnt = _count_slots(key >= 0)
+            # Slot 0 wins a contended port (both packets were born in
+            # the same cycle).
+            k0, k1 = key[..., :size], key[..., size:]
+            to0, to1 = k0 == 0, k0 == 1
+            sel = ((to0, (k1 == 0) & ~to0), (to1, (k1 == 1) & ~to1))
+            d = _move(d, sel, feed[j])
+            if org is not None:
+                org = _move(org, sel, feed[j])
+            ncnt = _count_slots(d >= 0)
+            unroutable += (cnt - acnt).sum(axis=0)
+            dropped += (acnt - ncnt).sum(axis=0)
+            total_hops += ncnt.sum(axis=0)
+            # Rows r <= cycles - 2 - j reach stage j+1 while injecting.
+            occupancy[j + 1] += ncnt[: max(0, cycles - 1 - j - r0)].sum(
+                axis=0
+            )
+            cnt = ncnt
+    # Dead sources draw but never inject; wait buffers never hold.
+    unroutable += offered - injected
+    total_hops += delivered
+    lat_bounds = np.zeros(B + 1, dtype=np.int64)
+    np.cumsum(delivered, out=lat_bounds[1:])
+    return BatchRun(
+        offered=offered,
+        injected=injected,
+        delivered=delivered,
+        dropped=dropped,
+        unroutable=unroutable,
+        blocked_moves=np.zeros(B, dtype=np.int64),
+        total_hops=total_hops,
+        in_flight=in_flight,
+        drain_cycles=np.maximum(last - cycles + 1, 0),
+        occupancy=occupancy,
+        # Every delivered packet crossed one stage per cycle.
+        lat_sorted=np.full(int(lat_bounds[-1]), n, dtype=np.int32),
+        lat_bounds=lat_bounds,
+    )
+
+
+def _count_slots(mask: np.ndarray) -> np.ndarray:
+    """``(rows, B)`` count of the True slots of a ``(rows, B, k)`` mask."""
+    return mask.view(np.int8).sum(axis=2, dtype=np.int64)
+
+
+def _move(v: np.ndarray, sel, feed: np.ndarray) -> np.ndarray:
+    """Next-stage block of the per-slot values ``v`` (-1 when empty).
+
+    ``sel[q]`` holds the masks of the slot-0 and slot-1 packets leaving
+    each cell through port ``q``.  The out-arc contents are built
+    port-major without branches (values shifted by one so that 0 is
+    empty) and gathered through ``feed``.
+    """
+    e = v + 1
+    e0, e1 = e[..., : v.shape[-1] // 2], e[..., v.shape[-1] // 2 :]
+    arcs = np.concatenate([e0 * a + e1 * b for a, b in sel], axis=2)
+    arcs -= 1
+    return arcs[..., feed]
+
+
+def _run_block(
+    comp,
+    tmats: np.ndarray,
+    scheds: np.ndarray | None,
+    cycles: int,
+    drain: bool,
+) -> BatchRun:
+    """The cycle-major ``block`` kernel: eject, move, inject per cycle."""
     n, size, n_in = comp.n_stages, comp.size, comp.n_inputs
     B = tmats.shape[1]
     S = 2 * size              # buffer slots per stage per scenario
@@ -87,7 +292,6 @@ def run_batch(
     offered = np.zeros(B, dtype=np.int64)
     injected = np.zeros(B, dtype=np.int64)
     delivered = np.zeros(B, dtype=np.int64)
-    dropped = np.zeros(B, dtype=np.int64)
     unroutable = np.zeros(B, dtype=np.int64)
     blocked_moves = np.zeros(B, dtype=np.int64)
     total_hops = np.zeros(B, dtype=np.int64)
@@ -132,12 +336,7 @@ def run_batch(
         port = d1[pidx] & 1
         loser = _pair_losers(pidx, port, b1)
         if loser.size:
-            lidx = pidx[loser]
-            if drop:
-                d1[lidx] = -1
-                dropped[:] += _count(lidx >> shift)
-            else:
-                blocked_moves[:] += _count(lidx >> shift)
+            blocked_moves[:] += _count(pidx[loser] >> shift)
             keep = np.ones(pidx.size, dtype=bool)
             keep[loser] = False
             pidx = pidx[keep]
@@ -186,12 +385,7 @@ def run_batch(
                 inslot = pidx & np.int64(S - 1)
         loser = _pair_losers(pidx, port, b1)
         if loser.size:
-            lidx = pidx[loser]
-            if drop:
-                d1[lidx] = -1
-                dropped[:] += _count(lidx >> shift)
-            else:
-                blocked_moves[:] += _count(lidx >> shift)
+            blocked_moves[:] += _count(pidx[loser] >> shift)
             keep = np.ones(pidx.size, dtype=bool)
             keep[loser] = False
             pidx, pd, port = pidx[keep], pd[keep], port[keep]
@@ -200,12 +394,7 @@ def run_batch(
         d1n = dst[j + 1]
         free = d1n[target] < 0
         if not free.all():
-            stuck = pidx[~free]
-            if drop:
-                d1[stuck] = -1
-                dropped[:] += _count(stuck >> shift)
-            else:
-                blocked_moves[:] += _count(stuck >> shift)
+            blocked_moves[:] += _count(pidx[~free] >> shift)
             pidx, pd, target = pidx[free], pd[free], target[free]
         d1n[target] = pd
         birth[j + 1][target] = b1[pidx]
@@ -281,7 +470,7 @@ def run_batch(
         offered=offered,
         injected=injected,
         delivered=delivered,
-        dropped=dropped,
+        dropped=np.zeros(B, dtype=np.int64),
         unroutable=unroutable,
         blocked_moves=blocked_moves,
         total_hops=total_hops,

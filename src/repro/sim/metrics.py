@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-__all__ = ["SimReport", "latency_summary"]
+__all__ = ["SimReport", "latency_summary", "patel_profile"]
 
 
 def latency_summary(latencies) -> tuple[float, float]:
@@ -28,6 +28,27 @@ def latency_summary(latencies) -> tuple[float, float]:
     if latencies is None or len(latencies) == 0:
         return 0.0, 0.0
     return float(np.mean(latencies)), float(np.percentile(latencies, 99))
+
+
+def patel_profile(rate: float, n: int) -> tuple[float, ...]:
+    """Patel's per-stage link loads ``(p_0, …, p_n)`` of a 2×2 delta network.
+
+    ``p_0 = rate`` and ``p_{j+1} = 1 − (1 − p_j/2)²``: a switch whose two
+    inputs carry independent loads ``p_j``, each packet picking either
+    output with probability 1/2, loads each output with ``p_{j+1}``
+    (Patel, IEEE Trans. Comput. C-30(10), 1981).  The paper's
+    characterization is what makes the inputs independent: in a banyan
+    network with independent connections the two inputs of a switch are
+    fed by disjoint sets of sources.  So under ``drop`` with fault-free
+    uniform Bernoulli traffic, ``p_j`` is the expected
+    ``stage_utilization[j]`` of every baseline-equivalent network, and
+    ``p_n / p_0`` its delivered fraction.  Multipath networks (extra
+    stages, Beneš) fall outside the model.
+    """
+    loads = [float(rate)]
+    for _ in range(n):
+        loads.append(1.0 - (1.0 - loads[-1] / 2.0) ** 2)
+    return tuple(loads)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Tests for the pluggable simulation kernel backends.
 
-Three layers of guarantees:
+Four layers of guarantees:
 
 * **Selection** — ``resolve_backend`` honours explicit names, the
   ``REPRO_SIM_BACKEND`` environment variable and availability-aware
@@ -15,6 +15,11 @@ Three layers of guarantees:
   installed, the same property is asserted at the ``SimReport`` level
   through the public ``simulate``/``simulate_batch`` entry points
   (skip-marked otherwise, per the satellite contract).
+* **The drop path** — the stateless-pipeline argument the stage-major
+  NumPy ``drop`` kernel rests on (no blocked move, every latency
+  ``n_stages``, wait buffers never hold, drain within ``n_stages``
+  cycles) is asserted on the scalar oracle, and the kernel matches the
+  oracle at any row chunking.
 * **Compile cache** — the LRU is keyed by structural content digest
   (equal tables share an entry across rebuilds), and its budget is
   configurable via setter, spec field and environment variable.
@@ -29,6 +34,7 @@ from hypothesis import strategies as st
 
 from repro.core.errors import ReproError
 from repro.networks.benes import benes
+from repro.networks.catalog import NETWORK_CATALOG
 from repro.networks.omega import omega
 from repro.sim import (
     FaultSet,
@@ -302,6 +308,162 @@ class TestFusedKernelSemantics:
         ref, fused = _slab_runs(
             net, faults, tmats, None, cycles, drop, drain
         )
+        _assert_runs_identical(ref, fused)
+
+
+# ---------------------------------------------------------------------------
+# the drop-path argument, pinned on the scalar oracle
+
+# Every catalog entry, single- and multipath, small enough for the
+# Python loop: 3-4 stage networks plus Benes/omega_3dp at 5 stages.
+CATALOG_NAMES = sorted(NETWORK_CATALOG.names())
+
+
+class TestDropPathArgument:
+    """Under ``drop`` the pipeline holds no state from cycle to cycle.
+
+    A cycle runs back to front, so every stage-``j+1`` packet has left
+    its slot before stage ``j`` moves: no move is ever blocked, wait
+    buffers inject on the cycle they draw, and a packet injected at
+    cycle ``c`` is at stage ``j`` at the end of cycle ``c + j``.  The
+    stage-major NumPy ``drop`` kernel is built on this argument, so it
+    is asserted here on the independent Python fused loop, not on the
+    kernel that relies on it.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(CATALOG_NAMES),
+        drain=st.booleans(),
+        n_cells=st.integers(min_value=0, max_value=2),
+        n_links=st.integers(min_value=0, max_value=3),
+        spare_terminals=st.booleans(),
+        cycles=st.integers(min_value=1, max_value=25),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_no_state_between_cycles(
+        self, name, drain, n_cells, n_links, spare_terminals, cycles, seed
+    ):
+        net = NetworkSpec.catalog(name, n=3).resolve()
+        n = net.n_stages
+        faults = FaultSet.random(
+            np.random.default_rng(seed ^ 0xFA117),
+            n,
+            net.size,
+            n_dead_cells=n_cells,
+            n_dead_links=n_links,
+            spare_terminal_stages=spare_terminals,
+        )
+        tmats = np.stack(
+            [
+                UniformTraffic(rate=0.9).destinations(
+                    np.random.default_rng(seed + i), net.n_inputs, cycles
+                )
+                for i in range(2)
+            ],
+            axis=1,
+        )
+        comp = compile_network(net, faults)
+        run = numba_backend.run_batch(
+            comp, tmats, None, cycles, True, drain, python=True
+        )
+        assert not run.blocked_moves.any()
+        assert (run.lat_sorted == n).all()
+        # Every draw is offered, so no wait buffer ever held a packet;
+        # the draws that do not inject are exactly the dead sources'.
+        draws = (tmats >= 0).sum(axis=(0, 2))
+        dead_draws = (tmats[:, :, ~comp.src_alive] >= 0).sum(axis=(0, 2))
+        assert np.array_equal(run.offered, draws)
+        assert np.array_equal(run.offered, run.injected + dead_draws)
+        assert (run.drain_cycles <= n).all()
+        if drain:
+            assert not run.in_flight.any()
+
+
+def _uniform_slab(net, cycles, batch, seed):
+    return np.stack(
+        [
+            UniformTraffic(rate=0.9).destinations(
+                np.random.default_rng(seed + i), net.n_inputs, cycles
+            )
+            for i in range(batch)
+        ],
+        axis=1,
+    )
+
+
+def _sampled_faults(net, cells, links, seed):
+    return FaultSet.random(
+        np.random.default_rng(seed), net.n_stages, net.size,
+        n_dead_cells=cells, n_dead_links=links, spare_terminal_stages=False,
+    )
+
+
+def _benes_schedule_slab():
+    from repro.permutations.permutation import Permutation
+    from repro.routing.rearrangeable import benes_switch_settings
+    from repro.sim import PermutationTraffic
+
+    net = benes(3)
+    rng = np.random.default_rng(11)
+    perms = [Permutation.random(rng, net.n_inputs) for _ in range(2)]
+    scheds = np.stack([
+        schedule_from_switch_settings(net, benes_switch_settings(p))
+        for p in perms
+    ])
+    tmats = np.stack(
+        [
+            PermutationTraffic(p, rate=0.8).destinations(
+                np.random.default_rng(3), net.n_inputs, 17
+            )
+            for p in perms
+        ],
+        axis=1,
+    )
+    return net, _sampled_faults(net, 0, 2, 9), tmats, scheds, False
+
+
+# label -> () -> (net, faults, tmats, scheds, drain), all under ``drop``.
+_CHUNK_SLABS = {
+    "faulted_drained": lambda: (
+        omega(4), _sampled_faults(omega(4), 2, 3, 5),
+        _uniform_slab(omega(4), 23, 3, 1), None, True,
+    ),
+    "benes_schedule": _benes_schedule_slab,
+    # cycles < n_stages without drain: nothing ejects.
+    "short_undrained": lambda: (
+        omega(5), _sampled_faults(omega(5), 1, 1, 2),
+        _uniform_slab(omega(5), 3, 2, 7), None, False,
+    ),
+    "one_cycle": lambda: (
+        omega(4), None, _uniform_slab(omega(4), 1, 2, 4), None, True,
+    ),
+}
+
+
+class TestDropChunkBoundaries:
+    """The stage-major ``drop`` kernel is exact at any row chunking.
+
+    The oracle runs above fit one chunk; here the chunk is forced to one
+    row, to a row count that does not divide ``cycles``, and to the
+    whole slab.
+    """
+
+    @pytest.mark.parametrize("slab", sorted(_CHUNK_SLABS))
+    @pytest.mark.parametrize("chunk", ["one_row", "ragged", "whole"])
+    def test_chunked_runs_identical(self, slab, chunk, monkeypatch):
+        net, faults, tmats, scheds, drain = _CHUNK_SLABS[slab]()
+        cycles, batch, slots = tmats.shape
+        rows = {
+            "one_row": 1,
+            # The smallest row count that leaves a partial chunk.
+            "ragged": next(k for k in range(2, cycles + 2) if cycles % k),
+            "whole": cycles,
+        }[chunk]
+        monkeypatch.setattr(
+            numpy_backend, "_CHUNK_SLOTS", rows * batch * slots
+        )
+        ref, fused = _slab_runs(net, faults, tmats, scheds, cycles, True, drain)
         _assert_runs_identical(ref, fused)
 
 

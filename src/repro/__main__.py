@@ -580,25 +580,39 @@ def _campaign_quarantine(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _campaign_store(args: argparse.Namespace) -> int:
-    """``campaign store verify/repair``: record-level integrity checks."""
+def _open_store(path: str):
+    """The result store at ``path``, or ``None`` once its absence is said."""
     from repro.campaign import ResultStore
 
-    store = ResultStore(args.store)
-    if not store.exists():
-        print(f"no store at {args.store}")
+    store = ResultStore(path)
+    if store.exists():
+        return store
+    print(f"no store at {path}")
+    return None
+
+
+def _store_repair(args: argparse.Namespace) -> int:
+    """``campaign store repair``: drop corrupt record lines to a sidecar."""
+    store = _open_store(args.store)
+    if store is None:
         return 1
-    if args.store_command == "repair":
-        report = store.repair()
-        if report["dropped"]:
-            print(
-                f"{args.store}: dropped {report['dropped']} corrupt "
-                f"record(s) -> {report['bad_file']}; "
-                f"{report['records']} record(s) kept"
-            )
-        else:
-            print(f"{args.store}: clean ({report['records']} record(s))")
-        return 0
+    report = store.repair()
+    if report["dropped"]:
+        print(
+            f"{args.store}: dropped {report['dropped']} corrupt "
+            f"record(s) -> {report['bad_file']}; "
+            f"{report['records']} record(s) kept"
+        )
+    else:
+        print(f"{args.store}: clean ({report['records']} record(s))")
+    return 0
+
+
+def _store_verify(args: argparse.Namespace) -> int:
+    """``campaign store verify``: record-level integrity checks."""
+    store = _open_store(args.store)
+    if store is None:
+        return 1
     report = store.verify()
     if report["ok"]:
         print(f"{args.store}: ok ({report['records']} record(s))")
@@ -612,7 +626,7 @@ def _campaign_store(args: argparse.Namespace) -> int:
         print(f"repair with: python -m repro campaign store repair "
               f"--store {args.store}")
     status = 0 if report["ok"] else 1
-    if getattr(args, "sidecars", False):
+    if args.sidecars:
         status = max(status, _verify_sidecars(args.store))
     return status
 
@@ -628,25 +642,24 @@ def _verify_sidecars(store_path: str) -> int:
         qreport = qstore.verify()
     except ReproError as err:
         print(f"{qstore.path}: broken quarantine header: {err}")
-        qreport = None
         status = 1
-    if qreport is None:
-        pass
-    elif not qreport["exists"]:
-        print(f"{qreport['path']}: no quarantine sidecar (ok)")
-    elif qreport["ok"]:
-        torn = " + torn tail (tolerated)" if qreport["torn_tail"] else ""
-        print(
-            f"{qreport['path']}: ok ({qreport['records']} failure(s){torn})"
-        )
     else:
-        print(
-            f"{qreport['path']}: {len(qreport['bad'])} corrupt "
-            f"failure record(s), {qreport['records']} good"
-        )
-        for bad in qreport["bad"]:
-            print(f"  line {bad['line']}: {bad['reason']}")
-        status = 1
+        if not qreport["exists"]:
+            print(f"{qreport['path']}: no quarantine sidecar (ok)")
+        elif qreport["ok"]:
+            torn = " + torn tail (tolerated)" if qreport["torn_tail"] else ""
+            print(
+                f"{qreport['path']}: ok ({qreport['records']} "
+                f"failure(s){torn})"
+            )
+        else:
+            print(
+                f"{qreport['path']}: {len(qreport['bad'])} corrupt "
+                f"failure record(s), {qreport['records']} good"
+            )
+            for bad in qreport["bad"]:
+                print(f"  line {bad['line']}: {bad['reason']}")
+            status = 1
     hb_path = heartbeat_path(store_path)
     try:
         snapshot = read_heartbeat(hb_path)
@@ -1202,12 +1215,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="record-level store integrity: verify / repair",
     )
     store_subs = c_store.add_subparsers(dest="store_command", required=True)
-    for name, text in (
-        ("verify", "check every record line (JSON shape + crc checksum)"),
-        ("repair", "drop corrupt record lines to a .bad sidecar and "
-         "rewrite the store atomically"),
+    for name, handler, text in (
+        ("verify", _store_verify,
+         "check every record line (JSON shape + crc checksum)"),
+        ("repair", _store_repair, "drop corrupt record lines to a .bad "
+         "sidecar and rewrite the store atomically"),
     ):
-        s = _command(store_subs, name, _campaign_store, help=text)
+        s = _command(store_subs, name, handler, help=text)
         _add_store_arg(s, "result store to check")
         if name == "verify":
             s.add_argument(

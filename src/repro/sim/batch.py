@@ -21,12 +21,14 @@ The slab kernels live behind the pluggable backend seam of
 :mod:`repro.sim.kernels`.  The ``numpy`` reference backend has one
 kernel per contention policy:
 
-* ``block`` runs cycle-major and *packet-compacted*: stage-major
-  ``(n, B·2M)`` slabs, one dense scan per stage to find the occupied
-  linear buffer indices (``idx = b·2M + 2·cell + slot``), and routing
-  gathers, contention pairing, scatters and ``np.bincount`` counter
-  updates on packet-sized 1-d arrays.  Draining is per scenario, with
-  an activity mask that freezes a scenario whose network has emptied.
+* ``block`` runs cycle by cycle but *stage-parallel*.  Stage ``j``
+  moves before stage ``j - 1`` moves into it, so in each cycle it moves
+  what it held at the end of the previous one: one whole-slab pass
+  over ``(n, B, 2M)`` arrays does every stage's port lookup, fault
+  filter and contention.  Only back-pressure runs stage by stage, as a
+  chain of boolean gathers (a winner moves iff its target slot was
+  empty or is vacated in this cycle), and all moves then apply as one
+  gather/scatter.  Draining is per scenario; an empty one is inert.
 * ``drop`` runs stage-major.  Under ``drop`` a packet injected at cycle
   ``c`` meets only the other packet of its switch, injected at the same
   cycle, and is delivered exactly ``n_stages`` cycles later or lost.

@@ -9,12 +9,14 @@ frozen int32/int8 tables:
 
 ``numpy``
     The reference backend, one vectorized slab kernel per policy.
-    ``block`` is cycle-major and packet-compacted: one NumPy dispatch
-    per stage phase per cycle for the whole slab.  ``drop`` is
-    stage-major: a packet there never waits, so it is delivered exactly
-    ``n_stages`` cycles after injection or lost, injection rows never
-    interact, and each chunk of rows crosses the network in ``n`` dense
-    passes with no cycle loop at all.
+    ``block`` steps the cycles but not the stages: each stage moves
+    what it held at the end of the previous cycle, so one whole-slab
+    pass per cycle routes and arbitrates every stage, and only the
+    back-pressure chain (free or just-vacated target slots) runs stage
+    by stage.  ``drop`` is stage-major: a packet there never waits, so
+    it is delivered exactly ``n_stages`` cycles after injection or lost,
+    injection rows never interact, and each chunk of rows crosses the
+    network in ``n`` dense passes with no cycle loop at all.
 ``numba``
     The fused backend, for both policies: the entire cycle loop —
     inject, per-stage move with contention/ambiguity/fault handling,

@@ -8,12 +8,12 @@ Where the NumPy backend pays dozens of array-dispatch round trips per
 cycle, the fused loop pays none, which is the whole speedup: the
 arithmetic was never the bottleneck.
 
-The loop body is a line-for-line scalar transliteration of the NumPy
-reference kernels, and the order in which it visits cells and slots
-matches the sorted packet-index order of the vectorized slab kernels, so
-the counters, the per-scenario latency streams (and hence the summary
-statistics) and the drain-cycle counts are **bit-identical** — the
-property the cross-backend test suite pins.  Sequential per-cell
+The loop body is a scalar transliteration of the NumPy reference
+kernels' semantics, and it ejects packets in the delivery order they
+report (cycle by cycle, in linear buffer-slot order), so the counters,
+the per-scenario latency streams (and hence the summary statistics)
+and the drain-cycle counts are **bit-identical** — the property the
+cross-backend test suite pins.  Sequential per-cell
 processing is safe because every out-arc targets a unique next-stage
 buffer slot: no write of one cell's move can be observed by another
 cell's free-slot or ambiguity probe within the same stage step.

@@ -19,16 +19,26 @@ port entries (``-2``) resolve adaptively toward the port whose target
 slot is free.  Packets with no live port count as ``unroutable``, and so
 do draws at a source whose first-stage cell is dead.
 
-``block``: the cycle-major kernel
----------------------------------
+``block``: the stage-parallel kernel
+------------------------------------
 Held packets make each cycle depend on the last, so :func:`_run_block`
-steps the cycles in order.  Packet state carries a leading batch axis
-(stage-major ``(n, B·2M)`` flat slabs) and every phase runs on
-packet-compacted 1-d index arrays; the batch index rides inside the
-linear packet index, so scenarios never interact, and per-scenario
-counters accumulate via ``np.bincount``.  Under ``drain`` each scenario
-keeps cycling until its network and wait buffers are empty or its
-progress bound ``in_net·(n + 2) + 4n + 16`` is hit.
+steps the cycles in order, but not the stages.  A cycle runs back to
+front, and only stage ``j - 1`` moves into stage ``j``, after stage
+``j`` has moved: when stage ``j`` moves in cycle ``c`` it still holds
+exactly what it held at the end of cycle ``c - 1``.  So the port
+lookups, the dead-link and unroutable filter and the oldest-first
+contention of every stage read only that old state, and one whole-slab
+pass over ``(n, B, 2M)`` arrays computes them for all stages at once.
+Only back-pressure is sequential.  A contention winner moves iff its
+target slot was empty or is vacated in this cycle (its packet moved,
+ejected or was unroutable), which is a chain of ``n`` boolean gathers
+from the last stage back to the wait buffers; a stage with ambiguous
+``-2`` ports resolves them inside the chain, once its next stage's
+free slots are known.  Every move then applies as one gather/scatter.
+Under ``drain`` each cycle moves some packet of a non-empty scenario
+closer to ejection (the deepest occupied stage always advances), so a
+scenario empties within ``(n + 1)`` cycles per packet it held, inside
+the progress bound ``in_net·(n + 2) + 4n + 16`` of the scalar loop.
 
 ``drop``: the stage-major kernel
 --------------------------------
@@ -253,230 +263,220 @@ def _run_block(
     cycles: int,
     drain: bool,
 ) -> BatchRun:
-    """The cycle-major ``block`` kernel: eject, move, inject per cycle."""
+    """The stage-parallel ``block`` kernel: one whole-slab pass per cycle.
+
+    State is ``(n + 1, B, 2M)``.  Row ``j + 1`` is stage ``j``, each
+    scenario's slots parity-major (slot 0 of every cell, then slot 1);
+    row 0 is the wait buffers in input order, a column of straight
+    switches whose slot ``i`` leaves on port ``i // M`` into input link
+    ``i``.  ``key`` is each slot's out-port (-1 once it is empty,
+    unroutable or beaten), ``tgt`` the flat index its packet would move
+    to, and ``free`` the slots that are empty or vacate this cycle.
+    """
     n, size, n_in = comp.n_stages, comp.size, comp.n_inputs
     B = tmats.shape[1]
-    S = 2 * size              # buffer slots per stage per scenario
-    shift = S.bit_length() - 1    # idx >> shift == scenario index
-
+    S, L = 2 * size, n - 1
+    pos = np.arange(S)
+    cell, par = pos % size, pos // size
+    row = np.arange(n)[:, None, None]         # the rows that move
+    scen = np.arange(B)[:, None]
+    # Port table, read at ``kbase + (dst >> kshift)``; each row starts
+    # with -1 for an empty slot (dst = -1).  The wait rows give a packet
+    # its slot's parity, row ``(j, cell)`` of stage ``j`` the fault-aware
+    # port by ``dst >> 1`` (-1 through a dead link, ``-2`` resolved in
+    # the chain), and the eject row ``dst & 1``.
+    ports = comp.ptabs
+    if not all(comp.links_ok):
+        ok = np.take_along_axis(comp.links, (ports & 1).astype(np.intp), 2)
+        ports = np.where(ok | (ports < 0), ports, -1)
+    span, stage0 = n_in + 1, 2 * (n_in + 1)
+    eject0 = stage0 + L * size * (size + 1)
+    tab = np.full(eject0 + span, -1, dtype=np.int8)
+    tab[1:span], tab[span + 1 : stage0] = 0, 1
+    tab[stage0:eject0].reshape(L, size, size + 1)[..., 1:] = ports
+    tab[eject0 + 1 :] = np.arange(n_in) & 1
+    kbase = np.empty((n + 1, 1, S), dtype=np.intp)
+    kbase[0] = par * span + 1
+    kbase[1:n, 0] = stage0 + (row[:L, 0] * size + cell) * (size + 1) + 1
+    kbase[n] = eject0 + 1
+    kshift = np.array([0] + [1] * L + [0], dtype=np.int32)[:, None, None]
+    # Out-arc targets as flat state indices, ``[void, port 0, port 1]``
+    # per cell.  ``void`` lies past the state and is never free, so a
+    # slot whose key is -1 never moves.
+    void = (n + 1) * B * S
+    t = comp.arc_target
+    tpos = np.empty((n, size, 2), dtype=np.intp)
+    tpos[0] = ((pos & 1) * size + (pos >> 1)).reshape(2, size).T
+    tpos[1:] = (t & 1) * size + (t >> 1)
+    arcs = np.full((n, B, size, 3), void, dtype=np.intp)
+    arcs[..., 1:] = tpos[:, None] + S * ((row[..., None] + 1) * B + scen[..., None])
+    abase = ((row * B + scen) * size + cell) * 3 + 1
+    links_f, lbase = comp.links.reshape(-1), row[:L] * S + 2 * cell
     sched = None
     if scheds is not None:
-        # (n, B·N) — stage-major so each stage gather reads one flat row.
-        sched = np.ascontiguousarray(
-            scheds.transpose(1, 0, 2)
-        ).reshape(n, B * n_in)
+        # (n-1, B, N) flat, read at each packet's source (``origin``).
+        sched = np.ascontiguousarray(scheds.transpose(1, 0, 2)[:L]).reshape(-1)
+        sbase = (row[:L] * B + scen) * n_in
+    faulty = not all(comp.links_ok) or any(comp.has_unreachable)
+    # Dead sources draw, but their wait buffers never fill.
+    tmats = tmats.astype(np.int32, copy=False)
+    dead = (tmats[:, :, ~comp.src_alive] >= 0).sum(axis=(0, 2))
+    live = None if comp.src_alive.all() else comp.src_alive
 
-    has_amb = comp.has_amb
-    has_unreachable, links_ok = comp.has_unreachable, comp.links_ok
-    # Flat lookup tables: 1-d gathers with computed indices beat
-    # multi-array fancy indexing by ~3x on the packet-sized hot arrays.
-    ptabs_f = comp.ptabs.reshape(n - 1, size * size)
-    arc_f = comp.arc_target.reshape(n - 1, S)
-    links_f = comp.links.reshape(n - 1, S)
-    mshift = size.bit_length() - 1    # cell -> port-table row offset
-    src_alive_f = np.tile(comp.src_alive, B)
-    src_dead_f = ~src_alive_f
-    all_alive = bool(comp.src_alive.all())
+    shape = (n + 1, B, S)
+    dst = np.full(shape, -1, dtype=np.int32)
+    birth, origin = np.zeros(shape, np.int32), np.zeros(shape, np.int32)
+    origin[0] = pos
+    dst_f, birth_f, origin_f = (a.reshape(-1) for a in (dst, birth, origin))
+    free_buf = np.zeros(void + 1, dtype=bool)
+    free = free_buf[:void].reshape(shape)
+    occ, unrout = np.zeros(shape, bool), np.zeros(shape, bool)
+    mv, ej = np.empty((n, B, S), bool), np.empty((B, S), bool)
+    key_i, key = np.empty(shape, np.intp), np.empty(shape, np.int8)
+    neg, tgt = np.empty(shape, np.int8), np.empty((n, B, S), np.intp)
+    # Per-slot sums over cycles of the occupied and unroutable masks.
+    occ_acc, lost_acc = np.zeros(shape, np.int32), np.zeros(shape, np.int32)
+    arbitrate = _arbiter(key, birth)
+    # Stage rows with ``-2`` ports: each slot's port-0 target, arbiter.
+    amb = {} if sched is not None else {
+        j + 1: (arcs.take(abase[j + 1]), _arbiter(key[j + 1], birth[j + 1]))
+        for j in range(L) if comp.has_amb[j]
+    }
+    chain = [(r, tgt[r], mv[r], free[r]) for r in range(n - 1, -1, -1)]
+    lat_f, lat_b = [], []     # per cycle: ejected slots, their births
 
-    # Packet state: per-stage flat slabs, linear index b·S + 2·cell + slot.
-    dst = np.full((n, B * S), -1, dtype=np.int32)
-    birth = np.zeros((n, B * S), dtype=np.int32)
-    origin = np.zeros((n, B * S), dtype=np.int32)
-    # The first stage's slot s of scenario b IS input link s — wait
-    # buffers share the linear indexing (n_in == S).
-    wait_dst = np.full((B, n_in), -1, dtype=np.int32)
-    wait_birth = np.zeros((B, n_in), dtype=np.int32)
-    wait_dst_f = wait_dst.reshape(-1)
-    wait_birth_f = wait_birth.reshape(-1)
+    def _route(r: int, port0: np.ndarray, arbitrate_r) -> None:
+        """Route stage row ``r`` again once ``free[r + 1]`` is final."""
+        k = key[r]
+        tab.take(key_i[r], out=k, mode="clip")
+        np.putmask(k, k == -2, (~free_buf[port0]).view(np.int8))
+        if not comp.links_ok[r - 1]:
+            np.putmask(k, ~links_f[lbase[r - 1] + k], -1)
+        np.less(k, 0, out=free[r])
+        np.logical_and(free[r], occ[r], out=unrout[r])
+        arbitrate_r()
+        arcs.take(abase[r] + k, out=tgt[r], mode="clip")
 
-    offered = np.zeros(B, dtype=np.int64)
-    injected = np.zeros(B, dtype=np.int64)
-    delivered = np.zeros(B, dtype=np.int64)
-    unroutable = np.zeros(B, dtype=np.int64)
-    blocked_moves = np.zeros(B, dtype=np.int64)
-    total_hops = np.zeros(B, dtype=np.int64)
-    occupancy = np.zeros((n, B), dtype=np.int64)
-    lat_idx: list[np.ndarray] = []
-    lat_val: list[np.ndarray] = []
+    def _cycle(now: int, trow: np.ndarray | None) -> None:
+        if trow is not None:        # sources draw into empty wait slots
+            empty = ~occ[0] if live is None else live & ~occ[0]
+            np.putmask(dst[0], empty, trow)
+            np.putmask(birth[0], empty, now)
+        np.right_shift(dst, kshift, out=key_i)
+        np.add(key_i, kbase, out=key_i)
+        tab.take(key_i, out=key, mode="clip")
+        if sched is not None:
+            k = key[1:n]
+            sched.take(sbase + origin[1:n], out=k, mode="clip")
+            np.putmask(k, ~occ[1:n], -1)
+            if not all(comp.links_ok):
+                np.putmask(k, ~links_f[lbase + k], -1)
+        np.less(key, 0, out=free)
+        if faulty:
+            np.logical_and(free, occ, out=unrout)
+        arbitrate()
+        np.greater_equal(key[n], 0, out=ej)
+        free[n] |= ej
+        arcs.take(abase + key[:n], out=tgt, mode="clip")
+        # Back-pressure, back to front: a packet moves iff its target
+        # slot was empty or vacates in this cycle.
+        for r, tgt_r, mv_r, free_r in chain:
+            if r in amb:
+                _route(r, *amb[r])
+            free_buf.take(tgt_r, out=mv_r, mode="clip")
+            free_r |= mv_r
+        if faulty:
+            np.add(lost_acc, unrout, out=lost_acc)
+        out = ej.reshape(-1).nonzero()[0]
+        lat_f.append(out)
+        lat_b.append(birth[n].reshape(-1)[out])
+        src = mv.reshape(-1).nonzero()[0]
+        to, moving = tgt.reshape(-1)[src], dst_f[src]
+        np.negative(free.view(np.int8), out=neg)
+        np.bitwise_or(dst, neg, out=dst)        # empty every free slot
+        dst_f[to] = moving
+        birth_f[to] = birth_f[src]
+        if sched is not None:
+            origin_f[to] = origin_f[src]
+        np.greater_equal(dst, 0, out=occ)
+        np.add(occ_acc, occ, out=occ_acc)
 
-    def _count(pb: np.ndarray) -> np.ndarray:
-        return np.bincount(pb, minlength=B)
-
-    def _occupied(j: int, act: np.ndarray | None) -> np.ndarray:
-        """Sorted linear indices of (active) packets at stage ``j``."""
-        pidx = np.flatnonzero(dst[j] >= 0)
-        if act is not None and pidx.size:
-            pidx = pidx[act[pidx >> shift]]
-        return pidx
-
-    def _pair_losers(
-        pidx: np.ndarray, port: np.ndarray, b1: np.ndarray
-    ) -> np.ndarray:
-        """Positions (into ``pidx``) of contention losers.
-
-        Two packets contend when they sit in the two slots of one switch
-        (adjacent linear indices ``2k, 2k+1`` — adjacent entries of the
-        sorted ``pidx``) and want the same out-port; the younger loses,
-        ties to slot 0's packet winning.
-        """
-        adj = np.flatnonzero(
-            ((pidx[:-1] ^ 1) == pidx[1:]) & (port[:-1] == port[1:])
-        )
-        if not adj.size:
-            return adj
-        lose_lo = b1[pidx[adj + 1]] < b1[pidx[adj]]
-        return np.where(lose_lo, adj, adj + 1)
-
-    def _eject(now: int, act: np.ndarray | None) -> None:
-        d1 = dst[n - 1]
-        pidx = _occupied(n - 1, act)
-        if not pidx.size:
-            return
-        b1 = birth[n - 1]
-        port = d1[pidx] & 1
-        loser = _pair_losers(pidx, port, b1)
-        if loser.size:
-            blocked_moves[:] += _count(pidx[loser] >> shift)
-            keep = np.ones(pidx.size, dtype=bool)
-            keep[loser] = False
-            pidx = pidx[keep]
-        lat_idx.append(pidx >> shift)
-        lat_val.append(now - b1[pidx])
-        won = _count(pidx >> shift)
-        delivered[:] += won
-        total_hops[:] += won
-        d1[pidx] = -1
-
-    def _move(j: int, act: np.ndarray | None) -> None:
-        d1 = dst[j]
-        pidx = _occupied(j, act)
-        if not pidx.size:
-            return
-        b1 = birth[j]
-        inslot = pidx & np.int64(S - 1)  # 2·cell + slot within the slab
-        pd = d1[pidx]
-        if sched is None:
-            port = ptabs_f[j][((inslot >> 1) << mshift) | (pd >> 1)]
-            if has_amb[j]:
-                amb = port == -2
-                if amb.any():
-                    t0 = (pidx - inslot) + arc_f[j][inslot & ~1]
-                    port = np.where(
-                        amb,
-                        np.where(dst[j + 1][t0] < 0, 0, 1).astype(np.int8),
-                        port,
-                    )
-        else:
-            port = sched[j][(pidx - inslot) + origin[j][pidx]]
-        if has_unreachable[j] or not links_ok[j]:
-            alive = port >= 0
-            if not links_ok[j]:
-                alive &= links_f[j][
-                    (inslot & ~1) | np.where(port >= 0, port, 0)
-                ]
-            dead = ~alive
-            if dead.any():
-                didx = pidx[dead]
-                d1[didx] = -1
-                unroutable[:] += _count(didx >> shift)
-                pidx, pd, port = pidx[alive], pd[alive], port[alive]
-                if not pidx.size:
-                    return
-                inslot = pidx & np.int64(S - 1)
-        loser = _pair_losers(pidx, port, b1)
-        if loser.size:
-            blocked_moves[:] += _count(pidx[loser] >> shift)
-            keep = np.ones(pidx.size, dtype=bool)
-            keep[loser] = False
-            pidx, pd, port = pidx[keep], pd[keep], port[keep]
-            inslot = pidx & np.int64(S - 1)
-        target = (pidx - inslot) + arc_f[j][(inslot & ~1) | port]
-        d1n = dst[j + 1]
-        free = d1n[target] < 0
-        if not free.all():
-            blocked_moves[:] += _count(pidx[~free] >> shift)
-            pidx, pd, target = pidx[free], pd[free], target[free]
-        d1n[target] = pd
-        birth[j + 1][target] = b1[pidx]
-        origin[j + 1][target] = origin[j][pidx]
-        d1[pidx] = -1
-        total_hops[:] += _count(pidx >> shift)
-
-    def _inject(
-        now: int, row: np.ndarray | None, act: np.ndarray | None
-    ) -> None:
-        if row is not None:
-            rowf = row.reshape(-1)
-            draws = (wait_dst_f < 0) & (rowf >= 0)
-            offered[:] += draws.reshape(B, n_in).sum(axis=1)
-            if not all_alive:
-                dead = draws & src_dead_f
-                if dead.any():
-                    unroutable[:] += dead.reshape(B, n_in).sum(axis=1)
-                    draws &= src_alive_f
-            wait_dst_f[draws] = rowf[draws]
-            wait_birth_f[draws] = now
-        ridx = np.flatnonzero((wait_dst_f >= 0) & (dst[0] < 0))
-        if act is not None and ridx.size:
-            ridx = ridx[act[ridx >> shift]]
-        if not ridx.size:
-            return
-        dst[0][ridx] = wait_dst_f[ridx]
-        birth[0][ridx] = wait_birth_f[ridx]
-        origin[0][ridx] = ridx & np.int64(S - 1)
-        wait_dst_f[ridx] = -1
-        injected[:] += _count(ridx >> shift)
-
-    occ_buf = np.empty((n, B * S), dtype=bool)
     for cycle in range(cycles):
-        _eject(cycle, None)
-        for j in range(n - 2, -1, -1):
-            _move(j, None)
-        _inject(cycle, tmats[cycle], None)
-        np.greater_equal(dst, 0, out=occ_buf)
-        occupancy += occ_buf.reshape(n, B, S).sum(axis=2)
-
+        _cycle(cycle, tmats[cycle])
+    occupancy = occ_acc[1:].sum(axis=2, dtype=np.int64)
     drain_cycles = np.zeros(B, dtype=np.int64)
-    if drain:
-        def _in_net() -> np.ndarray:
-            return (
-                (dst >= 0).reshape(n, B, S).sum(axis=(0, 2))
-                + (wait_dst >= 0).sum(axis=1)
-            )
+    now, bound = cycles, cycles + (n + 1) * int(occ.sum())
+    while drain and (busy := occ.any(axis=(0, 2))).any():
+        if now > bound:     # see the drain argument in the module notes
+            raise RuntimeError("block drain failed to empty the network")
+        _cycle(now, None)
+        drain_cycles += busy
+        now += 1
 
-        limit = _in_net() * (n + 2) + 4 * n + 16
-        cycle = cycles
-        act = (_in_net() > 0) & (drain_cycles < limit)
-        while act.any():
-            _eject(cycle, act)
-            for j in range(n - 2, -1, -1):
-                _move(j, act)
-            _inject(cycle, None, act)
-            drain_cycles[act] += 1
-            cycle += 1
-            act = (_in_net() > 0) & (drain_cycles < limit)
-
-    in_flight = (
-        (dst >= 0).reshape(n, B, S).sum(axis=(0, 2))
-        + (wait_dst >= 0).sum(axis=1)
-    )
-    all_idx = np.concatenate(lat_idx) if lat_idx else np.empty(0, np.int64)
-    all_val = np.concatenate(lat_val) if lat_val else np.empty(0, np.int32)
-    # One stable partition by scenario instead of B full-array scans;
-    # stability keeps each scenario's delivery order (hence its latency
-    # statistics) independent of the other scenarios in the slab.
-    order = np.argsort(all_idx, kind="stable")
+    # Latencies in delivery order: by scenario, cycle, then linear slot.
+    lat = np.repeat(np.arange(now, dtype=np.int32), [f.size for f in lat_f])
+    rank = np.concatenate(lat_f)
+    slot = (2 * cell + par)[rank % S]
+    rank //= S
+    delivered = np.bincount(rank, minlength=B)
+    rank *= now
+    rank += lat
+    rank *= S
+    rank += slot
+    del slot, lat_f[:]
+    lat -= np.concatenate(lat_b)
+    order = np.argsort(rank)
+    # The other counters follow from conservation.  An injected packet
+    # is delivered, unroutable or still inside; one at stage k made k
+    # hops; a packet held at the start of a cycle moves, ejects, is
+    # unroutable or is blocked in it.
+    inside = occ[1:].sum(axis=2)
+    lost = lost_acc[1:].sum(axis=2)
+    waiting = occ[0].sum(axis=1)
+    unroutable = lost.sum(axis=0)
+    injected = delivered + unroutable + inside.sum(axis=0)
+    total_hops = n * delivered + (np.arange(n)[:, None] * (inside + lost)).sum(0)
+    held = occ_acc[1:].sum(axis=(0, 2), dtype=np.int64) - inside.sum(axis=0)
     return BatchRun(
-        offered=offered,
+        offered=injected + dead + waiting,
         injected=injected,
         delivered=delivered,
         dropped=np.zeros(B, dtype=np.int64),
-        unroutable=unroutable,
-        blocked_moves=blocked_moves,
+        unroutable=unroutable + dead,
+        blocked_moves=held - total_hops - unroutable,
         total_hops=total_hops,
-        in_flight=in_flight,
+        in_flight=inside.sum(axis=0) + waiting,
         drain_cycles=drain_cycles,
         occupancy=occupancy,
-        lat_sorted=all_val[order],
-        lat_bounds=np.searchsorted(all_idx[order], np.arange(B + 1)),
+        lat_sorted=lat[order],
+        lat_bounds=np.concatenate([[0], np.cumsum(delivered)]),
     )
+
+
+def _arbiter(key: np.ndarray, birth: np.ndarray):
+    """A closure that sets the key of every contention loser to -1.
+
+    The two packets of a switch sit in the parity-major halves of the
+    last axis.  They contend when they want one port; the younger loses,
+    and a tie goes to slot 0.
+    """
+    half = key.shape[-1] // 2
+    k0, k1 = key.reshape(-1, 2, half).transpose(1, 0, 2)
+    b0, b1 = birth.reshape(-1, 2, half).transpose(1, 0, 2)
+    lose = np.empty((2, *k0.shape), dtype=bool)
+    tie, routed = np.empty_like(lose[0]), np.empty_like(lose[0])
+    lose8 = lose.view(np.int8).transpose(1, 0, 2)
+    neg = np.empty(k0.shape[:1] + (2, half), dtype=np.int8)
+    keys = key.reshape(neg.shape)
+
+    def arbitrate() -> None:
+        np.equal(k0, k1, out=tie)
+        np.greater_equal(k0, 0, out=routed)
+        np.logical_and(tie, routed, out=tie)
+        np.less(b1, b0, out=lose[0])
+        np.logical_and(lose[0], tie, out=lose[0])
+        np.greater(tie, lose[0], out=lose[1])       # tie and not lose[0]
+        np.negative(lose8, out=neg)
+        np.bitwise_or(keys, neg, out=keys)
+
+    return arbitrate

@@ -1,6 +1,6 @@
 """Tests for the pluggable simulation kernel backends.
 
-Four layers of guarantees:
+Five layers of guarantees:
 
 * **Selection** — ``resolve_backend`` honours explicit names, the
   ``REPRO_SIM_BACKEND`` environment variable and availability-aware
@@ -20,6 +20,10 @@ Four layers of guarantees:
   ``n_stages``, wait buffers never hold, drain within ``n_stages``
   cycles) is asserted on the scalar oracle, and the kernel matches the
   oracle at any row chunking.
+* **The block path** — the stage-parallel NumPy ``block`` kernel
+  matches the oracle on every catalog topology at 5-6 stages and up
+  to 16 scenarios, and on a pipeline that vacates and refills a full
+  column in one cycle; its drain bound is asserted on the oracle.
 * **Compile cache** — the LRU is keyed by structural content digest
   (equal tables share an entry across rebuilds), and its budget is
   configurable via setter, spec field and environment variable.
@@ -266,12 +270,15 @@ class TestFusedKernelSemantics:
             ],
             axis=1,
         )
-        for b in (1, 2):
-            ref, fused = _slab_runs(
-                net, None, tmats[:, :b], scheds[:b], 20, True, True
-            )
-            _assert_runs_identical(ref, fused)
-            assert not ref.dropped.any() and not ref.unroutable.any()
+        # ``drop`` drained, then ``block`` with drain on and off (the
+        # stage-parallel kernel's schedule-gather branch).
+        for drop, drain in ((True, True), (False, True), (False, False)):
+            for b in (1, 2):
+                ref, fused = _slab_runs(
+                    net, None, tmats[:, :b], scheds[:b], 20, drop, drain
+                )
+                _assert_runs_identical(ref, fused)
+                assert not ref.dropped.any() and not ref.unroutable.any()
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -378,6 +385,126 @@ class TestDropPathArgument:
         assert (run.drain_cycles <= n).all()
         if drain:
             assert not run.in_flight.any()
+
+
+class TestBlockPathArgument:
+    """Under ``block`` each stage moves what it held a cycle ago.
+
+    A cycle runs back to front and only stage ``j - 1`` feeds stage
+    ``j``, so when stage ``j`` moves it still holds its state from the
+    end of the previous cycle.  The stage-parallel NumPy ``block``
+    kernel routes and arbitrates every stage from that state in one
+    pass, and only back-pressure (a free or just-vacated target slot)
+    runs stage by stage.  Here the kernel meets the independent Python
+    fused loop on shapes and topologies the tests above do not reach,
+    and the drain argument it relies on is asserted on that loop.
+    """
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    @settings(max_examples=4, deadline=None)
+    @given(
+        order=st.integers(min_value=5, max_value=6),
+        batch=st.sampled_from([1, 4, 16]),
+        n_cells=st.integers(min_value=0, max_value=3),
+        n_links=st.integers(min_value=0, max_value=4),
+        spare_terminals=st.booleans(),
+        drain=st.booleans(),
+        cycles=st.integers(min_value=4, max_value=24),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_matches_scalar_oracle(
+        self, name, order, batch, n_cells, n_links, spare_terminals,
+        drain, cycles, seed,
+    ):
+        net = NetworkSpec.catalog(name, n=order).resolve()
+        faults = FaultSet.random(
+            np.random.default_rng(seed ^ 0xFA117),
+            net.n_stages,
+            net.size,
+            n_dead_cells=n_cells,
+            n_dead_links=n_links,
+            spare_terminal_stages=spare_terminals,
+        )
+        # Per-scenario patterns and rates, so drained scenarios empty on
+        # different cycles.
+        tmats = np.empty((cycles, batch, net.n_inputs), dtype=np.int32)
+        for i in range(batch):
+            pattern = ALL_PATTERNS[(seed + i) % len(ALL_PATTERNS)]
+            traffic = _traffic_for(
+                pattern, 0.3 + 0.7 * (i % 3) / 2, net.n_inputs, seed + i
+            )
+            tmats[:, i] = traffic.destinations(
+                np.random.default_rng(seed + i), net.n_inputs, cycles
+            )
+        ref, fused = _slab_runs(net, faults, tmats, None, cycles, False, drain)
+        _assert_runs_identical(ref, fused)
+        assert not fused.dropped.any()
+        if drain:
+            # Each drain cycle advances the deepest occupied stage, so a
+            # scenario empties within n + 1 cycles per packet it held.
+            held = numba_backend.run_batch(
+                compile_network(net, faults), tmats, None, cycles, False,
+                False, python=True,
+            ).in_flight
+            assert (fused.drain_cycles <= (net.n_stages + 1) * held).all()
+            assert not fused.in_flight.any()
+
+    def test_faulted_slab_with_dead_sources_drains_unevenly(self):
+        net = omega(5)
+        faults = FaultSet(
+            dead_cells=frozenset({(1, 3), (3, 5)}),
+            dead_links=frozenset({(2, 7, 0), (4, 1, 1)}),
+        )
+        comp = compile_network(net, faults)
+        assert not comp.src_alive.all()
+        tmats = np.stack(
+            [
+                _traffic_for(p, r, net.n_inputs, 5).destinations(
+                    np.random.default_rng(i), net.n_inputs, 30
+                )
+                for i, (p, r) in enumerate(
+                    [("uniform", 0.2), ("hotspot", 1.0), ("bitrev", 0.7)]
+                )
+            ],
+            axis=1,
+        )
+        ref, fused = _slab_runs(net, faults, tmats, None, 30, False, True)
+        _assert_runs_identical(ref, fused)
+        assert fused.unroutable.all()
+        assert len(set(fused.drain_cycles.tolist())) == 3
+
+    def test_full_column_vacates_and_refills_in_one_cycle(self):
+        # Every source sends, every cycle, to the output its all-straight
+        # (scenario 0) or all-crossed (scenario 1) switch path reaches,
+        # so no two packets ever want one port.  The pipeline then runs
+        # full: each cycle every stage moves into slots its next stage
+        # left in that same cycle.  A back-pressure chain that read the
+        # state from before the cycle's moves would block them.
+        net = omega(4)
+        comp = compile_network(net)
+        n, n_in, cycles = net.n_stages, net.n_inputs, 12
+        dests = []
+        for cross in (0, 1):
+            row = []
+            for src in range(n_in):
+                cell, slot = src >> 1, src & 1
+                for j in range(n - 1):
+                    port = slot ^ cross
+                    cell, slot = (
+                        comp.child[j, cell, port], comp.slots[j, cell, port]
+                    )
+                row.append(2 * cell + (slot ^ cross))
+            dests.append(row)
+        tmats = np.broadcast_to(
+            np.array(dests, dtype=np.int32), (cycles, 2, n_in)
+        ).copy()
+        ref, fused = _slab_runs(net, None, tmats, None, cycles, False, False)
+        _assert_runs_identical(ref, fused)
+        assert not fused.blocked_moves.any()
+        assert (fused.delivered == n_in * (cycles - n)).all()
+        assert (fused.lat_sorted == n).all()
+        full = n_in * (cycles - np.arange(n))
+        assert (fused.occupancy == full[:, None]).all()
 
 
 def _uniform_slab(net, cycles, batch, seed):

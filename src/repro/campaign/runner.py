@@ -12,17 +12,19 @@ scenarios.
 
 Two layers of batching and caching keep the sweep hot:
 
-* **Scenario groups.**  Pending scenarios are grouped by
+* **Scenario groups.**  Pending scenarios are packed by
+  :func:`~repro.sim.batch.pack_slabs`: grouped by
   :meth:`~repro.spec.scenario.ScenarioSpec.group_key` — same topology,
-  cycles, policy, drain and fault sample — and each group (up to
-  ``batch`` scenarios) runs as one
-  :func:`~repro.sim.batch.simulate_batch` call: one compiled network,
-  one pass over the cycle loop, bit-identical per-scenario reports.
-  ``batch=1`` recovers the per-scenario dispatch exactly.
+  cycles, policy and drain — and, within a group, by fault sample, whole
+  samples at a time, into tasks of at most ``batch`` scenarios and
+  :data:`~repro.sim.batch.SLAB_SAMPLES` samples.  Each task runs as one
+  :func:`~repro.sim.batch.simulate_batch` call: one compilation per
+  sample, one pass over the cycle loop, bit-identical per-scenario
+  reports.  ``batch=1`` recovers the per-scenario dispatch exactly.
 * **Warm persistent workers.**  Pool workers live for the whole sweep
   and start hot: the pool initializer grows the digest-keyed
   compiled-network LRU (:func:`repro.sim.compiled.ensure_compile_cache_min`)
-  to the sweep's distinct ``(topology, faults)`` groups, and — when the
+  to the sweep's distinct ``(topology, fault sample)`` pairs, and — when the
   selected kernel backend resolves to ``numba`` — pre-compiles the
   fused JIT loop (:func:`repro.sim.kernels.warm_jit`) so no slab pays
   the one-time compile.  Network resolution is additionally memoized per
@@ -63,7 +65,6 @@ from __future__ import annotations
 
 import os
 import time
-from collections import OrderedDict
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Mapping
@@ -86,7 +87,7 @@ from repro.obs import trace as obs
 from repro.obs.log import get_logger
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import metrics
-from repro.sim.batch import simulate_batch
+from repro.sim.batch import pack_slabs, simulate_batch
 from repro.sim.compiled import compile_cache_info, ensure_compile_cache_min
 from repro.sim.engine import simulate
 from repro.sim.kernels import resolve_backend, warm_jit
@@ -207,25 +208,6 @@ def _worker_init(
         warm_jit()
 
 
-def _group_pending(
-    pending: list[ScenarioSpec], batch: int
-) -> list[list[ScenarioSpec]]:
-    """Split the pending scenarios into batch-compatible group tasks.
-
-    Groups follow first-appearance order of their keys (deterministic:
-    expansion order is fixed) and are chunked to at most ``batch``
-    scenarios so one task never grows an unbounded state slab.
-    """
-    groups: "OrderedDict[str, list[ScenarioSpec]]" = OrderedDict()
-    for spec in pending:
-        groups.setdefault(spec.group_key(), []).append(spec)
-    tasks: list[list[ScenarioSpec]] = []
-    for specs in groups.values():
-        for i in range(0, len(specs), batch):
-            tasks.append(specs[i : i + batch])
-    return tasks
-
-
 def run_campaign(
     spec: CampaignSpec,
     store_path: str | Path,
@@ -261,7 +243,8 @@ def run_campaign(
         module top level — or use ``workers=1``.
     batch:
         Maximum scenarios fused into one ``simulate_batch`` call
-        (grouped by topology, cycles, policy, drain and fault sample).
+        (grouped by topology, cycles, policy and drain; at most
+        :data:`~repro.sim.batch.SLAB_SAMPLES` fault samples per call).
         ``1`` disables batching and dispatches per scenario.
     resume:
         Skip scenarios whose digests the store already holds — the
@@ -430,16 +413,16 @@ def run_campaign(
             "store": str(store.path),
             "compile_cache": {"hits": 0, "misses": 0},
         }
-    tasks = _group_pending(pending, batch)
-    # Size the compiled-network LRU to the sweep: distinct group keys
-    # bound the distinct (topology, faults) compilations in play, and a
-    # budget below that count would thrash on every group boundary.
-    # Enlarge-only (capped at 64 groups' worth), so a larger budget the
+    tasks = [[pending[i] for i in slab] for slab in pack_slabs(pending, batch)]
+    # Size the compiled-network LRU to the sweep: each distinct (group
+    # key, fault sample) pair is one (topology, faults) compilation, and
+    # a budget below that count would thrash on every task boundary.
+    # Enlarge-only (capped at 64 compilations), so a larger budget the
     # user configured via REPRO_SIM_COMPILE_CACHE or
     # set_compile_cache_max always wins.
     cache_max = max(
         compile_cache_info()["maxsize"],
-        min(64, len({s.group_key() for s in pending})),
+        min(64, len({(s.group_key(), s.faults) for s in pending})),
     )
     resolved = resolve_backend(
         backend if backend is not None else pending[0].sim.backend

@@ -1,9 +1,11 @@
 """Scenario-axis batched simulation: B runs through one set of kernels.
 
-Every simulation is a *slab*: ``B`` same-shape scenarios — one compiled
-network, shared ``(cycles, policy, faults, drain)``, per-scenario
-traffic, seed and (optionally) port schedule — run as a single pass
-through one backend kernel.  :func:`simulate_batch` runs any ``B``;
+Every simulation is a *slab*: ``B`` same-shape scenarios — one network,
+shared ``(cycles, policy, drain)``, per-scenario traffic, seed, fault
+sample and (optionally) port schedule — run as a single pass through one
+backend kernel.  A slab carries up to :data:`SLAB_SAMPLES` distinct
+fault samples: each is compiled once, and every scenario reads the
+tables of its own sample.  :func:`simulate_batch` runs any ``B``;
 :func:`repro.sim.engine.simulate` is a slab of one.  Both go through one
 private runner that validates, materializes the traffic, compiles,
 calls the backend's ``run_batch``, records the ``sim.*`` metrics and
@@ -36,6 +38,9 @@ kernel per contention policy:
   through the network in ``n`` dense passes, and the cycle loop is
   gone.
 
+Both stack the per-sample port tables, link masks and source masks and
+offset each scenario's lookups by its sample index.
+
 The optional ``numba`` backend runs each scenario of the slab through
 one fused JIT-compiled cycle loop, for both policies.  Reports are
 bit-identical across backends.
@@ -59,9 +64,15 @@ from repro.sim.kernels import get_backend, resolve_backend
 from repro.sim.metrics import SimReport, latency_summary
 from repro.sim.traffic import TrafficPattern
 
-__all__ = ["BatchScenario", "simulate_batch"]
+__all__ = ["SLAB_SAMPLES", "BatchScenario", "pack_slabs", "simulate_batch"]
 
 _POLICIES = ("drop", "block")
+
+#: Most distinct fault samples one slab carries.  The kernels stack each
+#: sample's ``(n-1, M, M)`` int8 port tables, so the cap bounds that
+#: memory at ``SLAB_SAMPLES·(n-1)·M²`` bytes and keeps a campaign's
+#: first task small.
+SLAB_SAMPLES = 4
 
 
 def _check_port_schedule(
@@ -81,24 +92,63 @@ def _check_port_schedule(
     return sched.astype(np.int8)
 
 
-def _simulate_spec_batch(specs, backend: str | None) -> list[SimReport]:
-    """Group specs by batch-compatibility key and run each group batched.
+def pack_slabs(specs, batch: int | None = None) -> list[list[int]]:
+    """Pack scenario specs into slabs, as lists of indices into ``specs``.
 
-    Groups follow first-appearance order of their keys; within a group
-    only the traffic spec and the simulation seed vary, so the group's
-    head resolves the shared network, fault sample and run parameters
-    once.  Reports return in input order.
+    Specs are grouped by
+    :meth:`~repro.spec.scenario.ScenarioSpec.group_key` and, within a
+    group, bucketed by fault sample, both in first-appearance order
+    (deterministic: expansion order is fixed).  Whole buckets are packed
+    into slabs of at most ``batch`` scenarios (unbounded when ``None``)
+    and at most :data:`SLAB_SAMPLES` distinct samples; a bucket larger
+    than ``batch`` is cut at multiples of ``batch`` only.
     """
-    groups: "dict[str, list[int]]" = {}
+    groups: "dict[str, dict]" = {}
     for i, spec in enumerate(specs):
-        groups.setdefault(spec.group_key(), []).append(i)
+        groups.setdefault(spec.group_key(), {}).setdefault(
+            spec.faults, []
+        ).append(i)
+    cap = len(specs) if batch is None else batch
+    slabs: list[list[int]] = []
+    for buckets in groups.values():
+        slab: list[int] = []
+        n_samples = 0
+        for idxs in buckets.values():
+            if slab and (
+                len(slab) + len(idxs) > cap or n_samples == SLAB_SAMPLES
+            ):
+                slabs.append(slab)
+                slab, n_samples = [], 0
+            while len(idxs) > cap:
+                slabs.append(idxs[:cap])
+                idxs = idxs[cap:]
+            slab += idxs
+            n_samples += 1
+        slabs.append(slab)
+    return slabs
+
+
+def _simulate_spec_batch(specs, backend: str | None) -> list[SimReport]:
+    """Pack specs into slabs (:func:`pack_slabs`) and run each one.
+
+    Within a slab only the traffic spec, the simulation seed and the
+    fault sample vary, so the slab's head resolves the shared network
+    and run parameters once, and each distinct sample is drawn once.
+    Reports return in input order.
+    """
     reports: list[SimReport | None] = [None] * len(specs)
-    for idxs in groups.values():
+    for idxs in pack_slabs(specs):
         head = specs[idxs[0]].resolve()
         if head.compile_cache is not None:
             ensure_compile_cache_min(head.compile_cache)
+        net = head.network
+        buckets: dict = {}
+        sample = [
+            buckets.setdefault(specs[i].faults, len(buckets)) for i in idxs
+        ]
+        faults = [fs.sample(net.n_stages, net.size) for fs in buckets]
         group_reports = _run_slab(
-            head.network,
+            net,
             [
                 BatchScenario(
                     traffic=specs[i].traffic.resolve(),
@@ -109,7 +159,8 @@ def _simulate_spec_batch(specs, backend: str | None) -> list[SimReport]:
             ],
             cycles=head.cycles,
             policy=head.policy,
-            faults=head.faults,
+            faults=faults,
+            sample=np.array(sample, dtype=np.intp),
             drain=head.drain,
             network_name=None,
             backend=backend if backend is not None else head.backend,
@@ -159,10 +210,10 @@ def simulate_batch(
 
     * ``simulate_batch(specs)`` — the primary form: a list of
       :class:`~repro.spec.scenario.ScenarioSpec` values.  Specs are
-      grouped by :meth:`~repro.spec.scenario.ScenarioSpec.group_key`
-      (same topology, cycles, policy, drain and fault sample), each
-      group resolves its network once and runs as one batched pass, and
-      the reports come back in input order.  Keywords other than
+      packed into slabs by :func:`pack_slabs` (same topology, cycles,
+      policy and drain; at most :data:`SLAB_SAMPLES` fault samples per
+      slab), each slab resolves its network once and runs as one batched
+      pass, and the reports come back in input order.  Keywords other than
       ``backend`` are forbidden — every run parameter lives in the
       specs.
     * ``simulate_batch(net, scenarios, **kwargs)`` — the low-level
@@ -243,7 +294,7 @@ def simulate_batch(
         ],
         cycles=cycles,
         policy=policy,
-        faults=faults,
+        faults=[faults],
         drain=drain,
         network_name=network_name,
         backend=backend,
@@ -256,17 +307,21 @@ def _run_slab(
     *,
     cycles: int | None,
     policy: str | None,
-    faults: FaultSet | None,
+    faults: "list[FaultSet | None]",
     drain: bool | None,
     network_name: str | None,
     backend: str | None,
+    sample: np.ndarray | None = None,
     kind: str = "batch",
     digests=(),
 ) -> list[SimReport]:
     """Run one slab of scenarios and assemble a report for each.
 
     The single path behind ``simulate`` (``kind="simulate"``, a slab of
-    one) and the engine form of ``simulate_batch`` (``kind="batch"``).
+    one) and both forms of ``simulate_batch`` (``kind="batch"``).
+    ``faults`` lists the slab's distinct fault samples, each compiled
+    once, and ``sample[i]`` indexes scenario ``i``'s (all 0 when
+    ``None``).
     ``kind`` names the top-level manifest and, through
     :data:`repro.obs.schema.SLAB_ROOT_SPANS`, the root span whose
     ``traffic``/``compile``/``run`` children time the phases; the phase
@@ -329,13 +384,16 @@ def _run_slab(
                 tmats[:, i] = tmat
 
         with obs.span("compile") as sp_compile:
-            comp = compile_network(net, faults)
+            comps = [compile_network(net, f) for f in faults]
         kern = get_backend(backend)
+        if sample is None:
+            sample = np.zeros(B, dtype=np.intp)
 
         with obs.span("run") as sp_run:
             start = time.perf_counter()
             run = kern.run_batch(
-                comp, tmats, scheds, cycles, policy == "drop", drain
+                comps, sample, tmats, scheds, cycles, policy == "drop",
+                drain,
             )
             elapsed = time.perf_counter() - start
         resolved = None

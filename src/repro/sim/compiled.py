@@ -5,9 +5,9 @@ Everything the cycle loop needs that depends only on ``(topology, faults)``
 tables, degraded reachability — is derived here exactly once and reused
 across runs.  :func:`compile_network` keeps a small keyed cache, so the
 second ``simulate`` call on the same network (the common case in sweeps,
-benchmarks and the campaign engine) skips recompilation entirely; the
-batched kernels of :func:`repro.sim.batch.simulate_batch` share one
-compilation across a whole scenario slab.
+benchmarks and the campaign engine) skips recompilation entirely; a
+scenario slab of :func:`repro.sim.batch.simulate_batch` compiles each of
+its fault samples once, and its scenarios share those compilations.
 
 The compiled arrays are stacked (one array per concept, leading stage
 axis) and frozen read-only: a :class:`CompiledNetwork` is a value, never

@@ -273,7 +273,7 @@ def simulate(
         ],
         cycles=cycles,
         policy=policy,
-        faults=faults,
+        faults=[faults],
         drain=drain,
         network_name=network_name,
         backend=backend,

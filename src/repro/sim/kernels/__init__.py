@@ -27,10 +27,14 @@ frozen int32/int8 tables:
 Both backends implement one entry point and give **bit-identical**
 reports (property-tested):
 
-* ``run_batch(comp, tmats, scheds, cycles, drop, drain) -> BatchRun``
+* ``run_batch(comps, sample, tmats, scheds, cycles, drop, drain) -> BatchRun``
 
-A single scenario is a slab of one (``tmats`` of shape
-``(cycles, 1, N)``).
+``comps`` holds the slab's K distinct
+:class:`~repro.sim.compiled.CompiledNetwork` values — one topology, one
+fault sample each — and ``sample`` is a ``(B,)`` index into them: the
+scenarios of one slab may run on different fault samples.  A single
+scenario is a slab of one (``tmats`` of shape ``(cycles, 1, N)``,
+``sample`` ``[0]``).
 
 Backend selection flows through one function, :func:`resolve_backend`:
 an explicit name (``SimPolicy.backend``, the ``--backend`` CLI flag, or
@@ -142,5 +146,7 @@ def warm_jit() -> bool:
     with obs.span("warm_jit"):
         comp = CompiledNetwork(omega(2), FaultSet())
         tmats = np.zeros((1, 1, comp.n_inputs), dtype=np.int32)
-        numba_backend.run_batch(comp, tmats, None, 1, True, True)
+        numba_backend.run_batch(
+            [comp], np.zeros(1, dtype=np.intp), tmats, None, 1, True, True
+        )
     return True

@@ -339,7 +339,8 @@ def _run_one(comp, tmat, sched, cycles, drop, drain, python):
 
 
 def run_batch(
-    comp,
+    comps,
+    sample: np.ndarray,
     tmats: np.ndarray,
     scheds: np.ndarray | None,
     cycles: int,
@@ -350,22 +351,23 @@ def run_batch(
 ) -> BatchRun:
     """Run a ``(cycles, B, N)`` slab as B independent fused runs.
 
-    Scenarios of a batch never interact, so running them back to back
-    through the jitted loop reproduces the batched NumPy kernel's
-    results exactly while keeping each run's working set (one scenario's
-    packet state) cache-resident.  ``python=True`` forces the
-    undecorated Python version of the loop — the independent scalar
-    oracle the test suite checks the NumPy backend against without a
-    JIT in the way.
+    Scenario ``i`` runs on ``comps[sample[i]]``, its fault sample's
+    compiled tables.  Scenarios of a batch never interact, so running
+    them back to back through the jitted loop reproduces the batched
+    NumPy kernel's results exactly while keeping each run's working set
+    (one scenario's packet state) cache-resident.  ``python=True``
+    forces the undecorated Python version of the loop — the independent
+    scalar oracle the test suite checks the NumPy backend against
+    without a JIT in the way.
     """
     B = tmats.shape[1]
-    n = comp.n_stages
+    n = comps[0].n_stages
     counters = np.zeros((9, B), dtype=np.int64)
     occupancy = np.zeros((n, B), dtype=np.int64)
     lats: list[np.ndarray] = []
     for i in range(B):
         out = _run_one(
-            comp,
+            comps[sample[i]],
             np.ascontiguousarray(tmats[:, i, :]),
             scheds[i] if scheds is not None else None,
             cycles,

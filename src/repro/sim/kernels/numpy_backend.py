@@ -5,6 +5,15 @@ is a slab with ``B = 1``.  Their semantics are the contract every other
 backend is property-tested against — when in doubt about an arbitration
 or counting rule, this file is the specification.
 
+A slab may mix K fault samples of one topology.  Each kernel lays
+the K samples' port tables, link masks and source masks side by side
+and offsets every scenario's lookups by its sample index, so K = 1 runs
+the same code.  A per-gap fast-path flag holds for the slab only if it
+holds for every sample: the ``-2`` resolution and the unreachable count
+run if any sample needs them, and the dead-link filter unless every
+sample's links are alive; on a sample that does not need them they
+change nothing.
+
 Model
 -----
 Each stage cell is a 2×2 switch with one buffer slot per input link.  A
@@ -75,21 +84,37 @@ _CHUNK_SLOTS = 1 << 16
 
 
 def run_batch(
-    comp,
+    comps,
+    sample: np.ndarray,
     tmats: np.ndarray,
     scheds: np.ndarray | None,
     cycles: int,
     drop: bool,
     drain: bool,
 ) -> BatchRun:
-    """Run a ``(cycles, B, N)`` traffic slab; see module docstring."""
+    """Run a ``(cycles, B, N)`` traffic slab; see module docstring.
+
+    Scenario ``b`` runs on ``comps[sample[b]]``, its fault sample's
+    compiled tables.
+    """
+    sample = np.asarray(sample, dtype=np.intp)
     if drop:
-        return _run_drop(comp, tmats, scheds, cycles, drain)
-    return _run_block(comp, tmats, scheds, cycles, drain)
+        return _run_drop(comps, sample, tmats, scheds, cycles, drain)
+    return _run_block(comps, sample, tmats, scheds, cycles, drain)
+
+
+def _gap_flags(comps) -> tuple[tuple, tuple, tuple]:
+    """The slab's per-gap ``has_amb``, ``has_unreachable``, ``links_ok``."""
+    return (
+        tuple(map(any, zip(*(c.has_amb for c in comps)))),
+        tuple(map(any, zip(*(c.has_unreachable for c in comps)))),
+        tuple(map(all, zip(*(c.links_ok for c in comps)))),
+    )
 
 
 def _run_drop(
-    comp,
+    comps,
+    sample: np.ndarray,
     tmats: np.ndarray,
     scheds: np.ndarray | None,
     cycles: int,
@@ -104,14 +129,21 @@ def _run_drop(
     it steps only rows ``r <= cycles - 2 - j``; the row it leaves
     behind is in flight.
     """
+    comp = comps[0]                   # the topology every sample shares
     n, size, n_in = comp.n_stages, comp.size, comp.n_inputs
-    B = tmats.shape[1]
+    B, K = tmats.shape[1], len(comps)
     S = 2 * size
+    has_amb, has_unreachable, links_ok = _gap_flags(comps)
     pos = np.arange(S)
     cell = pos % size                 # parity-major slot -> its cell
     nat = 2 * cell + pos // size      # parity-major -> linear slot
-    ptabs_f = comp.ptabs.reshape(n - 1, size * size)
-    links_f = comp.links.reshape(n - 1, S)
+    # Per gap, the K samples' port tables and link masks side by side;
+    # scenario ``b`` reads them at its sample's offset.  The ``(B, S)``
+    # offsets are laid out slot-major, as ``_move`` lays out the state.
+    ptabs_f = np.stack([c.ptabs for c in comps], 1).reshape(n - 1, -1)
+    links_f = np.stack([c.links for c in comps], 1).reshape(n - 1, K * S)
+    pbase = ((cell * size)[:, None] + sample * (size * size)).T
+    lbase = ((2 * cell)[:, None] + sample * S).T
     # Every next-stage slot has exactly one in-arc, so a move is a
     # gather: ``feed[j, i]`` is the out-arc (port-major ``port·M +
     # cell``) that lands in parity-major slot ``i`` of stage ``j + 1``.
@@ -124,7 +156,7 @@ def _run_drop(
         sched = np.full((n, B * n_in + 1), -1, dtype=np.int8)
         sched[:, :-1] = scheds.transpose(1, 0, 2).reshape(n, B * n_in)
         origin0 = np.arange(B)[:, None] * n_in + nat
-    alive0 = comp.src_alive[nat]
+    alive0 = np.stack([c.src_alive for c in comps])[sample][:, nat]
     all_alive = bool(alive0.all())
 
     offered = np.zeros(B, dtype=np.int64)
@@ -183,8 +215,8 @@ def _run_drop(
             # ``key``: the out-port of each slot, -1 when it is empty or
             # its packet is unroutable.
             if sched is None:
-                key = ptabs_f[j][cell * size + (d >> 1)]
-                if comp.has_amb[j]:
+                key = ptabs_f[j][pbase + (d >> 1)]
+                if has_amb[j]:
                     # Stage j+1 is empty whenever stage j moves, so an
                     # ambiguous port always resolves to port 0.
                     key[key == -2] = 0
@@ -192,10 +224,10 @@ def _run_drop(
             else:
                 org = org[: hi - r0]
                 key = sched[j][org]
-            if not comp.links_ok[j]:
-                key = np.where(links_f[j][2 * cell + (key & 1)], key, -1)
+            if not links_ok[j]:
+                key = np.where(links_f[j][lbase + (key & 1)], key, -1)
             acnt = cnt
-            if comp.has_unreachable[j] or not comp.links_ok[j]:
+            if has_unreachable[j] or not links_ok[j]:
                 acnt = _count_slots(key >= 0)
             # Slot 0 wins a contended port (both packets were born in
             # the same cycle).
@@ -257,7 +289,8 @@ def _move(v: np.ndarray, sel, feed: np.ndarray) -> np.ndarray:
 
 
 def _run_block(
-    comp,
+    comps,
+    sample: np.ndarray,
     tmats: np.ndarray,
     scheds: np.ndarray | None,
     cycles: int,
@@ -273,31 +306,38 @@ def _run_block(
     unroutable or beaten), ``tgt`` the flat index its packet would move
     to, and ``free`` the slots that are empty or vacate this cycle.
     """
+    comp = comps[0]                   # the topology every sample shares
     n, size, n_in = comp.n_stages, comp.size, comp.n_inputs
-    B = tmats.shape[1]
+    B, K = tmats.shape[1], len(comps)
     S, L = 2 * size, n - 1
+    has_amb, has_unreachable, links_ok = _gap_flags(comps)
     pos = np.arange(S)
     cell, par = pos % size, pos // size
     row = np.arange(n)[:, None, None]         # the rows that move
     scen = np.arange(B)[:, None]
     # Port table, read at ``kbase + (dst >> kshift)``; each row starts
     # with -1 for an empty slot (dst = -1).  The wait rows give a packet
-    # its slot's parity, row ``(j, cell)`` of stage ``j`` the fault-aware
-    # port by ``dst >> 1`` (-1 through a dead link, ``-2`` resolved in
-    # the chain), and the eject row ``dst & 1``.
-    ports = comp.ptabs
-    if not all(comp.links_ok):
-        ok = np.take_along_axis(comp.links, (ports & 1).astype(np.intp), 2)
+    # its slot's parity, row ``(k, j, cell)`` of sample ``k``'s stage
+    # ``j`` the fault-aware port by ``dst >> 1`` (-1 through a dead link,
+    # ``-2`` resolved in the chain), and the eject row ``dst & 1``.
+    ports = np.stack([c.ptabs for c in comps])            # (K, L, M, M)
+    links = np.stack([c.links for c in comps])            # (K, L, M, 2)
+    if not all(links_ok):
+        ok = np.take_along_axis(links, (ports & 1).astype(np.intp), 3)
         ports = np.where(ok | (ports < 0), ports, -1)
     span, stage0 = n_in + 1, 2 * (n_in + 1)
-    eject0 = stage0 + L * size * (size + 1)
+    block = L * size * (size + 1)                 # one sample's stage rows
+    eject0 = stage0 + K * block
     tab = np.full(eject0 + span, -1, dtype=np.int8)
     tab[1:span], tab[span + 1 : stage0] = 0, 1
-    tab[stage0:eject0].reshape(L, size, size + 1)[..., 1:] = ports
+    tab[stage0:eject0].reshape(K, L, size, size + 1)[..., 1:] = ports
     tab[eject0 + 1 :] = np.arange(n_in) & 1
-    kbase = np.empty((n + 1, 1, S), dtype=np.intp)
+    kbase = np.empty((n + 1, B, S), dtype=np.intp)
     kbase[0] = par * span + 1
-    kbase[1:n, 0] = stage0 + (row[:L, 0] * size + cell) * (size + 1) + 1
+    kbase[1:n] = (
+        stage0 + (row[:L] * size + cell) * (size + 1) + 1
+        + block * sample[:, None]
+    )
     kbase[n] = eject0 + 1
     kshift = np.array([0] + [1] * L + [0], dtype=np.int32)[:, None, None]
     # Out-arc targets as flat state indices, ``[void, port 0, port 1]``
@@ -311,17 +351,21 @@ def _run_block(
     arcs = np.full((n, B, size, 3), void, dtype=np.intp)
     arcs[..., 1:] = tpos[:, None] + S * ((row[..., None] + 1) * B + scen[..., None])
     abase = ((row * B + scen) * size + cell) * 3 + 1
-    links_f, lbase = comp.links.reshape(-1), row[:L] * S + 2 * cell
+    links_f = links.reshape(-1)
+    lbase = (row[:L] + L * sample[:, None]) * S + 2 * cell     # (L, B, S)
     sched = None
     if scheds is not None:
         # (n-1, B, N) flat, read at each packet's source (``origin``).
         sched = np.ascontiguousarray(scheds.transpose(1, 0, 2)[:L]).reshape(-1)
         sbase = (row[:L] * B + scen) * n_in
-    faulty = not all(comp.links_ok) or any(comp.has_unreachable)
+    faulty = not all(links_ok) or any(has_unreachable)
     # Dead sources draw, but their wait buffers never fill.
     tmats = tmats.astype(np.int32, copy=False)
-    dead = (tmats[:, :, ~comp.src_alive] >= 0).sum(axis=(0, 2))
-    live = None if comp.src_alive.all() else comp.src_alive
+    alive = np.stack([c.src_alive for c in comps])[sample]     # (B, N)
+    live = None if alive.all() else alive
+    dead = np.zeros(B, dtype=np.int64)
+    if live is not None:
+        dead = ((tmats >= 0) & ~live).sum(axis=(0, 2))
 
     shape = (n + 1, B, S)
     dst = np.full(shape, -1, dtype=np.int32)
@@ -340,7 +384,7 @@ def _run_block(
     # Stage rows with ``-2`` ports: each slot's port-0 target, arbiter.
     amb = {} if sched is not None else {
         j + 1: (arcs.take(abase[j + 1]), _arbiter(key[j + 1], birth[j + 1]))
-        for j in range(L) if comp.has_amb[j]
+        for j in range(L) if has_amb[j]
     }
     chain = [(r, tgt[r], mv[r], free[r]) for r in range(n - 1, -1, -1)]
     lat_f, lat_b = [], []     # per cycle: ejected slots, their births
@@ -350,7 +394,7 @@ def _run_block(
         k = key[r]
         tab.take(key_i[r], out=k, mode="clip")
         np.putmask(k, k == -2, (~free_buf[port0]).view(np.int8))
-        if not comp.links_ok[r - 1]:
+        if not links_ok[r - 1]:
             np.putmask(k, ~links_f[lbase[r - 1] + k], -1)
         np.less(k, 0, out=free[r])
         np.logical_and(free[r], occ[r], out=unrout[r])
@@ -369,7 +413,7 @@ def _run_block(
             k = key[1:n]
             sched.take(sbase + origin[1:n], out=k, mode="clip")
             np.putmask(k, ~occ[1:n], -1)
-            if not all(comp.links_ok):
+            if not all(links_ok):
                 np.putmask(k, ~links_f[lbase + k], -1)
         np.less(key, 0, out=free)
         if faulty:

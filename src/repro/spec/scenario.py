@@ -42,6 +42,7 @@ import hashlib
 import json
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
@@ -758,29 +759,38 @@ class ScenarioSpec:
             seed=doc.get("seed", 0),
         )
 
-    @property
+    @cached_property
     def digest(self) -> str:
-        """Stable 16-hex content identity (see :func:`scenario_digest`)."""
+        """Stable 16-hex content identity (see :func:`scenario_digest`).
+
+        Computed once per object: the spec is frozen, and a campaign
+        reads each scenario's digest several times before dispatch.
+        """
         return scenario_digest(self.to_spec())
 
     def group_key(self) -> str:
-        """The batch-compatibility key of this scenario.
+        """The batch-compatibility key of this scenario (memoized).
 
         Two scenarios sharing this key may run as one
-        :func:`repro.sim.batch.simulate_batch` call: same topology,
-        cycles, policy, drain and fault sample — only the traffic spec
-        and the simulation seed vary inside a group.
+        :func:`repro.sim.batch.simulate_batch` slab: same topology,
+        cycles, policy and drain.  The traffic spec, the simulation seed
+        and the fault sample vary inside a group; each scenario runs on
+        its own sample's compiled tables (see
+        :func:`repro.sim.batch.pack_slabs`).
         """
-        doc = self.to_spec()
-        return canonical_json(
-            {
-                key: doc[key]
-                for key in (
-                    "topology", "cycles", "policy", "drain",
-                    "fault_cells", "fault_links", "fault_seed",
-                )
-            }
-        )
+        key = self.__dict__.get("_group_key")
+        if key is None:
+            doc = self.to_spec()
+            key = canonical_json(
+                {
+                    name: doc[name]
+                    for name in ("topology", "cycles", "policy", "drain")
+                }
+            )
+            # Frozen dataclass: memoize beside the fields, as
+            # ``cached_property`` does for ``digest``.
+            self.__dict__["_group_key"] = key
+        return key
 
     def resolve(self) -> ResolvedScenario:
         """Materialize the concrete simulator inputs (network memoized)."""

@@ -35,6 +35,7 @@ from repro.networks.catalog import (
     build_network,
 )
 from repro.networks.omega import omega
+from repro.sim.batch import SLAB_SAMPLES, pack_slabs
 
 
 def tiny_spec(**overrides) -> CampaignSpec:
@@ -392,22 +393,52 @@ class TestRunner:
 class TestBatchedRunner:
     """Group-batched dispatch must be invisible in the store contents."""
 
-    def test_group_key_partitions_by_fault_sample(self):
-        scenarios = expand_scenarios(tiny_spec())
-        keys = {}
-        for s in scenarios:
-            keys.setdefault(s.group_key(), []).append(s)
-        # 2 topologies x 2 fault entries; seeds share a group only when
-        # the fault sample (hence fault seed) is shared.
-        for group in keys.values():
-            assert len({
-                (s.label, s.faults.cells, s.faults.links, s.faults.seed)
-                for s in group
-            }) == 1
-        faultfree = [
-            ss for ss in keys.values() if ss[0].faults.cells == 0
+    def test_group_tasks_pack_whole_fault_samples(self):
+        scenarios = expand_scenarios(
+            tiny_spec(
+                traffic=("uniform", "hotspot"), faults=(0, 1, 2),
+                seeds=(0, 1, 2, 3, 4),
+            )
+        )
+        # Fault samples share a key: one group per topology.
+        assert len({s.group_key() for s in scenarios}) == 2
+        buckets = {}
+        for i, s in enumerate(scenarios):
+            buckets.setdefault((s.group_key(), s.faults), []).append(i)
+        assert len(buckets) == 2 * 11 and SLAB_SAMPLES == 4
+        for batch in (1, 3, 4, 16, 64):
+            slabs = pack_slabs(scenarios, batch)
+            for slab in slabs:
+                specs = [scenarios[i] for i in slab]
+                assert len({s.group_key() for s in specs}) == 1
+                assert len(slab) <= batch
+                assert len({s.faults for s in specs}) <= SLAB_SAMPLES
+            # Within a key, slabs run buckets whole and in first-
+            # appearance order.
+            for key in {s.group_key() for s in scenarios}:
+                got = [
+                    i for slab in slabs for i in slab
+                    if scenarios[i].group_key() == key
+                ]
+                want = [
+                    i for (k, _), idxs in buckets.items() if k == key
+                    for i in idxs
+                ]
+                assert got == want
+            # A bucket is cut only into full slabs of its own, plus a
+            # remainder.
+            for idxs in buckets.values():
+                pieces = [
+                    slab for slab in slabs if set(slab) & set(idxs)
+                ]
+                for piece in pieces[:-1]:
+                    assert len(piece) == batch and set(piece) <= set(idxs)
+                assert len(pieces) == max(1, -(-len(idxs) // batch))
+        # At batch 16: the 10 fault-free scenarios plus three 2-scenario
+        # samples, then four samples, then the last three.
+        assert [len(slab) for slab in pack_slabs(scenarios, 16)] == [
+            16, 8, 6, 16, 8, 6,
         ]
-        assert all(len(ss) == 2 for ss in faultfree)  # both seeds fused
 
     def test_batched_store_matches_per_scenario_store(self, tmp_path):
         spec = tiny_spec(traffic=("uniform", "hotspot"))

@@ -182,10 +182,13 @@ ALL_PATTERNS = sorted(set(TRAFFIC_PATTERNS.names()) | {"permutation"})
 
 def _slab_runs(net, faults, tmats, scheds, cycles, drop, drain):
     """NumPy ``run_batch`` and the Python-mode fused loop on one slab."""
-    comp = compile_network(net, faults)
-    ref = numpy_backend.run_batch(comp, tmats, scheds, cycles, drop, drain)
+    comps = [compile_network(net, faults)]
+    sample = np.zeros(tmats.shape[1], dtype=np.intp)
+    ref = numpy_backend.run_batch(
+        comps, sample, tmats, scheds, cycles, drop, drain
+    )
     fused = numba_backend.run_batch(
-        comp, tmats, scheds, cycles, drop, drain, python=True
+        comps, sample, tmats, scheds, cycles, drop, drain, python=True
     )
     return ref, fused
 
@@ -372,7 +375,8 @@ class TestDropPathArgument:
         )
         comp = compile_network(net, faults)
         run = numba_backend.run_batch(
-            comp, tmats, None, cycles, True, drain, python=True
+            [comp], np.zeros(2, dtype=np.intp), tmats, None, cycles, True,
+            drain, python=True,
         )
         assert not run.blocked_moves.any()
         assert (run.lat_sorted == n).all()
@@ -443,8 +447,9 @@ class TestBlockPathArgument:
             # Each drain cycle advances the deepest occupied stage, so a
             # scenario empties within n + 1 cycles per packet it held.
             held = numba_backend.run_batch(
-                compile_network(net, faults), tmats, None, cycles, False,
-                False, python=True,
+                [compile_network(net, faults)],
+                np.zeros(tmats.shape[1], dtype=np.intp), tmats, None,
+                cycles, False, False, python=True,
             ).in_flight
             assert (fused.drain_cycles <= (net.n_stages + 1) * held).all()
             assert not fused.in_flight.any()
@@ -592,6 +597,116 @@ class TestDropChunkBoundaries:
         )
         ref, fused = _slab_runs(net, faults, tmats, scheds, cycles, True, drain)
         _assert_runs_identical(ref, fused)
+
+
+def _mixed_samples(n):
+    """Four fault samples of an ``n``-stage network, one per flag kind.
+
+    Fault-free; a dead first-stage cell (two dead sources); dead links;
+    and a dead last-stage cell (two unreachable destinations).
+    """
+    return [
+        None,
+        FaultSet(dead_cells=frozenset({(1, 1)})),
+        FaultSet(dead_links=frozenset({(1, 2, 0), (n - 1, 1, 1)})),
+        FaultSet(dead_cells=frozenset({(n, 2)})),
+    ]
+
+
+def _mixed_slab(name):
+    """``(net, tmats, scheds)`` of an 8-scenario slab on ``name``."""
+    if name == "benes_schedule":
+        from repro.permutations.permutation import Permutation
+        from repro.routing.rearrangeable import benes_switch_settings
+        from repro.sim import PermutationTraffic
+
+        net = benes(3)
+        rng = np.random.default_rng(5)
+        perms = [Permutation.random(rng, net.n_inputs) for _ in range(8)]
+        scheds = np.stack([
+            schedule_from_switch_settings(net, benes_switch_settings(p))
+            for p in perms
+        ])
+        tmats = np.stack(
+            [
+                PermutationTraffic(p, rate=0.9).destinations(
+                    np.random.default_rng(i), net.n_inputs, 18
+                )
+                for i, p in enumerate(perms)
+            ],
+            axis=1,
+        )
+        return net, tmats, scheds
+    net = NetworkSpec.catalog(name, n=4).resolve()
+    tmats = np.stack(
+        [
+            _traffic_for(p, 0.9, net.n_inputs, i).destinations(
+                np.random.default_rng(i), net.n_inputs, 18
+            )
+            for i, p in enumerate(["uniform", "hotspot", "bitrev"] * 3)
+        ][:8],
+        axis=1,
+    )
+    return net, tmats, None
+
+
+def _scenario_fields(run, b):
+    """Scenario ``b``'s slice of every ``BatchRun`` field."""
+    lo, hi = run.lat_bounds[b], run.lat_bounds[b + 1]
+    fields = {f: getattr(run, f)[b : b + 1] for f in _COUNTERS}
+    fields["occupancy"] = run.occupancy[:, b]
+    fields["lat_sorted"] = run.lat_sorted[lo:hi]
+    fields["lat_bounds"] = run.lat_bounds[b : b + 2] - lo
+    return fields
+
+
+class TestMixedSampleSlabs:
+    """One slab, several fault samples: each scenario as if run alone.
+
+    The slab's four samples differ in every per-gap flag and in the
+    source mask, and its scenarios visit them out of order, so a kernel
+    that applied one sample's tables, flags or offsets to another's
+    scenario would differ from the runs alone.
+    """
+
+    @pytest.mark.parametrize(
+        "name", ["omega", "extra_stage_omega", "benes_schedule"]
+    )
+    @pytest.mark.parametrize(
+        "drop, drain",
+        [(True, False), (True, True), (False, False), (False, True)],
+    )
+    def test_mixed_slab_equals_runs_alone(self, name, drop, drain):
+        net, tmats, scheds = _mixed_slab(name)
+        comps = [compile_network(net, f) for f in _mixed_samples(net.n_stages)]
+        assert not comps[1].src_alive.all() and comps[0].src_alive.all()
+        for flag in ("has_unreachable", "links_ok"):
+            assert len({getattr(c, flag) for c in comps}) > 1, flag
+        if name == "extra_stage_omega":
+            assert any(comps[0].has_amb)
+        sample = np.array([2, 0, 3, 1, 1, 3, 0, 2], dtype=np.intp)
+        cycles = tmats.shape[0]
+        slabs = []
+        for python in (False, True):
+            kern = numba_backend.run_batch if python else numpy_backend.run_batch
+            kw = {"python": True} if python else {}
+            slab = kern(
+                comps, sample, tmats, scheds, cycles, drop, drain, **kw
+            )
+            for b, k in enumerate(sample):
+                alone = kern(
+                    [comps[k]], np.zeros(1, dtype=np.intp),
+                    tmats[:, b : b + 1],
+                    None if scheds is None else scheds[b : b + 1],
+                    cycles, drop, drain, **kw,
+                )
+                want = _scenario_fields(alone, 0)
+                got = _scenario_fields(slab, b)
+                for field, value in want.items():
+                    assert got[field].dtype == value.dtype, field
+                    assert np.array_equal(got[field], value), (b, field)
+            slabs.append(slab)
+        _assert_runs_identical(*slabs)
 
 
 # ---------------------------------------------------------------------------

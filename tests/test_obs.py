@@ -597,8 +597,9 @@ class TestCampaignTracing:
                 counters["campaign.scenarios"],
                 records,
             )
-        assert runs[1][0] == [1, 1, 1, 1, 2, 2]
-        assert runs[1][1:3] == (6, 8)
+        # One group per topology: two fault-free seeds and two samples.
+        assert runs[1][0] == [4, 4]
+        assert runs[1][1:3] == (2, 8)
         assert runs[2] == runs[1]
 
     def test_untraced_summary_has_no_telemetry(self, tmp_path):

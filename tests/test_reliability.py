@@ -570,10 +570,12 @@ class TestUnroutableIffUnreachable:
         tmats = traffic.destinations(
             np.random.default_rng(seed), net.n_inputs, 25
         )[:, None, :]
-        comp = compile_network(net, faults)
-        ref = numpy_backend.run_batch(comp, tmats, None, 25, drop, True)
+        comps, sample = [compile_network(net, faults)], np.zeros(1, np.intp)
+        ref = numpy_backend.run_batch(
+            comps, sample, tmats, None, 25, drop, True
+        )
         fused = numba_backend.run_batch(
-            comp, tmats, None, 25, drop, True, python=True
+            comps, sample, tmats, None, 25, drop, True, python=True
         )
         for field in (
             "offered", "injected", "delivered", "dropped", "unroutable",

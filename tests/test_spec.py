@@ -10,6 +10,8 @@ their names.
 from __future__ import annotations
 
 import json
+import pickle
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -136,6 +138,21 @@ class TestRoundTrip:
         sb = ScenarioSpec(network=b, traffic=TrafficSpec.of("uniform"))
         assert sa.network.to_spec()["path"] != sb.network.to_spec()["path"]
         assert sa.digest == sb.digest
+
+    @settings(max_examples=30, deadline=None)
+    @given(scenarios)
+    def test_memoized_identity_is_the_wire_identity(self, spec):
+        digest, key = spec.digest, spec.group_key()
+        assert spec.__dict__["digest"] == digest   # memoized on the spec
+        assert spec.digest is digest and spec.group_key() is key
+        fresh = ScenarioSpec.from_spec(spec.to_spec())
+        assert fresh.digest == digest and fresh.group_key() == key
+        again = pickle.loads(pickle.dumps(spec))
+        assert again == spec
+        assert again.digest == digest and again.group_key() == key
+        # A changed copy is a new object with its own memo.
+        moved = replace(spec, seed=spec.seed + 1)
+        assert moved.digest != digest and moved.group_key() == key
 
     def test_legacy_hash_is_preserved(self):
         # Pinned digest: every store already written is keyed by this

@@ -253,7 +253,6 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioSpec:
             cycles=args.cycles,
             policy=args.policy,
             drain=args.drain,
-            backend=getattr(args, "backend", "auto"),
         ),
         faults=faults,
         seed=args.seed,
@@ -342,7 +341,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
     if args.save_scenario:
         dump_scenario(spec, args.save_scenario)
         _log.info("wrote scenario spec to %s", args.save_scenario)
-    report = simulate(spec)
+    report = simulate(spec, backend=args.backend)
     print(report.summary())
     if report.timings is not None:
         total = report.timings["total"]

@@ -26,9 +26,11 @@ __all__ = [
 
 # -- RPR001 digest purity ----------------------------------------------------
 
-#: ``SimPolicy`` fields that are execution hints: they steer *how* a
-#: scenario runs, never *what* it computes, and therefore must stay out
-#: of wire dicts, digests and group keys.
+#: Execution-hint names: they steer *how* a scenario runs, never *what*
+#: it computes, and therefore must stay out of wire dicts, digests and
+#: group keys.  Both are call arguments (``backend=``,
+#: ``set_compile_cache_max``), no longer ``SimPolicy`` fields; RPR001
+#: keeps guarding against their return to digest code.
 EXECUTION_HINT_FIELDS = frozenset({"backend", "compile_cache"})
 
 #: Function names in ``repro/spec/`` whose bodies feed digests — any

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-from repro.campaign.store import _read_log
+from repro.campaign.store import _read_log, _repair_tail
 from repro.core.errors import ReproError
 
 __all__ = [
@@ -196,7 +196,9 @@ class QuarantineStore:
 
     def _ensure_header(self) -> None:
         if self.path.exists() and self.path.stat().st_size > 0:
-            return
+            _repair_tail(self.path)
+            if self.path.stat().st_size > 0:
+                return
         self.path.parent.mkdir(parents=True, exist_ok=True)
         header = {
             "format": QUARANTINE_FORMAT, "version": QUARANTINE_VERSION,

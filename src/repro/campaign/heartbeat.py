@@ -69,8 +69,9 @@ STALE_AFTER = 30.0
 def default_interval() -> float:
     """The configured heartbeat interval: env override or the default.
 
-    ``REPRO_CAMPAIGN_HEARTBEAT=0`` (or negative, or unparseable as a
-    float: treated as 0) disables heartbeats.
+    ``REPRO_CAMPAIGN_HEARTBEAT=0`` (or negative) disables heartbeats; a
+    value that does not parse as a number raises :class:`ReproError`
+    rather than silently turning them off.
     """
     raw = os.environ.get(HEARTBEAT_ENV, "").strip()
     if not raw:
@@ -78,7 +79,9 @@ def default_interval() -> float:
     try:
         return float(raw)
     except ValueError:
-        return 0.0
+        raise ReproError(
+            f"{HEARTBEAT_ENV}={raw!r} is not a number of seconds"
+        ) from None
 
 
 def heartbeat_path(store_path: str | Path) -> Path:

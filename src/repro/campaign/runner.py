@@ -22,10 +22,10 @@ Two layers of batching and caching keep the sweep hot:
   sample, one pass over the cycle loop, bit-identical per-scenario
   reports.  ``batch=1`` recovers the per-scenario dispatch exactly.
 * **Warm persistent workers.**  Pool workers live for the whole sweep
-  and start hot: the pool initializer grows the digest-keyed
-  compiled-network LRU (:func:`repro.sim.compiled.ensure_compile_cache_min`)
+  and start hot: the pool initializer sizes the digest-keyed
+  compiled-network LRU (:func:`repro.sim.compiled.set_compile_cache_max`)
   to the sweep's distinct ``(topology, fault sample)`` pairs, and — when the
-  selected kernel backend resolves to ``numba`` — pre-compiles the
+  requested kernel backend resolves to ``numba`` — pre-compiles the
   fused JIT loop (:func:`repro.sim.kernels.warm_jit`) so no slab pays
   the one-time compile.  Network resolution is additionally memoized per
   process by catalog entry / file content digest.
@@ -34,7 +34,7 @@ Two layers of batching and caching keep the sweep hot:
 pool, easiest to debug and to interrupt deterministically in tests);
 ``workers>1`` dispatches through the fault-tolerant supervisor
 (:mod:`repro.campaign.supervisor`).  Both call the same
-:func:`_execute_group` — chaos injection, backend override, the
+:func:`_execute_group` — chaos injection, backend choice, the
 ``group`` span and its telemetry are written once — and both hand the
 parent the same ``(records, cache_delta, telemetry)`` triple; pool
 workers pickle it through their result pipe.  Completion order is
@@ -88,7 +88,7 @@ from repro.obs.log import get_logger
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import metrics
 from repro.sim.batch import pack_slabs, simulate_batch
-from repro.sim.compiled import compile_cache_info, ensure_compile_cache_min
+from repro.sim.compiled import compile_cache_info, set_compile_cache_max
 from repro.sim.engine import simulate
 from repro.sim.kernels import resolve_backend, warm_jit
 from repro.sim.metrics import SimReport
@@ -132,6 +132,7 @@ def _execute_group(
     specs,
     attempt: int,
     backend_override: str | None,
+    backend: str | None,
     dispatch_ts: float | None,
     chaos: ChaosSpec | None,
 ) -> tuple:
@@ -140,8 +141,10 @@ def _execute_group(
     The one executor behind both run paths: pool workers call it from
     :func:`repro.campaign.supervisor._worker_main`, inline runs from
     :func:`repro.campaign.supervisor.run_inline`.  Chaos fires first
-    (a crash or hang never holds a half-built result), then the backend
-    override applies — an execution hint, so the records are unchanged.
+    (a crash or hang never holds a half-built result), then the group
+    runs on the task's ``backend_override`` (the supervisor's degrade
+    step) or else the sweep's ``backend`` request — an execution
+    choice, so the records are unchanged.
     ``cache_delta`` is this group's compile-cache ``(hits, misses)``;
     ``telemetry`` is the liveness triple (pid, busy seconds, scenario
     count) feeding the parent's per-worker series and heartbeat.  Span
@@ -152,11 +155,6 @@ def _execute_group(
         chaos.apply(
             [s.digest for s in specs], attempt, backend=backend_override
         )
-    if backend_override is not None:
-        specs = [
-            replace(s, sim=replace(s.sim, backend=backend_override))
-            for s in specs
-        ]
     t0 = time.perf_counter()
     if obs.enabled() and dispatch_ts is not None:
         metrics().histogram("campaign.queue_wait_s").observe(
@@ -168,7 +166,9 @@ def _execute_group(
         )
     before = compile_cache_info()
     with obs.span("group", scenarios=len(specs)):
-        reports = simulate_batch(list(specs))
+        reports = simulate_batch(
+            list(specs), backend=backend_override or backend
+        )
     after = compile_cache_info()
     busy_s = time.perf_counter() - t0
     if obs.enabled():
@@ -191,21 +191,23 @@ def _note_group(n_scenarios: int, busy_s: float) -> None:
 
 
 def _worker_init(
-    cache_max: int | None, warm_numba: bool, traced: bool = False
-) -> None:
+    cache_max: int, backend: str | None, traced: bool = False
+) -> str | None:
     """Pool initializer: install telemetry, size the cache, pre-pay JIT.
 
     The tracer (when the parent traces) comes first so the initializer's
     own ``warm_jit`` span is captured; it replaces any tracer inherited
-    across ``fork`` — see :func:`repro.obs.trace.reset`.
+    across ``fork`` — see :func:`repro.obs.trace.reset`.  Returns the
+    sweep's ``backend`` request, which every group of this worker runs
+    on (see :func:`_execute_group`).
     """
     if traced:
         obs.reset()
         obs.start(obs.Tracer())
-    if cache_max is not None:
-        ensure_compile_cache_min(cache_max)
-    if warm_numba:
+    set_compile_cache_max(cache_max)
+    if resolve_backend(backend) == "numba":
         warm_jit()
+    return backend
 
 
 def run_campaign(
@@ -257,10 +259,10 @@ def run_campaign(
         each scenario is stored; exceptions it raises abort the run
         (already-stored records stay on disk).
     backend:
-        Kernel backend request applied to every scenario
-        (``"auto"``/``"numpy"``/``"numba"``; ``None`` keeps the specs'
-        own ``sim.backend``).  Execution hint only — digests, stores and
-        reports are identical across backends.
+        Kernel backend every group runs on
+        (``"auto"``/``"numpy"``/``"numba"``; ``None`` means ``"auto"``),
+        resolved once before any work.  An execution choice only —
+        digests, stores and reports are identical across backends.
     heartbeat:
         Seconds between atomic-rename progress heartbeats written next
         to the store (``<stem>.heartbeat.json`` — see
@@ -320,13 +322,8 @@ def run_campaign(
         raise ReproError(f"workers must be >= 1, got {workers}")
     if batch < 1:
         raise ReproError(f"batch must be >= 1, got {batch}")
+    resolved = resolve_backend(backend)  # fail fast, before any work
     scenarios = expand_scenarios(spec, base_dir=base_dir)
-    if backend is not None:
-        resolve_backend(backend)  # fail fast on bad/unavailable names
-        scenarios = [
-            replace(s, sim=replace(s.sim, backend=backend))
-            for s in scenarios
-        ]
     if isinstance(chaos, str):
         chaos = parse_chaos(chaos)
     elif chaos is None:
@@ -418,22 +415,17 @@ def run_campaign(
     # key, fault sample) pair is one (topology, faults) compilation, and
     # a budget below that count would thrash on every task boundary.
     # Enlarge-only (capped at 64 compilations), so a larger budget the
-    # user configured via REPRO_SIM_COMPILE_CACHE or
-    # set_compile_cache_max always wins.
+    # caller set with set_compile_cache_max always wins.
     cache_max = max(
         compile_cache_info()["maxsize"],
         min(64, len({(s.group_key(), s.faults) for s in pending})),
     )
-    resolved = resolve_backend(
-        backend if backend is not None else pending[0].sim.backend
-    )
-    warm_numba = resolved == "numba"
     # Degradation target: retry once on the reference kernels when the
     # sweep runs the JIT backend.  A chaos spec with poison_numba
     # entries simulates exactly that failure mode, so it forces the
     # path on for numpy-only installs (where it is otherwise moot).
     degrade_backend = None
-    if warm_numba or (chaos is not None and chaos.poison_numba):
+    if resolved == "numba" or (chaos is not None and chaos.poison_numba):
         degrade_backend = "numpy"
     sup_cfg = replace(sup_cfg, degrade_backend=degrade_backend)
     if hb_interval > 0:
@@ -497,10 +489,11 @@ def run_campaign(
         workers=workers, batch=batch, backend=resolved,
     ) as root:
         if workers == 1:
-            ensure_compile_cache_min(cache_max)
+            set_compile_cache_max(cache_max)
             fault_stats = sup.run_inline(
                 tasks,
                 cfg=sup_cfg,
+                backend=backend,
                 chaos=chaos,
                 on_result=_on_result,
                 on_failure=_on_failure,
@@ -510,7 +503,8 @@ def run_campaign(
                 tasks,
                 workers=workers,
                 cfg=sup_cfg,
-                init_args=(cache_max, warm_numba, traced),
+                backend=backend,
+                init_args=(cache_max, backend, traced),
                 chaos=chaos,
                 dispatch_ts_factory=(
                     (lambda: time.time()) if traced else (lambda: None)

@@ -86,6 +86,25 @@ def _read_log(path: Path, fmt: str, versions: tuple[int, ...]) -> list[str]:
     return lines[1:]
 
 
+def _repair_tail(path: Path) -> None:
+    """Truncate a torn final line so appends start on a line boundary.
+
+    The shared append-side partner of :func:`_read_log`: a run killed
+    mid-write leaves a partial record without its newline, and appending
+    straight after it would glue the next record onto the torn bytes
+    (which readers already ignore), so they are cut.  Probes just the
+    final byte unless repair is needed; ``path`` must be non-empty.
+    """
+    with open(path, "r+b") as fh:
+        fh.seek(-1, 2)
+        if fh.read(1) == b"\n":
+            return
+        fh.seek(0)
+        data = fh.read()
+        keep = data.rfind(b"\n") + 1  # 0 when no newline survived
+        fh.truncate(keep)
+
+
 def record_crc(record: Mapping) -> str:
     """CRC32 of a record's canonical JSON, as 8 hex digits.
 
@@ -122,35 +141,17 @@ class ResultStore:
 
     def _ensure_header(self) -> None:
         if self.path.exists() and self.path.stat().st_size > 0:
-            self._repair_tail()
+            # Torn tails can only predate this instance's appends (every
+            # append flushes a complete line), so check once.
+            if not self._tail_checked:
+                self._tail_checked = True
+                _repair_tail(self.path)
             if self.path.stat().st_size > 0:
                 return
         self.path.parent.mkdir(parents=True, exist_ok=True)
         header = {"format": _FORMAT, "version": _VERSION}
         with open(self.path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(header) + "\n")
-
-    def _repair_tail(self) -> None:
-        """Truncate a torn final line so appends start on a line boundary.
-
-        A run killed mid-write leaves a partial record without its
-        newline; appending straight after it would corrupt the file, so
-        the torn bytes (which :meth:`records` already ignores) are cut.
-        Torn tails can only predate this process's appends (every append
-        flushes a complete line), so the check runs once per store
-        instance and probes just the final byte unless repair is needed.
-        """
-        if self._tail_checked:
-            return
-        self._tail_checked = True
-        with open(self.path, "r+b") as fh:
-            fh.seek(-1, 2)
-            if fh.read(1) == b"\n":
-                return
-            fh.seek(0)
-            data = fh.read()
-            keep = data.rfind(b"\n") + 1  # 0 when no newline survived
-            fh.truncate(keep)
 
     def append(
         self, digest: str, scenario: Mapping, report: Mapping

@@ -168,6 +168,7 @@ def plan_recovery(
     next_id,
     *,
     now: float = 0.0,
+    backend: str | None = None,
 ) -> tuple[list[Task], TaskFailure | None, str]:
     """Decide what happens after ``task`` failed.
 
@@ -177,7 +178,9 @@ def plan_recovery(
     counters (``bisect``/``retry``/``degrade``/``quarantine`` — the
     counters themselves pluralize).  ``task.last_error`` must hold the
     failure evidence dict (``kind``/``type``/``message``/``traceback``/
-    ``worker_pid``).
+    ``worker_pid``).  ``backend`` is the sweep's backend request; a
+    terminal failure lists it (or ``"auto"``) and then the task's
+    override as the backends it ran on.
     """
     if len(task.specs) > 1:
         # Isolate the poison: re-run both halves from a fresh attempt
@@ -216,9 +219,8 @@ def plan_recovery(
         return [degraded], None, "degraded"
     info = task.last_error or {}
     spec = task.specs[0]
-    backends = [task.backend_override or spec.sim.backend]
-    if task.backend_override is not None:
-        backends.insert(0, spec.sim.backend)
+    request = backend or "auto"
+    backends = (request, task.backend_override or request)
     failure = TaskFailure(
         hash=digest,
         scenario=spec.to_spec(),
@@ -263,7 +265,7 @@ def _worker_main(
     """
     from repro.campaign import runner
 
-    runner._worker_init(*init_args)
+    backend = runner._worker_init(*init_args)
     while True:
         msg = inq.get()
         if msg is None:
@@ -271,7 +273,8 @@ def _worker_main(
         specs, attempt, backend_override, dispatch_ts = msg
         try:
             records, delta, tele = runner._execute_group(
-                specs, attempt, backend_override, dispatch_ts, chaos
+                specs, attempt, backend_override, backend, dispatch_ts,
+                chaos,
             )
         except Exception as exc:  # noqa: BLE001 — shipped, not swallowed
             info = _error_info(exc)
@@ -374,9 +377,10 @@ class _Worker:
 class _Scheduler:
     """Shared retry/bisect/quarantine bookkeeping of both engines."""
 
-    def __init__(self, tasks, cfg, on_failure) -> None:
+    def __init__(self, tasks, cfg, on_failure, backend) -> None:
         self.cfg = cfg
         self.on_failure = on_failure
+        self.backend = backend
         self.pending: deque[Task] = deque(tasks)
         self.waiting: list[Task] = []  # backoff-gated, sorted lazily
         self.done_digests: set[str] = set()
@@ -424,7 +428,7 @@ class _Scheduler:
         """Route one failed task through the recovery policy."""
         task.last_error = info
         replacements, terminal, event = plan_recovery(
-            task, self.cfg, self.next_id, now=now
+            task, self.cfg, self.next_id, now=now, backend=self.backend
         )
         _count(self.stats, event)
         if terminal is not None:
@@ -454,6 +458,7 @@ def run_supervised(
     *,
     workers: int,
     cfg: SupervisorConfig,
+    backend: str | None,
     init_args,
     chaos: ChaosSpec | None,
     dispatch_ts_factory,
@@ -470,12 +475,15 @@ def run_supervised(
     :class:`TaskFailure` (raising inside it aborts the sweep — the
     pool is torn down and the exception propagates).  ``on_dispatch``
     and ``on_tick`` are liveness hooks for heartbeat integration.
+    ``backend`` is the sweep's backend request; the runner also hands it
+    to every worker through ``init_args``.
     """
     ctx = multiprocessing.get_context()
     sched = _Scheduler(
         [Task(id=i, specs=tuple(specs)) for i, specs in enumerate(tasks)],
         cfg,
         on_failure,
+        backend,
     )
     pool = [_Worker(ctx, init_args, chaos) for _ in range(workers)]
 
@@ -599,6 +607,7 @@ def run_inline(
     tasks,
     *,
     cfg: SupervisorConfig,
+    backend: str | None,
     chaos: ChaosSpec | None,
     on_result,
     on_failure,
@@ -613,7 +622,8 @@ def run_inline(
     quarantine exactly like the pool path.  Hang and crash supervision
     need a separate process and are therefore pool-only: inline, a hang
     blocks and a crash kills the run — ``workers=1`` remains the
-    transparent debugging mode.
+    transparent debugging mode.  ``backend`` is the sweep's backend
+    request.
     """
     from repro.campaign import runner
 
@@ -621,6 +631,7 @@ def run_inline(
         [Task(id=i, specs=tuple(specs)) for i, specs in enumerate(tasks)],
         cfg,
         on_failure,
+        backend,
     )
     while True:
         now = time.monotonic()
@@ -635,8 +646,8 @@ def run_inline(
             continue
         try:
             records, delta, tele = runner._execute_group(
-                task.specs, task.attempt, task.backend_override, None,
-                chaos,
+                task.specs, task.attempt, task.backend_override, backend,
+                None, chaos,
             )
         except Exception as exc:  # noqa: BLE001 — routed, not swallowed
             sched.fail(task, _error_info(exc), time.monotonic())

@@ -58,7 +58,7 @@ from repro.obs import schema
 from repro.obs import trace as obs
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import metrics
-from repro.sim.compiled import compile_network, ensure_compile_cache_min
+from repro.sim.compiled import compile_network
 from repro.sim.faults import FaultSet
 from repro.sim.kernels import get_backend, resolve_backend
 from repro.sim.metrics import SimReport, latency_summary
@@ -128,19 +128,17 @@ def pack_slabs(specs, batch: int | None = None) -> list[list[int]]:
     return slabs
 
 
-def _simulate_spec_batch(specs, backend: str | None) -> list[SimReport]:
+def _simulate_spec_batch(specs, backend: str) -> list[SimReport]:
     """Pack specs into slabs (:func:`pack_slabs`) and run each one.
 
     Within a slab only the traffic spec, the simulation seed and the
     fault sample vary, so the slab's head resolves the shared network
     and run parameters once, and each distinct sample is drawn once.
-    Reports return in input order.
+    Every slab runs on ``backend``.  Reports return in input order.
     """
     reports: list[SimReport | None] = [None] * len(specs)
     for idxs in pack_slabs(specs):
         head = specs[idxs[0]].resolve()
-        if head.compile_cache is not None:
-            ensure_compile_cache_min(head.compile_cache)
         net = head.network
         buckets: dict = {}
         sample = [
@@ -163,7 +161,7 @@ def _simulate_spec_batch(specs, backend: str | None) -> list[SimReport]:
             sample=np.array(sample, dtype=np.intp),
             drain=head.drain,
             network_name=None,
-            backend=backend if backend is not None else head.backend,
+            backend=backend,
         )
         for i, report in zip(idxs, group_reports):
             reports[i] = report
@@ -215,7 +213,7 @@ def simulate_batch(
       slab), each slab resolves its network once and runs as one batched
       pass, and the reports come back in input order.  Keywords other than
       ``backend`` are forbidden — every run parameter lives in the
-      specs.
+      specs, and how they run is the caller's choice.
     * ``simulate_batch(net, scenarios, **kwargs)`` — the low-level
       engine form: one compiled network, shared
       ``(cycles, policy, faults, drain)``, per-scenario
@@ -237,11 +235,11 @@ def simulate_batch(
         Engine form only: default report name for scenarios that don't
         set their own.
     backend:
-        Kernel backend: ``"numpy"``, ``"numba"`` or ``"auto"`` (see
-        :mod:`repro.sim.kernels`).  Accepted in both call forms — it
-        selects an execution strategy, never a different result, so
-        unlike the run parameters it may override the specs'
-        ``sim.backend``.
+        Kernel backend: ``"numpy"``, ``"numba"`` or ``"auto"``
+        (``None``, the default, means ``"auto"``; see
+        :mod:`repro.sim.kernels`).  Accepted in both call forms and
+        checked before any work — it selects an execution strategy,
+        never a different result.
 
     Returns
     -------
@@ -263,6 +261,7 @@ def simulate_batch(
                 "parameter from the specs; build different specs instead "
                 "of passing overrides"
             )
+        resolved = resolve_backend(backend)
         if not net:
             return []
         specs = list(net)
@@ -270,13 +269,13 @@ def simulate_batch(
         # carrying every spec digest) around the per-group engine runs.
         top_level = obs.enabled() and obs.current_span() is None
         with obs.span("simulate_batch", scenarios=len(specs)) as root:
-            reports = _simulate_spec_batch(specs, backend)
+            reports = _simulate_spec_batch(specs, resolved)
         if top_level:
             obs.active().emit_manifest(
                 RunManifest.collect(
                     "batch",
                     [s.digest for s in specs],
-                    backend=resolve_backend(backend),
+                    backend=resolved,
                     timings={"total": root.dur},
                 )
             )
@@ -337,6 +336,7 @@ def _run_slab(
         raise ReproError(f"policy must be one of {_POLICIES}, got {policy!r}")
     if not scns:
         raise ReproError("simulate_batch needs at least one scenario")
+    resolved = resolve_backend(backend)
     for s in scns:
         if not isinstance(s.traffic, TrafficPattern):
             raise ReproError(
@@ -385,7 +385,7 @@ def _run_slab(
 
         with obs.span("compile") as sp_compile:
             comps = [compile_network(net, f) for f in faults]
-        kern = get_backend(backend)
+        kern = get_backend(resolved)
         if sample is None:
             sample = np.zeros(B, dtype=np.intp)
 
@@ -396,9 +396,7 @@ def _run_slab(
                 drain,
             )
             elapsed = time.perf_counter() - start
-        resolved = None
         if obs.enabled():
-            resolved = resolve_backend(backend)
             root.set(backend=resolved, stages=n, size=size)
             root.add("offered", int(run.offered.sum()))
             root.add("delivered", int(run.delivered.sum()))

@@ -19,7 +19,6 @@ cycle kernels.
 from __future__ import annotations
 
 import hashlib
-import os
 from collections import OrderedDict
 
 import numpy as np
@@ -43,14 +42,9 @@ __all__ = [
     "compile_cache_info",
     "compile_key",
     "compile_network",
-    "ensure_compile_cache_min",
     "network_digest",
     "set_compile_cache_max",
 ]
-
-#: Environment override for the compile cache's entry budget.
-CACHE_ENV = "REPRO_SIM_COMPILE_CACHE"
-
 
 def arc_slots(conn) -> np.ndarray:
     """In-slot at the child cell for each out-arc ``(cell, port)``.
@@ -165,32 +159,9 @@ _CACHE: "OrderedDict[tuple, CompiledNetwork]" = OrderedDict()
 _HITS = 0
 _MISSES = 0
 
-# Resolved lazily (first cache use), not at import: a malformed env
-# value must fail the simulation that needs the cache, not every
-# ``import repro``.
-_CACHE_MAX: int | None = None
-
-
-def _env_cache_max(default: int = 8) -> int:
-    raw = os.environ.get(CACHE_ENV, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError as err:
-        raise ReproError(
-            f"{CACHE_ENV}={raw!r} is not an integer cache size"
-        ) from err
-    if value < 1:
-        raise ReproError(f"{CACHE_ENV} must be >= 1, got {value}")
-    return value
-
-
-def _cache_max() -> int:
-    global _CACHE_MAX
-    if _CACHE_MAX is None:
-        _CACHE_MAX = _env_cache_max()
-    return _CACHE_MAX
+#: Entry budget of the compile cache; :func:`set_compile_cache_max` is
+#: its one setter.
+_CACHE_MAX = 8
 
 
 # Digest memo keyed by object identity; the strong reference pins the
@@ -250,10 +221,7 @@ def compile_network(
     repeated ``simulate`` calls on the same topology (including a
     topology rebuilt from the same spec in another part of the program)
     pay the reachability sweeps and table builds once.  The entry budget
-    defaults to 8 and is configurable through the
-    ``REPRO_SIM_COMPILE_CACHE`` environment variable,
-    :func:`set_compile_cache_max`, or
-    :attr:`~repro.spec.scenario.SimPolicy.compile_cache`.
+    defaults to 8; :func:`set_compile_cache_max` changes it.
     """
     faults = _NO_FAULTS if faults is None else faults
     global _HITS, _MISSES
@@ -272,7 +240,7 @@ def compile_network(
     if obs.enabled():
         metrics().counter("compile_cache.misses").add()
     _CACHE[key] = compiled
-    while len(_CACHE) > _cache_max():
+    while len(_CACHE) > _CACHE_MAX:
         _CACHE.popitem(last=False)
     return compiled
 
@@ -283,9 +251,7 @@ def set_compile_cache_max(maxsize: int) -> None:
     Wide campaigns cycling through more ``(topology, faults)`` pairs
     than the default budget of 8 would otherwise thrash — recompiling
     reachability sweeps on every group — so the campaign runner sizes
-    the cache to the sweep.  Scenario specs raise the budget through
-    :func:`ensure_compile_cache_min` instead: a per-run hint must not
-    destructively shrink a shared cache.
+    the cache to the sweep.
     """
     if not isinstance(maxsize, int) or isinstance(maxsize, bool):
         raise ReproError(f"cache maxsize must be an int, got {maxsize!r}")
@@ -297,30 +263,13 @@ def set_compile_cache_max(maxsize: int) -> None:
         _CACHE.popitem(last=False)
 
 
-def ensure_compile_cache_min(minsize: int) -> None:
-    """Grow the compile cache budget to at least ``minsize``.
-
-    The enlarge-only form of :func:`set_compile_cache_max`, used by the
-    per-scenario ``SimPolicy.compile_cache`` hint and the campaign
-    runner's auto-sizing: a hint can widen the budget for everyone but
-    never evicts another caller's live compilations or overrides a
-    larger ``REPRO_SIM_COMPILE_CACHE`` setting.
-    """
-    if not isinstance(minsize, int) or isinstance(minsize, bool):
-        raise ReproError(f"cache minsize must be an int, got {minsize!r}")
-    if minsize < 1:
-        raise ReproError(f"cache minsize must be >= 1, got {minsize}")
-    if minsize > _cache_max():
-        set_compile_cache_max(minsize)
-
-
 def compile_cache_info() -> dict:
     """Cache statistics: ``{"hits", "misses", "size", "maxsize"}``."""
     return {
         "hits": _HITS,
         "misses": _MISSES,
         "size": len(_CACHE),
-        "maxsize": _cache_max(),
+        "maxsize": _CACHE_MAX,
     }
 
 

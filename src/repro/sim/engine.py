@@ -37,10 +37,9 @@ The cycle loop itself runs on a pluggable *kernel backend*
 (:mod:`repro.sim.kernels`): the ``numpy`` reference kernels, or the
 ``numba`` backend that JIT-compiles the whole fused loop when the
 optional numba package is installed.  Reports are bit-identical across
-backends; selection comes from the ``backend``
-keyword / :class:`~repro.spec.scenario.SimPolicy` field (``"auto"``
-prefers numba when available) and the ``REPRO_SIM_BACKEND`` environment
-variable.  The pure-Python fused scalar loop of
+backends; selection comes from the ``backend`` argument
+(``None`` or ``"auto"`` prefers numba when available) and the
+``REPRO_SIM_BACKEND`` environment variable, which steers ``"auto"``.  The pure-Python fused scalar loop of
 :mod:`repro.sim.kernels.numba_backend` is the independent oracle the
 test suite pins the NumPy slab kernels against.
 
@@ -59,7 +58,7 @@ from repro.core.errors import ReproError
 from repro.core.midigraph import MIDigraph
 from repro.obs import trace as obs
 from repro.sim.batch import BatchScenario, _run_slab
-from repro.sim.compiled import compile_network, ensure_compile_cache_min
+from repro.sim.compiled import compile_network
 from repro.sim.faults import FaultSet
 from repro.sim.metrics import SimReport
 from repro.sim.traffic import TrafficPattern
@@ -231,10 +230,11 @@ def simulate(
         Display name for the report (defaults to the repr shape).
     backend:
         Kernel backend: ``"numpy"``, ``"numba"`` or ``"auto"``
-        (see :mod:`repro.sim.kernels`).  Accepted in both call forms —
-        it selects an execution strategy, never a different result, so
-        unlike the run parameters it may override a spec's
-        ``sim.backend``.
+        (``None``, the default, means ``"auto"``; see
+        :mod:`repro.sim.kernels`).  Accepted in both call forms and
+        checked before any work — it selects an execution strategy,
+        never a different result, so it is an argument of the call and
+        never a field of the spec.
     """
     from repro.spec.scenario import ScenarioSpec
 
@@ -253,10 +253,6 @@ def simulate(
         net, traffic = r.network, r.traffic
         cycles, policy, seed = r.cycles, r.policy, r.seed
         faults, drain, network_name = r.faults, r.drain, r.label
-        if backend is None:
-            backend = r.backend
-        if r.compile_cache is not None:
-            ensure_compile_cache_min(r.compile_cache)
     elif traffic is None:
         raise ReproError(
             "simulate(net, traffic, ...) needs a TrafficPattern (or "

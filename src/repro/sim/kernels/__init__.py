@@ -37,8 +37,9 @@ scenario is a slab of one (``tmats`` of shape ``(cycles, 1, N)``,
 ``sample`` ``[0]``).
 
 Backend selection flows through one function, :func:`resolve_backend`:
-an explicit name (``SimPolicy.backend``, the ``--backend`` CLI flag, or
-an engine-form keyword) wins; ``"auto"`` consults the
+an explicit name — the ``backend`` argument of ``simulate``,
+``simulate_batch`` or ``run_campaign``, which the ``--backend`` CLI flag
+feeds — wins; ``None`` or ``"auto"`` consults the
 ``REPRO_SIM_BACKEND`` environment variable and otherwise picks ``numba``
 when it is importable, falling back to ``numpy`` gracefully when it is
 not.  Explicitly requesting ``numba`` on an installation without it is
@@ -66,7 +67,7 @@ __all__ = [
     "warm_jit",
 ]
 
-#: Accepted spellings of a backend request (spec field, CLI flag, env).
+#: Accepted spellings of a backend request (call argument, CLI flag, env).
 BACKEND_CHOICES = ("auto", "numpy", "numba")
 
 #: Environment override consulted by ``"auto"`` requests.

@@ -570,11 +570,6 @@ class FaultSpec:
         )
 
 
-# Mirror of repro.sim.kernels.BACKEND_CHOICES (pinned by the kernel test
-# suite); duplicated here so the spec layer never imports the simulator.
-_BACKENDS = ("auto", "numpy", "numba")
-
-
 @dataclass(frozen=True)
 class SimPolicy:
     """The engine knobs shared by every run of a sweep.
@@ -588,26 +583,16 @@ class SimPolicy:
         losers retry with back-pressure.
     drain:
         Keep cycling after injection stops until the network empties.
-    backend:
-        Kernel backend request: ``"auto"`` (default; prefers the fused
-        numba kernels when installed, falls back to NumPy), ``"numpy"``
-        or ``"numba"`` — see :mod:`repro.sim.kernels`.  An *execution*
-        hint, never part of the scenario's identity: reports are
-        bit-identical across backends, so ``backend`` is excluded from
-        the wire dict and the digest (a saved scenario replays on
-        whatever backend the replaying installation picks).
-    compile_cache:
-        Optional entry budget for the global compiled-network LRU
-        (:func:`repro.sim.compiled.set_compile_cache_max`); ``None``
-        leaves the current budget alone.  Also an execution hint,
-        excluded from the wire dict and the digest.
+
+    Only what a run computes lives here.  How it runs — the kernel
+    backend, the compile-cache budget — is an argument of the call that
+    runs it (``simulate(spec, backend=...)``,
+    :func:`repro.sim.compiled.set_compile_cache_max`).
     """
 
     cycles: int = 1000
     policy: str = "drop"
     drain: bool = False
-    backend: str = "auto"
-    compile_cache: int | None = None
 
     def __post_init__(self) -> None:
         if isinstance(self.cycles, bool) or not isinstance(self.cycles, int):
@@ -619,22 +604,6 @@ class SimPolicy:
                 f"policy must be one of {_POLICIES}, got {self.policy!r}"
             )
         object.__setattr__(self, "drain", bool(self.drain))
-        if self.backend not in _BACKENDS:
-            raise ReproError(
-                f"backend must be one of {_BACKENDS}, got {self.backend!r}"
-            )
-        if self.compile_cache is not None:
-            if isinstance(self.compile_cache, bool) or not isinstance(
-                self.compile_cache, int
-            ):
-                raise ReproError(
-                    f"compile_cache must be an int or None, got "
-                    f"{self.compile_cache!r}"
-                )
-            if self.compile_cache < 1:
-                raise ReproError(
-                    f"compile_cache must be >= 1, got {self.compile_cache}"
-                )
 
 
 # --------------------------------------------------------------------------
@@ -653,8 +622,6 @@ class ResolvedScenario:
     drain: bool
     seed: int
     label: str
-    backend: str = "auto"
-    compile_cache: int | None = None
 
 
 @dataclass(frozen=True)
@@ -810,6 +777,4 @@ class ScenarioSpec:
             drain=self.sim.drain,
             seed=self.seed,
             label=self.label,
-            backend=self.sim.backend,
-            compile_cache=self.sim.compile_cache,
         )

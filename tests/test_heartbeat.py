@@ -72,8 +72,20 @@ class TestInterval:
     def test_env_disable_and_garbage(self, monkeypatch):
         monkeypatch.setenv(HEARTBEAT_ENV, "0")
         assert default_interval() == 0.0
+        monkeypatch.setenv(HEARTBEAT_ENV, "-1")
+        assert default_interval() == -1.0
+        # A malformed value fails loudly instead of disabling heartbeats.
         monkeypatch.setenv(HEARTBEAT_ENV, "often")
-        assert default_interval() == 0.0
+        with pytest.raises(ReproError, match=HEARTBEAT_ENV):
+            default_interval()
+
+    def test_malformed_env_fails_the_run_before_work(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv(HEARTBEAT_ENV, "1s")
+        with pytest.raises(ReproError, match=HEARTBEAT_ENV):
+            run_campaign(tiny_spec(), tmp_path / "s.jsonl")
+        assert not (tmp_path / "s.jsonl").exists()
 
 
 class TestWriter:

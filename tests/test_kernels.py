@@ -5,7 +5,10 @@ Five layers of guarantees:
 * **Selection** — ``resolve_backend`` honours explicit names, the
   ``REPRO_SIM_BACKEND`` environment variable and availability-aware
   ``auto`` fallback, and fails loudly (with an install hint) when the
-  numba backend is requested on an installation without it.
+  numba backend is requested on an installation without it.  Every
+  runner — ``simulate``, ``simulate_batch``, ``run_campaign`` inline and
+  pooled — takes the backend as a call argument, checks it before any
+  work and carries it to every kernel call.
 * **Fused-kernel semantics** — the numba backend's cycle loop is a plain
   Python function until it is jitted, and that scalar loop is the
   independent oracle for the NumPy slab kernels on *every* installation
@@ -25,8 +28,8 @@ Five layers of guarantees:
   to 16 scenarios, and on a pipeline that vacates and refills a full
   column in one cycle; its drain bound is asserted on the oracle.
 * **Compile cache** — the LRU is keyed by structural content digest
-  (equal tables share an entry across rebuilds), and its budget is
-  configurable via setter, spec field and environment variable.
+  (equal tables share an entry across rebuilds), and its budget has one
+  setter, ``set_compile_cache_max``.
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
+from repro.campaign import CampaignSpec, expand_scenarios, run_campaign
+from repro.campaign.errors import QuarantineStore, quarantine_path
 from repro.core.errors import ReproError
 from repro.networks.benes import benes
 from repro.networks.catalog import NETWORK_CATALOG
@@ -79,13 +85,6 @@ class TestBackendSelection:
         assert BACKEND_CHOICES == ("auto", "numpy", "numba")
         assert set(available_backends()) == {"numpy", "numba"}
         assert available_backends()["numpy"] is True
-
-    def test_spec_layer_mirror_cannot_drift(self):
-        # The spec layer duplicates the choices to avoid importing the
-        # simulator; a new backend must be added in both places.
-        from repro.spec import scenario as spec_scenario
-
-        assert spec_scenario._BACKENDS == BACKEND_CHOICES
 
     def test_explicit_numpy_always_resolves(self):
         assert resolve_backend("numpy") == "numpy"
@@ -132,24 +131,96 @@ class TestBackendSelection:
                 backend="fortran",
             )
 
-    def test_simpolicy_validates_backend(self):
-        assert SimPolicy(backend="numba").backend == "numba"
-        with pytest.raises(ReproError, match="backend"):
-            SimPolicy(backend="cuda")
-
     def test_backend_is_not_scenario_identity(self):
-        base = ScenarioSpec(
+        # The backend is an argument of the call that runs a spec, never
+        # a field of it, so no wire dict, digest or group key sees it.
+        spec = ScenarioSpec(
             network=NetworkSpec.catalog("omega", n=3),
             traffic=TrafficSpec.of("uniform", 0.5),
+            sim=SimPolicy(cycles=20),
         )
-        fused = ScenarioSpec(
-            network=NetworkSpec.catalog("omega", n=3),
-            traffic=TrafficSpec.of("uniform", 0.5),
-            sim=SimPolicy(backend="numba", compile_cache=16),
+        assert "backend" not in spec.to_spec()
+        with pytest.raises(TypeError):
+            SimPolicy(backend="numba")
+        assert simulate(spec, backend="numpy") == simulate(spec)
+
+
+def _backend_calls():
+    """Each public way to run specs, as ``(name, call(tmp_path, backend))``."""
+    spec = ScenarioSpec(
+        network=NetworkSpec.catalog("omega", n=3),
+        traffic=TrafficSpec.of("uniform", 0.5),
+        sim=SimPolicy(cycles=20),
+    )
+    grid = CampaignSpec(
+        topologies=("omega", "baseline"), stages=(3,), rates=(0.5,),
+        seeds=(0, 1), cycles=20,
+    )
+
+    def campaign(workers):
+        return lambda tmp, backend: run_campaign(
+            grid, tmp / "s.jsonl", workers=workers, backend=backend
         )
-        assert "backend" not in fused.to_spec()
-        assert base.digest == fused.digest
-        assert base.group_key() == fused.group_key()
+
+    return [
+        ("simulate", lambda tmp, backend: simulate(spec, backend=backend)),
+        (
+            "simulate_batch",
+            lambda tmp, backend: simulate_batch([spec], backend=backend),
+        ),
+        ("run_campaign-w1", campaign(1)),
+        ("run_campaign-w2", campaign(2)),
+    ]
+
+
+_EACH_CALL = pytest.mark.parametrize(
+    "call", [pytest.param(c, id=name) for name, c in _backend_calls()]
+)
+
+
+@pytest.mark.usefixtures("fresh_cache")
+class TestBackendArgument:
+    """One backend path: every runner takes ``backend=`` as an argument."""
+
+    @_EACH_CALL
+    def test_unknown_backend_fails_before_any_work(self, call, tmp_path):
+        with pytest.raises(ReproError, match="unknown simulation backend"):
+            call(tmp_path, "fortran")
+        assert compile_cache_info()["misses"] == 0
+        assert list(tmp_path.iterdir()) == []
+
+    @_EACH_CALL
+    def test_request_reaches_every_kernel_call(
+        self, call, tmp_path, monkeypatch
+    ):
+        # "auto" would resolve to an unavailable numba here, so a group
+        # that dropped the request would fail (and be quarantined).
+        monkeypatch.setattr(numba_backend, "AVAILABLE", False)
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "numba")
+        result = call(tmp_path, "numpy")
+        if isinstance(result, dict):
+            assert result["ran"] == 4 and result["quarantined"] == 0
+
+    def test_quarantine_records_the_request(self, tmp_path):
+        grid = CampaignSpec(
+            topologies=("omega",), stages=(3,), rates=(0.5,), cycles=20
+        )
+        (poison,) = [s.digest for s in expand_scenarios(grid)]
+        run_campaign(
+            grid, tmp_path / "s.jsonl", backend="numpy",
+            chaos=f"poison={poison[:8]}", retries=0,
+        )
+        (failure,) = QuarantineStore(
+            quarantine_path(tmp_path / "s.jsonl")
+        ).records()
+        assert failure.backends == ("numpy",)
+
+    @_EACH_CALL
+    def test_traced_numpy_run_stamps_its_manifest(self, call, tmp_path):
+        with obs.tracing() as tr:
+            call(tmp_path, "numpy")
+        (man,) = [e["manifest"] for e in tr.events if e["ev"] == "manifest"]
+        assert man["backend"] == "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -761,13 +832,13 @@ class TestBackendsBitIdenticalReports:
         for ra, rb in zip(a, b):
             assert ra.to_dict() == rb.to_dict()
 
-    def test_spec_backend_field_drives_the_run(self):
+    def test_backend_argument_drives_the_run(self):
         spec = ScenarioSpec(
             network=NetworkSpec.catalog("omega", n=3),
             traffic=TrafficSpec.of("uniform", 0.8),
-            sim=SimPolicy(cycles=30, backend="numba"),
+            sim=SimPolicy(cycles=30),
         )
-        a = simulate(spec).to_dict()
+        a = simulate(spec, backend="numba").to_dict()
         b = simulate(spec, backend="numpy").to_dict()
         assert a == b
 
@@ -819,35 +890,3 @@ class TestCompileCacheKeying:
             compile_network(omega(n))
         set_compile_cache_max(1)
         assert compile_cache_info()["size"] == 1
-
-    def test_env_budget(self, fresh_cache, monkeypatch):
-        from repro.sim.compiled import _env_cache_max
-
-        monkeypatch.setenv("REPRO_SIM_COMPILE_CACHE", "32")
-        assert _env_cache_max() == 32
-        monkeypatch.setenv("REPRO_SIM_COMPILE_CACHE", "zero")
-        with pytest.raises(ReproError, match="REPRO_SIM_COMPILE_CACHE"):
-            _env_cache_max()
-        monkeypatch.delenv("REPRO_SIM_COMPILE_CACHE")
-        assert _env_cache_max() == 8
-
-    def test_simpolicy_compile_cache_grows_only(self, fresh_cache):
-        grow = ScenarioSpec(
-            network=NetworkSpec.catalog("omega", n=3),
-            traffic=TrafficSpec.of("uniform", 0.5),
-            sim=SimPolicy(cycles=5, compile_cache=32),
-        )
-        assert "compile_cache" not in grow.to_spec()
-        simulate(grow)
-        assert compile_cache_info()["maxsize"] == 32
-        # A smaller hint must never shrink the shared budget (that would
-        # evict other callers' live compilations).
-        shrink = ScenarioSpec(
-            network=NetworkSpec.catalog("omega", n=3),
-            traffic=TrafficSpec.of("uniform", 0.5),
-            sim=SimPolicy(cycles=5, compile_cache=3),
-        )
-        simulate(shrink)
-        assert compile_cache_info()["maxsize"] == 32
-        with pytest.raises(ReproError, match="compile_cache"):
-            SimPolicy(compile_cache=0)

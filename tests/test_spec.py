@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import pickle
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +29,7 @@ from repro.networks.catalog import (
     register_network,
 )
 from repro.networks.omega import omega
-from repro.sim import simulate, simulate_batch
+from repro.sim import set_compile_cache_max, simulate, simulate_batch
 from repro.spec import (
     FaultSpec,
     NetworkSpec,
@@ -433,52 +433,27 @@ class TestValidation:
 
 
 class TestExecutionHints:
-    """SimPolicy.backend / compile_cache: run knobs outside identity."""
+    """Backend and compile-cache budget: call arguments, never spec fields."""
 
     def test_backend_and_cache_are_validated(self):
-        policy = SimPolicy(backend="numpy", compile_cache=16)
-        assert policy.backend == "numpy"
-        assert policy.compile_cache == 16
+        # Validated where they are given, even when there is no work.
         with pytest.raises(ReproError, match="backend"):
-            SimPolicy(backend="gpu")
-        with pytest.raises(ReproError, match="compile_cache"):
-            SimPolicy(compile_cache=True)
+            simulate_batch([], backend="gpu")
+        with pytest.raises(ReproError, match="maxsize"):
+            set_compile_cache_max(True)
 
     def test_hints_stay_out_of_the_wire_dict(self):
+        # SimPolicy says what a run computes and nothing else.
+        assert [f.name for f in fields(SimPolicy)] == [
+            "cycles", "policy", "drain",
+        ]
+        for hint in ("backend", "compile_cache"):
+            with pytest.raises(TypeError):
+                SimPolicy(**{hint: None})
         spec = ScenarioSpec(
             network=NetworkSpec.catalog("omega", n=3),
             traffic=TrafficSpec.of("uniform", 0.7),
-            sim=SimPolicy(cycles=50, backend="numba", compile_cache=4),
+            sim=SimPolicy(cycles=50),
         )
-        wire = spec.to_spec()
-        assert "backend" not in json.dumps(wire)
-        assert "compile_cache" not in json.dumps(wire)
-        # Round-tripping drops the hints (by design: a saved scenario
-        # replays on whatever backend the replaying install picks) but
-        # preserves the identity exactly.
-        again = ScenarioSpec.from_spec(wire)
-        assert again.sim.backend == "auto"
-        assert again.digest == spec.digest
-
-    def test_digest_and_group_key_ignore_hints(self):
-        base = ScenarioSpec(
-            network=NetworkSpec.catalog("omega", n=3),
-            traffic=TrafficSpec.of("uniform", 0.7),
-        )
-        hinted = ScenarioSpec(
-            network=NetworkSpec.catalog("omega", n=3),
-            traffic=TrafficSpec.of("uniform", 0.7),
-            sim=SimPolicy(backend="numpy", compile_cache=2),
-        )
-        assert base.digest == hinted.digest
-        assert base.group_key() == hinted.group_key()
-
-    def test_resolution_carries_the_hints(self):
-        spec = ScenarioSpec(
-            network=NetworkSpec.catalog("omega", n=3),
-            traffic=TrafficSpec.of("uniform", 0.7),
-            sim=SimPolicy(cycles=10, backend="numpy", compile_cache=5),
-        )
-        resolved = spec.resolve()
-        assert resolved.backend == "numpy"
-        assert resolved.compile_cache == 5
+        wire = json.dumps(spec.to_spec())
+        assert "backend" not in wire and "compile_cache" not in wire

@@ -291,6 +291,10 @@ class TestQuarantineStore:
         with open(q.path, "a", encoding="utf-8") as fh:
             fh.write('{"hash": "torn')
         assert q.hashes() == {"aa11"}
+        # The next append cuts the torn bytes instead of joining them.
+        q.append(self._failure("bb22"))
+        assert q.hashes() == {"aa11", "bb22"}
+        assert q.verify()["ok"] and not q.verify()["torn_tail"]
 
     def test_quarantine_path(self):
         assert quarantine_path("runs/sweep.jsonl") == Path(

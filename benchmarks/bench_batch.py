@@ -1,7 +1,7 @@
 """Benchmarks (S3): batched simulation throughput.
 
 The batched engine's unit of work is the *scenario slab*: B same-shape
-scenarios pushed through one set of packet-compacted kernels
+scenarios pushed through one backend kernel call
 (:func:`repro.sim.batch.simulate_batch`).  Tracked figures, all in
 ``extra_info`` (shared emitter schema — ``backend``,
 ``scenarios_per_sec``, ``speedup``): batched ``hops_per_sec`` and

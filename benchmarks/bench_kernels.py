@@ -3,8 +3,8 @@
 One slab — 64 uniform-load scenarios on the 1024-port Omega network —
 pushed through each registered kernel backend of
 :mod:`repro.sim.kernels`, reporting ``scenarios_per_sec`` per backend
-and, for the fused numba backend, ``speedup`` over the
-packet-compacted NumPy batch path (the PR 3/4 kernels).  Target: the
+and, for the fused numba backend, ``speedup`` over the NumPy
+backend's stage-major ``drop`` kernel.  Target: the
 fused JIT loop runs the slab **>= 3x** faster than the NumPy backend,
 with bit-identical reports — the oracle rides along in the numba bench.
 

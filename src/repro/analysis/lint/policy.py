@@ -28,9 +28,9 @@ __all__ = [
 
 #: Execution-hint names: they steer *how* a scenario runs, never *what*
 #: it computes, and therefore must stay out of wire dicts, digests and
-#: group keys.  Both are call arguments (``backend=``,
-#: ``set_compile_cache_max``), no longer ``SimPolicy`` fields; RPR001
-#: keeps guarding against their return to digest code.
+#: group keys.  Neither is a ``SimPolicy`` field any more: the backend
+#: is a call argument (``backend=``) and the compile cache belongs to
+#: the run; RPR001 keeps guarding against their return to digest code.
 EXECUTION_HINT_FIELDS = frozenset({"backend", "compile_cache"})
 
 #: Function names in ``repro/spec/`` whose bodies feed digests — any

@@ -5,12 +5,12 @@ executes — which kernel runs it, how big the compile cache is — while
 digests, wire dicts and group keys define *what* it computes.  The
 whole resume/store/equivalence machinery rests on the two never mixing:
 a backend that leaked into ``to_spec`` would fork every stored digest
-per installation.  Both are arguments of the call that runs a scenario
-(``simulate(spec, backend=...)``, ``set_compile_cache_max``) and no
-longer fields of ``SimPolicy``; the rule stays as a guard against the
-names returning to digest code.  It statically rejects any reference to
-an execution-hint name (attribute read, string key, bare name) inside
-the digest-affecting function bodies of ``repro/spec/``.
+per installation.  Neither is a ``SimPolicy`` field: the backend is a
+call argument (``simulate(spec, backend=...)``) and the compile cache
+belongs to the run.  The rule guards against the names returning: it
+statically rejects any reference to an execution-hint name (attribute
+read, string key, bare name) inside the digest-affecting function
+bodies of ``repro/spec/``.
 """
 
 from __future__ import annotations

@@ -21,14 +21,13 @@ Two layers of batching and caching keep the sweep hot:
   :func:`~repro.sim.batch.simulate_batch` call: one compilation per
   sample, one pass over the cycle loop, bit-identical per-scenario
   reports.  ``batch=1`` recovers the per-scenario dispatch exactly.
-* **Warm persistent workers.**  Pool workers live for the whole sweep
-  and start hot: the pool initializer sizes the digest-keyed
-  compiled-network LRU (:func:`repro.sim.compiled.set_compile_cache_max`)
-  to the sweep's distinct ``(topology, fault sample)`` pairs, and — when the
-  requested kernel backend resolves to ``numba`` — pre-compiles the
-  fused JIT loop (:func:`repro.sim.kernels.warm_jit`) so no slab pays
-  the one-time compile.  Network resolution is additionally memoized per
-  process by catalog entry / file content digest.
+* **Run-owned caches, warm workers.**  A run owns its compiled-network
+  LRU (:class:`repro.sim.compiled.CompileCache`; one inline, or one per
+  pool worker), sized to the sweep's distinct ``(topology, fault
+  sample)`` pairs, at most 64.  Pool workers live for the whole sweep;
+  with the ``numba`` backend the initializer pre-compiles the fused JIT
+  loop (:func:`repro.sim.kernels.warm_jit`).  Network resolution is
+  additionally memoized per process by catalog entry / file digest.
 
 **One group executor.**  ``workers=1`` runs inline in the parent (no
 pool, easiest to debug and to interrupt deterministically in tests);
@@ -36,8 +35,8 @@ pool, easiest to debug and to interrupt deterministically in tests);
 (:mod:`repro.campaign.supervisor`).  Both call the same
 :func:`_execute_group` — chaos injection, backend choice, the
 ``group`` span and its telemetry are written once — and both hand the
-parent the same ``(records, cache_delta, telemetry)`` triple; pool
-workers pickle it through their result pipe.  Completion order is
+parent the same ``(records, telemetry)`` pair; pool workers pickle it
+through their result pipe.  Completion order is
 nondeterministic, results are not: every scenario's report is a pure
 function of its spec.
 
@@ -87,8 +86,8 @@ from repro.obs import trace as obs
 from repro.obs.log import get_logger
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import metrics
-from repro.sim.batch import pack_slabs, simulate_batch
-from repro.sim.compiled import compile_cache_info, set_compile_cache_max
+from repro.sim.batch import _simulate_spec_batch, pack_slabs
+from repro.sim.compiled import CompileCache
 from repro.sim.engine import simulate
 from repro.sim.kernels import resolve_backend, warm_jit
 from repro.sim.metrics import SimReport
@@ -135,8 +134,9 @@ def _execute_group(
     backend: str | None,
     dispatch_ts: float | None,
     chaos: ChaosSpec | None,
+    cache: CompileCache,
 ) -> tuple:
-    """Run one group task → ``(records, cache_delta, telemetry)``.
+    """Run one group task → ``(records, telemetry)``.
 
     The one executor behind both run paths: pool workers call it from
     :func:`repro.campaign.supervisor._worker_main`, inline runs from
@@ -144,10 +144,10 @@ def _execute_group(
     (a crash or hang never holds a half-built result), then the group
     runs on the task's ``backend_override`` (the supervisor's degrade
     step) or else the sweep's ``backend`` request — an execution
-    choice, so the records are unchanged.
-    ``cache_delta`` is this group's compile-cache ``(hits, misses)``;
-    ``telemetry`` is the liveness triple (pid, busy seconds, scenario
-    count) feeding the parent's per-worker series and heartbeat.  Span
+    choice, so the records are unchanged — compiling through the run's
+    ``cache``.  ``telemetry`` holds the pid, busy seconds and scenario
+    count feeding the parent's per-worker series and heartbeat, and the
+    group's compile-cache ``hits`` and ``misses``.  Span
     and metric events go to this process's own tracer; shipping them
     across a process boundary is the worker loop's job.
     """
@@ -164,22 +164,20 @@ def _execute_group(
             # repro: noqa[RPR003] — cross-process wall-clock telemetry
             max(0.0, time.time() - dispatch_ts)
         )
-    before = compile_cache_info()
+    hits, misses = cache.hits, cache.misses
     with obs.span("group", scenarios=len(specs)):
-        reports = simulate_batch(
-            list(specs), backend=backend_override or backend
+        reports = _simulate_spec_batch(
+            list(specs), resolve_backend(backend_override or backend), cache
         )
-    after = compile_cache_info()
     busy_s = time.perf_counter() - t0
     if obs.enabled():
         _note_group(len(specs), busy_s)
     records = [_record(s, r) for s, r in zip(specs, reports)]
-    delta = (
-        after["hits"] - before["hits"],
-        after["misses"] - before["misses"],
-    )
-    tele = {"pid": os.getpid(), "busy_s": busy_s, "scenarios": len(specs)}
-    return records, delta, tele
+    tele = {
+        "pid": os.getpid(), "busy_s": busy_s, "scenarios": len(specs),
+        "hits": cache.hits - hits, "misses": cache.misses - misses,
+    }
+    return records, tele
 
 
 def _note_group(n_scenarios: int, busy_s: float) -> None:
@@ -192,22 +190,22 @@ def _note_group(n_scenarios: int, busy_s: float) -> None:
 
 def _worker_init(
     cache_max: int, backend: str | None, traced: bool = False
-) -> str | None:
-    """Pool initializer: install telemetry, size the cache, pre-pay JIT.
+) -> tuple:
+    """Pool initializer: install telemetry, build the cache, pre-pay JIT.
 
     The tracer (when the parent traces) comes first so the initializer's
     own ``warm_jit`` span is captured; it replaces any tracer inherited
     across ``fork`` — see :func:`repro.obs.trace.reset`.  Returns the
-    sweep's ``backend`` request, which every group of this worker runs
+    sweep's ``backend`` request and this worker's own
+    ``CompileCache(cache_max)``, which every group of this worker runs
     on (see :func:`_execute_group`).
     """
     if traced:
         obs.reset()
         obs.start(obs.Tracer())
-    set_compile_cache_max(cache_max)
     if resolve_backend(backend) == "numba":
         warm_jit()
-    return backend
+    return backend, CompileCache(cache_max)
 
 
 def run_campaign(
@@ -308,8 +306,8 @@ def run_campaign(
         skipped on resume), ``"quarantine"`` (the sidecar path) and a
         ``"faults"`` dict of supervisor event counters
         (retries/bisects/degraded/quarantined/timeouts/crashes/
-        respawns).  The compile-cache counters
-        aggregate over every worker.  When a :mod:`repro.obs` tracer is
+        respawns).  The compile-cache counters are this run's own,
+        summed over its caches (one inline, or one per worker).  When a :mod:`repro.obs` tracer is
         active, a ``"telemetry"`` key is added: the run's wall time, the
         parent-merged metrics snapshot and a per-worker series
         (groups/scenarios/busy seconds/utilization); the trace stream
@@ -411,15 +409,10 @@ def run_campaign(
             "compile_cache": {"hits": 0, "misses": 0},
         }
     tasks = [[pending[i] for i in slab] for slab in pack_slabs(pending, batch)]
-    # Size the compiled-network LRU to the sweep: each distinct (group
-    # key, fault sample) pair is one (topology, faults) compilation, and
-    # a budget below that count would thrash on every task boundary.
-    # Enlarge-only (capped at 64 compilations), so a larger budget the
-    # caller set with set_compile_cache_max always wins.
-    cache_max = max(
-        compile_cache_info()["maxsize"],
-        min(64, len({(s.group_key(), s.faults) for s in pending})),
-    )
+    # Size the run's compile caches to the sweep: each distinct
+    # (topology, fault sample) pair is one compilation, and a budget
+    # below that count would thrash on every task boundary.
+    cache_max = min(64, len({(s.network, s.faults) for s in pending}))
     # Degradation target: retry once on the reference kernels when the
     # sweep runs the JIT backend.  A chaos spec with poison_numba
     # entries simulates exactly that failure mode, so it forces the
@@ -445,10 +438,10 @@ def run_campaign(
     traced = obs.enabled()
     worker_series: "dict[int, dict]" = {}
 
-    def _on_result(task, records, delta, tele) -> None:
+    def _on_result(task, records, tele) -> None:
         nonlocal cache_hits, cache_misses
-        cache_hits += delta[0]
-        cache_misses += delta[1]
+        cache_hits += tele["hits"]
+        cache_misses += tele["misses"]
         if tele.get("events"):
             tr = obs.active()
             if tr is not None:
@@ -489,11 +482,11 @@ def run_campaign(
         workers=workers, batch=batch, backend=resolved,
     ) as root:
         if workers == 1:
-            set_compile_cache_max(cache_max)
             fault_stats = sup.run_inline(
                 tasks,
                 cfg=sup_cfg,
                 backend=backend,
+                cache=CompileCache(cache_max),
                 chaos=chaos,
                 on_result=_on_result,
                 on_failure=_on_failure,

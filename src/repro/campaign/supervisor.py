@@ -258,23 +258,23 @@ def _worker_main(
     Runs the runner's pool initializer and group executor (imported
     lazily — the runner imports this module at top level) and answers
     every task on this worker's private result pipe: ``("ok", records,
-    cache_delta, telemetry)`` or ``("err", info)`` carrying the child's
+    telemetry)`` or ``("err", info)`` carrying the child's
     formatted traceback.  This is the process boundary, so the span
     events and metrics the group recorded are drained into the ``ok``
     message for the parent to merge.
     """
     from repro.campaign import runner
 
-    backend = runner._worker_init(*init_args)
+    backend, cache = runner._worker_init(*init_args)
     while True:
         msg = inq.get()
         if msg is None:
             return
         specs, attempt, backend_override, dispatch_ts = msg
         try:
-            records, delta, tele = runner._execute_group(
+            records, tele = runner._execute_group(
                 specs, attempt, backend_override, backend, dispatch_ts,
-                chaos,
+                chaos, cache,
             )
         except Exception as exc:  # noqa: BLE001 — shipped, not swallowed
             info = _error_info(exc)
@@ -284,7 +284,7 @@ def _worker_main(
             tr = obs.active()
             tele["events"] = tr.drain() if tr.path is None else []
             tele["metrics"] = metrics().drain()
-        result_conn.send(("ok", records, delta, tele))
+        result_conn.send(("ok", records, tele))
 
 
 class _Worker:
@@ -470,7 +470,7 @@ def run_supervised(
     """Run group tasks over a supervised worker pool; return stats.
 
     ``tasks`` is a list of spec tuples (one per group).  ``on_result``
-    receives ``(task, records, cache_delta, telemetry)`` exactly once
+    receives ``(task, records, telemetry)`` exactly once
     per completed scenario set; ``on_failure`` receives each terminal
     :class:`TaskFailure` (raising inside it aborts the sweep — the
     pool is torn down and the exception propagates).  ``on_dispatch``
@@ -493,9 +493,9 @@ def run_supervised(
         # produced: restart its wall clock now.
         worker.started = now
         if msg[0] == "ok":
-            _, records, delta, tele = msg
+            _, records, tele = msg
             sched.complete(task)
-            on_result(task, records, delta, tele)
+            on_result(task, records, tele)
         else:
             sched.fail(task, msg[1], now)
 
@@ -608,6 +608,7 @@ def run_inline(
     *,
     cfg: SupervisorConfig,
     backend: str | None,
+    cache,
     chaos: ChaosSpec | None,
     on_result,
     on_failure,
@@ -617,13 +618,13 @@ def run_inline(
     Each task runs through the runner's group executor — the one pool
     workers run — in the calling process, so its spans land directly
     in the caller's tracer.  ``on_result`` receives the same
-    ``(task, records, cache_delta, telemetry)`` as on the pool path;
+    ``(task, records, telemetry)`` as on the pool path;
     raising routes the task through retry → bisect → degrade →
     quarantine exactly like the pool path.  Hang and crash supervision
     need a separate process and are therefore pool-only: inline, a hang
     blocks and a crash kills the run — ``workers=1`` remains the
     transparent debugging mode.  ``backend`` is the sweep's backend
-    request.
+    request and ``cache`` the run's compile cache.
     """
     from repro.campaign import runner
 
@@ -645,13 +646,13 @@ def run_inline(
                 time.sleep(delay)
             continue
         try:
-            records, delta, tele = runner._execute_group(
+            records, tele = runner._execute_group(
                 task.specs, task.attempt, task.backend_override, backend,
-                None, chaos,
+                None, chaos, cache,
             )
         except Exception as exc:  # noqa: BLE001 — routed, not swallowed
             sched.fail(task, _error_info(exc), time.monotonic())
             continue
         sched.complete(task)
-        on_result(task, records, delta, tele)
+        on_result(task, records, tele)
     return sched.stats

@@ -25,7 +25,6 @@ from repro.sim.compiled import (
     compile_cache_info,
     compile_network,
     network_digest,
-    set_compile_cache_max,
 )
 from repro.sim.kernels import (
     available_backends,
@@ -89,7 +88,6 @@ __all__ = [
     "register_traffic",
     "resolve_backend",
     "schedule_from_switch_settings",
-    "set_compile_cache_max",
     "simulate",
     "simulate_batch",
     "terminal_reachability",

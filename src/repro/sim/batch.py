@@ -58,7 +58,7 @@ from repro.obs import schema
 from repro.obs import trace as obs
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import metrics
-from repro.sim.compiled import compile_network
+from repro.sim.compiled import CompileCache, compile_network
 from repro.sim.faults import FaultSet
 from repro.sim.kernels import get_backend, resolve_backend
 from repro.sim.metrics import SimReport, latency_summary
@@ -128,43 +128,60 @@ def pack_slabs(specs, batch: int | None = None) -> list[list[int]]:
     return slabs
 
 
-def _simulate_spec_batch(specs, backend: str) -> list[SimReport]:
+def _simulate_spec_batch(
+    specs, backend: str, cache: CompileCache | None = None
+) -> list[SimReport]:
     """Pack specs into slabs (:func:`pack_slabs`) and run each one.
 
     Within a slab only the traffic spec, the simulation seed and the
     fault sample vary, so the slab's head resolves the shared network
     and run parameters once, and each distinct sample is drawn once.
-    Every slab runs on ``backend``.  Reports return in input order.
+    Every slab runs on ``backend``, compiling through ``cache`` (a
+    campaign's run-owned one).  Reports return in input order, inside
+    one span and, at top level, one manifest.
     """
+    top_level = obs.enabled() and obs.current_span() is None
     reports: list[SimReport | None] = [None] * len(specs)
-    for idxs in pack_slabs(specs):
-        head = specs[idxs[0]].resolve()
-        net = head.network
-        buckets: dict = {}
-        sample = [
-            buckets.setdefault(specs[i].faults, len(buckets)) for i in idxs
-        ]
-        faults = [fs.sample(net.n_stages, net.size) for fs in buckets]
-        group_reports = _run_slab(
-            net,
-            [
-                BatchScenario(
-                    traffic=specs[i].traffic.resolve(),
-                    seed=specs[i].seed,
-                    network_name=specs[i].label,
-                )
+    with obs.span("simulate_batch", scenarios=len(specs)) as root:
+        for idxs in pack_slabs(specs):
+            head = specs[idxs[0]].resolve()
+            net = head.network
+            buckets: dict = {}
+            sample = [
+                buckets.setdefault(specs[i].faults, len(buckets))
                 for i in idxs
-            ],
-            cycles=head.cycles,
-            policy=head.policy,
-            faults=faults,
-            sample=np.array(sample, dtype=np.intp),
-            drain=head.drain,
-            network_name=None,
-            backend=backend,
+            ]
+            faults = [fs.sample(net.n_stages, net.size) for fs in buckets]
+            group_reports = _run_slab(
+                net,
+                [
+                    BatchScenario(
+                        traffic=specs[i].traffic.resolve(),
+                        seed=specs[i].seed,
+                        network_name=specs[i].label,
+                    )
+                    for i in idxs
+                ],
+                cycles=head.cycles,
+                policy=head.policy,
+                faults=faults,
+                sample=np.array(sample, dtype=np.intp),
+                drain=head.drain,
+                network_name=None,
+                backend=backend,
+                cache=cache,
+            )
+            for i, report in zip(idxs, group_reports):
+                reports[i] = report
+    if top_level:
+        obs.active().emit_manifest(
+            RunManifest.collect(
+                "batch",
+                [s.digest for s in specs],
+                backend=backend,
+                timings={"total": root.dur},
+            )
         )
-        for i, report in zip(idxs, group_reports):
-            reports[i] = report
     return reports  # type: ignore[return-value]
 
 
@@ -264,22 +281,7 @@ def simulate_batch(
         resolved = resolve_backend(backend)
         if not net:
             return []
-        specs = list(net)
-        # Spec form: one enclosing span (and, at top level, one manifest
-        # carrying every spec digest) around the per-group engine runs.
-        top_level = obs.enabled() and obs.current_span() is None
-        with obs.span("simulate_batch", scenarios=len(specs)) as root:
-            reports = _simulate_spec_batch(specs, resolved)
-        if top_level:
-            obs.active().emit_manifest(
-                RunManifest.collect(
-                    "batch",
-                    [s.digest for s in specs],
-                    backend=resolved,
-                    timings={"total": root.dur},
-                )
-            )
-        return reports
+        return _simulate_spec_batch(list(net), resolved)
     if scenarios is None:
         raise ReproError(
             "simulate_batch(net, scenarios, ...) needs a scenario "
@@ -313,6 +315,7 @@ def _run_slab(
     sample: np.ndarray | None = None,
     kind: str = "batch",
     digests=(),
+    cache: CompileCache | None = None,
 ) -> list[SimReport]:
     """Run one slab of scenarios and assemble a report for each.
 
@@ -325,7 +328,8 @@ def _run_slab(
     :data:`repro.obs.schema.SLAB_ROOT_SPANS`, the root span whose
     ``traffic``/``compile``/``run`` children time the phases; the phase
     durations become each report's ``timings``.  ``digests`` are the
-    scenario digests the manifest carries.
+    scenario digests the manifest carries.  ``cache`` defaults to
+    :func:`compile_network`'s.
     """
     cycles = 1000 if cycles is None else cycles
     policy = "drop" if policy is None else policy
@@ -377,14 +381,19 @@ def _run_slab(
                         f"traffic schedule has shape {tmat.shape}, expected "
                         f"({cycles}, {n_in})"
                     )
-                if int(tmat.max()) >= n_in:
+                if not np.issubdtype(tmat.dtype, np.integer) or not (
+                    -1 <= tmat.min() and tmat.max() < n_in
+                ):
                     raise ReproError(
-                        "traffic destination outside the output range"
+                        f"traffic destinations must be integers in [-1, "
+                        f"{n_in}) (-1 = idle), got {tmat.dtype} in "
+                        f"[{tmat.min()}, {tmat.max()}]"
                     )
                 tmats[:, i] = tmat
 
         with obs.span("compile") as sp_compile:
-            comps = [compile_network(net, f) for f in faults]
+            compile_ = compile_network if cache is None else cache.compile
+            comps = [compile_(net, f) for f in faults]
         kern = get_backend(resolved)
         if sample is None:
             sample = np.zeros(B, dtype=np.intp)

@@ -3,10 +3,10 @@
 Everything the cycle loop needs that depends only on ``(topology, faults)``
 — fault-aware port tables, link/cell alive masks, child and in-slot
 tables, degraded reachability — is derived here exactly once and reused
-across runs.  :func:`compile_network` keeps a small keyed cache, so the
-second ``simulate`` call on the same network (the common case in sweeps,
-benchmarks and the campaign engine) skips recompilation entirely; a
-scenario slab of :func:`repro.sim.batch.simulate_batch` compiles each of
+across runs.  A :class:`CompileCache` keeps them in a small keyed LRU
+(a campaign owns one per run, standalone calls share
+:func:`compile_network`'s), so the second run on the same network skips
+recompilation entirely; a scenario slab of :func:`repro.sim.batch.simulate_batch` compiles each of
 its fault samples once, and its scenarios share those compilations.
 
 The compiled arrays are stacked (one array per concept, leading stage
@@ -23,7 +23,6 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.core.errors import ReproError
 from repro.core.midigraph import MIDigraph
 from repro.obs import trace as obs
 from repro.obs.metrics import metrics
@@ -36,6 +35,7 @@ from repro.sim.faults import (
 )
 
 __all__ = [
+    "CompileCache",
     "CompiledNetwork",
     "arc_slots",
     "compile_cache_clear",
@@ -43,7 +43,6 @@ __all__ = [
     "compile_key",
     "compile_network",
     "network_digest",
-    "set_compile_cache_max",
 ]
 
 def arc_slots(conn) -> np.ndarray:
@@ -155,18 +154,11 @@ class CompiledNetwork:
 
 
 _NO_FAULTS = FaultSet()
-_CACHE: "OrderedDict[tuple, CompiledNetwork]" = OrderedDict()
-_HITS = 0
-_MISSES = 0
-
-#: Entry budget of the compile cache; :func:`set_compile_cache_max` is
-#: its one setter.
-_CACHE_MAX = 8
 
 
 # Digest memo keyed by object identity; the strong reference pins the
 # identity (ids recycle only after collection).  Networks here are a
-# subset of what the compile cache itself keeps alive, so the extra
+# subset of what the compile caches themselves keep alive, so the extra
 # footprint is a few tuples.
 _DIGEST_MEMO: "OrderedDict[int, tuple[MIDigraph, str]]" = OrderedDict()
 _DIGEST_MEMO_MAX = 16
@@ -211,72 +203,79 @@ def compile_key(net: MIDigraph, faults: FaultSet | None = None) -> tuple:
     )
 
 
+class CompileCache:
+    """A keyed LRU of :class:`CompiledNetwork` values.
+
+    Keyed by :func:`compile_key` — a structural content digest of the
+    derived tables' inputs, not object identity — so repeated runs on
+    the same topology (including a topology rebuilt from the same spec
+    in another part of the program) pay the reachability sweeps and
+    table builds once.  Each cache counts its own ``hits`` and
+    ``misses``, so a run's figures never leak into another run's.
+    """
+
+    __slots__ = ("maxsize", "hits", "misses", "_entries")
+
+    def __init__(self, maxsize: int = 8) -> None:
+        self.maxsize = maxsize
+        self._entries: "OrderedDict[tuple, CompiledNetwork]" = OrderedDict()
+        self.clear()
+
+    def clear(self) -> None:
+        """Drop every entry and reset the hit/miss counters."""
+        self._entries.clear()
+        self.hits = 0
+        self.misses = 0
+
+    def compile(
+        self, net: MIDigraph, faults: FaultSet | None = None
+    ) -> CompiledNetwork:
+        """Compile (or fetch the cached compilation of) a network."""
+        faults = _NO_FAULTS if faults is None else faults
+        key = compile_key(net, faults)
+        hit = self._entries.get(key)
+        if hit is not None:
+            self._entries.move_to_end(key)
+            self.hits += 1
+            if obs.enabled():
+                metrics().counter("compile_cache.hits").add()
+            return hit
+        self.misses += 1
+        # Only a miss does real work, so only a miss gets its own span.
+        with obs.span("compile_network", digest=key[0]):
+            compiled = CompiledNetwork(net, faults)
+        if obs.enabled():
+            metrics().counter("compile_cache.misses").add()
+        self._entries[key] = compiled
+        if len(self._entries) > self.maxsize:
+            self._entries.popitem(last=False)
+        return compiled
+
+    def info(self) -> dict:
+        """Statistics: ``{"hits", "misses", "size", "maxsize"}``."""
+        return {
+            "hits": self.hits, "misses": self.misses,
+            "size": len(self._entries), "maxsize": self.maxsize,
+        }
+
+
+#: The cache behind :func:`compile_network`: a fixed 8 entries.
+_DEFAULT = CompileCache()
+
+
 def compile_network(
     net: MIDigraph, faults: FaultSet | None = None
 ) -> CompiledNetwork:
-    """Compile (or fetch the cached compilation of) a network.
-
-    Keyed by :func:`compile_key` — a structural content digest of the
-    derived tables' inputs, not object identity — in a small LRU, so
-    repeated ``simulate`` calls on the same topology (including a
-    topology rebuilt from the same spec in another part of the program)
-    pay the reachability sweeps and table builds once.  The entry budget
-    defaults to 8; :func:`set_compile_cache_max` changes it.
-    """
-    faults = _NO_FAULTS if faults is None else faults
-    global _HITS, _MISSES
-    key = compile_key(net, faults)
-    hit = _CACHE.get(key)
-    if hit is not None:
-        _CACHE.move_to_end(key)
-        _HITS += 1
-        if obs.enabled():
-            metrics().counter("compile_cache.hits").add()
-        return hit
-    _MISSES += 1
-    # Only a miss does real work, so only a miss gets its own span.
-    with obs.span("compile_network", digest=key[0]):
-        compiled = CompiledNetwork(net, faults)
-    if obs.enabled():
-        metrics().counter("compile_cache.misses").add()
-    _CACHE[key] = compiled
-    while len(_CACHE) > _CACHE_MAX:
-        _CACHE.popitem(last=False)
-    return compiled
-
-
-def set_compile_cache_max(maxsize: int) -> None:
-    """Resize the compile cache's entry budget (evicting LRU overflow).
-
-    Wide campaigns cycling through more ``(topology, faults)`` pairs
-    than the default budget of 8 would otherwise thrash — recompiling
-    reachability sweeps on every group — so the campaign runner sizes
-    the cache to the sweep.
-    """
-    if not isinstance(maxsize, int) or isinstance(maxsize, bool):
-        raise ReproError(f"cache maxsize must be an int, got {maxsize!r}")
-    if maxsize < 1:
-        raise ReproError(f"cache maxsize must be >= 1, got {maxsize}")
-    global _CACHE_MAX
-    _CACHE_MAX = maxsize
-    while len(_CACHE) > _CACHE_MAX:
-        _CACHE.popitem(last=False)
+    """Compile through the default 8-entry :class:`CompileCache`."""
+    return _DEFAULT.compile(net, faults)
 
 
 def compile_cache_info() -> dict:
-    """Cache statistics: ``{"hits", "misses", "size", "maxsize"}``."""
-    return {
-        "hits": _HITS,
-        "misses": _MISSES,
-        "size": len(_CACHE),
-        "maxsize": _CACHE_MAX,
-    }
+    """The default cache's ``{"hits", "misses", "size", "maxsize"}``."""
+    return _DEFAULT.info()
 
 
 def compile_cache_clear() -> None:
-    """Drop every cached compilation and reset the hit/miss counters."""
-    global _HITS, _MISSES
-    _CACHE.clear()
+    """Empty the default cache, reset its counters and the digest memo."""
+    _DEFAULT.clear()
     _DIGEST_MEMO.clear()
-    _HITS = 0
-    _MISSES = 0

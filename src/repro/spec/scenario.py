@@ -401,22 +401,22 @@ class NetworkSpec:
 
 # Per-process (hence per-campaign-worker) topology memo.  Bounded so huge
 # sweeps over many saved files don't pin every network in memory.
-_NETWORK_CACHE: "OrderedDict[tuple, object]" = OrderedDict()
-_NETWORK_CACHE_MAX = 32
+_NETWORK_MEMO: "OrderedDict[tuple, object]" = OrderedDict()
+_NETWORK_MEMO_MAX = 32
 
 
 def _resolve_network(spec: NetworkSpec):
     key = spec.cache_key()
     if key is not None:
-        net = _NETWORK_CACHE.get(key)
+        net = _NETWORK_MEMO.get(key)
         if net is not None:
-            _NETWORK_CACHE.move_to_end(key)
+            _NETWORK_MEMO.move_to_end(key)
             return net
     net = _network_registry().build(spec.name, **dict(spec.params))
     if key is not None:
-        _NETWORK_CACHE[key] = net
-        if len(_NETWORK_CACHE) > _NETWORK_CACHE_MAX:
-            _NETWORK_CACHE.popitem(last=False)
+        _NETWORK_MEMO[key] = net
+        if len(_NETWORK_MEMO) > _NETWORK_MEMO_MAX:
+            _NETWORK_MEMO.popitem(last=False)
     return net
 
 
@@ -584,10 +584,10 @@ class SimPolicy:
     drain:
         Keep cycling after injection stops until the network empties.
 
-    Only what a run computes lives here.  How it runs — the kernel
-    backend, the compile-cache budget — is an argument of the call that
-    runs it (``simulate(spec, backend=...)``,
-    :func:`repro.sim.compiled.set_compile_cache_max`).
+    Only what a run computes lives here.  How it runs is not: the
+    kernel backend is an argument of the call that runs it
+    (``simulate(spec, backend=...)``), and the compile cache belongs to
+    the run (:class:`repro.sim.compiled.CompileCache`).
     """
 
     cycles: int = 1000

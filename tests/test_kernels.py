@@ -28,8 +28,10 @@ Five layers of guarantees:
   to 16 scenarios, and on a pipeline that vacates and refills a full
   column in one cycle; its drain bound is asserted on the oracle.
 * **Compile cache** — the LRU is keyed by structural content digest
-  (equal tables share an entry across rebuilds), and its budget has one
-  setter, ``set_compile_cache_max``.
+  (equal tables share an entry across rebuilds), and each
+  :class:`~repro.sim.compiled.CompileCache` keeps its own budget and
+  counters; a campaign owns one per run, so nothing resizes the module
+  default.
 """
 
 from __future__ import annotations
@@ -51,16 +53,15 @@ from repro.sim import (
     TRAFFIC_PATTERNS,
     UniformTraffic,
     compile_cache_clear,
-    compile_cache_info,
     compile_network,
     network_digest,
     numba_available,
     resolve_backend,
-    set_compile_cache_max,
     simulate,
     simulate_batch,
 )
-from repro.sim.compiled import compile_key
+from repro.sim import compiled
+from repro.sim.compiled import CompileCache, compile_key
 from repro.sim.engine import schedule_from_switch_settings
 from repro.sim.kernels import (
     BACKEND_CHOICES,
@@ -178,15 +179,23 @@ _EACH_CALL = pytest.mark.parametrize(
 )
 
 
-@pytest.mark.usefixtures("fresh_cache")
 class TestBackendArgument:
     """One backend path: every runner takes ``backend=`` as an argument."""
 
     @_EACH_CALL
-    def test_unknown_backend_fails_before_any_work(self, call, tmp_path):
+    def test_unknown_backend_fails_before_any_work(
+        self, call, tmp_path, monkeypatch
+    ):
+        # Count compilations in every cache, the default and run-owned.
+        built, real = [], compiled.CompiledNetwork
+        monkeypatch.setattr(
+            compiled, "CompiledNetwork",
+            lambda *args: built.append(args) or real(*args),
+        )
+        compile_cache_clear()
         with pytest.raises(ReproError, match="unknown simulation backend"):
             call(tmp_path, "fortran")
-        assert compile_cache_info()["misses"] == 0
+        assert built == []
         assert list(tmp_path.iterdir()) == []
 
     @_EACH_CALL
@@ -844,16 +853,7 @@ class TestBackendsBitIdenticalReports:
 
 
 # ---------------------------------------------------------------------------
-# compile cache: digest keying + configurable budget
-
-
-@pytest.fixture()
-def fresh_cache():
-    compile_cache_clear()
-    set_compile_cache_max(8)
-    yield
-    compile_cache_clear()
-    set_compile_cache_max(8)
+# compile cache: digest keying + per-cache budget
 
 
 class TestCompileCacheKeying:
@@ -868,25 +868,19 @@ class TestCompileCacheKeying:
         assert compile_key(net) != compile_key(net, fs)
         assert compile_key(net, fs) == compile_key(net, fs)
 
-    def test_rebuilt_topologies_share_an_entry(self, fresh_cache):
-        a = compile_network(omega(5))
-        b = compile_network(omega(5))  # a distinct, equal object
+    def test_rebuilt_topologies_share_an_entry(self):
+        cache = CompileCache()
+        a = cache.compile(omega(5))
+        b = cache.compile(omega(5))  # a distinct, equal object
         assert a is b
-        info = compile_cache_info()
+        info = cache.info()
         assert info["hits"] == 1 and info["misses"] == 1
 
-    def test_budget_is_configurable_and_evicts_lru(self, fresh_cache):
-        set_compile_cache_max(2)
-        assert compile_cache_info()["maxsize"] == 2
-        c3, c4 = compile_network(omega(3)), compile_network(omega(4))
-        compile_network(omega(5))          # evicts omega(3)
-        assert compile_network(omega(4)) is c4
-        assert compile_network(omega(3)) is not c3  # recompiled
-        with pytest.raises(ReproError, match="maxsize"):
-            set_compile_cache_max(0)
-
-    def test_shrinking_the_budget_evicts_now(self, fresh_cache):
-        for n in (3, 4, 5):
-            compile_network(omega(n))
-        set_compile_cache_max(1)
-        assert compile_cache_info()["size"] == 1
+    def test_budget_is_configurable_and_evicts_lru(self):
+        cache = CompileCache(2)
+        assert cache.info()["maxsize"] == 2
+        c3, c4 = cache.compile(omega(3)), cache.compile(omega(4))
+        cache.compile(omega(5))          # evicts omega(3)
+        assert cache.compile(omega(4)) is c4
+        assert cache.compile(omega(3)) is not c3  # recompiled
+        assert cache.info()["size"] == 2

@@ -25,6 +25,8 @@ from repro.sim import (
     FaultSet,
     HotspotTraffic,
     PermutationTraffic,
+    TRAFFIC_PATTERNS,
+    TrafficPattern,
     TransposeTraffic,
     UniformTraffic,
     compile_cache_clear,
@@ -35,10 +37,17 @@ from repro.sim import (
     make_traffic,
     patel_profile,
     permutation_port_schedule,
+    register_traffic,
     schedule_from_switch_settings,
     simulate,
     simulate_batch,
     terminal_reachability,
+)
+from repro.spec.scenario import (
+    NetworkSpec,
+    ScenarioSpec,
+    SimPolicy,
+    TrafficSpec,
 )
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -173,6 +182,34 @@ class TestEngineBasics:
                 cycles=5,
                 port_schedule=np.zeros((2, 2), dtype=np.int8),
             )
+
+    def test_malformed_plugin_schedules_raise(self):
+        # Destinations are ints in [0, N) or -1 (idle).  Unchecked, a -2
+        # would drop out of the offered count and a float would be
+        # truncated into the int32 slab, both silently.
+        class MinusTwo(TrafficPattern):
+            def _dests(self, rng, n_inputs, cycles):
+                dests = np.tile(np.arange(n_inputs), (cycles, 1))
+                dests[:, 0] = -2
+                return dests
+
+        class Floats(TrafficPattern):
+            def _dests(self, rng, n_inputs, cycles):
+                return np.tile(np.arange(n_inputs) + 0.5, (cycles, 1))
+
+        for cls in (MinusTwo, Floats):
+            name = f"test-{cls.__name__.lower()}"
+            register_traffic(name)(cls)
+            try:
+                spec = ScenarioSpec(
+                    network=NetworkSpec.catalog("omega", n=3),
+                    traffic=TrafficSpec.of(name),
+                    sim=SimPolicy(cycles=10),
+                )
+                with pytest.raises(ReproError, match="must be integers"):
+                    simulate(spec)
+            finally:
+                TRAFFIC_PATTERNS.unregister(name)
 
     def test_regression_contention_counters(self):
         """Crafted all-to-one contention, counters pinned per policy.

@@ -29,7 +29,7 @@ from repro.networks.catalog import (
     register_network,
 )
 from repro.networks.omega import omega
-from repro.sim import set_compile_cache_max, simulate, simulate_batch
+from repro.sim import simulate, simulate_batch
 from repro.spec import (
     FaultSpec,
     NetworkSpec,
@@ -433,14 +433,12 @@ class TestValidation:
 
 
 class TestExecutionHints:
-    """Backend and compile-cache budget: call arguments, never spec fields."""
+    """Backend and compile cache: execution choices, never spec fields."""
 
     def test_backend_and_cache_are_validated(self):
-        # Validated where they are given, even when there is no work.
+        # Validated where it is given, even when there is no work.
         with pytest.raises(ReproError, match="backend"):
             simulate_batch([], backend="gpu")
-        with pytest.raises(ReproError, match="maxsize"):
-            set_compile_cache_max(True)
 
     def test_hints_stay_out_of_the_wire_dict(self):
         # SimPolicy says what a run computes and nothing else.

@@ -190,9 +190,9 @@ class ReliabilitySweepSpec:
 
         Saturation is the smallest interior-cell pool
         (``(n_stages - 2) · size``, the candidate set of
-        :meth:`FaultSet.random ` under spared terminal stages) among the
-        compared networks — past it at least one network cannot even
-        sample the requested fault count.
+        :meth:`~repro.sim.faults.FaultSet.random` under spared terminal
+        stages) among the compared networks — past it at least one
+        network cannot even sample the requested fault count.
         """
         if self.max_faults is not None:
             return self.max_faults

@@ -18,15 +18,18 @@ Two layers of batching and caching keep the sweep hot:
   cycles, policy and drain — and, within a group, by fault sample, whole
   samples at a time, into tasks of at most ``batch`` scenarios and
   :data:`~repro.sim.batch.SLAB_SAMPLES` samples.  Each task runs as one
-  :func:`~repro.sim.batch.simulate_batch` call: one compilation per
-  sample, one pass over the cycle loop, bit-identical per-scenario
-  reports.  ``batch=1`` recovers the per-scenario dispatch exactly.
+  :func:`~repro.sim.batch.simulate_batch` call: one compilation of the
+  slab (its topology and all its samples), one pass over the cycle
+  loop, bit-identical per-scenario reports.  ``batch=1`` recovers the
+  per-scenario dispatch exactly.
 * **Run-owned caches, warm workers.**  A run owns its compiled-network
   LRU (:class:`repro.sim.compiled.CompileCache`; one inline, or one per
-  pool worker), sized to the sweep's distinct ``(topology, fault
-  sample)`` pairs, at most 64.  Pool workers live for the whole sweep;
-  with the ``numba`` backend the initializer pre-compiles the fused JIT
-  loop (:func:`repro.sim.kernels.warm_jit`).  Network resolution is
+  pool worker), sized to the sweep's distinct slab compile keys
+  (topology plus the slab's fault samples), at most
+  ``64 // SLAB_SAMPLES`` entries, so at most 64 fault samples.  Pool
+  workers live for the whole sweep; with the ``numba`` backend the
+  initializer pre-compiles the fused JIT loop
+  (:func:`repro.sim.kernels.warm_jit`).  Network resolution is
   additionally memoized per process by catalog entry / file digest.
 
 **One group executor.**  ``workers=1`` runs inline in the parent (no
@@ -86,7 +89,7 @@ from repro.obs import trace as obs
 from repro.obs.log import get_logger
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import metrics
-from repro.sim.batch import _simulate_spec_batch, pack_slabs
+from repro.sim.batch import SLAB_SAMPLES, _simulate_spec_batch, pack_slabs
 from repro.sim.compiled import CompileCache
 from repro.sim.engine import simulate
 from repro.sim.kernels import resolve_backend, warm_jit
@@ -409,10 +412,16 @@ def run_campaign(
             "compile_cache": {"hits": 0, "misses": 0},
         }
     tasks = [[pending[i] for i in slab] for slab in pack_slabs(pending, batch)]
-    # Size the run's compile caches to the sweep: each distinct
-    # (topology, fault sample) pair is one compilation, and a budget
-    # below that count would thrash on every task boundary.
-    cache_max = min(64, len({(s.network, s.faults) for s in pending}))
+    # Size the run's compile caches to the sweep: each distinct slab
+    # (topology, fault samples in slab order) is one compilation, and a
+    # budget below that count would thrash on every task boundary.  An
+    # entry holds up to SLAB_SAMPLES samples, so a cache never holds
+    # more than 64.
+    slab_keys = {
+        (task[0].network, tuple(dict.fromkeys(s.faults for s in task)))
+        for task in tasks
+    }
+    cache_max = min(64 // SLAB_SAMPLES, len(slab_keys))
     # Degradation target: retry once on the reference kernels when the
     # sweep runs the JIT backend.  A chaos spec with poison_numba
     # entries simulates exactly that failure mode, so it forces the

@@ -38,11 +38,9 @@ from repro.sim.engine import (
 )
 from repro.sim.faults import (
     FaultSet,
-    cell_alive_masks,
-    degraded_port_tables,
-    degraded_reachability,
+    FaultStructure,
     fault_connectivity,
-    link_alive_masks,
+    fault_structure,
     terminal_reachability,
 )
 from repro.sim.metrics import SimReport, patel_profile
@@ -65,6 +63,7 @@ __all__ = [
     "BitReversalTraffic",
     "CompiledNetwork",
     "FaultSet",
+    "FaultStructure",
     "HotspotTraffic",
     "PermutationTraffic",
     "SimReport",
@@ -72,14 +71,11 @@ __all__ = [
     "TransposeTraffic",
     "UniformTraffic",
     "available_backends",
-    "cell_alive_masks",
     "compile_cache_clear",
     "compile_cache_info",
     "compile_network",
-    "degraded_port_tables",
-    "degraded_reachability",
     "fault_connectivity",
-    "link_alive_masks",
+    "fault_structure",
     "make_traffic",
     "network_digest",
     "numba_available",

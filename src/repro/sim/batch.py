@@ -4,8 +4,10 @@ Every simulation is a *slab*: ``B`` same-shape scenarios — one network,
 shared ``(cycles, policy, drain)``, per-scenario traffic, seed, fault
 sample and (optionally) port schedule — run as a single pass through one
 backend kernel.  A slab carries up to :data:`SLAB_SAMPLES` distinct
-fault samples: each is compiled once, and every scenario reads the
-tables of its own sample.  :func:`simulate_batch` runs any ``B``;
+fault samples, compiled together into one
+:class:`~repro.sim.compiled.CompiledNetwork` whose per-sample tables
+have a leading sample axis; every scenario reads the row of its own
+sample.  :func:`simulate_batch` runs any ``B``;
 :func:`repro.sim.engine.simulate` is a slab of one.  Both go through one
 private runner that validates, materializes the traffic, compiles,
 calls the backend's ``run_batch``, records the ``sim.*`` metrics and
@@ -38,8 +40,8 @@ kernel per contention policy:
   through the network in ``n`` dense passes, and the cycle loop is
   gone.
 
-Both stack the per-sample port tables, link masks and source masks and
-offset each scenario's lookups by its sample index.
+Both read the compiled value's stacked per-sample port tables, link
+masks and source masks at each scenario's sample offset.
 
 The optional ``numba`` backend runs each scenario of the slab through
 one fused JIT-compiled cycle loop, for both policies.  Reports are
@@ -58,7 +60,7 @@ from repro.obs import schema
 from repro.obs import trace as obs
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import metrics
-from repro.sim.compiled import CompileCache, compile_network
+from repro.sim.compiled import _DEFAULT, CompileCache
 from repro.sim.faults import FaultSet
 from repro.sim.kernels import get_backend, resolve_backend
 from repro.sim.metrics import SimReport, latency_summary
@@ -68,10 +70,10 @@ __all__ = ["SLAB_SAMPLES", "BatchScenario", "pack_slabs", "simulate_batch"]
 
 _POLICIES = ("drop", "block")
 
-#: Most distinct fault samples one slab carries.  The kernels stack each
-#: sample's ``(n-1, M, M)`` int8 port tables, so the cap bounds that
-#: memory at ``SLAB_SAMPLES·(n-1)·M²`` bytes and keeps a campaign's
-#: first task small.
+#: Most distinct fault samples one slab carries.  A slab's compiled
+#: value holds ``(K, n-1, M, M)`` int8 port tables and ``(K, n, M, M)``
+#: reachability, so the cap bounds that memory per compile-cache entry
+#: and keeps a campaign's first task small.
 SLAB_SAMPLES = 4
 
 
@@ -86,6 +88,11 @@ def _check_port_schedule(
         raise ReproError(
             f"port_schedule must have shape ({n}, {n_in}), "
             f"got {sched.shape}"
+        )
+    if sched.dtype != bool and not np.issubdtype(sched.dtype, np.integer):
+        raise ReproError(
+            f"port_schedule entries must be integers 0 or 1, "
+            f"got {sched.dtype}"
         )
     if sched.min() < 0 or sched.max() > 1:
         raise ReproError("port_schedule entries must be 0 or 1")
@@ -321,15 +328,15 @@ def _run_slab(
 
     The single path behind ``simulate`` (``kind="simulate"``, a slab of
     one) and both forms of ``simulate_batch`` (``kind="batch"``).
-    ``faults`` lists the slab's distinct fault samples, each compiled
-    once, and ``sample[i]`` indexes scenario ``i``'s (all 0 when
-    ``None``).
+    ``faults`` lists the slab's distinct fault samples, compiled
+    together into one value, and ``sample[i]`` indexes scenario ``i``'s
+    (all 0 when ``None``).
     ``kind`` names the top-level manifest and, through
     :data:`repro.obs.schema.SLAB_ROOT_SPANS`, the root span whose
     ``traffic``/``compile``/``run`` children time the phases; the phase
     durations become each report's ``timings``.  ``digests`` are the
     scenario digests the manifest carries.  ``cache`` defaults to
-    :func:`compile_network`'s.
+    :func:`~repro.sim.compiled.compile_network`'s.
     """
     cycles = 1000 if cycles is None else cycles
     policy = "drop" if policy is None else policy
@@ -392,8 +399,7 @@ def _run_slab(
                 tmats[:, i] = tmat
 
         with obs.span("compile") as sp_compile:
-            compile_ = compile_network if cache is None else cache.compile
-            comps = [compile_(net, f) for f in faults]
+            comp = (_DEFAULT if cache is None else cache).compile(net, faults)
         kern = get_backend(resolved)
         if sample is None:
             sample = np.zeros(B, dtype=np.intp)
@@ -401,7 +407,7 @@ def _run_slab(
         with obs.span("run") as sp_run:
             start = time.perf_counter()
             run = kern.run_batch(
-                comps, sample, tmats, scheds, cycles, policy == "drop",
+                comp, sample, tmats, scheds, cycles, policy == "drop",
                 drain,
             )
             elapsed = time.perf_counter() - start

@@ -1,17 +1,20 @@
 """Compile-once network state for the traffic simulator.
 
-Everything the cycle loop needs that depends only on ``(topology, faults)``
-— fault-aware port tables, link/cell alive masks, child and in-slot
-tables, degraded reachability — is derived here exactly once and reused
-across runs.  A :class:`CompileCache` keeps them in a small keyed LRU
-(a campaign owns one per run, standalone calls share
-:func:`compile_network`'s), so the second run on the same network skips
-recompilation entirely; a scenario slab of :func:`repro.sim.batch.simulate_batch` compiles each of
-its fault samples once, and its scenarios share those compilations.
+The unit of compilation is a slab: one topology plus the K distinct
+fault samples its scenarios run on.  Everything the cycle loop needs
+that depends only on those — fault-aware port tables, link/cell alive
+masks and degraded reachability, each with a leading ``K`` axis from
+one :func:`repro.sim.faults.fault_structure` call, plus the child,
+in-slot and arc-target tables of the topology and the per-gap fast-path
+flags combined over the K samples — is derived here once per slab and
+reused across runs.  A :class:`CompileCache` keeps these values in a
+small keyed LRU (a campaign owns one per run, standalone calls share
+:func:`compile_network`'s), so a repeated slab skips recompilation
+entirely.
 
-The compiled arrays are stacked (one array per concept, leading stage
-axis) and frozen read-only: a :class:`CompiledNetwork` is a value, never
-mutated by a run.  Dtypes are deliberately small — ``int32`` cell labels,
+The compiled arrays are stacked (one array per concept) and frozen
+read-only: a :class:`CompiledNetwork` is a value, never mutated by a
+run.  Dtypes are deliberately small — ``int32`` cell labels,
 ``int8`` ports/slots — which roughly halves the hot working set of the
 cycle kernels.
 """
@@ -20,19 +23,14 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
+from collections.abc import Sequence
 
 import numpy as np
 
 from repro.core.midigraph import MIDigraph
 from repro.obs import trace as obs
 from repro.obs.metrics import metrics
-from repro.sim.faults import (
-    FaultSet,
-    cell_alive_masks,
-    degraded_port_tables,
-    degraded_reachability,
-    link_alive_masks,
-)
+from repro.sim.faults import FaultSet, fault_structure
 
 __all__ = [
     "CompileCache",
@@ -66,24 +64,34 @@ def arc_slots(conn) -> np.ndarray:
     return slots
 
 
+_NO_FAULTS = FaultSet()
+
+
 class CompiledNetwork:
-    """The run-invariant simulation state of one ``(network, faults)`` pair.
+    """One slab's compiled value: a topology plus the slab's K fault samples.
+
+    Built by one :func:`repro.sim.faults.fault_structure` call; every
+    per-sample table has a leading sample axis ``K`` (row ``k`` is
+    ``samples[k]``), and the topology tables are shared by all samples.
 
     Attributes
     ----------
-    net, faults:
-        The compiled network and fault set (empty set when fault-free).
+    net, samples:
+        The compiled network and its K fault sets, in slab order (an
+        empty set for a fault-free sample).
     n_stages, size, n_inputs:
         Shape shorthands mirroring the network's.
     ptabs:
-        ``(n-1, M, M)`` int8 — fault-aware port tables,
-        :func:`repro.sim.faults.degraded_port_tables` stacked.
+        ``(K, n-1, M, M)`` int8 — fault-aware port tables.
     links:
-        ``(n-1, M, 2)`` bool — usable inter-stage links.
+        ``(K, n-1, M, 2)`` bool — usable inter-stage links.
     cells_alive:
-        ``(n, M)`` bool — live switches per stage.
+        ``(K, n, M)`` bool — live switches per stage.
     src_alive:
-        ``(N,)`` bool — whether each input link's first-stage cell lives.
+        ``(K, N)`` bool — whether each input link's first-stage cell lives.
+    reach:
+        ``(K, n, M, M)`` bool — degraded reachability toward the last
+        stage.
     child:
         ``(n-1, M, 2)`` int32 — ``child[j, x, p]`` is the stage-``j+2``
         cell reached from stage-``j+1`` cell ``x`` through port ``p``.
@@ -95,51 +103,50 @@ class CompiledNetwork:
         index (within a stage's flattened ``(M, 2)`` state) each out-arc
         lands in; the batched kernels address packets by linear index.
     has_amb:
-        Per-gap flags: True when the port table holds ``-2`` entries
-        (multipath ambiguity the engine resolves adaptively).
+        Per-gap flags: True when some sample's port table holds ``-2``
+        entries (multipath ambiguity the engine resolves adaptively).
     has_unreachable:
-        Per-gap flags: True when the port table holds ``-1`` entries
-        (some destination is unreachable — only under faults or on
-        disconnected networks).
+        Per-gap flags: True when some sample's port table holds ``-1``
+        entries (some destination is unreachable — only under faults or
+        on disconnected networks).
     links_ok:
-        Per-gap flags: True when every link of the gap is alive (the
-        fault-free fast path skips the link-aliveness gather).
-    reach:
-        ``(n, M, M)`` bool — degraded reachability toward the last stage
-        (:func:`repro.sim.faults.degraded_reachability` stacked).
+        Per-gap flags: True when every link of the gap is alive in every
+        sample (the fault-free fast path skips the link-aliveness
+        gather).  On a sample that does not need the ``-2`` resolution,
+        the unreachable count or the link filter, they change nothing.
     """
 
     __slots__ = (
-        "net", "faults", "n_stages", "size", "n_inputs", "ptabs",
+        "net", "samples", "n_stages", "size", "n_inputs", "ptabs",
         "links", "cells_alive", "src_alive", "child", "slots",
         "arc_target", "has_amb", "has_unreachable", "links_ok", "reach",
     )
 
-    def __init__(self, net: MIDigraph, faults: FaultSet) -> None:
+    def __init__(
+        self, net: MIDigraph, samples: Sequence[FaultSet | None] = (None,)
+    ) -> None:
         self.net = net
-        self.faults = faults
+        self.samples = tuple(_NO_FAULTS if f is None else f for f in samples)
         self.n_stages = net.n_stages
         self.size = net.size
         self.n_inputs = net.n_inputs
 
-        cells = cell_alive_masks(net, faults)
-        links = link_alive_masks(net, faults, cells=cells)
-        reach = degraded_reachability(net, faults, cells=cells, links=links)
-        ptabs = degraded_port_tables(net, faults, reach=reach, links=links)
-
-        self.ptabs = np.stack(ptabs)
-        self.links = np.stack(links)
-        self.cells_alive = np.stack(cells)
-        self.src_alive = cells[0][np.arange(net.n_inputs) >> 1]
+        derived = fault_structure(net, self.samples)
+        self.ptabs = derived.ptabs
+        self.links = derived.links
+        self.cells_alive = derived.cells
+        self.src_alive = derived.cells[:, 0, np.arange(net.n_inputs) >> 1]
+        self.reach = derived.reach
         self.child = np.stack(
             [np.stack([c.f, c.g], axis=1) for c in net.connections]
         ).astype(np.int32)
         self.slots = np.stack([arc_slots(c) for c in net.connections])
         self.arc_target = 2 * self.child + self.slots
-        self.has_amb = tuple(bool((t == -2).any()) for t in ptabs)
-        self.has_unreachable = tuple(bool((t == -1).any()) for t in ptabs)
-        self.links_ok = tuple(bool(m.all()) for m in links)
-        self.reach = np.stack(reach)
+        self.has_amb = tuple((self.ptabs == -2).any(axis=(0, 2, 3)).tolist())
+        self.has_unreachable = tuple(
+            (self.ptabs == -1).any(axis=(0, 2, 3)).tolist()
+        )
+        self.links_ok = tuple(self.links.all(axis=(0, 2, 3)).tolist())
         for name in (
             "ptabs", "links", "cells_alive", "src_alive", "child",
             "slots", "arc_target", "reach",
@@ -149,11 +156,8 @@ class CompiledNetwork:
     def __repr__(self) -> str:
         return (
             f"CompiledNetwork(n_stages={self.n_stages}, size={self.size}, "
-            f"faults={len(self.faults)})"
+            f"samples={len(self.samples)})"
         )
-
-
-_NO_FAULTS = FaultSet()
 
 
 # Digest memo keyed by object identity; the strong reference pins the
@@ -193,25 +197,30 @@ def network_digest(net: MIDigraph) -> str:
     return digest
 
 
-def compile_key(net: MIDigraph, faults: FaultSet | None = None) -> tuple:
-    """The compile cache key: structural digest + canonical fault form."""
-    faults = _NO_FAULTS if faults is None else faults
+def compile_key(
+    net: MIDigraph, samples: Sequence[FaultSet | None] = (None,)
+) -> tuple:
+    """The compile cache key: structural digest + the samples in order."""
     return (
         network_digest(net),
-        tuple(sorted(faults.dead_cells)),
-        tuple(sorted(faults.dead_links)),
+        tuple(
+            (tuple(sorted(f.dead_cells)), tuple(sorted(f.dead_links)))
+            if f else ()
+            for f in samples
+        ),
     )
 
 
 class CompileCache:
-    """A keyed LRU of :class:`CompiledNetwork` values.
+    """A keyed LRU of :class:`CompiledNetwork` slab values.
 
     Keyed by :func:`compile_key` — a structural content digest of the
-    derived tables' inputs, not object identity — so repeated runs on
-    the same topology (including a topology rebuilt from the same spec
-    in another part of the program) pay the reachability sweeps and
-    table builds once.  Each cache counts its own ``hits`` and
-    ``misses``, so a run's figures never leak into another run's.
+    topology plus the slab's fault samples in slab order, not object
+    identity — so repeated slabs on the same topology and samples
+    (including a topology rebuilt from the same spec in another part of
+    the program) pay the derivation once.  Each cache counts its own
+    ``hits`` and ``misses``, so a run's figures never leak into another
+    run's.
     """
 
     __slots__ = ("maxsize", "hits", "misses", "_entries")
@@ -228,11 +237,10 @@ class CompileCache:
         self.misses = 0
 
     def compile(
-        self, net: MIDigraph, faults: FaultSet | None = None
+        self, net: MIDigraph, samples: Sequence[FaultSet | None] = (None,)
     ) -> CompiledNetwork:
-        """Compile (or fetch the cached compilation of) a network."""
-        faults = _NO_FAULTS if faults is None else faults
-        key = compile_key(net, faults)
+        """Compile (or fetch the cached compilation of) one slab."""
+        key = compile_key(net, samples)
         hit = self._entries.get(key)
         if hit is not None:
             self._entries.move_to_end(key)
@@ -243,7 +251,7 @@ class CompileCache:
         self.misses += 1
         # Only a miss does real work, so only a miss gets its own span.
         with obs.span("compile_network", digest=key[0]):
-            compiled = CompiledNetwork(net, faults)
+            compiled = CompiledNetwork(net, samples)
         if obs.enabled():
             metrics().counter("compile_cache.misses").add()
         self._entries[key] = compiled
@@ -266,8 +274,8 @@ _DEFAULT = CompileCache()
 def compile_network(
     net: MIDigraph, faults: FaultSet | None = None
 ) -> CompiledNetwork:
-    """Compile through the default 8-entry :class:`CompileCache`."""
-    return _DEFAULT.compile(net, faults)
+    """Compile one fault sample (a K = 1 slab) through the default cache."""
+    return _DEFAULT.compile(net, (faults,))
 
 
 def compile_cache_info() -> dict:

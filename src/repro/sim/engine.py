@@ -143,8 +143,8 @@ def permutation_port_schedule(net: MIDigraph, perm) -> np.ndarray:
     for stage in range(1, n):
         conn = net.connections[stage - 1]
         fa, ga = conn.f[cells], conn.g[cells]
-        via_f = comp.reach[stage][fa, dcell]
-        via_g = comp.reach[stage][ga, dcell]
+        via_f = comp.reach[0, stage][fa, dcell]
+        via_g = comp.reach[0, stage][ga, dcell]
         if ((fa == ga) & via_f).any():
             raise ReproError(
                 f"double link on a route at stage {stage}: "

@@ -7,16 +7,19 @@ handle this module exists for: baseline-equivalent topologies (same
 ``(n_stages, size)``) can be degraded identically and their traffic
 behaviour compared apples-to-apples.
 
-Degradation is reachability-aware: :func:`degraded_port_tables` recomputes
+Degradation is reachability-aware: :func:`fault_structure` recomputes
 the backward reachability sweep of :func:`repro.routing.paths.reachable_outputs`
-with dead cells and links removed, so the simulator routes around faults
-where an alternative port still works (multipath networks such as Beneš)
-and drops packets as *unroutable* exactly when no live path remains.
+with dead cells and links removed, for a stack of fault samples at once,
+so the simulator routes around faults where an alternative port still
+works (multipath networks such as Beneš) and drops packets as
+*unroutable* exactly when no live path remains.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,11 +28,9 @@ from repro.core.midigraph import MIDigraph
 
 __all__ = [
     "FaultSet",
-    "cell_alive_masks",
-    "degraded_port_tables",
-    "degraded_reachability",
+    "FaultStructure",
     "fault_connectivity",
-    "link_alive_masks",
+    "fault_structure",
     "terminal_reachability",
 ]
 
@@ -254,106 +255,78 @@ def _kill_orders(
     return cells, links
 
 
-def cell_alive_masks(net: MIDigraph, faults: FaultSet) -> list[np.ndarray]:
-    """Per-stage boolean masks, ``masks[s][x]`` False when cell is dead."""
-    faults.validate(net)
-    masks = [np.ones(net.size, dtype=bool) for _ in range(net.n_stages)]
-    for stage, cell in faults.dead_cells:
-        masks[stage - 1][cell] = False
-    return masks
+class FaultStructure(NamedTuple):
+    """The derived structure of K fault samples of one network.
 
+    Every array has a leading sample axis ``K``; row ``k`` describes
+    ``samples[k]`` of the :func:`fault_structure` call.
 
-def link_alive_masks(
-    net: MIDigraph,
-    faults: FaultSet,
-    *,
-    cells: list[np.ndarray] | None = None,
-) -> list[np.ndarray]:
-    """Per-gap ``(M, 2)`` masks of usable links.
-
-    A link is dead when severed explicitly or when either of its endpoint
-    cells is dead.  ``cells`` may carry precomputed
-    :func:`cell_alive_masks` output to amortize over several derivations
-    (the compile phase computes each mask family exactly once).
+    Attributes
+    ----------
+    cells:
+        ``(K, n, M)`` bool — live switches per stage.
+    links:
+        ``(K, n-1, M, 2)`` bool — usable inter-stage links: not severed,
+        and both endpoint cells alive.
+    reach:
+        ``(K, n, M, M)`` bool — ``reach[k, s, x, w]`` is True when
+        last-stage cell ``w`` is reachable from stage ``s + 1`` cell
+        ``x`` through live cells and links only (the fault-aware
+        :func:`repro.routing.paths.reachable_outputs`).
+    ptabs:
+        ``(K, n-1, M, M)`` int8 — fault-aware port tables in the
+        encoding of :func:`repro.routing.bit_routing.port_tables`:
+        ``0``/``1`` the forced port, ``-1`` destination unreachable,
+        ``-2`` both ports lead to live paths (the simulator then chooses
+        adaptively).  A fault-free row reproduces ``port_tables(net)``.
     """
-    if cells is None:
-        cells = cell_alive_masks(net, faults)
-    masks: list[np.ndarray] = []
-    for gap, conn in enumerate(net.connections, start=1):
-        mask = np.ones((net.size, 2), dtype=bool)
-        mask &= cells[gap - 1][:, None]
-        mask[:, 0] &= cells[gap][conn.f]
-        mask[:, 1] &= cells[gap][conn.g]
-        masks.append(mask)
-    for gap, cell, port in faults.dead_links:
-        masks[gap - 1][cell, port] = False
-    return masks
+
+    cells: np.ndarray
+    links: np.ndarray
+    reach: np.ndarray
+    ptabs: np.ndarray
 
 
-def degraded_reachability(
-    net: MIDigraph,
-    faults: FaultSet,
-    *,
-    cells: list[np.ndarray] | None = None,
-    links: list[np.ndarray] | None = None,
-) -> list[np.ndarray]:
-    """Fault-aware variant of :func:`repro.routing.paths.reachable_outputs`.
+def fault_structure(
+    net: MIDigraph, samples: Sequence[FaultSet | None]
+) -> FaultStructure:
+    """Derive the alive masks, reachability and port tables of K samples.
 
-    ``R[s][x, w]`` is True when last-stage cell ``w`` is reachable from
-    stage ``s + 1`` cell ``x`` through live cells and links only.
-    ``cells``/``links`` may carry precomputed alive masks.
+    ``samples`` lists K fault sets of ``net`` (``None`` = healthy); each
+    is validated against the network's shape.  One backward sweep over
+    the stages serves all K at once: at each gap the ``via_f`` /
+    ``via_g`` masks (a live out-arc toward a cell that still reaches the
+    destination) give both the gap's reachability and its port table.
     """
-    size = net.size
-    if cells is None:
-        cells = cell_alive_masks(net, faults)
-    if links is None:
-        links = link_alive_masks(net, faults, cells=cells)
-    last = np.eye(size, dtype=bool) & cells[-1][:, None]
-    result = [last]
-    for gap in range(net.n_stages - 1, 0, -1):
-        conn = net.connections[gap - 1]
-        nxt = result[-1]
-        via_f = nxt[conn.f] & links[gap - 1][:, 0][:, None]
-        via_g = nxt[conn.g] & links[gap - 1][:, 1][:, None]
-        result.append((via_f | via_g) & cells[gap - 1][:, None])
-    result.reverse()
-    return result
-
-
-def degraded_port_tables(
-    net: MIDigraph,
-    faults: FaultSet,
-    *,
-    reach: list[np.ndarray] | None = None,
-    links: list[np.ndarray] | None = None,
-) -> list[np.ndarray]:
-    """Fault-aware variant of :func:`repro.routing.bit_routing.port_tables`.
-
-    Same encoding: ``T[x, d] ∈ {0, 1}`` the forced port, ``-1`` destination
-    unreachable, ``-2`` both ports lead to live paths (the simulator then
-    chooses adaptively).  With an empty fault set this reproduces
-    ``port_tables(net)`` exactly.  ``reach``/``links`` may carry the
-    precomputed :func:`degraded_reachability` / :func:`link_alive_masks`
-    output (they must describe the same fault set).
-    """
-    if links is None:
-        links = link_alive_masks(net, faults)
-    if reach is None:
-        reach = degraded_reachability(net, faults, links=links)
-    tables: list[np.ndarray] = []
-    for stage in range(1, net.n_stages):
-        conn = net.connections[stage - 1]
-        via_f = reach[stage][conn.f] & links[stage - 1][:, 0][:, None]
-        via_g = reach[stage][conn.g] & links[stage - 1][:, 1][:, None]
-        table = np.full((net.size, net.size), -1, dtype=np.int8)
-        table[via_g & ~via_f] = 1
-        table[via_f & ~via_g] = 0
-        # A double link (f == g) is ambiguous only while BOTH parallel arcs
-        # are live; with one severed the surviving port is forced, and the
-        # single-port clauses above already set it.
-        table[via_f & via_g] = -2
-        tables.append(table)
-    return tables
+    K, n, size = len(samples), net.n_stages, net.size
+    cells = np.ones((K, n, size), dtype=bool)
+    links = np.ones((K, n - 1, size, 2), dtype=bool)
+    for k, faults in enumerate(samples):
+        if faults is None:
+            continue
+        faults.validate(net)
+        for stage, cell in faults.dead_cells:
+            cells[k, stage - 1, cell] = False
+        for gap, cell, port in faults.dead_links:
+            links[k, gap - 1, cell, port] = False
+    # A link is dead when severed or when either endpoint cell is dead.
+    links &= cells[:, :-1, :, None]
+    reach = np.empty((K, n, size, size), dtype=bool)
+    reach[:, -1] = np.eye(size, dtype=bool) & cells[:, -1, :, None]
+    ptabs = np.empty((K, n - 1, size, size), dtype=np.int8)
+    for j in range(n - 2, -1, -1):
+        conn, live = net.connections[j], links[:, j]
+        live[..., 0] &= cells[:, j + 1, conn.f]
+        live[..., 1] &= cells[:, j + 1, conn.g]
+        via_f = reach[:, j + 1][:, conn.f] & live[..., 0, None]
+        via_g = reach[:, j + 1][:, conn.g] & live[..., 1, None]
+        reach[:, j] = (via_f | via_g) & cells[:, j, :, None]
+        # A double link (f == g) is ambiguous only while BOTH parallel
+        # arcs are live; with one severed the surviving port is forced.
+        ptabs[:, j] = np.where(
+            via_f, np.where(via_g, -2, 0), np.where(via_g, 1, -1)
+        )
+    return FaultStructure(cells, links, reach, ptabs)
 
 
 def terminal_reachability(net: MIDigraph, faults: FaultSet) -> np.ndarray:
@@ -363,9 +336,9 @@ def terminal_reachability(net: MIDigraph, faults: FaultSet) -> np.ndarray:
     leaves cell ``d >> 1`` of stage ``n``.  A pair survives when both
     terminal cells are alive and a live path joins them.
     """
-    reach = degraded_reachability(net, faults)
+    reach = fault_structure(net, [faults]).reach[0, 0]
     idx = np.arange(net.n_inputs) >> 1
-    return reach[0][np.ix_(idx, idx)]
+    return reach[np.ix_(idx, idx)]
 
 
 def fault_connectivity(net: MIDigraph, faults: FaultSet) -> float:

@@ -27,11 +27,12 @@ frozen int32/int8 tables:
 Both backends implement one entry point and give **bit-identical**
 reports (property-tested):
 
-* ``run_batch(comps, sample, tmats, scheds, cycles, drop, drain) -> BatchRun``
+* ``run_batch(comp, sample, tmats, scheds, cycles, drop, drain) -> BatchRun``
 
-``comps`` holds the slab's K distinct
-:class:`~repro.sim.compiled.CompiledNetwork` values — one topology, one
-fault sample each — and ``sample`` is a ``(B,)`` index into them: the
+``comp`` is the slab's one :class:`~repro.sim.compiled.CompiledNetwork`
+— one topology and the slab's K distinct fault samples, each per-sample
+table with a leading ``K`` axis and the per-gap flags already combined
+over K — and ``sample`` is a ``(B,)`` index into that axis: the
 scenarios of one slab may run on different fault samples.  A single
 scenario is a slab of one (``tmats`` of shape ``(cycles, 1, N)``,
 ``sample`` ``[0]``).
@@ -142,12 +143,11 @@ def warm_jit() -> bool:
     from repro.networks.omega import omega
     from repro.obs import trace as obs
     from repro.sim.compiled import CompiledNetwork
-    from repro.sim.faults import FaultSet
 
     with obs.span("warm_jit"):
-        comp = CompiledNetwork(omega(2), FaultSet())
+        comp = CompiledNetwork(omega(2))
         tmats = np.zeros((1, 1, comp.n_inputs), dtype=np.int32)
         numba_backend.run_batch(
-            [comp], np.zeros(1, dtype=np.intp), tmats, None, 1, True, True
+            comp, np.zeros(1, dtype=np.intp), tmats, None, 1, True, True
         )
     return True

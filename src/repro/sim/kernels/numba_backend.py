@@ -317,8 +317,8 @@ def _kernel(python: bool = False):
     return _jitted
 
 
-def _run_one(comp, tmat, sched, cycles, drop, drain, python):
-    """One scenario through the fused loop; its raw result tuple."""
+def _run_one(comp, k, tmat, sched, cycles, drop, drain, python):
+    """One scenario on sample ``k`` through the fused loop; its raw result."""
     use_sched = sched is not None
     return _kernel(python)(
         int(cycles),
@@ -327,11 +327,11 @@ def _run_one(comp, tmat, sched, cycles, drop, drain, python):
         comp.n_stages,
         comp.size,
         comp.n_inputs,
-        comp.ptabs,
-        comp.links,
+        comp.ptabs[k],
+        comp.links[k],
         comp.child,
         comp.slots,
-        comp.src_alive,
+        comp.src_alive[k],
         np.ascontiguousarray(tmat, dtype=np.int32),
         np.ascontiguousarray(sched, dtype=np.int8) if use_sched else _NO_SCHED,
         use_sched,
@@ -339,7 +339,7 @@ def _run_one(comp, tmat, sched, cycles, drop, drain, python):
 
 
 def run_batch(
-    comps,
+    comp,
     sample: np.ndarray,
     tmats: np.ndarray,
     scheds: np.ndarray | None,
@@ -351,8 +351,8 @@ def run_batch(
 ) -> BatchRun:
     """Run a ``(cycles, B, N)`` slab as B independent fused runs.
 
-    Scenario ``i`` runs on ``comps[sample[i]]``, its fault sample's
-    compiled tables.  Scenarios of a batch never interact, so running
+    Scenario ``i`` runs on row ``sample[i]`` of ``comp``'s per-sample
+    tables, its fault sample's.  Scenarios of a batch never interact, so running
     them back to back through the jitted loop reproduces the batched
     NumPy kernel's results exactly while keeping each run's working set
     (one scenario's packet state) cache-resident.  ``python=True``
@@ -361,13 +361,13 @@ def run_batch(
     without a JIT in the way.
     """
     B = tmats.shape[1]
-    n = comps[0].n_stages
     counters = np.zeros((9, B), dtype=np.int64)
-    occupancy = np.zeros((n, B), dtype=np.int64)
+    occupancy = np.zeros((comp.n_stages, B), dtype=np.int64)
     lats: list[np.ndarray] = []
     for i in range(B):
         out = _run_one(
-            comps[sample[i]],
+            comp,
+            int(sample[i]),
             np.ascontiguousarray(tmats[:, i, :]),
             scheds[i] if scheds is not None else None,
             cycles,

@@ -5,14 +5,15 @@ is a slab with ``B = 1``.  Their semantics are the contract every other
 backend is property-tested against — when in doubt about an arbitration
 or counting rule, this file is the specification.
 
-A slab may mix K fault samples of one topology.  Each kernel lays
-the K samples' port tables, link masks and source masks side by side
-and offsets every scenario's lookups by its sample index, so K = 1 runs
-the same code.  A per-gap fast-path flag holds for the slab only if it
-holds for every sample: the ``-2`` resolution and the unreachable count
-run if any sample needs them, and the dead-link filter unless every
-sample's links are alive; on a sample that does not need them they
-change nothing.
+A slab may mix K fault samples of one topology, compiled into one
+:class:`~repro.sim.compiled.CompiledNetwork` whose port tables, link
+masks and source masks have a leading ``K`` axis.  Each kernel reads
+them flat, at every scenario's sample offset, so K = 1 runs the same
+code.  The compiled value's per-gap fast-path flags already hold for
+the whole slab: the ``-2`` resolution and the unreachable count run if
+any sample needs them, and the dead-link filter unless every sample's
+links are alive; on a sample that does not need them they change
+nothing.
 
 Model
 -----
@@ -84,7 +85,7 @@ _CHUNK_SLOTS = 1 << 16
 
 
 def run_batch(
-    comps,
+    comp,
     sample: np.ndarray,
     tmats: np.ndarray,
     scheds: np.ndarray | None,
@@ -94,26 +95,17 @@ def run_batch(
 ) -> BatchRun:
     """Run a ``(cycles, B, N)`` traffic slab; see module docstring.
 
-    Scenario ``b`` runs on ``comps[sample[b]]``, its fault sample's
-    compiled tables.
+    Scenario ``b`` runs on row ``sample[b]`` of ``comp``'s per-sample
+    tables, its fault sample's.
     """
     sample = np.asarray(sample, dtype=np.intp)
     if drop:
-        return _run_drop(comps, sample, tmats, scheds, cycles, drain)
-    return _run_block(comps, sample, tmats, scheds, cycles, drain)
-
-
-def _gap_flags(comps) -> tuple[tuple, tuple, tuple]:
-    """The slab's per-gap ``has_amb``, ``has_unreachable``, ``links_ok``."""
-    return (
-        tuple(map(any, zip(*(c.has_amb for c in comps)))),
-        tuple(map(any, zip(*(c.has_unreachable for c in comps)))),
-        tuple(map(all, zip(*(c.links_ok for c in comps)))),
-    )
+        return _run_drop(comp, sample, tmats, scheds, cycles, drain)
+    return _run_block(comp, sample, tmats, scheds, cycles, drain)
 
 
 def _run_drop(
-    comps,
+    comp,
     sample: np.ndarray,
     tmats: np.ndarray,
     scheds: np.ndarray | None,
@@ -129,21 +121,23 @@ def _run_drop(
     it steps only rows ``r <= cycles - 2 - j``; the row it leaves
     behind is in flight.
     """
-    comp = comps[0]                   # the topology every sample shares
     n, size, n_in = comp.n_stages, comp.size, comp.n_inputs
-    B, K = tmats.shape[1], len(comps)
-    S = 2 * size
-    has_amb, has_unreachable, links_ok = _gap_flags(comps)
+    B = tmats.shape[1]
+    S, L = 2 * size, n - 1
+    has_amb, has_unreachable, links_ok = (
+        comp.has_amb, comp.has_unreachable, comp.links_ok
+    )
     pos = np.arange(S)
     cell = pos % size                 # parity-major slot -> its cell
     nat = 2 * cell + pos // size      # parity-major -> linear slot
-    # Per gap, the K samples' port tables and link masks side by side;
-    # scenario ``b`` reads them at its sample's offset.  The ``(B, S)``
-    # offsets are laid out slot-major, as ``_move`` lays out the state.
-    ptabs_f = np.stack([c.ptabs for c in comps], 1).reshape(n - 1, -1)
-    links_f = np.stack([c.links for c in comps], 1).reshape(n - 1, K * S)
-    pbase = ((cell * size)[:, None] + sample * (size * size)).T
-    lbase = ((2 * cell)[:, None] + sample * S).T
+    # Scenario ``b`` reads gap ``j`` of the flat port tables and link
+    # masks at ``(sample[b]·L + j)``'s offset.  The ``(L, B, S)`` bases
+    # are laid out slot-major in memory, as the slab gather lays out
+    # the state; a scenario-major layout would slow every stage pass.
+    ptabs_f, links_f = comp.ptabs.reshape(-1), comp.links.reshape(-1)
+    gap = np.arange(L)[:, None, None] + L * sample
+    pbase = (gap * (size * size) + (cell * size)[:, None]).transpose(0, 2, 1)
+    lbase = (gap * S + (2 * cell)[:, None]).transpose(0, 2, 1)
     # Every next-stage slot has exactly one in-arc, so a move is a
     # gather: ``feed[j, i]`` is the out-arc (port-major ``port·M +
     # cell``) that lands in parity-major slot ``i`` of stage ``j + 1``.
@@ -156,7 +150,7 @@ def _run_drop(
         sched = np.full((n, B * n_in + 1), -1, dtype=np.int8)
         sched[:, :-1] = scheds.transpose(1, 0, 2).reshape(n, B * n_in)
         origin0 = np.arange(B)[:, None] * n_in + nat
-    alive0 = np.stack([c.src_alive for c in comps])[sample][:, nat]
+    alive0 = comp.src_alive[sample][:, nat]
     all_alive = bool(alive0.all())
 
     offered = np.zeros(B, dtype=np.int64)
@@ -215,7 +209,7 @@ def _run_drop(
             # ``key``: the out-port of each slot, -1 when it is empty or
             # its packet is unroutable.
             if sched is None:
-                key = ptabs_f[j][pbase + (d >> 1)]
+                key = ptabs_f[pbase[j] + (d >> 1)]
                 if has_amb[j]:
                     # Stage j+1 is empty whenever stage j moves, so an
                     # ambiguous port always resolves to port 0.
@@ -225,7 +219,7 @@ def _run_drop(
                 org = org[: hi - r0]
                 key = sched[j][org]
             if not links_ok[j]:
-                key = np.where(links_f[j][lbase + (key & 1)], key, -1)
+                key = np.where(links_f[lbase[j] + (key & 1)], key, -1)
             acnt = cnt
             if has_unreachable[j] or not links_ok[j]:
                 acnt = _count_slots(key >= 0)
@@ -289,7 +283,7 @@ def _move(v: np.ndarray, sel, feed: np.ndarray) -> np.ndarray:
 
 
 def _run_block(
-    comps,
+    comp,
     sample: np.ndarray,
     tmats: np.ndarray,
     scheds: np.ndarray | None,
@@ -306,11 +300,12 @@ def _run_block(
     unroutable or beaten), ``tgt`` the flat index its packet would move
     to, and ``free`` the slots that are empty or vacate this cycle.
     """
-    comp = comps[0]                   # the topology every sample shares
     n, size, n_in = comp.n_stages, comp.size, comp.n_inputs
-    B, K = tmats.shape[1], len(comps)
+    B, K = tmats.shape[1], len(comp.samples)
     S, L = 2 * size, n - 1
-    has_amb, has_unreachable, links_ok = _gap_flags(comps)
+    has_amb, has_unreachable, links_ok = (
+        comp.has_amb, comp.has_unreachable, comp.links_ok
+    )
     pos = np.arange(S)
     cell, par = pos % size, pos // size
     row = np.arange(n)[:, None, None]         # the rows that move
@@ -320,8 +315,7 @@ def _run_block(
     # its slot's parity, row ``(k, j, cell)`` of sample ``k``'s stage
     # ``j`` the fault-aware port by ``dst >> 1`` (-1 through a dead link,
     # ``-2`` resolved in the chain), and the eject row ``dst & 1``.
-    ports = np.stack([c.ptabs for c in comps])            # (K, L, M, M)
-    links = np.stack([c.links for c in comps])            # (K, L, M, 2)
+    ports, links = comp.ptabs, comp.links         # (K, L, M, M), (K, L, M, 2)
     if not all(links_ok):
         ok = np.take_along_axis(links, (ports & 1).astype(np.intp), 3)
         ports = np.where(ok | (ports < 0), ports, -1)
@@ -361,7 +355,7 @@ def _run_block(
     faulty = not all(links_ok) or any(has_unreachable)
     # Dead sources draw, but their wait buffers never fill.
     tmats = tmats.astype(np.int32, copy=False)
-    alive = np.stack([c.src_alive for c in comps])[sample]     # (B, N)
+    alive = comp.src_alive[sample]                             # (B, N)
     live = None if alive.all() else alive
     dead = np.zeros(B, dtype=np.int64)
     if live is not None:

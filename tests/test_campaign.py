@@ -35,8 +35,25 @@ from repro.networks.catalog import (
     build_network,
 )
 from repro.networks.omega import omega
+from repro.campaign import runner
 from repro.sim import compile_cache_info
 from repro.sim.batch import SLAB_SAMPLES, pack_slabs
+from repro.sim.compiled import CompileCache, compile_key
+
+
+def _slab_compile_keys(scenarios, batch: int = 16) -> set:
+    """The distinct compile keys of the slabs a run packs ``scenarios``
+    into: one topology plus the slab's fault samples in slab order."""
+    keys = set()
+    for slab in pack_slabs(scenarios, batch):
+        net = scenarios[slab[0]].resolve().network
+        samples = dict.fromkeys(scenarios[i].faults for i in slab)
+        keys.add(
+            compile_key(
+                net, [fs.sample(net.n_stages, net.size) for fs in samples]
+            )
+        )
+    return keys
 
 
 def tiny_spec(**overrides) -> CampaignSpec:
@@ -367,18 +384,50 @@ class TestRunner:
         assert ResultStore(tmp_path / "s.jsonl").hashes() == hashes
 
     def test_compile_cache_belongs_to_the_run(self, tmp_path):
-        # More than 8 (topology, fault sample) pairs, one compilation
-        # each: no run warms or resizes another run's cache.
-        spec = tiny_spec(stages=(4,), faults=(1, 2), seeds=range(5))
-        pairs = {
-            (s.network, s.resolve().faults) for s in expand_scenarios(spec)
-        }
-        assert len(pairs) > 8
+        # More than 8 (topology, fault sample) pairs and more than 8
+        # slabs, one compilation per distinct slab compile key: no run
+        # warms or resizes another run's cache.
+        spec = tiny_spec(stages=(4,), faults=(1, 2), seeds=range(10))
+        scenarios = expand_scenarios(spec)
+        pairs = {(s.network, s.resolve().faults) for s in scenarios}
+        keys = _slab_compile_keys(scenarios)
+        assert len(pairs) > 8 and len(keys) > 8
         first = run_campaign(spec, tmp_path / "a.jsonl")["compile_cache"]
         second = run_campaign(spec, tmp_path / "b.jsonl")["compile_cache"]
         assert first == second
-        assert first["misses"] == len(pairs)
+        assert first["misses"] == len(keys)
         assert compile_cache_info()["maxsize"] == 8
+
+    def test_cache_holds_at_most_64_fault_samples(
+        self, tmp_path, monkeypatch
+    ):
+        # The cache is bounded in fault samples, not entries: each entry
+        # is a slab of up to SLAB_SAMPLES samples.
+        held = []
+
+        class Recording(CompileCache):
+            def compile(self, net, samples=(None,)):
+                comp = super().compile(net, samples)
+                held.append(
+                    sum(len(c.samples) for c in self._entries.values())
+                )
+                return comp
+
+        monkeypatch.setattr(runner, "CompileCache", Recording)
+        spec = tiny_spec(
+            stages=(4,), faults=(1, 2, 3, 4), seeds=range(10), cycles=10
+        )
+        scenarios = expand_scenarios(spec)
+        full = [
+            slab for slab in pack_slabs(scenarios, 16)
+            if len({scenarios[i].faults for i in slab}) == SLAB_SAMPLES
+        ]
+        assert len(full) > 64 // SLAB_SAMPLES
+        summary = run_campaign(spec, tmp_path / "s.jsonl")
+        assert summary["compile_cache"]["misses"] == len(
+            _slab_compile_keys(scenarios)
+        )
+        assert max(held) == 64
 
     def test_pool_run_matches_inline_run(self, tmp_path):
         spec = tiny_spec(seeds=(0,))

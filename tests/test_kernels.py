@@ -262,13 +262,13 @@ ALL_PATTERNS = sorted(set(TRAFFIC_PATTERNS.names()) | {"permutation"})
 
 def _slab_runs(net, faults, tmats, scheds, cycles, drop, drain):
     """NumPy ``run_batch`` and the Python-mode fused loop on one slab."""
-    comps = [compile_network(net, faults)]
+    comp = compile_network(net, faults)
     sample = np.zeros(tmats.shape[1], dtype=np.intp)
     ref = numpy_backend.run_batch(
-        comps, sample, tmats, scheds, cycles, drop, drain
+        comp, sample, tmats, scheds, cycles, drop, drain
     )
     fused = numba_backend.run_batch(
-        comps, sample, tmats, scheds, cycles, drop, drain, python=True
+        comp, sample, tmats, scheds, cycles, drop, drain, python=True
     )
     return ref, fused
 
@@ -455,7 +455,7 @@ class TestDropPathArgument:
         )
         comp = compile_network(net, faults)
         run = numba_backend.run_batch(
-            [comp], np.zeros(2, dtype=np.intp), tmats, None, cycles, True,
+            comp, np.zeros(2, dtype=np.intp), tmats, None, cycles, True,
             drain, python=True,
         )
         assert not run.blocked_moves.any()
@@ -463,7 +463,7 @@ class TestDropPathArgument:
         # Every draw is offered, so no wait buffer ever held a packet;
         # the draws that do not inject are exactly the dead sources'.
         draws = (tmats >= 0).sum(axis=(0, 2))
-        dead_draws = (tmats[:, :, ~comp.src_alive] >= 0).sum(axis=(0, 2))
+        dead_draws = (tmats[:, :, ~comp.src_alive[0]] >= 0).sum(axis=(0, 2))
         assert np.array_equal(run.offered, draws)
         assert np.array_equal(run.offered, run.injected + dead_draws)
         assert (run.drain_cycles <= n).all()
@@ -527,7 +527,7 @@ class TestBlockPathArgument:
             # Each drain cycle advances the deepest occupied stage, so a
             # scenario empties within n + 1 cycles per packet it held.
             held = numba_backend.run_batch(
-                [compile_network(net, faults)],
+                compile_network(net, faults),
                 np.zeros(tmats.shape[1], dtype=np.intp), tmats, None,
                 cycles, False, False, python=True,
             ).in_flight
@@ -758,12 +758,22 @@ class TestMixedSampleSlabs:
     )
     def test_mixed_slab_equals_runs_alone(self, name, drop, drain):
         net, tmats, scheds = _mixed_slab(name)
-        comps = [compile_network(net, f) for f in _mixed_samples(net.n_stages)]
+        samples = _mixed_samples(net.n_stages)
+        # Each sample compiled alone (K = 1), and the slab's stacked value.
+        comps = [compile_network(net, f) for f in samples]
+        stacked = CompileCache().compile(net, samples)
         assert not comps[1].src_alive.all() and comps[0].src_alive.all()
         for flag in ("has_unreachable", "links_ok"):
             assert len({getattr(c, flag) for c in comps}) > 1, flag
         if name == "extra_stage_omega":
             assert any(comps[0].has_amb)
+        # The slab's flags combine its samples': any for the -2 and -1
+        # work, all for the live-links fast path.
+        for flag, combine in (
+            ("has_amb", any), ("has_unreachable", any), ("links_ok", all),
+        ):
+            per_gap = zip(*(getattr(c, flag) for c in comps))
+            assert getattr(stacked, flag) == tuple(map(combine, per_gap))
         sample = np.array([2, 0, 3, 1, 1, 3, 0, 2], dtype=np.intp)
         cycles = tmats.shape[0]
         slabs = []
@@ -771,11 +781,11 @@ class TestMixedSampleSlabs:
             kern = numba_backend.run_batch if python else numpy_backend.run_batch
             kw = {"python": True} if python else {}
             slab = kern(
-                comps, sample, tmats, scheds, cycles, drop, drain, **kw
+                stacked, sample, tmats, scheds, cycles, drop, drain, **kw
             )
             for b, k in enumerate(sample):
                 alone = kern(
-                    [comps[k]], np.zeros(1, dtype=np.intp),
+                    comps[k], np.zeros(1, dtype=np.intp),
                     tmats[:, b : b + 1],
                     None if scheds is None else scheds[b : b + 1],
                     cycles, drop, drain, **kw,
@@ -865,8 +875,10 @@ class TestCompileCacheKeying:
     def test_key_separates_fault_sets(self):
         net = omega(3)
         fs = FaultSet(dead_cells=frozenset({(2, 0)}))
-        assert compile_key(net) != compile_key(net, fs)
-        assert compile_key(net, fs) == compile_key(net, fs)
+        assert compile_key(net) != compile_key(net, [fs])
+        assert compile_key(net, [fs]) == compile_key(net, [fs])
+        # A slab's key holds its samples in slab order.
+        assert compile_key(net, [None, fs]) != compile_key(net, [fs, None])
 
     def test_rebuilt_topologies_share_an_entry(self):
         cache = CompileCache()

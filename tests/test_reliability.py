@@ -64,8 +64,8 @@ from repro.sim import (
     simulate,
 )
 from repro.sim.faults import (
-    degraded_port_tables,
     fault_connectivity,
+    fault_structure,
     terminal_reachability,
 )
 from repro.sim.kernels import numba_backend, numpy_backend
@@ -153,9 +153,9 @@ class TestFaultTolerantTopologies:
         # Redundant paths surface as adaptive (-2) entries in the
         # fault-degraded routing tables; plain omega has none.
         net = VARIANTS[name](4)
-        tables = degraded_port_tables(net, FaultSet())
+        tables = fault_structure(net, [FaultSet()]).ptabs[0]
         assert any((t == -2).any() for t in tables)
-        base_tables = degraded_port_tables(omega(4), FaultSet())
+        base_tables = fault_structure(omega(4), [FaultSet()]).ptabs[0]
         assert not any((t == -2).any() for t in base_tables)
 
     @pytest.mark.parametrize("name", FULLY_1FT)
@@ -570,12 +570,12 @@ class TestUnroutableIffUnreachable:
         tmats = traffic.destinations(
             np.random.default_rng(seed), net.n_inputs, 25
         )[:, None, :]
-        comps, sample = [compile_network(net, faults)], np.zeros(1, np.intp)
+        comp, sample = compile_network(net, faults), np.zeros(1, np.intp)
         ref = numpy_backend.run_batch(
-            comps, sample, tmats, None, 25, drop, True
+            comp, sample, tmats, None, 25, drop, True
         )
         fused = numba_backend.run_batch(
-            comps, sample, tmats, None, 25, drop, True, python=True
+            comp, sample, tmats, None, 25, drop, True, python=True
         )
         for field in (
             "offered", "injected", "delivered", "dropped", "unroutable",

@@ -22,7 +22,9 @@ from repro.routing.rearrangeable import benes_switch_settings
 from repro.sim import (
     BatchScenario,
     BitReversalTraffic,
+    CompiledNetwork,
     FaultSet,
+    FaultStructure,
     HotspotTraffic,
     PermutationTraffic,
     TRAFFIC_PATTERNS,
@@ -32,8 +34,8 @@ from repro.sim import (
     compile_cache_clear,
     compile_cache_info,
     compile_network,
-    degraded_port_tables,
     fault_connectivity,
+    fault_structure,
     make_traffic,
     patel_profile,
     permutation_port_schedule,
@@ -211,6 +213,28 @@ class TestEngineBasics:
             finally:
                 TRAFFIC_PATTERNS.unregister(name)
 
+    def test_non_integer_port_schedules_raise(self):
+        # In range but not integral: a cast to int8 would turn every
+        # 0.7 into port 0, silently.
+        net = omega(3)
+        sched = np.full((net.n_stages, net.n_inputs), 0.7)
+        with pytest.raises(ReproError, match="must be integers"):
+            simulate(
+                net, UniformTraffic(rate=0.5), cycles=10,
+                port_schedule=sched,
+            )
+        with pytest.raises(ReproError, match="must be integers"):
+            simulate_batch(
+                net,
+                [BatchScenario(UniformTraffic(rate=0.5), port_schedule=sched)],
+                cycles=10,
+            )
+        # Integer and bool schedules stay accepted.
+        for ok in (sched.astype(np.int64), sched.astype(bool)):
+            simulate(
+                net, UniformTraffic(rate=0.5), cycles=10, port_schedule=ok
+            )
+
     def test_regression_contention_counters(self):
         """Crafted all-to-one contention, counters pinned per policy.
 
@@ -290,7 +314,7 @@ class TestFaults:
         assert not fs
         assert fault_connectivity(omega4, fs) == 1.0
         for a, b in zip(
-            port_tables(omega4), degraded_port_tables(omega4, fs)
+            port_tables(omega4), fault_structure(omega4, [fs]).ptabs[0]
         ):
             assert np.array_equal(a, b)
 
@@ -356,7 +380,7 @@ class TestFaults:
         assert doubles.size > 0
         cell = int(doubles[0])
         fs = FaultSet(dead_links=frozenset({(1, cell, 1)}))
-        table = degraded_port_tables(net, fs)[0]
+        table = fault_structure(net, [fs]).ptabs[0, 0]
         row = table[cell]
         assert not (row == -2).any()
         assert (row[row >= 0] == 0).all()
@@ -367,6 +391,144 @@ class TestFaults:
         )
         stages = {s for s, _ in fs.dead_cells}
         assert stages <= {2, 3, 4}
+
+
+def _stack_samples(net) -> list:
+    """Five fault samples of ``net``: healthy, a dead source cell, a dead
+    last-stage cell, dead links (one arc of a double link when the
+    network has one) and a random mix over every stage."""
+    n, size = net.n_stages, net.size
+    gap, cell = 1, 2 % size
+    for j, conn in enumerate(net.connections, start=1):
+        doubles = np.flatnonzero(conn.f == conn.g)
+        if doubles.size:
+            gap, cell = j, int(doubles[0])
+            break
+    return [
+        None,
+        FaultSet(dead_cells=frozenset({(1, 1)})),
+        FaultSet(dead_cells=frozenset({(n, size - 1)})),
+        FaultSet(dead_links=frozenset({(gap, cell, 1), (n - 1, 0, 0)})),
+        FaultSet.random(
+            np.random.default_rng(n * size), n, size, n_dead_cells=2,
+            n_dead_links=2, spare_terminal_stages=False,
+        ),
+    ]
+
+
+def _oracle(net, faults):
+    """Brute-force ``(cells, reach, ptabs)`` of one sample.
+
+    Reachability is a forward walk over live arcs from every cell; a
+    port-table entry is read off the live out-arcs whose child's walk
+    reaches the destination: none -1, one its port, both -2.
+    """
+    n, size = net.n_stages, net.size
+    faults = faults or FaultSet()
+    alive = {
+        (s, x) for s in range(1, n + 1) for x in range(size)
+    } - faults.dead_cells
+
+    def arcs(s, x):
+        conn = net.connections[s - 1]
+        for p, y in enumerate((int(conn.f[x]), int(conn.g[x]))):
+            if (
+                (s, x) in alive and (s + 1, y) in alive
+                and (s, x, p) not in faults.dead_links
+            ):
+                yield p, y
+
+    walk = {}
+    for s in range(n, 0, -1):
+        for x in range(size):
+            if s == n:
+                walk[s, x] = {x} if (s, x) in alive else set()
+            else:
+                walk[s, x] = set().union(
+                    *(walk[s + 1, y] for _, y in arcs(s, x))
+                )
+    cells = np.array(
+        [[(s, x) in alive for x in range(size)] for s in range(1, n + 1)]
+    )
+    reach = np.array(
+        [
+            [[w in walk[s, x] for w in range(size)] for x in range(size)]
+            for s in range(1, n + 1)
+        ]
+    )
+    rule = {(): -1, (0,): 0, (1,): 1, (0, 1): -2}
+    ptabs = np.array(
+        [
+            [
+                [
+                    rule[tuple(p for p, y in arcs(s, x) if w in walk[s + 1, y])]
+                    for w in range(size)
+                ]
+                for x in range(size)
+            ]
+            for s in range(1, n)
+        ],
+        dtype=np.int8,
+    )
+    return cells, reach, ptabs
+
+
+def _derivation_cases():
+    from repro.networks.catalog import NETWORK_CATALOG
+
+    cases = [
+        (name, n) for name in sorted(NETWORK_CATALOG.names())
+        for n in (3, 4, 5)
+    ]
+    return cases + [("double_link_network", 4)]
+
+
+class TestFaultStructure:
+    """The stacked derivation against each sample alone and an oracle."""
+
+    @pytest.mark.parametrize("name, n", _derivation_cases())
+    def test_stack_rows_match_alone_and_brute_force(self, name, n):
+        from repro.networks.counterexamples import double_link_network
+
+        if name == "double_link_network":
+            net = double_link_network(n)
+        else:
+            net = NetworkSpec.catalog(name, n=n).resolve()
+        samples = _stack_samples(net)
+        stack = fault_structure(net, samples)
+        K, L, size = len(samples), net.n_stages - 1, net.size
+        assert stack.cells.shape == (K, L + 1, size)
+        assert stack.links.shape == (K, L, size, 2)
+        assert stack.reach.shape == (K, L + 1, size, size)
+        assert stack.ptabs.shape == (K, L, size, size)
+        assert stack.ptabs.dtype == np.int8
+        comp = CompiledNetwork(net, samples)
+        for k, faults in enumerate(samples):
+            alone = fault_structure(net, [faults])
+            for field in FaultStructure._fields:
+                assert np.array_equal(
+                    getattr(stack, field)[k], getattr(alone, field)[0]
+                ), (k, field)
+            cells, reach, ptabs = _oracle(net, faults)
+            assert np.array_equal(stack.cells[k], cells), k
+            assert np.array_equal(stack.reach[k], reach), k
+            assert np.array_equal(stack.ptabs[k], ptabs), k
+            src = cells[0][np.arange(net.n_inputs) >> 1]
+            assert np.array_equal(comp.src_alive[k], src), k
+        assert not comp.src_alive[1].all()
+        assert comp.has_amb == tuple((stack.ptabs == -2).any((0, 2, 3)))
+        assert comp.links_ok == tuple(stack.links.all((0, 2, 3)))
+        if name == "double_link_network":
+            # The severed half of a double link forces the other port.
+            gap, cell, _ = min(samples[3].dead_links)
+            row = stack.ptabs[3, gap - 1, cell]
+            assert (row == 0).any() and not (row == -2).any()
+            assert (stack.ptabs[0, gap - 1, cell] == -2).any()
+
+    def test_validates_every_sample(self, omega4):
+        bad = FaultSet(dead_cells=frozenset({(9, 0)}))
+        with pytest.raises(ReproError):
+            fault_structure(omega4, [None, bad])
 
 
 class TestReportSerialization:
@@ -455,8 +617,10 @@ class TestCompiledNetwork:
             dead_links=frozenset({(1, 0, 1)}),
         )
         comp = compile_network(omega4, fs)
-        for j, table in enumerate(degraded_port_tables(omega4, fs)):
-            assert np.array_equal(comp.ptabs[j], table)
+        derived = fault_structure(omega4, [fs])
+        for name in ("ptabs", "links", "reach"):
+            assert np.array_equal(getattr(comp, name), getattr(derived, name))
+        assert np.array_equal(comp.cells_alive, derived.cells)
         assert comp.ptabs.dtype == np.int8
         assert comp.child.dtype == np.int32
         assert not comp.links_ok[0]  # gap 1 carries the severed link

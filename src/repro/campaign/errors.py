@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-from repro.campaign.store import _read_log, _repair_tail
 from repro.core.errors import ReproError
+from repro.io import JsonlLog, parse_record
 
 __all__ = [
     "QUARANTINE_FORMAT",
@@ -179,53 +179,50 @@ def quarantine_path(store_path: str | Path) -> Path:
     return store.with_name(store.stem + ".quarantine.jsonl")
 
 
+def _check_failure(doc) -> str | None:
+    """Why a parsed sidecar line is not a failure record, or ``None``."""
+    if not isinstance(doc, dict) or any(
+        k not in doc for k in ("hash", "scenario", "error")
+    ):
+        return "missing record keys"
+    err = doc["error"]
+    if not isinstance(err, dict) or any(
+        k not in err for k in ("kind", "type", "message")
+    ):
+        return "missing error keys"
+    if err["kind"] not in FAILURE_KINDS:
+        return f"unknown failure kind {err['kind']!r}"
+    return None
+
+
 class QuarantineStore:
     """The append-only JSONL sidecar of quarantined scenarios.
 
-    Same shape discipline as the result store — a format header line
-    followed by one JSON record per failure, flushed per append, torn
-    final line tolerated — so a supervisor killed mid-quarantine loses
-    at most the record being written.
+    Same file discipline as the result store (both are
+    :class:`repro.io.JsonlLog`) — a format header line followed by one
+    JSON record per failure, flushed per append, torn final line
+    tolerated — so a supervisor killed mid-quarantine loses at most the
+    record being written.
     """
 
     def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
+        self._log = JsonlLog(path, QUARANTINE_FORMAT, (QUARANTINE_VERSION,))
+        self.path = self._log.path
 
     def exists(self) -> bool:
         return self.path.exists()
 
-    def _ensure_header(self) -> None:
-        if self.path.exists() and self.path.stat().st_size > 0:
-            _repair_tail(self.path)
-            if self.path.stat().st_size > 0:
-                return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        header = {
-            "format": QUARANTINE_FORMAT, "version": QUARANTINE_VERSION,
-        }
-        with open(self.path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(header) + "\n")
-
     def append(self, failure: TaskFailure) -> None:
         """Append one terminal failure and flush it to disk."""
-        self._ensure_header()
-        line = json.dumps(failure.to_dict(), sort_keys=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-            fh.flush()
+        self._log.append(json.dumps(failure.to_dict(), sort_keys=True))
 
     def records(self) -> Iterator[TaskFailure]:
-        """Yield the quarantined failures, tolerating a torn tail line."""
-        lines = _read_log(self.path, QUARANTINE_FORMAT, (QUARANTINE_VERSION,))
-        for i, line in enumerate(lines, start=2):
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError:
-                if i == len(lines) + 1:  # torn tail
-                    return
-                raise ReproError(
-                    f"{self.path}: corrupt quarantine record on line {i}"
-                ) from None
+        """Yield the quarantined failures, tolerating a torn tail line.
+
+        Raises :class:`ReproError` naming the path and line for any
+        complete line that :meth:`verify` would flag.
+        """
+        for doc in self._log.records(_check_failure, "quarantine record"):
             yield TaskFailure.from_dict(doc)
 
     def verify(self) -> dict:
@@ -252,37 +249,14 @@ class QuarantineStore:
         }
         if not report["exists"]:
             return report
-        lines = _read_log(self.path, QUARANTINE_FORMAT, (QUARANTINE_VERSION,))
-        for i, line in enumerate(lines, start=2):
-            reason = None
-            doc = None
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError:
-                if i == len(lines) + 1:  # torn tail: records() skips it too
-                    report["torn_tail"] = True
-                    break
-                reason = "invalid JSON"
-            if reason is None and (
-                not isinstance(doc, dict)
-                or any(k not in doc for k in ("hash", "scenario", "error"))
-            ):
-                reason = "missing record keys"
-            if reason is None and (
-                not isinstance(doc["error"], dict)
-                or any(
-                    k not in doc["error"] for k in ("kind", "type", "message")
-                )
-            ):
-                reason = "missing error keys"
-            if reason is None and doc["error"]["kind"] not in FAILURE_KINDS:
-                reason = (
-                    f"unknown failure kind {doc['error']['kind']!r}"
-                )
+        body = self._log.read()
+        for i, line in enumerate(body.lines, start=2):
+            _doc, reason = parse_record(line, _check_failure)
             if reason is None:
                 report["records"] += 1
             else:
                 report["bad"].append({"line": i, "reason": reason})
+        report["torn_tail"] = body.torn is not None
         report["ok"] = not report["bad"]
         return report
 
@@ -302,33 +276,21 @@ class QuarantineStore:
 
         ``hashes`` limits the requeue to those scenarios (prefix match);
         ``None`` requeues everything.  Returns the number of records
-        removed.  The rewrite is atomic (temp file + ``os.replace``).
+        removed.  The rewrite is atomic (:meth:`JsonlLog.rewrite`).
         """
-        import os
-
-        if not self.path.exists():
-            return 0
         prefixes = None if hashes is None else tuple(hashes)
-
-        def _drop(failure: TaskFailure) -> bool:
-            if prefixes is None:
-                return True
-            return any(failure.hash.startswith(p) for p in prefixes)
-
-        kept = [f for f in self.records() if not _drop(f)]
-        dropped = len(list(self.records())) - len(kept)
-        if dropped == 0:
+        failures = list(self.records())
+        kept = [
+            f for f in failures
+            if prefixes is not None
+            and not any(f.hash.startswith(p) for p in prefixes)
+        ]
+        if len(kept) == len(failures):
             return 0
-        tmp = self.path.with_name(f".{self.path.name}.tmp")
-        header = {
-            "format": QUARANTINE_FORMAT, "version": QUARANTINE_VERSION,
-        }
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(header) + "\n")
-            for failure in kept:
-                fh.write(json.dumps(failure.to_dict(), sort_keys=True) + "\n")
-        os.replace(tmp, self.path)
-        return dropped
+        self._log.rewrite(
+            json.dumps(f.to_dict(), sort_keys=True) for f in kept
+        )
+        return len(failures) - len(kept)
 
     def __len__(self) -> int:
         return sum(1 for _ in self.records())

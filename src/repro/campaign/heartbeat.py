@@ -7,12 +7,12 @@ next to the store (``sweep.jsonl`` → ``sweep.heartbeat.json``) every
 ``interval`` seconds: done/total counts, completion rate, ETA, per-worker
 liveness and — when a tracer is active — the drained counter snapshot.
 
-Writes go through **atomic rename**: the document lands in a temp file
-in the same directory and ``os.replace``-s over the target, so a
-concurrent reader sees either the previous complete beat or the next
-one, never a torn write.  That property is what makes
-``python -m repro campaign watch`` (and any future serve daemon) safe to
-point at a store owned by another process.
+Writes go through **atomic rename** (:func:`repro.io.write_atomic`):
+the document lands in a temp file in the same directory and is renamed
+over the target, so a concurrent reader sees either the previous
+complete beat or the next one, never a torn write.  That property is
+what makes ``python -m repro campaign watch`` (and any future serve
+daemon) safe to point at a store owned by another process.
 
 The heartbeat is pure telemetry, like the tracer: it never touches the
 store, the records, or anything digest-bearing — a sweep with heartbeats
@@ -32,6 +32,7 @@ from pathlib import Path
 from typing import Iterator
 
 from repro.core.errors import ReproError
+from repro.io import parse_document, write_atomic
 
 __all__ = [
     "HEARTBEAT_ENV",
@@ -201,17 +202,8 @@ class HeartbeatWriter:
         }
 
     def _write(self, doc: dict) -> None:
-        # Atomic publish: temp file in the same directory (same
-        # filesystem, so replace() is a rename, not a copy), then one
-        # os.replace over the target.  Readers never see partial JSON.
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(
-            f".{self.path.name}.{os.getpid()}.tmp"
-        )
-        tmp.write_text(
-            json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        os.replace(tmp, self.path)
+        # Atomic publish: readers never see partial JSON.
+        write_atomic(self.path, json.dumps(doc, sort_keys=True) + "\n")
 
     def beat(self, done: int, force: bool = False) -> bool:
         """Publish a ``running`` heartbeat, rate-limited to ``interval``.
@@ -245,25 +237,13 @@ def read_heartbeat(path: str | Path) -> dict | None:
     ``repro-campaign-heartbeat`` document — atomic renames mean a
     partial read is a format violation, not an expected race.
     """
-    path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         return None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ReproError(
-            f"{path}: heartbeat is not valid JSON: {err}"
-        ) from err
-    if not isinstance(doc, dict) or doc.get("format") != HEARTBEAT_FORMAT:
-        raise ReproError(f"{path}: not a {HEARTBEAT_FORMAT} document")
-    if doc.get("version") != HEARTBEAT_VERSION:
-        raise ReproError(
-            f"{path}: unsupported heartbeat version "
-            f"{doc.get('version')!r}"
-        )
-    return doc
+    return parse_document(
+        text, HEARTBEAT_FORMAT, (HEARTBEAT_VERSION,), source=path
+    )
 
 
 def snapshot(store_path: str | Path) -> dict:

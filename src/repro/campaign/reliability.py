@@ -46,6 +46,7 @@ from typing import Callable, Iterable, Mapping
 from repro.campaign.aggregate import _mean, load_records
 from repro.campaign.spec import CampaignSpec, _grid_networks
 from repro.core.errors import ReproError
+from repro.io import document_fields, parse_document
 from repro.obs import trace as obs
 from repro.obs.metrics import metrics
 from repro.obs.schema import COUNTER_AVAILABILITY_EVALS, SPAN_RELIABILITY
@@ -257,23 +258,8 @@ def dumps_sweep(
 
 def loads_sweep(text: str) -> ReliabilitySweepSpec:
     """Parse a reliability sweep spec from a JSON string (validated)."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ReproError(f"not valid JSON: {err}") from err
-    if not isinstance(doc, dict) or doc.get("format") != _SWEEP_FORMAT:
-        raise ReproError(
-            f"not a {_SWEEP_FORMAT} document "
-            f"(format={doc.get('format') if isinstance(doc, dict) else None!r})"
-        )
-    if doc.get("version") != _SWEEP_VERSION:
-        raise ReproError(
-            f"unsupported {_SWEEP_FORMAT} version {doc.get('version')!r}"
-        )
-    fields = {
-        k: v for k, v in doc.items() if k not in ("format", "version")
-    }
-    return ReliabilitySweepSpec.from_dict(fields)
+    doc = parse_document(text, _SWEEP_FORMAT, (_SWEEP_VERSION,))
+    return ReliabilitySweepSpec.from_dict(document_fields(doc))
 
 
 # -- aggregates --------------------------------------------------------------

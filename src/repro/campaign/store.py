@@ -10,9 +10,12 @@ one JSON record per completed scenario —
     {"crc": "07be…", "hash": "93c0…", "report": {…}, "scenario": {…}}
 
 Records are appended and flushed as workers finish, so a killed run loses
-at most the line being written.  :meth:`ResultStore.records` tolerates a
-truncated final line for exactly that reason — crash-safe ``--resume``
-reads the surviving records, skips their scenarios and re-runs the rest.
+at most the line being written.  :meth:`ResultStore.records` skips a
+final line without its newline for exactly that reason — crash-safe
+``--resume`` reads the surviving records, skips their scenarios and
+re-runs the rest — but raises on any complete line that is not a record.
+The file handling (header check, append, tail repair, atomic rewrite) is
+:class:`repro.io.JsonlLog`; this module holds the record schema.
 
 The store is keyed by the scenario digest
 (:attr:`repro.spec.scenario.ScenarioSpec.digest`): append order is
@@ -32,77 +35,29 @@ their version-1 header.
 from __future__ import annotations
 
 import json
-import os
 import zlib
 from pathlib import Path
 from typing import Iterator, Mapping
 
-from repro.core.errors import ReproError
+from repro.io import JsonlLog, parse_record
 from repro.sim.metrics import SimReport
 from repro.spec.scenario import canonical_json
 
 __all__ = ["ResultStore", "record_crc"]
 
 _FORMAT = "repro-campaign-store"
-_VERSION = 2
-#: Store versions this reader accepts.
+#: Store versions this reader accepts; new stores get the last one.
 _VERSIONS = (1, 2)
 
 #: Record keys covered by the per-record CRC (everything but the CRC).
 _CRC_KEYS = ("hash", "scenario", "report")
 
 
-def _read_log(path: Path, fmt: str, versions: tuple[int, ...]) -> list[str]:
-    """The record lines of a header-checked JSONL log.
-
-    The shared reader of the campaign's append-only logs (result store,
-    quarantine sidecar): returns the lines after the ``{"format": fmt,
-    "version": v}`` header, or ``[]`` when the file is missing or empty.
-    A torn final line is returned as read — each caller decides whether
-    the last line may be torn.  Raises :class:`ReproError` when the
-    header is not a ``fmt`` document of an accepted version.
-    """
-    if not path.exists():
-        return []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if not lines:
-        return []
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as err:
-        raise ReproError(
-            f"{path}: {fmt} header is not valid JSON: {err}"
-        ) from err
-    if not isinstance(header, dict) or header.get("format") != fmt:
-        raise ReproError(f"{path}: not a {fmt} document")
-    if header.get("version") not in versions:
-        raise ReproError(
-            f"{path}: unsupported {fmt} version "
-            f"{header.get('version')!r}; expected one of {versions}"
-        )
-    return lines[1:]
-
-
-def _repair_tail(path: Path) -> None:
-    """Truncate a torn final line so appends start on a line boundary.
-
-    The shared append-side partner of :func:`_read_log`: a run killed
-    mid-write leaves a partial record without its newline, and appending
-    straight after it would glue the next record onto the torn bytes
-    (which readers already ignore), so they are cut.  Probes just the
-    final byte unless repair is needed; ``path`` must be non-empty.
-    """
-    with open(path, "r+b") as fh:
-        fh.seek(-1, 2)
-        if fh.read(1) == b"\n":
-            return
-        fh.seek(0)
-        data = fh.read()
-        keep = data.rfind(b"\n") + 1  # 0 when no newline survived
-        fh.truncate(keep)
+def _check_record(record) -> str | None:
+    """Why a parsed line is not a store record, or ``None``."""
+    if not isinstance(record, dict) or any(k not in record for k in _CRC_KEYS):
+        return "missing record keys"
+    return None
 
 
 def record_crc(record: Mapping) -> str:
@@ -130,28 +85,14 @@ class ResultStore:
     """
 
     def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._tail_checked = False
+        self._log = JsonlLog(path, _FORMAT, _VERSIONS)
+        self.path = self._log.path
 
     def exists(self) -> bool:
         """True when the store file is present on disk."""
         return self.path.exists()
 
     # -- writing -----------------------------------------------------------
-
-    def _ensure_header(self) -> None:
-        if self.path.exists() and self.path.stat().st_size > 0:
-            # Torn tails can only predate this instance's appends (every
-            # append flushes a complete line), so check once.
-            if not self._tail_checked:
-                self._tail_checked = True
-                _repair_tail(self.path)
-            if self.path.stat().st_size > 0:
-                return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        header = {"format": _FORMAT, "version": _VERSION}
-        with open(self.path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(header) + "\n")
 
     def append(
         self, digest: str, scenario: Mapping, report: Mapping
@@ -165,73 +106,47 @@ class ResultStore:
         written before the field existed verify fine (their records
         simply have no checksum to check).
         """
-        self._ensure_header()
         record = {
             "hash": digest,
             "scenario": dict(scenario),
             "report": dict(report),
         }
         record["crc"] = record_crc(record)
-        line = json.dumps(record, sort_keys=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-            fh.flush()
+        self._log.append(json.dumps(record, sort_keys=True))
 
     # -- reading -----------------------------------------------------------
 
     def records(self) -> Iterator[dict]:
-        """Yield the stored records, skipping a torn (truncated) tail line.
+        """Yield the stored records, skipping a torn final line (no newline).
 
         Raises :class:`ReproError` when the file exists but is not a
-        ``repro-campaign-store`` document, or when corruption appears
-        anywhere other than the final line.
+        ``repro-campaign-store`` document, or when any complete line
+        (the final one included) is not a record.
         """
-        lines = _read_log(self.path, _FORMAT, _VERSIONS)
-        for i, line in enumerate(lines, start=2):
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                record = None
-            if not isinstance(record, dict) or any(
-                k not in record for k in _CRC_KEYS
-            ):
-                if i == len(lines) + 1:  # torn tail: the interrupted write
-                    return
-                raise ReproError(
-                    f"{self.path}: corrupt record on line {i} "
-                    "(not the final line — refusing to guess)"
-                )
-            yield record
+        return self._log.records(_check_record)
 
     # -- integrity ---------------------------------------------------------
 
-    def _classify_lines(self) -> tuple[list[str], list[tuple[int, str, str]]]:
-        """Split the store body into good lines and bad ``(lineno, line,
-        reason)`` triples.
+    def _classify_lines(
+        self,
+    ) -> tuple[str | None, list[str], list[tuple[int, str, str]]]:
+        """The header, the good lines and bad ``(lineno, line, reason)``
+        triples of the store body.
 
-        Reads raw lines (unlike :meth:`records`, which refuses mid-file
-        corruption outright) so every record can be judged
-        independently: invalid JSON, a non-object, missing keys, or a
-        ``crc`` mismatch all mark a line bad.  Records without a ``crc``
-        field (written before the field existed) are judged on shape
-        alone.  The header is validated by the same reader as
-        :meth:`records` — a wrong header means the file is not a store,
-        and that is an error, not a repair.
+        Judges every line independently (unlike :meth:`records`, which
+        refuses the first bad one): invalid JSON, a non-object, missing
+        keys, or a ``crc`` mismatch all mark a line bad, and so can a
+        torn final line.  Records without a ``crc`` field (written
+        before the field existed) are judged on shape alone.  A wrong
+        header means the file is not a store, and that is an error, not
+        a repair.
         """
+        body = self._log.read()
+        lines = body.lines if body.torn is None else [*body.lines, body.torn]
         good: list[str] = []
         bad: list[tuple[int, str, str]] = []
-        lines = _read_log(self.path, _FORMAT, _VERSIONS)
         for i, line in enumerate(lines, start=2):
-            reason = None
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                record, reason = None, "invalid JSON"
-            if reason is None and (
-                not isinstance(record, dict)
-                or any(k not in record for k in _CRC_KEYS)
-            ):
-                reason = "missing record keys"
+            record, reason = parse_record(line, _check_record)
             if (
                 reason is None
                 and "crc" in record
@@ -245,7 +160,7 @@ class ResultStore:
                 good.append(line)
             else:
                 bad.append((i, line, reason))
-        return good, bad
+        return body.header, good, bad
 
     def verify(self) -> dict:
         """Check every record line, returning a corruption report.
@@ -255,10 +170,14 @@ class ResultStore:
         on record-level corruption (only on a broken header) — it exists
         to *diagnose* stores that ``records()`` refuses to read, e.g.
         after a disk error or a torn concurrent write.  A torn tail
-        shows up here as one bad final line; :meth:`repair` turns that
-        back into a store ``--resume`` accepts.
+        shows up here as one bad final line, although ``--resume``
+        already skips it (and its first append cuts it); :meth:`repair`
+        drops it so the store verifies clean again.
         """
-        good, bad = self._classify_lines()
+        _header, good, bad = self._classify_lines()
+        return self._report(good, bad)
+
+    def _report(self, good: list, bad: list) -> dict:
         return {
             "path": str(self.path),
             "records": len(good),
@@ -272,21 +191,16 @@ class ResultStore:
     def repair(self) -> dict:
         """Drop corrupt record lines, preserving them in a ``.bad`` sidecar.
 
-        Atomically rewrites the store (header + good lines) via a temp
-        file and :func:`os.replace`; the dropped raw lines are appended
-        to ``<path>.bad`` so nothing is destroyed — a partially
-        recoverable record can still be salvaged by hand.  Returns the
-        :meth:`verify`-style report plus ``"dropped"`` and
+        Atomically rewrites the store (its own header, so a version-1
+        store stays version 1, plus the good lines); the dropped raw
+        lines are appended to ``<path>.bad`` so nothing is destroyed — a
+        partially recoverable record can still be salvaged by hand.
+        Returns the :meth:`verify`-style report plus ``"dropped"`` and
         ``"bad_file"`` keys.  A clean store is left untouched.
         """
-        good, bad = self._classify_lines()
+        header, good, bad = self._classify_lines()
         report = {
-            "path": str(self.path),
-            "records": len(good),
-            "bad": [
-                {"line": lineno, "reason": reason}
-                for lineno, _line, reason in bad
-            ],
+            **self._report(good, bad),
             "ok": True,
             "dropped": len(bad),
             "bad_file": None,
@@ -295,15 +209,9 @@ class ResultStore:
             return report
         bad_path = self.path.with_name(self.path.name + ".bad")
         with open(bad_path, "a", encoding="utf-8") as fh:
-            for lineno, line, reason in bad:
+            for _lineno, line, _reason in bad:
                 fh.write(line + "\n")
-        with open(self.path, "r", encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")  # keep the store's version
-        tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
-        tmp.write_text(
-            "\n".join([header, *good]) + "\n", encoding="utf-8"
-        )
-        os.replace(tmp, self.path)
+        self._log.rewrite(good, header)
         report["bad_file"] = str(bad_path)
         return report
 
@@ -313,15 +221,11 @@ class ResultStore:
         Counts newline-terminated lines without parsing any JSON — the
         poll a live ``campaign watch`` issues every tick against a store
         another process is appending to.  A torn tail line (no newline
-        yet) is naturally excluded, matching what :meth:`records`
-        yields; the count trusts the header without validating it, so
-        a non-store file reports its line count, not an error.
+        yet) is excluded, as :meth:`records` skips it; the count trusts
+        the header without validating it, so a non-store file reports
+        its line count, not an error.
         """
-        if not self.path.exists():
-            return 0
-        with open(self.path, "rb") as fh:
-            data = fh.read()
-        return max(0, data.count(b"\n") - 1)
+        return self._log.count()
 
     def hashes(self) -> set[str]:
         """The scenario hashes already stored (the resume skip-set)."""

@@ -27,16 +27,26 @@ Single scenarios (:class:`~repro.spec.scenario.ScenarioSpec`) use the
 ``repro-scenario`` format: the canonical scenario wire dict under the
 same header convention, so one fully-specified simulation can be saved,
 shared and replayed (``python -m repro simulate --scenario``).
+
+This module is also the one place that knows the file convention every
+``repro-*`` file shares.  :func:`parse_document` is the one header check
+(whole documents and log header lines alike), :class:`JsonlLog` the one
+append-only log layer behind the campaign store, the quarantine sidecar
+and trace files, and :func:`write_atomic` the one temp-file-plus-rename
+publish.  A log record is complete once its newline is on disk: a final
+line without one is the torn write of a killed run, which readers skip
+and the next append cuts; any complete line that fails its check raises.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
 
 from repro.core.connection import Connection
-from repro.core.errors import InvalidNetworkError
+from repro.core.errors import InvalidNetworkError, ReproError
 from repro.core.midigraph import MIDigraph
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -72,28 +82,219 @@ _CAMPAIGN_VERSION = 1
 _SCENARIO_FORMAT = "repro-scenario"
 _SCENARIO_VERSION = 1
 
+_HEADER_KEYS = ("format", "version")
 
-def _parse_document(text: str, fmt: str, version: int) -> dict:
-    """Parse JSON text and validate the shared format/version header.
 
-    Returns the body fields (header entries stripped); raises
-    :class:`InvalidNetworkError` on malformed documents.
+def parse_document(
+    text: str,
+    fmt: str,
+    versions: tuple[int, ...],
+    *,
+    source: str | Path | None = None,
+    error: type[ReproError] = ReproError,
+) -> dict:
+    """Parse JSON text and check its ``{"format", "version"}`` header.
+
+    The one header check of every ``repro-*`` file — whole documents and
+    log header lines alike.  Returns the whole document.  Raises
+    ``error`` (``source``-prefixed, naming ``fmt``) when the text is not
+    JSON, not a ``fmt`` object, or of a version outside ``versions``.
     """
+    where = "" if source is None else f"{source}: "
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
-        raise InvalidNetworkError(f"not valid JSON: {err}") from err
-    if not isinstance(doc, dict) or doc.get("format") != fmt:
-        raise InvalidNetworkError(
-            f"not a {fmt} document (format={doc.get('format')!r})"
-            if isinstance(doc, dict)
-            else "top-level JSON value must be an object"
+        raise error(f"{where}{fmt} document is not valid JSON: {err}") from err
+    if not isinstance(doc, dict):
+        raise error(
+            f"{where}not a {fmt} document "
+            "(top-level JSON value must be an object)"
         )
-    if doc.get("version") != version:
-        raise InvalidNetworkError(
-            f"unsupported version {doc.get('version')!r}; expected {version}"
+    if doc.get("format") != fmt:
+        raise error(
+            f"{where}not a {fmt} document (format={doc.get('format')!r})"
         )
-    return {k: v for k, v in doc.items() if k not in ("format", "version")}
+    if doc.get("version") not in versions:
+        expected = " or ".join(str(v) for v in versions)
+        raise error(
+            f"{where}unsupported {fmt.removeprefix('repro-')} version "
+            f"{doc.get('version')!r}; {fmt} expects {expected}"
+        )
+    return doc
+
+
+def document_fields(doc: dict) -> dict:
+    """A checked document's body: every field but the header."""
+    return {k: v for k, v in doc.items() if k not in _HEADER_KEYS}
+
+
+def header_line(fmt: str, version: int) -> str:
+    """The header line of a ``repro-*`` JSONL log (no newline)."""
+    return json.dumps({"format": fmt, "version": version})
+
+
+def write_atomic(path: str | Path, text: str) -> None:
+    """Publish ``text`` at ``path``: readers see the old file or the new.
+
+    Writes a pid-unique temp file in the same directory (same
+    filesystem, so the replace is a rename, not a copy), then one
+    :func:`os.replace` over the target.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
+
+
+class LogBody(NamedTuple):
+    """What :meth:`JsonlLog.read` finds in a log file."""
+
+    #: The raw header line; ``None`` for a missing or empty file.
+    header: str | None
+    #: The complete (newline-terminated) record lines after the header.
+    lines: list[str]
+    #: A final line cut before its newline, or ``None``.
+    torn: str | None
+
+
+def parse_record(
+    line: str, check: Callable[[object], str | None] | None = None
+) -> tuple[object, str | None]:
+    """Parse one log line: ``(record, None)`` or ``(…, why it is bad)``.
+
+    ``check(record)`` returns why a parsed record breaks its schema, or
+    ``None`` when it is fine.
+    """
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError:
+        return None, "invalid JSON"
+    return record, None if check is None else check(record)
+
+
+class JsonlLog:
+    """One append-only ``repro-*`` JSONL log: a header, one record per line.
+
+    Parameters
+    ----------
+    path:
+        The log file; created with its header line on first append.
+    fmt, versions:
+        The header this log accepts; new files get ``versions[-1]``.
+    """
+
+    def __init__(
+        self, path: str | Path, fmt: str, versions: tuple[int, ...]
+    ) -> None:
+        self.path = Path(path)
+        self.fmt = fmt
+        self.versions = versions
+        self._dir_made = False
+        self._tail_checked = False
+
+    def read(self, *, required: bool = False) -> LogBody:
+        """Split the file into header, complete lines and a torn tail.
+
+        A missing or empty file has no header, unless ``required``: then
+        a missing file raises :class:`FileNotFoundError` and an empty
+        one :class:`ReproError`.  A lone header line is accepted with or
+        without its newline.  Raises :class:`ReproError` when the header
+        is not a ``fmt`` document of an accepted version.
+        """
+        try:
+            text = self.path.read_text(encoding="utf-8")
+        except FileNotFoundError:
+            if required:
+                raise
+            text = ""
+        lines = text.split("\n")
+        torn = lines.pop() or None  # "" after a final newline
+        if not lines:
+            if torn is None:
+                if required:
+                    raise ReproError(f"{self.path}: empty {self.fmt} file")
+                return LogBody(None, [], None)
+            lines, torn = [torn], None
+        parse_document(lines[0], self.fmt, self.versions, source=self.path)
+        return LogBody(lines[0], lines[1:], torn)
+
+    def records(
+        self,
+        check: Callable[[object], str | None] | None = None,
+        what: str = "record",
+        *,
+        required: bool = False,
+    ) -> Iterator:
+        """Yield every complete record, parsed; skip a torn final line.
+
+        A complete line that is not JSON, or that ``check`` rejects (see
+        :func:`parse_record`), raises :class:`ReproError` naming the path
+        and line — wherever it is, the final line included.
+        ``required`` is passed to :meth:`read`.
+        """
+        lines = self.read(required=required).lines
+        for lineno, line in enumerate(lines, start=2):
+            record, reason = parse_record(line, check)
+            if reason is not None:
+                raise ReproError(
+                    f"{self.path}: corrupt {what} on line {lineno} ({reason})"
+                )
+            yield record
+
+    def count(self) -> int:
+        """Complete lines minus the header, without parsing any JSON."""
+        try:
+            return max(0, self.path.read_bytes().count(b"\n") - 1)
+        except FileNotFoundError:
+            return 0
+
+    def append(self, line: str) -> None:
+        """Append one record line and flush it.
+
+        Writes the header first when the file is missing or empty.  The
+        first append of an instance to a non-empty file cuts a torn
+        final line, so the record starts on a line boundary instead of
+        gluing onto the torn bytes; later appends follow this instance's
+        own complete lines and skip the check.
+        """
+        if not self._dir_made:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._dir_made = True
+        with open(self.path, "a+b") as fh:
+            size = fh.seek(0, 2)
+            if size and not self._tail_checked:
+                self._tail_checked = True
+                fh.seek(-1, 2)
+                if fh.read(1) != b"\n":
+                    fh.seek(0)
+                    size = fh.read().rfind(b"\n") + 1  # 0: no newline
+                    fh.truncate(size)
+            if not size:
+                fh.write(
+                    (header_line(self.fmt, self.versions[-1]) + "\n").encode()
+                )
+            fh.write(line.encode("utf-8") + b"\n")
+
+    def rewrite(self, lines: Iterable[str], header: str | None = None) -> None:
+        """Atomically replace the log with ``header`` and ``lines``.
+
+        ``header`` is a raw header line (e.g. :attr:`LogBody.header`, to
+        keep an old version); the default is a fresh current one.
+        """
+        if header is None:
+            header = header_line(self.fmt, self.versions[-1])
+        write_atomic(
+            self.path, "".join(f"{ln}\n" for ln in (header, *lines))
+        )
+
+
+def _load_fields(text: str, fmt: str, versions: tuple[int, ...]) -> dict:
+    """The body of a header-checked document; this module's loaders
+    raise :class:`InvalidNetworkError` on malformed documents."""
+    return document_fields(
+        parse_document(text, fmt, versions, error=InvalidNetworkError)
+    )
 
 
 def dumps_network(net: MIDigraph, *, indent: int | None = None) -> str:
@@ -123,7 +324,7 @@ def loads_network(text: str) -> MIDigraph:
     :class:`~repro.core.connection.Connection` validator reject tables that
     break the in-degree contract.
     """
-    doc = _parse_document(text, _FORMAT, _VERSION)
+    doc = _load_fields(text, _FORMAT, (_VERSION,))
     conns = doc.get("connections")
     if not isinstance(conns, list) or not conns:
         raise InvalidNetworkError("missing or empty 'connections' list")
@@ -169,7 +370,7 @@ def loads_report(text: str) -> "SimReport":
     """Parse a simulation report from a JSON string."""
     from repro.sim.metrics import SimReport
 
-    fields = _parse_document(text, _REPORT_FORMAT, _REPORT_VERSION)
+    fields = _load_fields(text, _REPORT_FORMAT, (_REPORT_VERSION,))
     try:
         return SimReport.from_dict(fields)
     except (TypeError, KeyError, ValueError) as err:
@@ -204,7 +405,7 @@ def loads_campaign(text: str) -> "CampaignSpec":
     """Parse a campaign sweep spec from a JSON string (with validation)."""
     from repro.campaign.spec import CampaignSpec
 
-    fields = _parse_document(text, _CAMPAIGN_FORMAT, _CAMPAIGN_VERSION)
+    fields = _load_fields(text, _CAMPAIGN_FORMAT, (_CAMPAIGN_VERSION,))
     return CampaignSpec.from_dict(fields)
 
 
@@ -236,10 +437,9 @@ def dump_scenario(
 
 def loads_scenario(text: str) -> "ScenarioSpec":
     """Parse a scenario spec from a JSON string (with validation)."""
-    from repro.core.errors import ReproError
     from repro.spec.scenario import ScenarioSpec
 
-    fields = _parse_document(text, _SCENARIO_FORMAT, _SCENARIO_VERSION)
+    fields = _load_fields(text, _SCENARIO_FORMAT, (_SCENARIO_VERSION,))
     try:
         return ScenarioSpec.from_spec(fields)
     except ReproError:

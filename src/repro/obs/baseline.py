@@ -32,6 +32,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from repro.core.errors import ReproError
+from repro.io import parse_document
 
 __all__ = [
     "BASELINE_FORMAT",
@@ -145,17 +146,12 @@ def make_baseline(benches: Mapping[str, dict], **context) -> dict:
 
 def load_baseline(path: str | Path) -> dict:
     """Read a baseline document, validating its format header."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise ReproError(f"{path}: not valid JSON: {err}") from err
-    if not isinstance(doc, dict) or doc.get("format") != BASELINE_FORMAT:
-        raise ReproError(f"{path}: not a {BASELINE_FORMAT} document")
-    if doc.get("version") != BASELINE_VERSION:
-        raise ReproError(
-            f"{path}: unsupported baseline version {doc.get('version')!r}"
-        )
-    return doc
+    return parse_document(
+        Path(path).read_text(encoding="utf-8"),
+        BASELINE_FORMAT,
+        (BASELINE_VERSION,),
+        source=path,
+    )
 
 
 def save_baseline(doc: dict, path: str | Path) -> None:

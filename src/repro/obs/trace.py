@@ -39,6 +39,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from repro.core.errors import ReproError
+from repro.io import JsonlLog, header_line
 
 __all__ = [
     "Span",
@@ -184,12 +185,7 @@ class Tracer:
             # The sink outlives this frame: it stays open for the whole
             # tracer lifetime and is closed by close()/tracing().
             self._fh = open(self.path, "w", encoding="utf-8")  # noqa: SIM115
-            self._fh.write(
-                json.dumps(
-                    {"format": TRACE_FORMAT, "version": TRACE_VERSION}
-                )
-                + "\n"
-            )
+            self._fh.write(header_line(TRACE_FORMAT, TRACE_VERSION) + "\n")
             self._fh.flush()
 
     # -- span lifecycle ----------------------------------------------------
@@ -385,53 +381,23 @@ def tracing(sink: Tracer | str | Path | None = None):
 # -- trace file io, validation, conversion ----------------------------------
 
 
+def _log(path: str | Path) -> JsonlLog:
+    return JsonlLog(path, TRACE_FORMAT, (TRACE_VERSION,))
+
+
 def write_trace(path: str | Path, events) -> None:
     """Write an event list as a ``repro-trace`` JSONL file."""
-    lines = [
-        json.dumps({"format": TRACE_FORMAT, "version": TRACE_VERSION})
-    ]
-    lines.extend(json.dumps(e, sort_keys=True) for e in events)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _log(path).rewrite(json.dumps(e, sort_keys=True) for e in events)
 
 
 def read_trace(path: str | Path) -> list[dict]:
     """Read a ``repro-trace`` JSONL file back to its event list.
 
-    Validates the header and tolerates a torn final line (a live or
-    killed run), mirroring the campaign store's crash semantics.
+    Validates the header and skips a final line without its newline
+    (the torn tail of a live or killed run), mirroring the campaign
+    store's crash semantics; a complete line that is not JSON raises.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise ReproError(f"{path}: empty trace file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as err:
-        raise ReproError(
-            f"{path}: trace header is not valid JSON: {err}"
-        ) from err
-    if (
-        not isinstance(header, dict)
-        or header.get("format") != TRACE_FORMAT
-    ):
-        raise ReproError(f"{path}: not a {TRACE_FORMAT} document")
-    if header.get("version") != TRACE_VERSION:
-        raise ReproError(
-            f"{path}: unsupported trace version {header.get('version')!r}"
-        )
-    events = []
-    for i, line in enumerate(lines[1:], start=2):
-        try:
-            events.append(json.loads(line))
-        except json.JSONDecodeError:
-            if i == len(lines):  # torn tail of a killed run
-                break
-            raise ReproError(
-                f"{path}: corrupt trace event on line {i}"
-            ) from None
-    return events
+    return list(_log(path).records(what="trace event", required=True))
 
 
 _EVENT_KINDS = ("span", "manifest", "metrics")

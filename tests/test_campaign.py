@@ -349,6 +349,23 @@ class TestResultStore:
         with pytest.raises(ReproError, match="corrupt record"):
             list(store.records())
 
+    def test_complete_corrupt_final_record_raises(self, tmp_path):
+        # A final line with its newline is a finished write, not a torn
+        # one: records() must refuse it at once, not drop the scenario
+        # and then refuse the store after the next append.
+        path = tmp_path / "s.jsonl"
+        store = ResultStore(path)
+        for h in ("aa", "bb", "cc"):
+            store.append(h, {}, {})
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]) + '{"hsh": "cc"}\n')
+        assert store.count_records() == 3
+        with pytest.raises(ReproError, match="corrupt record on line 4"):
+            list(store.records())
+        store.append("dd", {}, {})
+        with pytest.raises(ReproError, match="corrupt record on line 4"):
+            list(store.records())
+
     def test_foreign_file_rejected(self, tmp_path):
         path = tmp_path / "s.jsonl"
         path.write_text('{"format": "repro-midigraph", "version": 1}\n')

@@ -296,6 +296,46 @@ class TestQuarantineStore:
         assert q.hashes() == {"aa11", "bb22"}
         assert q.verify()["ok"] and not q.verify()["torn_tail"]
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            {"hash": "ab", "scenario": {}},
+            {"hash": "ab", "scenario": {}, "error": {"kind": "raise"}},
+            {
+                "hash": "ab", "scenario": {},
+                "error": {"kind": "melted", "type": "E", "message": "m"},
+            },
+        ],
+        ids=["record-keys", "error-keys", "kind"],
+    )
+    def test_schema_bad_record_raises_repro_error(self, tmp_path, line):
+        # records() applies verify()'s schema check instead of dying
+        # with a raw KeyError inside TaskFailure.from_dict.
+        q = QuarantineStore(tmp_path / "s.quarantine.jsonl")
+        q.append(self._failure())
+        with open(q.path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(line) + "\n")
+        reason = q.verify()["bad"][0]["reason"]
+        for read in (lambda: list(q.records()), q.hashes):
+            with pytest.raises(ReproError, match="line 3") as err:
+                read()
+            assert str(q.path) in str(err.value)
+            assert reason in str(err.value)
+
+    def test_schema_bad_record_fails_resume_loudly(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        store = tmp_path / "sweep.jsonl"
+        run_campaign(tiny_spec(), store)
+        q = QuarantineStore(quarantine_path(store))
+        q.append(self._failure())
+        with open(q.path, "a", encoding="utf-8") as fh:
+            fh.write('{"hash": "ab", "scenario": {}}\n')
+        with pytest.raises(ReproError, match="missing record keys"):
+            run_campaign(tiny_spec(), store, resume=True)
+        with pytest.raises(SystemExit, match="line 3"):
+            main(["campaign", "quarantine", "--store", str(store)])
+
     def test_quarantine_path(self):
         assert quarantine_path("runs/sweep.jsonl") == Path(
             "runs/sweep.quarantine.jsonl"

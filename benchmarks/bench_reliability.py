@@ -5,9 +5,10 @@ pipeline — a nested-fault campaign over omega vs its extra-stage
 variant plus the reliability reduction — in scenarios per second, the
 same unit the campaign benches use.  ``bench_reliability_report`` times
 the pure reduction over a pre-run store in records per second; its cost
-is dominated by the memoized structural-availability evaluations, so a
-regression here usually means the memo key or the reachability sweep
-changed.
+is dominated by the structural-availability derivation — one kill-order
+draw per (shape, fault seed) and a few stacked reachability sweeps per
+topology — so a regression here usually means the sample grouping or
+the reachability sweep changed.
 """
 
 from __future__ import annotations

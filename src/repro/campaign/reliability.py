@@ -10,8 +10,8 @@ resumable, chaos-hardened); the aggregates below then reduce the stored
 records to the classical reliability comparison:
 
 * **availability curve** — mean/min/max terminal availability
-  (:func:`repro.sim.faults.fault_connectivity`) and observed unroutable
-  fraction vs fault count, per topology;
+  (:func:`repro.sim.faults.terminal_availability`) and observed
+  unroutable fraction vs fault count, per topology;
 * **saturation point** — the first fault count whose mean availability
   falls below a threshold;
 * **MTTF-style faults-to-disconnect** — under the sequential-failure
@@ -32,7 +32,12 @@ construction, per draw and hence in the mean.
 Like :mod:`repro.campaign.aggregate`, everything here is a pure,
 order-independent function of the stored records: reports are
 byte-identical across inline/pooled runs, interruptions and
-``--resume``.
+``--resume``.  Availability is recomputed from the records, not read
+from them: the reduction collects the distinct (topology, fault
+counts, fault seed) samples, resolves each topology once, draws each
+fault seed's kill order once per shape, and derives a topology's
+samples in a few stacked :func:`~repro.sim.faults.fault_structure`
+passes.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from repro.campaign.aggregate import _mean, load_records
 from repro.campaign.spec import CampaignSpec, _grid_networks
@@ -50,7 +55,7 @@ from repro.io import document_fields, parse_document
 from repro.obs import trace as obs
 from repro.obs.metrics import metrics
 from repro.obs.schema import COUNTER_AVAILABILITY_EVALS, SPAN_RELIABILITY
-from repro.sim.faults import FaultSet, fault_connectivity
+from repro.sim.faults import fault_sets_from_counts, terminal_availability
 from repro.spec.scenario import NetworkSpec, canonical_json
 
 __all__ = [
@@ -265,39 +270,56 @@ def loads_sweep(text: str) -> ReliabilitySweepSpec:
 # -- aggregates --------------------------------------------------------------
 
 
-def _availability_fn() -> Callable[[Mapping], float]:
-    """A per-report memoized structural-availability evaluator.
+#: Most fault samples one availability derivation stacks: the 64-sample
+#: bound of a run's compile cache, so the reduction's memory stays flat
+#: however many draws a sweep makes.
+_STACK_SAMPLES = 64
 
-    Availability is a pure function of (topology, fault counts, fault
-    seed) — one backward reachability sweep per distinct key, shared by
-    every seed and record that reuses the fault sample.
+
+def _availabilities(
+    keys: Iterable[tuple], topologies: Mapping[str, Mapping]
+) -> dict[tuple, float]:
+    """Structural availability of every distinct fault sample.
+
+    ``keys`` are ``(topology, fault_cells, fault_links, fault_seed)``
+    with the topology as canonical JSON, which ``topologies`` maps back
+    to its spec.  Each topology resolves once, each (shape, fault seed)
+    kill order is drawn once
+    (:func:`~repro.sim.faults.fault_sets_from_counts`), and each
+    topology's faulted samples are derived by
+    :func:`~repro.sim.faults.terminal_availability` in stacks of at
+    most :data:`_STACK_SAMPLES`.  A fault-free sample counts as 1.0.
     """
-    memo: dict[tuple, float] = {}
-
-    def availability(scenario: Mapping) -> float:
-        key = (
-            canonical_json(scenario["topology"]),
-            scenario["fault_cells"],
-            scenario["fault_links"],
-            scenario["fault_seed"],
+    nets = {
+        topo: NetworkSpec.from_spec(spec).resolve()
+        for topo, spec in topologies.items()
+    }
+    by_shape: dict[tuple[int, int], list[tuple]] = {}
+    for key in keys:
+        net = nets[key[0]]
+        by_shape.setdefault((net.n_stages, net.size), []).append(key)
+    values: dict[tuple, float] = {}
+    for (n_stages, size), shape_keys in by_shape.items():
+        samples = fault_sets_from_counts(
+            n_stages, size, [key[1:] for key in shape_keys]
         )
-        if key not in memo:
-            if obs.enabled():
-                metrics().counter(COUNTER_AVAILABILITY_EVALS).add()
-            net = NetworkSpec.from_spec(scenario["topology"]).resolve()
-            faults = FaultSet.from_counts(
-                net.n_stages,
-                net.size,
-                cells=scenario["fault_cells"],
-                links=scenario["fault_links"],
-                seed=scenario["fault_seed"],
-            )
-            memo[key] = (
-                1.0 if faults is None else fault_connectivity(net, faults)
-            )
-        return memo[key]
-
-    return availability
+        by_topo: dict[str, list] = {}
+        for key, faults in zip(shape_keys, samples):
+            if faults is None:
+                values[key] = 1.0
+            else:
+                by_topo.setdefault(key[0], []).append((key, faults))
+        for topo, rows in by_topo.items():
+            for lo in range(0, len(rows), _STACK_SAMPLES):
+                stack = rows[lo : lo + _STACK_SAMPLES]
+                avail = terminal_availability(
+                    nets[topo], [faults for _, faults in stack]
+                )
+                for (key, _), value in zip(stack, avail.tolist()):
+                    values[key] = value
+    if values and obs.enabled():
+        metrics().counter(COUNTER_AVAILABILITY_EVALS).add(len(values))
+    return values
 
 
 def _traffic_id(scenario: Mapping) -> str:
@@ -317,10 +339,18 @@ def _collect(records: Iterable[Mapping]) -> dict:
     excludes the stage count on purpose: augmented networks with extra
     stages on the same ``2^n`` terminals share a context with their
     baseline, which is what the resilience comparison needs.
+
+    One pass over ``records`` (any iterable, a generator included)
+    gathers the measurements and the distinct
+    ``(topology, fault_cells, fault_links, fault_seed)`` samples; the
+    availabilities of all samples are then derived together
+    (:func:`_availabilities`) and filled in.  Each value depends on its
+    sample alone, so the result does not depend on record order.
     """
     data: dict[tuple, dict[str, dict]] = {}
     seen: dict[tuple, str] = {}
-    availability = _availability_fn()
+    topologies: dict[str, Mapping] = {}
+    pending: list[tuple[dict, tuple]] = []
     for record in records:
         s = record["scenario"]
         r = record["report"]
@@ -355,11 +385,20 @@ def _collect(records: Iterable[Mapping]) -> dict:
                 "counts": {},
             },
         )
-        topo["counts"].setdefault(count, {})[seed] = {
-            "availability": availability(s),
+        row = {
             "unroutable": int(r["unroutable"]),
             "offered": int(r["offered"]),
         }
+        topo["counts"].setdefault(count, {})[seed] = row
+        topology = canonical_json(s["topology"])
+        topologies.setdefault(topology, s["topology"])
+        key = (topology, s["fault_cells"], s["fault_links"], s["fault_seed"])
+        pending.append((row, key))
+    values = _availabilities(
+        dict.fromkeys(key for _, key in pending), topologies
+    )
+    for row, key in pending:
+        row["availability"] = values[key]
     return data
 
 

@@ -40,7 +40,9 @@ from repro.sim.faults import (
     FaultSet,
     FaultStructure,
     fault_connectivity,
+    fault_sets_from_counts,
     fault_structure,
+    terminal_availability,
     terminal_reachability,
 )
 from repro.sim.metrics import SimReport, patel_profile
@@ -75,6 +77,7 @@ __all__ = [
     "compile_cache_info",
     "compile_network",
     "fault_connectivity",
+    "fault_sets_from_counts",
     "fault_structure",
     "make_traffic",
     "network_digest",
@@ -86,6 +89,7 @@ __all__ = [
     "schedule_from_switch_settings",
     "simulate",
     "simulate_batch",
+    "terminal_availability",
     "terminal_reachability",
     "traffic_from_spec",
 ]

@@ -61,7 +61,7 @@ from repro.obs import trace as obs
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import metrics
 from repro.sim.compiled import _DEFAULT, CompileCache
-from repro.sim.faults import FaultSet
+from repro.sim.faults import FaultSet, fault_sets_from_counts
 from repro.sim.kernels import get_backend, resolve_backend
 from repro.sim.metrics import SimReport, latency_summary
 from repro.sim.traffic import TrafficPattern
@@ -141,8 +141,10 @@ def _simulate_spec_batch(
     """Pack specs into slabs (:func:`pack_slabs`) and run each one.
 
     Within a slab only the traffic spec, the simulation seed and the
-    fault sample vary, so the slab's head resolves the shared network
-    and run parameters once, and each distinct sample is drawn once.
+    fault sample vary, so the slab's head supplies the shared network
+    and run parameters once, and the slab's distinct samples come from
+    one :func:`~repro.sim.faults.fault_sets_from_counts` call, which
+    draws each fault seed's kill order once.
     Every slab runs on ``backend``, compiling through ``cache`` (a
     campaign's run-owned one).  Reports return in input order, inside
     one span and, at top level, one manifest.
@@ -151,14 +153,18 @@ def _simulate_spec_batch(
     reports: list[SimReport | None] = [None] * len(specs)
     with obs.span("simulate_batch", scenarios=len(specs)) as root:
         for idxs in pack_slabs(specs):
-            head = specs[idxs[0]].resolve()
-            net = head.network
+            head = specs[idxs[0]]
+            net = head._digraph()
             buckets: dict = {}
             sample = [
                 buckets.setdefault(specs[i].faults, len(buckets))
                 for i in idxs
             ]
-            faults = [fs.sample(net.n_stages, net.size) for fs in buckets]
+            faults = fault_sets_from_counts(
+                net.n_stages,
+                net.size,
+                [(fs.cells, fs.links, fs.seed) for fs in buckets],
+            )
             group_reports = _run_slab(
                 net,
                 [
@@ -169,11 +175,11 @@ def _simulate_spec_batch(
                     )
                     for i in idxs
                 ],
-                cycles=head.cycles,
-                policy=head.policy,
+                cycles=head.sim.cycles,
+                policy=head.sim.policy,
                 faults=faults,
                 sample=np.array(sample, dtype=np.intp),
-                drain=head.drain,
+                drain=head.sim.drain,
                 network_name=None,
                 backend=backend,
                 cache=cache,

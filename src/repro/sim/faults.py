@@ -13,11 +13,15 @@ with dead cells and links removed, for a stack of fault samples at once,
 so the simulator routes around faults where an alternative port still
 works (multipath networks such as Beneš) and drops packets as
 *unroutable* exactly when no live path remains.
+
+Seeded samples are prefixes of a per-seed kill order
+(:meth:`FaultSet.kill_order`); :func:`fault_sets_from_counts` draws
+each order once for any number of counts of one shape.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -30,7 +34,9 @@ __all__ = [
     "FaultSet",
     "FaultStructure",
     "fault_connectivity",
+    "fault_sets_from_counts",
     "fault_structure",
+    "terminal_availability",
     "terminal_reachability",
 ]
 
@@ -125,28 +131,10 @@ class FaultSet:
         Fault-saturation sweeps rely on this nesting — availability is
         monotone non-increasing in the count by construction.
         """
-        cells_order, links_order = _kill_orders(
+        orders = _kill_orders(
             rng, n_stages, size, spare_terminal_stages=spare_terminal_stages
         )
-        if not 0 <= n_dead_cells <= len(cells_order):
-            raise ReproError(
-                f"cannot kill {n_dead_cells} cells: only "
-                f"{len(cells_order)} candidates"
-            )
-        if not 0 <= n_dead_links <= len(links_order):
-            raise ReproError(
-                f"cannot sever {n_dead_links} links: only "
-                f"{len(links_order)} candidates"
-            )
-        cells = frozenset(cells_order[:n_dead_cells])
-        links = frozenset(links_order[:n_dead_links])
-        if len(cells) != n_dead_cells or len(links) != n_dead_links:
-            raise ReproError(
-                "fault sampling produced duplicate draws "
-                f"({len(cells)}/{n_dead_cells} cells, "
-                f"{len(links)}/{n_dead_links} links)"
-            )
-        return cls(cells, links)
+        return _prefix(orders, n_dead_cells, n_dead_links)
 
     @classmethod
     def kill_order(
@@ -186,28 +174,22 @@ class FaultSet:
         """The deterministic sample of a fault-count spec, or ``None``.
 
         The seeded form of :meth:`random` used by the spec layer
-        (:meth:`repro.spec.scenario.FaultSpec.sample`) and the campaign
-        workers: counts plus a seed fully determine the fault set for
-        any network of shape ``(n_stages, size)``.  Returns ``None``
-        when both counts are zero — the healthy-network convention of
+        (:meth:`repro.spec.scenario.FaultSpec.sample`): counts plus a
+        seed fully determine the fault set for any network of shape
+        ``(n_stages, size)``.  Returns ``None`` when both counts are
+        zero — the healthy-network convention of
         :func:`repro.sim.simulate`.  Negative or oversized counts raise
         :class:`~repro.core.errors.ReproError`.  For a fixed seed the
         sample at count ``k`` is the ``k``-prefix of
         :meth:`kill_order`, hence nested across counts.
+
+        The one-element case of :func:`fault_sets_from_counts`, which
+        callers holding several counts of one shape use instead to draw
+        each seed's kill order once.
         """
-        if cells < 0 or links < 0:
-            raise ReproError(
-                f"fault counts must be >= 0, got cells={cells} links={links}"
-            )
-        if not (cells or links):
-            return None
-        return cls.random(
-            np.random.default_rng(seed),
-            n_stages,
-            size,
-            n_dead_cells=cells,
-            n_dead_links=links,
-        )
+        return fault_sets_from_counts(
+            n_stages, size, [(cells, links, seed)]
+        )[0]
 
     def to_dict(self) -> dict:
         """A JSON-ready description (sorted, hence deterministic)."""
@@ -255,6 +237,64 @@ def _kill_orders(
     return cells, links
 
 
+def _prefix(
+    orders: tuple[list[tuple[int, int]], list[tuple[int, int, int]]],
+    n_cells: int,
+    n_links: int,
+) -> FaultSet:
+    """The fault set of the first ``n_cells`` / ``n_links`` of ``orders``."""
+    cells_order, links_order = orders
+    if not 0 <= n_cells <= len(cells_order):
+        raise ReproError(
+            f"cannot kill {n_cells} cells: only "
+            f"{len(cells_order)} candidates"
+        )
+    if not 0 <= n_links <= len(links_order):
+        raise ReproError(
+            f"cannot sever {n_links} links: only "
+            f"{len(links_order)} candidates"
+        )
+    cells = frozenset(cells_order[:n_cells])
+    links = frozenset(links_order[:n_links])
+    if len(cells) != n_cells or len(links) != n_links:
+        raise ReproError(
+            "fault sampling produced duplicate draws "
+            f"({len(cells)}/{n_cells} cells, "
+            f"{len(links)}/{n_links} links)"
+        )
+    return FaultSet(cells, links)
+
+
+def fault_sets_from_counts(
+    n_stages: int, size: int, counts: Iterable[tuple[int, int, int]]
+) -> list[FaultSet | None]:
+    """The samples of many ``(cells, links, seed)`` counts of one shape.
+
+    Entry ``i`` equals :meth:`FaultSet.from_counts` of the ``i``-th
+    count (``None`` for a fault-free one), but each distinct seed's
+    kill order is drawn once and every count of that seed is sliced
+    from it: a nested sweep's counts are prefixes of a few
+    trajectories, not independent draws.  Negative or oversized counts
+    raise :class:`~repro.core.errors.ReproError`.
+    """
+    orders: dict[int, tuple] = {}
+    out: list[FaultSet | None] = []
+    for cells, links, seed in counts:
+        if cells < 0 or links < 0:
+            raise ReproError(
+                f"fault counts must be >= 0, got cells={cells} links={links}"
+            )
+        if not (cells or links):
+            out.append(None)
+            continue
+        if seed not in orders:
+            orders[seed] = _kill_orders(
+                np.random.default_rng(seed), n_stages, size
+            )
+        out.append(_prefix(orders[seed], cells, links))
+    return out
+
+
 class FaultStructure(NamedTuple):
     """The derived structure of K fault samples of one network.
 
@@ -297,8 +337,13 @@ def fault_structure(
     the stages serves all K at once: at each gap the ``via_f`` /
     ``via_g`` masks (a live out-arc toward a cell that still reaches the
     destination) give both the gap's reachability and its port table.
+    An empty ``samples`` raises :class:`~repro.core.errors.ReproError`:
+    a K = 0 value has no row to read, and its combined flags would
+    claim every link alive.
     """
     K, n, size = len(samples), net.n_stages, net.size
+    if not K:
+        raise ReproError("fault_structure needs at least one fault sample")
     cells = np.ones((K, n, size), dtype=bool)
     links = np.ones((K, n - 1, size, 2), dtype=bool)
     for k, faults in enumerate(samples):
@@ -329,6 +374,13 @@ def fault_structure(
     return FaultStructure(cells, links, reach, ptabs)
 
 
+def _terminal_pairs(net: MIDigraph, reach: np.ndarray) -> np.ndarray:
+    """First-stage rows of ``(K, n, M, M)`` reachability as ``(K, N, N)``
+    input→output link pairs."""
+    idx = np.arange(net.n_inputs) >> 1
+    return reach[:, 0][:, idx][:, :, idx]
+
+
 def terminal_reachability(net: MIDigraph, faults: FaultSet) -> np.ndarray:
     """The ``(N, N)`` boolean matrix of surviving input→output pairs.
 
@@ -336,9 +388,20 @@ def terminal_reachability(net: MIDigraph, faults: FaultSet) -> np.ndarray:
     leaves cell ``d >> 1`` of stage ``n``.  A pair survives when both
     terminal cells are alive and a live path joins them.
     """
-    reach = fault_structure(net, [faults]).reach[0, 0]
-    idx = np.arange(net.n_inputs) >> 1
-    return reach[np.ix_(idx, idx)]
+    return _terminal_pairs(net, fault_structure(net, [faults]).reach)[0]
+
+
+def terminal_availability(
+    net: MIDigraph, samples: Sequence[FaultSet | None]
+) -> np.ndarray:
+    """``(K,)`` fraction of input→output link pairs surviving each sample.
+
+    One :func:`fault_structure` call serves all K samples (``None`` =
+    healthy).  Each entry is an integer pair count divided by ``N²``, so
+    a row's value does not depend on which samples share its call.
+    """
+    pairs = _terminal_pairs(net, fault_structure(net, samples).reach)
+    return np.count_nonzero(pairs, axis=(1, 2)) / pairs[0].size
 
 
 def fault_connectivity(net: MIDigraph, faults: FaultSet) -> float:
@@ -346,6 +409,7 @@ def fault_connectivity(net: MIDigraph, faults: FaultSet) -> float:
 
     1.0 for a healthy Banyan network; the degradation curve of this
     number under growing random fault sets is the classical
-    fault-tolerance comparison between MIN topologies.
+    fault-tolerance comparison between MIN topologies.  The K = 1 row
+    of :func:`terminal_availability`.
     """
-    return float(terminal_reachability(net, faults).mean())
+    return float(terminal_availability(net, [faults])[0])

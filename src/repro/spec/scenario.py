@@ -557,7 +557,11 @@ class FaultSpec:
         """The concrete :class:`~repro.sim.faults.FaultSet` (or ``None``).
 
         ``None`` when the spec is fault-free, matching what
-        :func:`repro.sim.simulate` expects for a healthy network.
+        :func:`repro.sim.simulate` expects for a healthy network.  The
+        one-element case of :func:`repro.sim.faults.fault_sets_from_counts`
+        (through :meth:`~repro.sim.faults.FaultSet.from_counts`); a
+        batch samples its specs through that function directly, so
+        specs sharing a seed share one kill-order draw.
         """
         from repro.sim.faults import FaultSet
 
@@ -759,8 +763,8 @@ class ScenarioSpec:
             self.__dict__["_group_key"] = key
         return key
 
-    def resolve(self) -> ResolvedScenario:
-        """Materialize the concrete simulator inputs (network memoized)."""
+    def _digraph(self) -> MIDigraph:
+        """The resolved network (memoized), checked to be simulable."""
         net = self.network.resolve()
         if not isinstance(net, MIDigraph):
             raise ReproError(
@@ -768,6 +772,11 @@ class ScenarioSpec:
                 "the cycle simulator runs 2x2-cell MIDigraphs (radix-k "
                 "networks simulate at k=2 only)"
             )
+        return net
+
+    def resolve(self) -> ResolvedScenario:
+        """Materialize the concrete simulator inputs (network memoized)."""
+        net = self._digraph()
         return ResolvedScenario(
             network=net,
             traffic=self.traffic.resolve(),

@@ -478,6 +478,88 @@ class TestExecutionPathByteIdentity:
         assert self._render(resumed) == reference
 
 
+class TestStackedReduction:
+    """Each fault trajectory is drawn once, each topology derived in stacks.
+
+    At n = 5 a topology's 48-cell pool gives 97 samples over two draws,
+    more than one 64-sample availability stack holds.
+    """
+
+    SPEC = ReliabilitySweepSpec(
+        networks=("omega", "extra_stage_omega"),
+        stages=5,
+        draws=2,
+        cycles=5,
+    )
+
+    @pytest.fixture(scope="class")
+    def records(self, tmp_path_factory):
+        store = tmp_path_factory.mktemp("stacked") / "nested.jsonl"
+        run_campaign(self.SPEC.to_campaign(), store)
+        return load_records(store)
+
+    def test_draws_once_per_trajectory(self, tmp_path, monkeypatch):
+        from repro.sim import batch as sim_batch
+        from repro.sim import faults as sim_faults
+
+        draws, slabs, stacks = [], [], []
+        kill_orders = sim_faults._kill_orders
+        pack_slabs = sim_batch.pack_slabs
+        derive = sim_faults.fault_structure
+
+        def counting_kill_orders(rng, n_stages, size, **kwargs):
+            draws.append((n_stages, size))
+            return kill_orders(rng, n_stages, size, **kwargs)
+
+        def recording_pack_slabs(specs, *args):
+            packed = pack_slabs(specs, *args)
+            slabs.extend([specs[i] for i in idxs] for idxs in packed)
+            return packed
+
+        def counting_derive(net, samples):
+            stacks.append((net.n_stages, len(samples)))
+            return derive(net, samples)
+
+        monkeypatch.setattr(sim_faults, "_kill_orders", counting_kill_orders)
+        monkeypatch.setattr(sim_batch, "pack_slabs", recording_pack_slabs)
+        store = tmp_path / "draws.jsonl"
+        run_campaign(self.SPEC.to_campaign(), store)
+        # The run: at most one draw per fault seed of each slab (a slab
+        # is one network, hence one shape).
+        per_slab = [{s.faults.seed for s in slab if s.faults} for slab in slabs]
+        assert any(len(slab) > 1 for slab in slabs)
+        assert 0 < len(draws) <= sum(len(seeds) for seeds in per_slab)
+
+        records = load_records(store)
+        draws.clear()
+        monkeypatch.setattr(sim_faults, "fault_structure", counting_derive)
+        reliability_report(records)
+        faulted: dict[str, set] = {}
+        trajectories = set()
+        for record in records:
+            s, r = record["scenario"], record["report"]
+            if s["fault_cells"] or s["fault_links"]:
+                faulted.setdefault(s["topology"]["label"], set()).add(
+                    (s["fault_cells"], s["fault_links"], s["fault_seed"])
+                )
+                trajectories.add((r["n_stages"], r["size"], s["fault_seed"]))
+        # The reduction: one draw per (shape, fault seed), every faulted
+        # sample derived exactly once, in stacks of at most 64.
+        assert len(draws) == len(trajectories) == 4
+        assert sum(k for _, k in stacks) == sum(map(len, faulted.values()))
+        assert max(k for _, k in stacks) <= 64
+        assert len(stacks) <= sum(-(-len(v) // 64) for v in faulted.values())
+        assert max(map(len, faulted.values())) > 64
+
+    def test_one_shot_iterable_matches_list(self, records):
+        reference = dumps_reliability(reliability_report(records))
+        one_shot = dumps_reliability(reliability_report(iter(records)))
+        backwards = dumps_reliability(
+            reliability_report(r for r in reversed(records))
+        )
+        assert one_shot == backwards == reference
+
+
 # ---------------------------------------------------------------------------
 # unroutable semantics (satellite S3)
 

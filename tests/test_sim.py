@@ -35,6 +35,7 @@ from repro.sim import (
     compile_cache_info,
     compile_network,
     fault_connectivity,
+    fault_sets_from_counts,
     fault_structure,
     make_traffic,
     patel_profile,
@@ -43,6 +44,7 @@ from repro.sim import (
     schedule_from_switch_settings,
     simulate,
     simulate_batch,
+    terminal_availability,
     terminal_reachability,
 )
 from repro.spec.scenario import (
@@ -529,6 +531,67 @@ class TestFaultStructure:
         bad = FaultSet(dead_cells=frozenset({(9, 0)}))
         with pytest.raises(ReproError):
             fault_structure(omega4, [None, bad])
+
+
+def _nested_counts(net) -> list:
+    """Nested ``(cells, links, seed)`` counts of ``net``'s shape: two
+    fault seeds, each walking cells and links up from zero-fault rows
+    to the whole interior cell pool."""
+    cell_pool = (net.n_stages - 2) * net.size
+    link_pool = 2 * (net.n_stages - 1) * net.size
+    steps = sorted({0, 1, 2, cell_pool // 2, cell_pool})
+    return [
+        (cells, links, seed)
+        for seed in (0, 5)
+        for cells in steps
+        for links in (0, 3, link_pool // 4)
+    ]
+
+
+class TestStackedAvailability:
+    """Shared kill-order draws and stacked availability, exactly."""
+
+    @pytest.mark.parametrize("name, n", _derivation_cases())
+    def test_stack_matches_per_draw_and_brute_force(self, name, n):
+        from repro.networks.counterexamples import double_link_network
+
+        if name == "double_link_network":
+            net = double_link_network(n)
+        else:
+            net = NetworkSpec.catalog(name, n=n).resolve()
+        counts = _nested_counts(net)
+        samples = fault_sets_from_counts(net.n_stages, net.size, counts)
+        for (cells, links, seed), faults in zip(counts, samples):
+            assert faults == FaultSet.from_counts(
+                net.n_stages, net.size, cells=cells, links=links, seed=seed
+            )
+        assert samples.count(None) == 2  # one zero-fault row per seed
+        stacked = terminal_availability(net, samples)
+        assert stacked.shape == (len(samples),)
+        idx = np.arange(net.n_inputs) >> 1
+        for k, faults in enumerate(samples):
+            _, reach, _ = _oracle(net, faults)
+            pairs = int(reach[0][np.ix_(idx, idx)].sum())
+            oracle = pairs / net.n_inputs**2
+            assert stacked[k] == fault_connectivity(net, faults) == oracle, k
+        # Each row depends on its sample alone, whatever shares its stack.
+        assert np.array_equal(
+            terminal_availability(net, samples[::-1]), stacked[::-1]
+        )
+
+    def test_shared_draw_checks_every_count(self):
+        with pytest.raises(ReproError, match="must be >= 0"):
+            fault_sets_from_counts(5, 16, [(1, 0, 0), (0, -1, 0)])
+        with pytest.raises(ReproError, match="cannot kill 49 cells"):
+            fault_sets_from_counts(5, 16, [(48, 0, 3), (49, 0, 3)])
+
+    def test_empty_sample_list_is_loud(self, omega4):
+        with pytest.raises(ReproError, match="at least one fault sample"):
+            fault_structure(omega4, [])
+        with pytest.raises(ReproError, match="at least one fault sample"):
+            terminal_availability(omega4, [])
+        with pytest.raises(ReproError, match="at least one fault sample"):
+            CompiledNetwork(omega4, ())
 
 
 class TestReportSerialization:

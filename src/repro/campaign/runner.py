@@ -17,16 +17,20 @@ Two layers of batching and caching keep the sweep hot:
   :meth:`~repro.spec.scenario.ScenarioSpec.group_key` — same topology,
   cycles, policy and drain — and, within a group, by fault sample, whole
   samples at a time, into tasks of at most ``batch`` scenarios and
-  :data:`~repro.sim.batch.SLAB_SAMPLES` samples.  Each task runs as one
+  :data:`~repro.sim.batch.SLAB_SAMPLES` (16) samples, so a reliability
+  sweep's one-scenario samples fill whole batches.  Only the run's first
+  task is cut shorter, after :data:`FIRST_TASK_SAMPLES` (4) samples, so
+  the first result is stored as early as under a 4-sample cap; the rest
+  of that slab is the second task.  Each task runs as one
   :func:`~repro.sim.batch.simulate_batch` call: one compilation of the
   slab (its topology and all its samples), one pass over the cycle
   loop, bit-identical per-scenario reports.  ``batch=1`` recovers the
   per-scenario dispatch exactly.
 * **Run-owned caches, warm workers.**  A run owns its compiled-network
   LRU (:class:`repro.sim.compiled.CompileCache`; one inline, or one per
-  pool worker), sized to the sweep's distinct slab compile keys
-  (topology plus the slab's fault samples), at most
-  ``64 // SLAB_SAMPLES`` entries, so at most 64 fault samples.  Pool
+  pool worker), sized to the sweep's distinct task compile keys
+  (topology plus the task's fault samples), at most
+  ``64 // SLAB_SAMPLES`` (4) entries, so at most 64 fault samples.  Pool
   workers live for the whole sweep; with the ``numba`` backend the
   initializer pre-compiles the fused JIT loop
   (:func:`repro.sim.kernels.warm_jit`).  Network resolution is
@@ -100,6 +104,12 @@ __all__ = ["run_campaign", "run_scenario"]
 
 _log = get_logger("campaign")
 
+#: Most distinct fault samples in a run's first task.  Slabs carry up
+#: to :data:`~repro.sim.batch.SLAB_SAMPLES` (16) samples; the first one
+#: is cut here so the first result is stored after a 4-sample slab's
+#: work, not a 16-sample one's.
+FIRST_TASK_SAMPLES = 4
+
 
 def _as_spec(scenario) -> ScenarioSpec:
     """Coerce any accepted scenario form into a :class:`ScenarioSpec`."""
@@ -128,6 +138,25 @@ def _record(spec: ScenarioSpec, report: SimReport) -> dict:
         "scenario": spec.to_spec(),
         "report": report.to_dict(),
     }
+
+
+def _pack_tasks(pending: list, batch: int) -> list[list[ScenarioSpec]]:
+    """The run's group tasks: :func:`~repro.sim.batch.pack_slabs`, with
+    the first slab cut after its first :data:`FIRST_TASK_SAMPLES` fault
+    samples and its rest run as the second task.
+
+    Only a task boundary moves: the tasks, concatenated, list the
+    scenarios in the order the slabs do, so stores do not change.
+    """
+    slabs = pack_slabs(pending, batch)
+    head = slabs[0]
+    seen = set()
+    for j, i in enumerate(head):
+        seen.add(pending[i].faults)
+        if len(seen) > FIRST_TASK_SAMPLES:
+            slabs[:1] = [head[:j], head[j:]]
+            break
+    return [[pending[i] for i in slab] for slab in slabs]
 
 
 def _execute_group(
@@ -247,8 +276,11 @@ def run_campaign(
     batch:
         Maximum scenarios fused into one ``simulate_batch`` call
         (grouped by topology, cycles, policy and drain; at most
-        :data:`~repro.sim.batch.SLAB_SAMPLES` fault samples per call).
-        ``1`` disables batching and dispatches per scenario.
+        :data:`~repro.sim.batch.SLAB_SAMPLES` (16) fault samples per
+        call, and at most :data:`FIRST_TASK_SAMPLES` (4) in the run's
+        first call).  ``1`` disables batching and dispatches per
+        scenario.  How scenarios are packed never changes a report or
+        the store's bytes.
     resume:
         Skip scenarios whose digests the store already holds — the
         crash-recovery path, a no-op when the store is complete.
@@ -411,9 +443,9 @@ def run_campaign(
             "store": str(store.path),
             "compile_cache": {"hits": 0, "misses": 0},
         }
-    tasks = [[pending[i] for i in slab] for slab in pack_slabs(pending, batch)]
-    # Size the run's compile caches to the sweep: each distinct slab
-    # (topology, fault samples in slab order) is one compilation, and a
+    tasks = _pack_tasks(pending, batch)
+    # Size the run's compile caches to the sweep: each distinct task
+    # (topology, fault samples in task order) is one compilation, and a
     # budget below that count would thrash on every task boundary.  An
     # entry holds up to SLAB_SAMPLES samples, so a cache never holds
     # more than 64.

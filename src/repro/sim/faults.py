@@ -213,28 +213,33 @@ def _kill_orders(
     size: int,
     *,
     spare_terminal_stages: bool = True,
+    links: bool = True,
 ) -> tuple[list[tuple[int, int]], list[tuple[int, int, int]]]:
     """Permute the cell and link candidate pools whole.
 
-    Both pools are always permuted (cells first), regardless of how many
+    Both pools are permuted (cells first), regardless of how many
     components a caller takes, so the RNG stream consumed is a function
     of the shape alone — prefixes of either order are independent of the
-    length requested from the other.
+    length requested from the other.  ``links=False`` skips the link
+    draw and returns an empty link order: the cells come first, so no
+    cell prefix moves.  Only a caller that owns ``rng`` and severs no
+    links passes it.
     """
     inner = (
         range(2, n_stages) if spare_terminal_stages else
         range(1, n_stages + 1)
     )
     cell_pool = [(s, c) for s in inner for c in range(size)]
+    cells = [cell_pool[i] for i in rng.permutation(len(cell_pool))]
+    if not links:
+        return cells, []
     link_pool = [
         (g, c, p)
         for g in range(1, n_stages)
         for c in range(size)
         for p in (0, 1)
     ]
-    cells = [cell_pool[i] for i in rng.permutation(len(cell_pool))]
-    links = [link_pool[i] for i in rng.permutation(len(link_pool))]
-    return cells, links
+    return cells, [link_pool[i] for i in rng.permutation(len(link_pool))]
 
 
 def _prefix(
@@ -274,9 +279,12 @@ def fault_sets_from_counts(
     count (``None`` for a fault-free one), but each distinct seed's
     kill order is drawn once and every count of that seed is sliced
     from it: a nested sweep's counts are prefixes of a few
-    trajectories, not independent draws.  Negative or oversized counts
-    raise :class:`~repro.core.errors.ReproError`.
+    trajectories, not independent draws.  A seed none of whose counts
+    severs a link never builds or permutes the link pool.  Negative or
+    oversized counts raise :class:`~repro.core.errors.ReproError`.
     """
+    counts = list(counts)
+    severs = {seed for _, links, seed in counts if links}
     orders: dict[int, tuple] = {}
     out: list[FaultSet | None] = []
     for cells, links, seed in counts:
@@ -289,7 +297,8 @@ def fault_sets_from_counts(
             continue
         if seed not in orders:
             orders[seed] = _kill_orders(
-                np.random.default_rng(seed), n_stages, size
+                np.random.default_rng(seed), n_stages, size,
+                links=seed in severs,
             )
         out.append(_prefix(orders[seed], cells, links))
     return out

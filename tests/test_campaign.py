@@ -12,17 +12,21 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.campaign import (
     CampaignSpec,
+    ReliabilitySweepSpec,
     ResultStore,
     aggregate_rows,
     aggregate_table,
     dumps_aggregate,
+    dumps_reliability,
     expand_scenarios,
     head_to_head,
     head_to_head_table,
     load_records,
     record_crc,
+    reliability_report,
     run_campaign,
     run_scenario,
 )
@@ -37,17 +41,18 @@ from repro.networks.catalog import (
 from repro.networks.omega import omega
 from repro.campaign import runner
 from repro.sim import compile_cache_info
+from repro.sim import batch as sim_batch
 from repro.sim.batch import SLAB_SAMPLES, pack_slabs
 from repro.sim.compiled import CompileCache, compile_key
 
 
 def _slab_compile_keys(scenarios, batch: int = 16) -> set:
-    """The distinct compile keys of the slabs a run packs ``scenarios``
-    into: one topology plus the slab's fault samples in slab order."""
+    """The distinct compile keys of the tasks a run packs ``scenarios``
+    into: one topology plus the task's fault samples in task order."""
     keys = set()
-    for slab in pack_slabs(scenarios, batch):
-        net = scenarios[slab[0]].resolve().network
-        samples = dict.fromkeys(scenarios[i].faults for i in slab)
+    for task in runner._pack_tasks(scenarios, batch):
+        net = task[0].resolve().network
+        samples = dict.fromkeys(s.faults for s in task)
         keys.add(
             compile_key(
                 net, [fs.sample(net.n_stages, net.size) for fs in samples]
@@ -404,7 +409,9 @@ class TestRunner:
         # More than 8 (topology, fault sample) pairs and more than 8
         # slabs, one compilation per distinct slab compile key: no run
         # warms or resizes another run's cache.
-        spec = tiny_spec(stages=(4,), faults=(1, 2), seeds=range(10))
+        spec = tiny_spec(
+            stages=(4,), faults=(1, 2), seeds=range(40), cycles=10
+        )
         scenarios = expand_scenarios(spec)
         pairs = {(s.network, s.resolve().faults) for s in scenarios}
         keys = _slab_compile_keys(scenarios)
@@ -432,7 +439,7 @@ class TestRunner:
 
         monkeypatch.setattr(runner, "CompileCache", Recording)
         spec = tiny_spec(
-            stages=(4,), faults=(1, 2, 3, 4), seeds=range(10), cycles=10
+            stages=(4,), faults=(1, 2, 3, 4), seeds=range(40), cycles=10
         )
         scenarios = expand_scenarios(spec)
         full = [
@@ -478,7 +485,7 @@ class TestBatchedRunner:
         scenarios = expand_scenarios(
             tiny_spec(
                 traffic=("uniform", "hotspot"), faults=(0, 1, 2),
-                seeds=(0, 1, 2, 3, 4),
+                seeds=range(12),
             )
         )
         # Fault samples share a key: one group per topology.
@@ -486,7 +493,7 @@ class TestBatchedRunner:
         buckets = {}
         for i, s in enumerate(scenarios):
             buckets.setdefault((s.group_key(), s.faults), []).append(i)
-        assert len(buckets) == 2 * 11 and SLAB_SAMPLES == 4
+        assert len(buckets) == 2 * 25 and SLAB_SAMPLES == 16
         for batch in (1, 3, 4, 16, 64):
             slabs = pack_slabs(scenarios, batch)
             for slab in slabs:
@@ -515,10 +522,16 @@ class TestBatchedRunner:
                 for piece in pieces[:-1]:
                     assert len(piece) == batch and set(piece) <= set(idxs)
                 assert len(pieces) == max(1, -(-len(idxs) // batch))
-        # At batch 16: the 10 fault-free scenarios plus three 2-scenario
-        # samples, then four samples, then the last three.
+        # At batch 16: a full slab of the 24 fault-free scenarios, its
+        # remainder plus four 2-scenario samples, then eight samples,
+        # eight more, and the last four.
         assert [len(slab) for slab in pack_slabs(scenarios, 16)] == [
-            16, 8, 6, 16, 8, 6,
+            16, 16, 16, 16, 8, 16, 16, 16, 16, 8,
+        ]
+        # At batch 64 the sample cap binds: the fault-free bucket and
+        # fifteen samples, then the last nine.
+        assert [len(slab) for slab in pack_slabs(scenarios, 64)] == [
+            54, 18, 54, 18,
         ]
 
     def test_batched_store_matches_per_scenario_store(self, tmp_path):
@@ -634,6 +647,121 @@ class TestResume:
                 record["hash"], record["scenario"], record["report"]
             )
         assert dumps_aggregate(load_records(shuffled)) == want
+
+
+class TestSlabFill:
+    """Reliability slabs fill to ``batch``; a run's first task stays small.
+
+    A reliability sweep runs one scenario per fault sample, so only the
+    16-sample cap lets its slabs fill a batch; the first task is cut at
+    :data:`~repro.campaign.runner.FIRST_TASK_SAMPLES` samples, which is
+    exactly the first slab a 4-sample cap packs.
+    """
+
+    #: The shape of the ``reliability_nested`` benchmark workload.
+    NESTED = ReliabilitySweepSpec(
+        networks=("omega", "extra_stage_omega"),
+        stages=6, max_faults=15, draws=2, cycles=5,
+    )
+    SMALL = ReliabilitySweepSpec(
+        networks=("omega", "extra_stage_omega"),
+        stages=4, draws=4, cycles=10,
+    )
+
+    @staticmethod
+    def _four_sample_slabs(scenarios, batch, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(
+                sim_batch, "SLAB_SAMPLES", runner.FIRST_TASK_SAMPLES
+            )
+            return pack_slabs(scenarios, batch)
+
+    @pytest.mark.parametrize("batch", [1, 3, 16, 64])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SMALL.to_campaign(),
+            tiny_spec(faults=(0, 1, 2), seeds=range(6)),
+            tiny_spec(faults=(0,), seeds=range(6)),
+        ],
+        ids=["reliability", "faulted", "fault-free"],
+    )
+    def test_first_task_is_the_four_sample_first_slab(
+        self, spec, batch, monkeypatch
+    ):
+        scenarios = expand_scenarios(spec)
+        tasks = runner._pack_tasks(scenarios, batch)
+        old = self._four_sample_slabs(scenarios, batch, monkeypatch)
+        assert tasks[0] == [scenarios[i] for i in old[0]]
+        assert len({s.faults for s in tasks[0]}) <= runner.FIRST_TASK_SAMPLES
+        # Only a task boundary moves: the run's scenario order is the
+        # slabs' order, so its store is too.
+        assert [s for task in tasks for s in task] == [
+            scenarios[i] for slab in pack_slabs(scenarios, batch)
+            for i in slab
+        ]
+        assert len(tasks) - len(pack_slabs(scenarios, batch)) in (0, 1)
+
+    def test_run_dispatches_a_small_first_task_then_full_slabs(
+        self, tmp_path, monkeypatch
+    ):
+        groups = []
+        real = runner._simulate_spec_batch
+
+        def recording(specs, *args):
+            groups.append(list(specs))
+            return real(specs, *args)
+
+        monkeypatch.setattr(runner, "_simulate_spec_batch", recording)
+        spec = self.SMALL.to_campaign()
+        run_campaign(spec, tmp_path / "s.jsonl", batch=16)
+        scenarios = expand_scenarios(spec)
+        old = self._four_sample_slabs(scenarios, 16, monkeypatch)
+        assert groups[0] == [scenarios[i] for i in old[0]]
+        assert len({s.faults for s in groups[0]}) == 4
+        # The first slab's rest is the second task; after that every
+        # task but a topology's last fills the batch.
+        assert len(groups[0]) + len(groups[1]) == 16
+        for task, following in zip(groups[2:], groups[3:]):
+            if following[0].network == task[0].network:
+                assert len(task) == 16
+        assert max(len({s.faults for s in g}) for g in groups) == 16
+
+    def test_nested_sweep_fills_three_quarters_of_its_slabs(self, tmp_path):
+        with obs.tracing() as tr:
+            run_campaign(self.NESTED.to_campaign(), tmp_path / "s.jsonl")
+        sizes = [
+            e["attrs"]["scenarios"] for e in tr.events
+            if e["ev"] == "span" and e["name"] == "group"
+        ]
+        assert sum(sizes) == len(expand_scenarios(self.NESTED.to_campaign()))
+        assert sum(sizes) / (16 * len(sizes)) >= 0.75
+
+    def test_stores_are_slab_shape_independent(self, tmp_path):
+        spec = self.SMALL.to_campaign()
+        runs = [(1, 1), (4, 1), (16, 1), (16, 2)]
+        for batch, workers in runs:
+            run_campaign(
+                spec, tmp_path / f"b{batch}w{workers}.jsonl",
+                batch=batch, workers=workers,
+            )
+        data = {
+            run: (tmp_path / "b{}w{}.jsonl".format(*run)).read_bytes()
+            for run in runs
+        }
+        assert data[1, 1] == data[4, 1] == data[16, 1]
+        assert sorted(data[16, 2].splitlines()) == sorted(
+            data[1, 1].splitlines()
+        )
+        reports = {
+            dumps_reliability(
+                reliability_report(
+                    load_records(tmp_path / "b{}w{}.jsonl".format(*run))
+                )
+            )
+            for run in runs
+        }
+        assert len(reports) == 1
 
 
 class TestStoreBytes:

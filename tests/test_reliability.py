@@ -65,6 +65,7 @@ from repro.sim import (
 )
 from repro.sim.faults import (
     fault_connectivity,
+    fault_sets_from_counts,
     fault_structure,
     terminal_reachability,
 )
@@ -245,6 +246,64 @@ class TestFaultSampling:
         a = FaultSet.from_counts(5, 8, cells=0, links=4, seed=11)
         b = FaultSet.from_counts(5, 8, cells=9, links=4, seed=11)
         assert a.dead_links == b.dead_links
+
+    #: The first 8 cells and 8 links of ``kill_order(n, M, seed)``.  Pinned
+    #: literally: every stored campaign's fault samples are prefixes of
+    #: these orders, so no change to how they are drawn may move them.
+    PINNED_ORDERS = {
+        (6, 32, 0): (
+            [(5, 29), (3, 21), (5, 6), (3, 2), (5, 25), (5, 21), (4, 2),
+             (4, 10)],
+            [(3, 9, 0), (2, 13, 0), (4, 23, 1), (5, 28, 0), (4, 21, 0),
+             (3, 7, 0), (2, 28, 0), (4, 8, 0)],
+        ),
+        (6, 32, 7): (
+            [(2, 2), (5, 25), (4, 24), (4, 9), (4, 13), (5, 24), (5, 23),
+             (3, 4)],
+            [(3, 24, 1), (2, 17, 0), (1, 7, 0), (4, 28, 0), (2, 16, 0),
+             (5, 13, 1), (2, 11, 1), (4, 31, 1)],
+        ),
+        (5, 8, 0): (
+            [(4, 2), (2, 4), (4, 5), (3, 2), (3, 3), (2, 2), (4, 6),
+             (2, 6)],
+            [(2, 2, 0), (1, 6, 1), (1, 5, 1), (3, 5, 1), (1, 2, 1),
+             (1, 3, 1), (3, 3, 1), (2, 1, 1)],
+        ),
+        (5, 8, 7): (
+            [(3, 7), (2, 4), (4, 2), (2, 3), (3, 6), (3, 4), (3, 2),
+             (2, 0)],
+            [(3, 0, 0), (3, 5, 0), (4, 5, 0), (2, 1, 1), (3, 6, 0),
+             (3, 3, 0), (1, 0, 1), (2, 0, 0)],
+        ),
+    }
+
+    @pytest.mark.parametrize("key", sorted(PINNED_ORDERS))
+    def test_kill_orders_are_pinned(self, key):
+        n, size, seed = key
+        cells, links = self.PINNED_ORDERS[key]
+        got_cells, got_links = FaultSet.kill_order(n, size, seed=seed)
+        assert got_cells[:8] == cells and got_links[:8] == links
+        # The shared-draw path: cell-only counts first, then link counts
+        # sliced from the same seed's order.
+        samples = fault_sets_from_counts(
+            n, size,
+            [(k, 0, seed) for k in range(1, 9)]
+            + [(0, k, seed) for k in range(1, 9)]
+            + [(8, 8, seed)],
+        )
+        for k in range(1, 9):
+            assert samples[k - 1].dead_cells == frozenset(cells[:k])
+            assert not samples[k - 1].dead_links
+            assert samples[k + 7].dead_links == frozenset(links[:k])
+            assert not samples[k + 7].dead_cells
+        assert samples[-1] == FaultSet(frozenset(cells), frozenset(links))
+        # A caller's generator advances past both pools, drawn or not.
+        rng = np.random.default_rng(seed)
+        FaultSet.random(rng, n, size, n_dead_cells=1)
+        after = rng.integers(1 << 30)
+        rng = np.random.default_rng(seed)
+        FaultSet.random(rng, n, size, n_dead_cells=1, n_dead_links=1)
+        assert rng.integers(1 << 30) == after
 
     def test_kill_order_is_duplicate_free(self):
         cells_order, links_order = FaultSet.kill_order(6, 16, seed=5)

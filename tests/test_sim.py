@@ -47,6 +47,7 @@ from repro.sim import (
     terminal_availability,
     terminal_reachability,
 )
+from repro.sim.metrics import latency_summary
 from repro.spec.scenario import (
     NetworkSpec,
     ScenarioSpec,
@@ -932,6 +933,32 @@ def test_property_conservation_under_any_policy_and_faults(seed):
     )
     if policy == "block":
         assert rep.dropped == 0
+
+
+class TestLatencySummary:
+    """``latency_summary``'s p99 is ``np.percentile(lat, 99)`` bit for bit.
+
+    The kernels hand latencies over in delivery order (see
+    :class:`repro.sim.kernels.results.BatchRun`), so the arrays here are
+    unsorted; lengths cover both sides of every interpolation
+    case (``v`` past the last index, ``t`` below and above one half).
+    """
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_p99_matches_numpy_percentile(self, seed):
+        rng = np.random.default_rng(seed)
+        lengths = [*range(1, 260), 1000, 1601, 20000, 65537]
+        for length in lengths:
+            high = int(rng.choice([2, 5, 40, 1000, 1 << 20]))
+            lat = rng.integers(0, high, size=length).astype(np.int32)
+            mean, p99 = latency_summary(lat)
+            assert p99 == float(np.percentile(lat, 99)), length
+            assert mean == float(np.mean(lat))
+
+    def test_empty_and_single(self):
+        assert latency_summary(np.empty(0, np.int32)) == (0.0, 0.0)
+        assert latency_summary(None) == (0.0, 0.0)
+        assert latency_summary(np.array([7], np.int32)) == (7.0, 7.0)
 
 
 class TestPatelRecursion:

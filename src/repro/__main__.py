@@ -23,7 +23,7 @@ Subcommands::
     python -m repro obs summary trace.jsonl     # trace analytics
     python -m repro obs critical-path trace.jsonl
     python -m repro obs diff before.jsonl after.jsonl
-    python -m repro obs bench-compare BENCH_*.json
+    python -m repro obs bench-compare bench-out/*.json
 
 Every simulation-shaped subcommand goes through one resolution path:
 :func:`spec_from_args` turns the parsed flags into a typed
@@ -77,7 +77,7 @@ with ``error: <message>`` and status 1 instead of a traceback.
 worker utilization and cache efficiency, ``tree`` the span forest,
 ``critical-path`` the dominant dispatch→queue→kernel chain, ``flame``
 a Chrome-tracing export, ``diff`` a phase-by-phase comparison of two
-traces, and ``bench-compare`` grades ``BENCH_*.json`` suites against
+traces, and ``bench-compare`` grades ``bench-out/*.json`` suites against
 the committed ``benchmarks/baselines.json`` curve
 (:mod:`repro.obs.baseline`).
 
@@ -1282,12 +1282,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     o_bench = _command(
         obs_subs, "bench-compare", _bench_compare,
-        help="grade BENCH_*.json output against benchmarks/baselines.json "
-        "(warn-level perf gate)",
+        help="grade pytest-benchmark output (bench-out/*.json) against "
+        "benchmarks/baselines.json (warn-level perf gate)",
     )
     o_bench.add_argument(
         "bench_files", nargs="+", metavar="BENCH_JSON",
-        help="pytest-benchmark JSON files (the CI BENCH_* artifacts)",
+        help="pytest-benchmark JSON files (CI's bench-out/*.json artifacts)",
     )
     o_bench.add_argument(
         "--baseline", default="benchmarks/baselines.json", metavar="PATH",

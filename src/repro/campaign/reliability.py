@@ -35,7 +35,7 @@ byte-identical across inline/pooled runs, interruptions and
 ``--resume``.  Availability is recomputed from the records, not read
 from them: the reduction collects the distinct (topology, fault
 counts, fault seed) samples, resolves each topology once, draws each
-fault seed's kill order once per shape, and derives a topology's
+fault seed's kill ranks once per shape, and derives a topology's
 samples in a few stacked :func:`~repro.sim.faults.fault_structure`
 passes.
 """
@@ -55,7 +55,7 @@ from repro.io import document_fields, parse_document
 from repro.obs import trace as obs
 from repro.obs.metrics import metrics
 from repro.obs.schema import COUNTER_AVAILABILITY_EVALS, SPAN_RELIABILITY
-from repro.sim.faults import fault_sets_from_counts, terminal_availability
+from repro.sim.faults import FaultMasks, masks_from_counts, terminal_availability
 from repro.spec.scenario import NetworkSpec, canonical_json
 
 __all__ = [
@@ -284,8 +284,8 @@ def _availabilities(
     ``keys`` are ``(topology, fault_cells, fault_links, fault_seed)``
     with the topology as canonical JSON, which ``topologies`` maps back
     to its spec.  Each topology resolves once, each (shape, fault seed)
-    kill order is drawn once
-    (:func:`~repro.sim.faults.fault_sets_from_counts`), and each
+    kill-rank draw is made once
+    (:func:`~repro.sim.faults.masks_from_counts`), and each
     topology's faulted samples are derived by
     :func:`~repro.sim.faults.terminal_availability` in stacks of at
     most :data:`_STACK_SAMPLES`.  A fault-free sample counts as 1.0.
@@ -295,28 +295,26 @@ def _availabilities(
         for topo, spec in topologies.items()
     }
     by_shape: dict[tuple[int, int], list[tuple]] = {}
-    for key in keys:
-        net = nets[key[0]]
-        by_shape.setdefault((net.n_stages, net.size), []).append(key)
     values: dict[tuple, float] = {}
+    for key in keys:
+        if key[1] or key[2]:
+            net = nets[key[0]]
+            by_shape.setdefault((net.n_stages, net.size), []).append(key)
+        else:
+            values[key] = 1.0
     for (n_stages, size), shape_keys in by_shape.items():
-        samples = fault_sets_from_counts(
+        masks = masks_from_counts(
             n_stages, size, [key[1:] for key in shape_keys]
         )
-        by_topo: dict[str, list] = {}
-        for key, faults in zip(shape_keys, samples):
-            if faults is None:
-                values[key] = 1.0
-            else:
-                by_topo.setdefault(key[0], []).append((key, faults))
+        by_topo: dict[str, list[int]] = {}
+        for row, key in enumerate(shape_keys):
+            by_topo.setdefault(key[0], []).append(row)
         for topo, rows in by_topo.items():
             for lo in range(0, len(rows), _STACK_SAMPLES):
                 stack = rows[lo : lo + _STACK_SAMPLES]
-                avail = terminal_availability(
-                    nets[topo], [faults for _, faults in stack]
-                )
-                for (key, _), value in zip(stack, avail.tolist()):
-                    values[key] = value
+                stacked = FaultMasks(masks.cells[stack], masks.links[stack])
+                avail = terminal_availability(nets[topo], stacked).tolist()
+                values.update(zip([shape_keys[row] for row in stack], avail))
     if values and obs.enabled():
         metrics().counter(COUNTER_AVAILABILITY_EVALS).add(len(values))
     return values

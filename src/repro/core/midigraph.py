@@ -19,13 +19,15 @@ Stages are numbered ``1 … n`` as in the paper.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.core.connection import Connection
 from repro.core.errors import InvalidNetworkError, StageIndexError
+
+if TYPE_CHECKING:  # networkx loads only when a graph is exported
+    import networkx as nx
 
 __all__ = ["MIDigraph"]
 
@@ -194,6 +196,8 @@ class MIDigraph:
         parallel arcs (double links) are preserved.  Used by the test suite
         to cross-validate isomorphism decisions with networkx's VF2.
         """
+        import networkx as nx
+
         graph = nx.MultiDiGraph()
         for stage, x in self.nodes():
             graph.add_node((stage, x), stage=stage)

@@ -1,9 +1,10 @@
 """Perf-baseline gates: compare bench output against a committed curve.
 
-CI has uploaded ``BENCH_*.json`` artifacts (pytest-benchmark documents)
-since PR 3, but nothing ever read them back — the batching and JIT wins
-they record were unguarded against quiet regression.  This module closes
-the loop:
+CI uploads its pytest-benchmark documents as ``bench-out/*.json``
+artifacts (their own directory: the root's ``BENCH_*.json`` files are
+the perf ledger); before this module nothing read them back, and the
+batching and JIT wins they record were unguarded against quiet
+regression.  This module closes the loop:
 
 * :func:`normalize_bench` flattens a pytest-benchmark document to one
   row per bench — its mean wall time plus every *numeric*
@@ -102,7 +103,7 @@ def normalize_bench(doc: Mapping) -> dict[str, dict]:
 
 
 def load_bench_doc(path: str | Path) -> dict[str, dict]:
-    """Read and normalize one ``BENCH_*.json`` file."""
+    """Read and normalize one pytest-benchmark JSON file."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as err:

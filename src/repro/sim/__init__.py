@@ -40,7 +40,7 @@ from repro.sim.faults import (
     FaultSet,
     FaultStructure,
     fault_connectivity,
-    fault_sets_from_counts,
+    fault_masks,
     fault_structure,
     terminal_availability,
     terminal_reachability,
@@ -77,7 +77,7 @@ __all__ = [
     "compile_cache_info",
     "compile_network",
     "fault_connectivity",
-    "fault_sets_from_counts",
+    "fault_masks",
     "fault_structure",
     "make_traffic",
     "network_digest",

@@ -61,7 +61,7 @@ from repro.obs import trace as obs
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import metrics
 from repro.sim.compiled import _DEFAULT, CompileCache
-from repro.sim.faults import FaultSet, fault_sets_from_counts
+from repro.sim.faults import FaultMasks, FaultSet, fault_masks, masks_from_counts
 from repro.sim.kernels import get_backend, resolve_backend
 from repro.sim.metrics import SimReport, latency_summary
 from repro.sim.traffic import TrafficPattern
@@ -149,9 +149,9 @@ def _simulate_spec_batch(
 
     Within a slab only the traffic spec, the simulation seed and the
     fault sample vary, so the slab's head supplies the shared network
-    and run parameters once, and the slab's distinct samples come from
-    one :func:`~repro.sim.faults.fault_sets_from_counts` call, which
-    draws each fault seed's kill order once.
+    and run parameters once, and one
+    :func:`~repro.sim.faults.masks_from_counts` call masks the slab's
+    distinct samples, drawing each fault seed's kill ranks once.
     Every slab runs on ``backend``, compiling through ``cache`` (a
     campaign's run-owned one).  Reports return in input order, inside
     one span and, at top level, one manifest.
@@ -167,7 +167,7 @@ def _simulate_spec_batch(
                 buckets.setdefault(specs[i].faults, len(buckets))
                 for i in idxs
             ]
-            faults = fault_sets_from_counts(
+            masks = masks_from_counts(
                 net.n_stages,
                 net.size,
                 [(fs.cells, fs.links, fs.seed) for fs in buckets],
@@ -184,7 +184,7 @@ def _simulate_spec_batch(
                 ],
                 cycles=head.sim.cycles,
                 policy=head.sim.policy,
-                faults=faults,
+                masks=masks,
                 sample=np.array(sample, dtype=np.intp),
                 drain=head.sim.drain,
                 network_name=None,
@@ -315,7 +315,7 @@ def simulate_batch(
         ],
         cycles=cycles,
         policy=policy,
-        faults=[faults],
+        masks=fault_masks(net, [faults]),
         drain=drain,
         network_name=network_name,
         backend=backend,
@@ -328,7 +328,7 @@ def _run_slab(
     *,
     cycles: int | None,
     policy: str | None,
-    faults: "list[FaultSet | None]",
+    masks: FaultMasks,
     drain: bool | None,
     network_name: str | None,
     backend: str | None,
@@ -341,7 +341,7 @@ def _run_slab(
 
     The single path behind ``simulate`` (``kind="simulate"``, a slab of
     one) and both forms of ``simulate_batch`` (``kind="batch"``).
-    ``faults`` lists the slab's distinct fault samples, compiled
+    ``masks`` holds the slab's distinct fault samples, compiled
     together into one value, and ``sample[i]`` indexes scenario ``i``'s
     (all 0 when ``None``).
     ``kind`` names the top-level manifest and, through
@@ -412,7 +412,7 @@ def _run_slab(
                 tmats[:, i] = tmat
 
         with obs.span("compile") as sp_compile:
-            comp = (_DEFAULT if cache is None else cache).compile(net, faults)
+            comp = (_DEFAULT if cache is None else cache).compile(net, masks)
         kern = get_backend(resolved)
         if sample is None:
             sample = np.zeros(B, dtype=np.intp)

@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from collections.abc import Sequence
 
 import numpy as np
 
 from repro.core.midigraph import MIDigraph
 from repro.obs import trace as obs
 from repro.obs.metrics import metrics
-from repro.sim.faults import FaultSet, fault_structure
+from repro.sim.faults import FaultMasks, FaultSet, fault_masks, fault_structure
 
 __all__ = [
     "CompileCache",
@@ -64,21 +63,18 @@ def arc_slots(conn) -> np.ndarray:
     return slots
 
 
-_NO_FAULTS = FaultSet()
-
-
 class CompiledNetwork:
     """One slab's compiled value: a topology plus the slab's K fault samples.
 
-    Built by one :func:`repro.sim.faults.fault_structure` call; every
-    per-sample table has a leading sample axis ``K`` (row ``k`` is
-    ``samples[k]``), and the topology tables are shared by all samples.
+    Built by one :func:`repro.sim.faults.fault_structure` call on the
+    slab's masks (``None``: one healthy sample); every per-sample table
+    has a leading sample axis ``K`` (row ``k`` is mask row ``k``), and
+    the topology tables are shared by all samples.
 
     Attributes
     ----------
-    net, samples:
-        The compiled network and its K fault sets, in slab order (an
-        empty set for a fault-free sample).
+    net:
+        The compiled network.
     n_stages, size, n_inputs:
         Shape shorthands mirroring the network's.
     ptabs:
@@ -104,7 +100,8 @@ class CompiledNetwork:
         lands in; the batched kernels address packets by linear index.
     has_amb:
         Per-gap flags: True when some sample's port table holds ``-2``
-        entries (multipath ambiguity the engine resolves adaptively).
+        entries (multipath ambiguity: the kernels take port 0 when its
+        target slot is free, else port 1, so under ``drop`` always 0).
     has_unreachable:
         Per-gap flags: True when some sample's port table holds ``-1``
         entries (some destination is unreachable — only under faults or
@@ -117,21 +114,20 @@ class CompiledNetwork:
     """
 
     __slots__ = (
-        "net", "samples", "n_stages", "size", "n_inputs", "ptabs",
+        "net", "n_stages", "size", "n_inputs", "ptabs",
         "links", "cells_alive", "src_alive", "child", "slots",
         "arc_target", "has_amb", "has_unreachable", "links_ok", "reach",
     )
 
     def __init__(
-        self, net: MIDigraph, samples: Sequence[FaultSet | None] = (None,)
+        self, net: MIDigraph, masks: FaultMasks | None = None
     ) -> None:
         self.net = net
-        self.samples = tuple(_NO_FAULTS if f is None else f for f in samples)
         self.n_stages = net.n_stages
         self.size = net.size
         self.n_inputs = net.n_inputs
 
-        derived = fault_structure(net, self.samples)
+        derived = fault_structure(net, masks or fault_masks(net, [None]))
         self.ptabs = derived.ptabs
         self.links = derived.links
         self.cells_alive = derived.cells
@@ -156,7 +152,7 @@ class CompiledNetwork:
     def __repr__(self) -> str:
         return (
             f"CompiledNetwork(n_stages={self.n_stages}, size={self.size}, "
-            f"samples={len(self.samples)})"
+            f"samples={len(self.cells_alive)})"
         )
 
 
@@ -197,17 +193,11 @@ def network_digest(net: MIDigraph) -> str:
     return digest
 
 
-def compile_key(
-    net: MIDigraph, samples: Sequence[FaultSet | None] = (None,)
-) -> tuple:
-    """The compile cache key: structural digest + the samples in order."""
+def compile_key(net: MIDigraph, masks: FaultMasks | None = None) -> tuple:
+    """The compile cache key: structural digest + the samples' mask bytes."""
+    masks = masks or fault_masks(net, [None])
     return (
-        network_digest(net),
-        tuple(
-            (tuple(sorted(f.dead_cells)), tuple(sorted(f.dead_links)))
-            if f else ()
-            for f in samples
-        ),
+        network_digest(net), masks.cells.tobytes(), masks.links.tobytes()
     )
 
 
@@ -237,10 +227,10 @@ class CompileCache:
         self.misses = 0
 
     def compile(
-        self, net: MIDigraph, samples: Sequence[FaultSet | None] = (None,)
+        self, net: MIDigraph, masks: FaultMasks | None = None
     ) -> CompiledNetwork:
         """Compile (or fetch the cached compilation of) one slab."""
-        key = compile_key(net, samples)
+        key = compile_key(net, masks)
         hit = self._entries.get(key)
         if hit is not None:
             self._entries.move_to_end(key)
@@ -251,7 +241,7 @@ class CompileCache:
         self.misses += 1
         # Only a miss does real work, so only a miss gets its own span.
         with obs.span("compile_network", digest=key[0]):
-            compiled = CompiledNetwork(net, samples)
+            compiled = CompiledNetwork(net, masks)
         if obs.enabled():
             metrics().counter("compile_cache.misses").add()
         self._entries[key] = compiled
@@ -275,7 +265,7 @@ def compile_network(
     net: MIDigraph, faults: FaultSet | None = None
 ) -> CompiledNetwork:
     """Compile one fault sample (a K = 1 slab) through the default cache."""
-    return _DEFAULT.compile(net, (faults,))
+    return _DEFAULT.compile(net, fault_masks(net, [faults]))
 
 
 def compile_cache_info() -> dict:

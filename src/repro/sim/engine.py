@@ -44,9 +44,10 @@ backends; selection comes from the ``backend`` argument
 test suite pins the NumPy slab kernels against.
 
 Ambiguous port table entries (``-2``: both ports reach, e.g. everywhere on
-the Beneš network) are resolved adaptively toward the port whose target
-slot is free.  For conflict-free operation on rearrangeable networks, pass
-a ``port_schedule`` built by :func:`schedule_from_switch_settings` from
+the Beneš network) take port 0 when its target slot is free, else port 1:
+adaptive under ``"block"``, always port 0 under ``"drop"``.  For
+conflict-free operation on rearrangeable networks, pass a
+``port_schedule`` built by :func:`schedule_from_switch_settings` from
 the looping algorithm's switch settings instead.
 """
 
@@ -59,7 +60,7 @@ from repro.core.midigraph import MIDigraph
 from repro.obs import trace as obs
 from repro.sim.batch import BatchScenario, _run_slab
 from repro.sim.compiled import compile_network
-from repro.sim.faults import FaultSet
+from repro.sim.faults import FaultSet, fault_masks
 from repro.sim.metrics import SimReport
 from repro.sim.traffic import TrafficPattern
 
@@ -202,8 +203,9 @@ def simulate(
     ----------
     net:
         A :class:`~repro.spec.scenario.ScenarioSpec`, or any MI-digraph.
-        Unique-path (Banyan) networks route by destination tag;
-        multipath networks resolve ambiguity adaptively.
+        Unique-path (Banyan) networks route by destination tag; multipath
+        networks resolve ambiguity adaptively under ``"block"`` and by
+        port 0 under ``"drop"``.
     traffic:
         A :class:`~repro.sim.traffic.TrafficPattern` (destination process
         plus injection rate); engine form only.
@@ -269,7 +271,7 @@ def simulate(
         ],
         cycles=cycles,
         policy=policy,
-        faults=[faults],
+        masks=fault_masks(net, [faults]),
         drain=drain,
         network_name=network_name,
         backend=backend,

@@ -7,16 +7,17 @@ handle this module exists for: baseline-equivalent topologies (same
 ``(n_stages, size)``) can be degraded identically and their traffic
 behaviour compared apples-to-apples.
 
+Below it, K fault samples are one :class:`FaultMasks` pair of alive masks.
+A seeded sample at count ``k`` kills every component ranked below ``k`` in
+its seed's kill order, so :func:`masks_from_counts` masks all counts of a
+seed with one rank draw; :func:`fault_masks` converts explicit fault sets.
+
 Degradation is reachability-aware: :func:`fault_structure` recomputes
 the backward reachability sweep of :func:`repro.routing.paths.reachable_outputs`
 with dead cells and links removed, for a stack of fault samples at once,
 so the simulator routes around faults where an alternative port still
 works (multipath networks such as Beneš) and drops packets as
 *unroutable* exactly when no live path remains.
-
-Seeded samples are prefixes of a per-seed kill order
-(:meth:`FaultSet.kill_order`); :func:`fault_sets_from_counts` draws
-each order once for any number of counts of one shape.
 """
 
 from __future__ import annotations
@@ -31,11 +32,13 @@ from repro.core.errors import ReproError
 from repro.core.midigraph import MIDigraph
 
 __all__ = [
+    "FaultMasks",
     "FaultSet",
     "FaultStructure",
     "fault_connectivity",
-    "fault_sets_from_counts",
+    "fault_masks",
     "fault_structure",
+    "masks_from_counts",
     "terminal_availability",
     "terminal_reachability",
 ]
@@ -131,10 +134,12 @@ class FaultSet:
         Fault-saturation sweeps rely on this nesting — availability is
         monotone non-increasing in the count by construction.
         """
-        orders = _kill_orders(
-            rng, n_stages, size, spare_terminal_stages=spare_terminal_stages
+        spare = spare_terminal_stages
+        cells, links = _kill_ranks(rng, n_stages, size, spare_terminal_stages=spare)
+        _check_counts(n_stages, size, n_dead_cells, n_dead_links, spare)
+        return cls(
+            _in_kill_order(cells, n_dead_cells), _in_kill_order(links, n_dead_links)
         )
-        return _prefix(orders, n_dead_cells, n_dead_links)
 
     @classmethod
     def kill_order(
@@ -154,12 +159,9 @@ class FaultSet:
         ``k`` entries of each list, so walking ``k = 0, 1, 2, …`` replays
         one sequential-failure trajectory.
         """
-        return _kill_orders(
-            np.random.default_rng(seed),
-            n_stages,
-            size,
-            spare_terminal_stages=spare_terminal_stages,
-        )
+        spare, rng = spare_terminal_stages, np.random.default_rng(seed)
+        cells, links = _kill_ranks(rng, n_stages, size, spare_terminal_stages=spare)
+        return _in_kill_order(cells, _SPARED), _in_kill_order(links, _SPARED)
 
     @classmethod
     def from_counts(
@@ -182,14 +184,11 @@ class FaultSet:
         :class:`~repro.core.errors.ReproError`.  For a fixed seed the
         sample at count ``k`` is the ``k``-prefix of
         :meth:`kill_order`, hence nested across counts.
-
-        The one-element case of :func:`fault_sets_from_counts`, which
-        callers holding several counts of one shape use instead to draw
-        each seed's kill order once.
         """
-        return fault_sets_from_counts(
-            n_stages, size, [(cells, links, seed)]
-        )[0]
+        if not (cells or links):
+            return None
+        rng = np.random.default_rng(seed)
+        return cls.random(rng, n_stages, size, n_dead_cells=cells, n_dead_links=links)
 
     def to_dict(self) -> dict:
         """A JSON-ready description (sorted, hence deterministic)."""
@@ -207,108 +206,123 @@ class FaultSet:
         )
 
 
-def _kill_orders(
-    rng: np.random.Generator,
-    n_stages: int,
-    size: int,
-    *,
-    spare_terminal_stages: bool = True,
-    links: bool = True,
-) -> tuple[list[tuple[int, int]], list[tuple[int, int, int]]]:
-    """Permute the cell and link candidate pools whole.
+#: The rank of a spared terminal-stage cell: past every count.
+_SPARED = np.iinfo(np.intp).max
 
-    Both pools are permuted (cells first), regardless of how many
-    components a caller takes, so the RNG stream consumed is a function
-    of the shape alone — prefixes of either order are independent of the
-    length requested from the other.  ``links=False`` skips the link
-    draw and returns an empty link order: the cells come first, so no
-    cell prefix moves.  Only a caller that owns ``rng`` and severs no
-    links passes it.
+
+def _kill_ranks(
+    rng: np.random.Generator, n_stages: int, size: int, *,
+    spare_terminal_stages: bool = True, links: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Each component's position in one seeded kill order.
+
+    ``cell_rank (n, M)`` and ``link_rank (n-1, M, 2)`` invert one
+    ``rng.permutation`` of each candidate pool, cells first.
+    ``links=False`` (for a caller that owns ``rng`` and severs no links)
+    skips the link draw and returns ``None``; no cell rank moves.
     """
-    inner = (
-        range(2, n_stages) if spare_terminal_stages else
-        range(1, n_stages + 1)
-    )
-    cell_pool = [(s, c) for s in inner for c in range(size)]
-    cells = [cell_pool[i] for i in rng.permutation(len(cell_pool))]
+    lo = 1 if spare_terminal_stages else 0
+    cell_rank = np.full((n_stages, size), _SPARED, dtype=np.intp)
+    pool = cell_rank[lo : n_stages - lo]
+    # A permutation's argsort is its inverse: each slot's kill position.
+    pool[...] = np.argsort(rng.permutation(pool.size)).reshape(pool.shape)
     if not links:
-        return cells, []
-    link_pool = [
-        (g, c, p)
-        for g in range(1, n_stages)
-        for c in range(size)
-        for p in (0, 1)
-    ]
-    return cells, [link_pool[i] for i in rng.permutation(len(link_pool))]
+        return cell_rank, None
+    link_rank = np.argsort(rng.permutation(2 * (n_stages - 1) * size))
+    return cell_rank, link_rank.reshape(n_stages - 1, size, 2)
 
 
-def _prefix(
-    orders: tuple[list[tuple[int, int]], list[tuple[int, int, int]]],
-    n_cells: int,
-    n_links: int,
-) -> FaultSet:
-    """The fault set of the first ``n_cells`` / ``n_links`` of ``orders``."""
-    cells_order, links_order = orders
-    if not 0 <= n_cells <= len(cells_order):
-        raise ReproError(
-            f"cannot kill {n_cells} cells: only "
-            f"{len(cells_order)} candidates"
+def _in_kill_order(rank: np.ndarray, k: int) -> list[tuple]:
+    """The components ranked below ``k``, in kill order, as ``(stage,
+    cell)`` / ``(gap, cell, port)`` tuples counting stages from 1."""
+    killed = rank < k
+    rows = np.argwhere(killed)[np.argsort(rank[killed])]
+    return [(first + 1, *rest) for first, *rest in rows.tolist()]
+
+
+def _check_counts(
+    n_stages: int, size: int, cells: int, links: int,
+    spare_terminal_stages: bool = True,
+) -> None:
+    """Raise unless both fault counts fit their candidate pools."""
+    if cells < 0 or links < 0:
+        raise ReproError(f"fault counts must be >= 0, got cells={cells} links={links}")
+    stages = n_stages - 2 if spare_terminal_stages else n_stages
+    cell_pool, link_pool = max(0, stages) * size, 2 * (n_stages - 1) * size
+    if cells > cell_pool:
+        raise ReproError(f"cannot kill {cells} cells: only {cell_pool} candidates")
+    if links > link_pool:
+        raise ReproError(f"cannot sever {links} links: only {link_pool} candidates")
+
+
+class FaultMasks(NamedTuple):
+    """K fault samples of one network shape as alive masks: ``cells``
+    ``(K, n, M)`` and ``links`` ``(K, n-1, M, 2)``, True where a switch
+    is not killed or a link not severed."""
+
+    cells: np.ndarray
+    links: np.ndarray
+
+    @classmethod
+    def healthy(cls, k: int, n_stages: int, size: int) -> "FaultMasks":
+        """``k`` fault-free samples: every mask True."""
+        return cls(
+            np.ones((k, n_stages, size), dtype=bool),
+            np.ones((k, n_stages - 1, size, 2), dtype=bool),
         )
-    if not 0 <= n_links <= len(links_order):
-        raise ReproError(
-            f"cannot sever {n_links} links: only "
-            f"{len(links_order)} candidates"
-        )
-    cells = frozenset(cells_order[:n_cells])
-    links = frozenset(links_order[:n_links])
-    if len(cells) != n_cells or len(links) != n_links:
-        raise ReproError(
-            "fault sampling produced duplicate draws "
-            f"({len(cells)}/{n_cells} cells, "
-            f"{len(links)}/{n_links} links)"
-        )
-    return FaultSet(cells, links)
 
 
-def fault_sets_from_counts(
+def masks_from_counts(
     n_stages: int, size: int, counts: Iterable[tuple[int, int, int]]
-) -> list[FaultSet | None]:
-    """The samples of many ``(cells, links, seed)`` counts of one shape.
+) -> FaultMasks:
+    """The masks of many ``(cells, links, seed)`` counts of one shape.
 
-    Entry ``i`` equals :meth:`FaultSet.from_counts` of the ``i``-th
-    count (``None`` for a fault-free one), but each distinct seed's
-    kill order is drawn once and every count of that seed is sliced
-    from it: a nested sweep's counts are prefixes of a few
-    trajectories, not independent draws.  A seed none of whose counts
-    severs a link never builds or permutes the link pool.  Negative or
-    oversized counts raise :class:`~repro.core.errors.ReproError`.
+    Row ``i`` is the sample :meth:`FaultSet.from_counts` draws for count
+    ``i``, but each faulted seed draws its kill ranks once and its rows
+    are one broadcast compare against them.  A seed that severs no link
+    never permutes the link pool.  Negative or oversized counts raise
+    :class:`~repro.core.errors.ReproError`.
     """
     counts = list(counts)
-    severs = {seed for _, links, seed in counts if links}
-    orders: dict[int, tuple] = {}
-    out: list[FaultSet | None] = []
-    for cells, links, seed in counts:
-        if cells < 0 or links < 0:
-            raise ReproError(
-                f"fault counts must be >= 0, got cells={cells} links={links}"
-            )
-        if not (cells or links):
-            out.append(None)
+    by_seed: dict[int, list[int]] = {}
+    for k, (cells, links, seed) in enumerate(counts):
+        _check_counts(n_stages, size, cells, links)
+        if cells or links:
+            by_seed.setdefault(seed, []).append(k)
+    n = np.array([count[:2] for count in counts], dtype=np.intp)
+    masks = FaultMasks.healthy(len(counts), n_stages, size)
+    for seed, rows in by_seed.items():
+        severs = bool(n[rows, 1].any())
+        rng = np.random.default_rng(seed)
+        cell_rank, link_rank = _kill_ranks(rng, n_stages, size, links=severs)
+        masks.cells[rows] = cell_rank >= n[rows, 0][:, None, None]
+        if severs:
+            masks.links[rows] = link_rank >= n[rows, 1][:, None, None, None]
+    return masks
+
+
+def fault_masks(net: MIDigraph, samples: Sequence[FaultSet | None]) -> FaultMasks:
+    """The masks of K explicit fault sets of ``net`` (``None`` = healthy),
+    each validated against the network's shape."""
+    masks = FaultMasks.healthy(len(samples), net.n_stages, net.size)
+    for k, faults in enumerate(samples):
+        if not faults:
             continue
-        if seed not in orders:
-            orders[seed] = _kill_orders(
-                np.random.default_rng(seed), n_stages, size,
-                links=seed in severs,
-            )
-        out.append(_prefix(orders[seed], cells, links))
-    return out
+        faults.validate(net)
+        for alive, dead in (
+            (masks.cells, faults.dead_cells), (masks.links, faults.dead_links)
+        ):
+            if dead:
+                first, *rest = np.array(list(dead)).T
+                alive[(k, first - 1, *rest)] = False
+    return masks
 
 
 class FaultStructure(NamedTuple):
     """The derived structure of K fault samples of one network.
 
     Every array has a leading sample axis ``K``; row ``k`` describes
-    ``samples[k]`` of the :func:`fault_structure` call.
+    row ``k`` of the :func:`fault_structure` call's masks.
 
     Attributes
     ----------
@@ -326,8 +340,9 @@ class FaultStructure(NamedTuple):
         ``(K, n-1, M, M)`` int8 — fault-aware port tables in the
         encoding of :func:`repro.routing.bit_routing.port_tables`:
         ``0``/``1`` the forced port, ``-1`` destination unreachable,
-        ``-2`` both ports lead to live paths (the simulator then chooses
-        adaptively).  A fault-free row reproduces ``port_tables(net)``.
+        ``-2`` both ports lead to live paths (the simulator steers toward
+        a free target slot under ``block`` and always takes port 0 under
+        ``drop``).  A fault-free row reproduces ``port_tables(net)``.
     """
 
     cells: np.ndarray
@@ -336,35 +351,24 @@ class FaultStructure(NamedTuple):
     ptabs: np.ndarray
 
 
-def fault_structure(
-    net: MIDigraph, samples: Sequence[FaultSet | None]
-) -> FaultStructure:
+def fault_structure(net: MIDigraph, masks: FaultMasks) -> FaultStructure:
     """Derive the alive masks, reachability and port tables of K samples.
 
-    ``samples`` lists K fault sets of ``net`` (``None`` = healthy); each
-    is validated against the network's shape.  One backward sweep over
-    the stages serves all K at once: at each gap the ``via_f`` /
-    ``via_g`` masks (a live out-arc toward a cell that still reaches the
-    destination) give both the gap's reachability and its port table.
-    An empty ``samples`` raises :class:`~repro.core.errors.ReproError`:
-    a K = 0 value has no row to read, and its combined flags would
-    claim every link alive.
+    ``masks`` holds K fault samples of ``net``'s shape.  One backward
+    sweep over the stages serves all K at once: at each gap the
+    ``via_f`` / ``via_g`` masks (a live out-arc toward a cell that still
+    reaches the destination) give both the gap's reachability and its
+    port table.  An empty stack raises
+    :class:`~repro.core.errors.ReproError`: a K = 0 value has no row to
+    read, and its combined flags would claim every link alive.
     """
-    K, n, size = len(samples), net.n_stages, net.size
+    K, n, size = len(masks.cells), net.n_stages, net.size
     if not K:
         raise ReproError("fault_structure needs at least one fault sample")
-    cells = np.ones((K, n, size), dtype=bool)
-    links = np.ones((K, n - 1, size, 2), dtype=bool)
-    for k, faults in enumerate(samples):
-        if faults is None:
-            continue
-        faults.validate(net)
-        for stage, cell in faults.dead_cells:
-            cells[k, stage - 1, cell] = False
-        for gap, cell, port in faults.dead_links:
-            links[k, gap - 1, cell, port] = False
+    # Copies: a compiled value freezes these arrays, never the caller's.
+    cells = np.array(masks.cells, dtype=bool)
     # A link is dead when severed or when either endpoint cell is dead.
-    links &= cells[:, :-1, :, None]
+    links = masks.links & cells[:, :-1, :, None]
     reach = np.empty((K, n, size, size), dtype=bool)
     reach[:, -1] = np.eye(size, dtype=bool) & cells[:, -1, :, None]
     ptabs = np.empty((K, n - 1, size, size), dtype=np.int8)
@@ -397,19 +401,18 @@ def terminal_reachability(net: MIDigraph, faults: FaultSet) -> np.ndarray:
     leaves cell ``d >> 1`` of stage ``n``.  A pair survives when both
     terminal cells are alive and a live path joins them.
     """
-    return _terminal_pairs(net, fault_structure(net, [faults]).reach)[0]
+    derived = fault_structure(net, fault_masks(net, [faults]))
+    return _terminal_pairs(net, derived.reach)[0]
 
 
-def terminal_availability(
-    net: MIDigraph, samples: Sequence[FaultSet | None]
-) -> np.ndarray:
+def terminal_availability(net: MIDigraph, masks: FaultMasks) -> np.ndarray:
     """``(K,)`` fraction of input→output link pairs surviving each sample.
 
-    One :func:`fault_structure` call serves all K samples (``None`` =
-    healthy).  Each entry is an integer pair count divided by ``N²``, so
-    a row's value does not depend on which samples share its call.
+    One :func:`fault_structure` call serves all K samples of ``masks``.
+    Each entry is an integer pair count divided by ``N²``, so a row's
+    value does not depend on which samples share its call.
     """
-    pairs = _terminal_pairs(net, fault_structure(net, samples).reach)
+    pairs = _terminal_pairs(net, fault_structure(net, masks).reach)
     return np.count_nonzero(pairs, axis=(1, 2)) / pairs[0].size
 
 
@@ -421,4 +424,4 @@ def fault_connectivity(net: MIDigraph, faults: FaultSet) -> float:
     fault-tolerance comparison between MIN topologies.  The K = 1 row
     of :func:`terminal_availability`.
     """
-    return float(terminal_availability(net, [faults])[0])
+    return float(terminal_availability(net, fault_masks(net, [faults]))[0])

@@ -25,9 +25,10 @@ in-slot given by the compiled child/slot tables; sources then draw from
 the traffic schedule into one-deep wait buffers and inject into free
 first-stage slots.  Contention is oldest-packet-first (ties to slot 0);
 losers are discarded under ``drop`` and held under ``block``.  Ambiguous
-port entries (``-2``) resolve adaptively toward the port whose target
-slot is free.  Packets with no live port count as ``unroutable``, and so
-do draws at a source whose first-stage cell is dead.
+port entries (``-2``) take port 0 when its target slot is free, else port
+1 (so always port 0 under ``drop``, see below).  Packets with no live
+port count as ``unroutable``, and so do draws at a source whose
+first-stage cell is dead.
 
 ``block``: the stage-parallel kernel
 ------------------------------------
@@ -301,7 +302,7 @@ def _run_block(
     to, and ``free`` the slots that are empty or vacate this cycle.
     """
     n, size, n_in = comp.n_stages, comp.size, comp.n_inputs
-    B, K = tmats.shape[1], len(comp.samples)
+    B, K = tmats.shape[1], len(comp.links)
     S, L = 2 * size, n - 1
     has_amb, has_unreachable, links_ok = (
         comp.has_amb, comp.has_unreachable, comp.links_ok

@@ -557,11 +557,10 @@ class FaultSpec:
         """The concrete :class:`~repro.sim.faults.FaultSet` (or ``None``).
 
         ``None`` when the spec is fault-free, matching what
-        :func:`repro.sim.simulate` expects for a healthy network.  The
-        one-element case of :func:`repro.sim.faults.fault_sets_from_counts`
-        (through :meth:`~repro.sim.faults.FaultSet.from_counts`); a
-        batch samples its specs through that function directly, so
-        specs sharing a seed share one kill-order draw.
+        :func:`repro.sim.simulate` expects for a healthy network, from
+        :meth:`~repro.sim.faults.FaultSet.from_counts`.  A batch masks
+        its specs with :func:`repro.sim.faults.masks_from_counts`
+        instead: one kill-rank draw per seed, and no fault set.
         """
         from repro.sim.faults import FaultSet
 

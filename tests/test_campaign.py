@@ -44,6 +44,7 @@ from repro.sim import compile_cache_info
 from repro.sim import batch as sim_batch
 from repro.sim.batch import SLAB_SAMPLES, pack_slabs
 from repro.sim.compiled import CompileCache, compile_key
+from repro.sim.faults import fault_masks
 
 
 def _slab_compile_keys(scenarios, batch: int = 16) -> set:
@@ -55,7 +56,11 @@ def _slab_compile_keys(scenarios, batch: int = 16) -> set:
         samples = dict.fromkeys(s.faults for s in task)
         keys.add(
             compile_key(
-                net, [fs.sample(net.n_stages, net.size) for fs in samples]
+                net,
+                fault_masks(
+                    net,
+                    [fs.sample(net.n_stages, net.size) for fs in samples],
+                ),
             )
         )
     return keys
@@ -430,10 +435,10 @@ class TestRunner:
         held = []
 
         class Recording(CompileCache):
-            def compile(self, net, samples=(None,)):
-                comp = super().compile(net, samples)
+            def compile(self, net, masks=None):
+                comp = super().compile(net, masks)
                 held.append(
-                    sum(len(c.samples) for c in self._entries.values())
+                    sum(len(c.cells_alive) for c in self._entries.values())
                 )
                 return comp
 

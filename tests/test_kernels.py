@@ -54,6 +54,7 @@ from repro.sim import (
     UniformTraffic,
     compile_cache_clear,
     compile_network,
+    fault_masks,
     network_digest,
     numba_available,
     resolve_backend,
@@ -761,7 +762,7 @@ class TestMixedSampleSlabs:
         samples = _mixed_samples(net.n_stages)
         # Each sample compiled alone (K = 1), and the slab's stacked value.
         comps = [compile_network(net, f) for f in samples]
-        stacked = CompileCache().compile(net, samples)
+        stacked = CompileCache().compile(net, fault_masks(net, samples))
         assert not comps[1].src_alive.all() and comps[0].src_alive.all()
         for flag in ("has_unreachable", "links_ok"):
             assert len({getattr(c, flag) for c in comps}) > 1, flag
@@ -875,10 +876,14 @@ class TestCompileCacheKeying:
     def test_key_separates_fault_sets(self):
         net = omega(3)
         fs = FaultSet(dead_cells=frozenset({(2, 0)}))
-        assert compile_key(net) != compile_key(net, [fs])
-        assert compile_key(net, [fs]) == compile_key(net, [fs])
+        assert compile_key(net) != compile_key(net, fault_masks(net, [fs]))
+        assert compile_key(net, fault_masks(net, [fs])) == compile_key(
+            net, fault_masks(net, [fs])
+        )
         # A slab's key holds its samples in slab order.
-        assert compile_key(net, [None, fs]) != compile_key(net, [fs, None])
+        assert compile_key(net, fault_masks(net, [None, fs])) != compile_key(
+            net, fault_masks(net, [fs, None])
+        )
 
     def test_rebuilt_topologies_share_an_entry(self):
         cache = CompileCache()

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -118,6 +121,18 @@ class TestNetworkxExport:
     def test_stage_attribute(self, baseline4):
         g = baseline4.to_networkx()
         assert g.nodes[(3, 5)]["stage"] == 3
+
+    def test_import_repro_does_not_load_networkx(self):
+        # A fresh interpreter: this test process may already hold it.
+        code = (
+            "import sys, repro; "
+            "print('networkx' in sys.modules, 'repro.sim' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True,
+        ).stdout.split()
+        assert out == ["False", "True"]
 
 
 class TestEqualityAndRelabel:

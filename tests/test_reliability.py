@@ -65,8 +65,9 @@ from repro.sim import (
 )
 from repro.sim.faults import (
     fault_connectivity,
-    fault_sets_from_counts,
+    fault_masks,
     fault_structure,
+    masks_from_counts,
     terminal_reachability,
 )
 from repro.sim.kernels import numba_backend, numpy_backend
@@ -98,6 +99,36 @@ def _interior_cells(net):
     return [
         (s, c) for s in range(2, net.n_stages) for c in range(net.size)
     ]
+
+
+def _dead(masks, k) -> FaultSet:
+    """Row ``k`` of a mask stack read back as the fault set it kills."""
+    cells = np.argwhere(~masks.cells[k]) + [1, 0]
+    links = np.argwhere(~masks.links[k]) + [1, 0, 0]
+    return FaultSet(
+        frozenset(map(tuple, cells.tolist())),
+        frozenset(map(tuple, links.tolist())),
+    )
+
+
+def _reference_kill_order(n_stages, size, seed, spare=True):
+    """The kill order by definition, the one every stored campaign's
+    samples are prefixes of: each candidate pool listed stage by stage,
+    cell by cell (port by port), then permuted whole by one generator,
+    cells first."""
+    rng = np.random.default_rng(seed)
+    stages = range(2, n_stages) if spare else range(1, n_stages + 1)
+    cells = [(s, c) for s in stages for c in range(size)]
+    links = [
+        (g, c, p)
+        for g in range(1, n_stages)
+        for c in range(size)
+        for p in (0, 1)
+    ]
+    return (
+        [cells[i] for i in rng.permutation(len(cells))],
+        [links[i] for i in rng.permutation(len(links))],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +185,12 @@ class TestFaultTolerantTopologies:
         # Redundant paths surface as adaptive (-2) entries in the
         # fault-degraded routing tables; plain omega has none.
         net = VARIANTS[name](4)
-        tables = fault_structure(net, [FaultSet()]).ptabs[0]
+        tables = fault_structure(net, fault_masks(net, [FaultSet()])).ptabs[0]
         assert any((t == -2).any() for t in tables)
-        base_tables = fault_structure(omega(4), [FaultSet()]).ptabs[0]
+        base = omega(4)
+        base_tables = fault_structure(
+            base, fault_masks(base, [FaultSet()])
+        ).ptabs[0]
         assert not any((t == -2).any() for t in base_tables)
 
     @pytest.mark.parametrize("name", FULLY_1FT)
@@ -284,13 +318,14 @@ class TestFaultSampling:
         got_cells, got_links = FaultSet.kill_order(n, size, seed=seed)
         assert got_cells[:8] == cells and got_links[:8] == links
         # The shared-draw path: cell-only counts first, then link counts
-        # sliced from the same seed's order.
-        samples = fault_sets_from_counts(
-            n, size,
+        # compared against the same seed's ranks.
+        counts = (
             [(k, 0, seed) for k in range(1, 9)]
             + [(0, k, seed) for k in range(1, 9)]
-            + [(8, 8, seed)],
+            + [(8, 8, seed)]
         )
+        masks = masks_from_counts(n, size, counts)
+        samples = [_dead(masks, k) for k in range(len(counts))]
         for k in range(1, 9):
             assert samples[k - 1].dead_cells == frozenset(cells[:k])
             assert not samples[k - 1].dead_links
@@ -309,6 +344,68 @@ class TestFaultSampling:
         cells_order, links_order = FaultSet.kill_order(6, 16, seed=5)
         assert len(set(cells_order)) == len(cells_order)
         assert len(set(links_order)) == len(links_order)
+
+
+def _rank_mask_networks():
+    from repro.networks.catalog import NETWORK_CATALOG
+
+    return sorted(NETWORK_CATALOG.names()) + ["double_link_network"]
+
+
+class TestRankMasks:
+    """Kill-rank masks against the fault sets and kill orders they
+    stand for, independently re-derived."""
+
+    @pytest.mark.parametrize("name", _rank_mask_networks())
+    def test_masks_from_counts_match_fault_sets(self, name):
+        from repro.networks.counterexamples import double_link_network
+        from repro.spec.scenario import NetworkSpec
+
+        if name == "double_link_network":
+            net = double_link_network(5)
+        else:
+            net = NetworkSpec.catalog(name, n=5).resolve()
+        n, size = net.n_stages, net.size
+        cell_pool, link_pool = (n - 2) * size, 2 * (n - 1) * size
+        counts = [
+            (cells, links, seed)
+            for seed in (0, 7)
+            for cells in (0, 1, cell_pool // 2, cell_pool)
+            for links in (0, 1, link_pool // 2, link_pool)
+        ]
+        masks = masks_from_counts(n, size, counts)
+        assert masks.cells.shape == (len(counts), n, size)
+        assert masks.links.shape == (len(counts), n - 1, size, 2)
+        orders = {seed: _reference_kill_order(n, size, seed) for seed in (0, 7)}
+        for k, (cells, links, seed) in enumerate(counts):
+            faults = FaultSet.from_counts(
+                n, size, cells=cells, links=links, seed=seed
+            )
+            alone = fault_masks(net, [faults])
+            assert np.array_equal(masks.cells[k], alone.cells[0]), k
+            assert np.array_equal(masks.links[k], alone.links[0]), k
+            cell_order, link_order = orders[seed]
+            assert _dead(masks, k) == FaultSet(
+                frozenset(cell_order[:cells]), frozenset(link_order[:links])
+            ), k
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("spare", [True, False])
+    def test_kill_order_matches_the_pool_permutation(self, seed, spare):
+        for n, size in ((2, 2), (5, 8), (6, 32)):
+            cells, links = FaultSet.kill_order(
+                n, size, seed=seed, spare_terminal_stages=spare
+            )
+            assert (cells, links) == _reference_kill_order(n, size, seed, spare)
+            pool = len(cells)
+            for k in sorted({0, min(1, pool), pool // 2, pool}):
+                fs = FaultSet.random(
+                    np.random.default_rng(seed), n, size, n_dead_cells=k,
+                    n_dead_links=k, spare_terminal_stages=spare,
+                )
+                assert fs == FaultSet(
+                    frozenset(cells[:k]), frozenset(links[:k])
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -562,24 +659,24 @@ class TestStackedReduction:
         from repro.sim import faults as sim_faults
 
         draws, slabs, stacks = [], [], []
-        kill_orders = sim_faults._kill_orders
+        kill_ranks = sim_faults._kill_ranks
         pack_slabs = sim_batch.pack_slabs
         derive = sim_faults.fault_structure
 
-        def counting_kill_orders(rng, n_stages, size, **kwargs):
+        def counting_kill_ranks(rng, n_stages, size, **kwargs):
             draws.append((n_stages, size))
-            return kill_orders(rng, n_stages, size, **kwargs)
+            return kill_ranks(rng, n_stages, size, **kwargs)
 
         def recording_pack_slabs(specs, *args):
             packed = pack_slabs(specs, *args)
             slabs.extend([specs[i] for i in idxs] for idxs in packed)
             return packed
 
-        def counting_derive(net, samples):
-            stacks.append((net.n_stages, len(samples)))
-            return derive(net, samples)
+        def counting_derive(net, masks):
+            stacks.append((net.n_stages, len(masks.cells)))
+            return derive(net, masks)
 
-        monkeypatch.setattr(sim_faults, "_kill_orders", counting_kill_orders)
+        monkeypatch.setattr(sim_faults, "_kill_ranks", counting_kill_ranks)
         monkeypatch.setattr(sim_batch, "pack_slabs", recording_pack_slabs)
         store = tmp_path / "draws.jsonl"
         run_campaign(self.SPEC.to_campaign(), store)
@@ -609,6 +706,28 @@ class TestStackedReduction:
         assert max(k for _, k in stacks) <= 64
         assert len(stacks) <= sum(-(-len(v) // 64) for v in faulted.values())
         assert max(map(len, faulted.values())) > 64
+
+    def test_seeded_path_builds_no_fault_set(
+        self, tmp_path, monkeypatch, records
+    ):
+        # Seeded samples stay kill-rank masks on both sides of a sweep:
+        # the slab compile and the reliability reduction.
+        from repro.sim import faults as sim_faults
+
+        def refuse(self):
+            raise AssertionError("FaultSet built on the seeded path")
+
+        reference = dumps_reliability(reliability_report(records))
+        monkeypatch.setattr(sim_faults.FaultSet, "__post_init__", refuse)
+        with pytest.raises(AssertionError):
+            FaultSet()
+        store = tmp_path / "masks.jsonl"
+        summary = run_campaign(self.SPEC.to_campaign(), store)
+        assert summary["quarantined"] == 0
+        assert summary["ran"] == summary["total"] == len(records)
+        again = load_records(store)
+        assert again == records
+        assert dumps_reliability(reliability_report(again)) == reference
 
     def test_one_shot_iterable_matches_list(self, records):
         reference = dumps_reliability(reliability_report(records))

@@ -35,7 +35,7 @@ from repro.sim import (
     compile_cache_info,
     compile_network,
     fault_connectivity,
-    fault_sets_from_counts,
+    fault_masks,
     fault_structure,
     make_traffic,
     patel_profile,
@@ -47,6 +47,7 @@ from repro.sim import (
     terminal_availability,
     terminal_reachability,
 )
+from repro.sim.faults import FaultMasks, masks_from_counts
 from repro.sim.metrics import latency_summary
 from repro.spec.scenario import (
     NetworkSpec,
@@ -317,7 +318,8 @@ class TestFaults:
         assert not fs
         assert fault_connectivity(omega4, fs) == 1.0
         for a, b in zip(
-            port_tables(omega4), fault_structure(omega4, [fs]).ptabs[0]
+            port_tables(omega4),
+            fault_structure(omega4, fault_masks(omega4, [fs])).ptabs[0],
         ):
             assert np.array_equal(a, b)
 
@@ -383,7 +385,7 @@ class TestFaults:
         assert doubles.size > 0
         cell = int(doubles[0])
         fs = FaultSet(dead_links=frozenset({(1, cell, 1)}))
-        table = fault_structure(net, [fs]).ptabs[0, 0]
+        table = fault_structure(net, fault_masks(net, [fs])).ptabs[0, 0]
         row = table[cell]
         assert not (row == -2).any()
         assert (row[row >= 0] == 0).all()
@@ -498,16 +500,16 @@ class TestFaultStructure:
         else:
             net = NetworkSpec.catalog(name, n=n).resolve()
         samples = _stack_samples(net)
-        stack = fault_structure(net, samples)
+        stack = fault_structure(net, fault_masks(net, samples))
         K, L, size = len(samples), net.n_stages - 1, net.size
         assert stack.cells.shape == (K, L + 1, size)
         assert stack.links.shape == (K, L, size, 2)
         assert stack.reach.shape == (K, L + 1, size, size)
         assert stack.ptabs.shape == (K, L, size, size)
         assert stack.ptabs.dtype == np.int8
-        comp = CompiledNetwork(net, samples)
+        comp = CompiledNetwork(net, fault_masks(net, samples))
         for k, faults in enumerate(samples):
-            alone = fault_structure(net, [faults])
+            alone = fault_structure(net, fault_masks(net, [faults]))
             for field in FaultStructure._fields:
                 assert np.array_equal(
                     getattr(stack, field)[k], getattr(alone, field)[0]
@@ -531,7 +533,7 @@ class TestFaultStructure:
     def test_validates_every_sample(self, omega4):
         bad = FaultSet(dead_cells=frozenset({(9, 0)}))
         with pytest.raises(ReproError):
-            fault_structure(omega4, [None, bad])
+            fault_structure(omega4, fault_masks(omega4, [None, bad]))
 
 
 def _nested_counts(net) -> list:
@@ -561,13 +563,19 @@ class TestStackedAvailability:
         else:
             net = NetworkSpec.catalog(name, n=n).resolve()
         counts = _nested_counts(net)
-        samples = fault_sets_from_counts(net.n_stages, net.size, counts)
-        for (cells, links, seed), faults in zip(counts, samples):
-            assert faults == FaultSet.from_counts(
+        masks = masks_from_counts(net.n_stages, net.size, counts)
+        samples = [
+            FaultSet.from_counts(
                 net.n_stages, net.size, cells=cells, links=links, seed=seed
             )
+            for cells, links, seed in counts
+        ]
+        for k, faults in enumerate(samples):
+            alone = fault_masks(net, [faults])
+            assert np.array_equal(masks.cells[k], alone.cells[0]), k
+            assert np.array_equal(masks.links[k], alone.links[0]), k
         assert samples.count(None) == 2  # one zero-fault row per seed
-        stacked = terminal_availability(net, samples)
+        stacked = terminal_availability(net, masks)
         assert stacked.shape == (len(samples),)
         idx = np.arange(net.n_inputs) >> 1
         for k, faults in enumerate(samples):
@@ -576,23 +584,25 @@ class TestStackedAvailability:
             oracle = pairs / net.n_inputs**2
             assert stacked[k] == fault_connectivity(net, faults) == oracle, k
         # Each row depends on its sample alone, whatever shares its stack.
+        reverse = FaultMasks(masks.cells[::-1], masks.links[::-1])
         assert np.array_equal(
-            terminal_availability(net, samples[::-1]), stacked[::-1]
+            terminal_availability(net, reverse), stacked[::-1]
         )
 
     def test_shared_draw_checks_every_count(self):
         with pytest.raises(ReproError, match="must be >= 0"):
-            fault_sets_from_counts(5, 16, [(1, 0, 0), (0, -1, 0)])
+            masks_from_counts(5, 16, [(1, 0, 0), (0, -1, 0)])
         with pytest.raises(ReproError, match="cannot kill 49 cells"):
-            fault_sets_from_counts(5, 16, [(48, 0, 3), (49, 0, 3)])
+            masks_from_counts(5, 16, [(48, 0, 3), (49, 0, 3)])
 
     def test_empty_sample_list_is_loud(self, omega4):
+        empty = fault_masks(omega4, [])
         with pytest.raises(ReproError, match="at least one fault sample"):
-            fault_structure(omega4, [])
+            fault_structure(omega4, empty)
         with pytest.raises(ReproError, match="at least one fault sample"):
-            terminal_availability(omega4, [])
+            terminal_availability(omega4, empty)
         with pytest.raises(ReproError, match="at least one fault sample"):
-            CompiledNetwork(omega4, ())
+            CompiledNetwork(omega4, empty)
 
 
 class TestReportSerialization:
@@ -681,7 +691,7 @@ class TestCompiledNetwork:
             dead_links=frozenset({(1, 0, 1)}),
         )
         comp = compile_network(omega4, fs)
-        derived = fault_structure(omega4, [fs])
+        derived = fault_structure(omega4, fault_masks(omega4, [fs]))
         for name in ("ptabs", "links", "reach"):
             assert np.array_equal(getattr(comp, name), getattr(derived, name))
         assert np.array_equal(comp.cells_alive, derived.cells)

@@ -4,11 +4,12 @@ Two rates are tracked.  ``bench_reliability_sweep`` times the full
 pipeline — a nested-fault campaign over omega vs its extra-stage
 variant plus the reliability reduction — in scenarios per second, the
 same unit the campaign benches use.  ``bench_reliability_report`` times
-the pure reduction over a pre-run store in records per second; its cost
-is dominated by the structural-availability derivation — one kill-order
-draw per (shape, fault seed) and a few stacked reachability sweeps per
-topology — so a regression here usually means the sample grouping or
-the reachability sweep changed.
+the pure reduction over a pre-run store in records per second; its
+structural-availability part draws each (topology, fault seed) kill
+order once and runs one bottleneck sweep of the kill ranks per
+(topology, fault seed, link count), every cell count one compare
+against it — so a regression here usually means the sample grouping or
+the shared backward sweep changed.
 """
 
 from __future__ import annotations

@@ -35,9 +35,9 @@ byte-identical across inline/pooled runs, interruptions and
 ``--resume``.  Availability is recomputed from the records, not read
 from them: the reduction collects the distinct (topology, fault
 counts, fault seed) samples, resolves each topology once, draws each
-fault seed's kill ranks once per shape, and derives a topology's
-samples in a few stacked :func:`~repro.sim.faults.fault_structure`
-passes.
+fault seed's kill ranks once per topology, and reads every cell count
+of a (fault seed, link count) trajectory from one bottleneck sweep of
+those ranks (:func:`~repro.sim.faults.availability_from_counts`).
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from repro.io import document_fields, parse_document
 from repro.obs import trace as obs
 from repro.obs.metrics import metrics
 from repro.obs.schema import COUNTER_AVAILABILITY_EVALS, SPAN_RELIABILITY
-from repro.sim.faults import FaultMasks, masks_from_counts, terminal_availability
+from repro.sim.faults import availability_from_counts
 from repro.spec.scenario import NetworkSpec, canonical_json
 
 __all__ = [
@@ -270,12 +270,6 @@ def loads_sweep(text: str) -> ReliabilitySweepSpec:
 # -- aggregates --------------------------------------------------------------
 
 
-#: Most fault samples one availability derivation stacks: the 64-sample
-#: bound of a run's compile cache, so the reduction's memory stays flat
-#: however many draws a sweep makes.
-_STACK_SAMPLES = 64
-
-
 def _availabilities(
     keys: Iterable[tuple], topologies: Mapping[str, Mapping]
 ) -> dict[tuple, float]:
@@ -283,38 +277,24 @@ def _availabilities(
 
     ``keys`` are ``(topology, fault_cells, fault_links, fault_seed)``
     with the topology as canonical JSON, which ``topologies`` maps back
-    to its spec.  Each topology resolves once, each (shape, fault seed)
-    kill-rank draw is made once
-    (:func:`~repro.sim.faults.masks_from_counts`), and each
-    topology's faulted samples are derived by
-    :func:`~repro.sim.faults.terminal_availability` in stacks of at
-    most :data:`_STACK_SAMPLES`.  A fault-free sample counts as 1.0.
+    to its spec.  Each topology resolves once and reads all its faulted
+    samples from one :func:`~repro.sim.faults.availability_from_counts`
+    call: a seed's samples are nested, so each (fault seed, link count)
+    is one bottleneck sweep of kill ranks, and each cell count one
+    compare against it.  No mask or reachability stack is built.  A
+    fault-free sample counts as 1.0.
     """
-    nets = {
-        topo: NetworkSpec.from_spec(spec).resolve()
-        for topo, spec in topologies.items()
-    }
-    by_shape: dict[tuple[int, int], list[tuple]] = {}
+    by_topo: dict[str, list[tuple]] = {}
     values: dict[tuple, float] = {}
     for key in keys:
         if key[1] or key[2]:
-            net = nets[key[0]]
-            by_shape.setdefault((net.n_stages, net.size), []).append(key)
+            by_topo.setdefault(key[0], []).append(key)
         else:
             values[key] = 1.0
-    for (n_stages, size), shape_keys in by_shape.items():
-        masks = masks_from_counts(
-            n_stages, size, [key[1:] for key in shape_keys]
-        )
-        by_topo: dict[str, list[int]] = {}
-        for row, key in enumerate(shape_keys):
-            by_topo.setdefault(key[0], []).append(row)
-        for topo, rows in by_topo.items():
-            for lo in range(0, len(rows), _STACK_SAMPLES):
-                stack = rows[lo : lo + _STACK_SAMPLES]
-                stacked = FaultMasks(masks.cells[stack], masks.links[stack])
-                avail = terminal_availability(nets[topo], stacked).tolist()
-                values.update(zip([shape_keys[row] for row in stack], avail))
+    for topo, topo_keys in by_topo.items():
+        net = NetworkSpec.from_spec(topologies[topo]).resolve()
+        avail = availability_from_counts(net, [key[1:] for key in topo_keys])
+        values.update(zip(topo_keys, avail.tolist()))
     if values and obs.enabled():
         metrics().counter(COUNTER_AVAILABILITY_EVALS).add(len(values))
     return values

@@ -398,19 +398,25 @@ def run_campaign(
         on_error=on_error,
     )
 
-    def _store(record: dict) -> None:
-        nonlocal n_done
-        if record["hash"] in stored_hashes:
-            # Attempt-independent results: a retried/bisected task may
-            # recompute a scenario another attempt already delivered.
-            return
-        stored_hashes.add(record["hash"])
-        store.append(record["hash"], record["scenario"], record["report"])
-        n_done += 1
-        if progress is not None:
-            progress(record, n_done, total)
-        if hb is not None:
-            hb.beat(n_done)
+    def _store(records: list[dict]) -> None:
+        # Attempt-independent results: a retried/bisected task may
+        # recompute a scenario another attempt already delivered.
+        fresh = []
+        for record in records:
+            if record["hash"] not in stored_hashes:
+                stored_hashes.add(record["hash"])
+                fresh.append(record)
+
+        def written(i: int) -> None:
+            nonlocal n_done
+            n_done += 1
+            if progress is not None:
+                progress(fresh[i], n_done, total)
+            if hb is not None:
+                hb.beat(n_done)
+
+        rows = [(r["hash"], r["scenario"], r["report"]) for r in fresh]
+        store.extend(rows, written)
 
     def _on_failure(failure) -> None:
         nonlocal new_quarantined
@@ -501,8 +507,7 @@ def run_campaign(
         if hb is not None:
             hb.note_worker(pid, n_scenarios, busy_s)
         with obs.span("store", scenarios=len(records)):
-            for record in records:
-                _store(record)
+            _store(records)
 
     def _on_dispatch(pid, task) -> None:
         if hb is not None:

@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 import zlib
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.io import JsonlLog, parse_record
 from repro.sim.metrics import SimReport
@@ -75,6 +75,23 @@ def record_crc(record: Mapping) -> str:
     return format(zlib.crc32(canonical_json(doc).encode("utf-8")), "08x")
 
 
+#: Sorted-key JSON with a NUL after every separator.  ``json`` escapes
+#: control characters inside strings, so every NUL marks a separator:
+#: dropped it leaves the canonical form, a space the line form.
+_MARKED = json.JSONEncoder(sort_keys=True, separators=(",\0", ":\0"))
+
+
+def _record_line(digest: str, scenario: Mapping, report: Mapping) -> str:
+    """A record's store line, encoded once: the canonical form for its
+    :func:`record_crc` and the ``json.dumps(..., sort_keys=True)`` line
+    both come from one marked encoding."""
+    marked = _MARKED.encode(
+        {"hash": digest, "report": dict(report), "scenario": dict(scenario)}
+    )
+    crc = zlib.crc32(marked.replace("\0", "").encode("utf-8"))
+    return f'{{"crc": "{crc:08x}", ' + marked[1:].replace("\0", " ")
+
+
 class ResultStore:
     """An append-only scenario → report store on one JSONL file.
 
@@ -106,13 +123,19 @@ class ResultStore:
         written before the field existed verify fine (their records
         simply have no checksum to check).
         """
-        record = {
-            "hash": digest,
-            "scenario": dict(scenario),
-            "report": dict(report),
-        }
-        record["crc"] = record_crc(record)
-        self._log.append(json.dumps(record, sort_keys=True))
+        self.extend([(digest, scenario, report)])
+
+    def extend(
+        self,
+        records: Iterable[tuple[str, Mapping, Mapping]],
+        written: Callable[[int], None] | None = None,
+    ) -> None:
+        """Append ``(digest, scenario, report)`` records like
+        :meth:`append`, all through one open of the file; ``written(i)``
+        runs once record ``i`` is flushed (:meth:`JsonlLog.extend
+        <repro.io.JsonlLog.extend>`)."""
+        lines = [_record_line(*record) for record in records]
+        self._log.extend(lines, written)
 
     # -- reading -----------------------------------------------------------
 

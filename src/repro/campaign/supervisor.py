@@ -515,6 +515,11 @@ def run_supervised(
             _count(sched.stats, event)
             sched.fail(head, info, now)
 
+    # The parent's idle time: every wait on worker pipes, traced only.
+    waited = (
+        metrics().counter(obs_schema.COUNTER_SUPERVISOR_WAIT_S)
+        if obs.enabled() else None
+    )
     try:
         while True:
             now = time.monotonic()
@@ -552,6 +557,8 @@ def run_supervised(
                 + [w.proc.sentinel for w in pool],
                 timeout=max(0.01, wait),
             )
+            if waited is not None:
+                waited.add(time.monotonic() - now)
             now = time.monotonic()
             for worker in pool:
                 # Liveness first, then drain: a dead worker's pipe holds

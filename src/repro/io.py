@@ -43,7 +43,9 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple
+from typing import (
+    TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence,
+)
 
 from repro.core.connection import Connection
 from repro.core.errors import InvalidNetworkError, ReproError
@@ -250,14 +252,27 @@ class JsonlLog:
             return 0
 
     def append(self, line: str) -> None:
-        """Append one record line and flush it.
+        """Append one record line and flush it (:meth:`extend`)."""
+        self.extend([line])
+
+    def extend(
+        self,
+        lines: Sequence[str],
+        written: Callable[[int], None] | None = None,
+    ) -> None:
+        """Append record lines through one open of the file.
 
         Writes the header first when the file is missing or empty.  The
         first append of an instance to a non-empty file cuts a torn
-        final line, so the record starts on a line boundary instead of
+        final line, so the records start on a line boundary instead of
         gluing onto the torn bytes; later appends follow this instance's
-        own complete lines and skip the check.
+        own complete lines and skip the check.  ``written(i)``, when
+        given, runs once line ``i`` is flushed, so a caller that stops
+        in it leaves exactly lines ``0 … i`` behind.  No lines, no file
+        access.
         """
+        if not lines:
+            return
         if not self._dir_made:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._dir_made = True
@@ -274,7 +289,11 @@ class JsonlLog:
                 fh.write(
                     (header_line(self.fmt, self.versions[-1]) + "\n").encode()
                 )
-            fh.write(line.encode("utf-8") + b"\n")
+            for i, line in enumerate(lines):
+                fh.write(line.encode("utf-8") + b"\n")
+                if written is not None:
+                    fh.flush()
+                    written(i)
 
     def rewrite(self, lines: Iterable[str], header: str | None = None) -> None:
         """Atomically replace the log with ``header`` and ``lines``.

@@ -26,6 +26,7 @@ __all__ = [
     "COUNTER_COMPILE_CACHE_HITS",
     "COUNTER_COMPILE_CACHE_MISSES",
     "COUNTER_NAMES",
+    "COUNTER_SUPERVISOR_WAIT_S",
     "GAUGE_NAMES",
     "HISTOGRAM_NAMES",
     "SCENARIO_CARRYING_SPANS",
@@ -86,11 +87,16 @@ SCENARIO_CARRYING_SPANS = (SPAN_GROUP, SPAN_SIMULATE_BATCH)
 COUNTER_COMPILE_CACHE_HITS = "compile_cache.hits"
 COUNTER_COMPILE_CACHE_MISSES = "compile_cache.misses"
 
-#: Structural availability evaluations (one reachability sweep per
-#: distinct (topology, fault set) pair) performed by the reliability
-#: aggregates; the memo in :mod:`repro.campaign.reliability` keeps this
-#: far below the record count.
+#: Structural availability values (one per distinct (topology, fault
+#: sample) pair) computed by the reliability aggregates, far below the
+#: record count; a (topology, fault seed, link count) group of them
+#: shares one bottleneck sweep.
 COUNTER_AVAILABILITY_EVALS = "reliability.availability_evals"
+
+#: Seconds the supervisor's parent spends waiting on worker pipes and
+#: sentinels (``wait_for_events``): the pooled run's idle time, which
+#: has no span of its own.  Recorded only while tracing.
+COUNTER_SUPERVISOR_WAIT_S = "supervisor.wait_s"
 
 #: Supervisor recovery events, in stats-dict order.  The supervisor's
 #: ``STAT_KEYS`` is this tuple; each event counts into the matching
@@ -125,6 +131,7 @@ COUNTER_NAMES = frozenset({
     "campaign.groups",
     "campaign.scenarios",
     COUNTER_AVAILABILITY_EVALS,
+    COUNTER_SUPERVISOR_WAIT_S,
     *CAMPAIGN_EVENT_COUNTERS.values(),
 })
 

@@ -9,12 +9,54 @@ with arbitrary Banyan ones.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from repro.core.errors import ReproError
 from repro.core.midigraph import MIDigraph
 
-__all__ = ["enumerate_paths", "reachable_outputs", "unique_path"]
+__all__ = [
+    "backward_sweep", "enumerate_paths", "reachable_outputs", "unique_path",
+]
+
+
+def backward_sweep(
+    net: MIDigraph, last: np.ndarray, links: np.ndarray | None = None
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Sweep K stacks of alive values back from the last stage.
+
+    ``last`` ``(K, M)`` gives each last-stage switch an alive value and
+    ``links`` ``(K, n-1, M, 2)`` each out-arc one, already capped by the
+    switch the arc leaves; ``None`` means every link alive.  A path is
+    worth its smallest component value and a cell pair the largest over
+    its paths, so :func:`numpy.minimum` composes along a path and
+    :func:`numpy.maximum` across paths:
+
+    * boolean masks make them *and* / *or*: the pair values are
+      reachability through live cells and links;
+    * kill ranks (a component dies at every count above its rank) make
+      the pair value the *bottleneck rank*: the pair survives exactly
+      the counts at or below it.  Pairs with no path get ``-1``, below
+      every count.
+
+    For ``j = n-2 … 0`` yields ``(j, via_f, via_g, reach)``, each
+    ``(K, M, M)``: ``via_f[k, x, w]`` is the value of stage-``j+1`` cell
+    ``x`` reaching last-stage cell ``w`` through its f-arc (``via_g``
+    its g-arc), and ``reach`` the cell's value over both.  Only the
+    current stage's reach is kept.
+    """
+    dead = False if last.dtype == bool else -1
+    reach = np.where(np.eye(net.size, dtype=bool), last[:, :, None], dead)
+    for j in range(net.n_stages - 2, -1, -1):
+        conn = net.connections[j]
+        via_f = reach.take(conn.f, axis=1)
+        via_g = reach.take(conn.g, axis=1)
+        if links is not None:
+            via_f = np.minimum(via_f, links[:, j, :, 0, None])
+            via_g = np.minimum(via_g, links[:, j, :, 1, None])
+        reach = np.maximum(via_f, via_g)
+        yield j, via_f, via_g, reach
 
 
 def reachable_outputs(net: MIDigraph) -> list[np.ndarray]:
@@ -22,15 +64,13 @@ def reachable_outputs(net: MIDigraph) -> list[np.ndarray]:
 
     Returns a list ``R`` of ``n`` boolean arrays of shape ``(M, M)``:
     ``R[s][x, w]`` is True when last-stage cell ``w`` is reachable from cell
-    ``x`` of stage ``s + 1``.  Computed backward in ``O(n · M²)`` bit-ops.
+    ``x`` of stage ``s + 1``.  One healthy :func:`backward_sweep`, in
+    ``O(n · M²)`` bit-ops.
     """
-    size = net.size
-    result: list[np.ndarray] = [np.eye(size, dtype=bool)]
-    for conn in reversed(net.connections):
-        nxt = result[-1]
-        result.append(nxt[conn.f] | nxt[conn.g])
-    result.reverse()
-    return result
+    last = np.ones((1, net.size), dtype=bool)
+    result = [np.eye(net.size, dtype=bool)]
+    result += [reach[0] for *_, reach in backward_sweep(net, last)]
+    return result[::-1]
 
 
 def enumerate_paths(

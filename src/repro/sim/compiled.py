@@ -2,8 +2,8 @@
 
 The unit of compilation is a slab: one topology plus the K distinct
 fault samples its scenarios run on.  Everything the cycle loop needs
-that depends only on those — fault-aware port tables, link/cell alive
-masks and degraded reachability, each with a leading ``K`` axis from
+that depends only on those — fault-aware port tables and link/cell
+alive masks, each with a leading ``K`` axis from
 one :func:`repro.sim.faults.fault_structure` call, plus the child,
 in-slot and arc-target tables of the topology and the per-gap fast-path
 flags combined over the K samples — is derived here once per slab and
@@ -85,9 +85,6 @@ class CompiledNetwork:
         ``(K, n, M)`` bool — live switches per stage.
     src_alive:
         ``(K, N)`` bool — whether each input link's first-stage cell lives.
-    reach:
-        ``(K, n, M, M)`` bool — degraded reachability toward the last
-        stage.
     child:
         ``(n-1, M, 2)`` int32 — ``child[j, x, p]`` is the stage-``j+2``
         cell reached from stage-``j+1`` cell ``x`` through port ``p``.
@@ -116,7 +113,7 @@ class CompiledNetwork:
     __slots__ = (
         "net", "n_stages", "size", "n_inputs", "ptabs",
         "links", "cells_alive", "src_alive", "child", "slots",
-        "arc_target", "has_amb", "has_unreachable", "links_ok", "reach",
+        "arc_target", "has_amb", "has_unreachable", "links_ok",
     )
 
     def __init__(
@@ -132,7 +129,6 @@ class CompiledNetwork:
         self.links = derived.links
         self.cells_alive = derived.cells
         self.src_alive = derived.cells[:, 0, np.arange(net.n_inputs) >> 1]
-        self.reach = derived.reach
         self.child = np.stack(
             [np.stack([c.f, c.g], axis=1) for c in net.connections]
         ).astype(np.int32)
@@ -145,7 +141,7 @@ class CompiledNetwork:
         self.links_ok = tuple(self.links.all(axis=(0, 2, 3)).tolist())
         for name in (
             "ptabs", "links", "cells_alive", "src_alive", "child",
-            "slots", "arc_target", "reach",
+            "slots", "arc_target",
         ):
             getattr(self, name).setflags(write=False)
 

@@ -28,8 +28,8 @@ here is the call-form handling (spec or concrete objects) and the
 ``simulate`` trace shape: one ``simulate`` root span with
 ``traffic``/``compile``/``run`` children and, at top level, a
 ``"simulate"`` manifest.  Everything that depends only on
-``(topology, faults)`` — port tables, alive masks, child/slot tables,
-reachability — lives in a cached
+``(topology, faults)`` — port tables, alive masks, child/slot tables —
+lives in a cached
 :class:`~repro.sim.compiled.CompiledNetwork`, so repeated runs on one
 network skip that work entirely.
 
@@ -126,7 +126,7 @@ def permutation_port_schedule(net: MIDigraph, perm) -> np.ndarray:
     """The unique-path port schedule routing ``s → perm(s)`` on a Banyan net.
 
     All ``N`` routes are walked simultaneously against the compiled
-    network's cached reachability — one vectorized stage step instead of
+    network's cached port tables — one vectorized stage step instead of
     ``N`` scalar :func:`repro.routing.bit_routing.route` calls.  For
     multipath networks use :func:`schedule_from_switch_settings` instead.
     """
@@ -135,7 +135,7 @@ def permutation_port_schedule(net: MIDigraph, perm) -> np.ndarray:
             f"permutation acts on {perm.n} links, network has "
             f"{net.n_inputs}"
         )
-    comp = compile_network(net)
+    ptabs = compile_network(net).ptabs[0]
     n, n_in = net.n_stages, net.n_inputs
     images = np.asarray(perm.images, dtype=np.int64)
     dcell = images >> 1
@@ -144,26 +144,25 @@ def permutation_port_schedule(net: MIDigraph, perm) -> np.ndarray:
     for stage in range(1, n):
         conn = net.connections[stage - 1]
         fa, ga = conn.f[cells], conn.g[cells]
-        via_f = comp.reach[0, stage][fa, dcell]
-        via_g = comp.reach[0, stage][ga, dcell]
-        if ((fa == ga) & via_f).any():
+        port = ptabs[stage - 1][cells, dcell]
+        if ((fa == ga) & (port == -2)).any():
             raise ReproError(
                 f"double link on a route at stage {stage}: "
                 "no unique path (Figure 5 degeneracy)"
             )
-        if (via_f & via_g).any():
+        if (port == -2).any():
             raise ReproError(
                 f"two routes from stage {stage} toward an output: "
                 "network is not Banyan"
             )
-        if not (via_f | via_g).all():
-            s = int(np.flatnonzero(~(via_f | via_g))[0])
+        if (port == -1).any():
+            s = int(np.flatnonzero(port == -1)[0])
             raise ReproError(
                 f"output cell {int(dcell[s])} unreachable from stage "
                 f"{stage} cell {int(cells[s])}"
             )
-        sched[stage - 1] = np.where(via_f, 0, 1)
-        cells = np.where(via_f, fa, ga)
+        sched[stage - 1] = port
+        cells = np.where(port == 0, fa, ga)
     sched[n - 1] = (images & 1).astype(np.int8)
     return sched
 

@@ -12,12 +12,21 @@ A seeded sample at count ``k`` kills every component ranked below ``k`` in
 its seed's kill order, so :func:`masks_from_counts` masks all counts of a
 seed with one rank draw; :func:`fault_masks` converts explicit fault sets.
 
-Degradation is reachability-aware: :func:`fault_structure` recomputes
-the backward reachability sweep of :func:`repro.routing.paths.reachable_outputs`
-with dead cells and links removed, for a stack of fault samples at once,
-so the simulator routes around faults where an alternative port still
-works (multipath networks such as Beneš) and drops packets as
-*unroutable* exactly when no live path remains.
+Degradation is reachability-aware: :func:`fault_structure` runs the
+backward sweep of :func:`repro.routing.paths.reachable_outputs`
+(:func:`~repro.routing.paths.backward_sweep`) with dead cells and links
+removed, for a stack of fault samples at once, so the simulator routes
+around faults where an alternative port still works (multipath networks
+such as Beneš) and drops packets as *unroutable* exactly when no live
+path remains.
+
+The same loop prices availability without masks.  A seed's samples are
+nested, so pair ``(s, d)`` survives count ``c`` exactly when its
+*bottleneck rank* — the largest, over live paths, of the smallest kill
+rank on the path — is at least ``c``.  Swept over kill ranks instead of
+booleans, the loop yields every pair's bottleneck rank, and
+:func:`availability_from_counts` reads each cell count of a (seed, link
+count) group with one compare and count.
 """
 
 from __future__ import annotations
@@ -30,11 +39,13 @@ import numpy as np
 
 from repro.core.errors import ReproError
 from repro.core.midigraph import MIDigraph
+from repro.routing.paths import backward_sweep
 
 __all__ = [
     "FaultMasks",
     "FaultSet",
     "FaultStructure",
+    "availability_from_counts",
     "fault_connectivity",
     "fault_masks",
     "fault_structure",
@@ -331,11 +342,6 @@ class FaultStructure(NamedTuple):
     links:
         ``(K, n-1, M, 2)`` bool — usable inter-stage links: not severed,
         and both endpoint cells alive.
-    reach:
-        ``(K, n, M, M)`` bool — ``reach[k, s, x, w]`` is True when
-        last-stage cell ``w`` is reachable from stage ``s + 1`` cell
-        ``x`` through live cells and links only (the fault-aware
-        :func:`repro.routing.paths.reachable_outputs`).
     ptabs:
         ``(K, n-1, M, M)`` int8 — fault-aware port tables in the
         encoding of :func:`repro.routing.bit_routing.port_tables`:
@@ -347,51 +353,63 @@ class FaultStructure(NamedTuple):
 
     cells: np.ndarray
     links: np.ndarray
-    reach: np.ndarray
     ptabs: np.ndarray
 
 
-def fault_structure(net: MIDigraph, masks: FaultMasks) -> FaultStructure:
-    """Derive the alive masks, reachability and port tables of K samples.
+#: Port-table entry by ``via_f + 2·via_g``: neither, f only, g only, both.
+_PORT_CODES = np.array([-1, 0, 1, -2], dtype=np.int8)
 
-    ``masks`` holds K fault samples of ``net``'s shape.  One backward
-    sweep over the stages serves all K at once: at each gap the
-    ``via_f`` / ``via_g`` masks (a live out-arc toward a cell that still
-    reaches the destination) give both the gap's reachability and its
-    port table.  An empty stack raises
+
+def _check_stack(masks: FaultMasks) -> int:
+    """The sample count of ``masks``; an empty stack raises
     :class:`~repro.core.errors.ReproError`: a K = 0 value has no row to
-    read, and its combined flags would claim every link alive.
-    """
-    K, n, size = len(masks.cells), net.n_stages, net.size
-    if not K:
+    read, and its combined flags would claim every link alive."""
+    if not len(masks.cells):
         raise ReproError("fault_structure needs at least one fault sample")
+    return len(masks.cells)
+
+
+def fault_structure(net: MIDigraph, masks: FaultMasks) -> FaultStructure:
+    """Derive the alive masks and port tables of K samples.
+
+    ``masks`` holds K fault samples of ``net``'s shape.  One
+    :func:`~repro.routing.paths.backward_sweep` serves all K at once: at
+    each gap its ``via_f`` / ``via_g`` masks (a live out-arc toward a
+    cell that still reaches the destination) give the gap's port table,
+    and only the current stage's reachability is kept.  An empty stack
+    raises :class:`~repro.core.errors.ReproError`.
+    """
+    K, n, size = _check_stack(masks), net.n_stages, net.size
     # Copies: a compiled value freezes these arrays, never the caller's.
     cells = np.array(masks.cells, dtype=bool)
     # A link is dead when severed or when either endpoint cell is dead.
-    links = masks.links & cells[:, :-1, :, None]
-    reach = np.empty((K, n, size, size), dtype=bool)
-    reach[:, -1] = np.eye(size, dtype=bool) & cells[:, -1, :, None]
+    child = np.stack([np.stack([c.f, c.g], axis=1) for c in net.connections])
+    gaps = np.arange(n - 1)[:, None, None]
+    links = masks.links & cells[:, :-1, :, None] & cells[:, 1:][:, gaps, child]
     ptabs = np.empty((K, n - 1, size, size), dtype=np.int8)
-    for j in range(n - 2, -1, -1):
-        conn, live = net.connections[j], links[:, j]
-        live[..., 0] &= cells[:, j + 1, conn.f]
-        live[..., 1] &= cells[:, j + 1, conn.g]
-        via_f = reach[:, j + 1][:, conn.f] & live[..., 0, None]
-        via_g = reach[:, j + 1][:, conn.g] & live[..., 1, None]
-        reach[:, j] = (via_f | via_g) & cells[:, j, :, None]
+    for j, via_f, via_g, _ in backward_sweep(net, cells[:, -1], links):
         # A double link (f == g) is ambiguous only while BOTH parallel
         # arcs are live; with one severed the surviving port is forced.
-        ptabs[:, j] = np.where(
-            via_f, np.where(via_g, -2, 0), np.where(via_g, 1, -1)
-        )
-    return FaultStructure(cells, links, reach, ptabs)
+        code = via_g.view(np.uint8) << 1
+        code |= via_f.view(np.uint8)
+        np.take(_PORT_CODES, code, out=ptabs[:, j])
+    return FaultStructure(cells, links, ptabs)
 
 
-def _terminal_pairs(net: MIDigraph, reach: np.ndarray) -> np.ndarray:
-    """First-stage rows of ``(K, n, M, M)`` reachability as ``(K, N, N)``
-    input→output link pairs."""
-    idx = np.arange(net.n_inputs) >> 1
-    return reach[:, 0][:, idx][:, :, idx]
+def _first_stage(
+    net: MIDigraph, last: np.ndarray, links: np.ndarray
+) -> np.ndarray:
+    """The ``(K, M, M)`` first-stage pair values of a full sweep."""
+    for *_, reach in backward_sweep(net, last, links):
+        pass
+    return reach
+
+
+def _mask_pairs(net: MIDigraph, masks: FaultMasks) -> np.ndarray:
+    """The ``(K, M, M)`` surviving first-stage → last-stage cell pairs."""
+    # A link lives only while the switch it leaves does.
+    links = masks.links & masks.cells[:, :-1, :, None]
+    return _first_stage(net, masks.cells[:, -1], links)
 
 
 def terminal_reachability(net: MIDigraph, faults: FaultSet) -> np.ndarray:
@@ -401,19 +419,63 @@ def terminal_reachability(net: MIDigraph, faults: FaultSet) -> np.ndarray:
     leaves cell ``d >> 1`` of stage ``n``.  A pair survives when both
     terminal cells are alive and a live path joins them.
     """
-    derived = fault_structure(net, fault_masks(net, [faults]))
-    return _terminal_pairs(net, derived.reach)[0]
+    idx = np.arange(net.n_inputs) >> 1
+    return _mask_pairs(net, fault_masks(net, [faults]))[0][np.ix_(idx, idx)]
 
 
 def terminal_availability(net: MIDigraph, masks: FaultMasks) -> np.ndarray:
     """``(K,)`` fraction of input→output link pairs surviving each sample.
 
-    One :func:`fault_structure` call serves all K samples of ``masks``.
-    Each entry is an integer pair count divided by ``N²``, so a row's
-    value does not depend on which samples share its call.
+    One boolean :func:`~repro.routing.paths.backward_sweep` serves all
+    K samples of ``masks``.  Each terminal cell carries two links, so a
+    row's value is its surviving cell-pair count divided by ``M²``: an
+    exact ratio that does not depend on which samples share the call.
     """
-    pairs = _terminal_pairs(net, fault_structure(net, masks).reach)
+    _check_stack(masks)
+    pairs = _mask_pairs(net, masks)
     return np.count_nonzero(pairs, axis=(1, 2)) / pairs[0].size
+
+
+def availability_from_counts(
+    net: MIDigraph, counts: Iterable[tuple[int, int, int]]
+) -> np.ndarray:
+    """Terminal availability of many ``(cells, links, seed)`` counts.
+
+    Row ``i`` equals ``terminal_availability(net, masks_from_counts(...))``
+    at count ``i``, without building a mask.  A seed's samples are
+    nested, so the counts group by (seed, link count): each seed draws
+    its kill ranks once, each group runs one rank-valued
+    :func:`~repro.routing.paths.backward_sweep` for its bottleneck
+    values, and each cell count of the group is one compare and count
+    against them.  Fault-free counts draw nothing.  Negative or
+    oversized counts raise :class:`~repro.core.errors.ReproError`.
+    """
+    counts = list(counts)
+    n, size = net.n_stages, net.size
+    groups: dict[tuple[int | None, int], list[int]] = {}
+    for k, (cells, links, seed) in enumerate(counts):
+        _check_counts(n, size, cells, links)
+        key = (seed, links) if cells or links else (None, 0)
+        groups.setdefault(key, []).append(k)
+    severs = {seed for seed, links in groups if links}
+    ranks = {
+        seed: _kill_ranks(
+            np.random.default_rng(seed), n, size, links=seed in severs
+        )
+        for seed in {seed for seed, _ in groups} - {None}
+    }
+    spared = np.full((n, size), _SPARED, dtype=np.intp), None
+    out = np.empty(len(counts))
+    for (seed, links), rows in groups.items():
+        cell_rank, link_rank = ranks.get(seed, spared)
+        # An arc lives while both it and the switch it leaves do.
+        source = np.broadcast_to(cell_rank[:-1, :, None], (n - 1, size, 2))
+        link_value = np.where(link_rank >= links, source, -1) if links else source
+        value = _first_stage(net, cell_rank[None, -1], link_value[None])[0]
+        kills = np.array([counts[k][0] for k in rows])
+        alive = np.count_nonzero(value >= kills[:, None, None], axis=(1, 2))
+        out[rows] = alive / value.size
+    return out
 
 
 def fault_connectivity(net: MIDigraph, faults: FaultSet) -> float:

@@ -376,6 +376,53 @@ class TestResultStore:
         with pytest.raises(ReproError, match="corrupt record on line 4"):
             list(store.records())
 
+    def test_line_is_one_encoding_of_the_old_spelling(self, tmp_path):
+        # One marked encoding serves the CRC and the line: both must be
+        # the spellings of two separate json.dumps calls, whatever the
+        # strings hold (separators, escapes, non-ASCII, control chars).
+        scenario = {
+            "label": 'a, b: c\\"d\né\x00',
+            "x": [1, 2.5, {"k: v": ", "}], "e": {}, "l": [],
+        }
+        report = {"mean": float("nan"), "p99": 1e-300, "n": None}
+        store = ResultStore(tmp_path / "s.jsonl")
+        store.append("h1", scenario, report)
+        record = {"hash": "h1", "scenario": scenario, "report": report}
+        record["crc"] = record_crc(record)
+        line = store.path.read_text(encoding="utf-8").splitlines()[1]
+        assert line == json.dumps(record, sort_keys=True)
+        assert store.verify()["ok"]
+
+    def test_extend_writes_a_group_with_one_open(self, tmp_path, monkeypatch):
+        rows = [(f"h{i}", {"seed": i}, {"delivered": i}) for i in range(5)]
+        one = ResultStore(tmp_path / "one.jsonl")
+        for row in rows:
+            one.append(*row)
+        opened = []
+        real_open = open
+
+        def counting_open(path, *args, **kwargs):
+            opened.append(path)
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        many = ResultStore(tmp_path / "many.jsonl")
+        many.extend(rows[:2])
+        many.extend(rows[2:])
+        many.extend([])
+        monkeypatch.undo()
+        assert len(opened) == 2
+        assert many.path.read_bytes() == one.path.read_bytes()
+
+    def test_extend_cuts_a_torn_tail_once(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        ResultStore(path).extend([("aa", {}, {}), ("bb", {}, {})])
+        path.write_bytes(path.read_bytes()[:-7])  # "bb" torn mid-write
+        store = ResultStore(path)
+        store.extend([("bb", {}, {}), ("cc", {}, {})])
+        assert [r["hash"] for r in store.records()] == ["aa", "bb", "cc"]
+        assert store.verify()["ok"]
+
     def test_foreign_file_rejected(self, tmp_path):
         path = tmp_path / "s.jsonl"
         path.write_text('{"format": "repro-midigraph", "version": 1}\n')

@@ -574,6 +574,21 @@ class TestCampaignTracing:
             "count"
         ] == 4
 
+    def test_pool_reports_parent_wait(self, tmp_path):
+        # The parent's idle time on worker pipes is a traced counter; an
+        # untraced run records nothing.
+        metrics().reset()
+        run_campaign(tiny_spec(), tmp_path / "plain.jsonl", workers=2)
+        assert "supervisor.wait_s" not in metrics().snapshot()["counters"]
+        with obs.tracing() as tr:
+            summary = run_campaign(
+                tiny_spec(), tmp_path / "s.jsonl", workers=2
+            )
+        counters = summary["telemetry"]["metrics"]["counters"]
+        assert counters["supervisor.wait_s"] > 0
+        (msnap,) = [e for e in tr.events if e["ev"] == "metrics"]
+        assert msnap["metrics"]["counters"]["supervisor.wait_s"] > 0
+
     def test_inline_and_pool_run_one_executor(self, tmp_path):
         # workers=1 and workers=2 share one group executor: the same
         # groups, the same merged counters and the same records.

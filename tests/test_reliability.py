@@ -25,6 +25,7 @@ Four layers of guarantees:
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -33,6 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.campaign import (
+    CampaignSpec,
     ReliabilitySweepSpec,
     dumps_reliability,
     dumps_sweep,
@@ -635,10 +637,10 @@ class TestExecutionPathByteIdentity:
 
 
 class TestStackedReduction:
-    """Each fault trajectory is drawn once, each topology derived in stacks.
+    """Each fault trajectory is drawn once and swept once per link count.
 
-    At n = 5 a topology's 48-cell pool gives 97 samples over two draws,
-    more than one 64-sample availability stack holds.
+    At n = 5 a topology's 48-cell pool gives 97 samples over two draws;
+    the reduction reads all of a draw's cell counts from one sweep.
     """
 
     SPEC = ReliabilitySweepSpec(
@@ -658,10 +660,10 @@ class TestStackedReduction:
         from repro.sim import batch as sim_batch
         from repro.sim import faults as sim_faults
 
-        draws, slabs, stacks = [], [], []
+        draws, slabs, sweeps = [], [], []
         kill_ranks = sim_faults._kill_ranks
         pack_slabs = sim_batch.pack_slabs
-        derive = sim_faults.fault_structure
+        sweep = sim_faults.backward_sweep
 
         def counting_kill_ranks(rng, n_stages, size, **kwargs):
             draws.append((n_stages, size))
@@ -672,9 +674,9 @@ class TestStackedReduction:
             slabs.extend([specs[i] for i in idxs] for idxs in packed)
             return packed
 
-        def counting_derive(net, masks):
-            stacks.append((net.n_stages, len(masks.cells)))
-            return derive(net, masks)
+        def counting_sweep(net, cells, links):
+            sweeps.append((net.n_stages, len(cells)))
+            return sweep(net, cells, links)
 
         monkeypatch.setattr(sim_faults, "_kill_ranks", counting_kill_ranks)
         monkeypatch.setattr(sim_batch, "pack_slabs", recording_pack_slabs)
@@ -688,24 +690,22 @@ class TestStackedReduction:
 
         records = load_records(store)
         draws.clear()
-        monkeypatch.setattr(sim_faults, "fault_structure", counting_derive)
+        monkeypatch.setattr(sim_faults, "backward_sweep", counting_sweep)
         reliability_report(records)
-        faulted: dict[str, set] = {}
-        trajectories = set()
+        trajectories, groups, samples = set(), set(), set()
         for record in records:
             s, r = record["scenario"], record["report"]
             if s["fault_cells"] or s["fault_links"]:
-                faulted.setdefault(s["topology"]["label"], set()).add(
-                    (s["fault_cells"], s["fault_links"], s["fault_seed"])
-                )
-                trajectories.add((r["n_stages"], r["size"], s["fault_seed"]))
-        # The reduction: one draw per (shape, fault seed), every faulted
-        # sample derived exactly once, in stacks of at most 64.
+                label, seed = s["topology"]["label"], s["fault_seed"]
+                trajectories.add((label, seed))
+                groups.add((label, r["n_stages"], seed, s["fault_links"]))
+                samples.add((label, s["fault_cells"], s["fault_links"], seed))
+        # The reduction: one draw per (topology, fault seed) and exactly
+        # one single-sample sweep per (topology, seed, link count), while
+        # each sweep serves many samples.
         assert len(draws) == len(trajectories) == 4
-        assert sum(k for _, k in stacks) == sum(map(len, faulted.values()))
-        assert max(k for _, k in stacks) <= 64
-        assert len(stacks) <= sum(-(-len(v) // 64) for v in faulted.values())
-        assert max(map(len, faulted.values())) > 64
+        assert sorted(sweeps) == sorted((n, 1) for _, n, _, _ in groups)
+        assert len(samples) > 10 * len(sweeps)
 
     def test_seeded_path_builds_no_fault_set(
         self, tmp_path, monkeypatch, records
@@ -736,6 +736,41 @@ class TestStackedReduction:
             reliability_report(r for r in reversed(records))
         )
         assert one_shot == backwards == reference
+
+
+class TestPinnedReportBytes:
+    """The reliability report's bytes, pinned across reduction rewrites.
+
+    Both digests were recorded from the stacked-mask reduction this
+    bottleneck-sweep reduction replaced; a store-format or reduction
+    change that moves a single byte of either report fails here.
+    """
+
+    MIXED = CampaignSpec(
+        topologies=("omega", "baseline", "extra_stage_omega"),
+        stages=(4,),
+        faults=(
+            0, 2, {"cells": 1, "links": 2}, {"links": 4},
+            {"cells": 3, "links": 4},
+        ),
+        seeds=(0, 1, 2),
+        cycles=20,
+        nested_faults=True,
+    )
+
+    @pytest.mark.parametrize("name, digest", [
+        ("sweep", "6cd513e0e32aaaf4ed3e0fb2ef1bd51554d3dfd721feb886f515a2d794120626"),
+        ("mixed", "28031c7f541b345e3f9a7f4311d5d0609b644dbe6598bb247ceaa8a16b62bfdc"),
+    ])
+    def test_report_digest(self, tmp_path, name, digest):
+        spec = {
+            "sweep": ReliabilitySweepSpec(stages=4, draws=4).to_campaign(),
+            "mixed": self.MIXED,
+        }[name]
+        store = tmp_path / f"{name}.jsonl"
+        run_campaign(spec, store)
+        text = dumps_reliability(reliability_report(load_records(store)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

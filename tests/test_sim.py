@@ -47,7 +47,11 @@ from repro.sim import (
     terminal_availability,
     terminal_reachability,
 )
-from repro.sim.faults import FaultMasks, masks_from_counts
+from repro.sim.faults import (
+    FaultMasks,
+    availability_from_counts,
+    masks_from_counts,
+)
 from repro.sim.metrics import latency_summary
 from repro.spec.scenario import (
     NetworkSpec,
@@ -504,7 +508,6 @@ class TestFaultStructure:
         K, L, size = len(samples), net.n_stages - 1, net.size
         assert stack.cells.shape == (K, L + 1, size)
         assert stack.links.shape == (K, L, size, 2)
-        assert stack.reach.shape == (K, L + 1, size, size)
         assert stack.ptabs.shape == (K, L, size, size)
         assert stack.ptabs.dtype == np.int8
         comp = CompiledNetwork(net, fault_masks(net, samples))
@@ -516,9 +519,14 @@ class TestFaultStructure:
                 ), (k, field)
             cells, reach, ptabs = _oracle(net, faults)
             assert np.array_equal(stack.cells[k], cells), k
-            assert np.array_equal(stack.reach[k], reach), k
             assert np.array_equal(stack.ptabs[k], ptabs), k
-            src = cells[0][np.arange(net.n_inputs) >> 1]
+            # Terminal pairs: the oracle's first-stage walk, per link.
+            idx = np.arange(net.n_inputs) >> 1
+            assert np.array_equal(
+                terminal_reachability(net, faults or FaultSet()),
+                reach[0][np.ix_(idx, idx)],
+            ), k
+            src = cells[0][idx]
             assert np.array_equal(comp.src_alive[k], src), k
         assert not comp.src_alive[1].all()
         assert comp.has_amb == tuple((stack.ptabs == -2).any((0, 2, 3)))
@@ -552,7 +560,8 @@ def _nested_counts(net) -> list:
 
 
 class TestStackedAvailability:
-    """Shared kill-order draws and stacked availability, exactly."""
+    """Shared kill-order draws, stacked masks and the counts path
+    (bottleneck kill ranks), each exactly equal to the oracle."""
 
     @pytest.mark.parametrize("name, n", _derivation_cases())
     def test_stack_matches_per_draw_and_brute_force(self, name, n):
@@ -577,16 +586,22 @@ class TestStackedAvailability:
         assert samples.count(None) == 2  # one zero-fault row per seed
         stacked = terminal_availability(net, masks)
         assert stacked.shape == (len(samples),)
+        by_counts = availability_from_counts(net, counts)
+        assert by_counts.shape == (len(samples),)
         idx = np.arange(net.n_inputs) >> 1
         for k, faults in enumerate(samples):
             _, reach, _ = _oracle(net, faults)
             pairs = int(reach[0][np.ix_(idx, idx)].sum())
             oracle = pairs / net.n_inputs**2
             assert stacked[k] == fault_connectivity(net, faults) == oracle, k
+            assert by_counts[k] == stacked[k], k
         # Each row depends on its sample alone, whatever shares its stack.
         reverse = FaultMasks(masks.cells[::-1], masks.links[::-1])
         assert np.array_equal(
             terminal_availability(net, reverse), stacked[::-1]
+        )
+        assert np.array_equal(
+            availability_from_counts(net, counts[::-1]), by_counts[::-1]
         )
 
     def test_shared_draw_checks_every_count(self):
@@ -594,6 +609,11 @@ class TestStackedAvailability:
             masks_from_counts(5, 16, [(1, 0, 0), (0, -1, 0)])
         with pytest.raises(ReproError, match="cannot kill 49 cells"):
             masks_from_counts(5, 16, [(48, 0, 3), (49, 0, 3)])
+        net = NetworkSpec.catalog("omega", n=5).resolve()
+        with pytest.raises(ReproError, match="must be >= 0"):
+            availability_from_counts(net, [(1, 0, 0), (0, -1, 0)])
+        with pytest.raises(ReproError, match="cannot sever 129 links"):
+            availability_from_counts(net, [(0, 129, 3)])
 
     def test_empty_sample_list_is_loud(self, omega4):
         empty = fault_masks(omega4, [])
@@ -692,7 +712,7 @@ class TestCompiledNetwork:
         )
         comp = compile_network(omega4, fs)
         derived = fault_structure(omega4, fault_masks(omega4, [fs]))
-        for name in ("ptabs", "links", "reach"):
+        for name in ("ptabs", "links"):
             assert np.array_equal(getattr(comp, name), getattr(derived, name))
         assert np.array_equal(comp.cells_alive, derived.cells)
         assert comp.ptabs.dtype == np.int8

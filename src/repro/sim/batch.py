@@ -38,10 +38,21 @@ kernel per contention policy:
   cycle, and is delivered exactly ``n_stages`` cycles later or lost.
   Rows of the slab never interact, so each chunk of injection rows goes
   through the network in ``n`` dense passes, and the cycle loop is
-  gone.
+  gone.  Nothing on the way changes a packet's route either (no move
+  waits, and a ``-2`` port always takes port 0), so the route is a pure
+  function of the packet's fault sample, first-stage cell and
+  destination.  The kernel gathers it once at injection as a *route
+  word*, 2 bits per stage (out-port + 1, or 0 where the packet is
+  unroutable, then the eject port + 1; 0 is an empty slot), from the
+  compiled value's :meth:`~repro.sim.compiled.CompiledNetwork.route_words`
+  table, and each stage pass reads its field with a shift and a mask.
+  A port-scheduled slab gets its words from the schedule by the same
+  walk.
 
-Both read the compiled value's stacked per-sample port tables, link
-masks and source masks at each scenario's sample offset.
+``block`` reads the compiled value's stacked per-sample port tables and
+link masks at each scenario's sample offset, and both read its source
+masks; ``drop`` reads the route words, derived on a slab's first
+``drop`` run and kept with the compiled value.
 
 The optional ``numba`` backend runs each scenario of the slab through
 one fused JIT-compiled cycle loop, for both policies.  Reports are

@@ -29,7 +29,13 @@ import numpy as np
 from repro.core.midigraph import MIDigraph
 from repro.obs import trace as obs
 from repro.obs.metrics import metrics
-from repro.sim.faults import FaultMasks, FaultSet, fault_masks, fault_structure
+from repro.sim.faults import (
+    FaultMasks,
+    FaultSet,
+    _child_table,
+    _fault_structure,
+    fault_masks,
+)
 
 __all__ = [
     "CompileCache",
@@ -100,9 +106,14 @@ class CompiledNetwork:
         entries (multipath ambiguity: the kernels take port 0 when its
         target slot is free, else port 1, so under ``drop`` always 0).
     has_unreachable:
-        Per-gap flags: True when some sample's port table holds ``-1``
-        entries (some destination is unreachable — only under faults or
-        on disconnected networks).
+        Per-gap flags: True when some sample's port table holds a ``-1``
+        entry, i.e. some stage-``j+1`` cell cannot reach some destination.
+        That cell need not be reachable itself: every gap past the first
+        of a fault-free banyan has such entries, since a mid-stage cell
+        reaches only part of the outputs, yet no packet ever meets them.
+        Only the ``block`` kernel reads this flag (and ``has_amb`` and
+        ``links_ok``); the ``drop`` kernel's exact per-gap flags come
+        with :meth:`route_words`.
     links_ok:
         Per-gap flags: True when every link of the gap is alive in every
         sample (the fault-free fast path skips the link-aliveness
@@ -114,6 +125,7 @@ class CompiledNetwork:
         "net", "n_stages", "size", "n_inputs", "ptabs",
         "links", "cells_alive", "src_alive", "child", "slots",
         "arc_target", "has_amb", "has_unreachable", "links_ok",
+        "_route_words",
     )
 
     def __init__(
@@ -124,14 +136,14 @@ class CompiledNetwork:
         self.size = net.size
         self.n_inputs = net.n_inputs
 
-        derived = fault_structure(net, masks or fault_masks(net, [None]))
+        self.child = _child_table(net)
+        derived = _fault_structure(
+            net, masks or fault_masks(net, [None]), self.child
+        )
         self.ptabs = derived.ptabs
         self.links = derived.links
         self.cells_alive = derived.cells
         self.src_alive = derived.cells[:, 0, np.arange(net.n_inputs) >> 1]
-        self.child = np.stack(
-            [np.stack([c.f, c.g], axis=1) for c in net.connections]
-        ).astype(np.int32)
         self.slots = np.stack([arc_slots(c) for c in net.connections])
         self.arc_target = 2 * self.child + self.slots
         self.has_amb = tuple((self.ptabs == -2).any(axis=(0, 2, 3)).tolist())
@@ -144,12 +156,149 @@ class CompiledNetwork:
             "slots", "arc_target",
         ):
             getattr(self, name).setflags(write=False)
+        self._route_words = None
+
+    def route_words(self) -> tuple[np.ndarray, tuple[bool, ...]]:
+        """Every packet's whole ``drop`` route: ``(words, unroutable)``.
+
+        Under ``drop`` a packet never waits and a ``-2`` port always
+        resolves to port 0, so its route is a pure function of its
+        sample, first-stage cell and destination.  ``words`` ``(K, M,
+        N+1)`` packs it 2 bits per stage: ``words[k, c, t + 1]`` holds,
+        in field ``j`` (bits ``2j``, ``2j+1``), the out-port + 1 taken at
+        stage ``j + 1`` by a packet for output ``t`` entering cell ``c``
+        of sample ``k``, or 0 from the first stage where it is
+        unroutable (a ``-1`` port or a dead link) on; the last field is
+        the eject port ``(t & 1) + 1``.  A real packet's word is never
+        0: column 0 is the empty slot, and a dead first-stage cell's
+        words are all 0 (it injects nothing).  ``unroutable[j]`` is True
+        when some live packet turns unroutable at gap ``j``.
+
+        Derived on the first call (the first ``drop`` run of this
+        value) and kept, so a compile-cache hit reuses it.
+        """
+        if self._route_words is None:
+            K, size, N = len(self.cells_alive), self.size, self.n_inputs
+            alive = self.cells_alive[:, 0, :, None]
+            state = np.where(alive, np.arange(size)[:, None], size) * size
+            tables = _step_tables(self, self.ptabs.transpose(1, 0, 2, 3) & 3)
+            dst = np.arange(size)
+            fields, unroutable = _walk(
+                np.arange(K)[:, None, None],
+                np.broadcast_to(state, (K, size, size)),
+                [(table, dst) for table in tables],
+            )
+            # Output ``t`` of last-stage cell ``t >> 1`` sits at column
+            # ``t + 1``: even outputs eject through port 0, odd ones 1.
+            eject = np.where(alive, _eject_field(self, np.arange(2)), 0)
+            words = np.zeros((K, size, N + 1), dtype=fields.dtype)
+            words[..., 1::2] = fields | eject[..., :1]
+            words[..., 2::2] = fields | eject[..., 1:]
+            words.setflags(write=False)
+            self._route_words = words, unroutable
+        return self._route_words
+
+    def scheduled_words(
+        self, sample: np.ndarray, scheds: np.ndarray
+    ) -> tuple[np.ndarray, tuple[bool, ...]]:
+        """The route words of a slab under per-source port schedules.
+
+        ``scheds`` ``(B, n, N)`` fixes each packet's port at every stage
+        by its scenario and input link, so its route depends on those
+        and its eject port only.  Returns ``(words, unroutable)``:
+        ``words`` ``(2, B, N)`` holds scenario ``b``'s input ``s``
+        word for eject port ``p`` at ``[p, b, s]``, in the encoding of
+        :meth:`route_words` (a dead link ends the route; a dead source's
+        words are 0), and ``unroutable`` the walk's per-gap flags.
+        """
+        size, L = self.size, self.n_stages - 1
+        alive = self.src_alive[sample]
+        state = np.where(alive, np.arange(self.n_inputs) >> 1, size) * 2
+        port = np.arange(2, dtype=np.int8)
+        tables = _step_tables(self, [np.broadcast_to(port, (size, 2))] * L)
+        fields, unroutable = _walk(
+            sample[:, None], state,
+            [(table, scheds[:, j]) for j, table in enumerate(tables)],
+        )
+        words = fields | _eject_field(self, port[:, None, None])
+        words *= alive
+        return words, unroutable
 
     def __repr__(self) -> str:
         return (
             f"CompiledNetwork(n_stages={self.n_stages}, size={self.size}, "
             f"samples={len(self.cells_alive)})"
         )
+
+
+def _word_dtype(comp: CompiledNetwork) -> type:
+    """Route-word dtype: 2 bits per stage below the sign bit.  It also
+    holds the walk's packed states, ``4·M²`` at most."""
+    return np.int32 if comp.n_stages <= 15 else np.int64
+
+
+def _eject_field(comp: CompiledNetwork, t: np.ndarray) -> np.ndarray:
+    """The last route-word field of output ``t``: eject port + 1."""
+    return ((t & 1) + 1).astype(_word_dtype(comp)) << 2 * (comp.n_stages - 1)
+
+
+def _step_tables(comp: CompiledNetwork, codes) -> list[np.ndarray]:
+    """Per gap ``j``, the ``(K, M + 1, X)`` packed walk steps out of
+    stage ``j + 1``.
+
+    ``codes[j]`` ``(K or 1, M, X)`` holds gap ``j``'s port codes,
+    port-table entries ``& 3``: 0 or 1 a forced port, 2 ambiguous (port
+    0 under ``drop``), 3 unroutable.  Entry ``[k, x, col]`` is ``4·X·child
+    + port + 1`` for a packet leaving cell ``x`` through a live link and
+    ``4·X·M`` otherwise: the dead state, whose appended row ``M`` maps to
+    itself with field 0.  States come premultiplied by the row width
+    ``X``, so a walk step is one add and one gather.
+    """
+    K, L, size = len(comp.links), comp.n_stages - 1, comp.size
+    width = codes[0].shape[-1]
+    dtype, dead = _word_dtype(comp), 4 * width * size
+    # ``by_code[k, j, x, code]``: the step of each port code.
+    by_code = np.full((K, L, size, 4), dead, dtype=dtype)
+    arc = 4 * width * comp.child.astype(dtype) + np.array([1, 2], dtype)
+    by_code[..., :2] = np.where(comp.links, arc, dead)
+    by_code[..., 2] = by_code[..., 0]
+    flat = by_code.reshape(-1)
+    off = np.arange(0, flat.size, 4).reshape(K, L, size, 1)
+    tables = []
+    for j in range(L):
+        table = np.empty((K, size + 1, width), dtype=dtype)
+        table[:, size] = dead
+        flat.take(off[:, j] + codes[j], out=table[:, :size])
+        tables.append(table)
+    return tables
+
+
+def _walk(
+    sample: np.ndarray, state: np.ndarray, gaps: list
+) -> tuple[np.ndarray, tuple[bool, ...]]:
+    """Walk packets forward through ``gaps`` and pack their port fields.
+
+    ``state`` holds each packet's first-stage cell times the tables'
+    row width (``M``: dead), ``sample`` its sample, broadcast against
+    ``state``.  Gap ``j`` is a ``(table, col)`` pair, a
+    :func:`_step_tables` table read at ``[sample, state, col]``: one
+    gather per gap.  Returns the fields and, per gap, whether some
+    packet still live there turns unroutable (the dead count grows).
+    """
+    _, rows, width = gaps[0][0].shape     # n >= 2: at least one gap
+    dead = (rows - 1) * width
+    fields = np.zeros(state.shape, dtype=gaps[0][0].dtype)
+    n_dead = np.count_nonzero(state == dead)
+    unroutable = []
+    for j, (table, col) in enumerate(gaps):
+        packed = table.reshape(-1).take(state + (sample * rows * width + col))
+        state = packed >> 2
+        packed &= 3
+        packed <<= 2 * j
+        fields |= packed
+        was, n_dead = n_dead, np.count_nonzero(state == dead)
+        unroutable.append(n_dead > was)
+    return fields, tuple(unroutable)
 
 
 # Digest memo keyed by object identity; the strong reference pins the

@@ -369,6 +369,14 @@ def _check_stack(masks: FaultMasks) -> int:
     return len(masks.cells)
 
 
+def _child_table(net: MIDigraph) -> np.ndarray:
+    """``(n-1, M, 2)`` int32: ``[j, x, p]`` is the stage-``j+2`` cell that
+    stage-``j+1`` cell ``x`` reaches through out-port ``p``."""
+    return np.stack(
+        [np.stack([c.f, c.g], axis=1) for c in net.connections]
+    ).astype(np.int32)
+
+
 def fault_structure(net: MIDigraph, masks: FaultMasks) -> FaultStructure:
     """Derive the alive masks and port tables of K samples.
 
@@ -379,11 +387,18 @@ def fault_structure(net: MIDigraph, masks: FaultMasks) -> FaultStructure:
     and only the current stage's reachability is kept.  An empty stack
     raises :class:`~repro.core.errors.ReproError`.
     """
+    return _fault_structure(net, masks, _child_table(net))
+
+
+def _fault_structure(
+    net: MIDigraph, masks: FaultMasks, child: np.ndarray
+) -> FaultStructure:
+    """:func:`fault_structure` on the network's :func:`_child_table`,
+    which a slab compile builds once and keeps."""
     K, n, size = _check_stack(masks), net.n_stages, net.size
     # Copies: a compiled value freezes these arrays, never the caller's.
     cells = np.array(masks.cells, dtype=bool)
     # A link is dead when severed or when either endpoint cell is dead.
-    child = np.stack([np.stack([c.f, c.g], axis=1) for c in net.connections])
     gaps = np.arange(n - 1)[:, None, None]
     links = masks.links & cells[:, :-1, :, None] & cells[:, 1:][:, gaps, child]
     ptabs = np.empty((K, n - 1, size, size), dtype=np.int8)

@@ -16,7 +16,11 @@ frozen int32/int8 tables:
     by stage.  ``drop`` is stage-major: a packet there never waits, so
     it is delivered exactly ``n_stages`` cycles after injection or lost,
     injection rows never interact, and each chunk of rows crosses the
-    network in ``n`` dense passes with no cycle loop at all.
+    network in ``n`` dense passes with no cycle loop at all.  Its whole
+    route is fixed at injection too, so ``drop`` gathers one route word
+    per packet (2 bits per stage, from
+    :meth:`~repro.sim.compiled.CompiledNetwork.route_words`) and never
+    reads a port table after that.
 ``numba``
     The fused backend, for both policies: the entire cycle loop —
     inject, per-stage move with contention/ambiguity/fault handling,

@@ -8,12 +8,14 @@ or counting rule, this file is the specification.
 A slab may mix K fault samples of one topology, compiled into one
 :class:`~repro.sim.compiled.CompiledNetwork` whose port tables, link
 masks and source masks have a leading ``K`` axis.  Each kernel reads
-them flat, at every scenario's sample offset, so K = 1 runs the same
-code.  The compiled value's per-gap fast-path flags already hold for
-the whole slab: the ``-2`` resolution and the unreachable count run if
-any sample needs them, and the dead-link filter unless every sample's
-links are alive; on a sample that does not need them they change
-nothing.
+them at every scenario's sample offset, so K = 1 runs the same code.
+``block`` reads the port tables flat and uses the compiled value's
+per-gap fast-path flags, which already hold for the whole slab: the
+``-2`` resolution and the unreachable count run if any sample needs
+them, and the dead-link filter unless every sample's links are alive;
+on a sample that does not need them they change nothing.  ``drop``
+reads neither: it reads each packet's whole route once, from the
+compiled value's route words.
 
 Model
 -----
@@ -65,7 +67,21 @@ after injection or lost.  Rows of the traffic slab never interact, and
 :func:`_run_drop` pushes each chunk of rows through the network in
 ``n`` dense passes instead of ``cycles × n`` steps.  The no-drain
 cut-off is a row slice, and the drain length follows from the deepest
-stage each scenario's last rows reach.  See :mod:`repro.sim.batch` for
+stage each scenario's last rows reach.
+
+Nothing a packet meets on its way changes its route either: with no
+waiting and ``-2`` always port 0, its port at every stage is a pure
+function of its fault sample, first-stage cell and destination (under
+a port schedule: its scenario, source and eject port).  So the state is
+one *route word* per slot, gathered once at injection from
+:meth:`~repro.sim.compiled.CompiledNetwork.route_words`: 2 bits per
+stage, field ``j`` the out-port + 1 at stage ``j`` or 0 where the
+packet is unroutable, the last field the eject port + 1.  A word of 0
+is an empty slot.  Stage ``j`` reads field ``j`` with a shift and a
+mask, arbitrates, and moves the words on: no port table, link mask or
+fast-path flag is read after injection, and the exact per-gap
+"some packet can be unroutable here" flags of the route-word walk say
+where the unroutable count has to run.  See :mod:`repro.sim.batch` for
 the full narrative.
 """
 
@@ -115,44 +131,40 @@ def _run_drop(
 ) -> BatchRun:
     """The stage-major ``drop`` kernel: ``n`` dense passes per row chunk.
 
-    A chunk's state at one stage is a ``(rows, B, 2M)`` block, row ``r``
-    holding the packets injected at cycle ``r`` and each scenario's
-    slots laid out parity-major (slot 0 of every cell, then slot 1).
-    Stage ``j`` moves row ``r`` in cycle ``r + j + 1``, so without drain
-    it steps only rows ``r <= cycles - 2 - j``; the row it leaves
-    behind is in flight.
+    A chunk's state at one stage is a ``(rows, B, 2M)`` block of route
+    words (0 when empty), row ``r`` holding the packets injected at
+    cycle ``r`` and each scenario's slots laid out parity-major (slot 0
+    of every cell, then slot 1).  Stage ``j`` moves row ``r`` in cycle
+    ``r + j + 1``, so without drain it steps only rows ``r <= cycles - 2
+    - j``; the row it leaves behind is in flight.
     """
     n, size, n_in = comp.n_stages, comp.size, comp.n_inputs
     B = tmats.shape[1]
     S, L = 2 * size, n - 1
-    has_amb, has_unreachable, links_ok = (
-        comp.has_amb, comp.has_unreachable, comp.links_ok
-    )
     pos = np.arange(S)
     cell = pos % size                 # parity-major slot -> its cell
     nat = 2 * cell + pos // size      # parity-major -> linear slot
-    # Scenario ``b`` reads gap ``j`` of the flat port tables and link
-    # masks at ``(sample[b]·L + j)``'s offset.  The ``(L, B, S)`` bases
-    # are laid out slot-major in memory, as the slab gather lays out
-    # the state; a scenario-major layout would slow every stage pass.
-    ptabs_f, links_f = comp.ptabs.reshape(-1), comp.links.reshape(-1)
-    gap = np.arange(L)[:, None, None] + L * sample
-    pbase = (gap * (size * size) + (cell * size)[:, None]).transpose(0, 2, 1)
-    lbase = (gap * S + (2 * cell)[:, None]).transpose(0, 2, 1)
     # Every next-stage slot has exactly one in-arc, so a move is a
     # gather: ``feed[j, i]`` is the out-arc (port-major ``port·M +
     # cell``) that lands in parity-major slot ``i`` of stage ``j + 1``.
     inv = np.argsort(comp.arc_target.reshape(n - 1, S), axis=1)[:, nat]
     feed = (inv & 1) * size + (inv >> 1)
-    sched = None
-    if scheds is not None:
-        # (n, B·N + 1): a packet carries ``b·N + origin`` as its index
-        # into its stage's row; the trailing -1 serves empty slots (-1).
-        sched = np.full((n, B * n_in + 1), -1, dtype=np.int8)
-        sched[:, :-1] = scheds.transpose(1, 0, 2).reshape(n, B * n_in)
-        origin0 = np.arange(B)[:, None] * n_in + nat
-    alive0 = comp.src_alive[sample][:, nat]
-    all_alive = bool(alive0.all())
+    # A packet's whole route is one word (see ``route_words``), read
+    # once at injection: a gather at its sample, cell and ``dst + 1``,
+    # or, under a port schedule, its scenario, source and eject port.
+    if scheds is None:
+        words, unroutable_at = comp.route_words()
+        words = words.reshape(-1)
+        wbase = (sample[:, None] * size + cell) * (n_in + 1) + 1
+
+        def inject(d: np.ndarray) -> np.ndarray:
+            return words[wbase + d]
+    else:
+        sw, unroutable_at = comp.scheduled_words(sample, scheds)
+        sw0, sw1 = sw[..., nat]
+
+        def inject(d: np.ndarray) -> np.ndarray:
+            return np.where(d >= 0, np.where(d & 1, sw1, sw0), 0)
 
     offered = np.zeros(B, dtype=np.int64)
     injected = np.zeros(B, dtype=np.int64)
@@ -170,16 +182,13 @@ def _run_drop(
     for r0 in range(0, cycles, rows):
         d = tmats[r0 : r0 + rows][..., nat]
         offered += _count_slots(d >= 0).sum(axis=0)
-        if not all_alive:
-            d = np.where(alive0, d, -1)
-        cnt = _count_slots(d >= 0)    # (rows, B) packets per row
+        # A dead source's words are 0: it draws but never injects.
+        w = inject(d)
+        cnt = _count_slots(w != 0)    # (rows, B) packets per row
         injected += cnt.sum(axis=0)
         occupancy[0] += cnt.sum(axis=0)
-        org = None
-        if sched is not None:
-            org = np.where(d >= 0, origin0, -1)
         for j in range(n):
-            top = r0 + d.shape[0]
+            top = r0 + w.shape[0]
             if drain:
                 lo = max(r0, cycles - 1 - j)
                 if lo < top:
@@ -196,43 +205,25 @@ def _run_drop(
                     in_flight += cnt[max(hi, r0) - r0 :].sum(axis=0)
             if hi <= r0:
                 break
-            d, cnt = d[: hi - r0], cnt[: hi - r0]
-            d0, d1 = d[..., :size], d[..., size:]
-            if j == n - 1:
-                # Eject through out-port ``dst & 1``; slot 1 loses a tie.
-                # ``(d0 | d1) >= 0``: both slots hold a packet.
-                lost = _count_slots(
-                    (((d0 ^ d1) & 1) == 0) & ((d0 | d1) >= 0)
-                )
+            w, cnt = w[: hi - r0], cnt[: hi - r0]
+            # ``key``: the out-port + 1 of each slot's packet at stage
+            # ``j``, 0 when the slot is empty or the packet unroutable.
+            key = (w >> 2 * j) & 3
+            k0, k1 = key[..., :size], key[..., size:]
+            if j == L:
+                # Eject; slot 1 loses a tie.  ``k0 == k1 != 0``: both
+                # slots hold a packet for one port.
+                lost = _count_slots((k0 == k1) & (k0 != 0))
                 dropped += lost.sum(axis=0)
                 delivered += (cnt - lost).sum(axis=0)
                 break
-            # ``key``: the out-port of each slot, -1 when it is empty or
-            # its packet is unroutable.
-            if sched is None:
-                key = ptabs_f[pbase[j] + (d >> 1)]
-                if has_amb[j]:
-                    # Stage j+1 is empty whenever stage j moves, so an
-                    # ambiguous port always resolves to port 0.
-                    key[key == -2] = 0
-                key |= (d >> 31).astype(np.int8)
-            else:
-                org = org[: hi - r0]
-                key = sched[j][org]
-            if not links_ok[j]:
-                key = np.where(links_f[lbase[j] + (key & 1)], key, -1)
-            acnt = cnt
-            if has_unreachable[j] or not links_ok[j]:
-                acnt = _count_slots(key >= 0)
+            acnt = _count_slots(key != 0) if unroutable_at[j] else cnt
             # Slot 0 wins a contended port (both packets were born in
             # the same cycle).
-            k0, k1 = key[..., :size], key[..., size:]
-            to0, to1 = k0 == 0, k0 == 1
-            sel = ((to0, (k1 == 0) & ~to0), (to1, (k1 == 1) & ~to1))
-            d = _move(d, sel, feed[j])
-            if org is not None:
-                org = _move(org, sel, feed[j])
-            ncnt = _count_slots(d >= 0)
+            to0, to1 = k0 == 1, k0 == 2
+            sel = ((to0, (k1 == 1) & ~to0), (to1, (k1 == 2) & ~to1))
+            w = _move(w, sel, feed[j])
+            ncnt = _count_slots(w != 0)
             unroutable += (cnt - acnt).sum(axis=0)
             dropped += (acnt - ncnt).sum(axis=0)
             total_hops += ncnt.sum(axis=0)
@@ -268,18 +259,15 @@ def _count_slots(mask: np.ndarray) -> np.ndarray:
     return mask.view(np.int8).sum(axis=2, dtype=np.int64)
 
 
-def _move(v: np.ndarray, sel, feed: np.ndarray) -> np.ndarray:
-    """Next-stage block of the per-slot values ``v`` (-1 when empty).
+def _move(w: np.ndarray, sel, feed: np.ndarray) -> np.ndarray:
+    """Next-stage block of the per-slot route words ``w`` (0 when empty).
 
     ``sel[q]`` holds the masks of the slot-0 and slot-1 packets leaving
     each cell through port ``q``.  The out-arc contents are built
-    port-major without branches (values shifted by one so that 0 is
-    empty) and gathered through ``feed``.
+    port-major without branches and gathered through ``feed``.
     """
-    e = v + 1
-    e0, e1 = e[..., : v.shape[-1] // 2], e[..., v.shape[-1] // 2 :]
-    arcs = np.concatenate([e0 * a + e1 * b for a, b in sel], axis=2)
-    arcs -= 1
+    w0, w1 = w[..., : w.shape[-1] // 2], w[..., w.shape[-1] // 2 :]
+    arcs = np.concatenate([w0 * a + w1 * b for a, b in sel], axis=2)
     return arcs[..., feed]
 
 

@@ -36,13 +36,21 @@ Five layers of guarantees:
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.campaign import CampaignSpec, expand_scenarios, run_campaign
+from repro.campaign import (
+    CampaignSpec,
+    dumps_aggregate,
+    expand_scenarios,
+    load_records,
+    run_campaign,
+)
 from repro.campaign.errors import QuarantineStore, quarantine_path
 from repro.core.errors import ReproError
 from repro.networks.benes import benes
@@ -62,7 +70,7 @@ from repro.sim import (
     simulate_batch,
 )
 from repro.sim import compiled
-from repro.sim.compiled import CompileCache, compile_key
+from repro.sim.compiled import CompileCache, CompiledNetwork, compile_key
 from repro.sim.engine import schedule_from_switch_settings
 from repro.sim.kernels import (
     BACKEND_CHOICES,
@@ -680,6 +688,46 @@ class TestDropChunkBoundaries:
         _assert_runs_identical(ref, fused)
 
 
+class TestPinnedDropBytes:
+    """A faulted multipath ``drop`` campaign's bytes, pinned.
+
+    ``benes`` and ``extra_stage_omega`` route through ``-2`` ports,
+    ``omega_3dp`` through double links, and the fault axis kills cells
+    and severs links, so every ``drop`` kernel branch runs on several
+    samples per slab.  Both digests of each run were recorded from the
+    stage-by-stage port-table kernel that the route-word kernel
+    replaced; a change that moves one byte of the store or of the
+    ``campaign report --json`` document fails here.
+    """
+
+    @pytest.mark.parametrize("drain, store_digest, report_digest", [
+        (
+            False,
+            "3ee7c72e790db18384d5986585585022233d45712b07917eaa3a11d8647e8dbb",
+            "d05303e817e80ef9bcbe9ae1bf73a7834ffe9d2e15902a1ba4728eb67346bffb",
+        ),
+        (
+            True,
+            "5e0d95576edd19e4886ed437cb200e7015c9388b90a9fc7d9addf15a28a4dce8",
+            "491917ff6e88a7fa47250b3f6e524062d57594b8406fb8e8ebe63b4f4d2ee782",
+        ),
+    ])
+    def test_campaign_digests(
+        self, tmp_path, drain, store_digest, report_digest
+    ):
+        spec = CampaignSpec(
+            topologies=("benes", "omega_3dp", "extra_stage_omega"),
+            stages=(4, 5), traffic=("uniform", "hotspot"), rates=(0.8,),
+            faults=(0, 2, {"links": 2}, {"cells": 2, "links": 3}),
+            seeds=(0, 1, 2), cycles=50, policy="drop", drain=drain,
+        )
+        store = tmp_path / "drop.jsonl"
+        run_campaign(spec, store)
+        report = dumps_aggregate(load_records(store), indent=2)
+        assert hashlib.sha256(store.read_bytes()).hexdigest() == store_digest
+        assert hashlib.sha256(report.encode()).hexdigest() == report_digest
+
+
 def _mixed_samples(n):
     """Four fault samples of an ``n``-stage network, one per flag kind.
 
@@ -798,6 +846,152 @@ class TestMixedSampleSlabs:
                     assert np.array_equal(got[field], value), (b, field)
             slabs.append(slab)
         _assert_runs_identical(*slabs)
+
+
+def _small_catalog_net(name):
+    """``name`` at its largest order (3-5) with at most five stages."""
+    for order in (5, 4, 3):
+        net = NetworkSpec.catalog(name, n=order).resolve()
+        if net.n_stages <= 5:
+            return net
+    raise AssertionError(f"{name} has no order with <= 5 stages")
+
+
+def _walk_word(comp, k, cell, ports, eject):
+    """One packet's route word, walked stage by stage in plain Python.
+
+    ``ports[j, x]`` is the port-table entry the packet reads at stage
+    ``j + 1``'s cell ``x``; ``-2`` takes port 0, and a ``-1`` entry or a
+    dead link ends the route (field 0 from there on).  Returns the word
+    and the gap where the packet turned unroutable (``None``: never).
+    """
+    if not comp.cells_alive[k, 0, cell]:
+        return 0, None
+    word = (eject + 1) << 2 * (comp.n_stages - 1)
+    for j in range(comp.n_stages - 1):
+        port = int(ports[j, cell])
+        port = 0 if port == -2 else port
+        if port == -1 or not comp.links[k, j, cell, port]:
+            return word, j
+        word |= (port + 1) << 2 * j
+        cell = int(comp.child[j, cell, port])
+    return word, None
+
+
+def _fields_agree(got, want, stop, n):
+    """Fields up to and including the first unroutable one, and the
+    eject field."""
+    upto = n - 1 if stop is None else stop + 1
+    mask = (1 << 2 * upto) - 1 | 3 << 2 * (n - 1)
+    return int(got) & mask == want & mask
+
+
+class TestRouteWords:
+    """The ``drop`` kernel's route words against a per-packet walk.
+
+    The table is derived from ``ptabs``, ``links`` and ``child`` by a
+    vectorized walk over every (sample, first-stage cell, destination);
+    here each word is walked again one packet at a time, with ``-2``
+    resolved to port 0, on every catalog topology at five stages or
+    fewer and the four flag-distinct samples of ``_mixed_samples``.
+    Fields past a packet's first unroutable stage are never read, so
+    they are not compared.
+    """
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_table_matches_per_packet_walk(self, name):
+        net = _small_catalog_net(name)
+        comp = CompileCache().compile(
+            net, fault_masks(net, _mixed_samples(net.n_stages))
+        )
+        words, unroutable = comp.route_words()
+        K, n, size = len(comp.links), net.n_stages, net.size
+        assert words.shape == (K, size, net.n_inputs + 1)
+        assert words.dtype == np.int32
+        assert not words.flags.writeable
+        assert not words[..., 0].any()      # the empty slot
+        stops = set()
+        for k in range(K):
+            for cell in range(size):
+                for t in range(net.n_inputs):
+                    word, stop = _walk_word(
+                        comp, k, cell, comp.ptabs[k, :, :, t >> 1], t & 1
+                    )
+                    got = words[k, cell, t + 1]
+                    if word == 0:
+                        assert got == 0, (k, cell, t)
+                        continue
+                    assert _fields_agree(got, word, stop, n), (k, cell, t)
+                    stops.add(stop)
+        assert unroutable == tuple(j in stops for j in range(n - 1))
+        # The dead first-stage cell of sample 1 injects nothing.
+        assert not words[1, 1].any() and words[0, 1, 1:].all()
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_fault_free_routes_have_no_unroutable_field(self, name):
+        net = _small_catalog_net(name)
+        words, unroutable = CompiledNetwork(net).route_words()
+        assert unroutable == (False,) * (net.n_stages - 1)
+        real = words[..., 1:]
+        for j in range(net.n_stages):
+            assert ((real >> 2 * j) & 3).all(), j
+
+    def test_scheduled_words_match_a_walk_of_the_schedule(self):
+        net, _, scheds = _mixed_slab("benes_schedule")
+        samples = _mixed_samples(net.n_stages)
+        comp = CompileCache().compile(net, fault_masks(net, samples))
+        sample = np.array([2, 0, 3, 1, 1, 3, 0, 2], dtype=np.intp)
+        words, unroutable = comp.scheduled_words(sample, scheds)
+        assert words.shape == (2, len(sample), net.n_inputs)
+        stops = set()
+        for b, k in enumerate(sample):
+            for src in range(net.n_inputs):
+                # The schedule fixes the port whatever the cell.
+                ports = np.repeat(scheds[b, :, src, None], net.size, axis=1)
+                for eject in (0, 1):
+                    word, stop = _walk_word(comp, k, src >> 1, ports, eject)
+                    got = words[eject, b, src]
+                    if word == 0:
+                        assert got == 0, (b, src)
+                        continue
+                    assert _fields_agree(got, word, stop, net.n_stages)
+                    stops.add(stop)
+        assert unroutable == tuple(j in stops for j in range(net.n_stages - 1))
+        assert any(unroutable)      # sample 2's dead links cut routes
+
+    def test_block_runs_leave_the_table_underived(self):
+        net, tmats, _ = _mixed_slab("extra_stage_omega")
+        cache = CompileCache()
+        masks = fault_masks(net, _mixed_samples(net.n_stages))
+        comp = cache.compile(net, masks)
+        sample = np.arange(tmats.shape[1], dtype=np.intp) % 4
+        cycles = tmats.shape[0]
+        numpy_backend.run_batch(comp, sample, tmats, None, cycles, False, True)
+        assert comp._route_words is None
+        numpy_backend.run_batch(comp, sample, tmats, None, cycles, True, True)
+        table = comp.route_words()
+        # A compile-cache hit reuses the derived table.
+        assert cache.compile(net, masks).route_words() is table
+
+    def test_wide_words_give_the_same_run(self, monkeypatch):
+        # Past 15 stages the words are int64; the kernel reads either.
+        net, tmats, _ = _mixed_slab("omega")
+        masks = fault_masks(net, _mixed_samples(net.n_stages))
+        sample = np.arange(tmats.shape[1], dtype=np.intp) % 4
+        cycles = tmats.shape[0]
+        narrow = CompiledNetwork(net, masks)
+        monkeypatch.setattr(compiled, "_word_dtype", lambda comp: np.int64)
+        wide = CompiledNetwork(net, masks)
+        assert wide.route_words()[0].dtype == np.int64
+        assert np.array_equal(wide.route_words()[0], narrow.route_words()[0])
+        assert wide.route_words()[1] == narrow.route_words()[1]
+        for drain in (False, True):
+            _assert_runs_identical(*(
+                numpy_backend.run_batch(
+                    comp, sample, tmats, None, cycles, True, drain
+                )
+                for comp in (narrow, wide)
+            ))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core.errors import ReproError
 from repro.core.midigraph import MIDigraph
-from repro.routing.paths import reachable_outputs
+from repro.routing.paths import port_table_stack, walk_unique_paths
 
 __all__ = ["Route", "destination_tag_schedule", "port_tables", "route"]
 
@@ -76,9 +76,10 @@ def route(
 ) -> Route:
     """Route one input to one output along the unique Banyan path.
 
-    ``reach`` may carry precomputed
-    :func:`repro.routing.paths.reachable_outputs`.  Raises
-    :class:`ReproError` on non-Banyan situations (no path / several paths).
+    One :func:`repro.routing.paths.walk_unique_paths` pair; ``reach``
+    may carry precomputed :func:`repro.routing.paths.reachable_outputs`.
+    Raises :class:`ReproError` on non-Banyan situations (no path /
+    several paths).
     """
     n_links = net.n_inputs
     for name, link in (("input", input_link), ("output", output_link)):
@@ -86,40 +87,14 @@ def route(
             raise ReproError(
                 f"{name} link {link} outside 0..{n_links - 1}"
             )
-    if reach is None:
-        reach = reachable_outputs(net)
-    dst_cell = output_link >> 1
-    cell = input_link >> 1
-    cells = [cell]
-    ports: list[int] = []
-    for stage in range(1, net.n_stages):
-        fa, ga = net.connections[stage - 1].children(cell)
-        via_f = bool(reach[stage][fa, dst_cell])
-        via_g = bool(reach[stage][ga, dst_cell])
-        if fa == ga and via_f:
-            raise ReproError(
-                f"double link on the route at stage {stage}: "
-                "no unique path (Figure 5 degeneracy)"
-            )
-        if via_f and via_g:
-            raise ReproError(
-                f"two routes toward cell {dst_cell} from stage {stage} "
-                f"cell {cell}: network is not Banyan"
-            )
-        if not (via_f or via_g):
-            raise ReproError(
-                f"output cell {dst_cell} unreachable from stage {stage} "
-                f"cell {cell}"
-            )
-        ports.append(0 if via_f else 1)
-        cell = fa if via_f else ga
-        cells.append(cell)
-    ports.append(output_link & 1)
+    cells, ports = walk_unique_paths(
+        net, [input_link >> 1], [output_link >> 1], reach
+    )
     return Route(
         input=input_link,
         output=output_link,
-        cells=tuple(cells),
-        ports=tuple(ports),
+        cells=tuple(cells[:, 0].tolist()),
+        ports=(*ports[:, 0].tolist(), output_link & 1),
     )
 
 
@@ -129,23 +104,12 @@ def port_tables(net: MIDigraph) -> list[np.ndarray]:
     Returns ``n - 1`` int8 arrays ``T`` of shape ``(M, M)``:
     ``T[x, d] = 0/1`` — the port cell ``x`` must take toward last-stage
     cell ``d`` — or ``-1`` when ``d`` is unreachable from ``x`` and ``-2``
-    when both ports work (non-Banyan ambiguity).  The tables drive both the
-    schedule derivation below and the delta-property analysis in
+    when both ports work (non-Banyan ambiguity).  The healthy row of
+    :func:`repro.routing.paths.port_table_stack`.  The tables drive both
+    the schedule derivation below and the delta-property analysis in
     :mod:`repro.analysis.bidelta`.
     """
-    reach = reachable_outputs(net)
-    tables: list[np.ndarray] = []
-    for stage in range(1, net.n_stages):
-        conn = net.connections[stage - 1]
-        via_f = reach[stage][conn.f]  # (M, M): via_f[x, d]
-        via_g = reach[stage][conn.g]
-        table = np.full((net.size, net.size), -1, dtype=np.int8)
-        table[via_g & ~via_f] = 1
-        table[via_f & ~via_g] = 0
-        double = (conn.f == conn.g)[:, None] & via_f
-        table[(via_f & via_g) | double] = -2
-        tables.append(table)
-    return tables
+    return list(port_table_stack(net, np.ones((1, net.size), dtype=bool))[0])
 
 
 def destination_tag_schedule(net: MIDigraph) -> list[int] | None:

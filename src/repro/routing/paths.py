@@ -17,8 +17,12 @@ from repro.core.errors import ReproError
 from repro.core.midigraph import MIDigraph
 
 __all__ = [
-    "backward_sweep", "enumerate_paths", "reachable_outputs", "unique_path",
+    "backward_sweep", "enumerate_paths", "port_table_stack",
+    "reachable_outputs", "unique_path", "walk_unique_paths",
 ]
+
+#: Port-table entry by ``via_f + 2·via_g``: neither, f only, g only, both.
+_PORT_CODES = np.array([-1, 0, 1, -2], dtype=np.int8)
 
 
 def backward_sweep(
@@ -73,6 +77,27 @@ def reachable_outputs(net: MIDigraph) -> list[np.ndarray]:
     return result[::-1]
 
 
+def port_table_stack(
+    net: MIDigraph, last: np.ndarray, links: np.ndarray | None = None
+) -> np.ndarray:
+    """The ``(K, n-1, M, M)`` int8 port tables of K boolean alive stacks.
+
+    ``last`` and ``links`` are the boolean :func:`backward_sweep`
+    arguments.  Entry ``[k, j, x, d]`` is the port stage-``j+1`` cell
+    ``x`` must take toward last-stage cell ``d``: ``0``/``1`` when only
+    that out-arc reaches ``d`` through live cells and links, ``-1``
+    when neither does and ``-2`` when both do (multipath ambiguity; a
+    double link counts only while both its arcs are live).  Since the
+    sweep caps each arc by its link, an entry never names a dead link.
+    """
+    ptabs = np.empty((len(last), net.n_stages - 1, net.size, net.size), np.int8)
+    for j, via_f, via_g, _ in backward_sweep(net, last, links):
+        code = via_g.view(np.uint8) << 1
+        code |= via_f.view(np.uint8)
+        np.take(_PORT_CODES, code, out=ptabs[:, j])
+    return ptabs
+
+
 def enumerate_paths(
     net: MIDigraph, src_cell: int, dst_cell: int
 ) -> list[tuple[int, ...]]:
@@ -98,50 +123,64 @@ def enumerate_paths(
     return paths
 
 
+def walk_unique_paths(
+    net: MIDigraph,
+    src_cells: np.ndarray,
+    dst_cells: np.ndarray,
+    reach: list[np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Walk P cell pairs along their unique Banyan paths at once.
+
+    At each stage every pair follows the child from which its
+    destination is reachable (:func:`reachable_outputs`; ``reach`` may
+    carry them precomputed).  Returns ``(cells, ports)``: ``cells``
+    ``(n, P)`` the cell each pair visits per stage, ``ports`` ``(n-1,
+    P)`` int8 the out-port it takes into the next.  Raises
+    :class:`ReproError` at the first stage where some pair meets a
+    double link, two routes or no route, naming the first such pair.
+    """
+    if reach is None:
+        reach = reachable_outputs(net)
+    dst = np.asarray(dst_cells, dtype=np.int64)
+    cells = np.empty((net.n_stages, len(dst)), dtype=np.int64)
+    ports = np.empty((net.n_stages - 1, len(dst)), dtype=np.int8)
+    cells[0] = src_cells
+    for stage, conn in enumerate(net.connections, start=1):
+        cell = cells[stage - 1]
+        fa, ga = conn.f[cell], conn.g[cell]
+        via_f, via_g = reach[stage][fa, dst], reach[stage][ga, dst]
+        for bad, why in (
+            (via_f & (fa == ga), "double link out of stage {stage} cell "
+             "{cell} lies on the route: paths to cell {dst} are not "
+             "unique (Figure 5)"),
+            (via_f & via_g, "two routes toward cell {dst} from stage "
+             "{stage} cell {cell}: network is not Banyan"),
+            (~(via_f | via_g), "output cell {dst} unreachable from stage "
+             "{stage} cell {cell}"),
+        ):
+            if bad.any():
+                p = np.flatnonzero(bad)[0]
+                raise ReproError(
+                    why.format(stage=stage, cell=cell[p], dst=dst[p])
+                )
+        ports[stage - 1] = via_g
+        cells[stage] = np.where(via_f, fa, ga)
+    return cells, ports
+
+
 def unique_path(
     net: MIDigraph,
     src_cell: int,
     dst_cell: int,
     reach: list[np.ndarray] | None = None,
 ) -> tuple[int, ...]:
-    """The unique path of a Banyan network, extracted greedily.
+    """The unique path of a Banyan network: one :func:`walk_unique_paths`
+    pair.
 
-    At each stage, follow the child from which ``dst_cell`` is reachable;
-    raises :class:`ReproError` when zero or two children qualify (the
-    network is not Banyan, or the pair is disconnected).
-
-    ``reach`` may carry precomputed :func:`reachable_outputs` to amortize
-    the backward sweep over many queries.
+    Raises :class:`ReproError` when the walk meets zero or two routes
+    (the network is not Banyan, or the pair is disconnected).  ``reach``
+    may carry precomputed :func:`reachable_outputs` to amortize the
+    backward sweep over many queries.
     """
-    if reach is None:
-        reach = reachable_outputs(net)
-    n = net.n_stages
-    cell = src_cell
-    path = [cell]
-    for stage in range(1, n):
-        fa, ga = net.connections[stage - 1].children(cell)
-        via_f = bool(reach[stage][fa, dst_cell])
-        via_g = bool(reach[stage][ga, dst_cell])
-        if fa == ga and via_f:
-            raise ReproError(
-                f"double link out of stage {stage} cell {cell} lies on the "
-                f"route: paths to {dst_cell} are not unique (Figure 5)"
-            )
-        if via_f and via_g and fa != ga:
-            raise ReproError(
-                f"two disjoint routes toward {dst_cell} from stage "
-                f"{stage} cell {cell}: network is not Banyan"
-            )
-        if via_f:
-            cell = fa
-        elif via_g:
-            cell = ga
-        else:
-            raise ReproError(
-                f"destination cell {dst_cell} unreachable from stage "
-                f"{stage} cell {cell}"
-            )
-        path.append(cell)
-    if cell != dst_cell:  # pragma: no cover - reachability guarantees this
-        raise ReproError("greedy walk missed the destination")
-    return tuple(path)
+    cells, _ = walk_unique_paths(net, [src_cell], [dst_cell], reach)
+    return tuple(cells[:, 0].tolist())

@@ -15,18 +15,97 @@ from collections import Counter
 
 import numpy as np
 
+from repro.core.errors import InvalidNetworkError
 from repro.core.midigraph import MIDigraph
 from repro.permutations.permutation import Permutation
-from repro.routing.bit_routing import Route, route
-from repro.routing.paths import reachable_outputs
+from repro.routing.bit_routing import Route
+from repro.routing.paths import walk_unique_paths
 
 __all__ = [
+    "arc_slots",
     "count_link_conflicts",
     "is_routable",
     "permutation_from_switch_settings",
+    "permutation_paths",
     "routable_fraction",
     "route_permutation",
+    "trace_switch_settings",
 ]
+
+
+def arc_slots(conn) -> np.ndarray:
+    """In-slot at the child cell for each out-arc ``(cell, port)``.
+
+    The two arcs entering a cell are assigned slots 0 and 1 in sorted
+    ``(parent, tag)`` order — the one in-slot convention of the
+    switch-setting trace and the simulator, so schedules derived from
+    switch settings line up.
+    """
+    size = conn.size
+    xs = np.concatenate([np.arange(size), np.arange(size)])
+    tags = np.concatenate(
+        [np.zeros(size, dtype=np.int64), np.ones(size, dtype=np.int64)]
+    )
+    ys = np.concatenate([conn.f, conn.g])
+    order = np.lexsort((tags, xs, ys))
+    slot_of_arc = np.empty(2 * size, dtype=np.int64)
+    slot_of_arc[order] = np.arange(2 * size) % 2
+    slots = np.empty((size, 2), dtype=np.int8)
+    slots[xs, tags] = slot_of_arc
+    return slots
+
+
+def trace_switch_settings(
+    net: MIDigraph, settings: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Trace every input signal through a full switch configuration.
+
+    ``settings[j][x] ∈ {0, 1}`` sets cell ``x`` of stage ``j+1`` straight
+    (0: in-slot ``s`` → out-port ``s``) or crossed (1: ``s`` → ``1-s``).
+    In-slots follow :func:`arc_slots`; first-stage cells hold their two
+    input links in slots 0, 1 and last-stage out-ports are the output
+    links.  Returns ``(ports, last)``: ``ports`` ``(n, N)`` int8 holds
+    the port input ``s`` leaves stage ``j+1`` through at ``[j, s]``, and
+    ``last[y, slot]`` the input whose signal sits in that slot of
+    last-stage cell ``y``.  One ``O(M)`` step per stage.  A setting
+    count other than ``n``, a stage not of shape ``(M,)`` or an entry
+    outside {0, 1} raises :class:`InvalidNetworkError`.
+    """
+    if len(settings) != net.n_stages:
+        raise InvalidNetworkError(
+            f"need one setting array per stage ({net.n_stages}), "
+            f"got {len(settings)}"
+        )
+    size = net.size
+    xs, slot = np.arange(size), np.arange(2)
+    ports = np.empty((net.n_stages, 2 * size), dtype=np.int8)
+    # signals[x, slot]: the input link whose signal sits in (cell x, slot).
+    signals = np.arange(2 * size, dtype=np.int64).reshape(size, 2)
+    for stage, setting in enumerate(settings, start=1):
+        setting = np.asarray(setting)
+        if setting.shape != (size,):
+            raise InvalidNetworkError(
+                f"stage {stage} setting must have shape ({size},), "
+                f"got {setting.shape}"
+            )
+        if not np.isin(setting, (0, 1)).all():
+            raise InvalidNetworkError(
+                f"stage {stage} setting entries must be 0 or 1"
+            )
+        setting = setting.astype(np.int64)
+        # The signal in slot s of cell x exits through port s ^ setting[x].
+        ports[stage - 1][signals] = slot ^ setting[:, None]
+        if stage == net.n_stages:
+            break
+        conn = net.connections[stage - 1]
+        slots = arc_slots(conn)
+        nxt = np.empty_like(signals)
+        for tag, child in enumerate((conn.f, conn.g)):
+            # The (x, tag) arc lands in slot slots[x, tag] of its child
+            # and carries the signal that exits x through port `tag`.
+            nxt[child, slots[:, tag]] = signals[xs, tag ^ setting]
+        signals = nxt
+    return ports, signals
 
 
 def permutation_from_switch_settings(
@@ -34,11 +113,8 @@ def permutation_from_switch_settings(
 ) -> Permutation:
     """The terminal permutation realized by a full switch configuration.
 
-    ``settings[j][x] ∈ {0, 1}`` sets cell ``x`` of stage ``j+1`` straight
-    (0: in-slot ``s`` → out-port ``s``) or crossed (1: ``s`` → ``1-s``).
-    In-slots are assigned per cell in ``(parent, tag)`` order; first-stage
-    cells hold their two input links in slots 0, 1 and last-stage out-ports
-    are the output links.
+    Read off :func:`trace_switch_settings`: the signal in slot ``s`` of
+    last-stage cell ``y`` leaves on output link ``2y + port``.
 
     Every permutation obtained this way is passable by construction (each
     link carries exactly one signal), so this is the exact generator of a
@@ -46,36 +122,34 @@ def permutation_from_switch_settings(
     versus ``N!`` permutations, the quantitative heart of the blocking
     analysis.
     """
-    if len(settings) != net.n_stages:
-        raise ValueError(
-            f"need one setting array per stage "
-            f"({net.n_stages}), got {len(settings)}"
-        )
-    size = net.size
-    # signals[x] = [signal in slot 0, signal in slot 1]
-    signals = [[2 * x, 2 * x + 1] for x in range(size)]
-    for stage in range(1, net.n_stages):
-        conn = net.connections[stage - 1]
-        setting = np.asarray(settings[stage - 1], dtype=np.int64)
-        # Slot assignment at the next stage: (parent, tag) sorted order.
-        in_arcs: list[list[tuple[int, int]]] = [[] for _ in range(size)]
-        for x in range(size):
-            in_arcs[int(conn.f[x])].append((x, 0))
-            in_arcs[int(conn.g[x])].append((x, 1))
-        nxt = [[-1, -1] for _ in range(size)]
-        for y in range(size):
-            for slot, (x, tag) in enumerate(sorted(in_arcs[y])):
-                # which out-port of x feeds this arc? port == tag.
-                src_slot = tag ^ int(setting[x])
-                nxt[y][slot] = signals[x][src_slot]
-        signals = nxt
-    last = np.asarray(settings[-1], dtype=np.int64)
-    images = np.empty(2 * size, dtype=np.int64)
-    for y in range(size):
-        for port in (0, 1):
-            src_slot = port ^ int(last[y])
-            images[signals[y][src_slot]] = 2 * y + port
+    ports, last = trace_switch_settings(net, settings)
+    images = np.empty(net.n_inputs, dtype=np.int64)
+    images[last] = 2 * np.arange(net.size)[:, None] + ports[-1][last]
     return Permutation(images)
+
+
+def permutation_paths(
+    net: MIDigraph, perm: Permutation
+) -> tuple[np.ndarray, np.ndarray]:
+    """Walk input ``s`` to output ``perm(s)`` for every input link at once.
+
+    Returns ``(cells, ports)``, each ``(n, N)``: column ``s`` is the
+    cell visited and the out-port taken per stage by the route of input
+    ``s`` (the last port is the output link's last digit).  One
+    :func:`repro.routing.paths.walk_unique_paths` call, which raises
+    when the network is not Banyan; a permutation of another size
+    raises :class:`InvalidNetworkError`.
+    """
+    if perm.n != net.n_inputs:
+        raise InvalidNetworkError(
+            f"permutation acts on {perm.n} links, network has "
+            f"{net.n_inputs}"
+        )
+    images = perm.images
+    cells, ports = walk_unique_paths(
+        net, np.arange(net.n_inputs) >> 1, images >> 1
+    )
+    return cells, np.vstack([ports, (images & 1).astype(np.int8)])
 
 
 def route_permutation(
@@ -83,18 +157,16 @@ def route_permutation(
 ) -> list[Route]:
     """Route input ``s`` to output ``perm(s)`` for every input link ``s``.
 
-    ``perm`` acts on the ``N = 2M`` terminal links.  Returns the N routes;
-    raises when the network is not Banyan (no unique paths to follow).
+    ``perm`` acts on the ``N = 2M`` terminal links.  Returns the N routes
+    of one :func:`permutation_paths` walk; raises when the network is not
+    Banyan (no unique paths to follow).
     """
-    if perm.n != net.n_inputs:
-        raise ValueError(
-            f"permutation acts on {perm.n} links, network has "
-            f"{net.n_inputs}"
-        )
-    reach = reachable_outputs(net)
+    cells, ports = permutation_paths(net, perm)
     return [
-        route(net, s, int(perm(s)), reach=reach)
-        for s in range(net.n_inputs)
+        Route(input=s, output=d, cells=tuple(c), ports=tuple(p))
+        for s, (d, c, p) in enumerate(
+            zip(perm.images.tolist(), cells.T.tolist(), ports.T.tolist())
+        )
     ]
 
 

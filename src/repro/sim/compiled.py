@@ -29,6 +29,7 @@ import numpy as np
 from repro.core.midigraph import MIDigraph
 from repro.obs import trace as obs
 from repro.obs.metrics import metrics
+from repro.routing.permutation_routing import arc_slots
 from repro.sim.faults import (
     FaultMasks,
     FaultSet,
@@ -47,26 +48,6 @@ __all__ = [
     "compile_network",
     "network_digest",
 ]
-
-def arc_slots(conn) -> np.ndarray:
-    """In-slot at the child cell for each out-arc ``(cell, port)``.
-
-    The two arcs entering a cell are assigned slots 0 and 1 in sorted
-    ``(parent, tag)`` order — the convention of the switch-setting
-    simulator, so schedules derived from switch settings line up.
-    """
-    size = conn.size
-    xs = np.concatenate([np.arange(size), np.arange(size)])
-    tags = np.concatenate(
-        [np.zeros(size, dtype=np.int64), np.ones(size, dtype=np.int64)]
-    )
-    ys = np.concatenate([conn.f, conn.g])
-    order = np.lexsort((tags, xs, ys))
-    slot_of_arc = np.empty(2 * size, dtype=np.int64)
-    slot_of_arc[order] = np.arange(2 * size) % 2
-    slots = np.empty((size, 2), dtype=np.int8)
-    slots[xs, tags] = slot_of_arc
-    return slots
 
 
 class CompiledNetwork:
@@ -96,7 +77,7 @@ class CompiledNetwork:
         cell reached from stage-``j+1`` cell ``x`` through port ``p``.
     slots:
         ``(n-1, M, 2)`` int8 — the in-slot at that child (see
-        :func:`arc_slots`).
+        :func:`repro.routing.permutation_routing.arc_slots`).
     arc_target:
         ``(n-1, M, 2)`` int32 — ``2·child + slot``, the *linear* buffer
         index (within a stage's flattened ``(M, 2)`` state) each out-arc
@@ -105,26 +86,20 @@ class CompiledNetwork:
         Per-gap flags: True when some sample's port table holds ``-2``
         entries (multipath ambiguity: the kernels take port 0 when its
         target slot is free, else port 1, so under ``drop`` always 0).
-    has_unreachable:
-        Per-gap flags: True when some sample's port table holds a ``-1``
-        entry, i.e. some stage-``j+1`` cell cannot reach some destination.
-        That cell need not be reachable itself: every gap past the first
-        of a fault-free banyan has such entries, since a mid-stage cell
-        reaches only part of the outputs, yet no packet ever meets them.
-        Only the ``block`` kernel reads this flag (and ``has_amb`` and
-        ``links_ok``); the ``drop`` kernel's exact per-gap flags come
-        with :meth:`route_words`.
     links_ok:
         Per-gap flags: True when every link of the gap is alive in every
-        sample (the fault-free fast path skips the link-aliveness
-        gather).  On a sample that does not need the ``-2`` resolution,
-        the unreachable count or the link filter, they change nothing.
+        sample.  Only port schedules read it: a scheduled port may name
+        a dead link, which the ``block`` kernel then filters out, while
+        a port table never names one (see
+        :class:`~repro.sim.faults.FaultStructure`).  Only the ``block``
+        kernel reads ``has_amb`` and ``links_ok``; the ``drop`` kernel's
+        exact per-gap flags come with :meth:`route_words`.
     """
 
     __slots__ = (
         "net", "n_stages", "size", "n_inputs", "ptabs",
         "links", "cells_alive", "src_alive", "child", "slots",
-        "arc_target", "has_amb", "has_unreachable", "links_ok",
+        "arc_target", "has_amb", "links_ok",
         "_route_words",
     )
 
@@ -147,9 +122,6 @@ class CompiledNetwork:
         self.slots = np.stack([arc_slots(c) for c in net.connections])
         self.arc_target = 2 * self.child + self.slots
         self.has_amb = tuple((self.ptabs == -2).any(axis=(0, 2, 3)).tolist())
-        self.has_unreachable = tuple(
-            (self.ptabs == -1).any(axis=(0, 2, 3)).tolist()
-        )
         self.links_ok = tuple(self.links.all(axis=(0, 2, 3)).tolist())
         for name in (
             "ptabs", "links", "cells_alive", "src_alive", "child",

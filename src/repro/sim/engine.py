@@ -9,8 +9,9 @@ stage holds at most ``N = 2M`` packets.  A cycle proceeds back-to-front:
    one cell wanting the same output link contend);
 2. stage ``j`` packets move to stage ``j + 1`` — the out-port comes from
    the fault-aware port tables (or a precomputed per-source schedule), the
-   in-slot at the next cell from the same ``(parent, tag)`` ordering used
-   by :func:`repro.routing.permutation_routing.permutation_from_switch_settings`;
+   in-slot at the next cell from
+   :func:`repro.routing.permutation_routing.arc_slots`, the convention of
+   the switch-setting trace behind :func:`schedule_from_switch_settings`;
 3. sources draw new packets from the traffic schedule into a one-deep
    buffer and inject into free first-stage slots.
 
@@ -58,8 +59,11 @@ import numpy as np
 from repro.core.errors import ReproError
 from repro.core.midigraph import MIDigraph
 from repro.obs import trace as obs
+from repro.routing.permutation_routing import (
+    permutation_paths,
+    trace_switch_settings,
+)
 from repro.sim.batch import BatchScenario, _run_slab
-from repro.sim.compiled import compile_network
 from repro.sim.faults import FaultSet, fault_masks
 from repro.sim.metrics import SimReport
 from repro.sim.traffic import TrafficPattern
@@ -82,89 +86,21 @@ def schedule_from_switch_settings(
     configuration packet by packet — e.g. the conflict-free realizations
     of :func:`repro.routing.rearrangeable.benes_switch_settings`.
 
-    Whole-stage vectorized: signals are traced through the switch
-    settings with the cached child/slot tables of the compiled network,
-    one ``O(M)`` step per stage.
+    The ports of :func:`repro.routing.permutation_routing.trace_switch_settings`,
+    which validates the settings.
     """
-    if len(settings) != net.n_stages:
-        raise ReproError(
-            f"need one setting array per stage ({net.n_stages}), "
-            f"got {len(settings)}"
-        )
-    size = net.size
-    comp = compile_network(net)
-    sched = np.full((net.n_stages, 2 * size), -1, dtype=np.int8)
-    ports = np.arange(2, dtype=np.int64)[None, :]  # [[0, 1]]
-    # signals[x, slot]: the input link whose packet sits in (cell x, slot).
-    signals = np.arange(2 * size, dtype=np.int64).reshape(size, 2)
-    for stage in range(1, net.n_stages + 1):
-        setting = np.asarray(settings[stage - 1], dtype=np.int64)
-        if setting.shape != (size,):
-            raise ReproError(
-                f"stage {stage} setting must have shape ({size},), "
-                f"got {setting.shape}"
-            )
-        # The signal in slot s of cell x exits through port s ^ setting[x].
-        sched[stage - 1][signals] = (ports ^ setting[:, None]).astype(
-            np.int8
-        )
-        if stage == net.n_stages:
-            break
-        child = comp.child[stage - 1]
-        slots = comp.slots[stage - 1]
-        nxt = np.empty_like(signals)
-        xs = np.arange(size)
-        for tag in (0, 1):
-            # The (x, tag) arc lands in slot slots[x, tag] of its child
-            # and carries the signal that exits x through port `tag`.
-            nxt[child[:, tag], slots[:, tag]] = signals[xs, tag ^ setting]
-        signals = nxt
-    return sched
+    return trace_switch_settings(net, settings)[0]
 
 
 def permutation_port_schedule(net: MIDigraph, perm) -> np.ndarray:
     """The unique-path port schedule routing ``s → perm(s)`` on a Banyan net.
 
-    All ``N`` routes are walked simultaneously against the compiled
-    network's cached port tables — one vectorized stage step instead of
-    ``N`` scalar :func:`repro.routing.bit_routing.route` calls.  For
+    The ``(n_stages, N)`` int8 ports of
+    :func:`repro.routing.permutation_routing.permutation_paths`: all
+    ``N`` routes walked at once over the network's reachability.  For
     multipath networks use :func:`schedule_from_switch_settings` instead.
     """
-    if perm.n != net.n_inputs:
-        raise ReproError(
-            f"permutation acts on {perm.n} links, network has "
-            f"{net.n_inputs}"
-        )
-    ptabs = compile_network(net).ptabs[0]
-    n, n_in = net.n_stages, net.n_inputs
-    images = np.asarray(perm.images, dtype=np.int64)
-    dcell = images >> 1
-    cells = np.arange(n_in, dtype=np.int64) >> 1
-    sched = np.empty((n, n_in), dtype=np.int8)
-    for stage in range(1, n):
-        conn = net.connections[stage - 1]
-        fa, ga = conn.f[cells], conn.g[cells]
-        port = ptabs[stage - 1][cells, dcell]
-        if ((fa == ga) & (port == -2)).any():
-            raise ReproError(
-                f"double link on a route at stage {stage}: "
-                "no unique path (Figure 5 degeneracy)"
-            )
-        if (port == -2).any():
-            raise ReproError(
-                f"two routes from stage {stage} toward an output: "
-                "network is not Banyan"
-            )
-        if (port == -1).any():
-            s = int(np.flatnonzero(port == -1)[0])
-            raise ReproError(
-                f"output cell {int(dcell[s])} unreachable from stage "
-                f"{stage} cell {int(cells[s])}"
-            )
-        sched[stage - 1] = port
-        cells = np.where(port == 0, fa, ga)
-    sched[n - 1] = (images & 1).astype(np.int8)
-    return sched
+    return permutation_paths(net, perm)[1]
 
 
 def simulate(

@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.core.errors import ReproError
 from repro.core.midigraph import MIDigraph
-from repro.routing.paths import backward_sweep
+from repro.routing.paths import backward_sweep, port_table_stack
 
 __all__ = [
     "FaultMasks",
@@ -343,21 +343,19 @@ class FaultStructure(NamedTuple):
         ``(K, n-1, M, 2)`` bool — usable inter-stage links: not severed,
         and both endpoint cells alive.
     ptabs:
-        ``(K, n-1, M, M)`` int8 — fault-aware port tables in the
-        encoding of :func:`repro.routing.bit_routing.port_tables`:
-        ``0``/``1`` the forced port, ``-1`` destination unreachable,
-        ``-2`` both ports lead to live paths (the simulator steers toward
-        a free target slot under ``block`` and always takes port 0 under
-        ``drop``).  A fault-free row reproduces ``port_tables(net)``.
+        ``(K, n-1, M, M)`` int8 — fault-aware port tables from
+        :func:`repro.routing.paths.port_table_stack`: ``0``/``1`` the
+        forced port, ``-1`` destination unreachable, ``-2`` both ports
+        lead to live paths (the simulator steers toward a free target
+        slot under ``block`` and always takes port 0 under ``drop``).
+        An entry never names a dead link: a ``0``/``1`` entry's link is
+        alive, and both links of a ``-2`` entry are.  A fault-free row
+        reproduces ``port_tables(net)``.
     """
 
     cells: np.ndarray
     links: np.ndarray
     ptabs: np.ndarray
-
-
-#: Port-table entry by ``via_f + 2·via_g``: neither, f only, g only, both.
-_PORT_CODES = np.array([-1, 0, 1, -2], dtype=np.int8)
 
 
 def _check_stack(masks: FaultMasks) -> int:
@@ -381,11 +379,10 @@ def fault_structure(net: MIDigraph, masks: FaultMasks) -> FaultStructure:
     """Derive the alive masks and port tables of K samples.
 
     ``masks`` holds K fault samples of ``net``'s shape.  One
-    :func:`~repro.routing.paths.backward_sweep` serves all K at once: at
-    each gap its ``via_f`` / ``via_g`` masks (a live out-arc toward a
-    cell that still reaches the destination) give the gap's port table,
-    and only the current stage's reachability is kept.  An empty stack
-    raises :class:`~repro.core.errors.ReproError`.
+    :func:`~repro.routing.paths.port_table_stack` call — one backward
+    sweep — serves all K at once, fed the live last-stage cells and the
+    usable links.  An empty stack raises
+    :class:`~repro.core.errors.ReproError`.
     """
     return _fault_structure(net, masks, _child_table(net))
 
@@ -395,20 +392,15 @@ def _fault_structure(
 ) -> FaultStructure:
     """:func:`fault_structure` on the network's :func:`_child_table`,
     which a slab compile builds once and keeps."""
-    K, n, size = _check_stack(masks), net.n_stages, net.size
+    _check_stack(masks)
     # Copies: a compiled value freezes these arrays, never the caller's.
     cells = np.array(masks.cells, dtype=bool)
     # A link is dead when severed or when either endpoint cell is dead.
-    gaps = np.arange(n - 1)[:, None, None]
+    gaps = np.arange(net.n_stages - 1)[:, None, None]
     links = masks.links & cells[:, :-1, :, None] & cells[:, 1:][:, gaps, child]
-    ptabs = np.empty((K, n - 1, size, size), dtype=np.int8)
-    for j, via_f, via_g, _ in backward_sweep(net, cells[:, -1], links):
-        # A double link (f == g) is ambiguous only while BOTH parallel
-        # arcs are live; with one severed the surviving port is forced.
-        code = via_g.view(np.uint8) << 1
-        code |= via_f.view(np.uint8)
-        np.take(_PORT_CODES, code, out=ptabs[:, j])
-    return FaultStructure(cells, links, ptabs)
+    return FaultStructure(
+        cells, links, port_table_stack(net, cells[:, -1], links)
+    )
 
 
 def _first_stage(

@@ -11,9 +11,10 @@ masks and source masks have a leading ``K`` axis.  Each kernel reads
 them at every scenario's sample offset, so K = 1 runs the same code.
 ``block`` reads the port tables flat and uses the compiled value's
 per-gap fast-path flags, which already hold for the whole slab: the
-``-2`` resolution and the unreachable count run if any sample needs
-them, and the dead-link filter unless every sample's links are alive;
-on a sample that does not need them they change nothing.  ``drop``
+``-2`` resolution runs if any sample needs it, and a port schedule's
+dead-link filter unless every sample's links are alive; on a sample
+that does not need them they change nothing.  A port table never names
+a dead link, so unscheduled slabs need no link filter.  ``drop``
 reads neither: it reads each packet's whole route once, from the
 compiled value's route words.
 
@@ -292,9 +293,7 @@ def _run_block(
     n, size, n_in = comp.n_stages, comp.size, comp.n_inputs
     B, K = tmats.shape[1], len(comp.links)
     S, L = 2 * size, n - 1
-    has_amb, has_unreachable, links_ok = (
-        comp.has_amb, comp.has_unreachable, comp.links_ok
-    )
+    has_amb, links_ok = comp.has_amb, comp.links_ok
     pos = np.arange(S)
     cell, par = pos % size, pos // size
     row = np.arange(n)[:, None, None]         # the rows that move
@@ -302,18 +301,14 @@ def _run_block(
     # Port table, read at ``kbase + (dst >> kshift)``; each row starts
     # with -1 for an empty slot (dst = -1).  The wait rows give a packet
     # its slot's parity, row ``(k, j, cell)`` of sample ``k``'s stage
-    # ``j`` the fault-aware port by ``dst >> 1`` (-1 through a dead link,
+    # ``j`` the fault-aware port by ``dst >> 1`` (never a dead link,
     # ``-2`` resolved in the chain), and the eject row ``dst & 1``.
-    ports, links = comp.ptabs, comp.links         # (K, L, M, M), (K, L, M, 2)
-    if not all(links_ok):
-        ok = np.take_along_axis(links, (ports & 1).astype(np.intp), 3)
-        ports = np.where(ok | (ports < 0), ports, -1)
     span, stage0 = n_in + 1, 2 * (n_in + 1)
     block = L * size * (size + 1)                 # one sample's stage rows
     eject0 = stage0 + K * block
     tab = np.full(eject0 + span, -1, dtype=np.int8)
     tab[1:span], tab[span + 1 : stage0] = 0, 1
-    tab[stage0:eject0].reshape(K, L, size, size + 1)[..., 1:] = ports
+    tab[stage0:eject0].reshape(K, L, size, size + 1)[..., 1:] = comp.ptabs
     tab[eject0 + 1 :] = np.arange(n_in) & 1
     kbase = np.empty((n + 1, B, S), dtype=np.intp)
     kbase[0] = par * span + 1
@@ -334,14 +329,14 @@ def _run_block(
     arcs = np.full((n, B, size, 3), void, dtype=np.intp)
     arcs[..., 1:] = tpos[:, None] + S * ((row[..., None] + 1) * B + scen[..., None])
     abase = ((row * B + scen) * size + cell) * 3 + 1
-    links_f = links.reshape(-1)
-    lbase = (row[:L] + L * sample[:, None]) * S + 2 * cell     # (L, B, S)
     sched = None
     if scheds is not None:
-        # (n-1, B, N) flat, read at each packet's source (``origin``).
+        # (n-1, B, N) flat, read at each packet's source (``origin``);
+        # a scheduled port may name a dead link, which ``lbase`` finds.
         sched = np.ascontiguousarray(scheds.transpose(1, 0, 2)[:L]).reshape(-1)
         sbase = (row[:L] * B + scen) * n_in
-    faulty = not all(links_ok) or any(has_unreachable)
+        links_f = comp.links.reshape(-1)
+        lbase = (row[:L] + L * sample[:, None]) * S + 2 * cell   # (L, B, S)
     # Dead sources draw, but their wait buffers never fill.
     tmats = tmats.astype(np.int32, copy=False)
     alive = comp.src_alive[sample]                             # (B, N)
@@ -377,8 +372,6 @@ def _run_block(
         k = key[r]
         tab.take(key_i[r], out=k, mode="clip")
         np.putmask(k, k == -2, (~free_buf[port0]).view(np.int8))
-        if not links_ok[r - 1]:
-            np.putmask(k, ~links_f[lbase[r - 1] + k], -1)
         np.less(k, 0, out=free[r])
         np.logical_and(free[r], occ[r], out=unrout[r])
         arbitrate_r()
@@ -399,8 +392,7 @@ def _run_block(
             if not all(links_ok):
                 np.putmask(k, ~links_f[lbase + k], -1)
         np.less(key, 0, out=free)
-        if faulty:
-            np.logical_and(free, occ, out=unrout)
+        np.logical_and(free, occ, out=unrout)
         arbitrate()
         np.greater_equal(key[n], 0, out=ej)
         free[n] |= ej
@@ -412,8 +404,7 @@ def _run_block(
                 _route(r, *amb[r])
             free_buf.take(tgt_r, out=mv_r, mode="clip")
             free_r |= mv_r
-        if faulty:
-            np.add(lost_acc, unrout, out=lost_acc)
+        np.add(lost_acc, unrout, out=lost_acc)
         out = ej.reshape(-1).nonzero()[0]
         lat_f.append(out)
         lat_b.append(birth[n].reshape(-1)[out])

@@ -63,6 +63,7 @@ from repro.sim import (
     compile_cache_clear,
     compile_network,
     fault_masks,
+    fault_structure,
     network_digest,
     numba_available,
     resolve_backend,
@@ -812,15 +813,12 @@ class TestMixedSampleSlabs:
         comps = [compile_network(net, f) for f in samples]
         stacked = CompileCache().compile(net, fault_masks(net, samples))
         assert not comps[1].src_alive.all() and comps[0].src_alive.all()
-        for flag in ("has_unreachable", "links_ok"):
-            assert len({getattr(c, flag) for c in comps}) > 1, flag
+        assert len({c.links_ok for c in comps}) > 1
         if name == "extra_stage_omega":
             assert any(comps[0].has_amb)
-        # The slab's flags combine its samples': any for the -2 and -1
-        # work, all for the live-links fast path.
-        for flag, combine in (
-            ("has_amb", any), ("has_unreachable", any), ("links_ok", all),
-        ):
+        # The slab's flags combine its samples': any for the -2 work,
+        # all for the live-links fast path.
+        for flag, combine in (("has_amb", any), ("links_ok", all)):
             per_gap = zip(*(getattr(c, flag) for c in comps))
             assert getattr(stacked, flag) == tuple(map(combine, per_gap))
         sample = np.array([2, 0, 3, 1, 1, 3, 0, 2], dtype=np.intp)
@@ -992,6 +990,26 @@ class TestRouteWords:
                 )
                 for comp in (narrow, wide)
             ))
+
+
+class TestPortTablesNameLiveLinks:
+    """A port table never names a dead link: the backward sweep caps
+    each arc by its link.  So the ``block`` kernel filters dead links
+    out of port schedules only, never out of port-table reads."""
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    def test_entries_name_live_links(self, name):
+        net = _small_catalog_net(name)
+        derived = fault_structure(
+            net, fault_masks(net, _mixed_samples(net.n_stages))
+        )
+        links = derived.links[..., None, :]      # against (K, L, M, M)
+        assert not links.all()
+        live_f, live_g = links[..., 0], links[..., 1]
+        ptabs = derived.ptabs
+        assert not ((ptabs == 0) & ~live_f).any()
+        assert not ((ptabs == 1) & ~live_g).any()
+        assert not ((ptabs == -2) & ~(live_f & live_g)).any()
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import ReproError
+from repro.core.errors import InvalidNetworkError, ReproError
+from repro.core.properties import is_banyan
 from repro.io import dumps_report, loads_report
 from repro.networks.baseline import baseline
 from repro.networks.benes import benes
-from repro.networks.catalog import CLASSICAL_NETWORKS
+from repro.networks.catalog import CLASSICAL_NETWORKS, NETWORK_CATALOG
 from repro.networks.omega import omega
 from repro.permutations.permutation import Permutation
-from repro.routing.bit_routing import port_tables
+from repro.routing.bit_routing import port_tables, route
+from repro.routing.paths import (
+    enumerate_paths,
+    reachable_outputs,
+    unique_path,
+)
 from repro.routing.permutation_routing import (
     permutation_from_switch_settings,
+    route_permutation,
 )
 from repro.routing.rearrangeable import benes_switch_settings
 from repro.sim import (
@@ -801,6 +808,121 @@ class TestVectorizedSchedules:
         perm = Permutation(np.arange(8))
         with pytest.raises(ReproError, match="not Banyan"):
             permutation_port_schedule(benes(3), perm)
+
+
+def _catalog_nets():
+    """Every catalog topology at each order with 3-5 stages."""
+    nets = []
+    for name in sorted(NETWORK_CATALOG.names()):
+        for order in range(2, 6):
+            net = NetworkSpec.catalog(name, n=order).resolve()
+            if 3 <= net.n_stages <= 5:
+                nets.append(pytest.param(net, id=f"{name}({order})"))
+    return nets
+
+
+CATALOG_NETS = _catalog_nets()
+BANYAN_NETS = [p for p in CATALOG_NETS if is_banyan(p.values[0])]
+
+
+def _permutation_from_schedule(net, sched):
+    """Follow each input's scheduled ports through the child cells."""
+    images = []
+    for s in range(net.n_inputs):
+        cell = s >> 1
+        for j, conn in enumerate(net.connections):
+            cell = conn.children(cell)[sched[j, s]]
+        images.append(2 * cell + int(sched[-1, s]))
+    return Permutation(images)
+
+
+class TestRoutingAgreement:
+    """Routing's port tables, unique-path walk and switch-setting trace
+    against independent references on every catalog topology at 3-5
+    stages, and against the simulator's views of them."""
+
+    @pytest.mark.parametrize("net", CATALOG_NETS)
+    def test_port_tables(self, net):
+        tables = port_tables(net)
+        healthy = fault_structure(net, fault_masks(net, [None])).ptabs[0]
+        assert len(tables) == len(healthy) == net.n_stages - 1
+        reach = reachable_outputs(net)
+        for j, conn in enumerate(net.connections):
+            via_f, via_g = reach[j + 1][conn.f], reach[j + 1][conn.g]
+            want = np.select([via_f & via_g, via_f, via_g], [-2, 0, 1], -1)
+            assert np.array_equal(tables[j], want), j
+            assert np.array_equal(healthy[j], want), j
+
+    @pytest.mark.parametrize("net", CATALOG_NETS)
+    def test_permutation_walks_agree(self, net):
+        rng = np.random.default_rng(net.n_stages)
+        perm = Permutation.random(rng, net.n_inputs)
+        if not is_banyan(net):
+            errors = []
+            for walk in (route_permutation, permutation_port_schedule):
+                with pytest.raises(ReproError, match="not Banyan") as info:
+                    walk(net, perm)
+                errors.append(str(info.value))
+            assert errors[0] == errors[1]
+            return
+        routes = route_permutation(net, perm)
+        sched = permutation_port_schedule(net, perm)
+        assert sched.shape == (net.n_stages, net.n_inputs)
+        assert sched.dtype == np.int8
+        for s, r in enumerate(routes):
+            assert (r.input, r.output) == (s, perm(s))
+            assert r == route(net, s, int(perm(s)))
+            assert r.ports == tuple(sched[:, s])
+
+    @pytest.mark.parametrize("net", BANYAN_NETS)
+    def test_unique_path_is_route_cells(self, net):
+        reach = reachable_outputs(net)
+        for u in range(net.size):
+            for w in range(net.size):
+                [path] = enumerate_paths(net, u, w)
+                assert unique_path(net, u, w, reach) == path
+                assert route(net, 2 * u, 2 * w, reach).cells == path
+
+    @pytest.mark.parametrize("net", CATALOG_NETS)
+    def test_switch_settings_match_reference(self, net):
+        reference = TestVectorizedSchedules._reference_schedule_from_settings
+        rng = np.random.default_rng(0x5E77 + net.n_stages)
+        for _ in range(3):
+            settings = [
+                rng.integers(0, 2, net.size) for _ in range(net.n_stages)
+            ]
+            want = reference(net, settings)
+            got = schedule_from_switch_settings(net, settings)
+            assert np.array_equal(got, want)
+            assert permutation_from_switch_settings(
+                net, settings
+            ) == _permutation_from_schedule(net, want)
+
+
+class TestSwitchSettingValidation:
+    """Settings are checked once, in the shared trace: one setting per
+    stage, each of shape ``(M,)`` with entries 0 or 1."""
+
+    @pytest.mark.parametrize("settings, match", [
+        ([np.zeros(7)] * 3, "shape"),       # too long
+        ([np.zeros(3)] * 3, "shape"),       # too short
+        ([np.full(4, 2)] * 3, "0 or 1"),
+        ([np.zeros(4), np.full(4, -1), np.zeros(4)], "0 or 1"),
+        ([np.zeros(4)] * 2, "one setting array per stage"),
+    ])
+    def test_bad_settings_raise(self, settings, match):
+        net = omega(3)
+        for trace in (
+            permutation_from_switch_settings, schedule_from_switch_settings
+        ):
+            with pytest.raises(InvalidNetworkError, match=match):
+                trace(net, settings)
+
+    def test_permutation_size_checks_agree(self, omega4):
+        perm = Permutation.identity(8)
+        for walk in (route_permutation, permutation_port_schedule):
+            with pytest.raises(InvalidNetworkError, match="acts on 8 links"):
+                walk(omega4, perm)
 
 
 class TestSimulateBatch:

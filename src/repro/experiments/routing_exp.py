@@ -14,8 +14,8 @@ from repro.experiments.base import experiment
 from repro.networks.catalog import CLASSICAL_NETWORKS
 from repro.networks.random_nets import random_banyan_buddy_network
 from repro.permutations.permutation import Permutation
-from repro.routing.bit_routing import destination_tag_schedule, route
-from repro.routing.paths import reachable_outputs
+from repro.routing.bit_routing import destination_tag_schedule
+from repro.routing.paths import walk_unique_paths
 from repro.routing.permutation_routing import (
     is_routable,
     routable_fraction,
@@ -49,14 +49,13 @@ def r1():
         data[name] = schedule
         lines.append(f"  {name:<28} {schedule}")
         # Validate: for every (input, output), following the schedule's
-        # digits reproduces the unique-path route.
+        # digits reproduces the unique-path route (one walk of all pairs).
         if schedule is not None:
-            reach = reachable_outputs(net)
-            for s in range(net.n_inputs):
-                for d in range(net.n_inputs):
-                    r = route(net, s, d, reach=reach)
-                    tags = tuple((d >> k) & 1 for k in schedule)
-                    ok &= tags == r.ports
+            src, dst = np.divmod(np.arange(net.n_inputs**2), net.n_inputs)
+            _, ports = walk_unique_paths(net, src >> 1, dst >> 1)
+            ports = np.vstack([ports, dst & 1])
+            tags = (dst >> np.array(schedule)[:, None]) & 1
+            ok &= bool(np.array_equal(tags, ports))
     lines.append("")
     lines.append(
         "tag routing equals unique-path routing for every (input, output) "

@@ -181,8 +181,15 @@ def count_link_conflicts(routes: list[Route]) -> int:
 
 
 def is_routable(net: MIDigraph, perm: Permutation) -> bool:
-    """Whether the network passes the permutation without link conflicts."""
-    return count_link_conflicts(route_permutation(net, perm)) == 0
+    """Whether the network passes the permutation without link conflicts.
+
+    Two routes conflict when they leave one stage through the same
+    out-link ``2·cell + port``, so the permutation passes iff every
+    stage's row of the :func:`permutation_paths` links is distinct.
+    """
+    cells, ports = permutation_paths(net, perm)
+    links = np.sort(2 * cells + ports, axis=1)
+    return not (links[:, 1:] == links[:, :-1]).any()
 
 
 def routable_fraction(

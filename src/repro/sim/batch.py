@@ -28,7 +28,7 @@ kernel per contention policy:
 * ``block`` runs cycle by cycle but *stage-parallel*.  Stage ``j``
   moves before stage ``j - 1`` moves into it, so in each cycle it moves
   what it held at the end of the previous one: one whole-slab pass
-  over ``(n, B, 2M)`` arrays does every stage's port lookup, fault
+  over ``(n, B, 2M)`` arrays does every stage's port lookup, unroutable
   filter and contention.  Only back-pressure runs stage by stage, as a
   chain of boolean gathers (a winner moves iff its target slot was
   empty or is vacated in this cycle), and all moves then apply as one
@@ -46,13 +46,16 @@ kernel per contention policy:
   unroutable, then the eject port + 1; 0 is an empty slot), from the
   compiled value's :meth:`~repro.sim.compiled.CompiledNetwork.route_words`
   table, and each stage pass reads its field with a shift and a mask.
-  A port-scheduled slab gets its words from the schedule by the same
-  walk.
 
-``block`` reads the compiled value's stacked per-sample port tables and
-link masks at each scenario's sample offset, and both read its source
-masks; ``drop`` reads the route words, derived on a slab's first
-``drop`` run and kept with the compiled value.
+``block`` reads the compiled value's stacked per-sample port tables at
+each scenario's sample offset, and both read its source masks; ``drop``
+reads the route words, derived on a slab's first ``drop`` run and kept
+with the compiled value.  A port-scheduled slab's words come from one
+forward walk of the schedules
+(:meth:`~repro.sim.compiled.CompiledNetwork.scheduled_words`, which
+ends a route at a dead link): ``drop`` gathers them at injection and
+``block`` carries each with its packet, so neither kernel reads a link
+mask.
 
 The optional ``numba`` backend runs each scenario of the slab through
 one fused JIT-compiled cycle loop, for both policies.  Reports are

@@ -5,7 +5,7 @@ fault samples its scenarios run on.  Everything the cycle loop needs
 that depends only on those — fault-aware port tables and link/cell
 alive masks, each with a leading ``K`` axis from
 one :func:`repro.sim.faults.fault_structure` call, plus the child,
-in-slot and arc-target tables of the topology and the per-gap fast-path
+in-slot and arc-target tables of the topology and the per-gap ``-2``
 flags combined over the K samples — is derived here once per slab and
 reused across runs.  A :class:`CompileCache` keeps these values in a
 small keyed LRU (a campaign owns one per run, standalone calls share
@@ -67,7 +67,12 @@ class CompiledNetwork:
     ptabs:
         ``(K, n-1, M, M)`` int8 — fault-aware port tables.
     links:
-        ``(K, n-1, M, 2)`` bool — usable inter-stage links.
+        ``(K, n-1, M, 2)`` bool — usable inter-stage links.  Neither
+        numpy kernel reads them: a port table never names a dead link
+        (see :class:`~repro.sim.faults.FaultStructure`), and
+        :meth:`scheduled_words` folds them into a port schedule's route
+        words.  The scalar loop of
+        :mod:`repro.sim.kernels.numba_backend` reads them directly.
     cells_alive:
         ``(K, n, M)`` bool — live switches per stage.
     src_alive:
@@ -86,21 +91,14 @@ class CompiledNetwork:
         Per-gap flags: True when some sample's port table holds ``-2``
         entries (multipath ambiguity: the kernels take port 0 when its
         target slot is free, else port 1, so under ``drop`` always 0).
-    links_ok:
-        Per-gap flags: True when every link of the gap is alive in every
-        sample.  Only port schedules read it: a scheduled port may name
-        a dead link, which the ``block`` kernel then filters out, while
-        a port table never names one (see
-        :class:`~repro.sim.faults.FaultStructure`).  Only the ``block``
-        kernel reads ``has_amb`` and ``links_ok``; the ``drop`` kernel's
+        Only the ``block`` kernel reads them; the ``drop`` kernel's
         exact per-gap flags come with :meth:`route_words`.
     """
 
     __slots__ = (
         "net", "n_stages", "size", "n_inputs", "ptabs",
         "links", "cells_alive", "src_alive", "child", "slots",
-        "arc_target", "has_amb", "links_ok",
-        "_route_words",
+        "arc_target", "has_amb", "_route_words",
     )
 
     def __init__(
@@ -122,7 +120,6 @@ class CompiledNetwork:
         self.slots = np.stack([arc_slots(c) for c in net.connections])
         self.arc_target = 2 * self.child + self.slots
         self.has_amb = tuple((self.ptabs == -2).any(axis=(0, 2, 3)).tolist())
-        self.links_ok = tuple(self.links.all(axis=(0, 2, 3)).tolist())
         for name in (
             "ptabs", "links", "cells_alive", "src_alive", "child",
             "slots", "arc_target",
@@ -140,34 +137,50 @@ class CompiledNetwork:
         in field ``j`` (bits ``2j``, ``2j+1``), the out-port + 1 taken at
         stage ``j + 1`` by a packet for output ``t`` entering cell ``c``
         of sample ``k``, or 0 from the first stage where it is
-        unroutable (a ``-1`` port or a dead link) on; the last field is
-        the eject port ``(t & 1) + 1``.  A real packet's word is never
-        0: column 0 is the empty slot, and a dead first-stage cell's
-        words are all 0 (it injects nothing).  ``unroutable[j]`` is True
-        when some live packet turns unroutable at gap ``j``.
+        unroutable (a ``-1`` port) on; the last field is the eject port
+        ``(t & 1) + 1``.  A real packet's word is never 0: column 0 is
+        the empty slot, and a dead first-stage cell's words are all 0
+        (it injects nothing).  ``unroutable[j]`` is True when some live
+        packet turns unroutable at gap ``j``.
 
-        Derived on the first call (the first ``drop`` run of this
-        value) and kept, so a compile-cache hit reuses it.
+        Built backwards, one gather per gap, from the port tables alone:
+        a port table never names a dead link (see
+        :class:`~repro.sim.faults.FaultStructure`).  Derived on the
+        first call (the first ``drop`` run of this value) and kept, so a
+        compile-cache hit reuses it.
         """
         if self._route_words is None:
-            K, size, N = len(self.cells_alive), self.size, self.n_inputs
+            K, size, L = len(self.ptabs), self.size, self.n_stages - 1
+            dtype = _word_dtype(self)
+            # ``tail[k, x, d]``: fields ``j`` on of a packet leaving
+            # stage-``j + 1`` cell ``x`` for last-stage cell ``d``; gap
+            # ``j`` reads gap ``j + 1``'s tail at the child, one gather.
+            at = np.arange(K)[:, None, None] * size * size + np.arange(size)
+            tail = np.zeros((K, size, size), dtype=dtype)
+            for j in range(L - 1, -1, -1):
+                # Codes 0 and 1 force a port, 2 (``-2``) takes port 0
+                # and 3 (``-1``) ends the route.
+                code = self.ptabs[:, j] & 3
+                port = code & 1
+                c0, c1 = self.child[j, :, :1], self.child[j, :, 1:]
+                tail = tail.reshape(-1).take(at + size * (c0 + port * (c1 - c0)))
+                tail |= (port + 1).astype(dtype) << 2 * j
+                tail *= code != 3
+            # Every field past a live packet's first 0 is 0 too, so
+            # ``lows[j]`` counts the live packets unroutable by gap ``j``.
             alive = self.cells_alive[:, 0, :, None]
-            state = np.where(alive, np.arange(size)[:, None], size) * size
-            tables = _step_tables(self, self.ptabs.transpose(1, 0, 2, 3) & 3)
-            dst = np.arange(size)
-            fields, unroutable = _walk(
-                np.arange(K)[:, None, None],
-                np.broadcast_to(state, (K, size, size)),
-                [(table, dst) for table in tables],
-            )
+            live = np.where(alive, tail, np.iinfo(dtype).max)
+            lows = [int(np.count_nonzero(live < 4**j)) for j in range(L)]
             # Output ``t`` of last-stage cell ``t >> 1`` sits at column
-            # ``t + 1``: even outputs eject through port 0, odd ones 1.
-            eject = np.where(alive, _eject_field(self, np.arange(2)), 0)
-            words = np.zeros((K, size, N + 1), dtype=fields.dtype)
-            words[..., 1::2] = fields | eject[..., :1]
-            words[..., 2::2] = fields | eject[..., 1:]
+            # ``t + 1``; a dead first-stage cell's words are all 0.
+            words = np.zeros((K, size, self.n_inputs + 1), dtype=dtype)
+            words[..., 1:] = np.repeat(tail, 2, axis=2)
+            words[..., 1:] |= _eject_field(self, np.arange(self.n_inputs))
+            words *= alive
             words.setflags(write=False)
-            self._route_words = words, unroutable
+            self._route_words = words, tuple(
+                now > was for was, now in zip([0] + lows, lows)
+            )
         return self._route_words
 
     def scheduled_words(
@@ -180,21 +193,26 @@ class CompiledNetwork:
         and its eject port only.  Returns ``(words, unroutable)``:
         ``words`` ``(2, B, N)`` holds scenario ``b``'s input ``s``
         word for eject port ``p`` at ``[p, b, s]``, in the encoding of
-        :meth:`route_words` (a dead link ends the route; a dead source's
-        words are 0), and ``unroutable`` the walk's per-gap flags.
+        :meth:`route_words` (a scheduled port may name a dead link,
+        which ends the route; a dead source's words are 0), and
+        ``unroutable`` whether some live packet turns unroutable at
+        each gap.  One forward walk over ``(B, N)``.
         """
-        size, L = self.size, self.n_stages - 1
         alive = self.src_alive[sample]
-        state = np.where(alive, np.arange(self.n_inputs) >> 1, size) * 2
-        port = np.arange(2, dtype=np.int8)
-        tables = _step_tables(self, [np.broadcast_to(port, (size, 2))] * L)
-        fields, unroutable = _walk(
-            sample[:, None], state,
-            [(table, scheds[:, j]) for j, table in enumerate(tables)],
-        )
-        words = fields | _eject_field(self, port[:, None, None])
-        words *= alive
-        return words, unroutable
+        live = alive.copy()
+        cell = np.broadcast_to(np.arange(self.n_inputs) >> 1, live.shape)
+        at = sample[:, None]
+        fields = np.zeros(live.shape, dtype=_word_dtype(self))
+        unroutable = []
+        for j in range(self.n_stages - 1):
+            port = scheds[:, j]
+            ok = self.links[at, j, cell, port]
+            unroutable.append(bool((live & ~ok).any()))
+            live &= ok
+            fields |= np.where(live, (port + 1).astype(fields.dtype) << 2 * j, 0)
+            cell = self.child[j, cell, port]
+        port = np.arange(2)[:, None, None]
+        return (fields | _eject_field(self, port)) * alive, tuple(unroutable)
 
     def __repr__(self) -> str:
         return (
@@ -204,73 +222,13 @@ class CompiledNetwork:
 
 
 def _word_dtype(comp: CompiledNetwork) -> type:
-    """Route-word dtype: 2 bits per stage below the sign bit.  It also
-    holds the walk's packed states, ``4·M²`` at most."""
+    """Route-word dtype: 2 bits per stage below the sign bit."""
     return np.int32 if comp.n_stages <= 15 else np.int64
 
 
 def _eject_field(comp: CompiledNetwork, t: np.ndarray) -> np.ndarray:
     """The last route-word field of output ``t``: eject port + 1."""
     return ((t & 1) + 1).astype(_word_dtype(comp)) << 2 * (comp.n_stages - 1)
-
-
-def _step_tables(comp: CompiledNetwork, codes) -> list[np.ndarray]:
-    """Per gap ``j``, the ``(K, M + 1, X)`` packed walk steps out of
-    stage ``j + 1``.
-
-    ``codes[j]`` ``(K or 1, M, X)`` holds gap ``j``'s port codes,
-    port-table entries ``& 3``: 0 or 1 a forced port, 2 ambiguous (port
-    0 under ``drop``), 3 unroutable.  Entry ``[k, x, col]`` is ``4·X·child
-    + port + 1`` for a packet leaving cell ``x`` through a live link and
-    ``4·X·M`` otherwise: the dead state, whose appended row ``M`` maps to
-    itself with field 0.  States come premultiplied by the row width
-    ``X``, so a walk step is one add and one gather.
-    """
-    K, L, size = len(comp.links), comp.n_stages - 1, comp.size
-    width = codes[0].shape[-1]
-    dtype, dead = _word_dtype(comp), 4 * width * size
-    # ``by_code[k, j, x, code]``: the step of each port code.
-    by_code = np.full((K, L, size, 4), dead, dtype=dtype)
-    arc = 4 * width * comp.child.astype(dtype) + np.array([1, 2], dtype)
-    by_code[..., :2] = np.where(comp.links, arc, dead)
-    by_code[..., 2] = by_code[..., 0]
-    flat = by_code.reshape(-1)
-    off = np.arange(0, flat.size, 4).reshape(K, L, size, 1)
-    tables = []
-    for j in range(L):
-        table = np.empty((K, size + 1, width), dtype=dtype)
-        table[:, size] = dead
-        flat.take(off[:, j] + codes[j], out=table[:, :size])
-        tables.append(table)
-    return tables
-
-
-def _walk(
-    sample: np.ndarray, state: np.ndarray, gaps: list
-) -> tuple[np.ndarray, tuple[bool, ...]]:
-    """Walk packets forward through ``gaps`` and pack their port fields.
-
-    ``state`` holds each packet's first-stage cell times the tables'
-    row width (``M``: dead), ``sample`` its sample, broadcast against
-    ``state``.  Gap ``j`` is a ``(table, col)`` pair, a
-    :func:`_step_tables` table read at ``[sample, state, col]``: one
-    gather per gap.  Returns the fields and, per gap, whether some
-    packet still live there turns unroutable (the dead count grows).
-    """
-    _, rows, width = gaps[0][0].shape     # n >= 2: at least one gap
-    dead = (rows - 1) * width
-    fields = np.zeros(state.shape, dtype=gaps[0][0].dtype)
-    n_dead = np.count_nonzero(state == dead)
-    unroutable = []
-    for j, (table, col) in enumerate(gaps):
-        packed = table.reshape(-1).take(state + (sample * rows * width + col))
-        state = packed >> 2
-        packed &= 3
-        packed <<= 2 * j
-        fields |= packed
-        was, n_dead = n_dead, np.count_nonzero(state == dead)
-        unroutable.append(n_dead > was)
-    return fields, tuple(unroutable)
 
 
 # Digest memo keyed by object identity; the strong reference pins the

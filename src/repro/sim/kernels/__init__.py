@@ -20,7 +20,10 @@ frozen int32/int8 tables:
     route is fixed at injection too, so ``drop`` gathers one route word
     per packet (2 bits per stage, from
     :meth:`~repro.sim.compiled.CompiledNetwork.route_words`) and never
-    reads a port table after that.
+    reads a port table after that.  Under a port schedule both kernels
+    move such words (from
+    :meth:`~repro.sim.compiled.CompiledNetwork.scheduled_words`), so
+    neither reads a link mask.
 ``numba``
     The fused backend, for both policies: the entire cycle loop —
     inject, per-stage move with contention/ambiguity/fault handling,

@@ -6,17 +6,17 @@ backend is property-tested against — when in doubt about an arbitration
 or counting rule, this file is the specification.
 
 A slab may mix K fault samples of one topology, compiled into one
-:class:`~repro.sim.compiled.CompiledNetwork` whose port tables, link
-masks and source masks have a leading ``K`` axis.  Each kernel reads
-them at every scenario's sample offset, so K = 1 runs the same code.
-``block`` reads the port tables flat and uses the compiled value's
-per-gap fast-path flags, which already hold for the whole slab: the
-``-2`` resolution runs if any sample needs it, and a port schedule's
-dead-link filter unless every sample's links are alive; on a sample
-that does not need them they change nothing.  A port table never names
-a dead link, so unscheduled slabs need no link filter.  ``drop``
-reads neither: it reads each packet's whole route once, from the
-compiled value's route words.
+:class:`~repro.sim.compiled.CompiledNetwork` whose port tables and
+source masks have a leading ``K`` axis.  Each kernel reads them at
+every scenario's sample offset, so K = 1 runs the same code.  Neither
+kernel reads a link mask: a port table never names a dead link, and a
+port schedule's route words already end at one.  ``block`` reads the
+port tables flat and the compiled value's per-gap ``-2`` flags, which
+hold for the whole slab (the resolution runs if any sample needs it,
+and changes nothing on a sample that does not); a port-scheduled
+packet carries its route word instead.  ``drop`` reads no port table:
+it reads each packet's whole route once, from the compiled value's
+route words.
 
 Model
 -----
@@ -40,9 +40,9 @@ steps the cycles in order, but not the stages.  A cycle runs back to
 front, and only stage ``j - 1`` moves into stage ``j``, after stage
 ``j`` has moved: when stage ``j`` moves in cycle ``c`` it still holds
 exactly what it held at the end of cycle ``c - 1``.  So the port
-lookups, the dead-link and unroutable filter and the oldest-first
-contention of every stage read only that old state, and one whole-slab
-pass over ``(n, B, 2M)`` arrays computes them for all stages at once.
+lookups, the unroutable filter and the oldest-first contention of
+every stage read only that old state, and one whole-slab pass over
+``(n, B, 2M)`` arrays computes them for all stages at once.
 Only back-pressure is sequential.  A contention winner moves iff its
 target slot was empty or is vacated in this cycle (its packet moved,
 ejected or was unroutable), which is a chain of ``n`` boolean gathers
@@ -79,10 +79,11 @@ one *route word* per slot, gathered once at injection from
 stage, field ``j`` the out-port + 1 at stage ``j`` or 0 where the
 packet is unroutable, the last field the eject port + 1.  A word of 0
 is an empty slot.  Stage ``j`` reads field ``j`` with a shift and a
-mask, arbitrates, and moves the words on: no port table, link mask or
-fast-path flag is read after injection, and the exact per-gap
-"some packet can be unroutable here" flags of the route-word walk say
-where the unroutable count has to run.  See :mod:`repro.sim.batch` for
+mask, arbitrates, and moves the words on: no port table or ``-2``
+flag is read after injection, and the exact per-gap "some packet can
+be unroutable here" flags that come with the words say where the
+unroutable count has to run.  ``block`` moves the same words with its
+port-scheduled packets.  See :mod:`repro.sim.batch` for
 the full narrative.
 """
 
@@ -289,11 +290,14 @@ def _run_block(
     ``i``.  ``key`` is each slot's out-port (-1 once it is empty,
     unroutable or beaten), ``tgt`` the flat index its packet would move
     to, and ``free`` the slots that are empty or vacate this cycle.
+    Under a port schedule each packet also carries its route word
+    (``word``, see :meth:`~repro.sim.compiled.CompiledNetwork.scheduled_words`),
+    and a stage row's key is the word's field less one, so a dead link
+    on the schedule reads -1 like a ``-1`` port-table entry.
     """
     n, size, n_in = comp.n_stages, comp.size, comp.n_inputs
-    B, K = tmats.shape[1], len(comp.links)
+    B, K = tmats.shape[1], len(comp.ptabs)
     S, L = 2 * size, n - 1
-    has_amb, links_ok = comp.has_amb, comp.links_ok
     pos = np.arange(S)
     cell, par = pos % size, pos // size
     row = np.arange(n)[:, None, None]         # the rows that move
@@ -329,14 +333,6 @@ def _run_block(
     arcs = np.full((n, B, size, 3), void, dtype=np.intp)
     arcs[..., 1:] = tpos[:, None] + S * ((row[..., None] + 1) * B + scen[..., None])
     abase = ((row * B + scen) * size + cell) * 3 + 1
-    sched = None
-    if scheds is not None:
-        # (n-1, B, N) flat, read at each packet's source (``origin``);
-        # a scheduled port may name a dead link, which ``lbase`` finds.
-        sched = np.ascontiguousarray(scheds.transpose(1, 0, 2)[:L]).reshape(-1)
-        sbase = (row[:L] * B + scen) * n_in
-        links_f = comp.links.reshape(-1)
-        lbase = (row[:L] + L * sample[:, None]) * S + 2 * cell   # (L, B, S)
     # Dead sources draw, but their wait buffers never fill.
     tmats = tmats.astype(np.int32, copy=False)
     alive = comp.src_alive[sample]                             # (B, N)
@@ -347,9 +343,17 @@ def _run_block(
 
     shape = (n + 1, B, S)
     dst = np.full(shape, -1, dtype=np.int32)
-    birth, origin = np.zeros(shape, np.int32), np.zeros(shape, np.int32)
-    origin[0] = pos
-    dst_f, birth_f, origin_f = (a.reshape(-1) for a in (dst, birth, origin))
+    birth = np.zeros(shape, np.int32)
+    dst_f, birth_f = dst.reshape(-1), birth.reshape(-1)
+    sched = scheds is not None
+    if sched:
+        # A scheduled packet carries its route word (see
+        # ``scheduled_words``), drawn with it by ``dst & 1``: stage row
+        # ``j + 1`` reads field ``j``, its port + 1 or 0 past a dead link.
+        (sw0, sw1), _ = comp.scheduled_words(sample, scheds)
+        word = np.zeros(shape, sw0.dtype)
+        word_f, field = word.reshape(-1), np.empty((L, B, S), sw0.dtype)
+        wshift = (2 * row[:L]).astype(sw0.dtype)
     free_buf = np.zeros(void + 1, dtype=bool)
     free = free_buf[:void].reshape(shape)
     occ, unrout = np.zeros(shape, bool), np.zeros(shape, bool)
@@ -360,9 +364,9 @@ def _run_block(
     occ_acc, lost_acc = np.zeros(shape, np.int32), np.zeros(shape, np.int32)
     arbitrate = _arbiter(key, birth)
     # Stage rows with ``-2`` ports: each slot's port-0 target, arbiter.
-    amb = {} if sched is not None else {
+    amb = {} if sched else {
         j + 1: (arcs.take(abase[j + 1]), _arbiter(key[j + 1], birth[j + 1]))
-        for j in range(L) if has_amb[j]
+        for j in range(L) if comp.has_amb[j]
     }
     chain = [(r, tgt[r], mv[r], free[r]) for r in range(n - 1, -1, -1)]
     lat_f, lat_b = [], []     # per cycle: ejected slots, their births
@@ -382,15 +386,16 @@ def _run_block(
             empty = ~occ[0] if live is None else live & ~occ[0]
             np.putmask(dst[0], empty, trow)
             np.putmask(birth[0], empty, now)
+            if sched:
+                np.putmask(word[0], empty, np.where(trow & 1, sw1, sw0))
         np.right_shift(dst, kshift, out=key_i)
         np.add(key_i, kbase, out=key_i)
         tab.take(key_i, out=key, mode="clip")
-        if sched is not None:
-            k = key[1:n]
-            sched.take(sbase + origin[1:n], out=k, mode="clip")
-            np.putmask(k, ~occ[1:n], -1)
-            if not all(links_ok):
-                np.putmask(k, ~links_f[lbase + k], -1)
+        if sched:
+            np.right_shift(word[1:n], wshift, out=field)
+            np.bitwise_and(field, 3, out=field)
+            np.subtract(field, 1, out=key[1:n], casting="unsafe")
+            np.putmask(key[1:n], ~occ[1:n], -1)
         np.less(key, 0, out=free)
         np.logical_and(free, occ, out=unrout)
         arbitrate()
@@ -414,8 +419,8 @@ def _run_block(
         np.bitwise_or(dst, neg, out=dst)        # empty every free slot
         dst_f[to] = moving
         birth_f[to] = birth_f[src]
-        if sched is not None:
-            origin_f[to] = origin_f[src]
+        if sched:
+            word_f[to] = word_f[src]
         np.greater_equal(dst, 0, out=occ)
         np.add(occ_acc, occ, out=occ_acc)
 

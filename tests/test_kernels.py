@@ -73,6 +73,7 @@ from repro.sim import (
 from repro.sim import compiled
 from repro.sim.compiled import CompileCache, CompiledNetwork, compile_key
 from repro.sim.engine import schedule_from_switch_settings
+from repro.sim.faults import FaultMasks, masks_from_counts
 from repro.sim.kernels import (
     BACKEND_CHOICES,
     available_backends,
@@ -780,6 +781,11 @@ def _mixed_slab(name):
     return net, tmats, None
 
 
+def _links_ok(comp):
+    """Per gap: whether every link is alive in every sample of ``comp``."""
+    return tuple(comp.links.all(axis=(0, 2, 3)).tolist())
+
+
 def _scenario_fields(run, b):
     """Scenario ``b``'s slice of every ``BatchRun`` field."""
     lo, hi = run.lat_bounds[b], run.lat_bounds[b + 1]
@@ -813,14 +819,14 @@ class TestMixedSampleSlabs:
         comps = [compile_network(net, f) for f in samples]
         stacked = CompileCache().compile(net, fault_masks(net, samples))
         assert not comps[1].src_alive.all() and comps[0].src_alive.all()
-        assert len({c.links_ok for c in comps}) > 1
+        assert len({_links_ok(c) for c in comps}) > 1
         if name == "extra_stage_omega":
             assert any(comps[0].has_amb)
         # The slab's flags combine its samples': any for the -2 work,
-        # all for the live-links fast path.
-        for flag, combine in (("has_amb", any), ("links_ok", all)):
-            per_gap = zip(*(getattr(c, flag) for c in comps))
-            assert getattr(stacked, flag) == tuple(map(combine, per_gap))
+        # all for every link of a gap alive.
+        for flag, combine in ((lambda c: c.has_amb, any), (_links_ok, all)):
+            per_gap = zip(*map(flag, comps))
+            assert flag(stacked) == tuple(map(combine, per_gap))
         sample = np.array([2, 0, 3, 1, 1, 3, 0, 2], dtype=np.intp)
         cycles = tmats.shape[0]
         slabs = []
@@ -884,24 +890,54 @@ def _fields_agree(got, want, stop, n):
     return int(got) & mask == want & mask
 
 
+def _route_word_slab(name, case):
+    """``(net, masks)`` of a route-word case.
+
+    ``None``: ``name`` at <= 5 stages on the four ``_mixed_samples``.
+    ``"nested"``: the same, followed by nested seeded samples that mix
+    dead cells and severed links (each seed's later counts kill a
+    superset).  An int: ``name`` at that order, on ``_mixed_samples``.
+    """
+    if isinstance(case, int):
+        net = NetworkSpec.catalog(name, n=case).resolve()
+    else:
+        net = _small_catalog_net(name)
+    masks = fault_masks(net, _mixed_samples(net.n_stages))
+    if case == "nested":
+        nested = masks_from_counts(net.n_stages, net.size, [
+            (cells, links, seed) for seed in (3, 4)
+            for cells, links in ((1, 0), (1, 2), (2, 2), (3, 5))
+        ])
+        masks = FaultMasks(*map(np.concatenate, zip(masks, nested)))
+    return net, masks
+
+
+_ROUTE_WORD_CASES = (
+    [pytest.param(name, None, id=name) for name in CATALOG_NAMES]
+    + [pytest.param(name, "nested", id=f"{name}-nested")
+       for name in CATALOG_NAMES]
+    # Seven stages, 32 cells per stage, with ``-2`` entries.
+    + [pytest.param("extra_stage_omega", 6, id="extra_stage_omega-6")]
+)
+
+
 class TestRouteWords:
     """The ``drop`` kernel's route words against a per-packet walk.
 
-    The table is derived from ``ptabs``, ``links`` and ``child`` by a
-    vectorized walk over every (sample, first-stage cell, destination);
-    here each word is walked again one packet at a time, with ``-2``
-    resolved to port 0, on every catalog topology at five stages or
-    fewer and the four flag-distinct samples of ``_mixed_samples``.
-    Fields past a packet's first unroutable stage are never read, so
-    they are not compared.
+    The table is derived from ``ptabs`` and ``child`` by a backward
+    recurrence over every (sample, cell, destination); here each word
+    is walked again one packet at a time, with ``-2`` resolved to port
+    0 and the link masks checked, on every catalog topology at five
+    stages or fewer (the four flag-distinct samples of
+    ``_mixed_samples``, alone and followed by nested seeded samples)
+    and on one seven-stage network.  Fields past a packet's first
+    unroutable stage are never read, so they are not compared.
     """
 
-    @pytest.mark.parametrize("name", CATALOG_NAMES)
-    def test_table_matches_per_packet_walk(self, name):
-        net = _small_catalog_net(name)
-        comp = CompileCache().compile(
-            net, fault_masks(net, _mixed_samples(net.n_stages))
-        )
+    @pytest.mark.parametrize("name, case", _ROUTE_WORD_CASES)
+    def test_table_matches_per_packet_walk(self, name, case):
+        net, masks = _route_word_slab(name, case)
+        comp = CompileCache().compile(net, masks)
         words, unroutable = comp.route_words()
         K, n, size = len(comp.links), net.n_stages, net.size
         assert words.shape == (K, size, net.n_inputs + 1)
@@ -994,8 +1030,8 @@ class TestRouteWords:
 
 class TestPortTablesNameLiveLinks:
     """A port table never names a dead link: the backward sweep caps
-    each arc by its link.  So the ``block`` kernel filters dead links
-    out of port schedules only, never out of port-table reads."""
+    each arc by its link.  So route words derived from port tables
+    need no link masks; only a port schedule's walk reads them."""
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_entries_name_live_links(self, name):

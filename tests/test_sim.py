@@ -22,6 +22,8 @@ from repro.routing.paths import (
     unique_path,
 )
 from repro.routing.permutation_routing import (
+    count_link_conflicts,
+    is_routable,
     permutation_from_switch_settings,
     route_permutation,
 )
@@ -537,7 +539,7 @@ class TestFaultStructure:
             assert np.array_equal(comp.src_alive[k], src), k
         assert not comp.src_alive[1].all()
         assert comp.has_amb == tuple((stack.ptabs == -2).any((0, 2, 3)))
-        assert comp.links_ok == tuple(stack.links.all((0, 2, 3)))
+        assert np.array_equal(comp.links, stack.links)
         if name == "double_link_network":
             # The severed half of a double link forces the other port.
             gap, cell, _ = min(samples[3].dead_links)
@@ -724,7 +726,7 @@ class TestCompiledNetwork:
         assert np.array_equal(comp.cells_alive, derived.cells)
         assert comp.ptabs.dtype == np.int8
         assert comp.child.dtype == np.int32
-        assert not comp.links_ok[0]  # gap 1 carries the severed link
+        assert not comp.links[0, 0].all()  # gap 1 carries the severed link
 
     def test_arc_target_is_linear_in_slot(self, omega4):
         comp = compile_network(omega4)
@@ -897,6 +899,26 @@ class TestRoutingAgreement:
             assert permutation_from_switch_settings(
                 net, settings
             ) == _permutation_from_schedule(net, want)
+
+    @pytest.mark.parametrize("net", BANYAN_NETS)
+    def test_is_routable_means_no_link_conflicts(self, net):
+        # Uniform permutations mostly block; those a random switch
+        # configuration realizes always pass.
+        rng = np.random.default_rng(0xB10C + net.n_stages)
+        perms = [Permutation.random(rng, net.n_inputs) for _ in range(12)]
+        perms += [
+            permutation_from_switch_settings(
+                net, [rng.integers(0, 2, net.size) for _ in range(net.n_stages)]
+            )
+            for _ in range(4)
+        ]
+        seen = set()
+        for perm in perms:
+            routes = route_permutation(net, perm)
+            passes = is_routable(net, perm)
+            assert passes == (count_link_conflicts(routes) == 0), perm
+            seen.add(passes)
+        assert seen == {False, True}
 
 
 class TestSwitchSettingValidation:

@@ -77,12 +77,18 @@ def sequential_rate(omega10, scenarios) -> float:
 
 
 def bench_batch_uniform_64x1024(
-    benchmark, omega10, scenarios, sequential_rate
+    benchmark, timed_mean, omega10, scenarios, sequential_rate
 ):
     reports = benchmark(
         simulate_batch, omega10, scenarios, cycles=CYCLES, backend="numpy"
     )
-    mean = benchmark.stats.stats.mean
+    # The oracle ride-along: slab results are the sequential results.
+    want = simulate(
+        omega10, scenarios[0].traffic, cycles=CYCLES,
+        seed=scenarios[0].seed, backend="numpy",
+    ).to_dict()
+    assert reports[0].to_dict() == want
+    mean = timed_mean("hops and speedup gates")
     rate = BATCH / mean
     hops = sum(r.total_hops for r in reports) / mean
     benchmark.extra_info["backend"] = "numpy"
@@ -91,15 +97,9 @@ def bench_batch_uniform_64x1024(
     benchmark.extra_info["speedup"] = round(rate / sequential_rate, 2)
     assert hops >= HOPS_TARGET
     assert rate >= SPEEDUP_TARGET * sequential_rate
-    # The oracle ride-along: slab results are the sequential results.
-    want = simulate(
-        omega10, scenarios[0].traffic, cycles=CYCLES,
-        seed=scenarios[0].seed, backend="numpy",
-    ).to_dict()
-    assert reports[0].to_dict() == want
 
 
-def bench_batch_faulted_16x1024(benchmark, omega10, rng):
+def bench_batch_faulted_16x1024(benchmark, timed_mean, omega10, rng):
     faults = FaultSet.random(
         rng, omega10.n_stages, omega10.size, n_dead_cells=8, n_dead_links=16
     )
@@ -110,7 +110,7 @@ def bench_batch_faulted_16x1024(benchmark, omega10, rng):
         simulate_batch, omega10, scns, cycles=CYCLES, faults=faults,
         backend="numpy",
     )
-    mean = benchmark.stats.stats.mean
+    assert all(r.unroutable > 0 for r in reports)
+    mean = timed_mean("scenarios_per_sec")
     benchmark.extra_info["backend"] = "numpy"
     benchmark.extra_info["scenarios_per_sec"] = round(len(scns) / mean, 1)
-    assert all(r.unroutable > 0 for r in reports)

@@ -56,7 +56,7 @@ def _disabled_sites(n: int) -> None:
             sp.add("offered", 1)
 
 
-def bench_obs_disabled_overhead_on_sim(benchmark, omega10):
+def bench_obs_disabled_overhead_on_sim(benchmark, timed_mean, omega10):
     assert not obs.enabled()
     # The reference workload: bench_sim's uniform full-load run (best
     # of 2, warm compile cache).
@@ -68,7 +68,7 @@ def bench_obs_disabled_overhead_on_sim(benchmark, omega10):
     sim_wall = min(walls)
 
     benchmark(_disabled_sites, LOOP)
-    per_site = benchmark.stats.stats.mean / LOOP
+    per_site = timed_mean("disabled-overhead budget") / LOOP
     overhead = per_site * SITES_PER_RUN / sim_wall
     benchmark.extra_info["ns_per_disabled_site"] = round(per_site * 1e9, 1)
     benchmark.extra_info["sim_wall_ms"] = round(sim_wall * 1e3, 2)
@@ -76,7 +76,7 @@ def bench_obs_disabled_overhead_on_sim(benchmark, omega10):
     assert overhead < OVERHEAD_BUDGET
 
 
-def bench_obs_tracer_throughput(benchmark):
+def bench_obs_tracer_throughput(benchmark, timed_mean):
     def spans(n: int) -> int:
         with obs.tracing() as tr:
             for _ in range(n):
@@ -86,5 +86,5 @@ def bench_obs_tracer_throughput(benchmark):
 
     count = benchmark(spans, LOOP)
     assert count == LOOP
-    rate = LOOP / benchmark.stats.stats.mean
+    rate = LOOP / timed_mean("spans_per_sec")
     benchmark.extra_info["spans_per_sec"] = round(rate)

@@ -56,8 +56,6 @@ __all__ = [
     "is_file_entry",
 ]
 
-_POLICIES = ("drop", "block")
-
 # Stride separating the fault-seed streams of consecutive fault-grid
 # entries; any constant larger than every realistic seed axis works.
 _FAULT_SEED_STRIDE = 1_000_003
@@ -110,16 +108,19 @@ class CampaignSpec:
     seeds:
         Simulation seeds; each grid point runs once per seed.
     cycles, policy, drain:
-        Scalar run parameters shared by every scenario.
+        Scalar run parameters shared by every scenario, validated as a
+        :class:`~repro.spec.scenario.SimPolicy`.
     fault_seed_base:
         Offset of the derived fault-seed streams (rarely needed; lets two
         campaigns sample disjoint fault populations).
     nested_faults:
         When True, every fault entry shares one fault-seed stream
         (``base + stride + seed``) instead of the per-entry streams, so —
-        with :meth:`FaultSet.from_counts` prefix sampling — the fault
-        sets at different counts are *nested*: the ``k``-fault draw of a
-        seed is a subset of its ``k+1``-fault draw.  Reliability sweeps
+        since a seed's samples are prefixes of one kill order (each
+        count masks the components ranked below it in
+        :func:`~repro.sim.faults.masks_from_counts`) — the fault sets at
+        different counts are *nested*: the ``k``-fault draw of a seed is
+        a subset of its ``k+1``-fault draw.  Reliability sweeps
         (:class:`repro.campaign.reliability.ReliabilitySweepSpec`) set
         this so availability is monotone non-increasing in the count by
         construction.
@@ -204,12 +205,7 @@ class CampaignSpec:
             raise ReproError(
                 f"nested_faults must be a bool, got {self.nested_faults!r}"
             )
-        if self.cycles <= 0:
-            raise ReproError(f"cycles must be positive, got {self.cycles}")
-        if self.policy not in _POLICIES:
-            raise ReproError(
-                f"policy must be one of {_POLICIES}, got {self.policy!r}"
-            )
+        SimPolicy(cycles=self.cycles, policy=self.policy, drain=self.drain)
 
     @property
     def n_scenarios(self) -> int:

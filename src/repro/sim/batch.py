@@ -79,10 +79,9 @@ from repro.sim.faults import FaultMasks, FaultSet, fault_masks, masks_from_count
 from repro.sim.kernels import get_backend, resolve_backend
 from repro.sim.metrics import SimReport, latency_summary
 from repro.sim.traffic import TrafficPattern
+from repro.spec.scenario import SimPolicy
 
 __all__ = ["SLAB_SAMPLES", "BatchScenario", "pack_slabs", "simulate_batch"]
-
-_POLICIES = ("drop", "block")
 
 #: Most distinct fault samples one slab carries: 16, the default campaign
 #: ``batch``, so a reliability sweep (one scenario per fault sample) fills
@@ -155,54 +154,57 @@ def pack_slabs(specs, batch: int | None = None) -> list[list[int]]:
     return slabs
 
 
+def _spec_slab(specs) -> tuple:
+    """The :func:`_run_slab` inputs of specs that share one slab.
+
+    Returns ``(net, scenarios, kwargs)``.  The slab's head supplies the
+    network, its label and the run parameters; each spec adds its
+    resolved traffic and seed; one
+    :func:`~repro.sim.faults.masks_from_counts` call masks the distinct
+    fault samples, drawing each fault seed's kill ranks once, and
+    ``sample`` indexes each spec's row.  The one way from a
+    :class:`~repro.spec.scenario.ScenarioSpec` to a slab, for
+    :func:`simulate_batch` and :func:`repro.sim.engine.simulate` alike.
+    """
+    head = specs[0]
+    net = head._digraph()
+    buckets: dict = {}
+    sample = [buckets.setdefault(s.faults, len(buckets)) for s in specs]
+    masks = masks_from_counts(
+        net.n_stages,
+        net.size,
+        [(fs.cells, fs.links, fs.seed) for fs in buckets],
+    )
+    scns = [
+        BatchScenario(traffic=s.traffic.resolve(), seed=s.seed) for s in specs
+    ]
+    return net, scns, dict(
+        cycles=head.sim.cycles,
+        policy=head.sim.policy,
+        drain=head.sim.drain,
+        masks=masks,
+        sample=np.array(sample, dtype=np.intp),
+        network_name=head.label,
+    )
+
+
 def _simulate_spec_batch(
     specs, backend: str, cache: CompileCache | None = None
 ) -> list[SimReport]:
     """Pack specs into slabs (:func:`pack_slabs`) and run each one.
 
-    Within a slab only the traffic spec, the simulation seed and the
-    fault sample vary, so the slab's head supplies the shared network
-    and run parameters once, and one
-    :func:`~repro.sim.faults.masks_from_counts` call masks the slab's
-    distinct samples, drawing each fault seed's kill ranks once.
-    Every slab runs on ``backend``, compiling through ``cache`` (a
-    campaign's run-owned one).  Reports return in input order, inside
-    one span and, at top level, one manifest.
+    Each slab runs the inputs of :func:`_spec_slab` on ``backend``,
+    compiling through ``cache`` (a campaign's run-owned one).  Reports
+    return in input order, inside one span and, at top level, one
+    manifest.
     """
     top_level = obs.enabled() and obs.current_span() is None
     reports: list[SimReport | None] = [None] * len(specs)
     with obs.span("simulate_batch", scenarios=len(specs)) as root:
         for idxs in pack_slabs(specs):
-            head = specs[idxs[0]]
-            net = head._digraph()
-            buckets: dict = {}
-            sample = [
-                buckets.setdefault(specs[i].faults, len(buckets))
-                for i in idxs
-            ]
-            masks = masks_from_counts(
-                net.n_stages,
-                net.size,
-                [(fs.cells, fs.links, fs.seed) for fs in buckets],
-            )
+            net, scns, kwargs = _spec_slab([specs[i] for i in idxs])
             group_reports = _run_slab(
-                net,
-                [
-                    BatchScenario(
-                        traffic=specs[i].traffic.resolve(),
-                        seed=specs[i].seed,
-                        network_name=specs[i].label,
-                    )
-                    for i in idxs
-                ],
-                cycles=head.sim.cycles,
-                policy=head.sim.policy,
-                masks=masks,
-                sample=np.array(sample, dtype=np.intp),
-                drain=head.sim.drain,
-                network_name=None,
-                backend=backend,
-                cache=cache,
+                net, scns, **kwargs, backend=backend, cache=cache
             )
             for i, report in zip(idxs, group_reports):
                 reports[i] = report
@@ -354,6 +356,8 @@ def _run_slab(
 
     The single path behind ``simulate`` (``kind="simulate"``, a slab of
     one) and both forms of ``simulate_batch`` (``kind="batch"``).
+    ``cycles``, ``policy`` and ``drain`` default and validate through
+    :class:`~repro.spec.scenario.SimPolicy` (``None`` takes its default).
     ``masks`` holds the slab's distinct fault samples, compiled
     together into one value, and ``sample[i]`` indexes scenario ``i``'s
     (all 0 when ``None``).
@@ -364,13 +368,9 @@ def _run_slab(
     scenario digests the manifest carries.  ``cache`` defaults to
     :func:`~repro.sim.compiled.compile_network`'s.
     """
-    cycles = 1000 if cycles is None else cycles
-    policy = "drop" if policy is None else policy
-    drain = False if drain is None else drain
-    if cycles <= 0:
-        raise ReproError(f"cycles must be positive, got {cycles}")
-    if policy not in _POLICIES:
-        raise ReproError(f"policy must be one of {_POLICIES}, got {policy!r}")
+    given = {"cycles": cycles, "policy": policy, "drain": drain}
+    sim = SimPolicy(**{k: v for k, v in given.items() if v is not None})
+    cycles, policy, drain = sim.cycles, sim.policy, sim.drain
     if not scns:
         raise ReproError("simulate_batch needs at least one scenario")
     resolved = resolve_backend(backend)

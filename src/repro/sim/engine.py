@@ -24,7 +24,8 @@ policy (block-and-retry with back-pressure onto the sources).
 :class:`~repro.sim.batch.BatchScenario` and runs it through the same
 private slab runner as :func:`repro.sim.batch.simulate_batch` —
 validation, traffic materialization, compile, the backend's
-``run_batch``, metrics and report assembly all live there.  What stays
+``run_batch``, metrics and report assembly all live there, and so does
+the slab builder a spec goes through.  What stays
 here is the call-form handling (spec or concrete objects) and the
 ``simulate`` trace shape: one ``simulate`` root span with
 ``traffic``/``compile``/``run`` children and, at top level, a
@@ -54,6 +55,8 @@ the looping algorithm's switch settings instead.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.core.errors import ReproError
@@ -63,7 +66,7 @@ from repro.routing.permutation_routing import (
     permutation_paths,
     trace_switch_settings,
 )
-from repro.sim.batch import BatchScenario, _run_slab
+from repro.sim.batch import BatchScenario, _run_slab, _spec_slab
 from repro.sim.faults import FaultSet, fault_masks
 from repro.sim.metrics import SimReport
 from repro.sim.traffic import TrafficPattern
@@ -121,8 +124,11 @@ def simulate(
     Two call forms share one implementation:
 
     * ``simulate(spec)`` — the primary form: a
-      :class:`~repro.spec.scenario.ScenarioSpec` is resolved through the
-      registries (network, traffic pattern, fault sample) and run; every
+      :class:`~repro.spec.scenario.ScenarioSpec` becomes a slab of one
+      through the batch path's slab builder (the registries resolve its
+      network and traffic, and
+      :func:`~repro.sim.faults.masks_from_counts` masks its fault
+      sample, exactly as in ``simulate_batch(specs)``) and runs; every
       run parameter comes from the spec, so passing ``traffic`` or any
       keyword other than ``port_schedule`` and ``backend`` alongside a
       spec is an error (build a new spec instead — they are cheap and
@@ -145,7 +151,9 @@ def simulate(
         A :class:`~repro.sim.traffic.TrafficPattern` (destination process
         plus injection rate); engine form only.
     cycles:
-        Number of injection cycles (default 1000).
+        Number of injection cycles, a positive int (default 1000).
+        ``cycles``, ``policy`` and ``drain`` are checked by building a
+        :class:`~repro.spec.scenario.SimPolicy`, as a spec's are.
     policy:
         ``"drop"`` (default) — contention losers are discarded;
         ``"block"`` — losers retry next cycle and back-pressure reaches
@@ -175,10 +183,7 @@ def simulate(
     """
     from repro.spec.scenario import ScenarioSpec
 
-    digests: tuple = ()
     if isinstance(net, ScenarioSpec):
-        if obs.enabled():
-            digests = (net.digest,)
         overrides = (cycles, policy, seed, faults, drain, network_name)
         if traffic is not None or any(v is not None for v in overrides):
             raise ReproError(
@@ -186,31 +191,30 @@ def simulate(
                 "the spec; build a different spec instead of passing "
                 "overrides"
             )
-        r = net.resolve()
-        net, traffic = r.network, r.traffic
-        cycles, policy, seed = r.cycles, r.policy, r.seed
-        faults, drain, network_name = r.faults, r.drain, r.label
+        digests = (net.digest,) if obs.enabled() else ()
+        net, (scn,), kwargs = _spec_slab([net])
+        scn = replace(scn, port_schedule=port_schedule)
     elif traffic is None:
         raise ReproError(
             "simulate(net, traffic, ...) needs a TrafficPattern (or "
             "pass a single ScenarioSpec)"
         )
+    else:
+        digests = ()
+        scn = BatchScenario(
+            traffic=traffic,
+            seed=0 if seed is None else seed,
+            port_schedule=port_schedule,
+        )
+        kwargs = dict(
+            cycles=cycles,
+            policy=policy,
+            masks=fault_masks(net, [faults]),
+            drain=drain,
+            network_name=network_name,
+        )
     (report,) = _run_slab(
-        net,
-        [
-            BatchScenario(
-                traffic=traffic,
-                seed=0 if seed is None else seed,
-                port_schedule=port_schedule,
-            )
-        ],
-        cycles=cycles,
-        policy=policy,
-        masks=fault_masks(net, [faults]),
-        drain=drain,
-        network_name=network_name,
-        backend=backend,
-        kind="simulate",
+        net, [scn], **kwargs, backend=backend, kind="simulate",
         digests=digests,
     )
     return report

@@ -186,14 +186,15 @@ class FaultSet:
     ) -> "FaultSet | None":
         """The deterministic sample of a fault-count spec, or ``None``.
 
-        The seeded form of :meth:`random` used by the spec layer
-        (:meth:`repro.spec.scenario.FaultSpec.sample`): counts plus a
-        seed fully determine the fault set for any network of shape
-        ``(n_stages, size)``.  Returns ``None`` when both counts are
-        zero — the healthy-network convention of
-        :func:`repro.sim.simulate`.  Negative or oversized counts raise
-        :class:`~repro.core.errors.ReproError`.  For a fixed seed the
-        sample at count ``k`` is the ``k``-prefix of
+        The seeded form of :meth:`random`: counts plus a seed fully
+        determine the fault set for any network of shape
+        ``(n_stages, size)``.  No run builds it: a spec run masks its
+        sample with :func:`masks_from_counts`, and this decoder is the
+        independent reference the tests check those masks against.
+        Returns ``None`` when both counts are zero — the healthy-network
+        convention of :func:`repro.sim.simulate`.  Negative or oversized
+        counts raise :class:`~repro.core.errors.ReproError`.  For a fixed
+        seed the sample at count ``k`` is the ``k``-prefix of
         :meth:`kill_order`, hence nested across counts.
         """
         if not (cells or links):

@@ -186,13 +186,6 @@ class SimReport:
             return 0.0
         return (self.dropped + self.unroutable) / self.offered
 
-    @property
-    def hops_per_second(self) -> float:
-        """Simulated packet-stage hops per wall-clock second."""
-        if self.elapsed <= 0.0:
-            return 0.0
-        return self.total_hops / self.elapsed
-
     # -- presentation ------------------------------------------------------
 
     def summary(self) -> str:

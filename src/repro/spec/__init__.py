@@ -7,9 +7,12 @@ The single place the repo describes *what to run*.  A
 :class:`~repro.spec.scenario.FaultSpec` and
 :class:`~repro.spec.scenario.SimPolicy`; it round-trips through
 canonical JSON, carries the stable content digest the campaign store is
-keyed by, and resolves to concrete simulator inputs through the
+keyed by, and names its network and traffic through the
 :class:`~repro.spec.registry.Registry` objects behind the network and
-traffic catalogs.
+traffic catalogs.  Running a spec (``simulate``, ``simulate_batch``, a
+campaign) builds its slab in :mod:`repro.sim.batch`: the registries
+resolve the network and traffic, and
+:func:`~repro.sim.faults.masks_from_counts` masks the fault sample.
 
 Quickstart
 ----------
@@ -35,7 +38,6 @@ from repro.spec.registry import Param, Registry, RegistryEntry
 from repro.spec.scenario import (
     FaultSpec,
     NetworkSpec,
-    ResolvedScenario,
     ScenarioSpec,
     SimPolicy,
     TrafficSpec,
@@ -52,7 +54,6 @@ __all__ = [
     "Param",
     "Registry",
     "RegistryEntry",
-    "ResolvedScenario",
     "ScenarioSpec",
     "SimPolicy",
     "TrafficSpec",

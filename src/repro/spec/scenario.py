@@ -13,11 +13,13 @@ through the frozen dataclasses here:
 
 Each spec round-trips through canonical JSON (``to_spec``/``from_spec``
 are exact inverses), carries a stable content :attr:`ScenarioSpec.digest`
-(the identity the campaign result store is keyed by) and resolves to concrete simulator
-inputs via registry lookup (:meth:`ScenarioSpec.resolve`).  The CLI,
-``simulate``, ``simulate_batch`` and the campaign workers all construct
-and consume these objects; nothing else in the repo hand-rolls topology
-or traffic dicts.
+(the identity the campaign result store is keyed by) and resolves its
+network and traffic through the registries (:meth:`NetworkSpec.resolve`,
+:meth:`TrafficSpec.resolve`).  The CLI, ``simulate``,
+``simulate_batch`` and the campaign workers all construct and consume
+these objects, and every spec run reaches the kernel through one slab
+builder (``repro.sim.batch._spec_slab``); nothing else in the repo
+hand-rolls topology or traffic dicts.
 
 Wire format
 -----------
@@ -52,7 +54,6 @@ from repro.core.midigraph import MIDigraph
 __all__ = [
     "FaultSpec",
     "NetworkSpec",
-    "ResolvedScenario",
     "ScenarioSpec",
     "SimPolicy",
     "TrafficSpec",
@@ -503,11 +504,6 @@ class TrafficSpec:
             name=doc["name"], rate=doc.get("rate", 1.0), params=params
         )
 
-    @classmethod
-    def from_pattern(cls, pattern) -> "TrafficSpec":
-        """The spec of a live :class:`~repro.sim.traffic.TrafficPattern`."""
-        return cls.from_spec(pattern.spec())
-
     def resolve(self):
         """Build the concrete :class:`~repro.sim.traffic.TrafficPattern`."""
         entry = _traffic_registry().get(self.name)
@@ -528,7 +524,8 @@ class FaultSpec:
     The sample depends only on the network *shape* and the seed, so the
     same ``FaultSpec`` degrades every same-shape topology identically —
     the apples-to-apples comparison Theorem 1 makes meaningful.
-    ``FaultSpec()`` is the healthy network.
+    ``FaultSpec()`` is the healthy network.  A run masks the sample with
+    :func:`repro.sim.faults.masks_from_counts`.
     """
 
     cells: int = 0
@@ -553,25 +550,6 @@ class FaultSpec:
     def __bool__(self) -> bool:
         return bool(self.cells or self.links)
 
-    def sample(self, n_stages: int, size: int):
-        """The concrete :class:`~repro.sim.faults.FaultSet` (or ``None``).
-
-        ``None`` when the spec is fault-free, matching what
-        :func:`repro.sim.simulate` expects for a healthy network, from
-        :meth:`~repro.sim.faults.FaultSet.from_counts`.  A batch masks
-        its specs with :func:`repro.sim.faults.masks_from_counts`
-        instead: one kill-rank draw per seed, and no fault set.
-        """
-        from repro.sim.faults import FaultSet
-
-        return FaultSet.from_counts(
-            n_stages,
-            size,
-            cells=self.cells,
-            links=self.links,
-            seed=self.seed,
-        )
-
 
 @dataclass(frozen=True)
 class SimPolicy:
@@ -586,6 +564,10 @@ class SimPolicy:
         losers retry with back-pressure.
     drain:
         Keep cycling after injection stops until the network empties.
+
+    The one validator of these knobs: the engine forms of ``simulate``
+    and ``simulate_batch`` and :class:`repro.campaign.CampaignSpec` all
+    check theirs by building a ``SimPolicy``.
 
     Only what a run computes lives here.  How it runs is not: the
     kernel backend is an argument of the call that runs it
@@ -614,26 +596,13 @@ class SimPolicy:
 
 
 @dataclass(frozen=True)
-class ResolvedScenario:
-    """The concrete objects a :class:`ScenarioSpec` resolves to."""
-
-    network: MIDigraph
-    traffic: object
-    faults: object
-    cycles: int
-    policy: str
-    drain: bool
-    seed: int
-    label: str
-
-
-@dataclass(frozen=True)
 class ScenarioSpec:
     """One fully-specified simulation: network × traffic × faults × policy.
 
     The composite spec every consumer — ``simulate``, ``simulate_batch``,
-    the campaign workers, the CLI — constructs and resolves.  Three-line
-    workflow::
+    the campaign workers, the CLI — constructs; every one of them runs it
+    through :func:`repro.sim.batch.simulate_batch`'s slab builder.
+    Three-line workflow::
 
         spec = ScenarioSpec(network=NetworkSpec.catalog("omega", n=5),
                             traffic=TrafficSpec.of("hotspot", rate=0.8))
@@ -772,17 +741,3 @@ class ScenarioSpec:
                 "networks simulate at k=2 only)"
             )
         return net
-
-    def resolve(self) -> ResolvedScenario:
-        """Materialize the concrete simulator inputs (network memoized)."""
-        net = self._digraph()
-        return ResolvedScenario(
-            network=net,
-            traffic=self.traffic.resolve(),
-            faults=self.faults.sample(net.n_stages, net.size),
-            cycles=self.sim.cycles,
-            policy=self.sim.policy,
-            drain=self.sim.drain,
-            seed=self.seed,
-            label=self.label,
-        )

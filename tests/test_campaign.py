@@ -44,7 +44,7 @@ from repro.sim import compile_cache_info
 from repro.sim import batch as sim_batch
 from repro.sim.batch import SLAB_SAMPLES, pack_slabs
 from repro.sim.compiled import CompileCache, compile_key
-from repro.sim.faults import fault_masks
+from repro.sim.faults import FaultSet, fault_masks
 
 
 def _slab_compile_keys(scenarios, batch: int = 16) -> set:
@@ -52,17 +52,19 @@ def _slab_compile_keys(scenarios, batch: int = 16) -> set:
     into: one topology plus the task's fault samples in task order."""
     keys = set()
     for task in runner._pack_tasks(scenarios, batch):
-        net = task[0].resolve().network
+        net = task[0].network.resolve()
         samples = dict.fromkeys(s.faults for s in task)
-        keys.add(
-            compile_key(
-                net,
-                fault_masks(
-                    net,
-                    [fs.sample(net.n_stages, net.size) for fs in samples],
-                ),
+        fault_sets = [
+            FaultSet.from_counts(
+                net.n_stages,
+                net.size,
+                cells=fs.cells,
+                links=fs.links,
+                seed=fs.seed,
             )
-        )
+            for fs in samples
+        ]
+        keys.add(compile_key(net, fault_masks(net, fault_sets)))
     return keys
 
 
@@ -465,7 +467,7 @@ class TestRunner:
             stages=(4,), faults=(1, 2), seeds=range(40), cycles=10
         )
         scenarios = expand_scenarios(spec)
-        pairs = {(s.network, s.resolve().faults) for s in scenarios}
+        pairs = {(s.network, s.faults) for s in scenarios}
         keys = _slab_compile_keys(scenarios)
         assert len(pairs) > 8 and len(keys) > 8
         first = run_campaign(spec, tmp_path / "a.jsonl")["compile_cache"]

@@ -13,6 +13,7 @@ import json
 import pickle
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +30,11 @@ from repro.networks.catalog import (
     register_network,
 )
 from repro.networks.omega import omega
+from repro.permutations import Permutation
+from repro.routing.rearrangeable import benes_switch_settings
 from repro.sim import simulate, simulate_batch
+from repro.sim.engine import schedule_from_switch_settings
+from repro.sim.faults import FaultSet
 from repro.spec import (
     FaultSpec,
     NetworkSpec,
@@ -266,7 +271,7 @@ class TestRadixEntries:
             traffic=TrafficSpec.of("uniform"),
         )
         with pytest.raises(ReproError, match="k=2"):
-            spec.resolve()
+            simulate(spec)
 
     def test_file_entry_is_a_registry_build(self, tmp_path):
         from repro.io import dump_network
@@ -278,28 +283,76 @@ class TestRadixEntries:
             build_network("file", path=str(path), digest="0" * 16)
 
 
+def _engine_form(spec: ScenarioSpec, **kwargs):
+    """``simulate``'s engine form, each input of ``spec`` decoded on its
+    own: the registries build the network and traffic, and
+    ``FaultSet.from_counts`` the fault set."""
+    net = spec.network.resolve()
+    faults = FaultSet.from_counts(
+        net.n_stages,
+        net.size,
+        cells=spec.faults.cells,
+        links=spec.faults.links,
+        seed=spec.faults.seed,
+    )
+    return simulate(
+        net,
+        spec.traffic.resolve(),
+        cycles=spec.sim.cycles,
+        policy=spec.sim.policy,
+        drain=spec.sim.drain,
+        seed=spec.seed,
+        faults=faults,
+        network_name=spec.label,
+        **kwargs,
+    )
+
+
+_POLICY_CASES = pytest.mark.parametrize(
+    "sim",
+    [SimPolicy(cycles=60), SimPolicy(cycles=60, policy="block", drain=True)],
+    ids=["drop", "block-drain"],
+)
+_FAULT_CASES = pytest.mark.parametrize(
+    "faults",
+    [FaultSpec(), FaultSpec(cells=1, seed=7), FaultSpec(cells=2, links=1, seed=7)],
+    ids=["healthy", "cells", "cells-links"],
+)
+
+
 class TestResolution:
-    def test_simulate_spec_equals_engine_form(self):
+    @_POLICY_CASES
+    @_FAULT_CASES
+    def test_simulate_spec_equals_engine_form(self, sim, faults):
         spec = ScenarioSpec(
             network=NetworkSpec.catalog("omega", n=4),
             traffic=TrafficSpec.of("hotspot", 0.8, fraction=0.3),
-            sim=SimPolicy(cycles=60, policy="block", drain=True),
-            faults=FaultSpec(cells=1, seed=7),
+            sim=sim,
+            faults=faults,
             seed=3,
         )
-        r = spec.resolve()
-        via_spec = simulate(spec).to_dict()
-        via_engine = simulate(
-            r.network,
-            r.traffic,
-            cycles=60,
-            policy="block",
+        assert simulate(spec) == _engine_form(spec)
+
+    @_POLICY_CASES
+    @_FAULT_CASES
+    def test_scheduled_spec_equals_engine_form(self, sim, faults):
+        # The looping algorithm's schedule for benes(3), passed to the
+        # spec form alongside the spec.
+        perm = Permutation(np.random.default_rng(7).permutation(8))
+        spec = ScenarioSpec(
+            network=NetworkSpec.catalog("benes", n=3),
+            traffic=TrafficSpec.of(
+                "permutation", 0.9, perm=list(perm.images)
+            ),
+            sim=sim,
+            faults=faults,
             seed=3,
-            faults=r.faults,
-            drain=True,
-            network_name="omega(4)",
-        ).to_dict()
-        assert via_spec == via_engine
+        )
+        sched = schedule_from_switch_settings(
+            spec.network.resolve(), benes_switch_settings(perm)
+        )
+        report = simulate(spec, port_schedule=sched)
+        assert report == _engine_form(spec, port_schedule=sched)
 
     def test_simulate_spec_rejects_overrides(self):
         spec = ScenarioSpec(

@@ -45,7 +45,9 @@ kernel per contention policy:
   word*, 2 bits per stage (out-port + 1, or 0 where the packet is
   unroutable, then the eject port + 1; 0 is an empty slot), from the
   compiled value's :meth:`~repro.sim.compiled.CompiledNetwork.route_words`
-  table, and each stage pass reads its field with a shift and a mask.
+  table, and each stage pass reads its field with one mask.  The state
+  is slot-major, ``(2M, rows, B)``, so a stage move gathers whole
+  contiguous rows through the connection's fixed link permutation.
 
 ``block`` reads the compiled value's stacked per-sample port tables at
 each scenario's sample offset, and both read its source masks; ``drop``

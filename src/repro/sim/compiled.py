@@ -15,8 +15,9 @@ entirely.
 The compiled arrays are stacked (one array per concept) and frozen
 read-only: a :class:`CompiledNetwork` is a value, never mutated by a
 run.  Dtypes are deliberately small — ``int32`` cell labels,
-``int8`` ports/slots — which roughly halves the hot working set of the
-cycle kernels.
+``int8`` ports/slots, and ``drop`` route words in the narrowest
+unsigned integer of 2 bits per stage (``uint16`` up to 8 stages) —
+which roughly halves the hot working set of the cycle kernels.
 """
 
 from __future__ import annotations
@@ -133,12 +134,14 @@ class CompiledNetwork:
         Under ``drop`` a packet never waits and a ``-2`` port always
         resolves to port 0, so its route is a pure function of its
         sample, first-stage cell and destination.  ``words`` ``(K, M,
-        N+1)`` packs it 2 bits per stage: ``words[k, c, t + 1]`` holds,
-        in field ``j`` (bits ``2j``, ``2j+1``), the out-port + 1 taken at
-        stage ``j + 1`` by a packet for output ``t`` entering cell ``c``
-        of sample ``k``, or 0 from the first stage where it is
-        unroutable (a ``-1`` port) on; the last field is the eject port
-        ``(t & 1) + 1``.  A real packet's word is never 0: column 0 is
+        N+1)`` packs it 2 bits per stage, in the narrowest unsigned
+        dtype that holds ``2n`` bits (``uint16`` up to 8 stages,
+        ``uint32`` up to 16, else ``uint64``): ``words[k, c, t + 1]``
+        holds, in field ``j`` (bits ``2j``, ``2j+1``), the out-port + 1
+        taken at stage ``j + 1`` by a packet for output ``t`` entering
+        cell ``c`` of sample ``k``, or 0 from the first stage where it
+        is unroutable (a ``-1`` port) on; the last field is the eject
+        port ``(t & 1) + 1``.  A real packet's word is never 0: column 0 is
         the empty slot, and a dead first-stage cell's words are all 0
         (it injects nothing).  ``unroutable[j]`` is True when some live
         packet turns unroutable at gap ``j``.
@@ -222,8 +225,15 @@ class CompiledNetwork:
 
 
 def _word_dtype(comp: CompiledNetwork) -> type:
-    """Route-word dtype: 2 bits per stage below the sign bit."""
-    return np.int32 if comp.n_stages <= 15 else np.int64
+    """Route-word dtype: the narrowest unsigned word of ``2n`` bits.
+
+    A word is 2 bits per stage and nothing else, so ``n <= 8`` stages
+    fit ``uint16``, ``n <= 16`` ``uint32`` and deeper networks
+    ``uint64``; a narrower word halves every elementwise op on it.
+    """
+    if comp.n_stages <= 8:
+        return np.uint16
+    return np.uint32 if comp.n_stages <= 16 else np.uint64
 
 
 def _eject_field(comp: CompiledNetwork, t: np.ndarray) -> np.ndarray:

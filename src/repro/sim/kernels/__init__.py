@@ -5,7 +5,7 @@ The cycle-based simulator is split into a thin orchestration layer
 :func:`repro.sim.engine.simulate` wraps — validation, traffic
 materialization, report assembly) and *kernel backends* that run the hot
 ``(cycles × stages)`` work over a :class:`~repro.sim.compiled.CompiledNetwork`'s
-frozen int32/int8 tables:
+frozen int32/int8 tables and unsigned route words:
 
 ``numpy``
     The reference backend, one vectorized slab kernel per policy.

@@ -78,13 +78,24 @@ one *route word* per slot, gathered once at injection from
 :meth:`~repro.sim.compiled.CompiledNetwork.route_words`: 2 bits per
 stage, field ``j`` the out-port + 1 at stage ``j`` or 0 where the
 packet is unroutable, the last field the eject port + 1.  A word of 0
-is an empty slot.  Stage ``j`` reads field ``j`` with a shift and a
-mask, arbitrates, and moves the words on: no port table or ``-2``
-flag is read after injection, and the exact per-gap "some packet can
-be unroutable here" flags that come with the words say where the
-unroutable count has to run.  ``block`` moves the same words with its
-port-scheduled packets.  See :mod:`repro.sim.batch` for
-the full narrative.
+is an empty slot.  Stage ``j`` masks field ``j`` in place,
+arbitrates, and moves the words on: no port table or ``-2`` flag is
+read after injection, and the exact per-gap "some packet can be
+unroutable here" flags that come with the words say where the
+unroutable count has to run.  A word is the narrowest unsigned integer
+of ``2n`` bits (``uint16`` up to 8 stages), so every elementwise pass
+touches as few bytes as the route needs.  ``block`` moves the same
+words with its port-scheduled packets.
+
+The ``drop`` state is slot-major: a chunk at one stage is a ``(2M,
+rows, B)`` block, parity-major along the slot axis.  Each inter-stage
+connection is a fixed permutation of links, so a stage move is one
+gather of whole contiguous ``(rows, B)`` rows (``take(feed, axis=0)``)
+rather than a fancy gather on the innermost axis, the two packets of a
+cell are the contiguous halves ``w[:M]`` and ``w[M:]``, and the
+per-row slot counts add whole rows too.  The traffic slab keeps its
+``(cycles, B, N)`` layout; each chunk is transposed as it is injected.
+See :mod:`repro.sim.batch` for the full narrative.
 """
 
 from __future__ import annotations
@@ -97,7 +108,7 @@ NAME = "numpy"
 AVAILABLE = True
 
 
-#: Buffer slots (``rows · B · 2M``) per chunk of the ``drop`` kernel.
+#: Buffer slots (``2M · rows · B``) per chunk of the ``drop`` kernel.
 #: Rows never interact under ``drop``, so chunking is exact; a chunk
 #: this size keeps each stage pass's working set cache-resident.
 _CHUNK_SLOTS = 1 << 16
@@ -133,12 +144,14 @@ def _run_drop(
 ) -> BatchRun:
     """The stage-major ``drop`` kernel: ``n`` dense passes per row chunk.
 
-    A chunk's state at one stage is a ``(rows, B, 2M)`` block of route
-    words (0 when empty), row ``r`` holding the packets injected at
-    cycle ``r`` and each scenario's slots laid out parity-major (slot 0
-    of every cell, then slot 1).  Stage ``j`` moves row ``r`` in cycle
-    ``r + j + 1``, so without drain it steps only rows ``r <= cycles - 2
-    - j``; the row it leaves behind is in flight.
+    A chunk's state at one stage is a slot-major ``(2M, rows, B)`` block
+    of route words (0 when empty): row ``r`` holds the packets injected
+    at cycle ``r``, and the slot axis comes first, parity-major (slot 0
+    of every cell, then slot 1), so the two packets of a cell sit in the
+    contiguous halves ``w[:M]`` and ``w[M:]`` and a stage move copies
+    whole ``(rows, B)`` rows.  Stage ``j`` moves row ``r`` in cycle ``r
+    + j + 1``, so without drain it steps only rows ``r <= cycles - 2 -
+    j``; the row it leaves behind is in flight.
     """
     n, size, n_in = comp.n_stages, comp.size, comp.n_inputs
     B = tmats.shape[1]
@@ -157,13 +170,13 @@ def _run_drop(
     if scheds is None:
         words, unroutable_at = comp.route_words()
         words = words.reshape(-1)
-        wbase = (sample[:, None] * size + cell) * (n_in + 1) + 1
+        wbase = ((sample * size + cell[:, None]) * (n_in + 1) + 1)[:, None]
 
         def inject(d: np.ndarray) -> np.ndarray:
             return words[wbase + d]
     else:
         sw, unroutable_at = comp.scheduled_words(sample, scheds)
-        sw0, sw1 = sw[..., nat]
+        sw0, sw1 = sw[..., nat].transpose(0, 2, 1)[:, :, None]
 
         def inject(d: np.ndarray) -> np.ndarray:
             return np.where(d >= 0, np.where(d & 1, sw1, sw0), 0)
@@ -182,7 +195,9 @@ def _run_drop(
 
     rows = max(1, _CHUNK_SLOTS // (B * S))
     for r0 in range(0, cycles, rows):
-        d = tmats[r0 : r0 + rows][..., nat]
+        # The chunk's draws, slot-major: one transpose per chunk keeps
+        # the traffic slab's layout and the working set small.
+        d = tmats[r0 : r0 + rows].transpose(2, 0, 1).take(nat, axis=0)
         offered += _count_slots(d >= 0).sum(axis=0)
         # A dead source's words are 0: it draws but never injects.
         w = inject(d)
@@ -190,7 +205,7 @@ def _run_drop(
         injected += cnt.sum(axis=0)
         occupancy[0] += cnt.sum(axis=0)
         for j in range(n):
-            top = r0 + w.shape[0]
+            top = r0 + w.shape[1]
             if drain:
                 lo = max(r0, cycles - 1 - j)
                 if lo < top:
@@ -207,11 +222,13 @@ def _run_drop(
                     in_flight += cnt[max(hi, r0) - r0 :].sum(axis=0)
             if hi <= r0:
                 break
-            w, cnt = w[: hi - r0], cnt[: hi - r0]
-            # ``key``: the out-port + 1 of each slot's packet at stage
-            # ``j``, 0 when the slot is empty or the packet unroutable.
-            key = (w >> 2 * j) & 3
-            k0, k1 = key[..., :size], key[..., size:]
+            w, cnt = w[:, : hi - r0], cnt[: hi - r0]
+            # ``key``: field ``j`` of each slot's word, left in place:
+            # ``one``/``two`` for out-port 0/1 at stage ``j``, 0 when the
+            # slot is empty or the packet unroutable.
+            one, two = 1 << 2 * j, 2 << 2 * j
+            key = w & (one | two)
+            k0, k1 = key[:size], key[size:]
             if j == L:
                 # Eject; slot 1 loses a tie.  ``k0 == k1 != 0``: both
                 # slots hold a packet for one port.
@@ -222,8 +239,8 @@ def _run_drop(
             acnt = _count_slots(key != 0) if unroutable_at[j] else cnt
             # Slot 0 wins a contended port (both packets were born in
             # the same cycle).
-            to0, to1 = k0 == 1, k0 == 2
-            sel = ((to0, (k1 == 1) & ~to0), (to1, (k1 == 2) & ~to1))
+            to0, to1 = k0 == one, k0 == two
+            sel = ((to0, (k1 == one) & ~to0), (to1, (k1 == two) & ~to1))
             w = _move(w, sel, feed[j])
             ncnt = _count_slots(w != 0)
             unroutable += (cnt - acnt).sum(axis=0)
@@ -257,20 +274,28 @@ def _run_drop(
 
 
 def _count_slots(mask: np.ndarray) -> np.ndarray:
-    """``(rows, B)`` count of the True slots of a ``(rows, B, k)`` mask."""
-    return mask.view(np.int8).sum(axis=2, dtype=np.int64)
+    """``(rows, B)`` count of the True slots of a ``(k, rows, B)`` mask.
+
+    The slot axis comes first, so the reduction adds whole contiguous
+    rows.  The accumulator is the narrowest that cannot wrap: ``int16``
+    while ``k < 2**15``, else ``int64``.
+    """
+    acc = np.int16 if mask.shape[0] < 1 << 15 else np.int64
+    return mask.view(np.int8).sum(axis=0, dtype=acc)
 
 
 def _move(w: np.ndarray, sel, feed: np.ndarray) -> np.ndarray:
-    """Next-stage block of the per-slot route words ``w`` (0 when empty).
+    """Next-stage block of the slot-major route words ``w`` (0 when empty).
 
     ``sel[q]`` holds the masks of the slot-0 and slot-1 packets leaving
     each cell through port ``q``.  The out-arc contents are built
-    port-major without branches and gathered through ``feed``.
+    port-major without branches, one ``(rows, B)`` row per arc; every
+    next-stage slot has exactly one in-arc, so the move is a gather of
+    whole rows through ``feed``.
     """
-    w0, w1 = w[..., : w.shape[-1] // 2], w[..., w.shape[-1] // 2 :]
-    arcs = np.concatenate([w0 * a + w1 * b for a, b in sel], axis=2)
-    return arcs[..., feed]
+    w0, w1 = w[: w.shape[0] // 2], w[w.shape[0] // 2 :]
+    arcs = np.concatenate([w0 * a + w1 * b for a, b in sel])
+    return arcs.take(feed, axis=0)
 
 
 def _run_block(

@@ -931,7 +931,9 @@ class TestRouteWords:
     stages or fewer (the four flag-distinct samples of
     ``_mixed_samples``, alone and followed by nested seeded samples)
     and on one seven-stage network.  Fields past a packet's first
-    unroutable stage are never read, so they are not compared.
+    unroutable stage are never read, so they are not compared.  Both
+    kernels then run on every word width ``_word_dtype`` can pick, and
+    on a nine-stage (``uint32``) slab, against the scalar loop.
     """
 
     @pytest.mark.parametrize("name, case", _ROUTE_WORD_CASES)
@@ -941,7 +943,7 @@ class TestRouteWords:
         words, unroutable = comp.route_words()
         K, n, size = len(comp.links), net.n_stages, net.size
         assert words.shape == (K, size, net.n_inputs + 1)
-        assert words.dtype == np.int32
+        assert words.dtype == np.uint16     # 2 bits per stage, n <= 8
         assert not words.flags.writeable
         assert not words[..., 0].any()      # the empty slot
         stops = set()
@@ -1007,25 +1009,73 @@ class TestRouteWords:
         # A compile-cache hit reuses the derived table.
         assert cache.compile(net, masks).route_words() is table
 
-    def test_wide_words_give_the_same_run(self, monkeypatch):
-        # Past 15 stages the words are int64; the kernel reads either.
-        net, tmats, _ = _mixed_slab("omega")
+    @pytest.mark.parametrize("dtype", [np.uint16, np.uint32, np.uint64])
+    @pytest.mark.parametrize("name, drop", [
+        pytest.param("omega", True, id="omega-drop"),   # route words
+        # Scheduled words, both kernels.
+        pytest.param("benes_schedule", True, id="benes_schedule-drop"),
+        pytest.param("benes_schedule", False, id="benes_schedule-block"),
+    ])
+    def test_wide_words_give_the_same_run(self, monkeypatch, dtype, name, drop):
+        # Every width ``_word_dtype`` can pick carries the same fields,
+        # and both kernels read any of them as the scalar loop runs.
+        net, tmats, scheds = _mixed_slab(name)
         masks = fault_masks(net, _mixed_samples(net.n_stages))
         sample = np.arange(tmats.shape[1], dtype=np.intp) % 4
         cycles = tmats.shape[0]
-        narrow = CompiledNetwork(net, masks)
-        monkeypatch.setattr(compiled, "_word_dtype", lambda comp: np.int64)
-        wide = CompiledNetwork(net, masks)
-        assert wide.route_words()[0].dtype == np.int64
-        assert np.array_equal(wide.route_words()[0], narrow.route_words()[0])
-        assert wide.route_words()[1] == narrow.route_words()[1]
+        native = CompiledNetwork(net, masks)
+        monkeypatch.setattr(compiled, "_word_dtype", lambda comp: dtype)
+        forced = CompiledNetwork(net, masks)
+        if scheds is None:
+            words, flags = forced.route_words()
+            want = native.route_words()
+        else:
+            words, flags = forced.scheduled_words(sample, scheds)
+            want = native.scheduled_words(sample, scheds)
+        assert words.dtype == dtype
+        assert np.array_equal(words, want[0]) and flags == want[1]
         for drain in (False, True):
-            _assert_runs_identical(*(
+            _assert_runs_identical(
                 numpy_backend.run_batch(
-                    comp, sample, tmats, None, cycles, True, drain
-                )
-                for comp in (narrow, wide)
-            ))
+                    forced, sample, tmats, scheds, cycles, drop, drain
+                ),
+                numba_backend.run_batch(
+                    native, sample, tmats, scheds, cycles, drop, drain,
+                    python=True,
+                ),
+            )
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.uint32, np.uint64])
+    def test_empty_field_reads_as_no_port(self, dtype):
+        # ``block`` turns a scheduled field into a port with an unsigned
+        # subtract cast to int8: field 0 (a dead link) must read -1.
+        field = np.array([0, 1, 2, 3], dtype=dtype)
+        key = np.empty(4, dtype=np.int8)
+        np.subtract(field, 1, out=key, casting="unsafe")
+        assert key.tolist() == [-1, 0, 1, 2]
+
+    def test_nine_stage_faulted_slab_matches_scalar_loop(self):
+        # Nine stages is the first ``uint32`` width; tier-1's other
+        # oracle slabs stop at seven stages and ``uint16``.
+        net = omega(9)
+        faults = _sampled_faults(net, 6, 9, 21)
+        assert compile_network(net, faults).route_words()[0].dtype == np.uint32
+        tmats = _uniform_slab(net, 12, 2, 17)
+        for drain in (False, True):
+            _assert_runs_identical(
+                *_slab_runs(net, faults, tmats, None, 12, True, drain)
+            )
+
+    @pytest.mark.parametrize("slots", [(1 << 15) - 1, 40_000])
+    def test_slot_counts_never_wrap(self, slots):
+        # The slot count's accumulator narrows to int16 only while a
+        # full slot axis still fits it.
+        mask = np.zeros((slots, 1, 3), dtype=bool)
+        mask[:, 0, 0] = True
+        mask[: slots - 5, 0, 1] = True
+        got = numpy_backend._count_slots(mask)
+        assert got.shape == (1, 3)
+        assert got.tolist() == [[slots, slots - 5, 0]]
 
 
 class TestPortTablesNameLiveLinks:

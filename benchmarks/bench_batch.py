@@ -71,7 +71,7 @@ def sequential_rate(omega10, scenarios) -> float:
                     omega10, s.traffic, cycles=CYCLES, seed=s.seed,
                     backend="numpy",
                 )
-            totals = obs.span_totals(tr.events)
+            totals = obs.analyze.span_stats(tr.events)
         times.append(totals["simulate"]["total_s"])
     return BATCH / min(times)
 

@@ -61,7 +61,7 @@ def numpy_rate(omega10, scenarios) -> float:
             simulate_batch(
                 omega10, scenarios, cycles=CYCLES, backend="numpy"
             )
-            totals = obs.span_totals(tr.events)
+            totals = obs.analyze.span_stats(tr.events)
         times.append(totals["run_batch"]["total_s"])
     return BATCH / min(times)
 

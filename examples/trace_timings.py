@@ -47,8 +47,8 @@ def make_demo_trace(path: Path) -> None:
 
 
 def timing_table(events: list[dict]) -> str:
-    """Format :func:`repro.obs.span_totals` as an aligned table."""
-    totals = obs.span_totals(events)
+    """Format :func:`repro.obs.analyze.span_stats` as an aligned table."""
+    totals = obs.analyze.span_stats(events)
     width = max(len(name) for name in totals) if totals else 4
     lines = [
         f"{'span':<{width}}  {'count':>5}  {'total':>9}  {'mean':>9}"

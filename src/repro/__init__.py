@@ -62,7 +62,6 @@ from repro.campaign import (
     head_to_head_table,
     load_records,
     run_campaign,
-    run_scenario,
 )
 from repro.core import (
     AffineConnection,
@@ -151,12 +150,10 @@ from repro.sim import (
     UniformTraffic,
     compile_network,
     fault_connectivity,
-    make_traffic,
     permutation_port_schedule,
     schedule_from_switch_settings,
     simulate,
     simulate_batch,
-    traffic_from_spec,
 )
 from repro.spec import (
     FaultSpec,
@@ -274,7 +271,6 @@ __all__ = [
     "loads_network",
     "loads_report",
     "loads_scenario",
-    "make_traffic",
     "modified_data_manipulator",
     "obs",
     "omega",
@@ -295,7 +291,6 @@ __all__ = [
     "reverse_baseline",
     "reverse_connection",
     "run_campaign",
-    "run_scenario",
     "satisfies_characterization",
     "scenario_digest",
     "schedule_from_switch_settings",
@@ -303,6 +298,5 @@ __all__ = [
     "simulate_batch",
     "sub_shuffle",
     "to_affine",
-    "traffic_from_spec",
     "verify_isomorphism",
 ]

@@ -11,7 +11,13 @@ out over a ``multiprocessing`` pool into an append-only
 :mod:`repro.campaign.aggregate` condenses into comparison tables — most
 notably the equivalence head-to-head that checks, empirically, that
 baseline-equivalent topologies are performance-interchangeable under
-identical fault sets (the dynamic face of Theorem 1).
+identical fault sets (the dynamic face of Theorem 1).  Each store
+record holds its scenario's one wire dict
+(:meth:`~repro.spec.scenario.ScenarioSpec.to_spec`), and both record
+reductions — the aggregate tables and
+:mod:`repro.campaign.reliability` — read records through one grouping
+that counts a duplicated record once and refuses one run stored under
+two hashes.
 
 Quickstart
 ----------
@@ -69,7 +75,7 @@ from repro.campaign.reliability import (
     reliability_summary_table,
     reliability_table,
 )
-from repro.campaign.runner import run_campaign, run_scenario
+from repro.campaign.runner import run_campaign
 from repro.campaign.spec import CampaignSpec, expand_scenarios
 from repro.campaign.store import ResultStore, record_crc
 from repro.campaign.supervisor import SupervisorConfig
@@ -105,6 +111,5 @@ __all__ = [
     "reliability_summary_table",
     "reliability_table",
     "run_campaign",
-    "run_scenario",
     "watch_campaign",
 ]

@@ -5,6 +5,13 @@ records: records are sorted by scenario hash (and, within a group, by
 seed) before any float is summed, so an interrupted-and-resumed campaign
 aggregates to the *byte-identical* report of an uninterrupted run.
 
+Both record reductions — the tables here and the reliability reduction
+of :mod:`repro.campaign.reliability` — read records through one
+grouping: :func:`_runs` yields each run once under the reduction's key,
+skipping a literal duplicate record and refusing the same run stored
+under two hashes, and :func:`_traffic_id` is the traffic identity both
+keys share.
+
 Two views are produced:
 
 * :func:`aggregate_rows` — the comparison table of the MIN-performance
@@ -24,11 +31,12 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.campaign.store import ResultStore
 from repro.core.errors import ReproError
 from repro.sim.metrics import SimReport
+from repro.spec.scenario import canonical_json
 
 __all__ = [
     "aggregate_rows",
@@ -77,25 +85,60 @@ def _sample_std(values: Sequence[float]) -> float:
     )
 
 
-def _cell_key(record: Mapping) -> tuple:
-    """The grid-cell identity of a record: everything but the seed axis.
+def _traffic_id(scenario: Mapping) -> str:
+    """The traffic identity of a scenario wire dict: the canonical JSON
+    of its traffic dict with the rate split out.
 
-    Traffic identity is the canonical scenario spec dict (rate split
-    out), not the report's display label — two permutation patterns both
-    describe themselves as ``"permutation"`` yet are different cells.
+    Not the report's display label — two permutation patterns both
+    describe themselves as ``"permutation"`` yet are different traffic.
     """
+    return canonical_json(
+        {k: v for k, v in scenario["traffic"].items() if k != "rate"}
+    )
+
+
+def _runs(
+    records: Iterable[Mapping], key: Callable[[Mapping], tuple]
+) -> Iterator[tuple[tuple, Mapping]]:
+    """Yield ``(key(record), record)`` once per run, a run being one
+    ``(key, seed)`` pair.
+
+    The one duplicate check of both record reductions.  A literal
+    duplicate — the same run under the same hash, e.g. a record line
+    appended twice — is skipped.  The same run under two hashes means
+    the store mixes incompatible sweeps (e.g. a topology file changed
+    between runs); reducing both would silently corrupt every rate, so
+    it raises.
+    """
+    seen: dict[tuple, str] = {}
+    for record in records:
+        k = key(record)
+        s = record["scenario"]
+        run = (k, s["seed"])
+        first = seen.get(run)
+        if first is None:
+            seen[run] = record["hash"]
+            yield k, record
+        elif first != record["hash"]:
+            raise ReproError(
+                "store holds two different results for "
+                f"{s['topology']['label']} "
+                f"faults={(s['fault_cells'], s['fault_links'])} "
+                f"seed={s['seed']} (hashes {first} and {record['hash']}); "
+                "restrict aggregation to one campaign's scenarios "
+                "(report --spec) or use a fresh store"
+            )
+
+
+def _cell_key(record: Mapping) -> tuple:
+    """The grid-cell identity of a record: everything but the seed axis."""
     s = record["scenario"]
     r = record["report"]
-    traffic_id = json.dumps(
-        {k: v for k, v in s["traffic"].items() if k != "rate"},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
     return (
         s["topology"]["label"],
         r["n_stages"],
         r["size"],
-        traffic_id,
+        _traffic_id(s),
         s["traffic"]["rate"],
         s["fault_cells"],
         s["fault_links"],
@@ -111,31 +154,13 @@ def _group_by_cell(
     """Group records by grid cell as ``(seed, report)`` pairs.
 
     Each stored report dict is parsed into a :class:`SimReport` exactly
-    once per call, so the derived-rate formulas (throughput, blocking)
-    live only in :mod:`repro.sim.metrics`.
+    once per run (:func:`_runs`), so the derived-rate formulas
+    (throughput, blocking) live only in :mod:`repro.sim.metrics`.
     """
     groups: dict[tuple, list[tuple[int, SimReport]]] = {}
-    seen: dict[tuple, str] = {}
-    for record in records:
-        key = _cell_key(record)
-        seed = record["scenario"]["seed"]
-        run = (*key, seed)
-        if run in seen:
-            if seen[run] == record["hash"]:
-                continue  # literal duplicate record: count it once
-            # Same grid cell + seed under two hashes: the store mixes
-            # incompatible sweeps (e.g. a topology file changed between
-            # runs) — averaging them would silently corrupt every rate.
-            raise ReproError(
-                f"store holds two different results for {key[0]} "
-                f"seed={seed} (hashes {seen[run]} and {record['hash']}); "
-                "restrict aggregation to one campaign's scenarios "
-                "(report --spec) or use a fresh store"
-            )
-        seen[run] = record["hash"]
-        groups.setdefault(key, []).append(
-            (seed, SimReport.from_dict(record["report"]))
-        )
+    for key, record in _runs(records, _cell_key):
+        report = SimReport.from_dict(record["report"])
+        groups.setdefault(key, []).append((record["scenario"]["seed"], report))
     for members in groups.values():
         members.sort(key=lambda m: m[0])
     return groups
@@ -338,15 +363,17 @@ def dumps_aggregate(
 
     Deterministic by construction — sorted rows, sorted keys — so two
     stores holding the same scenario results serialize to byte-identical
-    reports regardless of completion order or interruptions.  Pass ``rows``/``head`` when :func:`aggregate_rows`
-    and :func:`head_to_head` results are already at hand (the CLI prints
+    reports regardless of completion order or interruptions; a record
+    line stored twice counts once in ``n_scenarios`` as in the rows.
+    Pass ``rows``/``head`` when :func:`aggregate_rows` and
+    :func:`head_to_head` results are already at hand (the CLI prints
     them as tables first) to skip recomputing them.
     """
     records = list(records)
     doc = {
         "format": _AGGREGATE_FORMAT,
         "version": _AGGREGATE_VERSION,
-        "n_scenarios": len(records),
+        "n_scenarios": len({r["hash"] for r in records}),
         "rows": list(rows) if rows is not None else aggregate_rows(records),
         "head_to_head": (
             list(head) if head is not None

@@ -32,12 +32,16 @@ construction, per draw and hence in the mean.
 Like :mod:`repro.campaign.aggregate`, everything here is a pure,
 order-independent function of the stored records: reports are
 byte-identical across inline/pooled runs, interruptions and
-``--resume``.  Availability is recomputed from the records, not read
-from them: the reduction collects the distinct (topology, fault
-counts, fault seed) samples, resolves each topology once, draws each
-fault seed's kill ranks once per topology, and reads every cell count
-of a (fault seed, link count) trajectory from one bottleneck sweep of
-those ranks (:func:`~repro.sim.faults.availability_from_counts`).
+``--resume``.  Records reach the reduction through the aggregate
+tables' one grouping (:func:`repro.campaign.aggregate._runs`, keyed by
+:func:`_context_key`): a record stored twice counts once, and one run
+stored under two hashes is refused.  Availability is recomputed from
+the records, not read from them: the reduction collects the distinct
+(topology, fault counts, fault seed) samples, resolves each topology
+once, draws each fault seed's kill ranks once per topology, and reads
+every cell count of a (fault seed, link count) trajectory from one
+bottleneck sweep of those ranks
+(:func:`~repro.sim.faults.availability_from_counts`).
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from repro.campaign.aggregate import _mean, load_records
+from repro.campaign.aggregate import _mean, _runs, _traffic_id, load_records
 from repro.campaign.spec import CampaignSpec, _grid_networks
 from repro.core.errors import ReproError
 from repro.io import document_fields, parse_document
@@ -56,7 +60,7 @@ from repro.obs import trace as obs
 from repro.obs.metrics import metrics
 from repro.obs.schema import COUNTER_AVAILABILITY_EVALS, SPAN_RELIABILITY
 from repro.sim.faults import availability_from_counts
-from repro.spec.scenario import NetworkSpec, canonical_json
+from repro.spec.scenario import NetworkSpec, SimPolicy, canonical_json
 
 __all__ = [
     "ReliabilitySweepSpec",
@@ -73,6 +77,12 @@ _SWEEP_FORMAT = "repro-reliability-sweep"
 _SWEEP_VERSION = 1
 _RELIABILITY_FORMAT = "repro-campaign-reliability"
 _RELIABILITY_VERSION = 1
+
+
+def _is_int(value) -> bool:
+    """An int that is not a bool (``True`` would serialize as ``true``
+    and give the same sweep a second digest)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -126,20 +136,27 @@ class ReliabilitySweepSpec:
             object.__setattr__(self, "networks", tuple(self.networks))
         if not self.networks:
             raise ReproError("reliability sweep needs at least one network")
-        if not isinstance(self.stages, int) or isinstance(self.stages, bool) \
-                or self.stages < 2:
+        if not _is_int(self.stages) or self.stages < 2:
             raise ReproError(
                 f"stages must be an int >= 2, got {self.stages!r}"
             )
         if self.max_faults is not None and (
-            not isinstance(self.max_faults, int) or self.max_faults < 0
+            not _is_int(self.max_faults) or self.max_faults < 0
         ):
             raise ReproError(
                 f"max_faults must be None or an int >= 0, "
                 f"got {self.max_faults!r}"
             )
-        if not isinstance(self.draws, int) or self.draws < 1:
+        if not _is_int(self.draws) or self.draws < 1:
             raise ReproError(f"draws must be an int >= 1, got {self.draws!r}")
+        if not _is_int(self.fault_seed_base) or self.fault_seed_base < 0:
+            raise ReproError(
+                "fault_seed_base must be an int >= 0, "
+                f"got {self.fault_seed_base!r}"
+            )
+        if not 0.0 < float(self.rate) <= 1.0:
+            raise ReproError(f"rate must be in (0, 1], got {self.rate!r}")
+        SimPolicy(cycles=self.cycles, policy=self.policy, drain=self.drain)
         if not 0.0 < float(self.threshold) <= 1.0:
             raise ReproError(
                 f"threshold must be in (0, 1], got {self.threshold!r}"
@@ -300,60 +317,47 @@ def _availabilities(
     return values
 
 
-def _traffic_id(scenario: Mapping) -> str:
-    return json.dumps(
-        {k: v for k, v in scenario["traffic"].items() if k != "rate"},
-        sort_keys=True,
-        separators=(",", ":"),
+def _context_key(record: Mapping) -> tuple:
+    """A record's ``(context, label, (fault_cells, fault_links))``.
+
+    The *context* — traffic, rate, cycles, policy, drain, terminal size
+    — excludes the stage count on purpose: augmented networks with
+    extra stages on the same ``2^n`` terminals share a context with
+    their baseline, which is what the resilience comparison needs.
+    """
+    s = record["scenario"]
+    context = (
+        _traffic_id(s),
+        s["traffic"]["rate"],
+        s["cycles"],
+        s["policy"],
+        s["drain"],
+        record["report"]["size"],
     )
+    return context, s["topology"]["label"], (s["fault_cells"], s["fault_links"])
 
 
 def _collect(records: Iterable[Mapping]) -> dict:
     """Group records for the reliability reduction.
 
     ``data[context][label]`` holds the topology's shape and, per
-    ``(fault_cells, fault_links)`` count, per-seed measurements.  The
-    *context* — traffic, rate, cycles, policy, drain, terminal size —
-    excludes the stage count on purpose: augmented networks with extra
-    stages on the same ``2^n`` terminals share a context with their
-    baseline, which is what the resilience comparison needs.
+    ``(fault_cells, fault_links)`` count, per-seed measurements, keyed
+    by :func:`_context_key`.
 
-    One pass over ``records`` (any iterable, a generator included)
-    gathers the measurements and the distinct
+    One pass of :func:`~repro.campaign.aggregate._runs` over
+    ``records`` (any iterable, a generator included) gathers the
+    measurements and the distinct
     ``(topology, fault_cells, fault_links, fault_seed)`` samples; the
     availabilities of all samples are then derived together
     (:func:`_availabilities`) and filled in.  Each value depends on its
     sample alone, so the result does not depend on record order.
     """
     data: dict[tuple, dict[str, dict]] = {}
-    seen: dict[tuple, str] = {}
     topologies: dict[str, Mapping] = {}
     pending: list[tuple[dict, tuple]] = []
-    for record in records:
+    for (context, label, count), record in _runs(records, _context_key):
         s = record["scenario"]
         r = record["report"]
-        context = (
-            _traffic_id(s),
-            s["traffic"]["rate"],
-            s["cycles"],
-            s["policy"],
-            s["drain"],
-            r["size"],
-        )
-        label = s["topology"]["label"]
-        count = (s["fault_cells"], s["fault_links"])
-        seed = s["seed"]
-        run = (context, label, count, seed)
-        if run in seen:
-            if seen[run] == record["hash"]:
-                continue  # literal duplicate record: count it once
-            raise ReproError(
-                f"store holds two different results for {label} "
-                f"faults={count} seed={seed} (hashes {seen[run]} and "
-                f"{record['hash']}); restrict aggregation to one "
-                "campaign's scenarios or use a fresh store"
-            )
-        seen[run] = record["hash"]
         topo = data.setdefault(context, {}).setdefault(
             label,
             {
@@ -367,7 +371,7 @@ def _collect(records: Iterable[Mapping]) -> dict:
             "unroutable": int(r["unroutable"]),
             "offered": int(r["offered"]),
         }
-        topo["counts"].setdefault(count, {})[seed] = row
+        topo["counts"].setdefault(count, {})[s["seed"]] = row
         topology = canonical_json(s["topology"])
         topologies.setdefault(topology, s["topology"])
         key = (topology, s["fault_cells"], s["fault_links"], s["fault_seed"])

@@ -8,7 +8,9 @@ pattern and the fault sample — runs the simulator and hands the store
 records back.  The parent streams every finished record straight into
 the :class:`~repro.campaign.store.ResultStore`, so progress survives a
 kill at any point and ``resume=True`` re-runs only the missing
-scenarios.
+scenarios.  A record's ``scenario`` is the spec's one wire form,
+:meth:`~repro.spec.scenario.ScenarioSpec.to_spec`, so a stored run
+replays alone as ``simulate(ScenarioSpec.from_spec(record["scenario"]))``.
 
 Two layers of batching and caching keep the sweep hot:
 
@@ -73,7 +75,7 @@ import os
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable
 
 from repro.core.errors import ReproError
 from repro.campaign import supervisor as sup
@@ -95,12 +97,11 @@ from repro.obs.manifest import RunManifest
 from repro.obs.metrics import metrics
 from repro.sim.batch import SLAB_SAMPLES, _simulate_spec_batch, pack_slabs
 from repro.sim.compiled import CompileCache
-from repro.sim.engine import simulate
 from repro.sim.kernels import resolve_backend, warm_jit
 from repro.sim.metrics import SimReport
 from repro.spec.scenario import ScenarioSpec
 
-__all__ = ["run_campaign", "run_scenario"]
+__all__ = ["run_campaign"]
 
 _log = get_logger("campaign")
 
@@ -109,27 +110,6 @@ _log = get_logger("campaign")
 #: is cut here so the first result is stored after a 4-sample slab's
 #: work, not a 16-sample one's.
 FIRST_TASK_SAMPLES = 4
-
-
-def _as_spec(scenario) -> ScenarioSpec:
-    """Coerce any accepted scenario form into a :class:`ScenarioSpec`."""
-    if isinstance(scenario, ScenarioSpec):
-        return scenario
-    if isinstance(scenario, Mapping):
-        return ScenarioSpec.from_spec(scenario)
-    raise ReproError(
-        f"expected a ScenarioSpec or its wire dict, got {scenario!r}"
-    )
-
-
-def run_scenario(scenario) -> SimReport:
-    """Run one campaign scenario and return its report.
-
-    Accepts a :class:`~repro.spec.scenario.ScenarioSpec` or its wire
-    dict — a thin forwarder onto the one resolution path,
-    ``simulate(ScenarioSpec)``.
-    """
-    return simulate(_as_spec(scenario))
 
 
 def _record(spec: ScenarioSpec, report: SimReport) -> dict:

@@ -197,9 +197,14 @@ class CampaignSpec:
                 )
         if len(set(self.seeds)) != len(self.seeds):
             raise ReproError("duplicate seeds in campaign spec")
-        if self.fault_seed_base < 0:
+        if (
+            not isinstance(self.fault_seed_base, int)
+            or isinstance(self.fault_seed_base, bool)
+            or self.fault_seed_base < 0
+        ):
             raise ReproError(
-                f"fault_seed_base must be >= 0, got {self.fault_seed_base}"
+                "fault_seed_base must be an int >= 0, "
+                f"got {self.fault_seed_base!r}"
             )
         if not isinstance(self.nested_faults, bool):
             raise ReproError(

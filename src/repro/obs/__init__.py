@@ -51,7 +51,6 @@ from repro.obs.trace import (
     read_trace,
     reset,
     span,
-    span_totals,
     start,
     stop,
     tracing,
@@ -82,7 +81,6 @@ __all__ = [
     "read_trace",
     "reset",
     "span",
-    "span_totals",
     "start",
     "stop",
     "tracing",

@@ -14,9 +14,9 @@ The pieces, bottom-up:
   (:class:`SpanNode`).  A span whose parent never closed (the torn tail
   of a killed run) is promoted to a root instead of being dropped, so a
   truncated trace still analyzes.
-* :func:`span_stats` — per-name aggregates extending
-  :func:`~repro.obs.trace.span_totals` with min/max and *self* time
-  (duration not covered by child spans).
+* :func:`span_stats` — the one per-name span aggregate: count,
+  total/mean, min/max and *self* time (duration not covered by child
+  spans).
 * :func:`critical_path` — the longest chain of nested work from the
   dominant root span, stitched **across pids**: a worker's ``group``
   span is temporally enclosed by the parent's ``campaign`` span, so the
@@ -42,7 +42,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.obs import schema
-from repro.obs.trace import read_trace, span_totals, validate_trace_events
+from repro.obs.trace import read_trace, validate_trace_events
 
 __all__ = [
     "SpanNode",
@@ -175,10 +175,10 @@ def build_forest(events) -> list[SpanNode]:
 def span_stats(events) -> dict[str, dict]:
     """Per-name span aggregates: count, total/mean/min/max, self time.
 
-    A superset of :func:`~repro.obs.trace.span_totals` — ``self_s`` is
-    the per-name duration *not* covered by child spans, which is what
-    separates "the campaign span is long" from "the campaign span does
-    long work itself".
+    The per-phase timing table the CLI, the benchmarks and the examples
+    build on.  ``self_s`` is the per-name duration *not* covered by
+    child spans, which is what separates "the campaign span is long"
+    from "the campaign span does long work itself".
     """
     stats: dict[str, dict] = {}
     for root in build_forest(events):
@@ -364,8 +364,8 @@ def diff_stats(a_events, b_events) -> dict[str, dict]:
     A's (``None`` when the phase is missing on either side), so a
     regression reads directly as ``ratio_mean > 1``.
     """
-    a_totals = span_totals(a_events)
-    b_totals = span_totals(b_events)
+    a_totals = span_stats(a_events)
+    b_totals = span_stats(b_events)
     out: dict[str, dict] = {}
     for name in sorted(set(a_totals) | set(b_totals)):
         a = a_totals.get(name)
@@ -400,7 +400,7 @@ def render_trace_metrics(events, source: str | Path = "trace") -> str:
     counters and histograms.
     """
     lines: list[str] = []
-    totals = span_totals(events)
+    totals = span_stats(events)
     if totals:
         lines.append(f"per-phase timings from {source}:")
         lines.append(

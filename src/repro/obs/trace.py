@@ -51,7 +51,6 @@ __all__ = [
     "read_trace",
     "reset",
     "span",
-    "span_totals",
     "start",
     "stop",
     "tracing",
@@ -481,26 +480,6 @@ def validate_trace_file(path: str | Path) -> list[dict]:
     events = read_trace(path)
     validate_trace_events(events)
     return events
-
-
-def span_totals(events) -> dict[str, dict]:
-    """Aggregate span events into per-name totals.
-
-    Returns ``{name: {"count": n, "total_s": t, "mean_s": t/n}}`` —
-    the per-phase timing table the benchmarks and the example build on.
-    """
-    totals: dict[str, dict] = {}
-    for ev in events:
-        if ev.get("ev") != "span":
-            continue
-        row = totals.setdefault(
-            ev["name"], {"count": 0, "total_s": 0.0, "mean_s": 0.0}
-        )
-        row["count"] += 1
-        row["total_s"] += ev["dur"]
-    for row in totals.values():
-        row["mean_s"] = row["total_s"] / row["count"]
-    return totals
 
 
 def chrome_trace(events) -> dict:

@@ -8,6 +8,13 @@ under load: a vectorized cycle-based packet simulator
 degradation (:mod:`repro.sim.faults`) and the resulting metrics
 (:mod:`repro.sim.metrics`).
 
+The traffic patterns and :class:`FaultSet` here are the engine form of a
+run's inputs and have no dict form of their own: a run is written down
+only through the spec layer (:mod:`repro.spec.scenario`) —
+``TrafficSpec``, ``FaultSpec`` and the composite ``ScenarioSpec``,
+which ``simulate(spec)`` runs and ``ScenarioSpec.from_spec`` rebuilds
+from its wire dict.
+
 Quickstart
 ----------
 >>> from repro import omega
@@ -54,9 +61,7 @@ from repro.sim.traffic import (
     TrafficPattern,
     TransposeTraffic,
     UniformTraffic,
-    make_traffic,
     register_traffic,
-    traffic_from_spec,
 )
 
 __all__ = [
@@ -79,7 +84,6 @@ __all__ = [
     "fault_connectivity",
     "fault_masks",
     "fault_structure",
-    "make_traffic",
     "network_digest",
     "numba_available",
     "patel_profile",
@@ -91,5 +95,4 @@ __all__ = [
     "simulate_batch",
     "terminal_availability",
     "terminal_reachability",
-    "traffic_from_spec",
 ]

@@ -42,7 +42,6 @@ from repro.sim.faults import (
 __all__ = [
     "CompileCache",
     "CompiledNetwork",
-    "arc_slots",
     "compile_cache_clear",
     "compile_cache_info",
     "compile_key",

@@ -202,21 +202,6 @@ class FaultSet:
         rng = np.random.default_rng(seed)
         return cls.random(rng, n_stages, size, n_dead_cells=cells, n_dead_links=links)
 
-    def to_dict(self) -> dict:
-        """A JSON-ready description (sorted, hence deterministic)."""
-        return {
-            "dead_cells": sorted(list(t) for t in self.dead_cells),
-            "dead_links": sorted(list(t) for t in self.dead_links),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "FaultSet":
-        """Rebuild a fault set from :meth:`to_dict` output."""
-        return cls(
-            frozenset(tuple(t) for t in doc.get("dead_cells", ())),
-            frozenset(tuple(t) for t in doc.get("dead_links", ())),
-        )
-
 
 #: The rank of a spared terminal-stage cell: past every count.
 _SPARED = np.iinfo(np.intp).max

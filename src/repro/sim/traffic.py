@@ -19,6 +19,12 @@ The classical patterns of the MIN-performance literature are provided:
 
 All draws come from the caller's ``numpy`` Generator, so a fixed seed gives
 a bit-identical schedule — the basis of the regression tests.
+
+Patterns have no wire form of their own: a run names its traffic with a
+:class:`~repro.spec.scenario.TrafficSpec` (registry name, rate and the
+parameters given, nothing default-filled), and
+``TrafficSpec.of(name, rate, **params).resolve()`` or
+``TrafficSpec.from_spec(doc).resolve()`` builds the pattern.
 """
 
 from __future__ import annotations
@@ -40,9 +46,7 @@ __all__ = [
     "TrafficPattern",
     "TransposeTraffic",
     "UniformTraffic",
-    "make_traffic",
     "register_traffic",
-    "traffic_from_spec",
 ]
 
 TRAFFIC_PATTERNS = Registry(
@@ -108,23 +112,15 @@ class TrafficPattern:
 
     @classmethod
     def from_params(cls, rate: float, params: Mapping) -> "TrafficPattern":
-        """Build from wire-form parameters (see :meth:`spec`).
+        """Build from the parameters of a
+        :class:`~repro.spec.scenario.TrafficSpec` wire dict.
 
-        The hook :class:`~repro.spec.scenario.TrafficSpec` resolves
-        through; subclasses whose constructor arguments differ from
-        their JSON wire form (e.g. :class:`PermutationTraffic`) override
-        it.
+        The hook :meth:`TrafficSpec.resolve
+        <repro.spec.scenario.TrafficSpec.resolve>` builds through;
+        subclasses whose constructor arguments differ from their JSON
+        wire form (e.g. :class:`PermutationTraffic`) override it.
         """
         return cls(rate=rate, **params)
-
-    def spec(self) -> dict:
-        """A JSON-ready dict that rebuilds this pattern.
-
-        The inverse of :func:`traffic_from_spec`; campaign workers ship
-        these small dicts across process boundaries instead of pattern
-        objects.
-        """
-        return {"name": self.name, "rate": self.rate}
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(rate={self.rate})"
@@ -200,14 +196,6 @@ class HotspotTraffic(TrafficPattern):
     def describe(self) -> str:
         return f"hotspot(f={self.fraction:g},targets={list(self.hotspots)})"
 
-    def spec(self) -> dict:
-        return {
-            "name": self.name,
-            "rate": self.rate,
-            "fraction": self.fraction,
-            "hotspots": list(self.hotspots),
-        }
-
     @classmethod
     def from_params(cls, rate: float, params: Mapping) -> "HotspotTraffic":
         kwargs = dict(params)
@@ -246,13 +234,6 @@ class PermutationTraffic(TrafficPattern):
         return np.broadcast_to(
             self.perm.images, (cycles, n_inputs)
         ).copy()
-
-    def spec(self) -> dict:
-        return {
-            "name": self.name,
-            "rate": self.rate,
-            "perm": self.perm.images.tolist(),
-        }
 
     @classmethod
     def from_params(cls, rate: float, params: Mapping) -> "PermutationTraffic":
@@ -303,26 +284,3 @@ class TransposeTraffic(TrafficPattern):
             images = xs
         return np.broadcast_to(images, (cycles, n_inputs)).copy()
 
-
-def make_traffic(name: str, rate: float = 1.0, **kwargs) -> TrafficPattern:
-    """Build a registered traffic pattern by name.
-
-    Extra keyword arguments are forwarded to the pattern constructor
-    (e.g. ``fraction=`` and ``hotspots=`` for ``"hotspot"``).  Raises
-    :class:`~repro.core.errors.UnknownTrafficError` listing the valid
-    names when ``name`` is unknown.
-    """
-    cls = TRAFFIC_PATTERNS.get(name).builder
-    return cls(rate=rate, **kwargs)
-
-
-def traffic_from_spec(spec: dict) -> TrafficPattern:
-    """Rebuild a traffic pattern from a :meth:`TrafficPattern.spec` dict.
-
-    The dict is the wire format of campaign scenarios, so everything in
-    it is plain JSON.  Thin forwarder onto the one resolution path:
-    ``TrafficSpec.from_spec(spec).resolve()``.
-    """
-    from repro.spec.scenario import TrafficSpec
-
-    return TrafficSpec.from_spec(spec).resolve()

@@ -15,7 +15,7 @@ import pytest
 
 from repro import obs
 from repro.campaign import CampaignSpec, run_campaign
-from repro.obs import metrics, read_trace, span_totals, write_trace
+from repro.obs import metrics, read_trace, write_trace
 from repro.obs.analyze import (
     build_forest,
     compile_cache_stats,
@@ -141,8 +141,8 @@ class TestSpanStats:
         )
 
     def test_multi_pid_span_totals_merge(self):
-        # The plain span_totals view merges across pids by name.
-        totals = span_totals(campaign_events())
+        # Per-name totals merge across pids.
+        totals = span_stats(campaign_events())
         assert totals["group"]["count"] == 2
         assert totals["run_batch"]["total_s"] == pytest.approx(8.0)
         assert totals["store"]["count"] == 2

@@ -28,10 +28,9 @@ from repro.campaign import (
     record_crc,
     reliability_report,
     run_campaign,
-    run_scenario,
 )
 from repro.core.errors import ReproError, UnknownNetworkError
-from repro.spec import scenario_digest
+from repro.spec import NetworkSpec, ScenarioSpec, TrafficSpec, scenario_digest
 from repro.io import dump_campaign, dump_network, load_campaign, loads_campaign
 from repro.networks.catalog import (
     CLASSICAL_NETWORKS,
@@ -40,7 +39,7 @@ from repro.networks.catalog import (
 )
 from repro.networks.omega import omega
 from repro.campaign import runner
-from repro.sim import compile_cache_info
+from repro.sim import compile_cache_info, simulate
 from repro.sim import batch as sim_batch
 from repro.sim.batch import SLAB_SAMPLES, pack_slabs
 from repro.sim.compiled import CompileCache, compile_key
@@ -139,6 +138,7 @@ class TestSpecValidation:
             {"fault_seed_base": -1},
             {"cycles": 0},
             {"policy": "retry"},
+            {"fault_seed_base": True},
         ],
     )
     def test_bad_specs_rejected(self, kwargs):
@@ -314,14 +314,14 @@ class TestFileTopologies:
         (scenario,) = expand_scenarios(spec)
         dump_network(omega(4), path)
         with pytest.raises(ReproError, match="changed since"):
-            run_scenario(scenario)
+            simulate(scenario)
 
     def test_file_scenario_simulates(self, tmp_path):
         path = tmp_path / "net.json"
         dump_network(omega(3), path)
         spec = tiny_spec(topologies=(str(path),), faults=(0,), seeds=(0,))
         (scenario,) = expand_scenarios(spec)
-        report = run_scenario(scenario)
+        report = simulate(scenario)
         assert report.delivered > 0
         assert report.network == "net"
 
@@ -435,8 +435,8 @@ class TestResultStore:
 class TestRunner:
     def test_reports_are_deterministic(self):
         scenario = expand_scenarios(tiny_spec())[0]
-        a = run_scenario(scenario)
-        b = run_scenario(scenario.to_spec())
+        a = simulate(scenario)
+        b = simulate(ScenarioSpec.from_spec(scenario.to_spec()))
         assert a == b
         assert a.to_dict() == b.to_dict()
 
@@ -988,7 +988,9 @@ class TestAggregation:
         assert doc["format"] == "repro-campaign-aggregate"
         assert "elapsed" not in json.dumps(doc)
 
-    def test_mixed_sweeps_in_one_cell_rejected(self, records):
+    def test_mixed_sweeps_in_one_cell_rejected(
+        self, records, reduce_records, same_run_message
+    ):
         import copy
 
         # Two results for the same grid cell + seed under different
@@ -997,12 +999,17 @@ class TestAggregation:
         evil = copy.deepcopy(records[0])
         evil["hash"] = "f" * 16
         evil["report"]["delivered"] += 1
-        with pytest.raises(ReproError, match="two different results"):
-            aggregate_rows([*records, evil])
+        with pytest.raises(
+            ReproError, match=same_run_message(records[0], evil["hash"])
+        ):
+            reduce_records([*records, evil])
 
-    def test_literal_duplicate_records_count_once(self, records):
-        rows = aggregate_rows(records)
-        assert aggregate_rows([*records, records[0]]) == rows
+    def test_literal_duplicate_records_count_once(
+        self, records, reduce_records
+    ):
+        assert reduce_records([*records, records[0]]) == reduce_records(
+            records
+        )
 
 
 class TestCampaignCLI:
@@ -1108,52 +1115,76 @@ class TestCampaignCLI:
 
 
 class TestTrafficSpecs:
-    def test_round_trip_all_registered(self):
-        from repro.sim import TRAFFIC_PATTERNS, traffic_from_spec
+    """Traffic has one wire form: :class:`~repro.spec.scenario.TrafficSpec`."""
 
-        # items() lists only the public (non-hidden) patterns, all of
-        # which are flag-constructible; hidden "permutation" has its own
-        # round-trip test below.
-        for name, cls in TRAFFIC_PATTERNS.items():
-            pattern = cls(rate=0.5)
-            again = traffic_from_spec(pattern.spec())
-            assert type(again) is cls
-            assert again.spec() == pattern.spec()
+    @staticmethod
+    def _specs() -> list:
+        # Every registered pattern: names() lists the public ones, and
+        # the hidden "permutation" needs its perm list.
+        from repro.sim import TRAFFIC_PATTERNS
+
+        return [
+            *(TrafficSpec.of(name, 0.5) for name in TRAFFIC_PATTERNS.names()),
+            TrafficSpec.of("hotspot", 0.7, fraction=0.4, hotspots=[1, 2]),
+            TrafficSpec.of("permutation", 0.9, perm=[2, 0, 3, 1, 5, 4, 7, 6]),
+        ]
+
+    def test_round_trip_all_registered(self):
+        import numpy as np
+
+        names = {spec.name for spec in self._specs()}
+        assert {"uniform", "hotspot", "permutation"} <= names
+        network = NetworkSpec.catalog("omega", n=3)
+        for spec in self._specs():
+            again = TrafficSpec.from_spec(json.loads(json.dumps(spec.to_spec())))
+            assert again == spec and again.to_spec() == spec.to_spec()
+            assert (
+                ScenarioSpec(network=network, traffic=again).digest
+                == ScenarioSpec(network=network, traffic=spec).digest
+            )
+            want = spec.resolve().destinations(np.random.default_rng(7), 8, 16)
+            got = again.resolve().destinations(np.random.default_rng(7), 8, 16)
+            assert np.array_equal(got, want)
 
     def test_hotspot_keeps_parameters(self):
-        from repro.sim import HotspotTraffic, traffic_from_spec
+        from repro.sim import HotspotTraffic
 
-        pattern = HotspotTraffic(rate=0.7, fraction=0.4, hotspots=(1, 2))
-        again = traffic_from_spec(pattern.spec())
+        spec = TrafficSpec.of("hotspot", 0.7, fraction=0.4, hotspots=[1, 2])
+        again = TrafficSpec.from_spec(spec.to_spec()).resolve()
         assert isinstance(again, HotspotTraffic)
         assert again.fraction == 0.4 and again.hotspots == (1, 2)
+        # Nothing is default-filled: a default hotspot spec hashes only
+        # the name and the rate.
+        assert TrafficSpec.of("hotspot", 0.5).to_spec() == {
+            "name": "hotspot",
+            "rate": 0.5,
+        }
 
     def test_permutation_round_trip(self):
         import numpy as np
 
         from repro.permutations.permutation import Permutation
-        from repro.sim import PermutationTraffic, traffic_from_spec
+        from repro.sim import PermutationTraffic
 
         perm = Permutation(np.array([2, 0, 3, 1]))
-        pattern = PermutationTraffic(perm, rate=0.9)
-        again = traffic_from_spec(pattern.spec())
+        spec = TrafficSpec.of("permutation", 0.9, perm=perm.images.tolist())
+        again = TrafficSpec.from_spec(spec.to_spec()).resolve()
         assert isinstance(again, PermutationTraffic)
         assert again.perm == perm and again.rate == 0.9
 
     def test_bad_specs_rejected(self):
         from repro.core.errors import UnknownTrafficError
-        from repro.sim import traffic_from_spec
 
         with pytest.raises(ReproError, match="name"):
-            traffic_from_spec({"rate": 0.5})
+            TrafficSpec.from_spec({"rate": 0.5})
         with pytest.raises(ReproError, match="perm"):
-            traffic_from_spec({"name": "permutation", "rate": 0.5})
+            TrafficSpec.from_spec({"name": "permutation", "rate": 0.5})
         with pytest.raises(ReproError, match="bogus"):
-            traffic_from_spec(
+            TrafficSpec.from_spec(
                 {"name": "permutation", "perm": [1, 0], "bogus": 1}
             )
         with pytest.raises(UnknownTrafficError, match="uniform"):
-            traffic_from_spec({"name": "warp", "rate": 0.5})
+            TrafficSpec.from_spec({"name": "warp", "rate": 0.5})
 
 
 class TestZeroCopyWorkers:

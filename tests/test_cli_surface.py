@@ -374,6 +374,15 @@ class TestReliabilityCli:
         ) == 1
         assert "no records of this sweep" in capsys.readouterr().out
 
+    def test_invalid_sweep_saves_no_spec(self, tmp_path):
+        spec = tmp_path / "sweep.json"
+        with pytest.raises(SystemExit, match=r"rate must be in \(0, 1\]"):
+            _reliability(
+                *SWEEP, "--rate", "1.5", "--store", str(tmp_path / "s.jsonl"),
+                "--save-spec", str(spec),
+            )
+        assert not spec.exists()
+
 
 # --- error boundary ---------------------------------------------------------
 

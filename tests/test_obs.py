@@ -26,12 +26,12 @@ from repro.obs import (
     get_logger,
     metrics,
     read_trace,
-    span_totals,
     validate_trace_events,
     validate_trace_file,
     versions,
     write_trace,
 )
+from repro.obs.analyze import span_stats
 from repro.sim import UniformTraffic, simulate, simulate_batch
 from repro.sim.batch import BatchScenario
 from repro.spec import NetworkSpec, ScenarioSpec, SimPolicy, TrafficSpec
@@ -285,14 +285,14 @@ class TestValidation:
 
 
 class TestAggregation:
-    def test_span_totals(self):
+    def test_span_stats(self):
         with obs.tracing() as tr:
             for _ in range(3):
                 with obs.span("unit"):
                     pass
             with obs.span("other"):
                 pass
-        totals = span_totals(tr.events)
+        totals = span_stats(tr.events)
         assert set(totals) == {"unit", "other"}
         assert totals["unit"]["count"] == 3
         assert totals["unit"]["total_s"] == pytest.approx(

@@ -444,6 +444,25 @@ class TestReliabilitySweepSpec:
         with pytest.raises(ReproError):
             ReliabilitySweepSpec(max_faults=-1)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"rate": 1.5}, "rate must be in"),
+            ({"rate": 0.0}, "rate must be in"),
+            ({"cycles": 0}, "cycles must be positive"),
+            ({"cycles": 2.5}, "cycles must be an int"),
+            ({"policy": "retry"}, "policy must be one of"),
+            # A bool would serialize as true: a second digest of one sweep.
+            ({"draws": True}, "draws must be an int"),
+            ({"max_faults": True}, "max_faults must be None or an int"),
+            ({"fault_seed_base": True}, "fault_seed_base must be an int"),
+            ({"fault_seed_base": -1}, "fault_seed_base must be an int"),
+        ],
+    )
+    def test_bad_values_rejected_at_construction(self, kwargs, message):
+        with pytest.raises(ReproError, match=message):
+            ReliabilitySweepSpec(**kwargs)
+
     def test_wire_round_trip(self):
         spec = ReliabilitySweepSpec(stages=3, draws=2)
         assert loads_sweep(dumps_sweep(spec)) == spec
@@ -583,18 +602,24 @@ class TestReliabilityAggregates:
         with pytest.raises(ReproError, match="baseline"):
             reliability_from_store(store, baseline="nonesuch")
 
-    def test_conflicting_duplicate_records_rejected(self, tmp_path):
+    def test_conflicting_duplicate_records_rejected(
+        self, tmp_path, reduce_records, same_run_message
+    ):
         store = tmp_path / "dup.jsonl"
         spec = ReliabilitySweepSpec(stages=3, draws=1, max_faults=1, cycles=10)
         run_campaign(spec.to_campaign(), store)
         records = load_records(store)
         # A literal re-read of the same record is idempotent ...
-        reliability_report(records + [records[0]])
+        assert reduce_records(records + [records[0]]) == reduce_records(
+            records
+        )
         # ... but a different result for the same scenario cell is not.
         clash = json.loads(json.dumps(records[0]))
         clash["hash"] = "0" * len(records[0]["hash"])
-        with pytest.raises(ReproError, match="two different results"):
-            reliability_report(records + [clash])
+        with pytest.raises(
+            ReproError, match=same_run_message(records[0], clash["hash"])
+        ):
+            reduce_records(records + [clash])
 
 
 class TestExecutionPathByteIdentity:

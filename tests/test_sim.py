@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,7 +48,6 @@ from repro.sim import (
     fault_connectivity,
     fault_masks,
     fault_structure,
-    make_traffic,
     patel_profile,
     permutation_port_schedule,
     register_traffic,
@@ -63,6 +64,7 @@ from repro.sim.faults import (
 )
 from repro.sim.metrics import latency_summary
 from repro.spec.scenario import (
+    FaultSpec,
     NetworkSpec,
     ScenarioSpec,
     SimPolicy,
@@ -122,9 +124,11 @@ class TestTraffic:
     def test_registry_and_errors(self, rng):
         from repro.core.errors import UnknownTrafficError
 
-        assert isinstance(make_traffic("uniform", 0.5), UniformTraffic)
+        assert isinstance(
+            TrafficSpec.of("uniform", 0.5).resolve(), UniformTraffic
+        )
         with pytest.raises(UnknownTrafficError):
-            make_traffic("nope")
+            TrafficSpec.of("nope")
         with pytest.raises(ValueError):
             UniformTraffic(rate=0.0)
         with pytest.raises(ValueError):
@@ -381,10 +385,20 @@ class TestFaults:
             FaultSet(dead_cells=frozenset({(9, 0)})).validate(omega4)
         with pytest.raises(ReproError):
             FaultSet(dead_links=frozenset({(1, 0, 5)}))
-        fs = FaultSet.random(
-            np.random.default_rng(0), 4, 8, n_dead_cells=1, n_dead_links=2
+        # Faults serialize as a FaultSpec (counts and sample seed) in
+        # the scenario wire dict, which rebuilds the same sample.
+        faults = FaultSpec(cells=1, links=2, seed=5)
+        doc = ScenarioSpec(
+            network=NetworkSpec.catalog("omega", n=4),
+            traffic=TrafficSpec.of("uniform"),
+            faults=faults,
+        ).to_spec()
+        again = ScenarioSpec.from_spec(json.loads(json.dumps(doc))).faults
+        assert again == faults
+        fs = FaultSet.from_counts(
+            4, 8, cells=again.cells, links=again.links, seed=again.seed
         )
-        assert FaultSet.from_dict(fs.to_dict()) == fs
+        assert len(fs.dead_cells) == 1 and len(fs.dead_links) == 2
 
     def test_severed_half_of_double_link_forces_surviving_port(self):
         """One arc of a double link dying leaves a forced (not ambiguous)

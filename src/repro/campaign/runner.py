@@ -32,7 +32,10 @@ Two layers of batching and caching keep the sweep hot:
   LRU (:class:`repro.sim.compiled.CompileCache`; one inline, or one per
   pool worker), sized to the sweep's distinct task compile keys
   (topology plus the task's fault samples), at most
-  ``64 // SLAB_SAMPLES`` (4) entries, so at most 64 fault samples.  Pool
+  ``64 // SLAB_SAMPLES`` (4) entries, so at most 64 fault samples.  The
+  cache carries the run's :class:`~repro.sim.traffic.ScheduleStore`, so
+  each (traffic, seed) schedule is drawn once per run or worker and
+  reused on every topology and fault sample that runs it.  Pool
   workers live for the whole sweep; with the ``numba`` backend the
   initializer pre-compiles the fused JIT loop
   (:func:`repro.sim.kernels.warm_jit`).  Network resolution is
@@ -159,7 +162,7 @@ def _execute_group(
     choice, so the records are unchanged — compiling through the run's
     ``cache``.  ``telemetry`` holds the pid, busy seconds and scenario
     count feeding the parent's per-worker series and heartbeat, and the
-    group's compile-cache ``hits`` and ``misses``.  Span
+    group's compile-cache and schedule-store hits and misses.  Span
     and metric events go to this process's own tracer; shipping them
     across a process boundary is the worker loop's job.
     """
@@ -177,6 +180,7 @@ def _execute_group(
             max(0.0, time.time() - dispatch_ts)
         )
     hits, misses = cache.hits, cache.misses
+    drawn, reused = cache.schedules.misses, cache.schedules.hits
     with obs.span("group", scenarios=len(specs)):
         reports = _simulate_spec_batch(
             list(specs), resolve_backend(backend_override or backend), cache
@@ -188,6 +192,8 @@ def _execute_group(
     tele = {
         "pid": os.getpid(), "busy_s": busy_s, "scenarios": len(specs),
         "hits": cache.hits - hits, "misses": cache.misses - misses,
+        "traffic_hits": cache.schedules.hits - reused,
+        "traffic_misses": cache.schedules.misses - drawn,
     }
     return records, tele
 
@@ -314,15 +320,17 @@ def run_campaign(
     -------
     dict
         ``{"total": ..., "skipped": ..., "ran": ..., "store": ...,
-        "compile_cache": {"hits": ..., "misses": ...}}`` — the sweep
+        "compile_cache": {"hits": ..., "misses": ...},
+        "traffic_cache": {"hits": ..., "misses": ...}}`` — the sweep
         accounting, for logs and tests, plus
         ``"quarantined"`` (terminal failures this run),
         ``"quarantined_skipped"`` (previously quarantined scenarios
         skipped on resume), ``"quarantine"`` (the sidecar path) and a
         ``"faults"`` dict of supervisor event counters
         (retries/bisects/degraded/quarantined/timeouts/crashes/
-        respawns).  The compile-cache counters are this run's own,
-        summed over its caches (one inline, or one per worker).  When a :mod:`repro.obs` tracer is
+        respawns).  The compile-cache and schedule-store
+        (``traffic_cache``) counters are this run's own, summed over its
+        caches (one inline, or one per worker).  When a :mod:`repro.obs` tracer is
         active, a ``"telemetry"`` key is added: the run's wall time, the
         parent-merged metrics snapshot and a per-worker series
         (groups/scenarios/busy seconds/utilization); the trace stream
@@ -364,7 +372,7 @@ def run_campaign(
     n_done = skipped
     new_quarantined = 0
     stored_hashes = set(done)
-    cache_hits = cache_misses = 0
+    cache_hits = cache_misses = traffic_hits = traffic_misses = 0
     fault_stats = {key: 0 for key in sup.STAT_KEYS}
     hb_interval = (
         hb_default_interval() if heartbeat is None else heartbeat
@@ -428,6 +436,7 @@ def run_campaign(
             "faults": fault_stats,
             "store": str(store.path),
             "compile_cache": {"hits": 0, "misses": 0},
+            "traffic_cache": {"hits": 0, "misses": 0},
         }
     tasks = _pack_tasks(pending, batch)
     # Size the run's compile caches to the sweep: each distinct task
@@ -466,9 +475,11 @@ def run_campaign(
     worker_series: "dict[int, dict]" = {}
 
     def _on_result(task, records, tele) -> None:
-        nonlocal cache_hits, cache_misses
+        nonlocal cache_hits, cache_misses, traffic_hits, traffic_misses
         cache_hits += tele["hits"]
         cache_misses += tele["misses"]
+        traffic_hits += tele["traffic_hits"]
+        traffic_misses += tele["traffic_misses"]
         if tele.get("events"):
             tr = obs.active()
             if tr is not None:
@@ -550,6 +561,7 @@ def run_campaign(
         "faults": fault_stats,
         "store": str(store.path),
         "compile_cache": {"hits": cache_hits, "misses": cache_misses},
+        "traffic_cache": {"hits": traffic_hits, "misses": traffic_misses},
     }
     if traced:
         wall = time.perf_counter() - t_run0

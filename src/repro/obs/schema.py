@@ -27,6 +27,8 @@ __all__ = [
     "COUNTER_COMPILE_CACHE_MISSES",
     "COUNTER_NAMES",
     "COUNTER_SUPERVISOR_WAIT_S",
+    "COUNTER_TRAFFIC_CACHE_HITS",
+    "COUNTER_TRAFFIC_CACHE_MISSES",
     "GAUGE_NAMES",
     "HISTOGRAM_NAMES",
     "SCENARIO_CARRYING_SPANS",
@@ -87,6 +89,15 @@ SCENARIO_CARRYING_SPANS = (SPAN_GROUP, SPAN_SIMULATE_BATCH)
 COUNTER_COMPILE_CACHE_HITS = "compile_cache.hits"
 COUNTER_COMPILE_CACHE_MISSES = "compile_cache.misses"
 
+#: Traffic schedules a spec run took from its
+#: :class:`~repro.sim.traffic.ScheduleStore` (hits) or drew and checked
+#: (misses).  A store lives for one campaign run (inline) or one pool
+#: worker, so misses are at least the distinct (traffic wire form, seed,
+#: inputs, cycles) keys each store saw, and hits count the scenarios
+#: that reused a draw on another topology or fault sample.
+COUNTER_TRAFFIC_CACHE_HITS = "traffic_cache.hits"
+COUNTER_TRAFFIC_CACHE_MISSES = "traffic_cache.misses"
+
 #: Structural availability values (one per distinct (topology, fault
 #: sample) pair) computed by the reliability aggregates, far below the
 #: record count; a (topology, fault seed, link count) group of them
@@ -128,6 +139,8 @@ COUNTER_NAMES = frozenset({
     "sim.delivered",
     COUNTER_COMPILE_CACHE_HITS,
     COUNTER_COMPILE_CACHE_MISSES,
+    COUNTER_TRAFFIC_CACHE_HITS,
+    COUNTER_TRAFFIC_CACHE_MISSES,
     "campaign.groups",
     "campaign.scenarios",
     COUNTER_AVAILABILITY_EVALS,

@@ -13,6 +13,17 @@ private runner that validates, materializes the traffic, compiles,
 calls the backend's ``run_batch``, records the ``sim.*`` metrics and
 assembles the reports.
 
+The traffic slab is ``(cycles, B, N)`` in the narrowest signed dtype
+that holds ``[-1, N)`` (``int16`` up to ``N = 2**15``, else ``int32``).
+Spec runs fill it from a :class:`~repro.sim.traffic.ScheduleStore`:
+Theorem 1's comparisons run one ``(traffic, seed)`` on every topology
+and fault sample, so a schedule is drawn once per campaign run (the
+store rides on the run's :class:`~repro.sim.compiled.CompileCache`) or
+per ``simulate_batch(specs)`` call, and copied into each slab that runs
+it.  The draws themselves are unchanged, so are the reports.  The engine
+forms (bare :class:`~repro.sim.traffic.TrafficPattern` values, no spec)
+draw every scenario.
+
 Scenarios never interact: each backend keeps a leading batch axis on
 its packet state and accumulates per-scenario counters, and the
 regression oracle the test suite pins is the pure-Python fused scalar
@@ -80,8 +91,8 @@ from repro.sim.compiled import _DEFAULT, CompileCache
 from repro.sim.faults import FaultMasks, FaultSet, fault_masks, masks_from_counts
 from repro.sim.kernels import get_backend, resolve_backend
 from repro.sim.metrics import SimReport, latency_summary
-from repro.sim.traffic import TrafficPattern
-from repro.spec.scenario import SimPolicy
+from repro.sim.traffic import TrafficPattern, _draw_schedule, _schedule_dtype
+from repro.spec.scenario import SimPolicy, canonical_json
 
 __all__ = ["SLAB_SAMPLES", "BatchScenario", "pack_slabs", "simulate_batch"]
 
@@ -196,20 +207,30 @@ def _simulate_spec_batch(
     """Pack specs into slabs (:func:`pack_slabs`) and run each one.
 
     Each slab runs the inputs of :func:`_spec_slab` on ``backend``,
-    compiling through ``cache`` (a campaign's run-owned one).  Reports
-    return in input order, inside one span and, at top level, one
-    manifest.
+    compiling through ``cache`` (a campaign's run-owned one) and drawing
+    traffic through its schedule store.  Without ``cache`` the slabs
+    compile through the shared default cache and share a schedule store
+    that lives for this call only.  Reports return in input order,
+    inside one span and, at top level, one manifest.
     """
     top_level = obs.enabled() and obs.current_span() is None
     reports: list[SimReport | None] = [None] * len(specs)
-    with obs.span("simulate_batch", scenarios=len(specs)) as root:
-        for idxs in pack_slabs(specs):
-            net, scns, kwargs = _spec_slab([specs[i] for i in idxs])
-            group_reports = _run_slab(
-                net, scns, **kwargs, backend=backend, cache=cache
-            )
-            for i, report in zip(idxs, group_reports):
-                reports[i] = report
+    try:
+        with obs.span("simulate_batch", scenarios=len(specs)) as root:
+            for idxs in pack_slabs(specs):
+                slab = [specs[i] for i in idxs]
+                net, scns, kwargs = _spec_slab(slab)
+                group_reports = _run_slab(
+                    net, scns, **kwargs, backend=backend, cache=cache,
+                    traffic_ids=[
+                        canonical_json(s.traffic.to_spec()) for s in slab
+                    ],
+                )
+                for i, report in zip(idxs, group_reports):
+                    reports[i] = report
+    finally:
+        if cache is None:
+            _DEFAULT.schedules.clear()
     if top_level:
         obs.active().emit_manifest(
             RunManifest.collect(
@@ -353,6 +374,7 @@ def _run_slab(
     kind: str = "batch",
     digests=(),
     cache: CompileCache | None = None,
+    traffic_ids: list[str] | None = None,
 ) -> list[SimReport]:
     """Run one slab of scenarios and assemble a report for each.
 
@@ -369,6 +391,14 @@ def _run_slab(
     durations become each report's ``timings``.  ``digests`` are the
     scenario digests the manifest carries.  ``cache`` defaults to
     :func:`~repro.sim.compiled.compile_network`'s.
+
+    The traffic phase fills a ``(cycles, B, N)`` slab in
+    :func:`~repro.sim.traffic._schedule_dtype`.  Spec runs pass
+    ``traffic_ids``, each scenario's canonical traffic wire JSON: a
+    scenario's schedule then comes from the cache's
+    :class:`~repro.sim.traffic.ScheduleStore`, drawn and checked only on
+    a miss, and a hit copies the stored schedule into the slab.  Without
+    them (the engine forms) every scenario draws its own.
     """
     given = {"cycles": cycles, "policy": policy, "drain": drain}
     sim = SimPolicy(**{k: v for k, v in given.items() if v is not None})
@@ -400,6 +430,7 @@ def _run_slab(
             [_check_port_schedule(s.port_schedule, n, n_in) for s in scns]
         )
 
+    cache = _DEFAULT if cache is None else cache
     top_level = obs.enabled() and obs.current_span() is None
     with obs.span(
         schema.SLAB_ROOT_SPANS[kind], scenarios=B, cycles=cycles,
@@ -407,27 +438,18 @@ def _run_slab(
     ) as root:
         # Per-scenario traffic schedules, cycle-major for contiguous rows.
         with obs.span("traffic") as sp_traffic:
-            tmats = np.empty((cycles, B, n_in), dtype=np.int32)
+            tmats = np.empty((cycles, B, n_in), dtype=_schedule_dtype(n_in))
             for i, s in enumerate(scns):
-                rng = np.random.default_rng(s.seed)
-                tmat = s.traffic.destinations(rng, n_in, cycles)
-                if tmat.shape != (cycles, n_in):
-                    raise ReproError(
-                        f"traffic schedule has shape {tmat.shape}, expected "
-                        f"({cycles}, {n_in})"
+                tmats[:, i] = (
+                    _draw_schedule(s.traffic, s.seed, n_in, cycles)
+                    if traffic_ids is None
+                    else cache.schedules.schedule(
+                        traffic_ids[i], s.traffic, s.seed, n_in, cycles
                     )
-                if not np.issubdtype(tmat.dtype, np.integer) or not (
-                    -1 <= tmat.min() and tmat.max() < n_in
-                ):
-                    raise ReproError(
-                        f"traffic destinations must be integers in [-1, "
-                        f"{n_in}) (-1 = idle), got {tmat.dtype} in "
-                        f"[{tmat.min()}, {tmat.max()}]"
-                    )
-                tmats[:, i] = tmat
+                )
 
         with obs.span("compile") as sp_compile:
-            comp = (_DEFAULT if cache is None else cache).compile(net, masks)
+            comp = cache.compile(net, masks)
         kern = get_backend(resolved)
         if sample is None:
             sample = np.zeros(B, dtype=np.intp)

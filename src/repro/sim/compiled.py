@@ -10,7 +10,8 @@ flags combined over the K samples — is derived here once per slab and
 reused across runs.  A :class:`CompileCache` keeps these values in a
 small keyed LRU (a campaign owns one per run, standalone calls share
 :func:`compile_network`'s), so a repeated slab skips recompilation
-entirely.
+entirely.  Each cache also carries the run's
+:class:`~repro.sim.traffic.ScheduleStore` of drawn traffic schedules.
 
 The compiled arrays are stacked (one array per concept) and frozen
 read-only: a :class:`CompiledNetwork` is a value, never mutated by a
@@ -38,6 +39,7 @@ from repro.sim.faults import (
     _fault_structure,
     fault_masks,
 )
+from repro.sim.traffic import ScheduleStore
 
 __all__ = [
     "CompileCache",
@@ -295,18 +297,24 @@ class CompileCache:
     the program) pay the derivation once.  Each cache counts its own
     ``hits`` and ``misses``, so a run's figures never leak into another
     run's.
+
+    ``schedules`` is the :class:`~repro.sim.traffic.ScheduleStore` that
+    the spec path draws traffic through, with the cache's lifetime: one
+    per campaign run inline, one per pool worker.
     """
 
-    __slots__ = ("maxsize", "hits", "misses", "_entries")
+    __slots__ = ("maxsize", "hits", "misses", "schedules", "_entries")
 
     def __init__(self, maxsize: int = 8) -> None:
         self.maxsize = maxsize
         self._entries: "OrderedDict[tuple, CompiledNetwork]" = OrderedDict()
+        self.schedules = ScheduleStore()
         self.clear()
 
     def clear(self) -> None:
-        """Drop every entry and reset the hit/miss counters."""
+        """Drop every entry and schedule, and reset the counters."""
         self._entries.clear()
+        self.schedules.clear()
         self.hits = 0
         self.misses = 0
 
@@ -341,7 +349,9 @@ class CompileCache:
         }
 
 
-#: The cache behind :func:`compile_network`: a fixed 8 entries.
+#: The cache behind :func:`compile_network`: a fixed 8 entries.  Its
+#: schedule store serves one ``simulate_batch(specs)`` call at a time and
+#: is emptied when the call returns.
 _DEFAULT = CompileCache()
 
 

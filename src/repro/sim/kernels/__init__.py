@@ -40,9 +40,12 @@ reports (property-tested):
 — one topology and the slab's K distinct fault samples, each per-sample
 table with a leading ``K`` axis and the per-gap flags already combined
 over K — and ``sample`` is a ``(B,)`` index into that axis: the
-scenarios of one slab may run on different fault samples.  A single
-scenario is a slab of one (``tmats`` of shape ``(cycles, 1, N)``,
-``sample`` ``[0]``).
+scenarios of one slab may run on different fault samples.  ``tmats``
+is the ``(cycles, B, N)`` traffic slab of destinations (``-1`` idle) in
+any integer dtype; the slab runner passes the narrowest that holds
+``[-1, N)``, ``int16`` up to ``N = 2**15``.  A single scenario is a
+slab of one (``tmats`` of shape ``(cycles, 1, N)``, ``sample``
+``[0]``).
 
 Backend selection flows through one function, :func:`resolve_backend`:
 an explicit name — the ``backend`` argument of ``simulate``,

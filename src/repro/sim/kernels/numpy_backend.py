@@ -359,7 +359,6 @@ def _run_block(
     arcs[..., 1:] = tpos[:, None] + S * ((row[..., None] + 1) * B + scen[..., None])
     abase = ((row * B + scen) * size + cell) * 3 + 1
     # Dead sources draw, but their wait buffers never fill.
-    tmats = tmats.astype(np.int32, copy=False)
     alive = comp.src_alive[sample]                             # (B, N)
     live = None if alive.all() else alive
     dead = np.zeros(B, dtype=np.int64)
@@ -409,7 +408,8 @@ def _run_block(
     def _cycle(now: int, trow: np.ndarray | None) -> None:
         if trow is not None:        # sources draw into empty wait slots
             empty = ~occ[0] if live is None else live & ~occ[0]
-            np.putmask(dst[0], empty, trow)
+            # Any integer slab dtype: values lie in [-1, N).
+            np.copyto(dst[0], trow, casting="same_kind", where=empty)
             np.putmask(birth[0], empty, now)
             if sched:
                 np.putmask(word[0], empty, np.where(trow & 1, sw1, sw0))

@@ -18,7 +18,10 @@ The classical patterns of the MIN-performance literature are provided:
   :mod:`repro.permutations.catalog`.
 
 All draws come from the caller's ``numpy`` Generator, so a fixed seed gives
-a bit-identical schedule — the basis of the regression tests.
+a bit-identical schedule — the basis of the regression tests, and of the
+:class:`ScheduleStore`, which draws each ``(traffic, seed, n_inputs,
+cycles)`` schedule of a run once and hands it to every topology and fault
+sample that runs it.
 
 Patterns have no wire form of their own: a run names its traffic with a
 :class:`~repro.spec.scenario.TrafficSpec` (registry name, rate and the
@@ -29,11 +32,14 @@ parameters given, nothing default-filled), and
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Mapping
 
 import numpy as np
 
-from repro.core.errors import UnknownTrafficError
+from repro.core.errors import ReproError, UnknownTrafficError
+from repro.obs import trace as obs
+from repro.obs.metrics import metrics
 from repro.permutations.catalog import bit_reversal
 from repro.permutations.permutation import Permutation
 from repro.spec.registry import Param, Registry
@@ -43,6 +49,8 @@ __all__ = [
     "BitReversalTraffic",
     "HotspotTraffic",
     "PermutationTraffic",
+    "SCHEDULE_STORE_BYTES",
+    "ScheduleStore",
     "TrafficPattern",
     "TransposeTraffic",
     "UniformTraffic",
@@ -88,6 +96,12 @@ class TrafficPattern:
         Entry ``[t, s]`` is the destination output link of the packet
         source ``s`` offers at cycle ``t``, or ``-1`` when the source is
         idle (the Bernoulli coin came up tails).
+
+        The schedule must be a pure function of the pattern's parameters,
+        the ``rng`` stream, ``n_inputs`` and ``cycles``, for plug-in
+        patterns too: a run's :class:`ScheduleStore` draws each schedule
+        once and reuses it for every scenario with the same traffic wire
+        form, seed, ``n_inputs`` and ``cycles``.
         """
         if n_inputs < 2 or n_inputs & (n_inputs - 1):
             raise ValueError(
@@ -284,3 +298,111 @@ class TransposeTraffic(TrafficPattern):
             images = xs
         return np.broadcast_to(images, (cycles, n_inputs)).copy()
 
+
+
+def _schedule_dtype(n_inputs: int) -> type:
+    """Schedule and slab dtype: the narrowest signed integer holding
+    ``[-1, n_inputs)``: ``int16`` up to ``2**15`` inputs, else ``int32``.
+    """
+    return np.int16 if n_inputs <= 1 << 15 else np.int32
+
+
+def _draw_schedule(
+    traffic: TrafficPattern, seed: int, n_inputs: int, cycles: int
+) -> np.ndarray:
+    """Draw one scenario's ``(cycles, n_inputs)`` schedule and check it.
+
+    A fresh ``default_rng(seed)`` feeds
+    :meth:`TrafficPattern.destinations`; a plug-in's schedule of the
+    wrong shape, dtype or range raises :class:`ReproError`.
+    """
+    tmat = traffic.destinations(np.random.default_rng(seed), n_inputs, cycles)
+    if tmat.shape != (cycles, n_inputs):
+        raise ReproError(
+            f"traffic schedule has shape {tmat.shape}, expected "
+            f"({cycles}, {n_inputs})"
+        )
+    if not np.issubdtype(tmat.dtype, np.integer) or not (
+        -1 <= tmat.min() and tmat.max() < n_inputs
+    ):
+        raise ReproError(
+            f"traffic destinations must be integers in [-1, "
+            f"{n_inputs}) (-1 = idle), got {tmat.dtype} in "
+            f"[{tmat.min()}, {tmat.max()}]"
+        )
+    return tmat
+
+
+#: Byte budget of one :class:`ScheduleStore`.  A campaign packs its slabs
+#: topology by topology, so a draw is shared across topologies only while
+#: the store still holds every distinct schedule of the run when the next
+#: topology starts.  The fault-free omega/baseline/flip sweep of perfbench's
+#: ``sweep_batched`` (N = 256, 250 cycles, 32 traffic × seed keys) needs
+#: 4 MiB of ``int16`` schedules; 8 MiB holds twice that, a few slabs'
+#: worth, while staying small beside the ~50 MB a campaign process
+#: occupies.  A run with more distinct schedules than fit draws them
+#: again, as it would without a store.
+SCHEDULE_STORE_BYTES = 8 << 20
+
+
+class ScheduleStore:
+    """A run's drawn traffic schedules, each drawn once.
+
+    Keyed by the traffic's canonical wire JSON (what the scenario
+    digest hashes), the seed, ``n_inputs`` and ``cycles``: by the
+    :meth:`TrafficPattern.destinations` contract these fix the schedule,
+    so scenarios that differ only in topology or fault sample, the
+    comparisons Theorem 1 makes, share one draw.  Entries are read-only
+    ``(cycles, n_inputs)`` arrays in the slab dtype (``int16`` up to
+    ``2**15`` inputs), kept in a least-recently-used order bounded by
+    ``budget`` bytes (:data:`SCHEDULE_STORE_BYTES`).  A campaign run owns
+    one per compile cache (:attr:`repro.sim.compiled.CompileCache.schedules`),
+    so it starts cold every run and never crosses a process; each store
+    counts its own ``hits`` and ``misses``.
+    """
+
+    __slots__ = ("budget", "hits", "misses", "nbytes", "_entries")
+
+    def __init__(self, budget: int = SCHEDULE_STORE_BYTES) -> None:
+        self.budget = budget
+        self._entries: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
+        self.clear()
+
+    def clear(self) -> None:
+        """Drop every entry and reset the hit/miss counters."""
+        self._entries.clear()
+        self.nbytes = 0
+        self.hits = 0
+        self.misses = 0
+
+    def schedule(
+        self,
+        traffic_id: str,
+        traffic: TrafficPattern,
+        seed: int,
+        n_inputs: int,
+        cycles: int,
+    ) -> np.ndarray:
+        """The read-only schedule of ``traffic`` (wire JSON ``traffic_id``)
+        at ``seed``, drawn and checked only if the store lacks it."""
+        key = (traffic_id, seed, n_inputs, cycles)
+        hit = self._entries.get(key)
+        if hit is not None:
+            self._entries.move_to_end(key)
+            self.hits += 1
+            if obs.enabled():
+                metrics().counter("traffic_cache.hits").add()
+            return hit
+        self.misses += 1
+        if obs.enabled():
+            metrics().counter("traffic_cache.misses").add()
+        tmat = _draw_schedule(traffic, seed, n_inputs, cycles).astype(
+            _schedule_dtype(n_inputs)
+        )
+        tmat.setflags(write=False)
+        if tmat.nbytes <= self.budget:
+            self._entries[key] = tmat
+            self.nbytes += tmat.nbytes
+            while self.nbytes > self.budget:
+                self.nbytes -= self._entries.popitem(last=False)[1].nbytes
+        return tmat

@@ -563,11 +563,14 @@ class SimPolicy:
         ``"drop"`` — contention losers are discarded; ``"block"`` —
         losers retry with back-pressure.
     drain:
-        Keep cycling after injection stops until the network empties.
+        Keep cycling after injection stops until the network empties; a
+        ``bool``, never coerced (a wire ``1`` would hash differently
+        from ``true``).
 
     The one validator of these knobs: the engine forms of ``simulate``
-    and ``simulate_batch`` and :class:`repro.campaign.CampaignSpec` all
-    check theirs by building a ``SimPolicy``.
+    and ``simulate_batch``, :class:`repro.campaign.CampaignSpec` and
+    :class:`repro.campaign.ReliabilitySweepSpec` all check theirs by
+    building a ``SimPolicy``.
 
     Only what a run computes lives here.  How it runs is not: the
     kernel backend is an argument of the call that runs it
@@ -588,7 +591,8 @@ class SimPolicy:
             raise ReproError(
                 f"policy must be one of {_POLICIES}, got {self.policy!r}"
             )
-        object.__setattr__(self, "drain", bool(self.drain))
+        if not isinstance(self.drain, bool):
+            raise ReproError(f"drain must be a bool, got {self.drain!r}")
 
 
 # --------------------------------------------------------------------------

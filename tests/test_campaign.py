@@ -139,6 +139,9 @@ class TestSpecValidation:
             {"cycles": 0},
             {"policy": "retry"},
             {"fault_seed_base": True},
+            {"drain": 1},
+            {"drain": 0},
+            {"drain": "no"},
         ],
     )
     def test_bad_specs_rejected(self, kwargs):
@@ -444,6 +447,7 @@ class TestRunner:
         spec = tiny_spec()
         summary = run_campaign(spec, tmp_path / "s.jsonl")
         cache = summary.pop("compile_cache")
+        traffic = summary.pop("traffic_cache")
         faults = summary.pop("faults")
         assert all(v == 0 for v in faults.values())
         assert summary == {
@@ -456,6 +460,8 @@ class TestRunner:
         # exposes the worker-aggregated compile-cache counters.
         assert cache["misses"] >= 1
         assert cache["hits"] >= 0
+        # One draw per scenario, from the run's schedule store or not.
+        assert traffic["hits"] + traffic["misses"] == 8
         hashes = {s.digest for s in expand_scenarios(spec)}
         assert ResultStore(tmp_path / "s.jsonl").hashes() == hashes
 

@@ -70,7 +70,9 @@ from repro.sim import (
     simulate,
     simulate_batch,
 )
+from repro.sim import batch as sim_batch
 from repro.sim import compiled
+from repro.sim import traffic as sim_traffic
 from repro.sim.compiled import CompileCache, CompiledNetwork, compile_key
 from repro.sim.engine import schedule_from_switch_settings
 from repro.sim.faults import FaultMasks, masks_from_counts
@@ -82,6 +84,7 @@ from repro.sim.kernels import (
     numpy_backend,
 )
 from repro.spec.scenario import (
+    FaultSpec,
     NetworkSpec,
     ScenarioSpec,
     SimPolicy,
@@ -1076,6 +1079,84 @@ class TestRouteWords:
         got = numpy_backend._count_slots(mask)
         assert got.shape == (1, 3)
         assert got.tolist() == [[slots, slots - 5, 0]]
+
+
+class TestSlabDtype:
+    """The traffic slab's dtype, the narrowest signed integer of ``[-1, N)``.
+
+    ``int16`` up to ``N = 2**15``, else ``int32``; pinned at the boundary
+    without building such a network (``omega(15)``'s port tables alone
+    would take about 3.7 GB).  A slab forced to ``int32`` must run as the
+    ``int16`` one does, on both numpy kernels and the scalar loop.
+    """
+
+    def test_narrowest_dtype_holding_every_destination(self):
+        assert sim_traffic._schedule_dtype(2) is np.int16
+        assert sim_traffic._schedule_dtype(1 << 15) is np.int16
+        assert sim_traffic._schedule_dtype(1 << 16) is np.int32
+        for n_in in (1 << 15, 1 << 16):
+            info = np.iinfo(sim_traffic._schedule_dtype(n_in))
+            assert info.min <= -1 and n_in - 1 <= info.max
+        # One more input than int16 can name.
+        assert (1 << 15) > np.iinfo(np.int16).max
+
+    @pytest.mark.parametrize("name, drop", [
+        pytest.param("omega", True, id="omega-drop"),
+        pytest.param("omega", False, id="omega-block"),
+        pytest.param("benes_schedule", True, id="benes_schedule-drop"),
+        pytest.param("benes_schedule", False, id="benes_schedule-block"),
+    ])
+    def test_int32_slab_gives_the_same_run(self, name, drop):
+        net, tmats, scheds = _mixed_slab(name)
+        comp = CompiledNetwork(
+            net, fault_masks(net, _mixed_samples(net.n_stages))
+        )
+        sample = np.arange(tmats.shape[1], dtype=np.intp) % 4
+        cycles = tmats.shape[0]
+        narrow, wide = tmats.astype(np.int16), tmats.astype(np.int32)
+        for drain in (False, True):
+            args = (scheds, cycles, drop, drain)
+            want = numba_backend.run_batch(
+                comp, sample, narrow, *args, python=True
+            )
+            _assert_runs_identical(
+                numba_backend.run_batch(comp, sample, wide, *args, python=True),
+                want,
+            )
+            for slab in (narrow, wide):
+                _assert_runs_identical(
+                    numpy_backend.run_batch(comp, sample, slab, *args), want
+                )
+
+    @pytest.mark.parametrize("policy", ["drop", "block"])
+    def test_forced_int32_spec_slab_gives_the_same_reports(
+        self, monkeypatch, policy
+    ):
+        specs = [
+            ScenarioSpec(
+                network=NetworkSpec.catalog(name, n=4),
+                traffic=TrafficSpec.of("hotspot", 0.8, fraction=0.3),
+                sim=SimPolicy(cycles=24, policy=policy, drain=True),
+                faults=FaultSpec(cells=2, links=1, seed=seed),
+                seed=seed,
+            )
+            for name in ("omega", "flip") for seed in (0, 1)
+        ]
+        seen = []
+        real = numpy_backend.run_batch
+
+        def recording(comp, sample, tmats, *args):
+            seen.append(tmats.dtype)
+            return real(comp, sample, tmats, *args)
+
+        monkeypatch.setattr(numpy_backend, "run_batch", recording)
+        native = simulate_batch(specs, backend="numpy")
+        for module in (sim_batch, sim_traffic):
+            monkeypatch.setattr(
+                module, "_schedule_dtype", lambda n_inputs: np.int32
+            )
+        assert simulate_batch(specs, backend="numpy") == native
+        assert seen == [np.int16] * 2 + [np.int32] * 2
 
 
 class TestPortTablesNameLiveLinks:

@@ -457,6 +457,10 @@ class TestReliabilitySweepSpec:
             ({"max_faults": True}, "max_faults must be None or an int"),
             ({"fault_seed_base": True}, "fault_seed_base must be an int"),
             ({"fault_seed_base": -1}, "fault_seed_base must be an int"),
+            # A coerced drain would hash as 1, not true.
+            ({"drain": 1}, "drain must be a bool"),
+            ({"drain": 0}, "drain must be a bool"),
+            ({"drain": "no"}, "drain must be a bool"),
         ],
     )
     def test_bad_values_rejected_at_construction(self, kwargs, message):

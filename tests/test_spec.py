@@ -32,7 +32,7 @@ from repro.networks.catalog import (
 from repro.networks.omega import omega
 from repro.permutations import Permutation
 from repro.routing.rearrangeable import benes_switch_settings
-from repro.sim import simulate, simulate_batch
+from repro.sim import UniformTraffic, simulate, simulate_batch
 from repro.sim.engine import schedule_from_switch_settings
 from repro.sim.faults import FaultSet
 from repro.spec import (
@@ -469,6 +469,15 @@ class TestValidation:
             NetworkSpec.catalog("omega")
         with pytest.raises(ReproError, match="unexpected"):
             NetworkSpec.catalog("omega", n=4, k=3)
+
+    @pytest.mark.parametrize("drain", [1, 0, "no"])
+    def test_drain_must_be_a_bool(self, drain):
+        # A coerced 1 would run as True but serialize as 1: two digests
+        # for one sweep.  ``"no"`` would silently run as True.
+        with pytest.raises(ReproError, match="drain must be a bool"):
+            SimPolicy(drain=drain)
+        with pytest.raises(ReproError, match="drain must be a bool"):
+            simulate(omega(3), UniformTraffic(0.5), cycles=5, drain=drain)
 
     def test_policy_and_fault_guards(self):
         with pytest.raises(ReproError, match="cycles"):

@@ -318,7 +318,11 @@ def _kernel(python: bool = False):
 
 
 def _run_one(comp, k, tmat, sched, cycles, drop, drain, python):
-    """One scenario on sample ``k`` through the fused loop; its raw result."""
+    """One scenario on sample ``k`` through the fused loop; its raw result.
+
+    ``tmat`` may be a strided slab column of any integer dtype; it is
+    copied once, contiguous and widened to the loop's ``int32``.
+    """
     use_sched = sched is not None
     return _kernel(python)(
         int(cycles),
@@ -368,7 +372,7 @@ def run_batch(
         out = _run_one(
             comp,
             int(sample[i]),
-            np.ascontiguousarray(tmats[:, i, :]),
+            tmats[:, i, :],
             scheds[i] if scheds is not None else None,
             cycles,
             drop,

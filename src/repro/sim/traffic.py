@@ -32,7 +32,6 @@ parameters given, nothing default-filled), and
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Mapping
 
 import numpy as np
@@ -49,8 +48,6 @@ __all__ = [
     "BitReversalTraffic",
     "HotspotTraffic",
     "PermutationTraffic",
-    "SCHEDULE_STORE_BYTES",
-    "ScheduleStore",
     "TrafficPattern",
     "TransposeTraffic",
     "UniformTraffic",
@@ -333,15 +330,13 @@ def _draw_schedule(
     return tmat
 
 
-#: Byte budget of one :class:`ScheduleStore`.  A campaign packs its slabs
-#: topology by topology, so a draw is shared across topologies only while
-#: the store still holds every distinct schedule of the run when the next
-#: topology starts.  The fault-free omega/baseline/flip sweep of perfbench's
+#: Byte budget of one :class:`ScheduleStore`.  The store keeps schedules
+#: until this much is held and then draws without keeping, so a run with
+#: more distinct schedules than fit still shares the first ones on every
+#: topology.  The fault-free omega/baseline/flip sweep of perfbench's
 #: ``sweep_batched`` (N = 256, 250 cycles, 32 traffic × seed keys) needs
-#: 4 MiB of ``int16`` schedules; 8 MiB holds twice that, a few slabs'
-#: worth, while staying small beside the ~50 MB a campaign process
-#: occupies.  A run with more distinct schedules than fit draws them
-#: again, as it would without a store.
+#: 4 MiB of ``int16`` schedules; 8 MiB holds twice that while staying
+#: small beside the ~50 MB a campaign process occupies.
 SCHEDULE_STORE_BYTES = 8 << 20
 
 
@@ -354,18 +349,20 @@ class ScheduleStore:
     so scenarios that differ only in topology or fault sample, the
     comparisons Theorem 1 makes, share one draw.  Entries are read-only
     ``(cycles, n_inputs)`` arrays in the slab dtype (``int16`` up to
-    ``2**15`` inputs), kept in a least-recently-used order bounded by
-    ``budget`` bytes (:data:`SCHEDULE_STORE_BYTES`).  A campaign run owns
-    one per compile cache (:attr:`repro.sim.compiled.CompileCache.schedules`),
-    so it starts cold every run and never crosses a process; each store
+    ``2**15`` inputs).  The store fills up to :data:`SCHEDULE_STORE_BYTES`
+    and never evicts: campaign slabs come topology by topology, each
+    asking for the same keys in the same order, so the entries kept first
+    hit on every later topology, where a least-recently-used store would
+    lose each one just before its reuse.  A campaign run owns one per
+    compile cache (:attr:`repro.sim.compiled.CompileCache.schedules`), so
+    it starts cold every run and never crosses a process; each store
     counts its own ``hits`` and ``misses``.
     """
 
-    __slots__ = ("budget", "hits", "misses", "nbytes", "_entries")
+    __slots__ = ("hits", "misses", "nbytes", "_entries")
 
-    def __init__(self, budget: int = SCHEDULE_STORE_BYTES) -> None:
-        self.budget = budget
-        self._entries: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
+    def __init__(self) -> None:
+        self._entries: dict[tuple, np.ndarray] = {}
         self.clear()
 
     def clear(self) -> None:
@@ -388,7 +385,6 @@ class ScheduleStore:
         key = (traffic_id, seed, n_inputs, cycles)
         hit = self._entries.get(key)
         if hit is not None:
-            self._entries.move_to_end(key)
             self.hits += 1
             if obs.enabled():
                 metrics().counter("traffic_cache.hits").add()
@@ -400,9 +396,7 @@ class ScheduleStore:
             _schedule_dtype(n_inputs)
         )
         tmat.setflags(write=False)
-        if tmat.nbytes <= self.budget:
+        if self.nbytes + tmat.nbytes <= SCHEDULE_STORE_BYTES:
             self._entries[key] = tmat
             self.nbytes += tmat.nbytes
-            while self.nbytes > self.budget:
-                self.nbytes -= self._entries.popitem(last=False)[1].nbytes
         return tmat

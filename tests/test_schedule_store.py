@@ -13,7 +13,7 @@ runs it.  These tests pin that:
 * every run starts cold, and nothing persists across standalone calls;
 * stored schedules are read-only, and specs that differ in the traffic
   wire form, the seed, ``n_inputs`` or ``cycles`` never share an entry;
-* the store keeps to its byte budget, least recently used first out,
+* the store fills up to its byte budget and then keeps nothing more,
   and traced runs count its hits and misses.
 """
 
@@ -195,20 +195,23 @@ class TestEntries:
         _simulate_spec_batch([_spec(net="baseline")], "numpy", cache)
         assert (store.hits, store.misses) == (1, len(variants))
 
-    def test_budget_evicts_least_recently_used(self):
+    def test_budget_fills_then_stops_keeping(self, monkeypatch):
         one = 20 * 16 * 2                   # a (20, 16) int16 schedule
-        store = ScheduleStore(budget=2 * one)
+        monkeypatch.setattr(sim_traffic, "SCHEDULE_STORE_BYTES", 2 * one)
+        store = ScheduleStore()
         pattern = UniformTraffic(0.5)
-        for seed in (0, 1, 0, 2):           # seed 1 is least recent at 2
-            store.schedule("u", pattern, seed, 16, 20)
+        # Three topologies ask for seeds 0, 1, 2 in turn: the two kept
+        # first hit on every later topology, the third is drawn each time.
+        for _ in range(3):
+            for seed in (0, 1, 2):
+                store.schedule("u", pattern, seed, 16, 20)
         assert store.nbytes == 2 * one
-        assert [key[1] for key in store._entries] == [0, 2]
-        store.schedule("u", pattern, 1, 16, 20)
-        assert store.misses == 4 and store.hits == 1
+        assert [key[1] for key in store._entries] == [0, 1]
+        assert (store.hits, store.misses) == (4, 5)
         # A schedule larger than the whole budget is drawn, not kept.
+        store.clear()
         big = store.schedule("u", pattern, 9, 16, 100)
-        assert big.shape == (100, 16) and store.nbytes <= 2 * one
-        assert all(key[1] != 9 for key in store._entries)
+        assert big.shape == (100, 16) and not store._entries
 
 
 class TestCounters:

@@ -733,6 +733,46 @@ class TestPinnedDropBytes:
         assert hashlib.sha256(report.encode()).hexdigest() == report_digest
 
 
+class TestPinnedBlockBytes:
+    """A faulted ``block`` campaign's bytes, pinned.
+
+    ``block`` is the one policy whose latencies vary: a packet waits
+    behind back-pressure, so its mean and p99 depend on the contention
+    and the faults.  The grid covers banyan (``omega``), ``-2`` port
+    (``benes``, ``extra_stage_omega``) and double-link (``omega_3dp``)
+    routing, dead cells and severed links, and rates up to saturation.
+    A change that moves one byte of the store or of the ``campaign
+    report --json`` document fails here.
+    """
+
+    @pytest.mark.parametrize("drain, store_digest, report_digest", [
+        (
+            False,
+            "33115d3abe2a32f40b8a8b2c810e52c44b92f4f19c06f5d601257a59d695d907",
+            "1ee7a5c151fb8b2963d5cfcde1a00475a25f22cd980ef81acca7afbcac909448",
+        ),
+        (
+            True,
+            "5d1fb620942149755963382b7ba2661a296ad5bed5fb09059db9b07f7263de06",
+            "b1ff4a9b2efb23efb5ee53c97853d256e524b59fe74138b2c84f24a392b83334",
+        ),
+    ])
+    def test_campaign_digests(
+        self, tmp_path, drain, store_digest, report_digest
+    ):
+        spec = CampaignSpec(
+            topologies=("omega", "benes", "omega_3dp", "extra_stage_omega"),
+            stages=(4, 5), traffic=("uniform", "hotspot"), rates=(0.6, 1.0),
+            faults=(0, 2, {"links": 2}, {"cells": 2, "links": 3}),
+            seeds=(0, 1, 2), cycles=60, policy="block", drain=drain,
+        )
+        store = tmp_path / "block.jsonl"
+        run_campaign(spec, store)
+        report = dumps_aggregate(load_records(store), indent=2)
+        assert hashlib.sha256(store.read_bytes()).hexdigest() == store_digest
+        assert hashlib.sha256(report.encode()).hexdigest() == report_digest
+
+
 def _mixed_samples(n):
     """Four fault samples of an ``n``-stage network, one per flag kind.
 

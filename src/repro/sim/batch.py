@@ -28,7 +28,7 @@ Scenarios never interact: each backend keeps a leading batch axis on
 its packet state and accumulates per-scenario counters, and the
 regression oracle the test suite pins is the pure-Python fused scalar
 loop of :mod:`repro.sim.kernels.numba_backend`, an independent
-implementation: every counter, the occupancy and the latency stream of
+implementation: every counter, the occupancy and the latency counts of
 each scenario are **bit-identical** to it, and a scenario's report is
 the same whichever slab it runs in.
 
@@ -502,9 +502,7 @@ def _run_slab(
     denom = cycles * 2 * size
     reports: list[SimReport] = []
     for i, s in enumerate(scns):
-        mean_lat, p99_lat = latency_summary(
-            run.lat_sorted[run.lat_bounds[i] : run.lat_bounds[i + 1]]
-        )
+        mean_lat, p99_lat = latency_summary(run.lat_counts[i])
         reports.append(
             SimReport(
                 network=s.network_name or default_name,

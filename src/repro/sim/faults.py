@@ -221,19 +221,30 @@ def _kill_ranks(
     lo = 1 if spare_terminal_stages else 0
     cell_rank = np.full((n_stages, size), _SPARED, dtype=np.intp)
     pool = cell_rank[lo : n_stages - lo]
-    # A permutation's argsort is its inverse: each slot's kill position.
-    pool[...] = np.argsort(rng.permutation(pool.size)).reshape(pool.shape)
+    pool[...] = _inverse(rng.permutation(pool.size)).reshape(pool.shape)
     if not links:
         return cell_rank, None
-    link_rank = np.argsort(rng.permutation(2 * (n_stages - 1) * size))
+    link_rank = _inverse(rng.permutation(2 * (n_stages - 1) * size))
     return cell_rank, link_rank.reshape(n_stages - 1, size, 2)
+
+
+def _inverse(perm: np.ndarray) -> np.ndarray:
+    """The inverse of a permutation of ``range(len(perm))``: each entry's
+    position in it."""
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(perm.size)
+    return inv
 
 
 def _in_kill_order(rank: np.ndarray, k: int) -> list[tuple]:
     """The components ranked below ``k``, in kill order, as ``(stage,
     cell)`` / ``(gap, cell, port)`` tuples counting stages from 1."""
     killed = rank < k
-    rows = np.argwhere(killed)[np.argsort(rank[killed])]
+    # Ranks invert a permutation, so those below k are 0, 1, ...: each
+    # killed component's rank is its row.
+    found = np.argwhere(killed)
+    rows = np.empty_like(found)
+    rows[rank[killed]] = found
     return [(first + 1, *rest) for first, *rest in rows.tolist()]
 
 

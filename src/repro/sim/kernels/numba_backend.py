@@ -9,19 +9,19 @@ cycle, the fused loop pays none, which is the whole speedup: the
 arithmetic was never the bottleneck.
 
 The loop body is a scalar transliteration of the NumPy reference
-kernels' semantics, and it ejects packets in the delivery order they
-report (cycle by cycle, in linear buffer-slot order), so the counters,
-the per-scenario latency streams (and hence the summary statistics)
-and the drain-cycle counts are **bit-identical** — the property the
+kernels' semantics, so the counters, the per-scenario latency counts
+(packets delivered per age, and hence the summary statistics) and the
+drain-cycle counts are **bit-identical** — the property the
 cross-backend test suite pins.  Sequential per-cell
 processing is safe because every out-arc targets a unique next-stage
 buffer slot: no write of one cell's move can be observed by another
 cell's free-slot or ambiguity probe within the same stage step.
 
 Batches run the same fused loop once per scenario — scenarios never
-interact, so a B-way slab is B independent fused runs whose concatenated
-latency streams reproduce the batched NumPy partition exactly.  Per-run
-Python overhead is one call per *scenario*, not per cycle.
+interact, so a B-way slab is B independent fused runs whose latency
+count vectors, zero-padded to one length, are the rows of the batched
+NumPy kernels' table.  Per-run Python overhead is one call per
+*scenario*, not per cycle.
 
 The module is importable (and its loop callable, as plain slow Python)
 without numba installed: ``AVAILABLE`` reports whether the JIT is
@@ -52,6 +52,10 @@ except ImportError:  # pragma: no cover - exercised on numba-free installs
 # jitted signature monomorphic (always an int8 2-d array + a use flag).
 _NO_SCHED = np.zeros((1, 1), dtype=np.int8)
 
+# Initial length of the fused loop's latency count vector; it doubles
+# (at least) whenever a packet arrives older than it can count.
+_LAT_SLOTS = 32
+
 
 def _fused_cycle_loop(
     cycles,
@@ -73,7 +77,9 @@ def _fused_cycle_loop(
 
     Returns ``(offered, injected, delivered, dropped, unroutable,
     blocked_moves, total_hops, in_flight, drain_cycles, occupancy,
-    latencies)`` with the exact semantics of the NumPy reference kernel.
+    lat_counts)`` with the exact semantics of the NumPy reference kernel;
+    ``lat_counts[t]`` packets were delivered ``t`` cycles after birth,
+    and the vector ends at the longest latency (empty when none).
     """
     L = n - 1
     dst = np.full((n, size, 2), -1, np.int32)
@@ -82,8 +88,7 @@ def _fused_cycle_loop(
     wait_dst = np.full(n_in, -1, np.int32)
     wait_birth = np.zeros(n_in, np.int32)
     occupancy = np.zeros(n, np.int64)
-    lat = np.empty(256, np.int32)
-    lat_n = 0
+    lat = np.zeros(_LAT_SLOTS, np.int64)     # packets delivered per age
 
     offered = 0
     injected = 0
@@ -136,26 +141,17 @@ def _fused_cycle_loop(
                     dropped += 1
                 else:
                     blocked_moves += 1
-            if e0:
-                if lat_n == lat.shape[0]:
-                    grown = np.empty(lat.shape[0] * 2, np.int32)
-                    grown[:lat_n] = lat
-                    lat = grown
-                lat[lat_n] = cycle - birth[L, x, 0]
-                lat_n += 1
-                delivered += 1
-                total_hops += 1
-                dst[L, x, 0] = -1
-            if e1:
-                if lat_n == lat.shape[0]:
-                    grown = np.empty(lat.shape[0] * 2, np.int32)
-                    grown[:lat_n] = lat
-                    lat = grown
-                lat[lat_n] = cycle - birth[L, x, 1]
-                lat_n += 1
-                delivered += 1
-                total_hops += 1
-                dst[L, x, 1] = -1
+            for s in range(2):
+                if e1 if s else e0:
+                    age = cycle - birth[L, x, s]
+                    if age >= lat.size:
+                        grown = np.zeros(max(2 * lat.size, age + 1), np.int64)
+                        grown[: lat.size] = lat
+                        lat = grown
+                    lat[age] += 1
+                    delivered += 1
+                    total_hops += 1
+                    dst[L, x, s] = -1
 
         # -- moves, back to front ------------------------------------------
         for j in range(n - 2, -1, -1):
@@ -285,6 +281,9 @@ def _fused_cycle_loop(
     for s in range(n_in):
         if wait_dst[s] >= 0:
             in_flight += 1
+    top = lat.size          # end the counts at the longest latency
+    while top > 0 and lat[top - 1] == 0:
+        top -= 1
 
     return (
         offered,
@@ -297,7 +296,7 @@ def _fused_cycle_loop(
         in_flight,
         drain_cycles,
         occupancy,
-        lat[:lat_n].copy(),
+        lat[:top].copy(),
     )
 
 
@@ -382,8 +381,10 @@ def run_batch(
         counters[:, i] = out[:9]
         occupancy[:, i] = out[9]
         lats.append(out[10])
-    bounds = np.zeros(B + 1, dtype=np.int64)
-    np.cumsum([lat.size for lat in lats], out=bounds[1:])
+    T = max((c.size for c in lats), default=0)
+    lat_counts = np.zeros((B, T), dtype=np.int64)
+    for i, c in enumerate(lats):
+        lat_counts[i, : c.size] = c
     return BatchRun(
         offered=counters[0],
         injected=counters[1],
@@ -395,8 +396,5 @@ def run_batch(
         in_flight=counters[7],
         drain_cycles=counters[8],
         occupancy=occupancy,
-        lat_sorted=(
-            np.concatenate(lats) if lats else np.empty(0, np.int32)
-        ),
-        lat_bounds=bounds,
+        lat_counts=lat_counts,
     )

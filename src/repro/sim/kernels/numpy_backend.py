@@ -162,7 +162,9 @@ def _run_drop(
     # Every next-stage slot has exactly one in-arc, so a move is a
     # gather: ``feed[j, i]`` is the out-arc (port-major ``port·M +
     # cell``) that lands in parity-major slot ``i`` of stage ``j + 1``.
-    inv = np.argsort(comp.arc_target.reshape(n - 1, S), axis=1)[:, nat]
+    inv = np.empty((n - 1, S), dtype=np.intp)
+    np.put_along_axis(inv, comp.arc_target.reshape(n - 1, S), pos, axis=1)
+    inv = inv[:, nat]
     feed = (inv & 1) * size + (inv >> 1)
     # A packet's whole route is one word (see ``route_words``), read
     # once at injection: a gather at its sample, cell and ``dst + 1``,
@@ -254,8 +256,9 @@ def _run_drop(
     # Dead sources draw but never inject; wait buffers never hold.
     unroutable += offered - injected
     total_hops += delivered
-    lat_bounds = np.zeros(B + 1, dtype=np.int64)
-    np.cumsum(delivered, out=lat_bounds[1:])
+    # Every delivered packet crossed one stage per cycle: column n.
+    lat_counts = np.zeros((B, n + 1 if delivered.any() else 0), np.int64)
+    lat_counts[:, n:] = delivered[:, None]
     return BatchRun(
         offered=offered,
         injected=injected,
@@ -267,9 +270,7 @@ def _run_drop(
         in_flight=in_flight,
         drain_cycles=np.maximum(last - cycles + 1, 0),
         occupancy=occupancy,
-        # Every delivered packet crossed one stage per cycle.
-        lat_sorted=np.full(int(lat_bounds[-1]), n, dtype=np.int32),
-        lat_bounds=lat_bounds,
+        lat_counts=lat_counts,
     )
 
 
@@ -461,19 +462,13 @@ def _run_block(
         drain_cycles += busy
         now += 1
 
-    # Latencies in delivery order: by scenario, cycle, then linear slot.
-    lat = np.repeat(np.arange(now, dtype=np.int32), [f.size for f in lat_f])
-    rank = np.concatenate(lat_f)
-    slot = (2 * cell + par)[rank % S]
-    rank //= S
-    delivered = np.bincount(rank, minlength=B)
-    rank *= now
-    rank += lat
-    rank *= S
-    rank += slot
-    del slot, lat_f[:]
-    lat -= np.concatenate(lat_b)
-    order = np.argsort(rank)
+    # Each ejected packet's scenario and age, counted as one table.
+    age = np.repeat(np.arange(now), [f.size for f in lat_f])
+    age -= np.concatenate(lat_b)
+    T = int(age.max()) + 1 if age.size else 0
+    flat = np.concatenate(lat_f) // S * T + age
+    lat_counts = np.bincount(flat, minlength=B * T).reshape(B, T)
+    delivered = lat_counts.sum(axis=1)
     # The other counters follow from conservation.  An injected packet
     # is delivered, unroutable or still inside; one at stage k made k
     # hops; a packet held at the start of a cycle moves, ejects, is
@@ -496,8 +491,7 @@ def _run_block(
         in_flight=inside.sum(axis=0) + waiting,
         drain_cycles=drain_cycles,
         occupancy=occupancy,
-        lat_sorted=lat[order],
-        lat_bounds=np.concatenate([[0], np.cumsum(delivered)]),
+        lat_counts=lat_counts,
     )
 
 

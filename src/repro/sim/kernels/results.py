@@ -18,9 +18,10 @@ class BatchRun:
     """Raw outcome of a B-scenario batched kernel run.
 
     Per-scenario counter arrays of shape ``(B,)``, per-stage occupancy
-    ``(n, B)``, and the latency stream partitioned by scenario:
-    ``lat_sorted[lat_bounds[i]:lat_bounds[i + 1]]`` is scenario ``i``'s
-    delivered-packet latencies in delivery order.
+    ``(n, B)``, and the latency counts ``(B, T)``: ``lat_counts[i, t]``
+    is the number of scenario ``i``'s packets delivered ``t`` cycles
+    after birth.  ``T`` is one past the longest latency in the slab, 0
+    when nothing is delivered, so every backend returns the same shape.
     """
 
     offered: np.ndarray
@@ -33,5 +34,4 @@ class BatchRun:
     in_flight: np.ndarray
     drain_cycles: np.ndarray
     occupancy: np.ndarray
-    lat_sorted: np.ndarray
-    lat_bounds: np.ndarray
+    lat_counts: np.ndarray

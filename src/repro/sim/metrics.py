@@ -18,38 +18,32 @@ import numpy as np
 __all__ = ["SimReport", "latency_summary", "patel_profile"]
 
 
-def latency_summary(latencies) -> tuple[float, float]:
-    """``(mean, p99)`` of an array of delivered-packet latencies.
+def latency_summary(counts) -> tuple[float, float]:
+    """``(mean, p99)`` of delivered-packet latencies given as counts.
 
-    ``(0.0, 0.0)`` when no packet was delivered — the single definition
-    shared by the sequential and batched engines, so their reports can
-    never disagree on how the percentile is taken.
+    ``counts[t]`` packets were delivered ``t`` cycles after birth (a row
+    of :attr:`BatchRun.lat_counts <repro.sim.kernels.BatchRun>`, or
+    ``np.bincount`` of an array of latencies).  ``(0.0, 0.0)`` when no
+    packet was delivered.  The mean is the exact integer latency sum
+    over the packet count.  The p99 is ``np.percentile(lat, 99)`` bit
+    for bit: numpy's default ``linear`` rule, virtual index ``v = (n -
+    1) * 0.99``, the two order statistics around it read from the
+    cumulative counts, and its ``a + d·t`` / ``b − d·(1 − t)``
+    interpolation.
     """
-    if latencies is None or len(latencies) == 0:
+    cum = np.cumsum(counts)
+    n = int(cum[-1]) if cum.size else 0
+    if n == 0:
         return 0.0, 0.0
-    lat = np.asarray(latencies)
-    return float(np.mean(lat)), _p99(lat)
-
-
-def _p99(lat: np.ndarray) -> float:
-    """``np.percentile(lat, 99)`` bit for bit, from one partition.
-
-    numpy's default ``linear`` rule: virtual index ``v = (n - 1) * 0.99``,
-    the two order statistics around it, and its ``a + d·t`` /
-    ``b − d·(1 − t)`` interpolation; past the last index, the maximum.
-    The kernels hand over latencies in delivery order, not sorted, so
-    the two statistics come from ``np.partition``, not from indexing.
-    """
-    n = len(lat)
+    mean = int(np.dot(counts, np.arange(cum.size))) / n
     v = (n - 1) * (99 / 100)
-    if v >= n - 1:
-        return float(lat.max())
     lo = int(v)
-    part = np.partition(lat, [lo, lo + 1])
-    a, b = float(part[lo]), float(part[lo + 1])
-    t = v - lo
+    # Order statistic k is the first age whose cumulative count passes
+    # k; at n = 1 both statistics are the one latency (v = 0).
+    a, b = np.searchsorted(cum, [lo, min(lo + 1, n - 1)], side="right")
+    a, b, t = float(a), float(b), v - lo
     d = b - a
-    return b - d * (1 - t) if t >= 0.5 else a + d * t
+    return mean, b - d * (1 - t) if t >= 0.5 else a + d * t
 
 
 def patel_profile(rate: float, n: int) -> tuple[float, ...]:

@@ -83,6 +83,7 @@ from repro.sim.kernels import (
     numba_backend,
     numpy_backend,
 )
+from repro.sim.metrics import latency_summary
 from repro.spec.scenario import (
     FaultSpec,
     NetworkSpec,
@@ -299,8 +300,14 @@ def _assert_runs_identical(ref, fused):
             getattr(ref, field), getattr(fused, field)
         ), field
     assert np.array_equal(ref.occupancy, fused.occupancy)
-    assert np.array_equal(ref.lat_bounds, fused.lat_bounds)
-    assert np.array_equal(ref.lat_sorted, fused.lat_sorted)
+    assert np.array_equal(ref.lat_counts, fused.lat_counts)
+
+
+def _assert_every_latency_n(run, n):
+    """Every packet ``run`` delivered took exactly ``n`` cycles."""
+    assert run.lat_counts.shape[1] in (0, n + 1)
+    assert not run.lat_counts[:, :n].any()
+    assert np.array_equal(run.lat_counts[:, n:].sum(axis=1), run.delivered)
 
 
 class TestFusedKernelSemantics:
@@ -473,7 +480,7 @@ class TestDropPathArgument:
             drain, python=True,
         )
         assert not run.blocked_moves.any()
-        assert (run.lat_sorted == n).all()
+        _assert_every_latency_n(run, n)
         # Every draw is offered, so no wait buffer ever held a packet;
         # the draws that do not inject are exactly the dead sources'.
         draws = (tmats >= 0).sum(axis=(0, 2))
@@ -601,7 +608,7 @@ class TestBlockPathArgument:
         _assert_runs_identical(ref, fused)
         assert not fused.blocked_moves.any()
         assert (fused.delivered == n_in * (cycles - n)).all()
-        assert (fused.lat_sorted == n).all()
+        _assert_every_latency_n(fused, n)
         full = n_in * (cycles - np.arange(n))
         assert (fused.occupancy == full[:, None]).all()
 
@@ -773,6 +780,76 @@ class TestPinnedBlockBytes:
         assert hashlib.sha256(report.encode()).hexdigest() == report_digest
 
 
+class _Silent(UniformTraffic):
+    """A pattern whose sources never offer a packet."""
+
+    def destinations(self, rng, n_inputs, cycles):
+        return np.full((cycles, n_inputs), -1, dtype=np.int32)
+
+
+class TestLatencyCounts:
+    """Every kernel returns the ``(B, T)`` latency table in one shape.
+
+    ``T`` is one past the slab's longest latency, 0 when nothing is
+    delivered.  Each case runs on both NumPy kernels and on the scalar
+    loop, whose tables must be equal, shape included.
+    """
+
+    @pytest.mark.parametrize("drop", [True, False])
+    @pytest.mark.parametrize("drain", [False, True])
+    def test_silent_slab_has_no_latency_columns(self, drop, drain):
+        net = omega(4)
+        tmats = np.full((30, 3, net.n_inputs), -1, dtype=np.int16)
+        for run in _slab_runs(net, None, tmats, None, 30, drop, drain):
+            assert run.lat_counts.shape == (3, 0)
+            assert run.lat_counts.dtype == np.int64
+            summaries = [latency_summary(row) for row in run.lat_counts]
+            assert summaries == [(0.0, 0.0)] * 3
+
+    @pytest.mark.parametrize("policy", ["drop", "block"])
+    def test_silent_slab_reports(self, policy):
+        reports = simulate_batch(
+            omega(4), [_Silent(rate=0.5)] * 3, cycles=30, policy=policy,
+            backend="numpy",
+        )
+        for rep in reports:
+            assert (rep.delivered, rep.mean_latency, rep.p99_latency) == (
+                0, 0.0, 0.0
+            )
+
+    @pytest.mark.parametrize("drop", [True, False])
+    @pytest.mark.parametrize("drain", [False, True])
+    def test_idle_scenario_row_is_zero(self, drop, drain):
+        net, cycles = omega(4), 40
+        tmats = _uniform_slab(net, cycles, 3, seed=5)
+        tmats[:, 1] = -1
+        ref, fused = _slab_runs(net, None, tmats, None, cycles, drop, drain)
+        _assert_runs_identical(ref, fused)
+        for run in (ref, fused):
+            assert run.delivered[[0, 2]].all() and not run.delivered[1]
+            assert not run.lat_counts[1].any()
+            assert latency_summary(run.lat_counts[1]) == (0.0, 0.0)
+            # The last column holds the slab's longest latency.
+            assert run.lat_counts[:, -1].any()
+            assert np.array_equal(run.lat_counts.sum(axis=1), run.delivered)
+
+    def test_block_drain_hotspot_outgrows_the_scalar_count_vector(self):
+        net, cycles = omega(5), 200
+        hotspot = TrafficSpec.of("hotspot", 0.9).resolve()
+        tmats = np.stack(
+            [
+                hotspot.destinations(
+                    np.random.default_rng(seed), net.n_inputs, cycles
+                )
+                for seed in range(2)
+            ],
+            axis=1,
+        )
+        ref, fused = _slab_runs(net, None, tmats, None, cycles, False, True)
+        _assert_runs_identical(ref, fused)
+        assert fused.lat_counts.shape[1] > numba_backend._LAT_SLOTS
+
+
 def _mixed_samples(n):
     """Four fault samples of an ``n``-stage network, one per flag kind.
 
@@ -830,12 +907,14 @@ def _links_ok(comp):
 
 
 def _scenario_fields(run, b):
-    """Scenario ``b``'s slice of every ``BatchRun`` field."""
-    lo, hi = run.lat_bounds[b], run.lat_bounds[b + 1]
+    """Scenario ``b``'s slice of every ``BatchRun`` field.
+
+    A slab's latency table is as wide as its longest latency, so a
+    scenario's row is compared without its trailing zeros.
+    """
     fields = {f: getattr(run, f)[b : b + 1] for f in _COUNTERS}
     fields["occupancy"] = run.occupancy[:, b]
-    fields["lat_sorted"] = run.lat_sorted[lo:hi]
-    fields["lat_bounds"] = run.lat_bounds[b : b + 2] - lo
+    fields["lat_counts"] = np.trim_zeros(run.lat_counts[b], "b")
     return fields
 
 

@@ -909,8 +909,7 @@ class TestUnroutableIffUnreachable:
                 getattr(ref, field), getattr(fused, field)
             ), field
         assert np.array_equal(ref.occupancy, fused.occupancy)
-        assert np.array_equal(ref.lat_bounds, fused.lat_bounds)
-        assert np.array_equal(ref.lat_sorted, fused.lat_sorted)
+        assert np.array_equal(ref.lat_counts, fused.lat_counts)
 
     @pytest.mark.skipif(
         not numba_available(),

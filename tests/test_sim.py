@@ -1124,12 +1124,14 @@ def test_property_conservation_under_any_policy_and_faults(seed):
 
 
 class TestLatencySummary:
-    """``latency_summary``'s p99 is ``np.percentile(lat, 99)`` bit for bit.
+    """``latency_summary`` of ``np.bincount(lat)`` is ``np.mean(lat)`` and
+    ``np.percentile(lat, 99)`` bit for bit.
 
-    The kernels hand latencies over in delivery order (see
-    :class:`repro.sim.kernels.results.BatchRun`), so the arrays here are
-    unsorted; lengths cover both sides of every interpolation
-    case (``v`` past the last index, ``t`` below and above one half).
+    The kernels hand latencies over as counts per age (see
+    :class:`repro.sim.kernels.results.BatchRun`), so each array here is
+    reduced to its counts first; lengths cover both sides of every
+    interpolation case (``v`` past the last index, ``t`` below and
+    above one half).
     """
 
     @pytest.mark.parametrize("seed", range(4))
@@ -1139,14 +1141,15 @@ class TestLatencySummary:
         for length in lengths:
             high = int(rng.choice([2, 5, 40, 1000, 1 << 20]))
             lat = rng.integers(0, high, size=length).astype(np.int32)
-            mean, p99 = latency_summary(lat)
+            mean, p99 = latency_summary(np.bincount(lat))
             assert p99 == float(np.percentile(lat, 99)), length
             assert mean == float(np.mean(lat))
 
     def test_empty_and_single(self):
-        assert latency_summary(np.empty(0, np.int32)) == (0.0, 0.0)
-        assert latency_summary(None) == (0.0, 0.0)
-        assert latency_summary(np.array([7], np.int32)) == (7.0, 7.0)
+        assert latency_summary(np.bincount(np.empty(0, np.int32))) == (0.0, 0.0)
+        # A row of a slab's table in which this scenario delivered nothing.
+        assert latency_summary(np.zeros(9, np.int64)) == (0.0, 0.0)
+        assert latency_summary(np.bincount([7])) == (7.0, 7.0)
 
 
 class TestPatelRecursion:

@@ -38,10 +38,10 @@ tables' one grouping (:func:`repro.campaign.aggregate._runs`, keyed by
 stored under two hashes is refused.  Availability is recomputed from
 the records, not read from them: the reduction collects the distinct
 (topology, fault counts, fault seed) samples, resolves each topology
-once, draws each fault seed's kill ranks once per topology, and reads
-every cell count of a (fault seed, link count) trajectory from one
-bottleneck sweep of those ranks
-(:func:`~repro.sim.faults.availability_from_counts`).
+once, draws each fault seed's kill ranks once per topology
+(:func:`~repro.sim.faults.masks_from_counts`), and reads every cell
+count of a (fault seed, link count) kill order from one bottleneck sweep
+of that order (:func:`~repro.sim.faults.terminal_availability`).
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from repro.io import document_fields, parse_document
 from repro.obs import trace as obs
 from repro.obs.metrics import metrics
 from repro.obs.schema import COUNTER_AVAILABILITY_EVALS, SPAN_RELIABILITY
-from repro.sim.faults import availability_from_counts
+from repro.sim.faults import masks_from_counts, terminal_availability
 from repro.spec.scenario import NetworkSpec, SimPolicy, canonical_json
 
 __all__ = [
@@ -295,11 +295,12 @@ def _availabilities(
     ``keys`` are ``(topology, fault_cells, fault_links, fault_seed)``
     with the topology as canonical JSON, which ``topologies`` maps back
     to its spec.  Each topology resolves once and reads all its faulted
-    samples from one :func:`~repro.sim.faults.availability_from_counts`
-    call: a seed's samples are nested, so each (fault seed, link count)
-    is one bottleneck sweep of kill ranks, and each cell count one
-    compare against it.  No mask or reachability stack is built.  A
-    fault-free sample counts as 1.0.
+    samples from one :func:`~repro.sim.faults.terminal_availability`
+    call on their :func:`~repro.sim.faults.masks_from_counts` kill
+    orders: a seed's samples are nested, so each (fault seed, link
+    count) is one order and one bottleneck sweep of its kill ranks, and
+    each cell count one compare against it.  No alive mask or
+    reachability stack is built.  A fault-free sample counts as 1.0.
     """
     by_topo: dict[str, list[tuple]] = {}
     values: dict[tuple, float] = {}
@@ -310,7 +311,10 @@ def _availabilities(
             values[key] = 1.0
     for topo, topo_keys in by_topo.items():
         net = NetworkSpec.from_spec(topologies[topo]).resolve()
-        avail = availability_from_counts(net, [key[1:] for key in topo_keys])
+        masks = masks_from_counts(
+            net.n_stages, net.size, [key[1:] for key in topo_keys]
+        )
+        avail = terminal_availability(net, masks)
         values.update(zip(topo_keys, avail.tolist()))
     if values and obs.enabled():
         metrics().counter(COUNTER_AVAILABILITY_EVALS).add(len(values))

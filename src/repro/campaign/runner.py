@@ -30,13 +30,12 @@ Two layers of batching and caching keep the sweep hot:
   per-scenario dispatch exactly.
 * **Run-owned caches, warm workers.**  A run owns its compiled-network
   LRU (:class:`repro.sim.compiled.CompileCache`; one inline, or one per
-  pool worker), sized to the sweep's distinct task compile keys
-  (topology plus the task's fault samples), at most
-  ``64 // SLAB_SAMPLES`` (4) entries, so at most 64 fault samples.  The
-  cache carries the run's :class:`~repro.sim.traffic.ScheduleStore`, so
-  each (traffic, seed) schedule is drawn once per run or worker and
-  reused on every topology and fault sample that runs it.  Pool
-  workers live for the whole sweep; with the ``numba`` backend the
+  pool worker) of :data:`CACHE_SLABS` (4) entries, so at most 64 fault
+  samples.  The cache carries the run's
+  :class:`~repro.sim.traffic.ScheduleStore`, so each (traffic, seed)
+  schedule is drawn once per run or worker and reused on every
+  topology and fault sample that runs it.  Pool workers live for the
+  whole sweep; with the ``numba`` backend the
   initializer pre-compiles the fused JIT loop
   (:func:`repro.sim.kernels.warm_jit`).  Network resolution is
   additionally memoized per process by catalog entry / file digest.
@@ -113,6 +112,12 @@ _log = get_logger("campaign")
 #: is cut here so the first result is stored after a 4-sample slab's
 #: work, not a 16-sample one's.
 FIRST_TASK_SAMPLES = 4
+
+#: Entries of each run's compile cache: a slab holds up to
+#: :data:`~repro.sim.batch.SLAB_SAMPLES` (16) samples, so a cache holds
+#: at most 64.  An LRU never evicts while it can hold every distinct key,
+#: so a run with fewer distinct slabs never notices the bound.
+CACHE_SLABS = 64 // SLAB_SAMPLES
 
 
 def _record(spec: ScenarioSpec, report: SimReport) -> dict:
@@ -206,16 +211,14 @@ def _note_group(n_scenarios: int, busy_s: float) -> None:
     m.histogram("campaign.group_busy_s").observe(busy_s)
 
 
-def _worker_init(
-    cache_max: int, backend: str | None, traced: bool = False
-) -> tuple:
+def _worker_init(backend: str | None, traced: bool = False) -> tuple:
     """Pool initializer: install telemetry, build the cache, pre-pay JIT.
 
     The tracer (when the parent traces) comes first so the initializer's
     own ``warm_jit`` span is captured; it replaces any tracer inherited
     across ``fork`` — see :func:`repro.obs.trace.reset`.  Returns the
     sweep's ``backend`` request and this worker's own
-    ``CompileCache(cache_max)``, which every group of this worker runs
+    ``CompileCache(CACHE_SLABS)``, which every group of this worker runs
     on (see :func:`_execute_group`).
     """
     if traced:
@@ -223,7 +226,7 @@ def _worker_init(
         obs.start(obs.Tracer())
     if resolve_backend(backend) == "numba":
         warm_jit()
-    return backend, CompileCache(cache_max)
+    return backend, CompileCache(CACHE_SLABS)
 
 
 def run_campaign(
@@ -439,16 +442,6 @@ def run_campaign(
             "traffic_cache": {"hits": 0, "misses": 0},
         }
     tasks = _pack_tasks(pending, batch)
-    # Size the run's compile caches to the sweep: each distinct task
-    # (topology, fault samples in task order) is one compilation, and a
-    # budget below that count would thrash on every task boundary.  An
-    # entry holds up to SLAB_SAMPLES samples, so a cache never holds
-    # more than 64.
-    slab_keys = {
-        (task[0].network, tuple(dict.fromkeys(s.faults for s in task)))
-        for task in tasks
-    }
-    cache_max = min(64 // SLAB_SAMPLES, len(slab_keys))
     # Degradation target: retry once on the reference kernels when the
     # sweep runs the JIT backend.  A chaos spec with poison_numba
     # entries simulates exactly that failure mode, so it forces the
@@ -523,7 +516,7 @@ def run_campaign(
                 tasks,
                 cfg=sup_cfg,
                 backend=backend,
-                cache=CompileCache(cache_max),
+                cache=CompileCache(CACHE_SLABS),
                 chaos=chaos,
                 on_result=_on_result,
                 on_failure=_on_failure,
@@ -534,7 +527,7 @@ def run_campaign(
                 workers=workers,
                 cfg=sup_cfg,
                 backend=backend,
-                init_args=(cache_max, backend, traced),
+                init_args=(backend, traced),
                 chaos=chaos,
                 dispatch_ts_factory=(
                     (lambda: time.time()) if traced else (lambda: None)

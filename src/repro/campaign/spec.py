@@ -71,8 +71,10 @@ def _normalize_faults(entry) -> tuple[int, int]:
         extra = set(entry) - {"cells", "links"}
         if extra:
             raise ReproError(f"unexpected fault entry keys {sorted(extra)}")
-        cells = int(entry.get("cells", 0))
-        links = int(entry.get("links", 0))
+        cells, links = entry.get("cells", 0), entry.get("links", 0)
+        for count in (cells, links):
+            if isinstance(count, bool) or not isinstance(count, int):
+                raise ReproError(f"fault counts must be ints, got {entry!r}")
     else:
         raise ReproError(
             f"fault entry must be an int (dead cells) or a "

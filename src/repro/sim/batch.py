@@ -102,8 +102,8 @@ __all__ = ["SLAB_SAMPLES", "BatchScenario", "pack_slabs", "simulate_batch"]
 #: all 16.  A slab's compiled value holds ``(K, n-1, M, M)`` int8 port tables
 #: and no reachability (the sweep keeps one ``(K, M, M)`` stage at a time), so
 #: the cap bounds that memory per compile-cache entry; a campaign's cache holds
-#: ``64 // SLAB_SAMPLES`` entries at most.  A full slab takes longer to run
-#: than a 4-sample one, so a campaign cuts its first task at
+#: :data:`repro.campaign.runner.CACHE_SLABS` (4) entries.  A full slab takes
+#: longer to run than a 4-sample one, so a campaign cuts its first task at
 #: :data:`repro.campaign.runner.FIRST_TASK_SAMPLES` (4) samples: the first
 #: stored result comes as soon as it did under a cap of 4.
 SLAB_SAMPLES = 16

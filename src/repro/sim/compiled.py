@@ -57,7 +57,7 @@ class CompiledNetwork:
 
     Built by one :func:`repro.sim.faults.fault_structure` call on the
     slab's masks (``None``: one healthy sample); every per-sample table
-    has a leading sample axis ``K`` (row ``k`` is mask row ``k``), and
+    has a leading sample axis ``K`` (row ``k`` is sample ``k``), and
     the topology tables are shared by all samples.
 
     Attributes
@@ -242,14 +242,6 @@ def _eject_field(comp: CompiledNetwork, t: np.ndarray) -> np.ndarray:
     return ((t & 1) + 1).astype(_word_dtype(comp)) << 2 * (comp.n_stages - 1)
 
 
-# Digest memo keyed by object identity; the strong reference pins the
-# identity (ids recycle only after collection).  Networks here are a
-# subset of what the compile caches themselves keep alive, so the extra
-# footprint is a few tuples.
-_DIGEST_MEMO: "OrderedDict[int, tuple[MIDigraph, str]]" = OrderedDict()
-_DIGEST_MEMO_MAX = 16
-
-
 def network_digest(net: MIDigraph) -> str:
     """Structural content digest of a network's connection tables.
 
@@ -258,33 +250,21 @@ def network_digest(net: MIDigraph) -> str:
     e.g. the same catalog spec rebuilt in two processes, or a saved file
     re-read under a different path — collide, and everything else
     separates.  This string is the topology half of the compile cache
-    key and of the campaign workers' compiled-network memo.  Memoized
-    per network object, so repeated cache lookups on one topology don't
-    re-hash its tables.
+    key.
     """
-    key = id(net)
-    hit = _DIGEST_MEMO.get(key)
-    if hit is not None and hit[0] is net:
-        _DIGEST_MEMO.move_to_end(key)
-        return hit[1]
     h = hashlib.sha256()
     h.update(np.int64([net.n_stages, net.size]).tobytes())
     for conn in net.connections:
         h.update(np.ascontiguousarray(conn.f, dtype=np.int64).tobytes())
         h.update(np.ascontiguousarray(conn.g, dtype=np.int64).tobytes())
-    digest = h.hexdigest()[:16]
-    _DIGEST_MEMO[key] = (net, digest)
-    while len(_DIGEST_MEMO) > _DIGEST_MEMO_MAX:
-        _DIGEST_MEMO.popitem(last=False)
-    return digest
+    return h.hexdigest()[:16]
 
 
 def compile_key(net: MIDigraph, masks: FaultMasks | None = None) -> tuple:
-    """The compile cache key: structural digest + the samples' mask bytes."""
+    """The compile cache key: structural digest + the bytes of the
+    samples' kill orders, links, order and counts."""
     masks = masks or fault_masks(net, [None])
-    return (
-        network_digest(net), masks.cells.tobytes(), masks.links.tobytes()
-    )
+    return (network_digest(net), *(a.tobytes() for a in masks))
 
 
 class CompileCache:
@@ -368,6 +348,5 @@ def compile_cache_info() -> dict:
 
 
 def compile_cache_clear() -> None:
-    """Empty the default cache, reset its counters and the digest memo."""
+    """Empty the default cache and reset its counters."""
     _DEFAULT.clear()
-    _DIGEST_MEMO.clear()

@@ -7,10 +7,12 @@ handle this module exists for: baseline-equivalent topologies (same
 ``(n_stages, size)``) can be degraded identically and their traffic
 behaviour compared apples-to-apples.
 
-Below it, K fault samples are one :class:`FaultMasks` pair of alive masks.
-A seeded sample at count ``k`` kills every component ranked below ``k`` in
-its seed's kill order, so :func:`masks_from_counts` masks all counts of a
-seed with one rank draw; :func:`fault_masks` converts explicit fault sets.
+Below it, K fault samples are one :class:`FaultMasks`: a few kill orders
+(each component's rank in one) and, per sample, its order and cell
+count.  A seeded sample at count ``k`` kills every switch ranked below
+``k`` in its seed's order, so :func:`masks_from_counts` serves every
+count of a (seed, link count) from one order and each seed from one rank
+draw; :func:`fault_masks` converts explicit fault sets, one order each.
 
 Degradation is reachability-aware: :func:`fault_structure` runs the
 backward sweep of :func:`repro.routing.paths.reachable_outputs`
@@ -20,13 +22,13 @@ around faults where an alternative port still works (multipath networks
 such as Beneš) and drops packets as *unroutable* exactly when no live
 path remains.
 
-The same loop prices availability without masks.  A seed's samples are
-nested, so pair ``(s, d)`` survives count ``c`` exactly when its
-*bottleneck rank* — the largest, over live paths, of the smallest kill
-rank on the path — is at least ``c``.  Swept over kill ranks instead of
-booleans, the loop yields every pair's bottleneck rank, and
-:func:`availability_from_counts` reads each cell count of a (seed, link
-count) group with one compare and count.
+The same loop prices availability on the kill orders themselves.  Pair
+``(s, d)`` survives count ``c`` exactly when its *bottleneck rank* — the
+largest, over live paths, of the smallest kill rank on the path — is at
+least ``c``.  Swept over kill ranks instead of booleans, the loop yields
+every pair's bottleneck rank in each order, and
+:func:`terminal_availability` reads each sample with one compare and
+count against its order's values.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ __all__ = [
     "FaultMasks",
     "FaultSet",
     "FaultStructure",
-    "availability_from_counts",
     "fault_connectivity",
     "fault_masks",
     "fault_structure",
@@ -264,65 +265,99 @@ def _check_counts(
 
 
 class FaultMasks(NamedTuple):
-    """K fault samples of one network shape as alive masks: ``cells``
-    ``(K, n, M)`` and ``links`` ``(K, n-1, M, 2)``, True where a switch
-    is not killed or a link not severed."""
+    """K fault samples of one network shape, as kill orders and counts.
 
-    cells: np.ndarray
+    Attributes
+    ----------
+    ranks:
+        ``(G, n, M)`` — each switch's rank in one of G kill orders; a
+        switch lives while its rank is at least the sample's count, and a
+        spared terminal-stage switch (``_SPARED``) never dies.
+    links:
+        ``(G, n-1, M, 2)`` bool — True where that order does not sever
+        the link.
+    order, kills:
+        ``(K,)`` — sample ``k`` is order ``order[k]`` at cell count
+        ``kills[k]``.  An explicit fault set is an order of its own, its
+        dead switches at rank -1 and its count 0.
+    """
+
+    ranks: np.ndarray
     links: np.ndarray
+    order: np.ndarray
+    kills: np.ndarray
 
-    @classmethod
-    def healthy(cls, k: int, n_stages: int, size: int) -> "FaultMasks":
-        """``k`` fault-free samples: every mask True."""
-        return cls(
-            np.ones((k, n_stages, size), dtype=bool),
-            np.ones((k, n_stages - 1, size, 2), dtype=bool),
-        )
+    def alive(self) -> tuple[np.ndarray, np.ndarray]:
+        """The samples' boolean alive stacks: cells ``(K, n, M)``, True
+        where a switch is not killed, and links ``(K, n-1, M, 2)``, True
+        where a link is not severed."""
+        cells = self.ranks[self.order] >= self.kills[:, None, None]
+        return cells, self.links[self.order]
 
 
 def masks_from_counts(
     n_stages: int, size: int, counts: Iterable[tuple[int, int, int]]
 ) -> FaultMasks:
-    """The masks of many ``(cells, links, seed)`` counts of one shape.
+    """The samples of many ``(cells, links, seed)`` counts of one shape.
 
-    Row ``i`` is the sample :meth:`FaultSet.from_counts` draws for count
-    ``i``, but each faulted seed draws its kill ranks once and its rows
-    are one broadcast compare against them.  A seed that severs no link
-    never permutes the link pool.  Negative or oversized counts raise
-    :class:`~repro.core.errors.ReproError`.
+    Sample ``i`` is the one :meth:`FaultSet.from_counts` draws for count
+    ``i``.  A seed's samples are nested, so the counts group by (seed,
+    link count), one kill order each, and each seed draws its kill ranks
+    once; fault-free counts share one order and draw nothing.  A seed
+    that severs no link never permutes the link pool.  Negative or
+    oversized counts raise :class:`~repro.core.errors.ReproError`.
     """
     counts = list(counts)
-    by_seed: dict[int, list[int]] = {}
+    groups: dict[tuple[int | None, int], list[int]] = {}
     for k, (cells, links, seed) in enumerate(counts):
         _check_counts(n_stages, size, cells, links)
-        if cells or links:
-            by_seed.setdefault(seed, []).append(k)
-    n = np.array([count[:2] for count in counts], dtype=np.intp)
-    masks = FaultMasks.healthy(len(counts), n_stages, size)
-    for seed, rows in by_seed.items():
-        severs = bool(n[rows, 1].any())
-        rng = np.random.default_rng(seed)
-        cell_rank, link_rank = _kill_ranks(rng, n_stages, size, links=severs)
-        masks.cells[rows] = cell_rank >= n[rows, 0][:, None, None]
-        if severs:
-            masks.links[rows] = link_rank >= n[rows, 1][:, None, None, None]
+        key = (seed, links) if cells or links else (None, 0)
+        groups.setdefault(key, []).append(k)
+    severs = {seed for seed, links in groups if links}
+    ranks = {
+        seed: _kill_ranks(
+            np.random.default_rng(seed), n_stages, size, links=seed in severs
+        )
+        for seed in {seed for seed, _ in groups} - {None}
+    }
+    masks = FaultMasks(
+        np.full((len(groups), n_stages, size), _SPARED, dtype=np.intp),
+        np.ones((len(groups), n_stages - 1, size, 2), dtype=bool),
+        np.empty(len(counts), dtype=np.intp),
+        np.array([cells for cells, _, _ in counts], dtype=np.intp),
+    )
+    for g, ((seed, links), rows) in enumerate(groups.items()):
+        masks.order[rows] = g
+        if seed is not None:
+            cell_rank, link_rank = ranks[seed]
+            masks.ranks[g] = cell_rank
+            if links:
+                masks.links[g] = link_rank >= links
     return masks
 
 
 def fault_masks(net: MIDigraph, samples: Sequence[FaultSet | None]) -> FaultMasks:
-    """The masks of K explicit fault sets of ``net`` (``None`` = healthy),
-    each validated against the network's shape."""
-    masks = FaultMasks.healthy(len(samples), net.n_stages, net.size)
+    """The samples of K explicit fault sets of ``net`` (``None`` =
+    healthy), each validated against the network's shape and an order of
+    its own."""
+    K, n, size = len(samples), net.n_stages, net.size
+    masks = FaultMasks(
+        np.full((K, n, size), _SPARED, dtype=np.intp),
+        np.ones((K, n - 1, size, 2), dtype=bool),
+        np.arange(K, dtype=np.intp),
+        np.zeros(K, dtype=np.intp),
+    )
     for k, faults in enumerate(samples):
         if not faults:
             continue
         faults.validate(net)
-        for alive, dead in (
-            (masks.cells, faults.dead_cells), (masks.links, faults.dead_links)
+        for values, dead, value in (
+            (masks.ranks, faults.dead_cells, -1),
+            (masks.links, faults.dead_links, False),
         ):
             if dead:
                 first, *rest = np.array(list(dead)).T
-                alive[(k, first - 1, *rest)] = False
+                values[(k, first - 1, *rest)] = value
     return masks
 
 
@@ -359,9 +394,9 @@ def _check_stack(masks: FaultMasks) -> int:
     """The sample count of ``masks``; an empty stack raises
     :class:`~repro.core.errors.ReproError`: a K = 0 value has no row to
     read, and its combined flags would claim every link alive."""
-    if not len(masks.cells):
+    if not len(masks.order):
         raise ReproError("fault_structure needs at least one fault sample")
-    return len(masks.cells)
+    return len(masks.order)
 
 
 def _child_table(net: MIDigraph) -> np.ndarray:
@@ -390,30 +425,28 @@ def _fault_structure(
     """:func:`fault_structure` on the network's :func:`_child_table`,
     which a slab compile builds once and keeps."""
     _check_stack(masks)
-    # Copies: a compiled value freezes these arrays, never the caller's.
-    cells = np.array(masks.cells, dtype=bool)
+    cells, severed = masks.alive()
     # A link is dead when severed or when either endpoint cell is dead.
     gaps = np.arange(net.n_stages - 1)[:, None, None]
-    links = masks.links & cells[:, :-1, :, None] & cells[:, 1:][:, gaps, child]
+    links = severed & cells[:, :-1, :, None] & cells[:, 1:][:, gaps, child]
     return FaultStructure(
         cells, links, port_table_stack(net, cells[:, -1], links)
     )
 
 
-def _first_stage(
-    net: MIDigraph, last: np.ndarray, links: np.ndarray
+def _bottleneck_ranks(
+    net: MIDigraph, ranks: np.ndarray, links: np.ndarray
 ) -> np.ndarray:
-    """The ``(K, M, M)`` first-stage pair values of a full sweep."""
-    for *_, reach in backward_sweep(net, last, links):
+    """The ``(M, M)`` bottleneck rank of every first-stage → last-stage
+    cell pair in one kill order (a ``FaultMasks.ranks`` and ``.links``
+    row): one rank-valued :func:`~repro.routing.paths.backward_sweep`."""
+    # An arc lives while both it and the switch it leaves do.
+    source = ranks[:-1, :, None]
+    for *_, reach in backward_sweep(
+        net, ranks[None, -1], np.where(links, source, -1)[None]
+    ):
         pass
-    return reach
-
-
-def _mask_pairs(net: MIDigraph, masks: FaultMasks) -> np.ndarray:
-    """The ``(K, M, M)`` surviving first-stage → last-stage cell pairs."""
-    # A link lives only while the switch it leaves does.
-    links = masks.links & masks.cells[:, :-1, :, None]
-    return _first_stage(net, masks.cells[:, -1], links)
+    return reach[0]
 
 
 def terminal_reachability(net: MIDigraph, faults: FaultSet) -> np.ndarray:
@@ -424,61 +457,32 @@ def terminal_reachability(net: MIDigraph, faults: FaultSet) -> np.ndarray:
     terminal cells are alive and a live path joins them.
     """
     idx = np.arange(net.n_inputs) >> 1
-    return _mask_pairs(net, fault_masks(net, [faults]))[0][np.ix_(idx, idx)]
+    masks = fault_masks(net, [faults])
+    value = _bottleneck_ranks(net, masks.ranks[0], masks.links[0])
+    return value[np.ix_(idx, idx)] >= 0
 
 
 def terminal_availability(net: MIDigraph, masks: FaultMasks) -> np.ndarray:
     """``(K,)`` fraction of input→output link pairs surviving each sample.
 
-    One boolean :func:`~repro.routing.paths.backward_sweep` serves all
-    K samples of ``masks``.  Each terminal cell carries two links, so a
-    row's value is its surviving cell-pair count divided by ``M²``: an
-    exact ratio that does not depend on which samples share the call.
+    One rank-valued :func:`~repro.routing.paths.backward_sweep` per
+    kill order gives its bottleneck ranks; a sample's pair survives
+    while that rank is at least its cell count, so each sample is one
+    compare and count against its order's values.  Each terminal cell
+    carries two links, so a row's value is its surviving cell-pair count
+    divided by ``M²``: an exact ratio that does not depend on which
+    samples share the call.  An empty stack raises
+    :class:`~repro.core.errors.ReproError`.
     """
     _check_stack(masks)
-    pairs = _mask_pairs(net, masks)
-    return np.count_nonzero(pairs, axis=(1, 2)) / pairs[0].size
-
-
-def availability_from_counts(
-    net: MIDigraph, counts: Iterable[tuple[int, int, int]]
-) -> np.ndarray:
-    """Terminal availability of many ``(cells, links, seed)`` counts.
-
-    Row ``i`` equals ``terminal_availability(net, masks_from_counts(...))``
-    at count ``i``, without building a mask.  A seed's samples are
-    nested, so the counts group by (seed, link count): each seed draws
-    its kill ranks once, each group runs one rank-valued
-    :func:`~repro.routing.paths.backward_sweep` for its bottleneck
-    values, and each cell count of the group is one compare and count
-    against them.  Fault-free counts draw nothing.  Negative or
-    oversized counts raise :class:`~repro.core.errors.ReproError`.
-    """
-    counts = list(counts)
-    n, size = net.n_stages, net.size
-    groups: dict[tuple[int | None, int], list[int]] = {}
-    for k, (cells, links, seed) in enumerate(counts):
-        _check_counts(n, size, cells, links)
-        key = (seed, links) if cells or links else (None, 0)
-        groups.setdefault(key, []).append(k)
-    severs = {seed for seed, links in groups if links}
-    ranks = {
-        seed: _kill_ranks(
-            np.random.default_rng(seed), n, size, links=seed in severs
-        )
-        for seed in {seed for seed, _ in groups} - {None}
-    }
-    spared = np.full((n, size), _SPARED, dtype=np.intp), None
-    out = np.empty(len(counts))
-    for (seed, links), rows in groups.items():
-        cell_rank, link_rank = ranks.get(seed, spared)
-        # An arc lives while both it and the switch it leaves do.
-        source = np.broadcast_to(cell_rank[:-1, :, None], (n - 1, size, 2))
-        link_value = np.where(link_rank >= links, source, -1) if links else source
-        value = _first_stage(net, cell_rank[None, -1], link_value[None])[0]
-        kills = np.array([counts[k][0] for k in rows])
-        alive = np.count_nonzero(value >= kills[:, None, None], axis=(1, 2))
-        out[rows] = alive / value.size
+    out = np.empty(len(masks.order))
+    # One order per sweep: a stacked (G, M, M) sweep outgrows the cache
+    # and took twice as long at M = 256.
+    for g, (ranks, links) in enumerate(zip(masks.ranks, masks.links)):
+        value = _bottleneck_ranks(net, ranks, links)
+        rows = np.flatnonzero(masks.order == g)
+        kills = masks.kills[rows, None, None]
+        out[rows] = np.count_nonzero(value >= kills, axis=(1, 2)) / value.size
     return out
 
 

@@ -142,6 +142,11 @@ class TestSpecValidation:
             {"drain": 1},
             {"drain": 0},
             {"drain": "no"},
+            # Mapping counts are not coerced: each would run another
+            # scenario than the one the spec saves.
+            {"faults": ({"cells": 2.5},)},
+            {"faults": ({"cells": True},)},
+            {"faults": ({"links": "1"},)},
         ],
     )
     def test_bad_specs_rejected(self, kwargs):

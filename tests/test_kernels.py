@@ -1030,6 +1030,7 @@ def _route_word_slab(name, case):
             (cells, links, seed) for seed in (3, 4)
             for cells, links in ((1, 0), (1, 2), (2, 2), (3, 5))
         ])
+        nested = nested._replace(order=nested.order + len(masks.ranks))
         masks = FaultMasks(*map(np.concatenate, zip(masks, nested)))
     return net, masks
 

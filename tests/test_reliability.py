@@ -105,8 +105,9 @@ def _interior_cells(net):
 
 def _dead(masks, k) -> FaultSet:
     """Row ``k`` of a mask stack read back as the fault set it kills."""
-    cells = np.argwhere(~masks.cells[k]) + [1, 0]
-    links = np.argwhere(~masks.links[k]) + [1, 0, 0]
+    cells, links = masks.alive()
+    cells = np.argwhere(~cells[k]) + [1, 0]
+    links = np.argwhere(~links[k]) + [1, 0, 0]
     return FaultSet(
         frozenset(map(tuple, cells.tolist())),
         frozenset(map(tuple, links.tolist())),
@@ -376,16 +377,17 @@ class TestRankMasks:
             for links in (0, 1, link_pool // 2, link_pool)
         ]
         masks = masks_from_counts(n, size, counts)
-        assert masks.cells.shape == (len(counts), n, size)
-        assert masks.links.shape == (len(counts), n - 1, size, 2)
+        cells_alive, links_alive = masks.alive()
+        assert cells_alive.shape == (len(counts), n, size)
+        assert links_alive.shape == (len(counts), n - 1, size, 2)
         orders = {seed: _reference_kill_order(n, size, seed) for seed in (0, 7)}
         for k, (cells, links, seed) in enumerate(counts):
             faults = FaultSet.from_counts(
                 n, size, cells=cells, links=links, seed=seed
             )
-            alone = fault_masks(net, [faults])
-            assert np.array_equal(masks.cells[k], alone.cells[0]), k
-            assert np.array_equal(masks.links[k], alone.links[0]), k
+            alone_cells, alone_links = fault_masks(net, [faults]).alive()
+            assert np.array_equal(cells_alive[k], alone_cells[0]), k
+            assert np.array_equal(links_alive[k], alone_links[0]), k
             cell_order, link_order = orders[seed]
             assert _dead(masks, k) == FaultSet(
                 frozenset(cell_order[:cells]), frozenset(link_order[:links])

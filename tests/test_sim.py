@@ -57,11 +57,7 @@ from repro.sim import (
     terminal_availability,
     terminal_reachability,
 )
-from repro.sim.faults import (
-    FaultMasks,
-    availability_from_counts,
-    masks_from_counts,
-)
+from repro.sim.faults import masks_from_counts
 from repro.sim.metrics import latency_summary
 from repro.spec.scenario import (
     FaultSpec,
@@ -602,14 +598,15 @@ class TestStackedAvailability:
             )
             for cells, links, seed in counts
         ]
+        cells, links = masks.alive()
         for k, faults in enumerate(samples):
-            alone = fault_masks(net, [faults])
-            assert np.array_equal(masks.cells[k], alone.cells[0]), k
-            assert np.array_equal(masks.links[k], alone.links[0]), k
+            alone_cells, alone_links = fault_masks(net, [faults]).alive()
+            assert np.array_equal(cells[k], alone_cells[0]), k
+            assert np.array_equal(links[k], alone_links[0]), k
         assert samples.count(None) == 2  # one zero-fault row per seed
-        stacked = terminal_availability(net, masks)
+        stacked = terminal_availability(net, fault_masks(net, samples))
         assert stacked.shape == (len(samples),)
-        by_counts = availability_from_counts(net, counts)
+        by_counts = terminal_availability(net, masks)
         assert by_counts.shape == (len(samples),)
         idx = np.arange(net.n_inputs) >> 1
         for k, faults in enumerate(samples):
@@ -619,12 +616,15 @@ class TestStackedAvailability:
             assert stacked[k] == fault_connectivity(net, faults) == oracle, k
             assert by_counts[k] == stacked[k], k
         # Each row depends on its sample alone, whatever shares its stack.
-        reverse = FaultMasks(masks.cells[::-1], masks.links[::-1])
-        assert np.array_equal(
-            terminal_availability(net, reverse), stacked[::-1]
+        reverse = masks._replace(
+            order=masks.order[::-1], kills=masks.kills[::-1]
         )
         assert np.array_equal(
-            availability_from_counts(net, counts[::-1]), by_counts[::-1]
+            terminal_availability(net, reverse), by_counts[::-1]
+        )
+        backwards = masks_from_counts(net.n_stages, net.size, counts[::-1])
+        assert np.array_equal(
+            terminal_availability(net, backwards), by_counts[::-1]
         )
 
     def test_shared_draw_checks_every_count(self):
@@ -632,11 +632,8 @@ class TestStackedAvailability:
             masks_from_counts(5, 16, [(1, 0, 0), (0, -1, 0)])
         with pytest.raises(ReproError, match="cannot kill 49 cells"):
             masks_from_counts(5, 16, [(48, 0, 3), (49, 0, 3)])
-        net = NetworkSpec.catalog("omega", n=5).resolve()
-        with pytest.raises(ReproError, match="must be >= 0"):
-            availability_from_counts(net, [(1, 0, 0), (0, -1, 0)])
         with pytest.raises(ReproError, match="cannot sever 129 links"):
-            availability_from_counts(net, [(0, 129, 3)])
+            masks_from_counts(5, 16, [(0, 129, 3)])
 
     def test_empty_sample_list_is_loud(self, omega4):
         empty = fault_masks(omega4, [])

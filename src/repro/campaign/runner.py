@@ -21,9 +21,10 @@ Two layers of batching and caching keep the sweep hot:
   samples at a time, into tasks of at most ``batch`` scenarios and
   :data:`~repro.sim.batch.SLAB_SAMPLES` (16) samples, so a reliability
   sweep's one-scenario samples fill whole batches.  Only the run's first
-  task is cut shorter, after :data:`FIRST_TASK_SAMPLES` (4) samples, so
-  the first result is stored as early as under a 4-sample cap; the rest
-  of that slab is the second task.  Each task runs as one
+  task is cut shorter, after :data:`FIRST_TASK` (4) samples — and, when
+  its slab runs ``drop``, after 4 scenarios — so the first result is
+  stored after a small slab's work; the rest of that slab is the second
+  task.  Each task runs as one
   :func:`~repro.sim.batch.simulate_batch` call: one compilation of the
   slab (its topology and all its samples), one pass over the cycle
   loop, bit-identical per-scenario reports.  ``batch=1`` recovers the
@@ -107,11 +108,14 @@ __all__ = ["run_campaign"]
 
 _log = get_logger("campaign")
 
-#: Most distinct fault samples in a run's first task.  Slabs carry up
-#: to :data:`~repro.sim.batch.SLAB_SAMPLES` (16) samples; the first one
-#: is cut here so the first result is stored after a 4-sample slab's
-#: work, not a 16-sample one's.
-FIRST_TASK_SAMPLES = 4
+#: Bound on a run's first task, so the first result is stored after a
+#: small slab's work, not a full one's.  Under every policy the first
+#: slab is cut after its first 4 distinct fault samples (slabs carry up
+#: to :data:`~repro.sim.batch.SLAB_SAMPLES` (16)); when it runs
+#: ``drop``, also after its first 4 scenarios, since a ``drop`` slab
+#: costs in proportion to its scenarios (its kernel chunks by slots),
+#: while a small ``block`` slab costs nearly as much as a full one.
+FIRST_TASK = 4
 
 #: Entries of each run's compile cache: a slab holds up to
 #: :data:`~repro.sim.batch.SLAB_SAMPLES` (16) samples, so a cache holds
@@ -130,18 +134,21 @@ def _record(spec: ScenarioSpec, report: SimReport) -> dict:
 
 def _pack_tasks(pending: list, batch: int) -> list[list[ScenarioSpec]]:
     """The run's group tasks: :func:`~repro.sim.batch.pack_slabs`, with
-    the first slab cut after its first :data:`FIRST_TASK_SAMPLES` fault
-    samples and its rest run as the second task.
+    the first slab cut after its first :data:`FIRST_TASK` fault samples
+    — or, when that slab runs ``drop``, its first :data:`FIRST_TASK`
+    scenarios, if sooner — and its rest run as the second task.
 
     Only a task boundary moves: the tasks, concatenated, list the
     scenarios in the order the slabs do, so stores do not change.
     """
     slabs = pack_slabs(pending, batch)
     head = slabs[0]
+    # One slab has one policy: its group key includes it.
+    drop = pending[head[0]].sim.policy == "drop"
     seen = set()
     for j, i in enumerate(head):
         seen.add(pending[i].faults)
-        if len(seen) > FIRST_TASK_SAMPLES:
+        if len(seen) > FIRST_TASK or (drop and j == FIRST_TASK):
             slabs[:1] = [head[:j], head[j:]]
             break
     return [[pending[i] for i in slab] for slab in slabs]
@@ -266,8 +273,9 @@ def run_campaign(
         Maximum scenarios fused into one ``simulate_batch`` call
         (grouped by topology, cycles, policy and drain; at most
         :data:`~repro.sim.batch.SLAB_SAMPLES` (16) fault samples per
-        call, and at most :data:`FIRST_TASK_SAMPLES` (4) in the run's
-        first call).  ``1`` disables batching and dispatches per
+        call; the run's first call holds at most :data:`FIRST_TASK` (4)
+        samples, and under ``drop`` at most 4 scenarios).  ``1``
+        disables batching and dispatches per
         scenario.  How scenarios are packed never changes a report or
         the store's bytes.
     resume:

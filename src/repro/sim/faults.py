@@ -467,8 +467,9 @@ def terminal_availability(net: MIDigraph, masks: FaultMasks) -> np.ndarray:
 
     One rank-valued :func:`~repro.routing.paths.backward_sweep` per
     kill order gives its bottleneck ranks; a sample's pair survives
-    while that rank is at least its cell count, so each sample is one
-    compare and count against its order's values.  Each terminal cell
+    while that rank is at least its cell count.  One ``bincount`` of
+    the order's ranks, clipped to ``[-1, most kills]``, read through a
+    reverse cumulative sum, gives every sample's count.  Each terminal cell
     carries two links, so a row's value is its surviving cell-pair count
     divided by ``M²``: an exact ratio that does not depend on which
     samples share the call.  An empty stack raises
@@ -479,10 +480,18 @@ def terminal_availability(net: MIDigraph, masks: FaultMasks) -> np.ndarray:
     # One order per sweep: a stacked (G, M, M) sweep outgrows the cache
     # and took twice as long at M = 256.
     for g, (ranks, links) in enumerate(zip(masks.ranks, masks.links)):
-        value = _bottleneck_ranks(net, ranks, links)
         rows = np.flatnonzero(masks.order == g)
-        kills = masks.kills[rows, None, None]
-        out[rows] = np.count_nonzero(value >= kills, axis=(1, 2)) / value.size
+        if not len(rows):
+            continue
+        value = _bottleneck_ranks(net, ranks, links)
+        kills = masks.kills[rows]
+        top = int(kills.max())
+        # at_least[c + 1]: pairs whose bottleneck rank is at least c.
+        hist = np.bincount(
+            np.clip(value, -1, top).ravel() + 1, minlength=top + 2
+        )
+        at_least = np.cumsum(hist[::-1])[::-1]
+        out[rows] = at_least[kills + 1] / value.size
     return out
 
 

@@ -110,7 +110,12 @@ class TrafficPattern:
         if self.rate >= 1.0:
             return dests
         active = rng.random((cycles, n_inputs)) < self.rate
-        return np.where(active, dests, -1)
+        # Arithmetic, not a branchy np.where over a random mask; ``+ 1``
+        # copies, so a plug-in's array is never written.
+        out = dests + 1
+        out *= active
+        out -= 1
+        return out
 
     def _dests(
         self, rng: np.random.Generator, n_inputs: int, cycles: int
@@ -201,8 +206,12 @@ class HotspotTraffic(TrafficPattern):
         base = rng.integers(0, n_inputs, size=(cycles, n_inputs))
         hot = rng.random((cycles, n_inputs)) < self.fraction
         targets = np.asarray(self.hotspots, dtype=np.int64)
-        picks = targets[rng.integers(0, len(targets), size=base.shape)]
-        return np.where(hot, picks, base)
+        # base + hot * (picks - base), in place on the fresh picks.
+        out = targets.take(rng.integers(0, len(targets), size=base.shape))
+        out -= base
+        out *= hot
+        out += base
+        return out
 
     def describe(self) -> str:
         return f"hotspot(f={self.fraction:g},targets={list(self.hotspots)})"

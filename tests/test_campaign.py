@@ -718,9 +718,11 @@ class TestSlabFill:
     """Reliability slabs fill to ``batch``; a run's first task stays small.
 
     A reliability sweep runs one scenario per fault sample, so only the
-    16-sample cap lets its slabs fill a batch; the first task is cut at
-    :data:`~repro.campaign.runner.FIRST_TASK_SAMPLES` samples, which is
-    exactly the first slab a 4-sample cap packs.
+    16-sample cap lets its slabs fill a batch.  The first task is cut at
+    :data:`~repro.campaign.runner.FIRST_TASK` samples, which is exactly
+    the first slab a 4-sample cap packs; under ``drop`` also at
+    :data:`~repro.campaign.runner.FIRST_TASK` scenarios, so there it is
+    that slab's first 4 scenarios.
     """
 
     #: The shape of the ``reliability_nested`` benchmark workload.
@@ -734,12 +736,15 @@ class TestSlabFill:
     )
 
     @staticmethod
-    def _four_sample_slabs(scenarios, batch, monkeypatch):
+    def _first_task(scenarios, batch, monkeypatch):
+        """The run's first task as the rule states it: the first slab a
+        4-sample cap packs, and under ``drop`` its first 4 scenarios."""
         with monkeypatch.context() as m:
-            m.setattr(
-                sim_batch, "SLAB_SAMPLES", runner.FIRST_TASK_SAMPLES
-            )
-            return pack_slabs(scenarios, batch)
+            m.setattr(sim_batch, "SLAB_SAMPLES", runner.FIRST_TASK)
+            head = [scenarios[i] for i in pack_slabs(scenarios, batch)[0]]
+        if head[0].sim.policy == "drop":
+            return head[: runner.FIRST_TASK]
+        return head
 
     @pytest.mark.parametrize("batch", [1, 3, 16, 64])
     @pytest.mark.parametrize(
@@ -748,17 +753,20 @@ class TestSlabFill:
             SMALL.to_campaign(),
             tiny_spec(faults=(0, 1, 2), seeds=range(6)),
             tiny_spec(faults=(0,), seeds=range(6)),
+            tiny_spec(faults=(0, 1, 2), seeds=range(6), policy="block"),
         ],
-        ids=["reliability", "faulted", "fault-free"],
+        ids=["reliability", "faulted", "fault-free", "faulted-block"],
     )
     def test_first_task_is_the_four_sample_first_slab(
         self, spec, batch, monkeypatch
     ):
         scenarios = expand_scenarios(spec)
         tasks = runner._pack_tasks(scenarios, batch)
-        old = self._four_sample_slabs(scenarios, batch, monkeypatch)
-        assert tasks[0] == [scenarios[i] for i in old[0]]
-        assert len({s.faults for s in tasks[0]}) <= runner.FIRST_TASK_SAMPLES
+        assert tasks[0] == self._first_task(scenarios, batch, monkeypatch)
+        assert len({s.faults for s in tasks[0]}) <= runner.FIRST_TASK
+        if spec.policy == "block" and batch >= 16:
+            # A block slab keeps its scenarios past the 4th sample's.
+            assert len(tasks[0]) > runner.FIRST_TASK
         # Only a task boundary moves: the run's scenario order is the
         # slabs' order, so its store is too.
         assert [s for task in tasks for s in task] == [
@@ -781,9 +789,8 @@ class TestSlabFill:
         spec = self.SMALL.to_campaign()
         run_campaign(spec, tmp_path / "s.jsonl", batch=16)
         scenarios = expand_scenarios(spec)
-        old = self._four_sample_slabs(scenarios, 16, monkeypatch)
-        assert groups[0] == [scenarios[i] for i in old[0]]
-        assert len({s.faults for s in groups[0]}) == 4
+        assert groups[0] == self._first_task(scenarios, 16, monkeypatch)
+        assert len(groups[0]) == runner.FIRST_TASK
         # The first slab's rest is the second task; after that every
         # task but a topology's last fills the batch.
         assert len(groups[0]) + len(groups[1]) == 16

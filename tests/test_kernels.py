@@ -1026,13 +1026,19 @@ def _route_word_slab(name, case):
         net = _small_catalog_net(name)
     masks = fault_masks(net, _mixed_samples(net.n_stages))
     if case == "nested":
-        nested = masks_from_counts(net.n_stages, net.size, [
-            (cells, links, seed) for seed in (3, 4)
-            for cells, links in ((1, 0), (1, 2), (2, 2), (3, 5))
-        ])
+        nested = _nested_masks(net)
         nested = nested._replace(order=nested.order + len(masks.ranks))
         masks = FaultMasks(*map(np.concatenate, zip(masks, nested)))
     return net, masks
+
+
+def _nested_masks(net):
+    """The nested seeded samples a ``"nested"`` route-word case
+    appends, built alone."""
+    return masks_from_counts(net.n_stages, net.size, [
+        (cells, links, seed) for seed in (3, 4)
+        for cells, links in ((1, 0), (1, 2), (2, 2), (3, 5))
+    ])
 
 
 _ROUTE_WORD_CASES = (
@@ -1085,6 +1091,29 @@ class TestRouteWords:
         assert unroutable == tuple(j in stops for j in range(n - 1))
         # The dead first-stage cell of sample 1 injects nothing.
         assert not words[1, 1].any() and words[0, 1, 1:].all()
+        if case == "nested":
+            self._assert_nested_rows(net, masks, comp)
+
+    @staticmethod
+    def _assert_nested_rows(net, masks, comp):
+        # The words above are checked only against the slab's own
+        # tables, so check that its rows are the samples named: the
+        # nested rows are the nested stack alone, and none repeats an
+        # explicit sample.
+        alone = _nested_masks(net)
+        first = len(masks.order) - len(alone.order)
+        for got, want in zip(masks.alive(), alone.alive()):
+            assert np.array_equal(got[first:], want)
+        own = CompiledNetwork(net, alone)
+        assert np.array_equal(comp.links[first:], own.links)
+        assert np.array_equal(comp.ptabs[first:], own.ptabs)
+        cells, links = masks.alive()
+        for k in range(first, len(masks.order)):
+            for e in range(first):
+                assert not (
+                    np.array_equal(cells[k], cells[e])
+                    and np.array_equal(links[k], links[e])
+                ), (k, e)
 
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     def test_fault_free_routes_have_no_unroutable_field(self, name):

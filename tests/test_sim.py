@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -79,7 +80,55 @@ def _passable_permutation(net, seed: int) -> Permutation:
     return permutation_from_switch_settings(net, settings)
 
 
+#: sha256 of each built-in pattern's ``(40, 64)`` schedule at seed 7,
+#: as ``int64`` bytes: the draws every stored campaign was run on.
+_SCHEDULE_DIGESTS = {
+    ("uniform", 0.5): "cdf40cfd9bb4c343644ef9aee5663cae96278720d7251c0ac98bb67accac0cfa",
+    ("uniform", 1.0): "458a08a3222e51fd846ec2e8c3f3eb5834cc5b7c05b0a0192e62d0ef441c0f19",
+    ("hotspot", 0.5): "6227c6d788c4c14f720ef10db7888b2819ba6993e2affc5383e3d7323d8fa007",
+    ("hotspot", 1.0): "bcfa4d2ea8b942bb0d773c288a1166a2dd38595b995916ead669ba904b91b7ed",
+    ("hotspot-multi", 0.5): "acd149516c631fe385136bdbebbac77fd1159f747624403b9ca6b888032cdcf8",
+    ("hotspot-multi", 1.0): "a24594fb4dd26193c1e9288a6dc5e35333d4937c072f2b375b9460f95814a0c4",
+    ("bitrev", 0.5): "e85b3b0580c6b3673d407aa6bf38bd15f6e3b0ea58c5be40dad9eb1374de264c",
+    ("bitrev", 1.0): "de38bb506a041be4db1bdf8efb1ccf2b2fb02879f19d2b16cf2c3f91fa61c488",
+    ("transpose", 0.5): "cd3cd8bf68ad8612dc606b0ac0e01e05f9662c0cc2d5fb17d5acff4e1ce0c8bc",
+    ("transpose", 1.0): "f9543cb0075f6490dec8510d770048df7676de94d073c3f89181b24a69d14d7d",
+    ("permutation", 0.5): "22c7035028bbc515ec94384570acda39ad1287779c70a1d8a03bcea6d016f7d9",
+    ("permutation", 1.0): "a3b510b065bb71349aa763cef4d701b7a0df97fa8f3f624004a20a24eda4e6ef",
+}
+
+_SCHEDULE_PARAMS = {
+    "hotspot-multi": {"fraction": 0.4, "hotspots": [3, 17, 60]},
+    "permutation": {"perm": [(5 * x + 3) % 64 for x in range(64)]},
+}
+
+
 class TestTraffic:
+    @pytest.mark.parametrize("case, rate", sorted(_SCHEDULE_DIGESTS))
+    def test_schedule_bytes_are_pinned(self, case, rate):
+        name = case.split("-")[0]
+        params = _SCHEDULE_PARAMS.get(case, {})
+        pattern = TrafficSpec.of(name, rate, **params).resolve()
+        dests = pattern.destinations(np.random.default_rng(7), 64, 40)
+        data = np.ascontiguousarray(dests, dtype=np.int64).tobytes()
+        assert hashlib.sha256(data).hexdigest() == _SCHEDULE_DIGESTS[
+            case, rate
+        ]
+
+    def test_thinning_leaves_a_plugin_schedule_unwritten(self):
+        images = np.arange(16)[::-1].copy()
+
+        class Fixed(TrafficPattern):
+            def _dests(self, rng, n_inputs, cycles):
+                return self.held
+
+        pattern = Fixed(rate=0.5)
+        pattern.held = np.broadcast_to(images, (20, 16)).copy()
+        dests = pattern.destinations(np.random.default_rng(0), 16, 20)
+        assert (pattern.held == images).all()
+        assert ((dests == -1) | (dests == images)).all()
+        assert (dests == -1).any() and (dests >= 0).any()
+
     def test_uniform_shape_and_range(self, rng):
         t = UniformTraffic(rate=1.0)
         dests = t.destinations(rng, 16, 50)

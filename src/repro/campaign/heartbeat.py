@@ -337,4 +337,13 @@ def render_watch_line(snap: dict) -> str:
             line += f"  workers {live} live"
             if stalled:
                 line += f" / {stalled} stalled"
+        workers = beat.get("workers", 1)
+        if workers > 1:
+            # Parallel efficiency: the run summary's per-worker
+            # utilization, averaged over the pool's workers.
+            busy = sum(
+                row.get("busy_s", 0.0)
+                for row in beat.get("worker_liveness", {}).values()
+            )
+            line += f"  eff {100 * busy / (beat['elapsed_s'] * workers):.0f}%"
     return f"{line}  [{status}]"

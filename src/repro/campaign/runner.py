@@ -21,10 +21,10 @@ Two layers of batching and caching keep the sweep hot:
   samples at a time, into tasks of at most ``batch`` scenarios and
   :data:`~repro.sim.batch.SLAB_SAMPLES` (16) samples, so a reliability
   sweep's one-scenario samples fill whole batches.  Only the run's first
-  task is cut shorter, after :data:`FIRST_TASK` (4) samples — and, when
-  its slab runs ``drop``, after 4 scenarios — so the first result is
-  stored after a small slab's work; the rest of that slab is the second
-  task.  Each task runs as one
+  task is cut shorter, after its first :data:`FIRST_TASK` (4) scenarios
+  under every policy, so the first result is stored after a small
+  slab's work; the rest of that slab is the second task.  Each task
+  runs as one
   :func:`~repro.sim.batch.simulate_batch` call: one compilation of the
   slab (its topology and all its samples), one pass over the cycle
   loop, bit-identical per-scenario reports.  ``batch=1`` recovers the
@@ -36,8 +36,9 @@ Two layers of batching and caching keep the sweep hot:
   :class:`~repro.sim.traffic.ScheduleStore`, so each (traffic, seed)
   schedule is drawn once per run or worker and reused on every
   topology and fault sample that runs it.  Pool workers live for the
-  whole sweep; with the ``numba`` backend the
-  initializer pre-compiles the fused JIT loop
+  whole sweep and fork with ``numpy.random`` already imported, so no
+  worker's first group pays for that import; with the ``numba`` backend
+  the initializer pre-compiles the fused JIT loop
   (:func:`repro.sim.kernels.warm_jit`).  Network resolution is
   additionally memoized per process by catalog entry / file digest.
 
@@ -110,11 +111,11 @@ _log = get_logger("campaign")
 
 #: Bound on a run's first task, so the first result is stored after a
 #: small slab's work, not a full one's.  Under every policy the first
-#: slab is cut after its first 4 distinct fault samples (slabs carry up
-#: to :data:`~repro.sim.batch.SLAB_SAMPLES` (16)); when it runs
-#: ``drop``, also after its first 4 scenarios, since a ``drop`` slab
-#: costs in proportion to its scenarios (its kernel chunks by slots),
-#: while a small ``block`` slab costs nearly as much as a full one.
+#: slab is cut after its first 4 scenarios, which hold at most 4 of the
+#: slab's up to :data:`~repro.sim.batch.SLAB_SAMPLES` (16) fault
+#: samples.  A ``drop`` slab costs in proportion to its scenarios (its
+#: kernel chunks by slots); a 4-scenario ``block`` slab costs about half
+#: a 16-scenario one, as its per-cycle numpy calls dominate at small B.
 FIRST_TASK = 4
 
 #: Entries of each run's compile cache: a slab holds up to
@@ -134,23 +135,17 @@ def _record(spec: ScenarioSpec, report: SimReport) -> dict:
 
 def _pack_tasks(pending: list, batch: int) -> list[list[ScenarioSpec]]:
     """The run's group tasks: :func:`~repro.sim.batch.pack_slabs`, with
-    the first slab cut after its first :data:`FIRST_TASK` fault samples
-    — or, when that slab runs ``drop``, its first :data:`FIRST_TASK`
-    scenarios, if sooner — and its rest run as the second task.
+    the first slab cut after its first :data:`FIRST_TASK` scenarios
+    (so at most :data:`FIRST_TASK` fault samples), under every policy,
+    and its rest run as the second task.
 
     Only a task boundary moves: the tasks, concatenated, list the
     scenarios in the order the slabs do, so stores do not change.
     """
     slabs = pack_slabs(pending, batch)
     head = slabs[0]
-    # One slab has one policy: its group key includes it.
-    drop = pending[head[0]].sim.policy == "drop"
-    seen = set()
-    for j, i in enumerate(head):
-        seen.add(pending[i].faults)
-        if len(seen) > FIRST_TASK or (drop and j == FIRST_TASK):
-            slabs[:1] = [head[:j], head[j:]]
-            break
+    if len(head) > FIRST_TASK:
+        slabs[:1] = [head[:FIRST_TASK], head[FIRST_TASK:]]
     return [[pending[i] for i in slab] for slab in slabs]
 
 
@@ -227,6 +222,15 @@ def _worker_init(backend: str | None, traced: bool = False) -> tuple:
     sweep's ``backend`` request and this worker's own
     ``CompileCache(CACHE_SLABS)``, which every group of this worker runs
     on (see :func:`_execute_group`).
+
+    Its parent-side counterpart is the ``import numpy.random`` that
+    :func:`run_campaign` makes just before the pool forks: workers draw
+    every traffic schedule and kill rank, and numpy loads that module
+    lazily, so without it each worker of each run would import it
+    (about a dozen modules) inside its first group.  Workers forked
+    later — respawns, and every later run in the same process — inherit
+    it too.  It is not imported with :mod:`repro`, which would add it
+    to every process's start-up.
     """
     if traced:
         obs.reset()
@@ -274,7 +278,7 @@ def run_campaign(
         (grouped by topology, cycles, policy and drain; at most
         :data:`~repro.sim.batch.SLAB_SAMPLES` (16) fault samples per
         call; the run's first call holds at most :data:`FIRST_TASK` (4)
-        samples, and under ``drop`` at most 4 scenarios).  ``1``
+        scenarios, under every policy).  ``1``
         disables batching and dispatches per
         scenario.  How scenarios are packed never changes a report or
         the store's bytes.
@@ -530,6 +534,9 @@ def run_campaign(
                 on_failure=_on_failure,
             )
         else:
+            # Fork warm: see _worker_init.
+            import numpy.random  # noqa: F401
+
             fault_stats = sup.run_supervised(
                 tasks,
                 workers=workers,

@@ -103,9 +103,10 @@ __all__ = ["SLAB_SAMPLES", "BatchScenario", "pack_slabs", "simulate_batch"]
 #: and no reachability (the sweep keeps one ``(K, M, M)`` stage at a time), so
 #: the cap bounds that memory per compile-cache entry; a campaign's cache holds
 #: :data:`repro.campaign.runner.CACHE_SLABS` (4) entries.  A full slab takes
-#: longer to run than a small one, so a campaign cuts its first task after
-#: :data:`repro.campaign.runner.FIRST_TASK` (4) samples, and a ``drop`` one
-#: also after 4 scenarios: the first stored result waits for a small slab.
+#: longer to run than a small one under either policy, so a campaign cuts
+#: its first task after :data:`repro.campaign.runner.FIRST_TASK` (4)
+#: scenarios (at most 4 samples): the first stored result waits for a
+#: small slab.
 SLAB_SAMPLES = 16
 
 

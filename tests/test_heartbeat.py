@@ -291,6 +291,34 @@ class TestWatch:
         )
         assert "0 record(s) stored" in line and "[waiting]" in line
 
+    @staticmethod
+    def _beat(workers: int, busy: list) -> dict:
+        now = 1000.0
+        return {
+            "status": "running", "done": 6, "total": 8, "records": 6,
+            "heartbeat": {
+                "rate_per_s": 1.5, "eta_s": 1.3, "updated_ts": now,
+                "task_timeout": None, "workers": workers,
+                "elapsed_s": 4.0,
+                "worker_liveness": {
+                    str(pid): {"busy_s": b, "last_seen": now}
+                    for pid, b in enumerate(busy)
+                },
+            },
+        }
+
+    def test_render_parallel_efficiency(self):
+        # Busy 3.0 + 2.2 s over 4 s on 2 workers: 5.2 / 8.
+        line = render_watch_line(self._beat(2, [3.0, 2.2]))
+        assert "workers 2 live  eff 65%" in line
+        # A respawned worker adds a row, not a pool slot.
+        line = render_watch_line(self._beat(2, [3.0, 1.0, 2.0]))
+        assert "eff 75%" in line
+
+    def test_render_inline_run_has_no_efficiency(self):
+        line = render_watch_line(self._beat(1, [3.0]))
+        assert "workers 1 live" in line and "eff" not in line
+
 
 class TestWatchCli:
     def test_once_on_complete_run(self, tmp_path, capsys):

@@ -36,9 +36,8 @@ Two layers of batching and caching keep the sweep hot:
   :class:`~repro.sim.traffic.ScheduleStore`, so each (traffic, seed)
   schedule is drawn once per run or worker and reused on every
   topology and fault sample that runs it.  Pool workers live for the
-  whole sweep and fork with ``numpy.random`` already imported, so no
-  worker's first group pays for that import; with the ``numba`` backend
-  the initializer pre-compiles the fused JIT loop
+  whole sweep; with the ``numba`` backend the
+  initializer pre-compiles the fused JIT loop
   (:func:`repro.sim.kernels.warm_jit`).  Network resolution is
   additionally memoized per process by catalog entry / file digest.
 
@@ -222,15 +221,6 @@ def _worker_init(backend: str | None, traced: bool = False) -> tuple:
     sweep's ``backend`` request and this worker's own
     ``CompileCache(CACHE_SLABS)``, which every group of this worker runs
     on (see :func:`_execute_group`).
-
-    Its parent-side counterpart is the ``import numpy.random`` that
-    :func:`run_campaign` makes just before the pool forks: workers draw
-    every traffic schedule and kill rank, and numpy loads that module
-    lazily, so without it each worker of each run would import it
-    (about a dozen modules) inside its first group.  Workers forked
-    later — respawns, and every later run in the same process — inherit
-    it too.  It is not imported with :mod:`repro`, which would add it
-    to every process's start-up.
     """
     if traced:
         obs.reset()
@@ -534,9 +524,6 @@ def run_campaign(
                 on_failure=_on_failure,
             )
         else:
-            # Fork warm: see _worker_init.
-            import numpy.random  # noqa: F401
-
             fault_stats = sup.run_supervised(
                 tasks,
                 workers=workers,

@@ -9,14 +9,9 @@ aggregate report is byte-identical either way.
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import repro
 from repro import obs
 from repro.campaign import (
     CampaignSpec,
@@ -765,10 +760,6 @@ class TestSlabFill:
         scenarios = expand_scenarios(spec)
         tasks = runner._pack_tasks(scenarios, batch)
         assert tasks[0] == self._first_task(scenarios, batch, monkeypatch)
-        assert len({s.faults for s in tasks[0]}) <= runner.FIRST_TASK
-        if spec.policy == "block":
-            # A block slab is cut at 4 scenarios too.
-            assert len(tasks[0]) <= runner.FIRST_TASK
         # Only a task boundary moves: the run's scenario order is the
         # slabs' order, so its store is too.
         assert [s for task in tasks for s in task] == [
@@ -836,82 +827,6 @@ class TestSlabFill:
             for run in runs
         }
         assert len(reports) == 1
-
-
-#: Runs in a fresh interpreter: a 2-worker campaign per policy over
-#: uniform and hotspot traffic, faulted and fault-free, with every
-#: group wrapped to report the modules it imported, per worker pid.
-_WORKER_IMPORTS = """
-import json, os, sys
-from repro.campaign import CampaignSpec, run_campaign, runner
-
-real = runner._execute_group
-groups = []
-
-def recording(*args):
-    before = set(sys.modules)
-    out = real(*args)
-    new = sorted(set(sys.modules) - before)
-    with open(os.path.join(tmp, f"{os.getpid()}.jsonl"), "a") as f:
-        f.write(json.dumps(new) + "\\n")
-    return out
-
-runner._execute_group = recording
-tmp = sys.argv[1]
-for policy in ("drop", "block"):
-    spec = CampaignSpec(
-        topologies=("omega", "baseline"), stages=(3,),
-        traffic=("uniform", "hotspot"), rates=(0.8,), faults=(0, 2),
-        seeds=(0, 1), cycles=30, policy=policy, drain=policy == "block",
-    )
-    run_campaign(
-        spec, os.path.join(tmp, policy + ".jsonl"), workers=2,
-        heartbeat=0,
-    )
-    for name in sorted(os.listdir(tmp)):
-        if name.endswith(".jsonl") and name[0].isdigit():
-            path = os.path.join(tmp, name)
-            with open(path) as f:
-                groups.append([json.loads(line) for line in f])
-            os.remove(path)
-print(json.dumps(groups))
-"""
-
-
-def _fresh(code: str, *args: str) -> str:
-    """``code``'s stdout, run in a fresh interpreter that imports this
-    checkout's :mod:`repro`: this test process may already hold the
-    modules under test."""
-    src = str(Path(repro.__file__).resolve().parents[1])
-    path = os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    )
-    return subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True,
-        text=True, check=True, timeout=300,
-        env={**os.environ, "PYTHONPATH": path},
-    ).stdout
-
-
-class TestWarmFork:
-    """Pool workers fork with ``numpy.random`` loaded; ``import repro``
-    leaves it out, so start-up does not pay for it."""
-
-    def test_no_worker_group_imports_a_module(self, tmp_path):
-        out = _fresh(_WORKER_IMPORTS, str(tmp_path))
-        workers = json.loads(out.splitlines()[-1])
-        # Two runs of two workers each, every worker ran a group, and
-        # none imported a module: not the first, not any later one.
-        assert len(workers) == 4
-        for groups in workers:
-            assert groups and groups == [[]] * len(groups), groups
-
-    def test_import_repro_leaves_numpy_random_unloaded(self):
-        out = _fresh(
-            "import sys, repro; "
-            "print('numpy.random' in sys.modules, 'numpy' in sys.modules)"
-        )
-        assert out.split() == ["False", "True"]
 
 
 class TestStoreBytes:

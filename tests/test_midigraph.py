@@ -134,6 +134,18 @@ class TestNetworkxExport:
         ).stdout.split()
         assert out == ["False", "True"]
 
+    def test_import_repro_does_not_load_numpy_random(self):
+        # numpy loads it lazily; only a traffic or fault draw needs it.
+        code = (
+            "import sys, repro; "
+            "print('numpy.random' in sys.modules, 'numpy' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True,
+        ).stdout.split()
+        assert out == ["False", "True"]
+
 
 class TestEqualityAndRelabel:
     def test_equality(self):

@@ -1,11 +1,22 @@
-"""Campaign heartbeats: the externally-observable pulse of a sweep.
+"""Campaign heartbeats: the run's ledger and its externally-observable pulse.
+
+Every campaign run keeps one :class:`HeartbeatWriter`, the run's
+ledger: each finished group is folded into it once — its worker row
+(groups, scenarios, busy seconds, last seen) and its compile-cache and
+schedule-store hits and misses.  The run summary reads its
+``compile_cache``, ``traffic_cache`` and ``telemetry.workers`` from the
+ledger, and the heartbeat publishes the same worker rows as
+``worker_liveness``, so the summary, the heartbeat and the
+``campaign watch`` line cannot disagree.
 
 A running campaign is invisible from outside its process — the store
-grows, but nothing says how fast, by whom, or how much is left.  The
-runner therefore drops a tiny ``repro-campaign-heartbeat`` JSON document
-next to the store (``sweep.jsonl`` → ``sweep.heartbeat.json``) every
-``interval`` seconds: done/total counts, completion rate, ETA, per-worker
-liveness and — when a tracer is active — the drained counter snapshot.
+grows, but nothing says how fast, by whom, or how much is left.  With
+heartbeats on, the ledger therefore drops a tiny
+``repro-campaign-heartbeat`` JSON document next to the store
+(``sweep.jsonl`` → ``sweep.heartbeat.json``) every ``interval``
+seconds: done/total counts, completion rate, ETA, per-worker liveness
+and — when a tracer is active — the drained counter snapshot.  With
+heartbeats off it only counts.
 
 Writes go through **atomic rename** (:func:`repro.io.write_atomic`):
 the document lands in a temp file in the same directory and is renamed
@@ -92,17 +103,20 @@ def heartbeat_path(store_path: str | Path) -> Path:
 
 
 class HeartbeatWriter:
-    """Periodic atomic-rename snapshots of one campaign run's progress.
+    """The ledger of one campaign run, published as heartbeats.
 
-    Created by :func:`~repro.campaign.runner.run_campaign` when
-    heartbeats are enabled; :meth:`beat` is called after every stored
-    record (rate-limited to ``interval``) and :meth:`finish` stamps the
-    terminal ``complete`` document.
+    :func:`~repro.campaign.runner.run_campaign` builds one per run and
+    folds every finished group into it with :meth:`note_group`.  With a
+    ``store_path``, :meth:`beat` publishes a ``running`` document after
+    every stored record (rate-limited to ``interval``) and
+    :meth:`finish` stamps the terminal ``complete`` one.  With
+    ``store_path=None`` (heartbeats off) the ledger counts and builds no
+    document.
     """
 
     def __init__(
         self,
-        store_path: str | Path,
+        store_path: str | Path | None,
         *,
         total: int,
         skipped: int = 0,
@@ -112,7 +126,7 @@ class HeartbeatWriter:
         interval: float = DEFAULT_INTERVAL,
         task_timeout: float | None = None,
     ) -> None:
-        self.path = heartbeat_path(store_path)
+        self.path = None if store_path is None else heartbeat_path(store_path)
         self.store = str(store_path)
         self.total = total
         self.skipped = skipped
@@ -121,6 +135,8 @@ class HeartbeatWriter:
         self.backend = backend
         self.interval = interval
         self.task_timeout = task_timeout
+        self.compile_cache = {"hits": 0, "misses": 0}
+        self.traffic_cache = {"hits": 0, "misses": 0}
         self._t0 = time.time()
         self._perf0 = time.perf_counter()
         self._last_beat = None  # monotonic stamp of the last write
@@ -128,18 +144,24 @@ class HeartbeatWriter:
 
     # -- accounting ----------------------------------------------------------
 
+    def note_group(self, tele: dict) -> None:
+        """Fold one finished group's telemetry (the ``telemetry`` of
+        :func:`~repro.campaign.runner._execute_group`): its worker row
+        and its compile-cache and schedule-store hits and misses."""
+        self.note_worker(tele["pid"], tele["scenarios"], tele["busy_s"])
+        self.compile_cache["hits"] += tele["hits"]
+        self.compile_cache["misses"] += tele["misses"]
+        self.traffic_cache["hits"] += tele["traffic_hits"]
+        self.traffic_cache["misses"] += tele["traffic_misses"]
+
     def note_worker(
         self, pid: int, scenarios: int, busy_s: float
     ) -> None:
         """Fold one finished group task into the per-worker liveness rows."""
-        row = self._worker_rows.setdefault(
-            pid,
-            {"groups": 0, "scenarios": 0, "busy_s": 0.0, "last_seen": None},
-        )
+        row = self._seen(pid)
         row["groups"] += 1
         row["scenarios"] += scenarios
         row["busy_s"] += busy_s
-        row["last_seen"] = self._now()
 
     def note_dispatch(self, pid: int) -> None:
         """Mark a task handed to a worker — the start of its silence.
@@ -149,11 +171,29 @@ class HeartbeatWriter:
         watch renderer can flag it as stalled once its silence exceeds
         the task timeout.
         """
+        self._seen(pid)
+
+    def _seen(self, pid: int) -> dict:
         row = self._worker_rows.setdefault(
             pid,
             {"groups": 0, "scenarios": 0, "busy_s": 0.0, "last_seen": None},
         )
         row["last_seen"] = self._now()
+        return row
+
+    def utilization(self, wall_s: float) -> dict:
+        """The summary's ``telemetry.workers``: the row of each worker
+        that finished a group, with its busy share of ``wall_s``."""
+        return {
+            str(pid): {
+                "groups": row["groups"],
+                "scenarios": row["scenarios"],
+                "busy_s": row["busy_s"],
+                "utilization": row["busy_s"] / wall_s if wall_s > 0 else 0.0,
+            }
+            for pid, row in sorted(self._worker_rows.items())
+            if row["groups"]
+        }
 
     def _now(self) -> float:
         # Same hybrid clock as the tracer: a wall anchor advanced by
@@ -208,10 +248,11 @@ class HeartbeatWriter:
     def beat(self, done: int, force: bool = False) -> bool:
         """Publish a ``running`` heartbeat, rate-limited to ``interval``.
 
-        Returns True when a document was actually written.
+        Returns True when a document was actually written; never without
+        a store path.
         """
         now = time.perf_counter()
-        if (
+        if self.path is None or (
             not force
             and self._last_beat is not None
             and now - self._last_beat < self.interval
@@ -222,9 +263,11 @@ class HeartbeatWriter:
         return True
 
     def finish(self, done: int) -> None:
-        """Publish the terminal ``complete`` heartbeat (always written)."""
+        """Publish the terminal ``complete`` heartbeat (always written
+        when the ledger has a store path)."""
         self._last_beat = time.perf_counter()
-        self._write(self._doc(done, "complete"))
+        if self.path is not None:
+            self._write(self._doc(done, "complete"))
 
 
 # -- reading / watching ------------------------------------------------------
@@ -339,8 +382,9 @@ def render_watch_line(snap: dict) -> str:
                 line += f" / {stalled} stalled"
         workers = beat.get("workers", 1)
         if workers > 1:
-            # Parallel efficiency: the run summary's per-worker
-            # utilization, averaged over the pool's workers.
+            # Parallel efficiency from the ledger's worker rows, the
+            # rows the run summary's utilization reads: busy seconds
+            # over elapsed seconds times workers.
             busy = sum(
                 row.get("busy_s", 0.0)
                 for row in beat.get("worker_liveness", {}).values()

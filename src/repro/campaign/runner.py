@@ -52,6 +52,14 @@ through their result pipe.  Completion order is
 nondeterministic, results are not: every scenario's report is a pure
 function of its spec.
 
+**One ledger.**  Every run keeps one
+:class:`~repro.campaign.heartbeat.HeartbeatWriter` and folds each
+finished group's telemetry into it once; the summary's
+``compile_cache``, ``traffic_cache`` and ``telemetry.workers`` and the
+heartbeat read its rows.  A run with nothing left to do — a resume of a
+complete store — takes the same path with no tasks: it runs inline,
+starts no worker process and returns the same summary.
+
 **Fault tolerance.**  Both paths route failures through the supervisor's
 recovery policy: a failed scenario group is bisected to isolate the
 poison, singletons are retried with exponential backoff + deterministic
@@ -76,7 +84,6 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import replace
 from pathlib import Path
 from typing import Callable
 
@@ -142,8 +149,8 @@ def _pack_tasks(pending: list, batch: int) -> list[list[ScenarioSpec]]:
     scenarios in the order the slabs do, so stores do not change.
     """
     slabs = pack_slabs(pending, batch)
-    head = slabs[0]
-    if len(head) > FIRST_TASK:
+    if slabs and len(slabs[0]) > FIRST_TASK:
+        head = slabs[0]
         slabs[:1] = [head[:FIRST_TASK], head[FIRST_TASK:]]
     return [[pending[i] for i in slab] for slab in slabs]
 
@@ -167,8 +174,9 @@ def _execute_group(
     step) or else the sweep's ``backend`` request — an execution
     choice, so the records are unchanged — compiling through the run's
     ``cache``.  ``telemetry`` holds the pid, busy seconds and scenario
-    count feeding the parent's per-worker series and heartbeat, and the
-    group's compile-cache and schedule-store hits and misses.  Span
+    count, and the group's compile-cache and schedule-store hits and
+    misses, which the parent folds into the run's ledger
+    (:meth:`repro.campaign.heartbeat.HeartbeatWriter.note_group`).  Span
     and metric events go to this process's own tracer; shipping them
     across a process boundary is the worker loop's job.
     """
@@ -354,6 +362,13 @@ def run_campaign(
         chaos = parse_chaos(chaos)
     elif chaos is None:
         chaos = chaos_from_env()
+    # Degradation target: retry once on the reference kernels when the
+    # sweep runs the JIT backend.  A chaos spec with poison_numba
+    # entries simulates exactly that failure mode, so it forces the
+    # path on for numpy-only installs (where it is otherwise moot).
+    degrade_backend = None
+    if resolved == "numba" or (chaos is not None and chaos.poison_numba):
+        degrade_backend = "numpy"
     store = ResultStore(store_path)
     qstore = QuarantineStore(quarantine_path(store.path))
     done: set[str] = set()
@@ -377,18 +392,16 @@ def run_campaign(
     n_done = skipped
     new_quarantined = 0
     stored_hashes = set(done)
-    cache_hits = cache_misses = traffic_hits = traffic_misses = 0
-    fault_stats = {key: 0 for key in sup.STAT_KEYS}
     hb_interval = (
         hb_default_interval() if heartbeat is None else heartbeat
     )
-    hb: HeartbeatWriter | None = None
     # Validate the fault-tolerance knobs up front (fail before work).
     sup_cfg = sup.SupervisorConfig(
         task_timeout=task_timeout,
         retries=retries,
         backoff_base=retry_backoff,
         on_error=on_error,
+        degrade_backend=degrade_backend,
     )
 
     def _store(records: list[dict]) -> None:
@@ -405,8 +418,7 @@ def run_campaign(
             n_done += 1
             if progress is not None:
                 progress(fresh[i], n_done, total)
-            if hb is not None:
-                hb.beat(n_done)
+            ledger.beat(n_done)
 
         rows = [(r["hash"], r["scenario"], r["report"]) for r in fresh]
         store.extend(rows, written)
@@ -426,82 +438,35 @@ def run_campaign(
         qstore.append(failure)
         new_quarantined += 1
 
-    if not pending:
-        if hb_interval > 0:
-            HeartbeatWriter(
-                store.path, total=total, skipped=skipped,
-                workers=workers, batch=batch, interval=hb_interval,
-                task_timeout=task_timeout,
-            ).finish(n_done)
-        return {
-            "total": total, "skipped": skipped, "ran": 0,
-            "quarantined": 0,
-            "quarantined_skipped": quarantined_skipped,
-            "quarantine": str(qstore.path) if qstore.exists() else None,
-            "faults": fault_stats,
-            "store": str(store.path),
-            "compile_cache": {"hits": 0, "misses": 0},
-            "traffic_cache": {"hits": 0, "misses": 0},
-        }
     tasks = _pack_tasks(pending, batch)
-    # Degradation target: retry once on the reference kernels when the
-    # sweep runs the JIT backend.  A chaos spec with poison_numba
-    # entries simulates exactly that failure mode, so it forces the
-    # path on for numpy-only installs (where it is otherwise moot).
-    degrade_backend = None
-    if resolved == "numba" or (chaos is not None and chaos.poison_numba):
-        degrade_backend = "numpy"
-    sup_cfg = replace(sup_cfg, degrade_backend=degrade_backend)
-    if hb_interval > 0:
-        hb = HeartbeatWriter(
-            store.path, total=total, skipped=skipped, workers=workers,
-            batch=batch, backend=resolved, interval=hb_interval,
-            task_timeout=task_timeout,
-        )
-        hb.beat(n_done, force=True)
+    # The run's one ledger: every finished group is folded into it once,
+    # and the heartbeat, the `campaign watch` line and the summary's
+    # cache and per-worker figures all read it.  It writes heartbeat
+    # documents only when heartbeats are on.
+    ledger = HeartbeatWriter(
+        store.path if hb_interval > 0 else None, total=total,
+        skipped=skipped, workers=workers, batch=batch, backend=resolved,
+        interval=hb_interval, task_timeout=task_timeout,
+    )
+    ledger.beat(n_done, force=True)
 
     # Telemetry (off unless a tracer is active): the whole dispatch is
     # one `campaign` span.  Inline groups trace straight into the
     # parent's tracer; pool workers ship their span events and metric
     # snapshots back piggybacked on the result message, and the parent
-    # folds them into its own stream.  Every group also feeds a
-    # per-worker utilization series for the summary and heartbeat.
+    # folds them into its own stream.
     traced = obs.enabled()
-    worker_series: "dict[int, dict]" = {}
 
     def _on_result(task, records, tele) -> None:
-        nonlocal cache_hits, cache_misses, traffic_hits, traffic_misses
-        cache_hits += tele["hits"]
-        cache_misses += tele["misses"]
-        traffic_hits += tele["traffic_hits"]
-        traffic_misses += tele["traffic_misses"]
+        ledger.note_group(tele)
         if tele.get("events"):
             tr = obs.active()
             if tr is not None:
                 tr.ingest(tele["events"])
         if tele.get("metrics") is not None:
             metrics().merge(tele["metrics"])
-        pid, n_scenarios, busy_s = (
-            tele["pid"], tele["scenarios"], tele["busy_s"]
-        )
-        row = worker_series.setdefault(
-            pid, {"groups": 0, "scenarios": 0, "busy_s": 0.0}
-        )
-        row["groups"] += 1
-        row["scenarios"] += n_scenarios
-        row["busy_s"] += busy_s
-        if hb is not None:
-            hb.note_worker(pid, n_scenarios, busy_s)
         with obs.span("store", scenarios=len(records)):
             _store(records)
-
-    def _on_dispatch(pid, task) -> None:
-        if hb is not None:
-            hb.note_dispatch(pid)
-
-    def _on_tick() -> None:
-        if hb is not None:
-            hb.beat(n_done)
 
     _log.debug(
         "dispatching %d group task(s) (%d scenario(s)) over %d worker(s), "
@@ -513,7 +478,9 @@ def run_campaign(
         "campaign", total=total, skipped=skipped,
         workers=workers, batch=batch, backend=resolved,
     ) as root:
-        if workers == 1:
+        # A run with nothing left to do (a complete resume) runs inline
+        # too: it starts no worker process.
+        if workers == 1 or not tasks:
             fault_stats = sup.run_inline(
                 tasks,
                 cfg=sup_cfg,
@@ -536,11 +503,10 @@ def run_campaign(
                 ),
                 on_result=_on_result,
                 on_failure=_on_failure,
-                on_dispatch=_on_dispatch,
-                on_tick=_on_tick,
+                on_dispatch=ledger.note_dispatch,
+                on_tick=lambda: ledger.beat(n_done),
             )
-    if hb is not None:
-        hb.finish(n_done)
+    ledger.finish(n_done)
     if new_quarantined:
         _log.warning(
             "%d scenario(s) quarantined -> %s (inspect with "
@@ -555,22 +521,14 @@ def run_campaign(
         "quarantine": str(qstore.path) if qstore.exists() else None,
         "faults": fault_stats,
         "store": str(store.path),
-        "compile_cache": {"hits": cache_hits, "misses": cache_misses},
-        "traffic_cache": {"hits": traffic_hits, "misses": traffic_misses},
+        "compile_cache": ledger.compile_cache,
+        "traffic_cache": ledger.traffic_cache,
     }
     if traced:
         wall = time.perf_counter() - t_run0
         summary["telemetry"] = {
             "wall_s": wall,
-            "workers": {
-                str(pid): {
-                    **row,
-                    "utilization": (
-                        row["busy_s"] / wall if wall > 0 else 0.0
-                    ),
-                }
-                for pid, row in sorted(worker_series.items())
-            },
+            "workers": ledger.utilization(wall),
             "metrics": metrics().snapshot(),
         }
         tr = obs.active()

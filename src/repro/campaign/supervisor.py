@@ -85,6 +85,13 @@ _ON_ERROR = ("abort", "quarantine")
 #: without letting one worker hoard the tail of the queue.
 PREFETCH = 2
 
+#: Longest sleep of the supervised parent between events, in seconds, so
+#: the heartbeat keeps ticking while every worker is busy.
+POLL_INTERVAL = 0.2
+
+#: Cap on one retry's exponential backoff, in seconds (before jitter).
+BACKOFF_MAX = 30.0
+
 #: Supervisor bookkeeping keys returned in the stats dict.  Each key is
 #: also a declared ``campaign.<event>`` counter, so the set lives in the
 #: trace schema — one declaration for emit, consume, and lint.
@@ -105,10 +112,8 @@ class SupervisorConfig:
     task_timeout: float | None = None
     retries: int = 2
     backoff_base: float = 0.25
-    backoff_max: float = 30.0
     on_error: str = "quarantine"
     degrade_backend: str | None = None
-    poll_interval: float = 0.2
 
     def __post_init__(self) -> None:
         if self.on_error not in _ON_ERROR:
@@ -145,12 +150,12 @@ class Task:
 def backoff_delay(cfg: SupervisorConfig, digest: str, attempt: int) -> float:
     """Exponential backoff with deterministic jitter.
 
-    ``base * 2**attempt`` capped at ``backoff_max``, scaled into
+    ``base * 2**attempt`` capped at :data:`BACKOFF_MAX`, scaled into
     ``[0.5, 1.0)`` of itself by a jitter that is a pure hash of
     ``(digest, attempt)`` — retries de-synchronize across scenarios
     without introducing nondeterminism between identical runs.
     """
-    base = min(cfg.backoff_max, cfg.backoff_base * (2.0 ** attempt))
+    base = min(BACKOFF_MAX, cfg.backoff_base * (2.0 ** attempt))
     h = hashlib.sha256(f"{digest}:{attempt}".encode("utf-8")).digest()
     jitter = int.from_bytes(h[:8], "big") / 2.0**64
     return base * (0.5 + 0.5 * jitter)
@@ -464,8 +469,8 @@ def run_supervised(
     dispatch_ts_factory,
     on_result,
     on_failure,
-    on_dispatch=None,
-    on_tick=None,
+    on_dispatch,
+    on_tick,
 ) -> dict:
     """Run group tasks over a supervised worker pool; return stats.
 
@@ -474,7 +479,8 @@ def run_supervised(
     per completed scenario set; ``on_failure`` receives each terminal
     :class:`TaskFailure` (raising inside it aborts the sweep — the
     pool is torn down and the exception propagates).  ``on_dispatch``
-    and ``on_tick`` are liveness hooks for heartbeat integration.
+    receives the pid of each worker handed a task and ``on_tick`` is
+    called after every wait: the liveness hooks of the run's ledger.
     ``backend`` is the sweep's backend request; the runner also hands it
     to every worker through ``init_args``.
     """
@@ -534,16 +540,15 @@ def run_supervised(
                     if task is None:
                         break
                     worker.dispatch(task, dispatch_ts_factory())
-                    if on_dispatch is not None:
-                        on_dispatch(worker.pid, task)
+                    on_dispatch(worker.pid)
             inflight = [w for w in pool if w.inflight]
             if not inflight and sched.idle():
                 break
             # Sleep until an event: a result or a death (every result
             # pipe and process sentinel), the nearest deadline, or the
-            # nearest backoff expiry — bounded by poll_interval so the
+            # nearest backoff expiry — bounded by POLL_INTERVAL so the
             # heartbeat keeps ticking.
-            wait = cfg.poll_interval
+            wait = POLL_INTERVAL
             if cfg.task_timeout is not None and inflight:
                 nearest = min(
                     w.started + cfg.task_timeout - now for w in inflight
@@ -602,8 +607,7 @@ def run_supervised(
                         "traceback": "",
                         "worker_pid": pid,
                     }, now)
-            if on_tick is not None:
-                on_tick()
+            on_tick()
     finally:
         for worker in pool:
             worker.stop()

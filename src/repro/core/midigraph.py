@@ -45,7 +45,9 @@ class MIDigraph:
         cell — meaningless).
     """
 
-    __slots__ = ("_connections", "_m")
+    # ``_digest`` memoizes :func:`repro.sim.compiled.network_digest`; the
+    # connection tables are read-only, so it cannot go stale.
+    __slots__ = ("_connections", "_m", "_digest")
 
     def __init__(self, connections: Sequence[Connection]) -> None:
         conns = tuple(connections)
@@ -65,6 +67,7 @@ class MIDigraph:
                 )
         self._connections = conns
         self._m = m
+        self._digest: str | None = None
 
     # -- shape ---------------------------------------------------------------
 

@@ -250,14 +250,18 @@ def network_digest(net: MIDigraph) -> str:
     e.g. the same catalog spec rebuilt in two processes, or a saved file
     re-read under a different path — collide, and everything else
     separates.  This string is the topology half of the compile cache
-    key.
+    key.  It is computed once per network object and kept on it: the
+    tables of a :class:`~repro.core.connection.Connection` are
+    read-only, so the digest cannot go stale.
     """
-    h = hashlib.sha256()
-    h.update(np.int64([net.n_stages, net.size]).tobytes())
-    for conn in net.connections:
-        h.update(np.ascontiguousarray(conn.f, dtype=np.int64).tobytes())
-        h.update(np.ascontiguousarray(conn.g, dtype=np.int64).tobytes())
-    return h.hexdigest()[:16]
+    if net._digest is None:
+        h = hashlib.sha256()
+        h.update(np.int64([net.n_stages, net.size]).tobytes())
+        for conn in net.connections:
+            h.update(np.ascontiguousarray(conn.f, dtype=np.int64).tobytes())
+            h.update(np.ascontiguousarray(conn.g, dtype=np.int64).tobytes())
+        net._digest = h.hexdigest()[:16]
+    return net._digest
 
 
 def compile_key(net: MIDigraph, masks: FaultMasks | None = None) -> tuple:

@@ -22,6 +22,7 @@ from repro.campaign import (
     load_records,
     run_campaign,
 )
+from repro.campaign import supervisor
 from repro.campaign.heartbeat import (
     DEFAULT_INTERVAL,
     HEARTBEAT_ENV,
@@ -37,6 +38,7 @@ from repro.campaign.heartbeat import (
 )
 from repro.core.errors import ReproError
 from repro.obs import metrics
+from repro.sim.kernels import resolve_backend
 
 
 @pytest.fixture(autouse=True)
@@ -223,6 +225,76 @@ class TestRunnerIntegration:
             load_records(off)
         )
         assert on.read_bytes() == off.read_bytes()
+
+
+class TestLedger:
+    """One ledger per run: the summary and the heartbeat read the same
+    rows, and a complete resume runs the normal path."""
+
+    def test_complete_resume_starts_no_worker(self, tmp_path, monkeypatch):
+        store = tmp_path / "sweep.jsonl"
+        run_campaign(tiny_spec(), store, heartbeat=0)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a complete resume started a worker pool")
+
+        monkeypatch.setattr(supervisor, "run_supervised", no_pool)
+        expected = {
+            "total": 4, "skipped": 4, "ran": 0,
+            "quarantined": 0, "quarantined_skipped": 0, "quarantine": None,
+            "faults": {key: 0 for key in supervisor.STAT_KEYS},
+            "store": str(store),
+            "compile_cache": {"hits": 0, "misses": 0},
+            "traffic_cache": {"hits": 0, "misses": 0},
+        }
+        summary = run_campaign(
+            tiny_spec(), store, workers=2, resume=True, heartbeat=0
+        )
+        assert summary == expected
+        with obs.tracing() as tr:
+            summary = run_campaign(
+                tiny_spec(), store, workers=2, resume=True,
+                heartbeat=0.0001,
+            )
+        assert summary.pop("telemetry")["workers"] == {}
+        assert summary == expected
+        doc = read_heartbeat(heartbeat_path(store))
+        assert doc["status"] == "complete"
+        assert doc["done"] == doc["total"] == 4 and doc["pending"] == 0
+        assert doc["backend"] == resolve_backend(None)
+        obs.validate_trace_events(tr.events)
+        names = [e["name"] for e in tr.events if e["ev"] == "span"]
+        assert names.count("campaign") == 1 and "group" not in names
+
+    def test_disabled_heartbeat_keeps_worker_telemetry(self, tmp_path):
+        store = tmp_path / "sweep.jsonl"
+        with obs.tracing():
+            summary = run_campaign(
+                tiny_spec(), store, workers=2, batch=1, heartbeat=0
+            )
+        rows = summary["telemetry"]["workers"]
+        assert rows and sum(r["scenarios"] for r in rows.values()) == 4
+        assert sum(r["groups"] for r in rows.values()) == 4
+        assert not heartbeat_path(store).exists()
+
+    def test_liveness_rows_are_the_summary_rows(self, tmp_path):
+        store = tmp_path / "sweep.jsonl"
+        with obs.tracing():
+            summary = run_campaign(
+                tiny_spec(), store, workers=2, batch=1, heartbeat=0.0001
+            )
+        doc = read_heartbeat(heartbeat_path(store))
+
+        def figures(rows):
+            return {
+                pid: (r["groups"], r["scenarios"], r["busy_s"])
+                for pid, r in rows.items()
+            }
+
+        assert figures(doc["worker_liveness"]) == figures(
+            summary["telemetry"]["workers"]
+        )
+        assert sum(r["scenarios"] for r in doc["worker_liveness"].values()) == 4
 
 
 class TestSnapshot:

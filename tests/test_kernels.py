@@ -1413,6 +1413,26 @@ class TestCompileCacheKeying:
             net, fault_masks(net, [fs, None])
         )
 
+    def test_digest_is_hashed_once_per_network(self, monkeypatch):
+        calls = []
+        sha256 = hashlib.sha256
+
+        def counting(*args):
+            calls.append(args)
+            return sha256(*args)
+
+        monkeypatch.setattr(compiled.hashlib, "sha256", counting)
+        net = omega(4)
+        masks = fault_masks(net, [None])
+        first = compile_key(net, masks)
+        assert len(calls) == 1
+        assert compile_key(net, masks) == first
+        assert len(calls) == 1  # the second lookup hashes no table
+        # An equal network rebuilt elsewhere hashes its own tables once
+        # and lands on the same key.
+        assert compile_key(omega(4), masks) == first
+        assert len(calls) == 2
+
     def test_rebuilt_topologies_share_an_entry(self):
         cache = CompileCache()
         a = cache.compile(omega(5))

@@ -41,7 +41,12 @@ from repro.campaign import (
 from repro.campaign.chaos import ChaosInjected, chaos_from_env
 from repro.campaign.errors import format_remote_traceback
 from repro.campaign.heartbeat import render_watch_line
-from repro.campaign.supervisor import Task, backoff_delay, plan_recovery
+from repro.campaign.supervisor import (
+    BACKOFF_MAX,
+    Task,
+    backoff_delay,
+    plan_recovery,
+)
 from repro.core.errors import ReproError
 
 
@@ -137,15 +142,17 @@ class TestChaosSpec:
 
 class TestBackoff:
     def test_deterministic_and_growing(self):
-        cfg = SupervisorConfig(backoff_base=0.25, backoff_max=30.0)
+        cfg = SupervisorConfig(backoff_base=0.25)
         d0 = backoff_delay(cfg, "abc", 0)
         assert d0 == backoff_delay(cfg, "abc", 0)
         assert 0.125 <= d0 < 0.25
         assert 0.25 * 2**3 * 0.5 <= backoff_delay(cfg, "abc", 3)
 
     def test_capped(self):
-        cfg = SupervisorConfig(backoff_base=0.25, backoff_max=1.0)
-        assert backoff_delay(cfg, "abc", 30) < 1.0
+        # 0.25 * 2**30 s is far past the cap: the jitter scales the cap.
+        cfg = SupervisorConfig(backoff_base=0.25)
+        delay = backoff_delay(cfg, "abc", 30)
+        assert 0.5 * BACKOFF_MAX <= delay < BACKOFF_MAX
 
 
 class TestPlanRecovery:

@@ -53,11 +53,14 @@ finishes only the missing scenarios;
 ``status`` counts stored vs. missing scenarios; ``report`` prints the
 aggregate comparison table and the equivalence head-to-head.  Worker
 faults are supervised (:mod:`repro.campaign.supervisor`):
-``--task-timeout`` kills and retries hung groups, ``--retries`` bounds
-the attempts per scenario (exponential backoff, crashed workers
-respawned, numba failures degraded to numpy), and scenarios that still
-fail land in a ``.quarantine.jsonl`` sidecar with their remote
-tracebacks — ``--on-error abort`` makes them fatal instead.
+``--task-timeout`` kills and re-runs hung groups, ``--retries`` bounds
+the immediate re-runs of a scenario whose worker crashed or hung
+(crashed workers respawned, numba failures degraded to numpy; a raise
+is never re-run), and scenarios that still fail land in a
+``.quarantine.jsonl`` sidecar with their remote tracebacks —
+``--on-error abort`` makes them fatal instead.  A raise the
+environment caused (a ``MemoryError``, say) is re-run with
+``campaign quarantine --requeue`` and ``--resume``.
 ``campaign quarantine`` lists the sidecar (``--show`` for one full
 traceback, ``--requeue``/``--requeue-all`` to hand scenarios back to
 the next ``--resume`` run); ``campaign store verify``/``repair``
@@ -954,13 +957,14 @@ def _add_exec_args(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--retries", type=int, default=2, metavar="N",
-        help="attempts per scenario beyond the first, with exponential "
-        "backoff (default: 2)",
+        help="immediate re-runs of a scenario whose worker crashed or "
+        "hung; a raise is never re-run (default: 2)",
     )
     sub.add_argument(
         "--on-error", choices=("abort", "quarantine"), default="quarantine",
-        help="after retries are exhausted: abort the sweep, or quarantine "
-        "the scenario and keep going (default: quarantine)",
+        help="when a scenario fails for good (a raise, or a crash or "
+        "hang past --retries): abort the sweep, or quarantine the "
+        "scenario and keep going (default: quarantine)",
     )
     sub.add_argument(
         "--heartbeat", type=float, default=None, metavar="SECONDS",

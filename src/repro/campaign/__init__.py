@@ -34,8 +34,10 @@ Quickstart
 2
 
 Faults are survived, not fatal: :mod:`repro.campaign.supervisor` wraps
-the worker pool in managed dispatch (timeouts, retries with backoff,
-crash respawn, numba→numpy degradation), poisonous scenarios land in a
+the worker pool in managed dispatch (timeouts, immediate re-runs of
+crashed or hung tasks, crash respawn, numba→numpy degradation), a
+raising scenario is isolated by bisection and quarantined without a
+re-run, poisonous scenarios land in a
 :class:`~repro.campaign.errors.QuarantineStore` sidecar with their full
 remote tracebacks, and :mod:`repro.campaign.chaos` injects
 deterministic crashes/hangs/raises to prove all of it under test.

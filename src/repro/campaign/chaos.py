@@ -3,24 +3,26 @@
 Fault-tolerance code that is only exercised by real segfaults is
 untested code.  This module injects the three failure modes the
 supervisor must survive — worker **crash** (``SIGKILL`` to self),
-**hang** (sleep past any timeout) and **raise** (a poison exception) —
-plus a benign **slow** mode, all *deterministically*: every decision is
-a pure function of ``(chaos seed, scenario digest, attempt)``, so a
-chaotic run is exactly reproducible and a retried task does not re-roll
-the same doom forever.
+**hang** (sleep past any timeout) and **poison** (a raise) — plus a
+benign **slow** mode, all *deterministically*: every decision is a pure
+function of ``(chaos seed, scenario digest, attempt)``, so a chaotic
+run is exactly reproducible and a re-run task does not re-roll the same
+doom forever.
 
 Off by default.  Enabled by the ``REPRO_CHAOS`` environment variable
 (or an explicit :class:`ChaosSpec` passed to ``run_campaign``), a
 comma-separated ``key=value`` spec::
 
-    REPRO_CHAOS="seed=7,crash=0.1,hang=0.05,raise=0.1,slow=0.2,slow_s=0.01"
+    REPRO_CHAOS="seed=7,crash=0.1,hang=0.05,slow=0.2,slow_s=0.01"
     REPRO_CHAOS="poison=6fa1"            # these digests always raise
     REPRO_CHAOS="poison_numba=6fa1"      # raise unless degraded to numpy
 
-Probabilistic modes (``crash``/``hang``/``raise``/``slow``) re-roll per
-attempt — a scenario that crashed on attempt 0 usually succeeds on
-retry, which is what real transient faults look like.  ``poison=``
-digests (prefix match) fail on *every* attempt: they are the truly
+Probabilistic modes (``crash``/``hang``/``slow``) re-roll per attempt —
+a scenario that crashed on attempt 0 usually succeeds on its re-run,
+which is what a transient process death looks like.  A raise has no
+probabilistic mode: a report is a pure function of its spec, so a raise
+is never transient and the supervisor does not re-run it.  ``poison=``
+digests (prefix match) raise on *every* attempt: they are the truly
 poisonous scenarios that must end up quarantined.  ``poison_numba=``
 digests fail only while the task has not been degraded to the numpy
 backend — the deterministic stand-in for "fails under the numba JIT,
@@ -54,11 +56,11 @@ __all__ = [
 #: Environment variable holding the chaos spec; empty/absent = off.
 CHAOS_ENV = "REPRO_CHAOS"
 
-_FLOAT_KEYS = ("crash", "hang", "raise", "slow")
+_FLOAT_KEYS = ("crash", "hang", "slow")
 
 
 class ChaosInjected(ReproError):
-    """The exception raised by chaos ``raise``/``poison`` injection."""
+    """The exception raised by chaos ``poison``/``poison_numba`` injection."""
 
 
 def _unit(seed: int, digest: str, attempt: int, mode: str) -> float:
@@ -72,7 +74,7 @@ def _unit(seed: int, digest: str, attempt: int, mode: str) -> float:
 class ChaosSpec:
     """A parsed chaos configuration (see the module docstring).
 
-    ``crash_p``/``hang_p``/``raise_p``/``slow_p`` are independent
+    ``crash_p``/``hang_p``/``slow_p`` are independent
     per-scenario-per-attempt probabilities, evaluated in that order
     (first trigger wins).  ``poison``/``poison_numba`` are digest
     prefixes with deterministic behavior regardless of attempt.
@@ -81,7 +83,6 @@ class ChaosSpec:
     seed: int = 0
     crash_p: float = 0.0
     hang_p: float = 0.0
-    raise_p: float = 0.0
     slow_p: float = 0.0
     slow_s: float = 0.01
     hang_s: float = 3600.0
@@ -89,7 +90,7 @@ class ChaosSpec:
     poison_numba: tuple = ()
 
     def __post_init__(self) -> None:
-        for name in ("crash_p", "hang_p", "raise_p", "slow_p"):
+        for name in ("crash_p", "hang_p", "slow_p"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise ReproError(
@@ -99,7 +100,7 @@ class ChaosSpec:
 
     def __bool__(self) -> bool:
         return bool(
-            self.crash_p or self.hang_p or self.raise_p or self.slow_p
+            self.crash_p or self.hang_p or self.slow_p
             or self.poison or self.poison_numba
         )
 
@@ -124,7 +125,6 @@ class ChaosSpec:
         for mode, p in (
             ("crash", self.crash_p),
             ("hang", self.hang_p),
-            ("raise", self.raise_p),
             ("slow", self.slow_p),
         ):
             if p > 0.0 and _unit(self.seed, digest, attempt, mode) < p:
@@ -142,9 +142,9 @@ class ChaosSpec:
         Called inside the worker immediately before the group runs.
         ``crash`` SIGKILLs the process (indistinguishable from a
         segfault or the OOM killer), ``hang`` sleeps ``hang_s`` seconds
-        (far past any sane task timeout), ``raise``/``poison`` raise
-        :class:`ChaosInjected`, ``slow`` sleeps ``slow_s`` seconds and
-        continues.
+        (far past any sane task timeout), ``poison``/``poison_numba``
+        raise :class:`ChaosInjected`, ``slow`` sleeps ``slow_s`` seconds
+        and continues.
         """
         for digest in digests:
             action = self.decide(digest, attempt, backend=backend)
@@ -156,7 +156,7 @@ class ChaosSpec:
                 time.sleep(self.hang_s)
             elif action == "slow":
                 time.sleep(self.slow_s)
-            else:  # raise / poison / poison_numba
+            else:  # poison / poison_numba
                 raise ChaosInjected(
                     f"chaos {action} injected for scenario {digest} "
                     f"(attempt {attempt})"
@@ -194,7 +194,7 @@ def parse_chaos(text: str) -> ChaosSpec:
         else:
             raise ReproError(
                 f"unknown chaos key {key!r}; expected one of "
-                "seed, crash, hang, raise, slow, slow_s, hang_s, "
+                "seed, crash, hang, slow, slow_s, hang_s, "
                 "poison, poison_numba"
             )
     return ChaosSpec(**spec)

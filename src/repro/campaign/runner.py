@@ -62,22 +62,26 @@ starts no worker process and returns the same summary.
 
 **Fault tolerance.**  Both paths route failures through the supervisor's
 recovery policy: a failed scenario group is bisected to isolate the
-poison, singletons are retried with exponential backoff + deterministic
-jitter, a numba-backend failure is retried once on numpy, and terminal
-failures land — with their full remote traceback — in the
+poison; a raising singleton is terminal at once (a report is a pure
+function of its spec, so it would raise again), except that a
+numba-backend failure is run once more on numpy; terminal failures
+land — with their full remote traceback — in the
 ``repro-campaign-quarantine`` sidecar next to the store
 (``on_error="quarantine"``, the default) or abort the sweep as a
 :class:`~repro.campaign.errors.RemoteTaskError` (``on_error="abort"``).
 With ``workers>1`` the supervisor additionally enforces per-task
 wall-clock timeouts (``task_timeout``), SIGKILLs hung workers and
-respawns crashed ones, so a segfault or a stuck JIT compile costs one
-task attempt, not the campaign.  Quarantined scenarios are skipped on
-``resume`` and re-run after ``python -m repro campaign quarantine
---requeue``.  The crash-safety oracle is unchanged: once every
+respawns crashed ones, and re-runs a crashed or hung singleton at once
+up to ``retries`` times, so a segfault or a stuck JIT compile costs
+one task attempt, not the campaign.  Quarantined scenarios are skipped
+on ``resume`` and re-run after ``python -m repro campaign quarantine
+--requeue`` — the way to re-run a raise the environment caused, such
+as a ``MemoryError``.  The crash-safety oracle is unchanged: once every
 non-poison scenario completes, store bytes and aggregates are identical
 to a fault-free run.  A deterministic chaos harness
 (:mod:`repro.campaign.chaos`, ``REPRO_CHAOS``) injects worker
-crash/hang/raise/slow faults inside workers to test all of this.
+crash/hang/slow faults and poison raises inside workers to test all of
+this.
 """
 
 from __future__ import annotations
@@ -252,7 +256,6 @@ def run_campaign(
     task_timeout: float | None = None,
     retries: int = 2,
     on_error: str = "quarantine",
-    retry_backoff: float = 0.25,
     chaos: ChaosSpec | str | None = None,
 ) -> dict:
     """Run (or resume) a full campaign sweep into a result store.
@@ -310,21 +313,21 @@ def run_campaign(
         detection).  Enforced with ``workers > 1``; inline runs cannot
         preempt themselves.
     retries:
-        Transient-failure budget per scenario: a failed singleton task
-        is re-executed up to this many extra times (exponential backoff
-        with deterministic jitter) before degradation/quarantine.
+        Transient-failure budget per scenario: a singleton task whose
+        worker crashed or hung is re-run at once up to this many extra
+        times before degradation/quarantine.  A raise is never re-run:
+        it is degraded (numba sweeps) or quarantined as soon as
+        bisection has isolated it.
     on_error:
         ``"quarantine"`` (default) records terminal failures — full
         remote traceback included — in the
         ``repro-campaign-quarantine`` sidecar next to the store and
         finishes the sweep; ``"abort"`` raises
         :class:`~repro.campaign.errors.RemoteTaskError` instead.
-    retry_backoff:
-        Base of the exponential backoff between retries, in seconds.
     chaos:
         A :class:`~repro.campaign.chaos.ChaosSpec` (or its spec
-        string) injecting deterministic crash/hang/raise/slow faults
-        inside workers — the test harness for everything above.
+        string) injecting deterministic crash/hang/slow faults and
+        poison raises inside workers — the test harness for everything above.
         Default (``None``): parsed from the ``REPRO_CHAOS``
         environment variable, which is off by default.  An execution
         hint: chaos never enters specs, digests or store bytes.
@@ -399,7 +402,6 @@ def run_campaign(
     sup_cfg = sup.SupervisorConfig(
         task_timeout=task_timeout,
         retries=retries,
-        backoff_base=retry_backoff,
         on_error=on_error,
         degrade_backend=degrade_backend,
     )

@@ -10,23 +10,27 @@ through all three failure modes:
 * **Timeouts.**  Every in-flight task carries a wall-clock deadline
   (``task_timeout``).  A worker past its deadline is ``SIGKILL``-ed,
   respawned, and the task re-enters the queue as a ``hang`` failure.
-* **Retries + respawn.**  Failed singleton tasks are retried up to
-  ``retries`` times with exponential backoff and *deterministic*
-  jitter (a pure function of the scenario digest and attempt — two
-  identical runs back off identically).  Dead workers are respawned
-  immediately; a crashed worker never takes the pool down.
 * **Bisection.**  A failed multi-scenario group is split in half and
   both halves re-run, recursing until the failure is isolated to the
   single truly-poisonous scenario — the rest of the group's results
   are recomputed and kept.
-* **Degradation.**  A singleton that exhausted its retries is retried
-  once more on the reference numpy backend (when the sweep runs numba)
-  before being declared poison — a JIT-specific failure degrades
-  gracefully instead of quarantining a healthy scenario.
+* **Re-runs + respawn.**  Only a process death can be transient (the
+  OOM killer, an outside signal): a singleton whose worker crashed
+  (``crash``) or hung (``hang``) re-runs at once, up to ``retries``
+  times.  A raise is terminal once bisection has isolated it: a report
+  is a pure function of its spec, so the same spec raises again.  Dead
+  workers are respawned immediately; a crashed worker never takes the
+  pool down.
+* **Degradation.**  A singleton that failed for good is run once more
+  on the reference numpy backend (when the sweep runs numba) before
+  being declared poison — a JIT-specific failure degrades gracefully
+  instead of quarantining a healthy scenario.
 * **Quarantine or abort.**  Terminal failures go to the caller's
   ``on_failure`` hook: quarantine mode records them (with the full
   remote traceback) and finishes the sweep; abort mode raises a
-  :class:`~repro.campaign.errors.RemoteTaskError`.
+  :class:`~repro.campaign.errors.RemoteTaskError`.  A raise caused by
+  the environment (a ``MemoryError``, say) is re-run by hand:
+  ``campaign quarantine --requeue`` and then ``--resume``.
 
 The engine is deliberately generic: it moves
 :class:`~repro.spec.scenario.ScenarioSpec` tuples and the records they
@@ -49,7 +53,6 @@ scenario is delivered to ``on_result`` exactly once.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import signal
 import time
@@ -70,7 +73,6 @@ from repro.obs.metrics import metrics
 __all__ = [
     "SupervisorConfig",
     "Task",
-    "backoff_delay",
     "plan_recovery",
     "run_inline",
     "run_supervised",
@@ -89,9 +91,6 @@ PREFETCH = 2
 #: the heartbeat keeps ticking while every worker is busy.
 POLL_INTERVAL = 0.2
 
-#: Cap on one retry's exponential backoff, in seconds (before jitter).
-BACKOFF_MAX = 30.0
-
 #: Supervisor bookkeeping keys returned in the stats dict.  Each key is
 #: also a declared ``campaign.<event>`` counter, so the set lives in the
 #: trace schema — one declaration for emit, consume, and lint.
@@ -103,7 +102,8 @@ class SupervisorConfig:
     """The fault-tolerance policy of one campaign run.
 
     ``task_timeout=None`` disables hang detection (tasks may run
-    forever); ``retries`` bounds per-singleton re-executions;
+    forever); ``retries`` bounds the immediate re-runs of a singleton
+    whose worker crashed or hung (a raise is never re-run);
     ``degrade_backend`` names the backend for the final pre-quarantine
     attempt (``None`` disables degradation); ``on_error`` picks what
     terminal failures do to the sweep.
@@ -111,7 +111,6 @@ class SupervisorConfig:
 
     task_timeout: float | None = None
     retries: int = 2
-    backoff_base: float = 0.25
     on_error: str = "quarantine"
     degrade_backend: str | None = None
 
@@ -134,31 +133,21 @@ class SupervisorConfig:
 
 @dataclass
 class Task:
-    """One schedulable unit: a scenario group plus its retry state."""
+    """One schedulable unit: a scenario group plus its run state.
+
+    ``attempt`` counts the earlier runs of a singleton (crash and hang
+    re-runs, then the degraded run); ``backend_override`` is set only
+    on a degraded task.
+    """
 
     id: int
     specs: tuple
     attempt: int = 0
     backend_override: str | None = None
-    not_before: float = 0.0  # monotonic dispatch gate (backoff)
     last_error: dict | None = None
 
     def digests(self) -> tuple:
         return tuple(s.digest for s in self.specs)
-
-
-def backoff_delay(cfg: SupervisorConfig, digest: str, attempt: int) -> float:
-    """Exponential backoff with deterministic jitter.
-
-    ``base * 2**attempt`` capped at :data:`BACKOFF_MAX`, scaled into
-    ``[0.5, 1.0)`` of itself by a jitter that is a pure hash of
-    ``(digest, attempt)`` — retries de-synchronize across scenarios
-    without introducing nondeterminism between identical runs.
-    """
-    base = min(BACKOFF_MAX, cfg.backoff_base * (2.0 ** attempt))
-    h = hashlib.sha256(f"{digest}:{attempt}".encode("utf-8")).digest()
-    jitter = int.from_bytes(h[:8], "big") / 2.0**64
-    return base * (0.5 + 0.5 * jitter)
 
 
 def _count(stats: dict, event: str, n: int = 1) -> None:
@@ -172,7 +161,6 @@ def plan_recovery(
     cfg: SupervisorConfig,
     next_id,
     *,
-    now: float = 0.0,
     backend: str | None = None,
 ) -> tuple[list[Task], TaskFailure | None, str]:
     """Decide what happens after ``task`` failed.
@@ -180,10 +168,13 @@ def plan_recovery(
     Returns ``(replacements, terminal, event)``: zero or more tasks to
     enqueue, an optional terminal :class:`TaskFailure` (exactly when
     ``replacements`` is empty), and the event name for the stats
-    counters (``bisect``/``retry``/``degrade``/``quarantine`` — the
-    counters themselves pluralize).  ``task.last_error`` must hold the
-    failure evidence dict (``kind``/``type``/``message``/``traceback``/
-    ``worker_pid``).  ``backend`` is the sweep's backend request; a
+    counters (``bisects``/``retries``/``degraded``/``quarantined``).
+    ``task.last_error`` must hold the failure evidence dict
+    (``kind``/``type``/``message``/``traceback``/``worker_pid``).  A
+    group is bisected; a degraded singleton is terminal; a ``crash`` or
+    ``hang`` re-runs at once while ``attempt < retries``; then the
+    singleton degrades once (when ``degrade_backend`` is set) or is
+    quarantined.  ``backend`` is the sweep's backend request; a
     terminal failure lists it (or ``"auto"``) and then the task's
     override as the backends it ran on.
     """
@@ -193,43 +184,31 @@ def plan_recovery(
         # recurses down to the guilty singleton.
         mid = len(task.specs) // 2
         halves = [
-            Task(
-                id=next_id(),
-                specs=part,
-                backend_override=task.backend_override,
-            )
+            Task(id=next_id(), specs=part)
             for part in (task.specs[:mid], task.specs[mid:])
         ]
         return halves, None, "bisects"
-    digest = task.specs[0].digest
-    if task.attempt < cfg.retries:
-        retry = dc_replace(
-            task,
-            id=next_id(),
-            attempt=task.attempt + 1,
-            not_before=now + backoff_delay(cfg, digest, task.attempt),
-        )
-        return [retry], None, "retries"
-    if (
-        cfg.degrade_backend is not None
-        and task.backend_override != cfg.degrade_backend
-    ):
-        degraded = dc_replace(
-            task,
-            id=next_id(),
-            attempt=cfg.retries,  # one shot: next failure is terminal
-            backend_override=cfg.degrade_backend,
-            not_before=now,
-        )
-        return [degraded], None, "degraded"
     info = task.last_error or {}
+    kind = info.get("kind", "raise")
+    if task.backend_override is None:
+        if kind in ("crash", "hang") and task.attempt < cfg.retries:
+            retry = dc_replace(task, id=next_id(), attempt=task.attempt + 1)
+            return [retry], None, "retries"
+        if cfg.degrade_backend is not None:
+            degraded = dc_replace(
+                task,
+                id=next_id(),
+                attempt=task.attempt + 1,
+                backend_override=cfg.degrade_backend,
+            )
+            return [degraded], None, "degraded"
     spec = task.specs[0]
     request = backend or "auto"
     backends = (request, task.backend_override or request)
     failure = TaskFailure(
-        hash=digest,
+        hash=spec.digest,
         scenario=spec.to_spec(),
-        kind=info.get("kind", "raise"),
+        kind=kind,
         error_type=info.get("type", "Unknown"),
         message=info.get("message", "task failed"),
         traceback=info.get("traceback", ""),
@@ -380,34 +359,24 @@ class _Worker:
 
 
 class _Scheduler:
-    """Shared retry/bisect/quarantine bookkeeping of both engines."""
+    """Shared re-run/bisect/quarantine bookkeeping of both engines.
+
+    ``tasks`` is the run's list of spec tuples, one per group.
+    """
 
     def __init__(self, tasks, cfg, on_failure, backend) -> None:
         self.cfg = cfg
         self.on_failure = on_failure
         self.backend = backend
-        self.pending: deque[Task] = deque(tasks)
-        self.waiting: list[Task] = []  # backoff-gated, sorted lazily
+        self.pending: deque[Task] = deque(
+            Task(id=i, specs=tuple(specs)) for i, specs in enumerate(tasks)
+        )
         self.done_digests: set[str] = set()
         self.stats = {key: 0 for key in STAT_KEYS}
         self._ids = iter(range(len(self.pending) * 4096, 2**62))
 
     def next_id(self) -> int:
         return next(self._ids)
-
-    def promote_ready(self, now: float) -> None:
-        still = []
-        for task in self.waiting:
-            if task.not_before <= now:
-                self.pending.append(task)
-            else:
-                still.append(task)
-        self.waiting = still
-
-    def next_wakeup(self, now: float) -> float | None:
-        if not self.waiting:
-            return None
-        return max(0.0, min(t.not_before for t in self.waiting) - now)
 
     def pop_ready(self) -> Task | None:
         """The next dispatchable task, skipping fully-completed ones."""
@@ -423,17 +392,14 @@ class _Scheduler:
             return task
         return None
 
-    def idle(self) -> bool:
-        return not self.pending and not self.waiting
-
     def complete(self, task: Task) -> None:
         self.done_digests.update(task.digests())
 
-    def fail(self, task: Task, info: dict, now: float) -> None:
+    def fail(self, task: Task, info: dict) -> None:
         """Route one failed task through the recovery policy."""
         task.last_error = info
         replacements, terminal, event = plan_recovery(
-            task, self.cfg, self.next_id, now=now, backend=self.backend
+            task, self.cfg, self.next_id, backend=self.backend
         )
         _count(self.stats, event)
         if terminal is not None:
@@ -450,12 +416,7 @@ class _Scheduler:
             )
             self.on_failure(terminal)
             return
-        for sub in replacements:
-            sub.last_error = info
-            if sub.not_before > now:
-                self.waiting.append(sub)
-            else:
-                self.pending.append(sub)
+        self.pending.extend(replacements)
 
 
 def run_supervised(
@@ -485,12 +446,7 @@ def run_supervised(
     to every worker through ``init_args``.
     """
     ctx = multiprocessing.get_context()
-    sched = _Scheduler(
-        [Task(id=i, specs=tuple(specs)) for i, specs in enumerate(tasks)],
-        cfg,
-        on_failure,
-        backend,
-    )
+    sched = _Scheduler(tasks, cfg, on_failure, backend)
     pool = [_Worker(ctx, init_args, chaos) for _ in range(workers)]
 
     def _handle(worker: _Worker, msg, now: float) -> None:
@@ -503,9 +459,9 @@ def run_supervised(
             sched.complete(task)
             on_result(task, records, tele)
         else:
-            sched.fail(task, msg[1], now)
+            sched.fail(task, msg[1])
 
-    def _retire(worker: _Worker, event: str, info: dict, now: float) -> None:
+    def _retire(worker: _Worker, event: str, info: dict) -> None:
         """Replace a dead or hung worker and fail its running task.
 
         The running head failed; prefetched successors never started
@@ -519,7 +475,7 @@ def run_supervised(
         sched.pending.extend(queued)
         if head is not None:
             _count(sched.stats, event)
-            sched.fail(head, info, now)
+            sched.fail(head, info)
 
     # The parent's idle time: every wait on worker pipes, traced only.
     waited = (
@@ -529,7 +485,6 @@ def run_supervised(
     try:
         while True:
             now = time.monotonic()
-            sched.promote_ready(now)
             # Fill every worker to its prefetch depth, shallowest
             # first, so tasks spread across the pool before stacking.
             for depth in range(PREFETCH):
@@ -542,21 +497,17 @@ def run_supervised(
                     worker.dispatch(task, dispatch_ts_factory())
                     on_dispatch(worker.pid)
             inflight = [w for w in pool if w.inflight]
-            if not inflight and sched.idle():
-                break
+            if not inflight:
+                break  # no worker busy, so the fill found no task left
             # Sleep until an event: a result or a death (every result
-            # pipe and process sentinel), the nearest deadline, or the
-            # nearest backoff expiry — bounded by POLL_INTERVAL so the
-            # heartbeat keeps ticking.
+            # pipe and process sentinel) or the nearest deadline —
+            # bounded by POLL_INTERVAL so the heartbeat keeps ticking.
             wait = POLL_INTERVAL
-            if cfg.task_timeout is not None and inflight:
+            if cfg.task_timeout is not None:
                 nearest = min(
                     w.started + cfg.task_timeout - now for w in inflight
                 )
                 wait = min(wait, max(0.0, nearest))
-            wakeup = sched.next_wakeup(now)
-            if wakeup is not None:
-                wait = min(wait, wakeup)
             wait_for_events(
                 [w.result_conn for w in pool]
                 + [w.proc.sentinel for w in pool],
@@ -583,7 +534,7 @@ def run_supervised(
                     ),
                     "traceback": "",
                     "worker_pid": None,
-                }, now)
+                })
             # Hung workers: running head past the wall-clock deadline.
             if cfg.task_timeout is not None:
                 for worker in pool:
@@ -606,7 +557,7 @@ def run_supervised(
                         ),
                         "traceback": "",
                         "worker_pid": pid,
-                    }, now)
+                    })
             on_tick()
     finally:
         for worker in pool:
@@ -630,8 +581,8 @@ def run_inline(
     workers run — in the calling process, so its spans land directly
     in the caller's tracer.  ``on_result`` receives the same
     ``(task, records, telemetry)`` as on the pool path;
-    raising routes the task through retry → bisect → degrade →
-    quarantine exactly like the pool path.  Hang and crash supervision
+    raising routes the task through bisect → degrade → quarantine
+    exactly like the pool path.  Hang and crash supervision
     need a separate process and are therefore pool-only: inline, a hang
     blocks and a crash kills the run — ``workers=1`` remains the
     transparent debugging mode.  ``backend`` is the sweep's backend
@@ -639,30 +590,15 @@ def run_inline(
     """
     from repro.campaign import runner
 
-    sched = _Scheduler(
-        [Task(id=i, specs=tuple(specs)) for i, specs in enumerate(tasks)],
-        cfg,
-        on_failure,
-        backend,
-    )
-    while True:
-        now = time.monotonic()
-        sched.promote_ready(now)
-        task = sched.pop_ready()
-        if task is None:
-            if sched.idle():
-                break
-            delay = sched.next_wakeup(now)
-            if delay:
-                time.sleep(delay)
-            continue
+    sched = _Scheduler(tasks, cfg, on_failure, backend)
+    while (task := sched.pop_ready()) is not None:
         try:
             records, tele = runner._execute_group(
                 task.specs, task.attempt, task.backend_override, backend,
                 None, chaos, cache,
             )
         except Exception as exc:  # noqa: BLE001 — routed, not swallowed
-            sched.fail(task, _error_info(exc), time.monotonic())
+            sched.fail(task, _error_info(exc))
             continue
         sched.complete(task)
         on_result(task, records, tele)

@@ -41,12 +41,8 @@ from repro.campaign import (
 from repro.campaign.chaos import ChaosInjected, chaos_from_env
 from repro.campaign.errors import format_remote_traceback
 from repro.campaign.heartbeat import render_watch_line
-from repro.campaign.supervisor import (
-    BACKOFF_MAX,
-    Task,
-    backoff_delay,
-    plan_recovery,
-)
+from repro.campaign import supervisor
+from repro.campaign.supervisor import Task, plan_recovery
 from repro.core.errors import ReproError
 
 
@@ -75,11 +71,11 @@ def digests() -> list[str]:
 class TestChaosSpec:
     def test_parse_roundtrip(self):
         spec = parse_chaos(
-            "seed=7,crash=0.1,hang=0.05,raise=0.2,slow=0.3,"
+            "seed=7,crash=0.1,hang=0.05,slow=0.3,"
             "slow_s=0.02,hang_s=9,poison=ab+cd,poison_numba=ef"
         )
         assert spec == ChaosSpec(
-            seed=7, crash_p=0.1, hang_p=0.05, raise_p=0.2, slow_p=0.3,
+            seed=7, crash_p=0.1, hang_p=0.05, slow_p=0.3,
             slow_s=0.02, hang_s=9.0, poison=("ab", "cd"),
             poison_numba=("ef",),
         )
@@ -87,6 +83,10 @@ class TestChaosSpec:
     def test_unknown_key_is_loud(self):
         with pytest.raises(ReproError, match="unknown chaos key"):
             parse_chaos("crsh=0.5")
+        # A raise is never transient, so it has no probabilistic mode:
+        # only poison= raises.
+        with pytest.raises(ReproError, match="unknown chaos key 'raise'"):
+            parse_chaos("raise=0.1")
 
     def test_bad_probability_rejected(self):
         with pytest.raises(ReproError, match="probability"):
@@ -97,7 +97,7 @@ class TestChaosSpec:
         assert ChaosSpec(poison=("aa",))
 
     def test_decide_is_deterministic(self, digests):
-        spec = ChaosSpec(seed=3, crash_p=0.3, raise_p=0.3)
+        spec = ChaosSpec(seed=3, crash_p=0.3, hang_p=0.3)
         for d in digests:
             for attempt in range(4):
                 assert spec.decide(d, attempt) == spec.decide(d, attempt)
@@ -131,28 +131,13 @@ class TestChaosSpec:
     def test_env_parsing(self, monkeypatch):
         monkeypatch.delenv("REPRO_CHAOS", raising=False)
         assert chaos_from_env() is None
-        monkeypatch.setenv("REPRO_CHAOS", "seed=5,raise=0.5")
-        assert chaos_from_env() == ChaosSpec(seed=5, raise_p=0.5)
+        monkeypatch.setenv("REPRO_CHAOS", "seed=5,crash=0.5")
+        assert chaos_from_env() == ChaosSpec(seed=5, crash_p=0.5)
         monkeypatch.setenv("REPRO_CHAOS", "seed=5")  # no active mode
         assert chaos_from_env() is None
 
 
 # -- recovery policy ---------------------------------------------------------
-
-
-class TestBackoff:
-    def test_deterministic_and_growing(self):
-        cfg = SupervisorConfig(backoff_base=0.25)
-        d0 = backoff_delay(cfg, "abc", 0)
-        assert d0 == backoff_delay(cfg, "abc", 0)
-        assert 0.125 <= d0 < 0.25
-        assert 0.25 * 2**3 * 0.5 <= backoff_delay(cfg, "abc", 3)
-
-    def test_capped(self):
-        # 0.25 * 2**30 s is far past the cap: the jitter scales the cap.
-        cfg = SupervisorConfig(backoff_base=0.25)
-        delay = backoff_delay(cfg, "abc", 30)
-        assert 0.5 * BACKOFF_MAX <= delay < BACKOFF_MAX
 
 
 class TestPlanRecovery:
@@ -174,16 +159,28 @@ class TestPlanRecovery:
         # Halves restart their attempt budget from scratch.
         assert all(t.attempt == 0 for t in replacements)
 
-    def test_singleton_retries_with_backoff(self):
+    def test_crashed_singleton_reruns_at_next_attempt(self):
         spec = list(expand_scenarios(tiny_spec()))[0]
-        task = self._task([spec])
+        task = self._task([spec], last_error={"kind": "crash"})
         replacements, terminal, event = plan_recovery(
-            task, SupervisorConfig(retries=2), self._ids(), now=100.0
+            task, SupervisorConfig(retries=2), self._ids()
         )
         assert event == "retries" and terminal is None
         (retry,) = replacements
         assert retry.attempt == 1
-        assert retry.not_before > 100.0
+        assert retry.specs == task.specs and retry.backend_override is None
+
+    def test_raising_singleton_is_terminal_at_once(self):
+        # A report is a pure function of its spec: a raise would raise
+        # again, so it is quarantined at attempt 0 whatever the budget.
+        spec = list(expand_scenarios(tiny_spec()))[0]
+        task = self._task([spec], last_error={"kind": "raise"})
+        replacements, terminal, event = plan_recovery(
+            task, SupervisorConfig(retries=2), self._ids()
+        )
+        assert event == "quarantined" and replacements == []
+        assert terminal.kind == "raise"
+        assert terminal.attempts == 1
 
     def test_exhausted_singleton_degrades_once(self):
         spec = list(expand_scenarios(tiny_spec()))[0]
@@ -195,6 +192,7 @@ class TestPlanRecovery:
         assert event == "degraded" and terminal is None
         (degraded,) = replacements
         assert degraded.backend_override == "numpy"
+        assert degraded.attempt == 2  # its own attempt number
         # The degraded attempt is the last one: failing again is
         # terminal, not another retry loop.
         again, terminal, event = plan_recovery(
@@ -578,7 +576,7 @@ class TestSupervisedCampaign:
         assert failure.kind == "raise"
         assert failure.error_type == "ChaosInjected"
         assert "ChaosInjected" in failure.traceback
-        assert failure.attempts == 2  # initial try + 1 retry
+        assert failure.attempts == 1  # a raise is never re-run
 
     def test_resume_skips_quarantined_then_requeue_reruns(
         self, tmp_path, digests
@@ -630,6 +628,67 @@ class TestSupervisedCampaign:
             quarantine_path(path)
         ).hashes() == {poisoned}
 
+    def test_inline_poison_never_sleeps(
+        self, tmp_path, digests, monkeypatch
+    ):
+        # A raise is terminal once isolated, so nothing waits before a
+        # re-run: any sleep in the supervisor would fail the run.
+        def no_sleep(seconds):
+            raise AssertionError(f"supervisor slept {seconds}s")
+
+        monkeypatch.setattr(supervisor.time, "sleep", no_sleep)
+        poisoned = digests[0]
+        path = tmp_path / "inline.jsonl"
+        summary = run_campaign(
+            tiny_spec(), path, chaos=f"poison={poisoned[:8]}"
+        )
+        assert summary["quarantined"] == 1
+        assert summary["ran"] == len(digests) - 1
+        assert QuarantineStore(
+            quarantine_path(path)
+        ).hashes() == {poisoned}
+
+    def test_pool_poison_is_not_rerun(self, tmp_path, digests):
+        path = tmp_path / "pool.jsonl"
+        summary = run_campaign(
+            tiny_spec(), path, workers=2,
+            chaos=f"poison={digests[0][:8]}",
+        )
+        assert summary["quarantined"] == 1
+        assert summary["faults"]["retries"] == 0
+        (failure,) = QuarantineStore(quarantine_path(path)).records()
+        assert failure.attempts == 1
+
+    def test_degraded_run_takes_the_next_attempt(
+        self, tmp_path, digests, monkeypatch
+    ):
+        # Poisoned on every backend: the isolated singleton runs once,
+        # degrades once to numpy, and is quarantined.  Each run has its
+        # own attempt number, so the record counts both runs.
+        from repro.campaign import runner
+
+        poisoned = digests[0]
+        runs = []
+        execute = runner._execute_group
+
+        def counting(specs, attempt, backend_override, *args):
+            if [s.digest for s in specs] == [poisoned]:
+                runs.append((attempt, backend_override))
+            return execute(specs, attempt, backend_override, *args)
+
+        monkeypatch.setattr(runner, "_execute_group", counting)
+        path = tmp_path / "degraded.jsonl"
+        summary = run_campaign(
+            tiny_spec(), path, retries=1,
+            chaos=f"poison={poisoned[:8]},poison_numba={poisoned[:8]}",
+        )
+        assert runs == [(0, None), (1, "numpy")]
+        assert summary["faults"]["degraded"] == 1
+        (failure,) = QuarantineStore(quarantine_path(path)).records()
+        assert failure.hash == poisoned
+        assert failure.attempts == 2
+        assert failure.backends[-1] == "numpy"
+
     def test_worker_crashes_are_survived(self, tmp_path, digests):
         # Deterministic chaos: pick a seed whose 30% crash rate kills
         # at least one attempt-0 task but spares every scenario by its
@@ -657,7 +716,6 @@ class TestSupervisedCampaign:
         path = tmp_path / "crashy.jsonl"
         summary = run_campaign(
             tiny_spec(), path, workers=2, retries=retries,
-            retry_backoff=0.05,
             chaos=ChaosSpec(seed=seed, crash_p=0.3),
         )
         assert summary["quarantined"] == 0
@@ -686,8 +744,7 @@ class TestSupervisedCampaign:
         want = self._fault_free(tmp_path, workers=2)
         path = tmp_path / "hangy.jsonl"
         summary = run_campaign(
-            tiny_spec(), path, workers=2, retries=2,
-            retry_backoff=0.05, task_timeout=1.5,
+            tiny_spec(), path, workers=2, retries=2, task_timeout=1.5,
             chaos=ChaosSpec(seed=seed, hang_p=0.2, hang_s=60.0),
         )
         assert summary["quarantined"] == 0
@@ -719,7 +776,6 @@ class TestSupervisedCampaign:
         path = tmp_path / "degraded.jsonl"
         summary = run_campaign(
             tiny_spec(), path, workers=2, retries=1,
-            retry_backoff=0.05,
             chaos=f"poison_numba={poisoned[:8]}",
         )
         assert summary["quarantined"] == 0
